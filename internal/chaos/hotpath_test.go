@@ -3,9 +3,11 @@ package chaos
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/fault"
 )
 
 // TestRunnerPathEquivalence: the pooled run path (per-worker arena +
@@ -41,6 +43,31 @@ func TestRunnerPathEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWarmRunnerAllocs bounds what one warm pooled Runner.Run of kvstore
+// under a reorder schedule allocates — the whole per-run path the matrix
+// and the search pay: Spec.Make, Reset, Compile, the run itself and the
+// streaming fingerprint. Measured 955 (1246 with a map clone per Lamport
+// tick); ≈1030 under -race, where sync.Pool drops a quarter of its Puts on
+// purpose and encoding/json's and fmt's scratch is re-made that often. The
+// ceiling is the plain floor + 10 %, which also clears the race figure.
+func TestWarmRunnerAllocs(t *testing.T) {
+	spec, err := apps.Lookup("kvstore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Runner{Spec: spec, Seed: 2, Probe: true}
+	sched := Schedule{Generate(fault.Reorder, r.Procs(), r.Crashable(), spec.Horizon, 2)}
+	// The cheapest of a few single warm runs: a dropped Put of the run
+	// arena itself makes the next run pay a fresh simulation.
+	best := math.Inf(1)
+	for i := 0; i < 64; i++ {
+		best = min(best, testing.AllocsPerRun(1, func() { r.Run(sched) }))
+	}
+	if best > 1050 {
+		t.Fatalf("warm kvstore/reorder run allocates %.0f times; want <= 1050 (the pooled run path has regressed)", best)
 	}
 }
 

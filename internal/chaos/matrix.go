@@ -144,15 +144,22 @@ func RunMatrix(cfg MatrixConfig) *MatrixReport {
 	// Enumerate the cells up front: the slice order is the report order,
 	// whatever order the workers finish in.
 	type cellSpec struct {
-		spec apps.AppSpec
-		kind fault.Kind
-		seed int64
+		spec      apps.AppSpec
+		procs     []string
+		crashable []int
+		kind      fault.Kind
+		seed      int64
 	}
 	var specs []cellSpec
 	for _, spec := range cfg.Apps {
+		// The process list and its crashable subset depend on the
+		// application alone, and listing them builds every machine
+		// (Spec.Make): resolve them once per application, not per cell.
+		lister := Runner{Spec: spec, Probe: true}
+		procs, crashable := lister.Procs(), lister.Crashable()
 		for _, kind := range cfg.Kinds {
 			for _, seed := range cfg.Seeds {
-				specs = append(specs, cellSpec{spec: spec, kind: kind, seed: seed})
+				specs = append(specs, cellSpec{spec: spec, procs: procs, crashable: crashable, kind: kind, seed: seed})
 			}
 		}
 	}
@@ -161,7 +168,7 @@ func RunMatrix(cfg MatrixConfig) *MatrixReport {
 		cs := specs[i]
 		runner := Runner{Spec: cs.spec, Seed: cs.seed, Probe: true,
 			CheckEvery: cfg.CheckEvery, Baseline: cfg.Baseline}
-		scen := Generate(cs.kind, runner.Procs(), runner.Crashable(), cs.spec.Horizon, cs.seed)
+		scen := Generate(cs.kind, cs.procs, cs.crashable, cs.spec.Horizon, cs.seed)
 		sched := Schedule{scen}
 		r1 := runner.Run(sched)
 		r2 := runner.Run(sched)

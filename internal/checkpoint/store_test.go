@@ -6,6 +6,15 @@ import (
 	"repro/internal/vclock"
 )
 
+// vc builds a clock from (id string, count int) pairs.
+func vc(pairs ...any) vclock.VC {
+	v := vclock.New()
+	for i := 0; i < len(pairs); i += 2 {
+		v.Set(pairs[i].(string), uint64(pairs[i+1].(int)))
+	}
+	return v
+}
+
 func mkCkpt(proc string, clock vclock.VC) *Checkpoint {
 	h := NewHeapPages(32, 16)
 	return &Checkpoint{Proc: proc, Clock: clock, Snap: h.Snapshot()}
@@ -13,7 +22,7 @@ func mkCkpt(proc string, clock vclock.VC) *Checkpoint {
 
 func TestStorePutGet(t *testing.T) {
 	s := NewStore()
-	c := mkCkpt("a", vclock.VC{"a": 1})
+	c := mkCkpt("a", vc("a", 1))
 	id := s.Put(c)
 	if id == "" {
 		t.Fatal("empty ID assigned")
@@ -33,8 +42,8 @@ func TestStorePutGet(t *testing.T) {
 
 func TestStoreLatestAndList(t *testing.T) {
 	s := NewStore()
-	c1 := mkCkpt("a", vclock.VC{"a": 1})
-	c2 := mkCkpt("a", vclock.VC{"a": 2})
+	c1 := mkCkpt("a", vc("a", 1))
+	c2 := mkCkpt("a", vc("a", 2))
 	s.Put(c1)
 	s.Put(c2)
 	if got := s.Latest("a"); got != c2 {
@@ -61,7 +70,7 @@ func TestStoreProcsSorted(t *testing.T) {
 
 func TestStoreRemove(t *testing.T) {
 	s := NewStore()
-	c := mkCkpt("a", vclock.VC{"a": 1})
+	c := mkCkpt("a", vc("a", 1))
 	id := s.Put(c)
 	if !s.Remove(id) {
 		t.Fatal("Remove existing returned false")
@@ -80,9 +89,9 @@ func TestStoreRemove(t *testing.T) {
 func TestStorePruneBefore(t *testing.T) {
 	s := NewStore()
 	for i := 1; i <= 5; i++ {
-		s.Put(mkCkpt("a", vclock.VC{"a": uint64(i)}))
+		s.Put(mkCkpt("a", vc("a", i)))
 	}
-	s.Put(mkCkpt("b", vclock.VC{"b": 1}))
+	s.Put(mkCkpt("b", vc("b", 1)))
 	removed := s.PruneBefore(2)
 	if removed != 3 {
 		t.Errorf("removed = %d, want 3", removed)
@@ -100,14 +109,14 @@ func TestStorePruneBefore(t *testing.T) {
 
 func TestLatestNotAfter(t *testing.T) {
 	s := NewStore()
-	c1 := mkCkpt("a", vclock.VC{"a": 1})
-	c2 := mkCkpt("a", vclock.VC{"a": 5})
-	c3 := mkCkpt("a", vclock.VC{"a": 9})
+	c1 := mkCkpt("a", vc("a", 1))
+	c2 := mkCkpt("a", vc("a", 5))
+	c3 := mkCkpt("a", vc("a", 9))
 	s.Put(c1)
 	s.Put(c2)
 	s.Put(c3)
 	// Fault observed at {a:6}: c3 (a:9) is causally after, c2 (a:5) is not.
-	got := s.LatestNotAfter("a", vclock.VC{"a": 6})
+	got := s.LatestNotAfter("a", vc("a", 6))
 	if got != c2 {
 		t.Errorf("LatestNotAfter = %+v, want c2", got)
 	}
@@ -116,7 +125,7 @@ func TestLatestNotAfter(t *testing.T) {
 	if got := s.LatestNotAfter("a", vclock.VC{}); got != nil {
 		t.Errorf("LatestNotAfter(empty) = %+v, want nil", got)
 	}
-	if got := s.LatestNotAfter("zz", vclock.VC{"a": 1}); got != nil {
+	if got := s.LatestNotAfter("zz", vc("a", 1)); got != nil {
 		t.Error("unknown proc should be nil")
 	}
 }

@@ -18,7 +18,7 @@ func TestAccessors(t *testing.T) {
 	if len(procs) != 2 || procs[0] != "a-proc" || procs[1] != "b-proc" {
 		t.Errorf("Procs = %v, want sorted", procs)
 	}
-	if s.Scroll("ghost") != nil || s.Heap("ghost") != nil || s.Clock("ghost") != nil {
+	if s.Scroll("ghost") != nil || s.Heap("ghost") != nil || s.Clock("ghost") != (vclock.VC{}) {
 		t.Error("unknown proc accessors should return nil")
 	}
 	if s.MachineState("ghost") != nil {

@@ -223,8 +223,9 @@ type proc struct {
 	machine   Machine
 	heap      *checkpoint.Heap
 	scroll    *scroll.Scroll
-	clock     vclock.VC
-	snap      vclock.VC // cached clock copy, shared by records between ticks
+	clock     vclock.VC // on the simulation's shared ID table (Sim.tab)
+	self      int       // this process's index in that table
+	snap      vclock.VC // cached clock snapshot, shared by records between ticks
 	ctx       *simContext
 	lamport   vclock.Lamport
 	crashed   bool
@@ -256,18 +257,25 @@ type durableCell struct {
 	stale    bool
 }
 
-// clockSnap returns a copy of the process's vector clock that is shared by
-// every record created until the clock next advances. Scroll records,
+// clockSnap returns a snapshot of the process's vector clock that is shared
+// by every record created until the clock next advances. Scroll records,
 // queued events, checkpoints and fault records all treat their clock as
-// immutable (nothing in the tree mutates a Record.Clock in place), so
-// sharing one snapshot between ticks removes a map allocation per recorded
-// action — a measurable slice of the chaos hot path. Every site that
-// mutates p.clock must nil p.snap.
+// immutable (nothing in the tree mutates a Record.Clock in place), so one
+// snapshot per tick serves them all — and lets the fingerprinter encode it
+// once. Snapshots are carved from the simulation's run-scoped arena, so
+// taking one allocates nothing. Every site that mutates p.clock must zero
+// p.snap (tick does).
 func (p *proc) clockSnap() vclock.VC {
-	if p.snap == nil {
-		p.snap = p.clock.Copy()
+	if p.snap == (vclock.VC{}) {
+		p.snap = p.ctx.sim.clocks.Snapshot(p.clock)
 	}
 	return p.snap
+}
+
+// tick advances the process's own component of its vector clock.
+func (p *proc) tick() {
+	p.clock.TickAt(p.self)
+	p.snap = vclock.VC{}
 }
 
 // partition is a temporary network split.
@@ -352,6 +360,8 @@ type Sim struct {
 	msgIDBuf []byte                   // scratch for message-ID rendering
 	timerRec map[string]timerRecParts // cached timer-record strings/payloads
 	payBuf   []byte                   // bump arena for 8-byte record payloads
+	tab      *vclock.Table            // process-ID table every clock of the run shares
+	clocks   vclock.Arena             // bump arena for clock snapshots (proc.clockSnap)
 	stop     bool
 	lastFIFO map[string]uint64 // per-channel last scheduled delivery time
 
@@ -427,6 +437,7 @@ func New(cfg Config) *Sim {
 		spare:    make(map[string]*proc),
 		store:    checkpoint.NewStore(),
 		lastFIFO: make(map[string]uint64),
+		tab:      vclock.NewTable(),
 	}
 	s.rngSrc = &gfsrSource{}
 	s.rngSrc.Seed(s.cfg.Seed)
@@ -480,7 +491,10 @@ func (s *Sim) Reset(cfg Config) {
 	clear(s.lastFIFO)
 	s.monEvery, s.monFn = 0, nil
 	s.FaultHandler = nil
-	s.payBuf = nil // records of the old run may still reference the chunk
+	// Records, checkpoints and fault records of the old run may still
+	// reference the chunks: drop them rather than rewind them.
+	s.payBuf = nil
+	s.clocks.Reset()
 }
 
 // AddProcess registers a machine under the given process ID. It must be
@@ -495,8 +509,7 @@ func (s *Sim) AddProcess(id string, m Machine) {
 		p.machine = m
 		p.heap.Reset(s.cfg.HeapSize, s.cfg.HeapPageSize)
 		p.scroll.Truncate(0)
-		clear(p.clock)
-		p.snap = nil
+		p.snap = vclock.VC{}
 		p.lamport = vclock.Lamport{}
 		p.crashed, p.halted = false, false
 		p.delivered, p.ckptSkew = 0, 0
@@ -506,7 +519,6 @@ func (s *Sim) AddProcess(id string, m Machine) {
 			machine: m,
 			heap:    checkpoint.NewHeapPages(s.cfg.HeapSize, s.cfg.HeapPageSize),
 			scroll:  scroll.NewMemory(id),
-			clock:   vclock.New(),
 		}
 	}
 	if p.ctx == nil || p.ctx.sim != s {
@@ -523,6 +535,29 @@ func (s *Sim) AddProcess(id string, m Machine) {
 	s.procs[id] = p
 	s.order = append(s.order, id)
 	sort.Strings(s.order)
+	// A pooled simulation re-adds last run's processes, so the table it
+	// kept across Reset already has the ID and the recycled clock is
+	// already on it; only a process set the table has not seen rebuilds it.
+	if i := s.tab.Index(id); i < 0 {
+		p.clock = vclock.VC{} // a recycled clock's counts must not be re-homed
+		s.retable()
+	} else if p.self = i; p.clock.Table() == s.tab {
+		p.clock.Reset()
+	} else {
+		p.clock = s.tab.New()
+	}
+}
+
+// retable rebuilds the shared ID table over the current process set and
+// re-homes every process's clock on it, counts preserved.
+func (s *Sim) retable() {
+	s.tab = vclock.NewTable(s.order...)
+	for i, id := range s.order {
+		p := s.procs[id]
+		p.self = i
+		p.clock = s.tab.New().Merge(p.clock)
+		p.snap = vclock.VC{}
+	}
 }
 
 // SetStepMonitor installs fn, invoked after every 'every' processed steps
@@ -609,7 +644,7 @@ func (s *Sim) Clock(id string) vclock.VC {
 	if p, ok := s.procs[id]; ok {
 		return p.clock.Copy()
 	}
-	return nil
+	return vclock.VC{}
 }
 
 // Trace merges all process scrolls into a global trace.
@@ -966,8 +1001,7 @@ func (s *Sim) deliver(ev *event) {
 		panic(fmt.Sprintf("dsim: absorption failed: %v", err))
 	}
 	p.clock.Merge(ev.clock)
-	p.clock.Tick(p.id)
-	p.snap = nil
+	p.tick()
 	lam := p.lamport.Witness(ev.lamport)
 	if _, err := p.scroll.Append(scroll.Record{
 		Kind: scroll.KindRecv, MsgID: ev.msgID, Peer: ev.from,
@@ -990,8 +1024,7 @@ func (s *Sim) fireTimer(ev *event) {
 	if !ok || p.crashed || p.halted {
 		return
 	}
-	p.clock.Tick(p.id)
-	p.snap = nil
+	p.tick()
 	lam := p.lamport.Tick()
 	tr := s.timerParts(ev.timerName)
 	p.scroll.Append(scroll.Record{
@@ -1177,8 +1210,8 @@ func (s *Sim) restoreProc(p *proc, ck *checkpoint.Checkpoint) {
 	if err := json.Unmarshal(ck.Extra, p.machine.State()); err != nil {
 		panic(fmt.Sprintf("dsim: restore state of %s: %v", p.id, err))
 	}
-	p.clock = ck.Clock.Copy()
-	p.snap = nil
+	p.clock = s.tab.New().Merge(ck.Clock)
+	p.snap = vclock.VC{}
 	p.scroll.Truncate(ck.ScrollSeq)
 	p.halted = false
 	for i := 0; i < s.queue.len(); i++ {
@@ -1388,8 +1421,7 @@ func (c *simContext) Random() uint64 {
 // sender's active speculations.
 func (c *simContext) Send(to string, payload []byte) {
 	s, p := c.sim, c.proc
-	p.clock.Tick(p.id)
-	p.snap = nil
+	p.tick()
 	lam := p.lamport.Tick()
 	s.msgN++
 	s.msgIDBuf = append(s.msgIDBuf[:0], 'm')

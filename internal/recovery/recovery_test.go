@@ -8,6 +8,15 @@ import (
 	"repro/internal/vclock"
 )
 
+// vc builds a clock from (id string, count int) pairs.
+func vc(pairs ...any) vclock.VC {
+	v := vclock.New()
+	for i := 0; i < len(pairs); i += 2 {
+		v.Set(pairs[i].(string), uint64(pairs[i+1].(int)))
+	}
+	return v
+}
+
 // Figure 6 scenario: three processes A, B, C. B fails and rolls back to its
 // last checkpoint; the safe recovery line must exclude the messages B sent
 // after that checkpoint.
@@ -114,20 +123,20 @@ func TestConsistentDetectsOrphan(t *testing.T) {
 func TestConsistentSetVC(t *testing.T) {
 	// B knows MORE about A (A:2) than A's own checkpoint remembers (A:1):
 	// B's state reflects a rolled-back message — orphan, inconsistent.
-	a := CkptMeta{Proc: "A", Clock: vclock.VC{"A": 1}}
-	bTooNew := CkptMeta{Proc: "B", Clock: vclock.VC{"A": 2, "B": 2}}
+	a := CkptMeta{Proc: "A", Clock: vc("A", 1)}
+	bTooNew := CkptMeta{Proc: "B", Clock: vc("A", 2, "B", 2)}
 	if ConsistentSet([]CkptMeta{a, bTooNew}) {
 		t.Error("orphan-bearing set reported consistent")
 	}
 	// B knows exactly up to A's checkpoint: the message chain it reflects
 	// is fully remembered by A — consistent, even though the clocks are
 	// causally ordered.
-	bExact := CkptMeta{Proc: "B", Clock: vclock.VC{"A": 1, "B": 2}}
+	bExact := CkptMeta{Proc: "B", Clock: vc("A", 1, "B", 2)}
 	if !ConsistentSet([]CkptMeta{a, bExact}) {
 		t.Error("exact-knowledge set reported inconsistent")
 	}
 	// Concurrent: consistent.
-	c := CkptMeta{Proc: "B", Clock: vclock.VC{"B": 2}}
+	c := CkptMeta{Proc: "B", Clock: vc("B", 2)}
 	if !ConsistentSet([]CkptMeta{a, c}) {
 		t.Error("concurrent checkpoints reported inconsistent")
 	}
@@ -141,10 +150,10 @@ func TestMaxConsistentSetPicksLatestConsistent(t *testing.T) {
 	// B's checkpoints: b0 {B:1}, b1 {A:7,B:3}: b1 knows A up to 7 > 5, so
 	// it reflects sends A has rolled back past — b1 must be demoted to b0.
 	ckpts := map[string][]CkptMeta{
-		"A": {{ID: "a0", Proc: "A", Index: 0, Clock: vclock.VC{"A": 1}},
-			{ID: "a1", Proc: "A", Index: 1, Clock: vclock.VC{"A": 5}}},
-		"B": {{ID: "b0", Proc: "B", Index: 0, Clock: vclock.VC{"B": 1}},
-			{ID: "b1", Proc: "B", Index: 1, Clock: vclock.VC{"A": 7, "B": 3}}},
+		"A": {{ID: "a0", Proc: "A", Index: 0, Clock: vc("A", 1)},
+			{ID: "a1", Proc: "A", Index: 1, Clock: vc("A", 5)}},
+		"B": {{ID: "b0", Proc: "B", Index: 0, Clock: vc("B", 1)},
+			{ID: "b1", Proc: "B", Index: 1, Clock: vc("A", 7, "B", 3)}},
 	}
 	set := MaxConsistentSet(ckpts)
 	if set == nil {
@@ -165,9 +174,9 @@ func TestMaxConsistentSetPicksLatestConsistent(t *testing.T) {
 func TestMaxConsistentSetKeepsExactKnowledge(t *testing.T) {
 	// b1 knows exactly A:5 — no demotion needed; latest everywhere.
 	ckpts := map[string][]CkptMeta{
-		"A": {{ID: "a1", Proc: "A", Clock: vclock.VC{"A": 5}}},
-		"B": {{ID: "b0", Proc: "B", Clock: vclock.VC{"B": 1}},
-			{ID: "b1", Proc: "B", Clock: vclock.VC{"A": 5, "B": 3}}},
+		"A": {{ID: "a1", Proc: "A", Clock: vc("A", 5)}},
+		"B": {{ID: "b0", Proc: "B", Clock: vc("B", 1)},
+			{ID: "b1", Proc: "B", Clock: vc("A", 5, "B", 3)}},
 	}
 	set := MaxConsistentSet(ckpts)
 	if set == nil {
@@ -190,8 +199,8 @@ func TestMaxConsistentSetNoSolution(t *testing.T) {
 	// B's only checkpoint knows more about A than A's only checkpoint: no
 	// demotion possible.
 	ckpts := map[string][]CkptMeta{
-		"A": {{ID: "a0", Proc: "A", Clock: vclock.VC{"A": 1}}},
-		"B": {{ID: "b0", Proc: "B", Clock: vclock.VC{"A": 2, "B": 1}}},
+		"A": {{ID: "a0", Proc: "A", Clock: vc("A", 1)}},
+		"B": {{ID: "b0", Proc: "B", Clock: vc("A", 2, "B", 1)}},
 	}
 	if got := MaxConsistentSet(ckpts); got != nil {
 		t.Errorf("want nil, got %v", got)

@@ -78,18 +78,14 @@ type Record struct {
 // clock-entries, where each variable field is uvarint-length-prefixed and the
 // clock is a count followed by (id, value) pairs.
 func (r *Record) encode() []byte {
-	buf, _ := r.appendEncode(make([]byte, 0, 64+len(r.Payload)), nil)
-	return buf
+	return r.appendEncode(make([]byte, 0, 64+len(r.Payload)))
 }
 
 // appendEncode appends the record's binary encoding to buf and returns the
-// extended buffer. ids is reusable scratch for sorting the clock entries;
-// pass the previous call's second return to amortize the allocation. The
-// produced bytes are identical to encode's for the same record — the
-// streaming Hasher depends on that.
-func (r *Record) appendEncode(buf []byte, ids []string) ([]byte, []string) {
-	buf = r.appendEncodePrefix(buf)
-	return appendEncodeClock(buf, r.Clock, ids)
+// extended buffer. The produced bytes are identical to encode's for the
+// same record — the streaming Hasher depends on that.
+func (r *Record) appendEncode(buf []byte) []byte {
+	return appendEncodeClock(r.appendEncodePrefix(buf), r.Clock)
 }
 
 // appendEncodePrefix appends everything up to (excluding) the clock
@@ -111,20 +107,26 @@ func (r *Record) appendEncodePrefix(buf []byte) []byte {
 }
 
 // appendEncodeClock appends the clock-entry suffix of the encoding: the
-// entry count followed by sorted (id, value) pairs.
-func appendEncodeClock(buf []byte, clock vclock.VC, ids []string) ([]byte, []string) {
-	ids = ids[:0]
-	for id := range clock {
-		ids = append(ids, id)
+// count of non-zero components followed by their (id, value) pairs in id
+// order — the order the clock's table already keeps them in.
+func appendEncodeClock(buf []byte, clock vclock.VC) []byte {
+	ids, counts := clock.Entries()
+	set := 0
+	for _, n := range counts {
+		if n != 0 {
+			set++
+		}
 	}
-	sort.Strings(ids)
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		buf = binary.AppendUvarint(buf, uint64(len(id)))
-		buf = append(buf, id...)
-		buf = binary.AppendUvarint(buf, clock[id])
+	buf = binary.AppendUvarint(buf, uint64(set))
+	for i, n := range counts {
+		if n == 0 {
+			continue
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(ids[i])))
+		buf = append(buf, ids[i]...)
+		buf = binary.AppendUvarint(buf, n)
 	}
-	return buf, ids
+	return buf
 }
 
 // Digest returns a hex SHA-256 over the binary encoding of the records.
@@ -165,7 +167,11 @@ func Shape(recs []Record, bucket uint64) string {
 	return a.Sum()
 }
 
-// decodeRecord parses a record produced by encode.
+// decodeRecord parses a record produced by encode. It accepts exactly what
+// encode writes: clock entries that are out of id order, duplicated or
+// zero-valued — which no writer produces — are rejected as corrupt rather
+// than canonicalised, so decode followed by encode reproduces the input
+// bytes and a record's digest cannot depend on how its bytes were damaged.
 func decodeRecord(b []byte) (Record, error) {
 	var r Record
 	if len(b) < 17 {
@@ -205,20 +211,25 @@ func decodeRecord(b []byte) (Record, error) {
 		return r, errors.New("scroll: truncated clock count")
 	}
 	b = b[sz:]
-	if cnt > 0 {
-		r.Clock = vclock.New()
+	if cnt == 0 {
+		return r, nil
 	}
-	for i := uint64(0); i < cnt; i++ {
-		id, err := readStr()
-		if err != nil {
+	if cnt > uint64(len(b))/2 { // an entry is at least two bytes
+		return r, errors.New("scroll: truncated clock entries")
+	}
+	ids, counts := make([]string, cnt), make([]uint64, cnt)
+	for i := range ids {
+		if ids[i], err = readStr(); err != nil {
 			return r, err
 		}
-		v, sz := binary.Uvarint(b)
+		counts[i], sz = binary.Uvarint(b)
 		if sz <= 0 {
 			return r, errors.New("scroll: truncated clock value")
 		}
 		b = b[sz:]
-		r.Clock[id] = v
+	}
+	if r.Clock, err = vclock.FromSorted(ids, counts); err != nil {
+		return r, fmt.Errorf("scroll: %w", err)
 	}
 	return r, nil
 }
@@ -275,6 +286,13 @@ func (s *Scroll) Append(r Record) (uint64, error) {
 	r.Proc = s.proc
 	r.Seq = s.next
 	s.next++
+	if n := len(s.recs); n == cap(s.recs) && n >= 256 {
+		// append grows large slices by ~1.25x, which copies a long scroll
+		// about five times over on its way up; doubling copies it once.
+		grown := make([]Record, n, 2*n)
+		copy(grown, s.recs)
+		s.recs = grown
+	}
 	s.recs = append(s.recs, r)
 	if s.log != nil {
 		if _, err := s.log.Append(r.encode()); err != nil {

@@ -50,8 +50,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	r := Record{
 		Proc: "node-3", Seq: 42, Kind: KindRecv, MsgID: "m-17", Peer: "node-1",
 		Payload: []byte("hello world"), Lamport: 99,
-		Clock: vclock.VC{"node-1": 7, "node-3": 12},
+		Clock: vclock.New(),
 	}
+	r.Clock.Set("node-1", 7)
+	r.Clock.Set("node-3", 12)
 	got, err := decodeRecord(r.encode())
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +86,10 @@ func TestQuickEncodeDecode(t *testing.T) {
 		r := Record{
 			Proc: proc, Kind: Kind(kindSeed%8 + 1), MsgID: msgID, Peer: peer,
 			Payload: payload, Lamport: lamport,
-			Clock: vclock.VC{"a": uint64(kindSeed), proc: lamport % 17},
+			Clock: vclock.New(),
 		}
+		r.Clock.Set("a", uint64(kindSeed))
+		r.Clock.Set(proc, lamport%17)
 		got, err := decodeRecord(r.encode())
 		if err != nil {
 			return false

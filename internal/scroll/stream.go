@@ -16,19 +16,19 @@ import (
 	"encoding/hex"
 	"hash"
 	"math/bits"
-	"reflect"
 	"sort"
 	"strconv"
+
+	"repro/internal/vclock"
 )
 
 // Hasher incrementally computes Digest over a record stream: Write each
-// record in merged order, then Sum. The encode buffer and clock-sort
-// scratch are reused across records, so a warm Hasher appends records
-// without allocating. The zero value is ready to use; Reset recycles it.
+// record in merged order, then Sum. The encode buffer is reused across
+// records, so a warm Hasher appends records without allocating. The zero
+// value is ready to use; Reset recycles it.
 type Hasher struct {
 	h   hash.Hash
 	buf []byte
-	ids []string
 	sum [sha256.Size]byte
 	hex [2 * sha256.Size]byte
 }
@@ -45,14 +45,14 @@ func (h *Hasher) Write(r *Record) {
 	if h.h == nil {
 		h.h = sha256.New()
 	}
-	h.buf, h.ids = r.appendEncode(h.buf[:0], h.ids)
+	h.buf = r.appendEncode(h.buf[:0])
 	h.h.Write(h.buf)
 }
 
 // writeCached feeds one record whose clock suffix was already encoded
 // (the Fingerprinter caches it per scroll: consecutive records of a
 // process share one immutable clock snapshot between Lamport ticks, so
-// re-encoding the map for every record is mostly redundant work).
+// re-encoding it for every record is mostly redundant work).
 func (h *Hasher) writeCached(r *Record, clockSuffix []byte) {
 	if h.h == nil {
 		h.h = sha256.New()
@@ -181,16 +181,16 @@ func (s shapeKeys) Less(i, j int) bool {
 }
 
 // cursor is one scroll's read position during the k-way merge, plus its
-// clock-suffix cache: clockPtr identifies (by map identity) the clock whose
-// encoded suffix is in clockBytes. Record clocks are immutable by
-// convention and the simulator shares one snapshot across the records
-// between two ticks, so identity equality is both sound and frequent.
+// clock-suffix cache: clockBytes is the encoded suffix of clock. Record
+// clocks are immutable by convention and the simulator shares one snapshot
+// across the records between two ticks, so handle equality is both sound
+// and frequent. Holding the handle keeps the snapshot alive, so its address
+// cannot come back as a different clock while it is cached.
 type cursor struct {
 	recs       []Record
 	pos        int
-	clockPtr   uintptr
+	clock      vclock.VC
 	clockBytes []byte
-	ids        []string // clock-sort scratch
 }
 
 // Fingerprinter computes the digest and shape of the globally merged record
@@ -229,14 +229,16 @@ func (f *Fingerprinter) Fingerprint(scrolls []*Scroll, bucket uint64) (digest, s
 			}
 		}
 		// Grow in place so each slot keeps its clock-cache scratch from
-		// earlier passes; only the record view and positions are reset.
+		// earlier passes; only the record view and positions are reset, and
+		// the cache restarts at the zero VC every pass ends on.
 		if n := len(f.cursors); n < cap(f.cursors) {
 			f.cursors = f.cursors[:n+1]
 		} else {
 			f.cursors = append(f.cursors, cursor{})
 		}
 		c := &f.cursors[len(f.cursors)-1]
-		c.recs, c.pos, c.clockPtr = recs, 0, 0
+		c.recs, c.pos = recs, 0
+		c.clockBytes = appendEncodeClock(c.clockBytes[:0], c.clock)
 	}
 	n := len(f.cursors)
 	f.hasher.Reset()
@@ -247,8 +249,8 @@ func (f *Fingerprinter) Fingerprint(scrolls []*Scroll, bucket uint64) (digest, s
 		f.mergeUnsorted()
 	}
 	digest, shape = f.hasher.Sum(), f.shape.Sum()
-	for i := range f.cursors[:n] { // drop record references: scrolls are recycled
-		f.cursors[i].recs = nil
+	for i := range f.cursors[:n] { // drop record and clock references: scrolls are recycled
+		f.cursors[i].recs, f.cursors[i].clock = nil, vclock.VC{}
 	}
 	f.cursors = f.cursors[:0]
 	f.all = f.all[:0]
@@ -261,9 +263,8 @@ func (f *Fingerprinter) feed(r *Record, c *cursor) {
 	if c == nil {
 		f.hasher.Write(r)
 	} else {
-		if ptr := reflect.ValueOf(r.Clock).Pointer(); ptr == 0 || ptr != c.clockPtr {
-			c.clockBytes, c.ids = appendEncodeClock(c.clockBytes[:0], r.Clock, c.ids)
-			c.clockPtr = ptr
+		if r.Clock != c.clock {
+			c.clock, c.clockBytes = r.Clock, appendEncodeClock(c.clockBytes[:0], r.Clock)
 		}
 		f.hasher.writeCached(r, c.clockBytes)
 	}

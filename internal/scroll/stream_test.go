@@ -23,7 +23,7 @@ func randomScrolls(rng *rand.Rand, nProcs, maxRecs int) []*Scroll {
 			lam += uint64(rng.Intn(3)) // nondecreasing, with ties
 			clock := vclock.New()
 			for c := 0; c <= rng.Intn(nProcs); c++ {
-				clock[fmt.Sprintf("p%d", rng.Intn(nProcs))] = uint64(rng.Intn(50))
+				clock.Set(fmt.Sprintf("p%d", rng.Intn(nProcs)), uint64(rng.Intn(50)))
 			}
 			payload := make([]byte, rng.Intn(24))
 			rng.Read(payload)

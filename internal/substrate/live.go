@@ -107,6 +107,10 @@ type liveEvent struct {
 	// incarnation cannot be recalled, so its fire arrives with a stale gen
 	// and is fenced.
 	gen uint64
+	// tab rides on levInit: the ID table of every process added before
+	// Run, which each process re-homes its clock on so that clocks
+	// exchanged over the in-memory switch stay index-aligned.
+	tab *vclock.Table
 }
 
 const (
@@ -399,6 +403,8 @@ func (p *liveProc) handle(ev liveEvent) {
 	ctx := &liveCtx{p: p}
 	switch ev.kind {
 	case levInit:
+		// Merge, not replace: a peer's first message can overtake Init.
+		p.clock = ev.tab.New().Merge(p.clock)
 		p.machine.Init(ctx)
 		if s.cfg.InitCheckpoint {
 			p.takeCheckpointLocked("init")
@@ -688,8 +694,9 @@ func (s *LiveSubstrate) Run() dsim.Stats {
 			f()
 		}
 		s.pending = nil
+		tab := vclock.NewTable(s.order...)
 		for _, id := range s.order {
-			s.procs[id].post(liveEvent{kind: levInit}, true)
+			s.procs[id].post(liveEvent{kind: levInit, tab: tab}, true)
 		}
 	}
 	s.mu.Unlock()
@@ -883,7 +890,7 @@ func (s *LiveSubstrate) Clock(id string) vclock.VC {
 	p, ok := s.procs[id]
 	s.mu.Unlock()
 	if !ok {
-		return nil
+		return vclock.VC{}
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()

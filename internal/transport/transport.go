@@ -33,7 +33,7 @@ type Message struct {
 	To      string    `json:"to"`
 	Payload []byte    `json:"payload"`
 	Lamport uint64    `json:"lamport"`
-	Clock   vclock.VC `json:"clock,omitempty"` // sender's vector time, for recovery-line analysis
+	Clock   vclock.VC `json:"clock,omitzero"` // sender's vector time, for recovery-line analysis
 	// Epoch is the sender's timeline epoch. A rollback (checkpoint restore,
 	// heal, dynamic update) advances the runtime's epoch, so receivers can
 	// fence messages sent on an abandoned timeline — in-flight frames that a

@@ -4,56 +4,244 @@
 // FixD uses vector clocks to timestamp checkpoints and messages so that the
 // Time Machine (paper §3.2) and the recovery-line algorithms (paper §4.2,
 // Fig. 6) can decide whether two local states are causally consistent.
+//
+// # Representation
+//
+// A vector clock is dense: a Table — the sorted, immutable set of process
+// IDs of one system — plus a []uint64 of counts aligned to it. Every clock
+// of a simulation or a live substrate shares that system's one Table, so
+// Tick is an indexed increment and Merge and Compare are index-aligned
+// loops; two clocks on different tables (one of them decoded from a WAL or
+// off the wire, say) meet in a sorted-merge slow path instead. A zero count
+// and an absent ID are the same thing everywhere: in Compare, in String, in
+// JSON and in the scroll encoding. That is what lets a table be a superset
+// of the processes that ever tick.
+//
+// # Sharing and immutability
+//
+// VC is a pointer-sized handle, like the map it replaced: copying a VC
+// value aliases the clock, Copy makes an independent one. A Table is never
+// modified after NewTable returns, so any number of clocks and goroutines
+// may share it; a clock that meets an ID outside its table re-homes itself
+// on a new, larger table. The mutators (Tick, TickAt, Set, Merge, Reset)
+// need a clock from New, Table.New or Copy and are not safe for concurrent
+// use on one clock; the zero VC is a read-only empty clock.
+//
+// Clocks attached to scroll records, queued messages, checkpoints and
+// fault records are snapshots: immutable by convention, shared freely, and
+// — on the simulator — carved out of a run-scoped Arena so that taking one
+// allocates nothing.
 package vclock
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
-	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// VC is a vector clock: a map from process ID to the count of events that
-// process has performed, as known to the clock's owner.
-//
-// The zero value is a usable, empty clock. VC values are not safe for
-// concurrent mutation; callers synchronize externally or work on copies.
-type VC map[string]uint64
+// Table is a sorted, duplicate-free, immutable set of process IDs: the
+// index space shared by every clock of one system.
+type Table struct {
+	ids []string
+}
 
-// New returns an empty vector clock.
-func New() VC { return make(VC) }
+// NewTable returns the table of the given IDs (copied, sorted, deduplicated).
+func NewTable(ids ...string) *Table {
+	ids = slices.Clone(ids)
+	sort.Strings(ids)
+	return &Table{ids: slices.Compact(ids)}
+}
+
+var emptyTable = &Table{}
+
+// Index returns the position of id in the table, or -1 if it is absent.
+func (t *Table) Index(id string) int {
+	if i, ok := slices.BinarySearch(t.ids, id); ok {
+		return i
+	}
+	return -1
+}
+
+// New returns a zero clock on the table.
+func (t *Table) New() VC {
+	return VC{&clock{tab: t, n: make([]uint64, len(t.ids))}}
+}
+
+// clock is what a VC handle points at: n[i] is the count of tab.ids[i].
+type clock struct {
+	tab *Table
+	n   []uint64
+}
+
+// VC is a vector clock: for each process ID, the count of events that
+// process has performed, as known to the clock's owner. See the package
+// documentation for the representation and the sharing rules.
+type VC struct {
+	c *clock
+}
+
+// New returns an empty clock on an empty table; it grows a private table
+// as IDs are ticked, set or merged into it.
+func New() VC { return emptyTable.New() }
+
+// FromSorted builds a clock from parallel slices in canonical form — ids
+// strictly ascending, every count non-zero — and takes ownership of both.
+// Anything else is an error: it is how decoders reject clock bytes no
+// encoder produces.
+func FromSorted(ids []string, counts []uint64) (VC, error) {
+	if len(ids) != len(counts) {
+		return VC{}, errors.New("vclock: ids and counts differ in length")
+	}
+	for i, id := range ids {
+		if i > 0 && ids[i-1] >= id {
+			return VC{}, fmt.Errorf("vclock: id %q out of order or duplicated", id)
+		}
+		if counts[i] == 0 {
+			return VC{}, fmt.Errorf("vclock: zero count for %q", id)
+		}
+	}
+	return VC{&clock{tab: &Table{ids: ids}, n: counts}}, nil
+}
+
+// Table returns the clock's ID table (nil for the zero VC).
+func (v VC) Table() *Table {
+	if v.c == nil {
+		return nil
+	}
+	return v.c.tab
+}
+
+// Entries returns the clock's IDs, sorted, and the counts aligned to them.
+// Both slices are shared with the clock (and the IDs with every clock on
+// its table): read-only. Zero counts are absent entries.
+func (v VC) Entries() (ids []string, counts []uint64) {
+	if v.c == nil {
+		return nil, nil
+	}
+	return v.c.tab.ids, v.c.n
+}
+
+// IsZero reports whether no component is set — true of the zero VC and of
+// a fresh or Reset clock. It is what `json:",omitzero"` consults.
+func (v VC) IsZero() bool {
+	if v.c != nil {
+		for _, n := range v.c.n {
+			if n != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TickAt increments the component at table index i and returns the clock:
+// Tick for callers that resolved their own index once (Table.Index).
+func (v VC) TickAt(i int) VC {
+	v.c.n[i]++
+	return v
+}
 
 // Tick increments the component for process id and returns the clock.
 func (v VC) Tick(id string) VC {
-	v[id]++
+	v.c.n[v.slot(id)]++
 	return v
 }
 
 // Get returns the component for process id (zero if absent).
-func (v VC) Get(id string) uint64 { return v[id] }
+func (v VC) Get(id string) uint64 {
+	if v.c != nil {
+		if i := v.c.tab.Index(id); i >= 0 {
+			return v.c.n[i]
+		}
+	}
+	return 0
+}
 
 // Set assigns the component for process id.
-func (v VC) Set(id string, n uint64) { v[id] = n }
-
-// Copy returns an independent copy of the clock. It uses the runtime's
-// bulk map clone: clocks are copied once per Lamport tick on the
-// simulator's hot path, and the bulk clone is markedly cheaper than an
-// element-wise rebuild for the small maps clocks are.
-func (v VC) Copy() VC {
-	if v == nil {
-		return make(VC)
+func (v VC) Set(id string, n uint64) {
+	if n == 0 && v.c.tab.Index(id) < 0 {
+		return // zero equals absent: nothing to grow the table for
 	}
-	return maps.Clone(v)
+	v.c.n[v.slot(id)] = n
+}
+
+// slot returns the index of id, first re-homing the clock on a table
+// widened by id if its own lacks it.
+func (v VC) slot(id string) int {
+	i, ok := slices.BinarySearch(v.c.tab.ids, id)
+	if !ok {
+		v.c.tab = &Table{ids: slices.Insert(slices.Clone(v.c.tab.ids), i, id)}
+		v.c.n = slices.Insert(v.c.n, i, 0)
+	}
+	return i
+}
+
+// Reset zeroes every component in place, keeping the table.
+func (v VC) Reset() { clear(v.c.n) }
+
+// Copy returns an independent copy of the clock, on the same table.
+func (v VC) Copy() VC {
+	if v.c == nil {
+		return New()
+	}
+	return VC{&clock{tab: v.c.tab, n: slices.Clone(v.c.n)}}
 }
 
 // Merge sets v to the component-wise maximum of v and o and returns v.
 // Merge implements the "receive" rule of vector clocks.
 func (v VC) Merge(o VC) VC {
-	for k, n := range o {
-		if n > v[k] {
-			v[k] = n
+	if o.c == nil {
+		return v
+	}
+	if v.c.tab == o.c.tab {
+		for i, n := range o.c.n {
+			if n > v.c.n[i] {
+				v.c.n[i] = n
+			}
+		}
+		return v
+	}
+	// Different tables: walk both sorted ID lists in step. The first pass
+	// folds in every component v's table already has a slot for; only if o
+	// knows a process v's table lacks does the second re-home v on the union.
+	vt, ot := v.c.tab.ids, o.c.tab.ids
+	missing, i := 0, 0
+	for j, n := range o.c.n {
+		if n == 0 {
+			continue
+		}
+		for i < len(vt) && vt[i] < ot[j] {
+			i++
+		}
+		if i == len(vt) || vt[i] != ot[j] {
+			missing++
+		} else if n > v.c.n[i] {
+			v.c.n[i] = n
 		}
 	}
+	if missing == 0 {
+		return v
+	}
+	ids := make([]string, 0, len(vt)+missing)
+	cnt := make([]uint64, 0, len(vt)+missing)
+	i = 0
+	for j, n := range o.c.n {
+		if n == 0 {
+			continue
+		}
+		for i < len(vt) && vt[i] < ot[j] {
+			ids, cnt = append(ids, vt[i]), append(cnt, v.c.n[i])
+			i++
+		}
+		if i == len(vt) || vt[i] != ot[j] {
+			ids, cnt = append(ids, ot[j]), append(cnt, n)
+		}
+	}
+	ids, cnt = append(ids, vt[i:]...), append(cnt, v.c.n[i:]...)
+	v.c.tab, v.c.n = &Table{ids: ids}, cnt
 	return v
 }
 
@@ -87,21 +275,30 @@ func (o Ordering) String() string {
 // Compare returns the causal ordering of v relative to o.
 func (v VC) Compare(o VC) Ordering {
 	var vLess, oLess bool // v has a strictly smaller / larger component
-	for k, n := range v {
-		m := o[k]
-		switch {
-		case n < m:
-			vLess = true
-		case n > m:
-			oLess = true
+	vt, vn := v.Entries()
+	ot, on := o.Entries()
+	if v.Table() == o.Table() {
+		for i, n := range vn {
+			vLess = vLess || n < on[i]
+			oLess = oLess || n > on[i]
 		}
-	}
-	for k, m := range o {
-		if _, seen := v[k]; seen {
-			continue // already compared above
-		}
-		if m > 0 {
-			vLess = true
+	} else {
+		for i, j := 0, 0; i < len(vt) || j < len(ot); {
+			var a, b uint64
+			switch {
+			case j == len(ot) || (i < len(vt) && vt[i] < ot[j]):
+				a = vn[i]
+				i++
+			case i == len(vt) || ot[j] < vt[i]:
+				b = on[j]
+				j++
+			default:
+				a, b = vn[i], on[j]
+				i++
+				j++
+			}
+			vLess = vLess || a < b
+			oLess = oLess || a > b
 		}
 	}
 	switch {
@@ -131,24 +328,98 @@ func (v VC) DominatesOrEqual(o VC) bool {
 	return c == Equal || c == After
 }
 
-// String renders the clock deterministically, e.g. "{a:1 b:3}".
+// String renders the non-zero components deterministically, e.g. "{a:1 b:3}".
 func (v VC) String() string {
-	ids := make([]string, 0, len(v))
-	for k := range v {
-		ids = append(ids, k)
-	}
-	sort.Strings(ids)
+	ids, counts := v.Entries()
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, id := range ids {
-		if i > 0 {
+	for i, n := range counts {
+		if n == 0 {
+			continue
+		}
+		if b.Len() > 1 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s:%d", id, v[id])
+		fmt.Fprintf(&b, "%s:%d", ids[i], n)
 	}
 	b.WriteByte('}')
 	return b.String()
 }
+
+// MarshalJSON renders the clock as the JSON object a map[string]uint64 of
+// its non-zero components marshals to (sorted keys), and the zero VC as null.
+func (v VC) MarshalJSON() ([]byte, error) {
+	if v.c == nil {
+		return []byte("null"), nil
+	}
+	m := make(map[string]uint64, len(v.c.n))
+	for i, n := range v.c.n {
+		if n != 0 {
+			m[v.c.tab.ids[i]] = n
+		}
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON is MarshalJSON's inverse: null gives the zero VC, an object
+// a clock on a table of its own (duplicate keys: last wins, as for a map).
+func (v *VC) UnmarshalJSON(b []byte) error {
+	var m map[string]uint64
+	if err := json.Unmarshal(b, &m); err != nil {
+		return err
+	}
+	if m == nil {
+		*v = VC{}
+		return nil
+	}
+	ids := make([]string, 0, len(m))
+	for id, n := range m {
+		if n != 0 {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	counts := make([]uint64, len(ids))
+	for i, id := range ids {
+		counts[i] = m[id]
+	}
+	*v = VC{&clock{tab: &Table{ids: ids}, n: counts}}
+	return nil
+}
+
+// Arena chunk sizes: one header chunk and one count chunk are 4 KiB each,
+// enough for 128 snapshots of a 4-process system.
+const (
+	arenaHeaders = 128
+	arenaCounts  = 512
+)
+
+// Arena is a bump allocator for clock snapshots: headers are carved from
+// one slab, counts from another, so a snapshot costs no allocation of its
+// own. Snapshots stay valid for as long as anything references them — a
+// full chunk is left to the garbage collector, never reused — so Reset
+// (which drops both chunks) is always safe. The zero Arena is ready to use.
+type Arena struct {
+	hdrs   []clock
+	counts []uint64
+}
+
+// Snapshot returns an immutable copy of v carved from the arena.
+func (a *Arena) Snapshot(v VC) VC {
+	if len(a.hdrs) == cap(a.hdrs) {
+		a.hdrs = make([]clock, 0, arenaHeaders)
+	}
+	if cap(a.counts)-len(a.counts) < len(v.c.n) {
+		a.counts = make([]uint64, 0, max(arenaCounts, len(v.c.n)))
+	}
+	at := len(a.counts)
+	a.counts = append(a.counts, v.c.n...)
+	a.hdrs = append(a.hdrs, clock{tab: v.c.tab, n: a.counts[at:len(a.counts):len(a.counts)]})
+	return VC{&a.hdrs[len(a.hdrs)-1]}
+}
+
+// Reset drops the arena's chunks; snapshots already taken are unaffected.
+func (a *Arena) Reset() { *a = Arena{} }
 
 // Lamport is a scalar logical clock (Lamport 1978). It provides a total
 // order extension of happens-before, used by the Scroll to impose a global
