@@ -14,7 +14,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -91,12 +90,13 @@ func run(out io.Writer) {
 	// never exceed the number of heap marks... expressed via Seen/Done.
 	sys.AddInvariant(fixd.GlobalInvariant{
 		Name: "no job lost",
-		Holds: func(states map[string]json.RawMessage) bool {
-			var w workerState
-			if raw, ok := states["worker"]; ok {
-				if err := json.Unmarshal(raw, &w); err != nil {
-					return false
-				}
+		Holds: func(states *fixd.States) bool {
+			if !states.Has("worker") {
+				return true
+			}
+			w, err := fixd.State[workerState](states, "worker")
+			if err != nil {
+				return false
 			}
 			// The bug manifests as Done counting a job that skipped the
 			// heap write: visible once Seen reaches a multiple of 4.

@@ -94,6 +94,9 @@ type (
 	FaultRecord = dsim.FaultRecord
 	// GlobalInvariant is a safety property over all process states.
 	GlobalInvariant = fault.GlobalInvariant
+	// States is the read-only view of every process's machine state an
+	// invariant's Holds receives; read it with State.
+	States = fault.States
 	// Program is a versioned set of process implementations for the Healer.
 	Program = heal.Program
 	// StateMapper converts old-version state to new-version state.
@@ -271,6 +274,13 @@ type ProtectOptions struct {
 	// VerifyDepth bounds the Healer's verification exploration (0 = skip).
 	VerifyDepth int
 }
+
+// State returns process id's machine state as a *T from the view an
+// invariant is handed (fault.Get): the machine's own state, read in place
+// and read-only, when the backend can offer it and the state is a *T; a
+// fresh T decoded from the process's JSON state otherwise. Asking for a
+// process the view does not hold (States.Has) is an error.
+func State[T any](states *States, id string) (*T, error) { return fault.Get[T](states, id) }
 
 // System is a distributed application under FixD protection, running on
 // either backend.

@@ -63,14 +63,18 @@ func (s *source) OnRollback(fixd.Context, fixd.RollbackInfo) {}
 func ackedSeen() fixd.GlobalInvariant {
 	return fixd.GlobalInvariant{
 		Name: "acked-was-seen",
-		Holds: func(states map[string]json.RawMessage) bool {
-			var sk sinkState
-			var sr sourceState
-			if raw, ok := states["sink"]; ok && json.Unmarshal(raw, &sk) != nil {
-				return false
+		Holds: func(states *fixd.States) bool {
+			sk, sr := &sinkState{}, &sourceState{}
+			var err error
+			if states.Has("sink") {
+				if sk, err = fixd.State[sinkState](states, "sink"); err != nil {
+					return false
+				}
 			}
-			if raw, ok := states["source"]; ok && json.Unmarshal(raw, &sr) != nil {
-				return false
+			if states.Has("source") {
+				if sr, err = fixd.State[sourceState](states, "source"); err != nil {
+					return false
+				}
 			}
 			for pkt := range sr.Acked {
 				if !sk.Seen[pkt] {

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -154,14 +153,14 @@ func BankConservation(cfg BankConfig) fault.GlobalInvariant {
 	want := int64(cfg.Branches) * int64(cfg.AccountsPer) * cfg.InitialBalance
 	return fault.GlobalInvariant{
 		Name: "bank: money conserved",
-		Holds: func(states map[string]json.RawMessage) bool {
+		Holds: func(states *fault.States) bool {
 			var total, sent, recv int64
-			for proc, raw := range states {
+			for _, proc := range states.Procs() {
 				if !strings.HasPrefix(proc, "bank") {
 					continue
 				}
-				var st bankState
-				if err := json.Unmarshal(raw, &st); err != nil {
+				st, err := fault.Get[bankState](states, proc)
+				if err != nil {
 					return false
 				}
 				total += st.LocalTotal
@@ -177,13 +176,13 @@ func BankConservation(cfg BankConfig) fault.GlobalInvariant {
 func BankNoOverdraft() fault.GlobalInvariant {
 	return fault.GlobalInvariant{
 		Name: "bank: no overdrafts",
-		Holds: func(states map[string]json.RawMessage) bool {
-			for proc, raw := range states {
+		Holds: func(states *fault.States) bool {
+			for _, proc := range states.Procs() {
 				if !strings.HasPrefix(proc, "bank") {
 					continue
 				}
-				var st bankState
-				if err := json.Unmarshal(raw, &st); err != nil {
+				st, err := fault.Get[bankState](states, proc)
+				if err != nil {
 					return false
 				}
 				if st.Overdrafts > 0 {

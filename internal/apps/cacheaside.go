@@ -2,7 +2,6 @@ package apps
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -402,13 +401,12 @@ func (cl *CAClient) OnRollback(dsim.Context, dsim.RollbackInfo) {}
 func CANoStaleReads() fault.GlobalInvariant {
 	return fault.GlobalInvariant{
 		Name: "cacheaside: no stale reads",
-		Holds: func(states map[string]json.RawMessage) bool {
-			raw, ok := states[CAClientName]
-			if !ok {
+		Holds: func(states *fault.States) bool {
+			if !states.Has(CAClientName) {
 				return true
 			}
-			var st caClientState
-			if err := json.Unmarshal(raw, &st); err != nil {
+			st, err := fault.Get[caClientState](states, CAClientName)
+			if err != nil {
 				return false
 			}
 			return st.Stale == 0
@@ -423,17 +421,14 @@ func CANoStaleReads() fault.GlobalInvariant {
 func CACacheNeverAhead() fault.GlobalInvariant {
 	return fault.GlobalInvariant{
 		Name: "cacheaside: cache never ahead of primary",
-		Holds: func(states map[string]json.RawMessage) bool {
-			var primary, cache caCacheState
-			if raw, ok := states[CAPrimaryName]; ok {
-				if err := json.Unmarshal(raw, &primary); err != nil {
-					return false
-				}
+		Holds: func(states *fault.States) bool {
+			primary, err := stateOrZero[caPrimaryState](states, CAPrimaryName)
+			if err != nil {
+				return false
 			}
-			if raw, ok := states[CACacheName]; ok {
-				if err := json.Unmarshal(raw, &cache); err != nil {
-					return false
-				}
+			cache, err := stateOrZero[caCacheState](states, CACacheName)
+			if err != nil {
+				return false
 			}
 			for k, ver := range cache.Versions {
 				if ver > primary.Versions[k] {

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -216,14 +215,14 @@ func (e *Election) OnRollback(ctx dsim.Context, _ dsim.RollbackInfo) {
 func ElectionSafety() fault.GlobalInvariant {
 	return fault.GlobalInvariant{
 		Name: "election: at most one leader",
-		Holds: func(states map[string]json.RawMessage) bool {
+		Holds: func(states *fault.States) bool {
 			leaders := 0
-			for proc, raw := range states {
+			for _, proc := range states.Procs() {
 				if !strings.HasPrefix(proc, "elect") {
 					continue
 				}
-				var st electState
-				if err := json.Unmarshal(raw, &st); err != nil {
+				st, err := fault.Get[electState](states, proc)
+				if err != nil {
 					continue
 				}
 				if st.IsLeader {

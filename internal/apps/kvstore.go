@@ -2,7 +2,6 @@ package apps
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -239,19 +238,17 @@ func (c *KVClient) OnRollback(dsim.Context, dsim.RollbackInfo) {}
 func KVSafety() fault.GlobalInvariant {
 	return fault.GlobalInvariant{
 		Name: "kv: replicas never ahead or stale-overwritten",
-		Holds: func(states map[string]json.RawMessage) bool {
-			var primary kvState
-			if raw, ok := states[KVPrimaryName]; ok {
-				if err := json.Unmarshal(raw, &primary); err != nil {
-					return false
-				}
+		Holds: func(states *fault.States) bool {
+			primary, err := stateOrZero[kvState](states, KVPrimaryName)
+			if err != nil {
+				return false
 			}
-			for proc, raw := range states {
+			for _, proc := range states.Procs() {
 				if !strings.HasPrefix(proc, "kvrep") {
 					continue
 				}
-				var st kvState
-				if err := json.Unmarshal(raw, &st); err != nil {
+				st, err := fault.Get[kvState](states, proc)
+				if err != nil {
 					return false
 				}
 				if st.Stale > 0 {
@@ -277,19 +274,17 @@ func KVSafety() fault.GlobalInvariant {
 func KVConvergence() fault.GlobalInvariant {
 	return fault.GlobalInvariant{
 		Name: "kv: replicas converge to primary",
-		Holds: func(states map[string]json.RawMessage) bool {
-			var primary kvState
-			if raw, ok := states[KVPrimaryName]; ok {
-				if err := json.Unmarshal(raw, &primary); err != nil {
-					return false
-				}
+		Holds: func(states *fault.States) bool {
+			primary, err := stateOrZero[kvState](states, KVPrimaryName)
+			if err != nil {
+				return false
 			}
-			for proc, raw := range states {
+			for _, proc := range states.Procs() {
 				if !strings.HasPrefix(proc, "kvrep") {
 					continue
 				}
-				var st kvState
-				if err := json.Unmarshal(raw, &st); err != nil {
+				st, err := fault.Get[kvState](states, proc)
+				if err != nil {
 					return false
 				}
 				for k, ver := range primary.Versions {

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -403,17 +402,14 @@ func (c *MSClient) OnRollback(dsim.Context, dsim.RollbackInfo) {}
 func MSNoDuplicateSideEffects() fault.GlobalInvariant {
 	return fault.GlobalInvariant{
 		Name: "mservice: side effect commits on one backend",
-		Holds: func(states map[string]json.RawMessage) bool {
-			var primary, spare msBackState
-			if raw, ok := states[MSBackName]; ok {
-				if err := json.Unmarshal(raw, &primary); err != nil {
-					return false
-				}
+		Holds: func(states *fault.States) bool {
+			primary, err := stateOrZero[msBackState](states, MSBackName)
+			if err != nil {
+				return false
 			}
-			if raw, ok := states[MSBack2Name]; ok {
-				if err := json.Unmarshal(raw, &spare); err != nil {
-					return false
-				}
+			spare, err := stateOrZero[msBackState](states, MSBack2Name)
+			if err != nil {
+				return false
 			}
 			for id := range primary.Executed {
 				if spare.Executed[id] {
@@ -432,16 +428,20 @@ func MSNoRetryStorm(cfg MServiceConfig) fault.GlobalInvariant {
 	limit := cfg.Retries + 2 // initial try + retries + one failover
 	return fault.GlobalInvariant{
 		Name: "mservice: bounded retries per request",
-		Holds: func(states map[string]json.RawMessage) bool {
-			for proc, raw := range states {
-				if proc != MSClientName && !strings.HasPrefix(proc, "mssvc") {
-					continue
+		Holds: func(states *fault.States) bool {
+			for _, proc := range states.Procs() {
+				var attempts map[string]int
+				switch {
+				case proc == MSClientName:
+					if st, err := fault.Get[msClientState](states, proc); err == nil {
+						attempts = st.Attempts
+					}
+				case strings.HasPrefix(proc, "mssvc"):
+					if st, err := fault.Get[msSvcState](states, proc); err == nil {
+						attempts = st.Attempts
+					}
 				}
-				var st struct{ Attempts map[string]int }
-				if err := json.Unmarshal(raw, &st); err != nil {
-					continue
-				}
-				for _, n := range st.Attempts {
+				for _, n := range attempts {
 					if n > limit {
 						return false
 					}
@@ -460,13 +460,12 @@ func MSBoundedLatency(cfg MServiceConfig) fault.GlobalInvariant {
 	bound := cfg.msLatencyBound()
 	return fault.GlobalInvariant{
 		Name: "mservice: bounded end-to-end latency",
-		Holds: func(states map[string]json.RawMessage) bool {
-			raw, ok := states[MSClientName]
-			if !ok {
+		Holds: func(states *fault.States) bool {
+			if !states.Has(MSClientName) {
 				return true
 			}
-			var st msClientState
-			if err := json.Unmarshal(raw, &st); err != nil {
+			st, err := fault.Get[msClientState](states, MSClientName)
+			if err != nil {
 				return false
 			}
 			for _, lat := range st.Completed {

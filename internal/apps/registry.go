@@ -7,6 +7,16 @@ import (
 	"repro/internal/fault"
 )
 
+// stateOrZero returns process id's state as a *T — a zero T when the view
+// does not hold the process: recovery lines may leave processes out, and
+// the invariants below read an absent peer as one that has done nothing.
+func stateOrZero[T any](states *fault.States, id string) (*T, error) {
+	if !states.Has(id) {
+		return new(T), nil
+	}
+	return fault.Get[T](states, id)
+}
+
 // AppSpec describes one workload application in the uniform shape the
 // chaos matrix (internal/chaos) sweeps: constructors for the correct and
 // seeded-bug variants, the global safety invariants that must survive

@@ -8,7 +8,6 @@
 package apps
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -264,11 +263,14 @@ func (t *TokenRing) OnRollback(ctx dsim.Context, info dsim.RollbackInfo) {
 func TokenRingInvariant() fault.GlobalInvariant {
 	return fault.GlobalInvariant{
 		Name: "token-ring: at most one holder",
-		Holds: func(states map[string]json.RawMessage) bool {
+		Holds: func(states *fault.States) bool {
 			holders := 0
-			for _, raw := range states {
-				var st tokenRingState
-				if err := json.Unmarshal(raw, &st); err != nil {
+			for _, proc := range states.Procs() {
+				if !strings.HasPrefix(proc, "ring") {
+					continue
+				}
+				st, err := fault.Get[tokenRingState](states, proc)
+				if err != nil {
 					continue // not a ring node
 				}
 				if st.InCS {

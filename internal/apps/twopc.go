@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -260,21 +259,29 @@ func (p *Participant) OnRollback(ctx dsim.Context, info dsim.RollbackInfo) {}
 func TwoPCAtomicity() fault.GlobalInvariant {
 	return fault.GlobalInvariant{
 		Name: "2pc: uniform decision",
-		Holds: func(states map[string]json.RawMessage) bool {
-			decisions := map[string]bool{}
-			for proc, raw := range states {
-				if !strings.HasPrefix(proc, "part") && proc != CoordName {
-					continue
+		Holds: func(states *fault.States) bool {
+			first := ""
+			for _, proc := range states.Procs() {
+				var decision string
+				switch {
+				case proc == CoordName:
+					if st, err := fault.Get[coordState](states, proc); err == nil {
+						decision = st.Decision
+					}
+				case strings.HasPrefix(proc, "part"):
+					if st, err := fault.Get[partState](states, proc); err == nil {
+						decision = st.Decision
+					}
 				}
-				var st struct{ Decision string }
-				if err := json.Unmarshal(raw, &st); err != nil {
-					continue
-				}
-				if st.Decision != "" {
-					decisions[st.Decision] = true
+				switch {
+				case decision == "":
+				case first == "":
+					first = decision
+				case decision != first:
+					return false
 				}
 			}
-			return len(decisions) <= 1
+			return true
 		},
 	}
 }

@@ -17,6 +17,30 @@
 // Application state lives in a paged Heap so that page-granular dirty
 // tracking is meaningful, the same way kernel-level tools exploit hardware
 // pages.
+//
+// # Machine state
+//
+// The other half of a process — what its Machine's State() points to —
+// rides in Checkpoint.Extra. The simulator captures it with a StateCodec:
+// a binary codec compiled by reflection once per state type and cached,
+// which walks the value through field offsets and appends it to a
+// run-scoped StateArena (strings and integers as they sit in memory,
+// length-prefixed slices and maps with nil told apart from empty, maps in
+// map order — the bytes are only ever decoded, never hashed or compared).
+// A capture allocates nothing and costs about a fifth of the json.Marshal it
+// replaced. JSON exists only at the boundary: Checkpoint.StateJSON decodes
+// the bytes into a fresh value of the state's type and marshals that, for
+// restores (which unmarshal it into the live machine, as they always
+// have), the Healer's state mappers and the Investigator's models. The
+// decode is exact — the JSON is byte for byte what json.Marshal(State())
+// gave when the checkpoint was taken — because a type gets a codec only if
+// that can be guaranteed: anything encoding/json treats specially (custom
+// json or encoding.Text (un)marshalers, embedded or unexported fields,
+// interfaces) or that the codec could not rebuild (recursive types) keeps
+// the eager json.Marshal path, decided once per type (CodecFor). The
+// decoder trusts nothing: length prefixes are checked against the bytes
+// that remain, so corrupt input is an error, never a panic or an
+// allocation out of proportion to it.
 package checkpoint
 
 import (
@@ -46,6 +70,17 @@ type Heap struct {
 	epoch    uint64 // bumped on every snapshot/restore
 	copied   uint64 // pages copied due to COW since creation (metric)
 	writes   uint64 // write operations (metric)
+	// dirty has bit i set when page i may be non-zero: written since the
+	// last Reset, or installed by a Restore. Reset clears only those.
+	dirty []uint64
+}
+
+// markDirty records that page i may no longer be all zeros. Caller holds mu.
+func (h *Heap) markDirty(i int) {
+	for len(h.dirty) <= i/64 {
+		h.dirty = append(h.dirty, 0)
+	}
+	h.dirty[i/64] |= 1 << (i % 64)
 }
 
 // NewHeap returns a zeroed heap of the given size in bytes using the
@@ -73,10 +108,12 @@ func (h *Heap) grow(size int) {
 
 // Reset returns the heap to the zeroed state of a fresh NewHeapPages(size,
 // pageSize) while reusing the page buffers already allocated — the arena-
-// recycling primitive behind dsim.Sim.Reset. Retained pages are zeroed in
-// place, so Reset must not be called while any Snapshot of this heap is
-// still in use (the chaos runner drops its checkpoint store before
-// recycling, which makes every snapshot unreachable).
+// recycling primitive behind dsim.Sim.Reset. Only the pages written (or
+// installed by Restore) since the last Reset are cleared: a run touches a
+// few words of a 64 KiB heap. Retained pages are zeroed in place, so Reset
+// must not be called while any Snapshot of this heap is still in use (the
+// chaos runner drops its checkpoint store before recycling, which makes
+// every snapshot unreachable).
 func (h *Heap) Reset(size, pageSize int) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
@@ -93,10 +130,13 @@ func (h *Heap) Reset(size, pageSize int) {
 	}
 	h.pages = h.pages[:want]
 	h.epoch = 0
-	for _, p := range h.pages {
-		clear(p.data)
+	for i, p := range h.pages {
+		if i/64 < len(h.dirty) && h.dirty[i/64]&(1<<(i%64)) != 0 {
+			clear(p.data)
+		}
 		p.epoch = 0
 	}
+	clear(h.dirty)
 	h.size = want * pageSize
 	h.copied, h.writes = 0, 0
 	h.grow(size)
@@ -161,6 +201,7 @@ func (h *Heap) Write(off int, b []byte) {
 		pi := off / h.pageSize
 		po := off % h.pageSize
 		p := h.ensure(pi)
+		h.markDirty(pi)
 		n := copy(p.data[po:], b)
 		b = b[n:]
 		off += n
@@ -253,6 +294,11 @@ func (h *Heap) Restore(s *Snapshot) {
 	h.pages = make([]*page, len(s.pages))
 	copy(h.pages, s.pages)
 	h.size = s.size
+	// The snapshot's pages may come from another heap (NewHeapFrom) or from
+	// before a write this heap never saw: every installed index is suspect.
+	for i := range h.pages {
+		h.markDirty(i)
+	}
 }
 
 // DirtyPagesSince reports how many of the heap's current pages differ (by

@@ -279,3 +279,60 @@ func TestQuickSnapshotBytesStable(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestResetClearsEveryDirtyPage: Reset zeroes only pages marked dirty, so
+// every way a page can come to hold data must mark it — a write, a write
+// that grows the heap, a COW copy, and above all a Restore, which installs
+// pages this heap may never have written (NewHeapFrom, or a snapshot taken
+// before the previous Reset's writes).
+func TestResetClearsEveryDirtyPage(t *testing.T) {
+	const page = 64
+	allZero := func(t *testing.T, h *Heap, size, pageSize int) {
+		t.Helper()
+		if h.Size() != size || h.PageSize() != pageSize {
+			t.Fatalf("size %d page %d after Reset, want %d/%d", h.Size(), h.PageSize(), size, pageSize)
+		}
+		buf := make([]byte, size)
+		for i := range buf {
+			buf[i] = 0xee
+		}
+		h.Read(0, buf)
+		if !bytes.Equal(buf, make([]byte, size)) {
+			t.Fatalf("heap not all-zero after Reset: %x", buf)
+		}
+		if fresh := NewHeapPages(size, pageSize); h.Hash() != fresh.Hash() {
+			t.Fatal("Reset heap hashes differently from a fresh one")
+		}
+	}
+
+	h := NewHeapPages(4*page, page)
+	h.Write(page+3, []byte("dirty page 1"))
+	snap := h.Snapshot()
+	h.Write(page+3, []byte("COW'd page 1"))
+	h.Write(3*page, []byte("page 3"))
+	h.Write(6*page, []byte("grown page 6"))
+	h.Restore(snap)
+	h.Reset(4*page, page)
+	allZero(t, h, 4*page, page)
+
+	// A foreign snapshot: none of its pages was ever written through h.
+	src := NewHeapPages(4*page, page)
+	src.Write(0, []byte("page 0"))
+	src.Write(2*page+1, []byte("page 2"))
+	h.Restore(src.FullSnapshot())
+	h.Reset(4*page, page)
+	allZero(t, h, 4*page, page)
+
+	from := NewHeapFrom(src.Snapshot())
+	from.Reset(4*page, page)
+	allZero(t, from, 4*page, page)
+
+	// A page-size change drops the old pages and their dirty bits with them.
+	h.Write(2*page, []byte("before the page-size change"))
+	h.Reset(4*page, 2*page)
+	allZero(t, h, 4*page, 2*page)
+	h.Write(3*page, []byte("after")) // page 1 at the new size
+	h.Restore(h.Snapshot())
+	h.Reset(8*page, 2*page)
+	allZero(t, h, 8*page, 2*page)
+}

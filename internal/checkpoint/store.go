@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/json"
 	"sort"
 	"strconv"
 	"sync"
@@ -19,9 +20,30 @@ type Checkpoint struct {
 	ScrollSeq uint64    // scroll position when taken (for log truncation/replay)
 	Time      uint64    // virtual time when taken
 	Snap      *Snapshot // heap contents
-	Extra     []byte    // serialized non-heap state (opaque to the store)
-	SpecID    string    // speculation that induced this checkpoint, if any
-	Timers    []string  // names of timers pending when the checkpoint was taken
+	// Extra is the serialized non-heap (machine) state, opaque to the store:
+	// Codec's binary encoding when Codec is set, JSON otherwise. Read it
+	// through StateJSON.
+	Extra  []byte
+	Codec  *StateCodec // what encoded Extra; nil when Extra already is JSON
+	SpecID string      // speculation that induced this checkpoint, if any
+	Timers []string    // names of timers pending when the checkpoint was taken
+}
+
+// StateJSON returns the checkpointed machine state as the JSON
+// json.Marshal produced (or would have produced) from the machine's
+// State() when the checkpoint was taken. This is the one place a
+// binary-encoded state becomes JSON: the encoding is decoded into a fresh
+// value of the state's type and that value is marshaled. The result must
+// not be modified.
+func (c *Checkpoint) StateJSON() ([]byte, error) {
+	if c.Codec == nil {
+		return c.Extra, nil
+	}
+	state, err := c.Codec.Decode(c.Extra)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(state)
 }
 
 // Store keeps the checkpoints of one or more processes. It is safe for

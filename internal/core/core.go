@@ -173,7 +173,11 @@ func (c *Coordinator) Respond(f dsim.FaultRecord) (*Response, error) {
 		pm := investigate.ProcModel{Proc: meta.Proc, New: factory}
 		if meta.ID != "" {
 			ck := byID[meta.ID]
-			pm.State = append([]byte(nil), ck.Extra...)
+			state, err := ck.StateJSON()
+			if err != nil {
+				return nil, fmt.Errorf("core: checkpoint %s: %w", ck.ID, err)
+			}
+			pm.State = append([]byte(nil), state...)
 			pm.Heap = ck.Snap
 			resp.Line[meta.Proc] = meta.ID
 			resp.LineClocks[meta.Proc] = ck.Clock.Copy()

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -36,7 +37,16 @@ import (
 // its durable state must be reachable from State() (JSON-serializable) or
 // stored in the context's Heap; dsim snapshots and restores both.
 type Machine interface {
-	// State returns a pointer to the machine's serializable state.
+	// State returns a pointer to the machine's serializable state. The
+	// pointer is all the simulator works from. A checkpoint captures the
+	// state with a binary codec compiled once per state type
+	// (checkpoint.CodecFor) and turns it into JSON only when a restore, the
+	// Healer or the Investigator asks (Checkpoint.StateJSON); a type the
+	// codec cannot reproduce exactly as encoding/json would — custom json or
+	// encoding.Text (un)marshalers, unexported or embedded fields,
+	// interfaces — is captured with json.Marshal on the spot instead.
+	// Invariant monitors read the pointed-to state in place, read-only
+	// (fault.States).
 	State() any
 	// Init runs once at simulation start (virtual time 0).
 	Init(ctx Context)
@@ -362,6 +372,7 @@ type Sim struct {
 	payBuf   []byte                   // bump arena for 8-byte record payloads
 	tab      *vclock.Table            // process-ID table every clock of the run shares
 	clocks   vclock.Arena             // bump arena for clock snapshots (proc.clockSnap)
+	states   checkpoint.StateArena    // bump arena for checkpointed machine states
 	stop     bool
 	lastFIFO map[string]uint64 // per-channel last scheduled delivery time
 
@@ -495,6 +506,7 @@ func (s *Sim) Reset(cfg Config) {
 	// reference the chunks: drop them rather than rewind them.
 	s.payBuf = nil
 	s.clocks.Reset()
+	s.states.Reset()
 }
 
 // AddProcess registers a machine under the given process ID. It must be
@@ -608,6 +620,20 @@ func (s *Sim) Faults() []FaultRecord { return append([]FaultRecord(nil), s.fault
 
 // Procs returns the sorted process IDs.
 func (s *Sim) Procs() []string { return append([]string(nil), s.order...) }
+
+// LiveStates returns the sorted process IDs and, appended to buf in the
+// same order, every machine's State() pointer — the in-place view invariant
+// monitors read (fault.States) instead of a JSON copy of every state.
+// Both are the simulation's own: read-only, the IDs valid until the next
+// AddProcess or Reset, the pointed-to states until the simulation next
+// steps.
+func (s *Sim) LiveStates(buf []any) ([]string, []any) {
+	buf = slices.Grow(buf, len(s.order))
+	for _, id := range s.order {
+		buf = append(buf, s.procs[id].machine.State())
+	}
+	return s.order, buf
+}
 
 // Scroll returns the scroll of the given process (nil if unknown).
 func (s *Sim) Scroll(id string) *scroll.Scroll {
@@ -1171,7 +1197,7 @@ func (s *Sim) takeCheckpoint(p *proc, specID, label string) *checkpoint.Checkpoi
 	} else {
 		snap = p.heap.Snapshot()
 	}
-	extra, err := json.Marshal(p.machine.State())
+	extra, codec, err := s.states.Encode(p.machine.State())
 	if err != nil {
 		panic(fmt.Sprintf("dsim: state of %s not serializable: %v", p.id, err))
 	}
@@ -1182,6 +1208,7 @@ func (s *Sim) takeCheckpoint(p *proc, specID, label string) *checkpoint.Checkpoi
 		Time:      s.now,
 		Snap:      snap,
 		Extra:     extra,
+		Codec:     codec,
 		SpecID:    specID,
 	}
 	for i := 0; i < s.queue.len(); i++ {
@@ -1207,7 +1234,16 @@ func (s *Sim) takeCheckpoint(p *proc, specID, label string) *checkpoint.Checkpoi
 // not — the disk is its authoritative recovery source.
 func (s *Sim) restoreProc(p *proc, ck *checkpoint.Checkpoint) {
 	p.heap.Restore(ck.Snap)
-	if err := json.Unmarshal(ck.Extra, p.machine.State()); err != nil {
+	// The checkpoint's JSON is unmarshaled INTO the live state, and
+	// encoding/json keeps the entries of a non-nil map it decodes into: a
+	// restored process keeps map keys it wrote after the checkpoint. Every
+	// committed digest depends on that overlay, so it is preserved exactly
+	// (pinned by TestRestoreOverlaysLiveMaps; ROADMAP item 4e).
+	state, err := ck.StateJSON()
+	if err == nil {
+		err = json.Unmarshal(state, p.machine.State())
+	}
+	if err != nil {
 		panic(fmt.Sprintf("dsim: restore state of %s: %v", p.id, err))
 	}
 	p.clock = s.tab.New().Merge(ck.Clock)

@@ -105,7 +105,11 @@ func TestDurableFencedByRollbackTo(t *testing.T) {
 	// The rollback was deliberate (not a crash restart), so the machine
 	// must hold the checkpoint's state, not the durable cell's.
 	var ckSt struct{ Seen uint64 }
-	if err := json.Unmarshal(ck.Extra, &ckSt); err != nil {
+	ckJSON, err := ck.StateJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(ckJSON, &ckSt); err != nil {
 		t.Fatal(err)
 	}
 	if m.st.Seen != ckSt.Seen {

@@ -171,11 +171,13 @@ func TestEventPoolAllocs(t *testing.T) {
 
 // TestWarmArenaAllocs bounds the whole per-run allocation count of a warm
 // Reset arena. The floor is semantic — machine construction, one message
-// ID and one body copy per send, checkpoint JSON — and sits well below the
-// fresh-simulation path, which pays maps, heaps and scroll buffers every
-// run. A clock snapshot per Lamport tick is no longer part of it: snapshots
-// are carved from the run's vclock.Arena, a 4 KiB chunk per ~128 of them.
-// The ceiling is the measured floor (78) plus 10 %.
+// ID and one body copy per send — and sits well below the fresh-simulation
+// path, which pays maps, heaps and scroll buffers every run. A clock
+// snapshot per Lamport tick is no longer part of it: snapshots are carved
+// from the run's vclock.Arena, a 4 KiB chunk per ~128 of them. This
+// configuration takes no checkpoints (TestCheckpointStateAllocs bounds
+// those), so moving machine state off encoding/json left the floor where
+// it was: re-measured at 78. The ceiling is that floor plus 10 %.
 func TestWarmArenaAllocs(t *testing.T) {
 	cfg := Config{Seed: 5}
 	arena := New(cfg)

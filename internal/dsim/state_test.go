@@ -1,0 +1,112 @@
+package dsim
+
+import (
+	"reflect"
+	"testing"
+)
+
+// setMachine keeps a set of the payloads it has received.
+type setMachine struct {
+	st struct {
+		Seen  map[string]bool
+		Count int
+	}
+}
+
+func (m *setMachine) State() any   { return &m.st }
+func (m *setMachine) Init(Context) { m.st.Seen = map[string]bool{} }
+func (m *setMachine) OnMessage(_ Context, _ string, payload []byte) {
+	m.st.Seen[string(payload)] = true
+	m.st.Count++
+}
+func (m *setMachine) OnTimer(Context, string)          {}
+func (m *setMachine) OnRollback(Context, RollbackInfo) {}
+
+// sendOnce sends one payload to "set" per timer fire.
+type sendOnce struct {
+	st   struct{ Sent int }
+	msgs []string
+}
+
+func (m *sendOnce) State() any       { return &m.st }
+func (m *sendOnce) Init(ctx Context) { ctx.SetTimer("send", 1) }
+func (m *sendOnce) OnTimer(ctx Context, _ string) {
+	if m.st.Sent < len(m.msgs) {
+		ctx.Send("set", []byte(m.msgs[m.st.Sent]))
+		m.st.Sent++
+		ctx.SetTimer("send", 20)
+	}
+}
+func (m *sendOnce) OnMessage(Context, string, []byte) {}
+func (m *sendOnce) OnRollback(Context, RollbackInfo)  {}
+
+// TestRestoreOverlaysLiveMaps pins a bug this repository's digests depend
+// on (ROADMAP item 4e): restoreProc unmarshals the checkpoint's JSON INTO
+// the live state, and encoding/json reuses a non-nil map, "keeping existing
+// entries". A rolled-back or crash-restarted process therefore keeps the map
+// keys it wrote after the checkpoint — checkpoint {a}, write b, restore
+// gives {a, b}, not {a} — while scalars are restored exactly. An exact
+// restore changes the digest of crash and rollback cells of the chaos
+// matrix (issue 15 counted 74 of the 672 crash cells at 96 seeds), so
+// fixing it means regenerating every committed fixture and the bench's rep
+// hashes; until then the overlay must survive any change to how state is
+// captured.
+func TestRestoreOverlaysLiveMaps(t *testing.T) {
+	s := New(Config{Seed: 1, MinLatency: 1, MaxLatency: 1})
+	set := &setMachine{}
+	s.AddProcess("set", set)
+	s.AddProcess("src", &sendOnce{msgs: []string{"a", "b"}})
+	var ckID string
+	s.SetStepMonitor(1, func() bool {
+		if ckID == "" && set.st.Count == 1 {
+			ckID = s.takeCheckpoint(s.procs["set"], "", "after-a").ID
+		}
+		return false
+	})
+	s.Run()
+	if ckID == "" || !reflect.DeepEqual(set.st.Seen, map[string]bool{"a": true, "b": true}) || set.st.Count != 2 {
+		t.Fatalf("before the rollback: checkpoint %q, state %+v", ckID, set.st)
+	}
+	ckJSON, err := s.Store().Get(ckID).StateJSON()
+	if err != nil || string(ckJSON) != `{"Seen":{"a":true},"Count":1}` {
+		t.Fatalf("checkpoint holds %s (%v), want Seen {a} and Count 1", ckJSON, err)
+	}
+	if err := s.RollbackTo(map[string]string{"set": ckID}); err != nil {
+		t.Fatal(err)
+	}
+	if set.st.Count != 1 {
+		t.Errorf("Count = %d after the rollback, want the checkpoint's 1", set.st.Count)
+	}
+	if want := (map[string]bool{"a": true, "b": true}); !reflect.DeepEqual(set.st.Seen, want) {
+		t.Errorf("Seen = %v after the rollback, want %v: the post-checkpoint key survives the restore "+
+			"(if this was fixed on purpose, regenerate the fixtures and update ROADMAP item 4e)", set.st.Seen, want)
+	}
+}
+
+// TestCheckpointStateAllocs: capturing a plain state costs a checkpoint
+// nothing — a process whose state holds maps and a process whose state is
+// empty pay the same number of allocations per checkpoint (the Checkpoint,
+// its heap snapshot, its ID and the store's bookkeeping).
+func TestCheckpointStateAllocs(t *testing.T) {
+	s := New(Config{Seed: 1})
+	set := &setMachine{}
+	set.st.Seen = map[string]bool{"a": true, "b": true, "c": true}
+	s.AddProcess("set", set)
+	s.AddProcess("empty", &emptyMachine{})
+	perCheckpoint := func(id string) float64 {
+		p := s.procs[id]
+		s.takeCheckpoint(p, "", "warm")
+		return testing.AllocsPerRun(200, func() { s.takeCheckpoint(p, "", "t") })
+	}
+	if withMaps, empty := perCheckpoint("set"), perCheckpoint("empty"); withMaps != empty {
+		t.Errorf("a checkpoint of a state with maps allocates %.0f times, of an empty state %.0f: capturing the state is not free", withMaps, empty)
+	}
+}
+
+type emptyMachine struct{ st struct{} }
+
+func (m *emptyMachine) State() any                        { return &m.st }
+func (m *emptyMachine) Init(Context)                      {}
+func (m *emptyMachine) OnMessage(Context, string, []byte) {}
+func (m *emptyMachine) OnTimer(Context, string)           {}
+func (m *emptyMachine) OnRollback(Context, RollbackInfo)  {}

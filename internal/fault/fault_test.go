@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -117,9 +116,9 @@ func TestMonitorGlobalInvariant(t *testing.T) {
 	s.AddProcess("w", hb)
 	mon := NewMonitor(GlobalInvariant{
 		Name: "sent-bounded",
-		Holds: func(states map[string]json.RawMessage) bool {
-			var st struct{ Sent int }
-			if err := json.Unmarshal(states["w"], &st); err != nil {
+		Holds: func(states *States) bool {
+			st, err := Get[struct{ Sent int }](states, "w")
+			if err != nil {
 				return false
 			}
 			return st.Sent <= 3
@@ -133,7 +132,7 @@ func TestMonitorGlobalInvariant(t *testing.T) {
 	// And a satisfied invariant reports nothing.
 	ok := NewMonitor(GlobalInvariant{
 		Name:  "always",
-		Holds: func(map[string]json.RawMessage) bool { return true },
+		Holds: func(*States) bool { return true },
 	})
 	if got := ok.Check(s); len(got) != 0 {
 		t.Errorf("violations = %+v", got)

@@ -122,7 +122,11 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 		if ck.Proc != id {
 			return nil, fmt.Errorf("heal: checkpoint %q belongs to %s, not %s", line[id], ck.Proc, id)
 		}
-		m, err := mapper(id, ck.Extra)
+		old, err := ck.StateJSON()
+		if err != nil {
+			return nil, fmt.Errorf("heal: checkpoint %s: %w", ck.ID, err)
+		}
+		m, err := mapper(id, old)
 		if err != nil {
 			rep.Failures = append(rep.Failures, fmt.Sprintf("state mapping for %s: %v", id, err))
 			continue
@@ -155,10 +159,11 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 
 	// Stage 2: the mapped global state must satisfy the invariants.
 	rep.InvariantsOK = true
-	states := make(map[string]json.RawMessage, len(mapped))
+	raw := make(map[string]json.RawMessage, len(mapped))
 	for id, b := range mapped {
-		states[id] = json.RawMessage(b)
+		raw[id] = json.RawMessage(b)
 	}
+	states := fault.StatesFromRaw(raw)
 	for _, inv := range opts.Invariants {
 		if !inv.Holds(states) {
 			rep.InvariantsOK = false
@@ -266,16 +271,16 @@ func VerifiedLine(s Target, invariants []fault.GlobalInvariant) map[string]strin
 		if set == nil {
 			return nil
 		}
-		states := make(map[string]json.RawMessage, len(set))
-		for _, meta := range set {
-			states[meta.Proc] = json.RawMessage(byID[meta.ID].Extra)
-		}
 		ok := true
-		for _, inv := range invariants {
-			if !inv.Holds(states) {
-				ok = false
-				break
-			}
+		raw := make(map[string]json.RawMessage, len(set))
+		for _, meta := range set {
+			state, err := byID[meta.ID].StateJSON()
+			ok = ok && err == nil // a checkpoint whose state does not decode verifies nothing
+			raw[meta.Proc] = state
+		}
+		states := fault.StatesFromRaw(raw)
+		for i := 0; ok && i < len(invariants); i++ {
+			ok = invariants[i].Holds(states)
 		}
 		if ok {
 			line := make(map[string]string, len(set))

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/dsim"
 	"repro/internal/fault"
 )
@@ -81,16 +82,25 @@ func fixedProgram(n int) Program {
 	}
 }
 
+// stateJSON reads a checkpoint's machine state through the JSON accessor.
+func stateJSON(t *testing.T, ck *checkpoint.Checkpoint) []byte {
+	t.Helper()
+	b, err := ck.StateJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func sumInvariant(max int) fault.GlobalInvariant {
 	return fault.GlobalInvariant{
 		Name: "sum-not-overcounted",
-		Holds: func(states map[string]json.RawMessage) bool {
-			var st accState
-			raw, ok := states["acc"]
-			if !ok {
+		Holds: func(states *fault.States) bool {
+			if !states.Has("acc") {
 				return true
 			}
-			if err := json.Unmarshal(raw, &st); err != nil {
+			st, err := fault.Get[accState](states, "acc")
+			if err != nil {
 				return false
 			}
 			return st.Sum <= max && !st.Bug
@@ -127,7 +137,7 @@ func TestUpdatePreservesWork(t *testing.T) {
 	var target string
 	for _, ck := range s.Store().List("acc") {
 		var st accState
-		if err := json.Unmarshal(ck.Extra, &st); err != nil {
+		if err := json.Unmarshal(stateJSON(t, ck), &st); err != nil {
 			t.Fatal(err)
 		}
 		if st.Sum == 10 {
@@ -235,7 +245,7 @@ func TestStateMapperTransformsState(t *testing.T) {
 	var target string
 	for _, ck := range s.Store().List("acc") {
 		var st accState
-		json.Unmarshal(ck.Extra, &st)
+		json.Unmarshal(stateJSON(t, ck), &st)
 		if st.Sum == 10 {
 			target = ck.ID
 		}
@@ -283,7 +293,7 @@ func TestBoundedExplorationVetoesStillBuggyUpdate(t *testing.T) {
 	var target string
 	for _, ck := range s.Store().List("acc") {
 		var st accState
-		json.Unmarshal(ck.Extra, &st)
+		json.Unmarshal(stateJSON(t, ck), &st)
 		if st.Sum == 10 {
 			target = ck.ID
 		}
@@ -341,7 +351,7 @@ func TestVerifiedLinePicksInvariantSatisfyingCheckpoints(t *testing.T) {
 		t.Fatal("line references unknown checkpoint")
 	}
 	var st accState
-	if err := json.Unmarshal(ck.Extra, &st); err != nil {
+	if err := json.Unmarshal(stateJSON(t, ck), &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Sum > 10 || st.Bug {
@@ -373,7 +383,7 @@ func TestVerifiedLineNoSatisfyingLine(t *testing.T) {
 	s.Run()
 	impossible := fault.GlobalInvariant{
 		Name:  "never",
-		Holds: func(map[string]json.RawMessage) bool { return false },
+		Holds: func(*fault.States) bool { return false },
 	}
 	if line := VerifiedLine(s, []fault.GlobalInvariant{impossible}); line != nil {
 		t.Errorf("want nil for unsatisfiable invariant, got %v", line)

@@ -399,7 +399,7 @@ func Run(models []ProcModel, inTransit []Msg, timers []Timer, cfg Config) (*Repo
 					}
 					states[id] = json.RawMessage(p.stateJSON)
 				}
-				return gi.Holds(states)
+				return gi.Holds(fault.StatesFromRaw(states))
 			},
 		})
 	}
@@ -585,7 +585,11 @@ func FromSim(s *dsim.Sim, factories map[string]func() dsim.Machine) ([]ProcModel
 		}
 		pm := ProcModel{Proc: id, New: f}
 		if ck := s.Store().Latest(id); ck != nil {
-			pm.State = append([]byte(nil), ck.Extra...)
+			state, err := ck.StateJSON()
+			if err != nil { // the simulator's own encoding: only a bug corrupts it
+				panic(fmt.Sprintf("investigate: checkpoint %s: %v", ck.ID, err))
+			}
+			pm.State = append([]byte(nil), state...)
 			pm.Heap = ck.Snap
 			pm.Durable = atLine[id]
 		} else {

@@ -77,18 +77,16 @@ func (p *confProducer) OnRollback(dsim.Context, dsim.RollbackInfo) {}
 func ackedSubsetOfSeen() fault.GlobalInvariant {
 	return fault.GlobalInvariant{
 		Name: "acked ⊆ seen",
-		Holds: func(states map[string]json.RawMessage) bool {
+		Holds: func(states *fault.States) bool {
+			// Raw is the JSON-native way in: it reads the same on the live
+			// substrate (serialized state only) and on the simulator.
 			var w workerState
 			var p producerState
-			if raw, ok := states["worker"]; ok {
-				if json.Unmarshal(raw, &w) != nil {
-					return false
-				}
+			if states.Has("worker") && json.Unmarshal(states.Raw("worker"), &w) != nil {
+				return false
 			}
-			if raw, ok := states["producer"]; ok {
-				if json.Unmarshal(raw, &p) != nil {
-					return false
-				}
+			if states.Has("producer") && json.Unmarshal(states.Raw("producer"), &p) != nil {
+				return false
 			}
 			for job := range p.Acked {
 				if !w.Seen[job] {
