@@ -164,14 +164,15 @@ func (r Runner) finish(sched Schedule, s *dsim.Sim, a *runArena) *RunResult {
 	if r.Probe {
 		s.AddProcess(ProbeName, &clockProbe{})
 	}
-	sched.Compile(s.Procs()).Apply(s)
+	procs := s.Procs() // one copy: the result outlives the arena's next Reset
+	sched.Compile(procs).Apply(s)
 	mon := fault.NewMonitor(r.Spec.Invariants(r.Buggy)...)
 	if r.CheckEvery > 0 {
 		s.SetStepMonitor(r.CheckEvery, func() bool { return mon.AnyViolated(s) })
 	}
 	stats := s.Run()
 
-	res := &RunResult{Stats: stats, Procs: s.Procs(), Epoch: s.Epoch()}
+	res := &RunResult{Stats: stats, Procs: procs, Epoch: s.Epoch()}
 	for _, v := range mon.Check(s) {
 		res.Violations = append(res.Violations, v.Invariant)
 	}

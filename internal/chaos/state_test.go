@@ -263,7 +263,7 @@ func FuzzStateDecode(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(3), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 
-	var arena checkpoint.StateArena
+	var arena checkpoint.Arena
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		codec := codecs[int(which)%len(codecs)]
 		// TotalAlloc is process-wide: another goroutine's allocation can
@@ -296,6 +296,6 @@ func FuzzStateDecode(f *testing.F) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("re-encoded state reads back as %s (%v), want %s", got, err, want)
 		}
-		arena.Reset()
+		arena.Rewind()
 	})
 }

@@ -24,7 +24,7 @@
 // rides in Checkpoint.Extra. The simulator captures it with a StateCodec:
 // a binary codec compiled by reflection once per state type and cached,
 // which walks the value through field offsets and appends it to a
-// run-scoped StateArena (strings and integers as they sit in memory,
+// run-scoped Arena (strings and integers as they sit in memory,
 // length-prefixed slices and maps with nil told apart from empty, maps in
 // map order — the bytes are only ever decoded, never hashed or compared).
 // A capture allocates nothing and costs about a fifth of the json.Marshal it
@@ -41,13 +41,27 @@
 // decoder trusts nothing: length prefixes are checked against the bytes
 // that remain, so corrupt input is an error, never a panic or an
 // allocation out of proportion to it.
+//
+// # Run-scoped memory
+//
+// A simulation that is Reset and run again allocates none of this twice.
+// An Arena carves state encodings, Snapshot headers and page tables out of
+// slabs (internal/slab) that Rewind hands to the next run; a Heap keeps the
+// pages its copy-on-write displaced and copies into them again after Reset;
+// a Store keeps its lists and the checkpoint IDs it rendered. One rule
+// covers all three: everything handed out during a run — a Snapshot, a
+// Checkpoint, an encoding — is invalid after the Reset or Rewind that ends
+// it.
 package checkpoint
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
+
+	"repro/internal/slab"
 )
 
 // DefaultPageSize is the page granularity used when Options.PageSize is 0.
@@ -59,6 +73,12 @@ type page struct {
 	data  []byte
 	epoch uint64 // heap epoch in which this page version was created
 }
+
+// maxSpareBytes bounds, in bytes of page data, the displaced pages a heap
+// keeps for reuse: a long run's write set must not stay pinned in a pooled
+// worker, and a heap that is never Reset must not collect every page it
+// ever displaced.
+const maxSpareBytes = 256 << 10
 
 // Heap is a paged, growable memory region with copy-on-write snapshots.
 // It is safe for concurrent use.
@@ -73,6 +93,25 @@ type Heap struct {
 	// dirty has bit i set when page i may be non-zero: written since the
 	// last Reset, or installed by a Restore. Reset clears only those.
 	dirty []uint64
+
+	// clean is the last Snapshot taken, for as long as nothing was written
+	// or restored since: a checkpoint of an unchanged heap is that snapshot
+	// again.
+	clean *Snapshot
+	// Page recycling. displaced holds pages COW replaced since the last
+	// Reset — snapshots still read them; free holds the ones from before it,
+	// which ensure and grow use in place of new allocations. Both only ever
+	// hold pages this heap allocated: foreign is set once a Restore installs
+	// pages of unknown origin (another heap's snapshot), and from then until
+	// Reset — which lets go of every installed page instead of zeroing it —
+	// nothing is collected. restored is set by any Restore: it can re-install
+	// a page that is already on the displaced list.
+	free, displaced   []*page
+	foreign, restored bool
+	// Where Snapshot headers and page tables are carved from; nil slabs (a
+	// heap that belongs to no Arena) allocate them.
+	snaps  *slab.Slab[Snapshot]
+	tables *slab.Slab[*page]
 }
 
 // markDirty records that page i may no longer be all zeros. Caller holds mu.
@@ -97,23 +136,45 @@ func NewHeapPages(size, pageSize int) *Heap {
 	return h
 }
 
-// grow extends the heap to at least size bytes. Caller holds mu (or is the
-// constructor).
+// grow extends the heap to at least size bytes with zeroed pages. Caller
+// holds mu (or is the constructor).
 func (h *Heap) grow(size int) {
 	for h.size < size {
-		h.pages = append(h.pages, &page{data: make([]byte, h.pageSize), epoch: h.epoch})
+		p := h.recycled()
+		if p != nil {
+			clear(p.data)
+			p.epoch = h.epoch
+		} else {
+			p = &page{data: make([]byte, h.pageSize), epoch: h.epoch}
+		}
+		h.pages = append(h.pages, p)
 		h.size += h.pageSize
+		h.clean = nil
 	}
+}
+
+// recycled takes a page off the free list, contents stale, or returns nil.
+// Caller holds mu.
+func (h *Heap) recycled() *page {
+	n := len(h.free)
+	if n == 0 {
+		return nil
+	}
+	p := h.free[n-1]
+	h.free[n-1] = nil
+	h.free = h.free[:n-1]
+	return p
 }
 
 // Reset returns the heap to the zeroed state of a fresh NewHeapPages(size,
 // pageSize) while reusing the page buffers already allocated — the arena-
 // recycling primitive behind dsim.Sim.Reset. Only the pages written (or
 // installed by Restore) since the last Reset are cleared: a run touches a
-// few words of a 64 KiB heap. Retained pages are zeroed in place, so Reset
-// must not be called while any Snapshot of this heap is still in use (the
-// chaos runner drops its checkpoint store before recycling, which makes
-// every snapshot unreachable).
+// few words of a 64 KiB heap. Retained pages are zeroed in place and the
+// pages copy-on-write displaced become available to the next run's copies,
+// so every Snapshot of this heap is invalid after Reset. Pages the heap did
+// not allocate — installed by a Restore from another heap's snapshot — are
+// let go of, never written.
 func (h *Heap) Reset(size, pageSize int) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
@@ -122,12 +183,13 @@ func (h *Heap) Reset(size, pageSize int) {
 	defer h.mu.Unlock()
 	if pageSize != h.pageSize {
 		h.pageSize = pageSize
-		h.pages = nil
+		h.pages, h.free, h.displaced = nil, nil, nil
 	}
-	want := (size + pageSize - 1) / pageSize
-	if want > len(h.pages) {
-		want = len(h.pages) // grow below fills the rest
+	want := min((size+pageSize-1)/pageSize, len(h.pages)) // grow below fills the rest
+	if h.foreign {
+		want = 0 // not this heap's pages to zero
 	}
+	clear(h.pages[want:])
 	h.pages = h.pages[:want]
 	h.epoch = 0
 	for i, p := range h.pages {
@@ -137,6 +199,22 @@ func (h *Heap) Reset(size, pageSize int) {
 		p.epoch = 0
 	}
 	clear(h.dirty)
+	poison := slab.Poisoning()
+	for _, p := range h.displaced {
+		// A Restore may have put a displaced page back in the heap.
+		if h.restored && slices.Contains(h.pages, p) {
+			continue
+		}
+		if poison {
+			for i := range p.data {
+				p.data[i] = 0xDB
+			}
+		}
+		h.free = append(h.free, p)
+	}
+	clear(h.displaced)
+	h.displaced = h.displaced[:0]
+	h.foreign, h.restored, h.clean = false, false, nil
 	h.size = want * pageSize
 	h.copied, h.writes = 0, 0
 	h.grow(size)
@@ -176,15 +254,29 @@ func (h *Heap) Writes() uint64 {
 }
 
 // ensure makes page i privately writable in the current epoch, copying it
-// if it is shared with an earlier snapshot. Caller holds mu.
+// if it is shared with an earlier snapshot — into a recycled page when the
+// free list has one. Caller holds mu.
 func (h *Heap) ensure(i int) *page {
 	p := h.pages[i]
 	if p.epoch == h.epoch {
 		return p
 	}
-	cp := &page{data: append([]byte(nil), p.data...), epoch: h.epoch}
+	cp := h.recycled()
+	if cp != nil {
+		copy(cp.data, p.data)
+		cp.epoch = h.epoch
+	} else {
+		cp = &page{data: append([]byte(nil), p.data...), epoch: h.epoch}
+	}
 	h.pages[i] = cp
 	h.copied++
+	// Keep the displaced page for the run after the next Reset: if it is this
+	// heap's own, there is room under the cap, and a Restore has not brought
+	// back a page that is on the list already.
+	if !h.foreign && (len(h.free)+len(h.displaced))*h.pageSize < maxSpareBytes &&
+		!(h.restored && slices.Contains(h.displaced, p)) {
+		h.displaced = append(h.displaced, p)
+	}
 	return cp
 }
 
@@ -197,6 +289,7 @@ func (h *Heap) Write(off int, b []byte) {
 	defer h.mu.Unlock()
 	h.grow(off + len(b))
 	h.writes++
+	h.clean = nil
 	for len(b) > 0 {
 		pi := off / h.pageSize
 		po := off % h.pageSize
@@ -259,14 +352,26 @@ func (h *Heap) Hash() uint64 {
 
 // Snapshot captures the current heap state in O(#pages) pointer copies,
 // without copying page data. Subsequent writes to the heap copy pages
-// lazily (COW), leaving the snapshot unchanged.
+// lazily (COW), leaving the snapshot unchanged. A heap that was neither
+// written nor restored since its last Snapshot returns that snapshot again.
 func (h *Heap) Snapshot() *Snapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.clean != nil {
+		return h.clean
+	}
 	h.epoch++
-	pages := make([]*page, len(h.pages))
-	copy(pages, h.pages)
-	return &Snapshot{pageSize: h.pageSize, pages: pages, size: h.size}
+	h.clean = h.snaps.Put(Snapshot{pageSize: h.pageSize, pages: h.tables.Copy(h.pages), size: h.size, owner: h.owner()})
+	return h.clean
+}
+
+// owner is what a snapshot taken now records as its owner: the heap, if
+// every page it holds is its own.
+func (h *Heap) owner() *Heap {
+	if h.foreign {
+		return nil
+	}
+	return h
 }
 
 // FullSnapshot eagerly deep-copies the entire heap (the traditional
@@ -274,11 +379,11 @@ func (h *Heap) Snapshot() *Snapshot {
 func (h *Heap) FullSnapshot() *Snapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	pages := make([]*page, len(h.pages))
-	for i, p := range h.pages {
-		pages[i] = &page{data: append([]byte(nil), p.data...)}
+	pages := h.tables.Tail(len(h.pages))
+	for _, p := range h.pages {
+		pages = append(pages, &page{data: append([]byte(nil), p.data...)})
 	}
-	return &Snapshot{pageSize: h.pageSize, pages: pages, size: h.size, full: true}
+	return h.snaps.Put(Snapshot{pageSize: h.pageSize, pages: h.tables.Keep(pages), size: h.size, full: true, owner: h.owner()})
 }
 
 // Restore rewinds the heap to the snapshot's state. The heap's size becomes
@@ -291,9 +396,19 @@ func (h *Heap) Restore(s *Snapshot) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.epoch++
-	h.pages = make([]*page, len(s.pages))
-	copy(h.pages, s.pages)
+	clear(h.pages)
+	h.pages = append(h.pages[:0], s.pages...)
 	h.size = s.size
+	h.clean, h.restored = nil, true
+	if s.owner != h {
+		h.foreign = true
+		// Another heap's pages carry that heap's epochs: step past all of
+		// them, or a page stamped with the epoch this heap happens to be in
+		// would pass for private and be written in place.
+		for _, p := range s.pages {
+			h.epoch = max(h.epoch, p.epoch+1)
+		}
+	}
 	// The snapshot's pages may come from another heap (NewHeapFrom) or from
 	// before a write this heap never saw: every installed index is suspect.
 	for i := range h.pages {
@@ -315,12 +430,18 @@ func (h *Heap) DirtyPagesSince(s *Snapshot) int {
 	return n
 }
 
-// Snapshot is an immutable capture of a heap's state.
+// Snapshot is an immutable capture of a heap's state, valid until the heap
+// it was taken from (or the Arena that heap belongs to) is next Reset.
 type Snapshot struct {
 	pageSize int
 	pages    []*page
 	size     int
 	full     bool
+	// owner is the heap that took the snapshot, if it allocated every page
+	// in it; nil when some page came out of another heap's snapshot. A heap
+	// recycles what copy-on-write displaces only while all it has restored
+	// are snapshots it owns.
+	owner *Heap
 }
 
 // Size returns the captured heap size in bytes.

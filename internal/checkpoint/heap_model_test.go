@@ -1,0 +1,294 @@
+package checkpoint
+
+import (
+	"bytes"
+	"hash/fnv"
+	"math/rand"
+	"testing"
+
+	"repro/internal/slab"
+)
+
+// The heap model test drives several heaps through seeded random sequences
+// of every operation that moves pages — Write, Snapshot, FullSnapshot,
+// Restore (own snapshots and other heaps'), NewHeapFrom and Reset — against
+// a flat-memory model that copies everything and shares nothing.
+//
+// What the model knows besides bytes:
+//   - page identity, as a number per page version, which is what
+//     DirtyPagesSince counts and what CopiedPages counts changes of;
+//   - lineage: which heaps' pages a heap or snapshot may hold. Reset(h)
+//     ends the life of every snapshot with h in its lineage (the Reset
+//     contract) and of every other heap that restored one; everything else
+//     must come through h's Reset — and through h recycling its pages in
+//     the run after — unchanged.
+
+type modelHeap struct {
+	h       *Heap
+	id      uint64 // one bit
+	lineage uint64
+	data    []byte
+	ids     []int  // page versions
+	private []bool // page i was created since the last Snapshot/Restore: a write does not copy it
+	copied  uint64
+	last    *Snapshot // what Snapshot returned last
+	touched bool      // written, grown or restored since
+	inArena bool
+}
+
+type modelSnap struct {
+	s       *Snapshot
+	lineage uint64
+	data    []byte
+	ids     []int
+}
+
+type heapModel struct {
+	t        *testing.T
+	seed     int64
+	r        *rand.Rand
+	pageSize int
+	arena    *Arena // nil: every heap stands alone
+	arenaIDs uint64 // every heap the arena ever made, replaced ones included: Rewind ends their snapshots too
+	heaps    []*modelHeap
+	snaps    []*modelSnap
+	nextID   uint64
+	nextPage int
+}
+
+func (m *heapModel) pageID() int { m.nextPage++; return m.nextPage }
+
+func (m *heapModel) newHeap(size int, from *modelSnap) *modelHeap {
+	mh := &modelHeap{id: 1 << m.nextID}
+	m.nextID++
+	mh.lineage = mh.id
+	switch {
+	case from != nil:
+		mh.h = NewHeapFrom(from.s)
+		mh.install(from)
+	case m.arena != nil:
+		mh.h, mh.inArena = m.arena.NewHeap(size, m.pageSize), true
+		m.arenaIDs |= mh.id
+		mh.zero(m, size)
+	default:
+		mh.h = NewHeapPages(size, m.pageSize)
+		mh.zero(m, size)
+	}
+	return mh
+}
+
+// zero is the model of a fresh or Reset heap of at least size bytes.
+func (mh *modelHeap) zero(m *heapModel, size int) {
+	pages := (size + m.pageSize - 1) / m.pageSize
+	mh.data = make([]byte, pages*m.pageSize)
+	mh.ids, mh.private = make([]int, pages), make([]bool, pages)
+	for i := range mh.ids {
+		mh.ids[i], mh.private[i] = m.pageID(), true
+	}
+	mh.lineage, mh.copied, mh.last, mh.touched = mh.id, 0, nil, false
+}
+
+// install is the model of Restore.
+func (mh *modelHeap) install(s *modelSnap) {
+	mh.data = bytes.Clone(s.data)
+	mh.ids = append([]int(nil), s.ids...)
+	mh.private = make([]bool, len(s.ids))
+	mh.lineage |= s.lineage
+	mh.touched = true
+}
+
+func (m *heapModel) write(mh *modelHeap, off int, b []byte) {
+	mh.h.Write(off, b)
+	ps := m.pageSize
+	for need := off + len(b); len(mh.data) < need; {
+		mh.data = append(mh.data, make([]byte, ps)...)
+		mh.ids, mh.private = append(mh.ids, m.pageID()), append(mh.private, true)
+	}
+	copy(mh.data[off:], b)
+	for i := off / ps; i <= (off+len(b)-1)/ps; i++ {
+		if !mh.private[i] {
+			mh.ids[i], mh.private[i] = m.pageID(), true
+			mh.copied++
+		}
+	}
+	mh.touched = true
+}
+
+func (m *heapModel) snapshot(mh *modelHeap, full bool) {
+	ms := &modelSnap{lineage: mh.lineage, data: bytes.Clone(mh.data)}
+	if full {
+		ms.s = mh.h.FullSnapshot()
+		for range mh.ids {
+			ms.ids = append(ms.ids, m.pageID())
+		}
+		if !ms.s.Full() {
+			m.t.Fatal("FullSnapshot is not Full")
+		}
+	} else {
+		ms.s = mh.h.Snapshot()
+		if ms.s == mh.last && mh.touched {
+			m.t.Fatalf("seed %d: Snapshot returned a snapshot that predates a Write or Restore", m.seed)
+		}
+		mh.last, mh.touched = ms.s, false
+		ms.ids = append([]int(nil), mh.ids...)
+		clear(mh.private)
+	}
+	m.snaps = append(m.snaps, ms)
+}
+
+// reset ends the run of the given heaps: their snapshots, and whatever else
+// holds their pages, are gone; they come back zeroed.
+func (m *heapModel) reset(which []*modelHeap, size int) {
+	var dead uint64
+	for _, mh := range which {
+		dead |= mh.id
+	}
+	if which[0].inArena {
+		dead |= m.arenaIDs
+	}
+	live := m.snaps[:0]
+	for _, ms := range m.snaps {
+		if ms.lineage&dead == 0 {
+			live = append(live, ms)
+		}
+	}
+	clear(m.snaps[len(live):])
+	m.snaps = live
+	for i, mh := range m.heaps {
+		if mh.id&dead == 0 && mh.lineage&dead != 0 {
+			m.heaps[i] = m.newHeap(size, nil) // it shared pages with a heap that is being Reset
+		}
+	}
+	if which[0].inArena {
+		m.arena.Rewind()
+	}
+	for _, mh := range which {
+		mh.h.Reset(size, m.pageSize)
+		mh.zero(m, size)
+	}
+}
+
+func fnvOf(b []byte) uint64 {
+	d := fnv.New64a()
+	d.Write(b)
+	return d.Sum64()
+}
+
+func (m *heapModel) check(step int) {
+	for i, mh := range m.heaps {
+		got := make([]byte, len(mh.data)+m.pageSize)
+		mh.h.Read(0, got)
+		if mh.h.Size() != len(mh.data) || !bytes.Equal(got[:len(mh.data)], mh.data) || mh.h.Hash() != fnvOf(mh.data) {
+			m.t.Fatalf("seed %d step %d: heap %d differs from the model", m.seed, step, i)
+		}
+		if c := mh.h.CopiedPages(); c != mh.copied {
+			m.t.Fatalf("seed %d step %d: heap %d CopiedPages = %d, model %d", m.seed, step, i, c, mh.copied)
+		}
+	}
+	for i, ms := range m.snaps {
+		if ms.s.Size() != len(ms.data) || !bytes.Equal(ms.s.Bytes(), ms.data) || ms.s.Hash() != fnvOf(ms.data) {
+			m.t.Fatalf("seed %d step %d: snapshot %d (of %d live) differs from the model's copy", m.seed, step, i, len(m.snaps))
+		}
+	}
+	if len(m.snaps) > 0 {
+		mh, ms := m.heaps[m.r.Intn(len(m.heaps))], m.snaps[m.r.Intn(len(m.snaps))]
+		want := 0
+		for i, id := range mh.ids {
+			if i >= len(ms.ids) || ms.ids[i] != id {
+				want++
+			}
+		}
+		if got := mh.h.DirtyPagesSince(ms.s); got != want {
+			m.t.Fatalf("seed %d step %d: DirtyPagesSince = %d, model %d", m.seed, step, got, want)
+		}
+	}
+}
+
+func TestHeapModel(t *testing.T) {
+	was := slab.Poison(true) // a recycled page or rewound page table still in use reads as garbage
+	defer slab.Poison(was)
+	for seed := int64(0); seed < 60; seed++ {
+		m := &heapModel{t: t, seed: seed, r: rand.New(rand.NewSource(seed)), pageSize: 8 << (seed % 2)}
+		if seed%3 != 0 {
+			m.arena = &Arena{}
+		}
+		r := m.r
+		for range 3 {
+			m.heaps = append(m.heaps, m.newHeap(32+r.Intn(64), nil))
+		}
+		for step := 0; step < 300; step++ {
+			mh := m.heaps[r.Intn(len(m.heaps))]
+			switch op := r.Intn(20); {
+			case op < 9:
+				b := make([]byte, 1+r.Intn(20))
+				r.Read(b)
+				m.write(mh, r.Intn(120), b)
+			case op < 13:
+				m.snapshot(mh, false)
+			case op < 14:
+				m.snapshot(mh, true)
+			case op < 17 && len(m.snaps) > 0: // a third of these cross heaps
+				ms := m.snaps[r.Intn(len(m.snaps))]
+				mh.h.Restore(ms.s)
+				mh.install(ms)
+			case op < 18 && len(m.snaps) > 0 && m.nextID < 60:
+				m.heaps[r.Intn(len(m.heaps))] = m.newHeap(0, m.snaps[r.Intn(len(m.snaps))])
+			case op < 19:
+				which := []*modelHeap{mh}
+				if mh.inArena { // an arena's heaps end their run together
+					which = which[:0]
+					for _, x := range m.heaps {
+						if x.inArena {
+							which = append(which, x)
+						}
+					}
+				}
+				m.reset(which, 32+r.Intn(64))
+			}
+			m.check(step)
+		}
+	}
+}
+
+// TestSparePagesBounded: a heap that is never Reset does not collect every
+// page it displaces, and one that is keeps no more than the cap.
+func TestSparePagesBounded(t *testing.T) {
+	h := NewHeap(4 * DefaultPageSize)
+	for i := 0; i < 1000; i++ {
+		h.Snapshot()
+		h.WriteUint64(0, uint64(i))
+	}
+	if held := (len(h.free) + len(h.displaced)) * DefaultPageSize; held > maxSpareBytes {
+		t.Errorf("heap holds %d bytes of displaced pages, cap is %d", held, maxSpareBytes)
+	}
+	h.Reset(4*DefaultPageSize, DefaultPageSize)
+	if len(h.displaced) != 0 || len(h.free) == 0 || len(h.free)*DefaultPageSize > maxSpareBytes {
+		t.Errorf("after Reset: %d displaced, %d free pages", len(h.displaced), len(h.free))
+	}
+	// The next run copies into the free pages: nothing is allocated.
+	run := func() {
+		h.Reset(4*DefaultPageSize, DefaultPageSize)
+		for i := 0; i < 20; i++ {
+			h.Snapshot()
+			h.WriteUint64(DefaultPageSize, uint64(i))
+		}
+	}
+	run()
+	var a Arena
+	ah := a.NewHeap(4*DefaultPageSize, DefaultPageSize)
+	arenaRun := func() {
+		a.Rewind()
+		ah.Reset(4*DefaultPageSize, DefaultPageSize)
+		for i := 0; i < 20; i++ {
+			ah.Snapshot()
+			ah.WriteUint64(DefaultPageSize, uint64(i))
+		}
+	}
+	arenaRun()
+	if n := testing.AllocsPerRun(5, arenaRun); n != 0 {
+		t.Errorf("a warm run on an arena's heap allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(5, run); n != 2*20 { // a standalone heap's Snapshot headers and page tables
+		t.Errorf("a warm run on a standalone heap allocates %.0f times, want the 40 of its snapshots", n)
+	}
+}

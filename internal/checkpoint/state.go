@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"sync"
 	"unsafe"
+
+	"repro/internal/slab"
 )
 
 // StateCodec is the compiled binary codec of one machine-state type: the
@@ -477,49 +479,64 @@ func (c *StateCodec) Decode(b []byte) (any, error) {
 	return v.Interface(), nil
 }
 
-// stateChunk is the size of one StateArena chunk. Application states encode
-// to 50-110 bytes and a chaos-matrix run checkpoints about 13 of them, so
-// one chunk serves a typical run; long runs pay one allocation per dozen
-// checkpoints.
-const stateChunk = 1024
+// Encode asks the state slab for room before it encodes: at least
+// minStateRoom (application states encode to 50-110 bytes), at most
+// maxStateRoom, so that one outsized state does not make every later
+// capture skip to a chunk with that much left.
+const (
+	minStateRoom = 128
+	maxStateRoom = 4096
+)
 
-// StateArena is the run-scoped bump arena machine states are encoded into:
-// each encoding is appended to the current chunk, so capturing a state
-// allocates nothing until a chunk fills. Chunks are never rewound — Reset
-// drops them and whatever still references an encoding keeps its chunk
-// alive — the rule vclock.Arena follows. The zero StateArena is ready to
-// use; it is not safe for concurrent use.
-type StateArena struct {
-	buf []byte
+// Arena is the run-scoped memory checkpoints are carved from: machine-state
+// encodings, and the Snapshot headers and page tables of the heaps it
+// creates (NewHeap). A warm arena allocates nothing. Rewind invalidates
+// everything carved so far — encodings, and every Snapshot of every heap
+// of the arena — and hands the memory to what is carved next. The zero
+// Arena is ready to use; it is not safe for concurrent use.
+type Arena struct {
+	states slab.Slab[byte]
+	// room is the size of the largest encoding so far, within
+	// [minStateRoom, maxStateRoom]. Encode asks the slab for that much, so the
+	// encoder appends in place; only a state larger than any before it, or
+	// than maxStateRoom, may be encoded into an array of its own first and
+	// then copied into a chunk that holds it.
+	room   int
+	snaps  slab.Slab[Snapshot]
+	tables slab.Slab[*page]
 }
 
-// Reset drops the arena's chunk; encodings already handed out are unaffected.
-func (a *StateArena) Reset() { a.buf = nil }
+// Rewind ends the run the arena served. The arena's heaps must be Reset
+// before they are used again.
+func (a *Arena) Rewind() {
+	a.states.Rewind()
+	a.snaps.Rewind()
+	a.tables.Rewind()
+}
+
+// NewHeap is NewHeapPages for a heap whose snapshots are carved from the
+// arena.
+func (a *Arena) NewHeap(size, pageSize int) *Heap {
+	h := NewHeapPages(size, pageSize)
+	h.snaps, h.tables = &a.snaps, &a.tables
+	return h
+}
 
 // Encode captures *state — a Machine's State() pointer. For a type with a
 // codec it returns the binary encoding, carved from the arena, and that
 // codec; for any other it returns json.Marshal(state) and a nil codec.
-func (a *StateArena) Encode(state any) ([]byte, *StateCodec, error) {
+func (a *Arena) Encode(state any) ([]byte, *StateCodec, error) {
 	c := CodecFor(state)
 	p := reflect.ValueOf(state)
 	if c == nil || p.IsNil() {
 		b, err := json.Marshal(state)
 		return b, nil, err
 	}
-	if cap(a.buf)-len(a.buf) < stateChunk/8 {
-		a.buf = make([]byte, 0, stateChunk)
-	}
-	free := a.buf[len(a.buf):]
-	out, err := encode(c.root, free, p.UnsafePointer())
+	a.room = max(a.room, minStateRoom)
+	out, err := encode(c.root, a.states.Tail(a.room), p.UnsafePointer())
 	if err != nil {
 		return nil, nil, err
 	}
-	if cap(out) == cap(free) {
-		a.buf = a.buf[:len(a.buf)+len(out)]
-	} else {
-		// The state outgrew the chunk and append moved it to an array of
-		// its own; bump on from there.
-		a.buf = out
-	}
-	return out[:len(out):len(out)], c, nil
+	a.room = max(a.room, min(len(out), maxStateRoom))
+	return a.states.Keep(out), c, nil
 }

@@ -16,7 +16,7 @@ import (
 
 // roundTrip captures state the way dsim.takeCheckpoint does and reads it
 // back the way every consumer does.
-func roundTrip(t *testing.T, a *StateArena, state any) (got []byte, codec *StateCodec) {
+func roundTrip(t *testing.T, a *Arena, state any) (got []byte, codec *StateCodec) {
 	t.Helper()
 	extra, codec, err := a.Encode(state)
 	if err != nil {
@@ -100,7 +100,7 @@ func TestStateCodecMatchesJSON(t *testing.T) {
 		&map[string]int{"top-level": 1},
 		new(*inner),
 	}
-	var a StateArena
+	var a Arena
 	for _, state := range cases {
 		want, err := json.Marshal(state)
 		if err != nil {
@@ -153,7 +153,7 @@ func randomType(rng *rand.Rand, depth int) reflect.Type {
 // types and random values of them: StateJSON == json.Marshal.
 func TestStateCodecQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	var a StateArena
+	var a Arena
 	codecs := 0
 	for i := 0; i < 300; i++ {
 		typ := reflect.StructOf([]reflect.StructField{
@@ -220,7 +220,7 @@ type embedder struct {
 func TestStateCodecFallback(t *testing.T) {
 	clock := vclock.NewTable("a", "b").New()
 	clock.Set("a", 3)
-	var a StateArena
+	var a Arena
 	for name, state := range map[string]any{
 		"not a pointer":          plain{S: "by value"},
 		"nil":                    nil,
@@ -283,45 +283,62 @@ func newKVShaped() *kvShaped {
 	}
 }
 
-// TestStateArena: encodings are immutable once handed out — later states,
-// chunk rollover and Reset leave them alone — and a warm capture allocates
-// nothing but a chunk every couple of dozen states.
+// TestStateArena: within a run encodings are immutable once handed out —
+// later states and chunk rollover leave them alone, a state larger than a
+// whole chunk gets room of its own — and after Rewind the arena carves the
+// next run's encodings, just as correct and just as disjoint, out of the
+// same memory: a warm capture allocates nothing.
 func TestStateArena(t *testing.T) {
-	var a StateArena
-	st := newKVShaped()
-	want, _ := json.Marshal(st)
-	first, codec, err := a.Encode(st)
-	if err != nil || codec == nil {
-		t.Fatalf("Encode: codec %v, err %v", codec, err)
+	var a Arena
+	big := &kvShaped{Values: map[string]string{"big": string(make([]byte, 100<<10))}}
+	bigWant, _ := json.Marshal(big)
+	type capture struct {
+		extra []byte
+		codec *StateCodec
+		want  []byte
 	}
-	if cap(first) != len(first) {
-		t.Errorf("encoding has spare capacity %d: an append would run into the next state", cap(first)-len(first))
-	}
-	big := &kvShaped{Values: map[string]string{"big": string(make([]byte, 3*stateChunk))}}
-	for i := 0; i < 100; i++ {
-		st.Applied++
-		if _, _, err := a.Encode(st); err != nil {
-			t.Fatal(err)
+	run := func(applied int) {
+		t.Helper()
+		st := newKVShaped()
+		var caps []capture
+		for i := 0; i < 100; i++ {
+			st.Applied = applied + i
+			want, _ := json.Marshal(st)
+			extra, codec, err := a.Encode(st)
+			if err != nil || codec == nil {
+				t.Fatalf("Encode: codec %v, err %v", codec, err)
+			}
+			if cap(extra) != len(extra) {
+				t.Fatalf("encoding has spare capacity %d: an append would run into the next state", cap(extra)-len(extra))
+			}
+			caps = append(caps, capture{extra, codec, want})
+			if i == 50 {
+				if got, _ := roundTrip(t, &a, big); !bytes.Equal(got, bigWant) {
+					t.Error("a state larger than a chunk did not round-trip")
+				}
+			}
 		}
-		if i == 50 { // a state larger than a whole chunk
-			bigWant, _ := json.Marshal(big)
-			if got, _ := roundTrip(t, &a, big); !bytes.Equal(got, bigWant) {
-				t.Error("a state larger than a chunk did not round-trip")
+		for i, c := range caps {
+			got, err := (&Checkpoint{Extra: c.extra, Codec: c.codec}).StateJSON()
+			if err != nil || !bytes.Equal(got, c.want) {
+				t.Fatalf("encoding %d changed under later use of the arena:\n got %s (%v)\nwant %s", i, got, err, c.want)
 			}
 		}
 	}
-	a.Reset()
-	if _, _, err := a.Encode(big); err != nil {
-		t.Fatal(err)
-	}
-	got, err := (&Checkpoint{Extra: first, Codec: codec}).StateJSON()
-	if err != nil || !bytes.Equal(got, want) {
-		t.Errorf("first encoding changed under later use of the arena:\n got %s (%v)\nwant %s", got, err, want)
-	}
+	run(0)
+	a.Rewind()
+	run(1000) // other contents over the rewound chunks
 
-	a.Reset()
-	if allocs := testing.AllocsPerRun(200, func() { a.Encode(st) }); allocs != 0 {
-		t.Errorf("warm Encode allocates %.0f times per state, want 0", allocs)
+	st := newKVShaped()
+	warm := func() {
+		a.Rewind()
+		for i := 0; i < 500; i++ {
+			a.Encode(st)
+		}
+	}
+	warm()
+	if allocs := testing.AllocsPerRun(20, warm); allocs != 0 {
+		t.Errorf("a warm run of 500 captures allocates %.0f times, want 0: Rewind did not hand it the memory of the last", allocs)
 	}
 }
 
@@ -329,7 +346,7 @@ func TestStateArena(t *testing.T) {
 // an error — truncation anywhere, trailing bytes, length prefixes larger
 // than the input, invalid booleans and non-finite floats.
 func TestStateDecodeRejectsCorruption(t *testing.T) {
-	var a StateArena
+	var a Arena
 	st := &plain{
 		Values: map[string]string{"a": "1"}, ByID: map[int32]inner{1: {"k", 2}},
 		Reads: []inner{{"k", 1}}, Nums: []int64{1, 2}, Next: &inner{"n", 3}, B: true, F64: 1,
@@ -370,7 +387,7 @@ func TestStateDecodeRejectsCorruption(t *testing.T) {
 func BenchmarkStateEncode(b *testing.B) {
 	st := newKVShaped()
 	b.Run("codec", func(b *testing.B) {
-		var a StateArena
+		var a Arena
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			a.Encode(st)

@@ -53,11 +53,23 @@ type Store struct {
 	byID   map[string]*Checkpoint
 	byProc map[string][]*Checkpoint // in Put order, oldest first
 	nextID uint64
+	// ids interns the IDs Put assigns, by process and number: a recycled
+	// simulation assigns the same "ckpt-<proc>-<n>" run after run. It
+	// survives Reset, and maxInternedIDs numbers per process bound it.
+	ids map[string][]string
 }
+
+// maxInternedIDs is how many assigned IDs the store remembers per process;
+// checkpoints numbered beyond it get a freshly rendered ID.
+const maxInternedIDs = 256
 
 // NewStore returns an empty checkpoint store.
 func NewStore() *Store {
-	return &Store{byID: make(map[string]*Checkpoint), byProc: make(map[string][]*Checkpoint)}
+	return &Store{
+		byID:   make(map[string]*Checkpoint),
+		byProc: make(map[string][]*Checkpoint),
+		ids:    make(map[string][]string),
+	}
 }
 
 // Put stores a checkpoint. If c.ID is empty an ID is assigned. It returns
@@ -67,26 +79,47 @@ func (s *Store) Put(c *Checkpoint) string {
 	defer s.mu.Unlock()
 	if c.ID == "" {
 		s.nextID++
-		buf := make([]byte, 0, len("ckpt-")+len(c.Proc)+1+20)
-		buf = append(buf, "ckpt-"...)
-		buf = append(buf, c.Proc...)
-		buf = append(buf, '-')
-		buf = strconv.AppendUint(buf, s.nextID, 10)
-		c.ID = string(buf)
+		c.ID = s.assignedID(c.Proc, s.nextID)
 	}
 	s.byID[c.ID] = c
 	s.byProc[c.Proc] = append(s.byProc[c.Proc], c)
 	return c.ID
 }
 
+// assignedID returns "ckpt-<proc>-<n>", from the intern table when n is
+// small enough to be remembered. Caller holds mu.
+func (s *Store) assignedID(proc string, n uint64) string {
+	ids := s.ids[proc]
+	if n < uint64(len(ids)) && ids[n] != "" {
+		return ids[n]
+	}
+	buf := make([]byte, 0, len("ckpt-")+len(proc)+1+20)
+	buf = append(buf, "ckpt-"...)
+	buf = append(buf, proc...)
+	buf = append(buf, '-')
+	id := string(strconv.AppendUint(buf, n, 10))
+	if n < maxInternedIDs {
+		if n >= uint64(len(ids)) {
+			ids = append(ids, make([]string, n+1-uint64(len(ids)))...)
+			s.ids[proc] = ids
+		}
+		ids[n] = id
+	}
+	return id
+}
+
 // Reset empties the store and rewinds ID assignment, so a recycled
 // simulation assigns the same checkpoint IDs as a fresh one — checkpoint
-// IDs appear in scroll records, so replay digests depend on them.
+// IDs appear in scroll records, so replay digests depend on them. The
+// per-process lists keep their capacity and the rendered IDs stay interned.
 func (s *Store) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	clear(s.byID)
-	clear(s.byProc)
+	for proc, list := range s.byProc {
+		clear(list)
+		s.byProc[proc] = list[:0]
+	}
 	s.nextID = 0
 }
 

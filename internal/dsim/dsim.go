@@ -28,6 +28,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/recovery"
 	"repro/internal/scroll"
+	"repro/internal/slab"
 	"repro/internal/speculation"
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -217,6 +218,11 @@ type event struct {
 	dead bool
 }
 
+// pendingTimerOf reports whether the event is a live timer of the process.
+func (e *event) pendingTimerOf(proc string) bool {
+	return e.kind == evTimer && e.proc == proc && !e.dead
+}
+
 type eventKind int
 
 const (
@@ -272,9 +278,9 @@ type durableCell struct {
 // queued events, checkpoints and fault records all treat their clock as
 // immutable (nothing in the tree mutates a Record.Clock in place), so one
 // snapshot per tick serves them all — and lets the fingerprinter encode it
-// once. Snapshots are carved from the simulation's run-scoped arena, so
-// taking one allocates nothing. Every site that mutates p.clock must zero
-// p.snap (tick does).
+// once. Snapshots are carved from the simulation's run-scoped arena
+// (rewound by Reset), so taking one allocates nothing. Every site that
+// mutates p.clock must zero p.snap (tick does).
 func (p *proc) clockSnap() vclock.VC {
 	if p.snap == (vclock.VC{}) {
 		p.snap = p.ctx.sim.clocks.Snapshot(p.clock)
@@ -367,17 +373,29 @@ type Sim struct {
 	slows    []slowRule
 	corrupts uint64 // payloads mutated by ruleCorrupt (not in Stats: artifact JSON is pinned)
 	msgN     uint64
-	msgIDBuf []byte                   // scratch for message-ID rendering
-	timerRec map[string]timerRecParts // cached timer-record strings/payloads
-	payBuf   []byte                   // bump arena for 8-byte record payloads
-	tab      *vclock.Table            // process-ID table every clock of the run shares
-	clocks   vclock.Arena             // bump arena for clock snapshots (proc.clockSnap)
-	states   checkpoint.StateArena    // bump arena for checkpointed machine states
+	tab      *vclock.Table // process-ID table every clock of the run shares
 	stop     bool
 	lastFIFO map[string]uint64 // per-channel last scheduled delivery time
 
 	monEvery uint64      // step-monitor cadence (0 = off)
 	monFn    func() bool // step monitor; true halts with Stats.EarlyExit
+
+	// Run-scoped memory: carved during a run, rewound — not dropped — by
+	// Reset, so a warm pooled run allocates none of it again. Everything
+	// handed out of it (record payloads, clock snapshots, checkpoints and
+	// what they point to) is invalid after Reset.
+	pay    slab.Slab[byte]                  // record payloads: 8-byte values, message bodies
+	clocks vclock.Arena                     // clock snapshots (proc.clockSnap)
+	ckmem  checkpoint.Arena                 // state encodings, heap snapshots
+	ckpts  slab.Slab[checkpoint.Checkpoint] // the checkpoints themselves
+	timers slab.Slab[string]                // their pending-timer lists
+
+	// Intern tables: strings and payloads that recur identically run after
+	// run. Bounded, shared read-only by records, and kept across Reset.
+	msgIDs   []string                 // "m<N>" at N-1, up to maxInternedMsgIDs
+	msgIDBuf []byte                   // scratch for rendering the others
+	labels   map[string][]byte        // checkpoint labels as record payloads
+	timerRec map[string]timerRecParts // timer-record strings/payloads
 
 	// FaultHandler, if set, is invoked on every Context.Fault report. The
 	// FixD coordinator (internal/core) uses it to trigger the Fig. 4
@@ -407,17 +425,47 @@ func (s *Sim) timerParts(name string) timerRecParts {
 	return tr
 }
 
-// appendU64 renders v little-endian into the payload bump arena and
-// returns the 8-byte slice. Records retain these slices (read-only), so
-// one 4KiB chunk amortizes ~512 record payload allocations; chunks are
-// released to the GC when the records referencing them go.
+// appendU64 renders v little-endian into the payload slab and returns the
+// 8-byte slice. Records retain these slices read-only, for the run.
 func (s *Sim) appendU64(v uint64) []byte {
-	if cap(s.payBuf)-len(s.payBuf) < 8 {
-		s.payBuf = make([]byte, 0, 4096)
+	return s.pay.Keep(binary.LittleEndian.AppendUint64(s.pay.Tail(8), v))
+}
+
+// Bounds of the intern tables.
+const (
+	maxInternedMsgIDs = 1024
+	maxInternedLabels = 64
+)
+
+// msgID renders "m<n>", from the intern table when n is small enough to be
+// remembered.
+func (s *Sim) msgID(n uint64) string {
+	if n <= uint64(len(s.msgIDs)) {
+		return s.msgIDs[n-1]
 	}
-	start := len(s.payBuf)
-	s.payBuf = binary.LittleEndian.AppendUint64(s.payBuf, v)
-	return s.payBuf[start:len(s.payBuf):len(s.payBuf)]
+	s.msgIDBuf = strconv.AppendUint(append(s.msgIDBuf[:0], 'm'), n, 10)
+	id := string(s.msgIDBuf)
+	// A run hands IDs out in order from m1, so the first one past the table's
+	// end is the one to append.
+	if n == uint64(len(s.msgIDs))+1 && n <= maxInternedMsgIDs {
+		s.msgIDs = append(s.msgIDs, id)
+	}
+	return id
+}
+
+// labelPayload returns label as a record payload, interned.
+func (s *Sim) labelPayload(label string) []byte {
+	if b, ok := s.labels[label]; ok {
+		return b
+	}
+	b := []byte(label)
+	if len(s.labels) < maxInternedLabels {
+		if s.labels == nil {
+			s.labels = make(map[string][]byte)
+		}
+		s.labels[label] = b
+	}
+	return b
 }
 
 // normalize fills config defaults; New and Reset must agree on them.
@@ -459,16 +507,21 @@ func New(cfg Config) *Sim {
 
 // Reset rewinds the simulation to the state New(cfg) would produce while
 // recycling every allocation the previous run grew: the event arena, the
-// retired processes' checkpoint heaps and scroll buffers, the rule and
-// fault slices, and the FIFO bookkeeping. The chaos runner keeps one Sim
-// per worker and Resets it between runs instead of paying a fresh arena
-// per run; a Reset simulation is observationally identical to a fresh one
-// (byte-identical scrolls, digests and stats for the same seed, machines
-// and schedule — see TestResetEquivalence).
+// retired processes' checkpoint heaps (pages copy-on-write displaced
+// included) and scroll buffers, the rule and fault slices, the FIFO
+// bookkeeping, the checkpoint store's lists, the speculation manager, and
+// the run-scoped slabs that record payloads, clock snapshots, state
+// encodings, heap snapshots and checkpoints are carved from. The chaos
+// runner keeps one Sim per worker and Resets it between runs instead of
+// paying a fresh arena per run; a Reset simulation is observationally
+// identical to a fresh one (byte-identical scrolls, digests and stats for
+// the same seed, machines and schedule — see TestResetEquivalence).
 //
-// Outstanding references into the old run — checkpoints, snapshots,
-// scroll record slices — must be dropped before Reset: their backing
-// memory is zeroed and reused.
+// One rule covers all of it: everything the simulation handed out during
+// the run — scroll records and their payloads and clocks, checkpoints,
+// heap snapshots, fault records, the store and the speculation manager's
+// contents — is invalid after Reset. Its memory is rewound and reused, not
+// zeroed and not dropped; copy out whatever must outlive the run first.
 func (s *Sim) Reset(cfg Config) {
 	s.cfg = normalize(cfg)
 	if s.rngSrc == nil {
@@ -488,7 +541,7 @@ func (s *Sim) Reset(cfg Config) {
 		delete(s.procs, id)
 	}
 	s.order = s.order[:0]
-	s.specs = speculation.NewManager(specCtl{s})
+	s.specs.Reset()
 	s.store.Reset()
 	s.faults = s.faults[:0]
 	s.stats = Stats{}
@@ -502,11 +555,11 @@ func (s *Sim) Reset(cfg Config) {
 	clear(s.lastFIFO)
 	s.monEvery, s.monFn = 0, nil
 	s.FaultHandler = nil
-	// Records, checkpoints and fault records of the old run may still
-	// reference the chunks: drop them rather than rewind them.
-	s.payBuf = nil
-	s.clocks.Reset()
-	s.states.Reset()
+	s.pay.Rewind()
+	s.clocks.Rewind()
+	s.ckmem.Rewind()
+	s.ckpts.Rewind()
+	s.timers.Rewind()
 }
 
 // AddProcess registers a machine under the given process ID. It must be
@@ -529,7 +582,7 @@ func (s *Sim) AddProcess(id string, m Machine) {
 		p = &proc{
 			id:      id,
 			machine: m,
-			heap:    checkpoint.NewHeapPages(s.cfg.HeapSize, s.cfg.HeapPageSize),
+			heap:    s.ckmem.NewHeap(s.cfg.HeapSize, s.cfg.HeapPageSize),
 			scroll:  scroll.NewMemory(id),
 		}
 	}
@@ -878,7 +931,7 @@ func (s *Sim) corruptPayload(payload []byte) []byte {
 	if len(payload) == 0 {
 		return payload
 	}
-	out := append([]byte(nil), payload...)
+	out := s.pay.Copy(payload)
 	i := s.rng.Intn(len(out))
 	out[i] ^= byte(1 + s.rng.Intn(255))
 	return out
@@ -1197,11 +1250,27 @@ func (s *Sim) takeCheckpoint(p *proc, specID, label string) *checkpoint.Checkpoi
 	} else {
 		snap = p.heap.Snapshot()
 	}
-	extra, codec, err := s.states.Encode(p.machine.State())
+	extra, codec, err := s.ckmem.Encode(p.machine.State())
 	if err != nil {
 		panic(fmt.Sprintf("dsim: state of %s not serializable: %v", p.id, err))
 	}
-	ck := &checkpoint.Checkpoint{
+	// Two passes over the queue, so that the list is carved at its exact size.
+	pending := 0
+	for i := 0; i < s.queue.len(); i++ {
+		if s.queue.at(i).pendingTimerOf(p.id) {
+			pending++
+		}
+	}
+	var timers []string // nil when none are pending, as it always was
+	if pending > 0 {
+		timers = s.timers.Tail(pending)
+		for i := 0; i < s.queue.len(); i++ {
+			if ev := s.queue.at(i); ev.pendingTimerOf(p.id) {
+				timers = append(timers, ev.timerName)
+			}
+		}
+	}
+	ck := s.ckpts.Put(checkpoint.Checkpoint{
 		Proc:      p.id,
 		Clock:     p.clockSnap(),
 		ScrollSeq: uint64(p.scroll.Len()),
@@ -1210,15 +1279,11 @@ func (s *Sim) takeCheckpoint(p *proc, specID, label string) *checkpoint.Checkpoi
 		Extra:     extra,
 		Codec:     codec,
 		SpecID:    specID,
-	}
-	for i := 0; i < s.queue.len(); i++ {
-		if ev := s.queue.at(i); ev.kind == evTimer && ev.proc == p.id && !ev.dead {
-			ck.Timers = append(ck.Timers, ev.timerName)
-		}
-	}
+		Timers:    s.timers.Keep(timers),
+	})
 	s.store.Put(ck)
 	p.scroll.Append(scroll.Record{
-		Kind: scroll.KindCkpt, MsgID: ck.ID, Payload: []byte(label),
+		Kind: scroll.KindCkpt, MsgID: ck.ID, Payload: s.labelPayload(label),
 		Lamport: p.lamport.Now(), Clock: p.clockSnap(),
 	})
 	s.stats.Checkpoints++
@@ -1238,7 +1303,7 @@ func (s *Sim) restoreProc(p *proc, ck *checkpoint.Checkpoint) {
 	// encoding/json keeps the entries of a non-nil map it decodes into: a
 	// restored process keeps map keys it wrote after the checkpoint. Every
 	// committed digest depends on that overlay, so it is preserved exactly
-	// (pinned by TestRestoreOverlaysLiveMaps; ROADMAP item 4e).
+	// (pinned by TestRestoreOverlaysLiveMaps; ROADMAP item 1).
 	state, err := ck.StateJSON()
 	if err == nil {
 		err = json.Unmarshal(state, p.machine.State())
@@ -1460,10 +1525,8 @@ func (c *simContext) Send(to string, payload []byte) {
 	p.tick()
 	lam := p.lamport.Tick()
 	s.msgN++
-	s.msgIDBuf = append(s.msgIDBuf[:0], 'm')
-	s.msgIDBuf = strconv.AppendUint(s.msgIDBuf, s.msgN, 10)
-	id := string(s.msgIDBuf)
-	body := append([]byte(nil), payload...)
+	id := s.msgID(s.msgN)
+	body := s.pay.Copy(payload)
 	rec := scroll.Record{
 		Kind: scroll.KindSend, MsgID: id, Peer: to, Payload: body,
 		Lamport: lam, Clock: p.clockSnap(),

@@ -166,6 +166,7 @@ func TestDurableLegacyTimelines(t *testing.T) {
 // simulation — the pooled-chaos-runner contract (satellite of
 // TestResetEquivalence).
 func TestDurableResetEquivalence(t *testing.T) {
+	PoisonRewound(t)
 	cfg := Config{Seed: 5, InitCheckpoint: true}
 	run := func(s *Sim) (Stats, string, map[string]map[string][]byte) {
 		s.AddProcess("p", &durMachine{ticks: 8})

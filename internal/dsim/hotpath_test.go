@@ -96,6 +96,7 @@ func (m *tickerMachine) OnRollback(Context, RollbackInfo) {}
 // seed and machines, including when the Reset changes seed and config, and
 // when the arena previously ran a completely different process set.
 func TestResetEquivalence(t *testing.T) {
+	PoisonRewound(t)
 	cfgA := Config{Seed: 3, CheckpointEvery: 4, InitCheckpoint: true}
 	cfgB := Config{Seed: 9, MinLatency: 2, MaxLatency: 7, CICheckpoint: true}
 
@@ -170,14 +171,15 @@ func TestEventPoolAllocs(t *testing.T) {
 }
 
 // TestWarmArenaAllocs bounds the whole per-run allocation count of a warm
-// Reset arena. The floor is semantic — machine construction, one message
-// ID and one body copy per send — and sits well below the fresh-simulation
-// path, which pays maps, heaps and scroll buffers every run. A clock
-// snapshot per Lamport tick is no longer part of it: snapshots are carved
-// from the run's vclock.Arena, a 4 KiB chunk per ~128 of them. This
-// configuration takes no checkpoints (TestCheckpointStateAllocs bounds
-// those), so moving machine state off encoding/json left the floor where
-// it was: re-measured at 78. The ceiling is that floor plus 10 %.
+// Reset arena. The floor is semantic — machine construction and what the
+// machines themselves allocate — and sits far below the fresh-simulation
+// path, which pays maps, heaps, scroll buffers and slab chunks every run.
+// Message IDs, send bodies, record payloads and clock snapshots are not
+// part of it: they come out of the intern tables and the run-scoped slabs
+// Reset rewinds. This configuration takes no checkpoints
+// (TestCheckpointStateAllocs bounds those, at zero). Re-measured at 26 (78
+// while Reset dropped the slabs and every send rendered its ID and copied
+// its body); the ceiling is that floor plus 10 %.
 func TestWarmArenaAllocs(t *testing.T) {
 	cfg := Config{Seed: 5}
 	arena := New(cfg)
@@ -191,7 +193,7 @@ func TestWarmArenaAllocs(t *testing.T) {
 	}
 	run() // warm the arena
 
-	if allocs := testing.AllocsPerRun(10, run); allocs > 86 {
-		t.Fatalf("warm arena allocates %.0f times per run; want <= 86 (per-run pooling has regressed)", allocs)
+	if allocs := testing.AllocsPerRun(10, run); allocs > 28 {
+		t.Fatalf("warm arena allocates %.0f times per run; want <= 28 (per-run pooling has regressed)", allocs)
 	}
 }

@@ -41,7 +41,7 @@ func (m *sendOnce) OnMessage(Context, string, []byte) {}
 func (m *sendOnce) OnRollback(Context, RollbackInfo)  {}
 
 // TestRestoreOverlaysLiveMaps pins a bug this repository's digests depend
-// on (ROADMAP item 4e): restoreProc unmarshals the checkpoint's JSON INTO
+// on (ROADMAP item 1): restoreProc unmarshals the checkpoint's JSON INTO
 // the live state, and encoding/json reuses a non-nil map, "keeping existing
 // entries". A rolled-back or crash-restarted process therefore keeps the map
 // keys it wrote after the checkpoint — checkpoint {a}, write b, restore
@@ -79,27 +79,46 @@ func TestRestoreOverlaysLiveMaps(t *testing.T) {
 	}
 	if want := (map[string]bool{"a": true, "b": true}); !reflect.DeepEqual(set.st.Seen, want) {
 		t.Errorf("Seen = %v after the rollback, want %v: the post-checkpoint key survives the restore "+
-			"(if this was fixed on purpose, regenerate the fixtures and update ROADMAP item 4e)", set.st.Seen, want)
+			"(if this was fixed on purpose, regenerate the fixtures and update ROADMAP item 1)", set.st.Seen, want)
 	}
 }
 
-// TestCheckpointStateAllocs: capturing a plain state costs a checkpoint
-// nothing — a process whose state holds maps and a process whose state is
-// empty pay the same number of allocations per checkpoint (the Checkpoint,
-// its heap snapshot, its ID and the store's bookkeeping).
+// TestCheckpointStateAllocs: on a recycled simulation a checkpoint costs
+// nothing at all — not the state (a process whose state holds maps and one
+// whose state is empty are captured alike, into the arena), and not the
+// Checkpoint, its timer list, its heap snapshot, its ID, its scroll record's
+// label or the store's bookkeeping, which the previous run left behind.
 func TestCheckpointStateAllocs(t *testing.T) {
+	const checkpoints = 48 // and as many displaced heap pages: fewer than a heap keeps
 	s := New(Config{Seed: 1})
 	set := &setMachine{}
 	set.st.Seen = map[string]bool{"a": true, "b": true, "c": true}
-	s.AddProcess("set", set)
-	s.AddProcess("empty", &emptyMachine{})
-	perCheckpoint := func(id string) float64 {
+	recycled := func(id string) *proc {
+		s.Reset(Config{Seed: 1})
+		s.AddProcess("set", set)
+		s.AddProcess("empty", &emptyMachine{})
 		p := s.procs[id]
-		s.takeCheckpoint(p, "", "warm")
-		return testing.AllocsPerRun(200, func() { s.takeCheckpoint(p, "", "t") })
+		p.ctx.SetTimer("pending", 5) // a timer for the checkpoints to list
+		return p
 	}
-	if withMaps, empty := perCheckpoint("set"), perCheckpoint("empty"); withMaps != empty {
-		t.Errorf("a checkpoint of a state with maps allocates %.0f times, of an empty state %.0f: capturing the state is not free", withMaps, empty)
+	checkpoint := func(p *proc) {
+		s.takeCheckpoint(p, "", "t")
+		p.heap.WriteUint64(0, s.stats.Checkpoints) // a page for the next one to find dirty
+	}
+	for _, id := range []string{"set", "empty"} {
+		p := recycled(id)
+		for range checkpoints + 1 { // the run that leaves everything behind
+			checkpoint(p)
+		}
+		n := testing.AllocsPerRun(3, func() { // AllocsPerRun rounds down: count whole runs
+			p = recycled(id)
+			for range checkpoints {
+				checkpoint(p)
+			}
+		})
+		if n != 0 {
+			t.Errorf("recycling the simulation and %d warm checkpoints of %q allocate %.0f times, want 0", checkpoints, id, n)
+		}
 	}
 }
 

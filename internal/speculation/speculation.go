@@ -124,6 +124,17 @@ func NewManager(ctl ProcessControl) *Manager {
 	return &Manager{ctl: ctl, specs: make(map[string]*Speculation), active: make(map[string][]string)}
 }
 
+// Reset returns the manager to the state NewManager left it in, keeping its
+// maps: a recycled simulation reuses its manager. Speculations handed out
+// before Reset are no longer the manager's.
+func (m *Manager) Reset() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	clear(m.specs)
+	clear(m.active)
+	m.joinSeq, m.nextID, m.stats = 0, 0, Stats{}
+}
+
 // Stats returns a copy of the cumulative counters.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()

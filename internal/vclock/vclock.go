@@ -30,7 +30,8 @@
 // Clocks attached to scroll records, queued messages, checkpoints and
 // fault records are snapshots: immutable by convention, shared freely, and
 // — on the simulator — carved out of a run-scoped Arena so that taking one
-// allocates nothing.
+// allocates nothing. Like everything run-scoped, an Arena's snapshots are
+// invalid once the run is over and the arena rewound.
 package vclock
 
 import (
@@ -40,6 +41,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+
+	"repro/internal/slab"
 )
 
 // Table is a sorted, duplicate-free, immutable set of process IDs: the
@@ -387,39 +390,27 @@ func (v *VC) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Arena chunk sizes: one header chunk and one count chunk are 4 KiB each,
-// enough for 128 snapshots of a 4-process system.
-const (
-	arenaHeaders = 128
-	arenaCounts  = 512
-)
-
-// Arena is a bump allocator for clock snapshots: headers are carved from
-// one slab, counts from another, so a snapshot costs no allocation of its
-// own. Snapshots stay valid for as long as anything references them — a
-// full chunk is left to the garbage collector, never reused — so Reset
-// (which drops both chunks) is always safe. The zero Arena is ready to use.
+// Arena is the run-scoped allocator of clock snapshots: headers are carved
+// from one slab, counts from another, so a snapshot costs no allocation of
+// its own and a warm arena none at all. Snapshots are immutable and valid
+// until Rewind, which invalidates every snapshot taken so far and hands
+// their memory to the ones taken next. The zero Arena is ready to use.
 type Arena struct {
-	hdrs   []clock
-	counts []uint64
+	hdrs   slab.Slab[clock]
+	counts slab.Slab[uint64]
 }
 
 // Snapshot returns an immutable copy of v carved from the arena.
 func (a *Arena) Snapshot(v VC) VC {
-	if len(a.hdrs) == cap(a.hdrs) {
-		a.hdrs = make([]clock, 0, arenaHeaders)
-	}
-	if cap(a.counts)-len(a.counts) < len(v.c.n) {
-		a.counts = make([]uint64, 0, max(arenaCounts, len(v.c.n)))
-	}
-	at := len(a.counts)
-	a.counts = append(a.counts, v.c.n...)
-	a.hdrs = append(a.hdrs, clock{tab: v.c.tab, n: a.counts[at:len(a.counts):len(a.counts)]})
-	return VC{&a.hdrs[len(a.hdrs)-1]}
+	return VC{a.hdrs.Put(clock{tab: v.c.tab, n: a.counts.Copy(v.c.n)})}
 }
 
-// Reset drops the arena's chunks; snapshots already taken are unaffected.
-func (a *Arena) Reset() { *a = Arena{} }
+// Rewind invalidates every snapshot taken so far; the next ones reuse
+// their memory.
+func (a *Arena) Rewind() {
+	a.hdrs.Rewind()
+	a.counts.Rewind()
+}
 
 // Lamport is a scalar logical clock (Lamport 1978). It provides a total
 // order extension of happens-before, used by the Scroll to impose a global

@@ -469,39 +469,48 @@ func TestSharedTableConcurrency(t *testing.T) {
 	}
 }
 
-// TestArenaSnapshotsAreImmutable pins the snapshot contract: a snapshot
-// taken before a Tick is unchanged by it, by any number of later snapshots
-// (including the ones that roll the arena over to fresh chunks), and by
-// Reset.
+// TestArenaSnapshotsAreImmutable pins the snapshot contract: within a run a
+// snapshot taken before a Tick is unchanged by it and by any number of later
+// snapshots (including the ones that roll the arena over to further chunks);
+// Rewind ends the run, and the snapshots of the next one — taken over the
+// same memory, without allocating — are just as correct and just as
+// disjoint.
 func TestArenaSnapshotsAreImmutable(t *testing.T) {
 	tab := NewTable("a", "b", "c")
 	v := tab.New()
 	var a Arena
-	var snaps []VC
-	var want []string
-	for i := 0; i < 3*arenaHeaders+arenaCounts; i++ {
-		v.TickAt(i % 3)
-		s := a.Snapshot(v)
-		if s.Table() != tab || s.Compare(v) != Equal {
-			t.Fatalf("snapshot %d = %v, want %v", i, s, v)
+	run := func() {
+		t.Helper()
+		var snaps []VC
+		var want []string
+		for i := 0; i < 2000; i++ { // several chunks of headers and of counts
+			v.TickAt(i % 3)
+			s := a.Snapshot(v)
+			if s.Table() != tab || s.Compare(v) != Equal {
+				t.Fatalf("snapshot %d = %v, want %v", i, s, v)
+			}
+			snaps, want = append(snaps, s), append(want, v.String())
 		}
-		snaps, want = append(snaps, s), append(want, v.String())
+		for i, s := range snaps {
+			if s.String() != want[i] {
+				t.Fatalf("snapshot %d changed to %v, want %s", i, s, want[i])
+			}
+		}
 	}
-	a.Reset()
+	run()
+	a.Rewind()
+	run() // other counts over the rewound chunks
+	a.Rewind()
 	v.Reset()
-	for i, s := range snaps {
-		if s.String() != want[i] {
-			t.Fatalf("snapshot %d changed to %v, want %s", i, s, want[i])
-		}
-	}
 	// A snapshot that is (wrongly) grown must not spill into its neighbour.
 	first, second := a.Snapshot(v.Tick("a")), a.Snapshot(v)
 	first.Tick("zz")
 	if second.String() != "{a:1}" {
 		t.Errorf("growing one snapshot corrupted the next: %v", second)
 	}
-	// A clock wider than a whole count chunk still gets a snapshot.
-	wide := make([]string, arenaCounts+1)
+	// A clock wider than any chunk the arena grows by itself still gets a
+	// snapshot.
+	wide := make([]string, 10_000)
 	for i := range wide {
 		wide[i] = fmt.Sprintf("w%04d", i)
 	}
@@ -509,8 +518,15 @@ func TestArenaSnapshotsAreImmutable(t *testing.T) {
 	if s := a.Snapshot(w); s.Compare(w) != Equal {
 		t.Errorf("wide snapshot = %v", s)
 	}
-	if n := testing.AllocsPerRun(100, func() { a.Snapshot(v) }); n != 0 {
-		t.Errorf("Snapshot allocates %.2f objects per call, want amortised ~0", n)
+	warm := func() {
+		a.Rewind()
+		for i := 0; i < 2000; i++ {
+			a.Snapshot(v)
+		}
+	}
+	warm()
+	if n := testing.AllocsPerRun(20, warm); n != 0 {
+		t.Errorf("a warm run of 2000 snapshots allocates %.0f times, want 0", n)
 	}
 }
 
