@@ -35,6 +35,21 @@ func BenchmarkE1ScrollRecord(b *testing.B) {
 	}
 }
 
+// BenchmarkScrollAppendLong records one long execution's worth of history
+// per iteration: B/op is what a 200k-record scroll costs to build, which is
+// its own size when history is appended and three times that when a growing
+// array recopies it.
+func BenchmarkScrollAppendLong(b *testing.B) {
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	for b.Loop() {
+		s := scroll.NewMemory("bench")
+		for i := range 200_000 {
+			s.Append(scroll.Record{Kind: scroll.KindRecv, MsgID: "m", Peer: "p", Payload: payload, Lamport: uint64(i)})
+		}
+	}
+}
+
 func BenchmarkE1ScrollReplay(b *testing.B) {
 	// Record one token-ring node's scroll, then replay it repeatedly.
 	ms := apps.NewTokenRing(apps.TokenRingConfig{N: 4, Rounds: 10})

@@ -71,7 +71,7 @@ func dump(out io.Writer, scrolls []*scroll.Scroll, merge bool, kindFilter string
 	}
 	for _, s := range scrolls {
 		fmt.Fprintf(out, "--- %s (%d records) ---\n", s.Proc(), s.Len())
-		for _, r := range s.Records() {
+		for r := range s.All() {
 			show(r)
 		}
 	}

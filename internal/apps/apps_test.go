@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -301,5 +302,27 @@ func TestTwoPCCoordinatorCheckpointlessRestart(t *testing.T) {
 	}
 	if coord.st.Decision != "abort" {
 		t.Fatalf("coordinator decided %q with a binding no-vote outstanding, want abort", coord.st.Decision)
+	}
+}
+
+// The interned process names are the bytes fmt.Sprintf gave, in and beyond
+// the table, and naming a peer allocates nothing.
+func TestProcNamesInterned(t *testing.T) {
+	families := []struct {
+		name   func(int) string
+		format string
+	}{
+		{BankProcName, "bank%02d"}, {ElectProcName, "elect%02d"}, {KVReplicaName, "kvrep%02d"},
+		{MSSvcName, "mssvc%d"}, {RingProcName, "ring%02d"}, {PartName, "part%02d"},
+	}
+	for _, f := range families {
+		for _, i := range []int{0, 1, 9, 10, 99, 100, 101, 12345, -1} {
+			if got, want := f.name(i), fmt.Sprintf(f.format, i); got != want {
+				t.Errorf("%s: name(%d) = %q, want %q", f.format, i, got, want)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = f.name(7) }); n != 0 {
+			t.Errorf("%s: name(7) allocates %v times", f.format, n)
+		}
 	}
 }

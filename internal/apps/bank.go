@@ -28,7 +28,7 @@ type BankConfig struct {
 }
 
 // BankProcName returns the process ID of branch i.
-func BankProcName(i int) string { return fmt.Sprintf("bank%02d", i) }
+func BankProcName(i int) string { return bankNames.name(i) }
 
 // bankState is a branch's serializable summary (the full ledger lives in
 // the heap).

@@ -37,7 +37,7 @@ type ElectionConfig struct {
 const electRetries = 6
 
 // ElectProcName returns the process ID of ring position i.
-func ElectProcName(i int) string { return fmt.Sprintf("elect%02d", i) }
+func ElectProcName(i int) string { return electNames.name(i) }
 
 // electState is the serializable node state.
 type electState struct {

@@ -27,7 +27,7 @@ const KVPrimaryName = "kvprimary"
 const KVClientName = "kvclient"
 
 // KVReplicaName returns the process ID of replica i.
-func KVReplicaName(i int) string { return fmt.Sprintf("kvrep%02d", i) }
+func KVReplicaName(i int) string { return kvNames.name(i) }
 
 // kvDurablePrefix prefixes the primary's per-key stable-storage cells.
 // Each cell holds the key's latest version assignment — 8-byte LE version

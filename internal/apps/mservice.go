@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -48,7 +47,7 @@ const (
 )
 
 // MSSvcName returns the process ID of service tier i (0 is client-facing).
-func MSSvcName(i int) string { return fmt.Sprintf("mssvc%d", i) }
+func MSSvcName(i int) string { return msNames.name(i) }
 
 // msDonePrefix prefixes a backend's per-request stable-storage cells. The
 // side effect is forced to disk before the response leaves, so a

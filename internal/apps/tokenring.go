@@ -76,7 +76,7 @@ type TokenRing struct {
 }
 
 // RingProcName returns the process ID of ring position i.
-func RingProcName(i int) string { return fmt.Sprintf("ring%02d", i) }
+func RingProcName(i int) string { return ringNames.name(i) }
 
 // NewTokenRing builds the N machines of a token ring.
 func NewTokenRing(cfg TokenRingConfig) map[string]dsim.Machine {

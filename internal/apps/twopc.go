@@ -38,7 +38,7 @@ const CoordName = "coord"
 const decisionKey = "2pc:decision"
 
 // PartName returns the process ID of participant i.
-func PartName(i int) string { return fmt.Sprintf("part%02d", i) }
+func PartName(i int) string { return partNames.name(i) }
 
 // coordState is the coordinator's serializable state.
 type coordState struct {

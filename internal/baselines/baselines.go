@@ -135,7 +135,7 @@ func ExtractDependenciesFunc(s Source, ignore func(r scroll.Record) bool) (recov
 	counts := recovery.Line{}
 	for _, id := range s.Procs() {
 		interval := 0
-		for _, r := range s.Scroll(id).Records() {
+		for r := range s.Scroll(id).All() {
 			switch r.Kind {
 			case scroll.KindCkpt:
 				interval++
@@ -151,7 +151,7 @@ func ExtractDependenciesFunc(s Source, ignore func(r scroll.Record) bool) (recov
 	var msgs []recovery.Message
 	for _, id := range s.Procs() {
 		interval := 0
-		for _, r := range s.Scroll(id).Records() {
+		for r := range s.Scroll(id).All() {
 			switch r.Kind {
 			case scroll.KindCkpt:
 				interval++

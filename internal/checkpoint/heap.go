@@ -64,8 +64,13 @@ import (
 	"repro/internal/slab"
 )
 
-// DefaultPageSize is the page granularity used when Options.PageSize is 0.
-const DefaultPageSize = 4096
+// DefaultPageSize is the copy-on-write unit of a heap made without an
+// explicit page size (NewHeap, or a pageSize <= 0). It is sized to the write
+// set, not the hardware: the applications write a word or two between
+// checkpoints, and for a 64 KiB heap one copied page plus the snapshot's
+// page table cost p + 8*64Ki/p bytes per checkpoint, least near p = 724.
+// Page size never reaches a digest (chaos.TestPageSizeNotObservable).
+const DefaultPageSize = 1024
 
 // page is one copy-on-write unit. A page value is immutable once it is
 // shared with a snapshot; the heap copies it before mutating (see ensure).

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"testing"
@@ -207,81 +208,108 @@ func (m *heapModel) check(step int) {
 func TestHeapModel(t *testing.T) {
 	was := slab.Poison(true) // a recycled page or rewound page table still in use reads as garbage
 	defer slab.Poison(was)
+	// Tiny pages put several under a write; the others are the default and
+	// a size on either side of it.
 	for seed := int64(0); seed < 60; seed++ {
-		m := &heapModel{t: t, seed: seed, r: rand.New(rand.NewSource(seed)), pageSize: 8 << (seed % 2)}
-		if seed%3 != 0 {
-			m.arena = &Arena{}
-		}
-		r := m.r
-		for range 3 {
-			m.heaps = append(m.heaps, m.newHeap(32+r.Intn(64), nil))
-		}
-		for step := 0; step < 300; step++ {
-			mh := m.heaps[r.Intn(len(m.heaps))]
-			switch op := r.Intn(20); {
-			case op < 9:
-				b := make([]byte, 1+r.Intn(20))
-				r.Read(b)
-				m.write(mh, r.Intn(120), b)
-			case op < 13:
-				m.snapshot(mh, false)
-			case op < 14:
-				m.snapshot(mh, true)
-			case op < 17 && len(m.snaps) > 0: // a third of these cross heaps
-				ms := m.snaps[r.Intn(len(m.snaps))]
-				mh.h.Restore(ms.s)
-				mh.install(ms)
-			case op < 18 && len(m.snaps) > 0 && m.nextID < 60:
-				m.heaps[r.Intn(len(m.heaps))] = m.newHeap(0, m.snaps[r.Intn(len(m.snaps))])
-			case op < 19:
-				which := []*modelHeap{mh}
-				if mh.inArena { // an arena's heaps end their run together
-					which = which[:0]
-					for _, x := range m.heaps {
-						if x.inArena {
-							which = append(which, x)
-						}
+		runHeapModel(t, seed, 8<<(seed%2), 300)
+	}
+	for _, pageSize := range []int{256, 1024, 4096} {
+		t.Run(fmt.Sprintf("page=%d", pageSize), func(t *testing.T) {
+			for seed := int64(0); seed < 8; seed++ {
+				runHeapModel(t, seed, pageSize, 150)
+			}
+		})
+	}
+}
+
+// runHeapModel runs one seeded sequence on heaps of 2 to 6 pages (4 to 12
+// of the 8-byte ones).
+func runHeapModel(t *testing.T, seed int64, pageSize, steps int) {
+	m := &heapModel{t: t, seed: seed, r: rand.New(rand.NewSource(seed)), pageSize: pageSize}
+	if seed%3 != 0 {
+		m.arena = &Arena{}
+	}
+	r := m.r
+	scale := max(pageSize/16, 1)
+	size := func() int { return (32 + r.Intn(64)) * scale }
+	for range 3 {
+		m.heaps = append(m.heaps, m.newHeap(size(), nil))
+	}
+	for step := 0; step < steps; step++ {
+		mh := m.heaps[r.Intn(len(m.heaps))]
+		switch op := r.Intn(20); {
+		case op < 9:
+			b := make([]byte, 1+r.Intn(20))
+			r.Read(b)
+			off := r.Intn(120) * scale
+			if scale > 1 {
+				off += r.Intn(scale)
+			}
+			m.write(mh, off, b)
+		case op < 13:
+			m.snapshot(mh, false)
+		case op < 14:
+			m.snapshot(mh, true)
+		case op < 17 && len(m.snaps) > 0: // a third of these cross heaps
+			ms := m.snaps[r.Intn(len(m.snaps))]
+			mh.h.Restore(ms.s)
+			mh.install(ms)
+		case op < 18 && len(m.snaps) > 0 && m.nextID < 60:
+			m.heaps[r.Intn(len(m.heaps))] = m.newHeap(0, m.snaps[r.Intn(len(m.snaps))])
+		case op < 19:
+			which := []*modelHeap{mh}
+			if mh.inArena { // an arena's heaps end their run together
+				which = which[:0]
+				for _, x := range m.heaps {
+					if x.inArena {
+						which = append(which, x)
 					}
 				}
-				m.reset(which, 32+r.Intn(64))
 			}
-			m.check(step)
+			m.reset(which, size())
 		}
+		m.check(step)
 	}
 }
 
 // TestSparePagesBounded: a heap that is never Reset does not collect every
 // page it displaces, and one that is keeps no more than the cap.
 func TestSparePagesBounded(t *testing.T) {
-	h := NewHeap(4 * DefaultPageSize)
-	for i := 0; i < 1000; i++ {
+	for _, pageSize := range []int{256, 1024, 4096} {
+		t.Run(fmt.Sprintf("page=%d", pageSize), func(t *testing.T) { testSparePagesBounded(t, pageSize) })
+	}
+}
+
+func testSparePagesBounded(t *testing.T, pageSize int) {
+	h := NewHeapPages(4*pageSize, pageSize)
+	for i := 0; i < 2*maxSpareBytes/pageSize; i++ { // displaces twice the cap
 		h.Snapshot()
 		h.WriteUint64(0, uint64(i))
 	}
-	if held := (len(h.free) + len(h.displaced)) * DefaultPageSize; held > maxSpareBytes {
+	if held := (len(h.free) + len(h.displaced)) * pageSize; held > maxSpareBytes {
 		t.Errorf("heap holds %d bytes of displaced pages, cap is %d", held, maxSpareBytes)
 	}
-	h.Reset(4*DefaultPageSize, DefaultPageSize)
-	if len(h.displaced) != 0 || len(h.free) == 0 || len(h.free)*DefaultPageSize > maxSpareBytes {
+	h.Reset(4*pageSize, pageSize)
+	if len(h.displaced) != 0 || len(h.free) == 0 || len(h.free)*pageSize > maxSpareBytes {
 		t.Errorf("after Reset: %d displaced, %d free pages", len(h.displaced), len(h.free))
 	}
 	// The next run copies into the free pages: nothing is allocated.
 	run := func() {
-		h.Reset(4*DefaultPageSize, DefaultPageSize)
+		h.Reset(4*pageSize, pageSize)
 		for i := 0; i < 20; i++ {
 			h.Snapshot()
-			h.WriteUint64(DefaultPageSize, uint64(i))
+			h.WriteUint64(pageSize, uint64(i))
 		}
 	}
 	run()
 	var a Arena
-	ah := a.NewHeap(4*DefaultPageSize, DefaultPageSize)
+	ah := a.NewHeap(4*pageSize, pageSize)
 	arenaRun := func() {
 		a.Rewind()
-		ah.Reset(4*DefaultPageSize, DefaultPageSize)
+		ah.Reset(4*pageSize, pageSize)
 		for i := 0; i < 20; i++ {
 			ah.Snapshot()
-			ah.WriteUint64(DefaultPageSize, uint64(i))
+			ah.WriteUint64(pageSize, uint64(i))
 		}
 	}
 	arenaRun()

@@ -241,7 +241,7 @@ func (c *Coordinator) inTransitAt(lineSeq map[string]uint64) []investigate.Msg {
 	received := make(map[string]bool)
 	for _, id := range c.sim.Procs() {
 		limit := lineSeq[id]
-		for _, r := range c.sim.Scroll(id).Records() {
+		for r := range c.sim.Scroll(id).All() {
 			if r.Seq >= limit {
 				break
 			}
@@ -253,7 +253,7 @@ func (c *Coordinator) inTransitAt(lineSeq map[string]uint64) []investigate.Msg {
 	var out []investigate.Msg
 	for _, id := range c.sim.Procs() {
 		limit := lineSeq[id]
-		for _, r := range c.sim.Scroll(id).Records() {
+		for r := range c.sim.Scroll(id).All() {
 			if r.Seq >= limit {
 				break
 			}

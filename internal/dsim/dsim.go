@@ -163,7 +163,8 @@ type Config struct {
 	MaxSteps int
 	// HeapSize is each process's initial heap size in bytes (default 64KiB).
 	HeapSize int
-	// HeapPageSize overrides the checkpoint page size (default 4096).
+	// HeapPageSize overrides the checkpoint page size (default
+	// checkpoint.DefaultPageSize).
 	HeapPageSize int
 	// LegacyTimelines restores the pre-epoch recovery semantics: deliberate
 	// rollbacks neither invalidate durable cells written on the abandoned
@@ -1397,14 +1398,14 @@ func (s *Sim) RollbackTo(line map[string]string) error {
 	// whose matching receive is no longer in the receiver's scroll.
 	received := make(map[string]bool)
 	for _, id := range procIDs {
-		for _, r := range s.procs[id].scroll.Records() {
+		for r := range s.procs[id].scroll.All() {
 			if r.Kind == scroll.KindRecv {
 				received[r.MsgID] = true
 			}
 		}
 	}
 	for _, id := range s.order {
-		for _, r := range s.procs[id].scroll.Records() {
+		for r := range s.procs[id].scroll.All() {
 			if r.Kind != scroll.KindSend || received[r.MsgID] || !rolled[r.Peer] {
 				continue
 			}

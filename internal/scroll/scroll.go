@@ -13,6 +13,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"iter"
 	"sort"
 	"sync"
 
@@ -234,16 +236,67 @@ func decodeRecord(b []byte) (Record, error) {
 	return r, nil
 }
 
+// segLen is the number of records in one storage segment (about 104 KiB).
+const segLen = 1024
+
 // Scroll records the nondeterministic actions of a single process. It is
 // safe for concurrent use. If backed by a WAL (see OpenDurable), records
 // survive crashes.
+//
+// Records live in segments of segLen records, so a long scroll is appended
+// to, never recopied. Segment 0 (head) grows by append: a short scroll is one
+// small slice. Every later segment (tail) is allocated once at full length
+// and its slice header never changes again, which is what lets a view be
+// read outside the lock while Append proceeds.
 type Scroll struct {
 	mu       sync.Mutex
 	proc     string
-	recs     []Record
-	next     uint64
-	log      *wal.Log // nil for in-memory scrolls
-	truncErr error    // deferred durable-truncation failure
+	head     []Record   // records [0, segLen)
+	tail     [][]Record // tail[k] holds records [(k+1)*segLen, (k+2)*segLen)
+	n        int        // records in the scroll
+	log      *wal.Log   // nil for in-memory scrolls
+	truncErr error      // deferred durable-truncation failure
+}
+
+// view is a read-only capture of a scroll's first n records. Append never
+// writes memory a view reaches (it fills slots past n, or moves head to a
+// new array), so a view taken under the lock may be read outside it; a
+// Truncate followed by Append overwrites slots and so invalidates it.
+type view struct {
+	head []Record
+	tail [][]Record
+	n    int
+}
+
+// segs returns the number of segments holding the view's records.
+func (v view) segs() int { return (v.n + segLen - 1) / segLen }
+
+// seg returns the view's records in segment k.
+func (v view) seg(k int) []Record {
+	if k == 0 {
+		return v.head[:min(v.n, segLen)]
+	}
+	return v.tail[k-1][:min(v.n-k*segLen, segLen)]
+}
+
+// appendTo appends the view's records to dst in order.
+func (v view) appendTo(dst []Record) []Record {
+	for k := range v.segs() {
+		dst = append(dst, v.seg(k)...)
+	}
+	return dst
+}
+
+// all iterates over the view's records in order, in place.
+func (v view) all(yield func(*Record) bool) {
+	for k := range v.segs() {
+		seg := v.seg(k)
+		for i := range seg {
+			if !yield(&seg[i]) {
+				return
+			}
+		}
+	}
 }
 
 // NewMemory returns an in-memory scroll for process proc.
@@ -251,32 +304,76 @@ func NewMemory(proc string) *Scroll { return &Scroll{proc: proc} }
 
 // OpenDurable returns a scroll persisted under dir using a segmented WAL.
 // Existing records in dir are loaded first, so a restarted process resumes
-// its scroll where the crash left it.
+// its scroll where the crash left it. A record whose sequence number is not
+// its position in the log means records before it are missing — a deleted
+// segment file, or a damaged record in a segment that is not the last — and
+// is an error: a scroll with a hole replays a different execution.
 func OpenDurable(proc, dir string) (*Scroll, error) {
 	log, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		return nil, err
 	}
 	s := &Scroll{proc: proc, log: log}
-	raw, err := wal.ReadAll(dir)
-	if err != nil {
+	if err := s.load(dir); err != nil {
 		log.Close()
-		return nil, err
+		return nil, fmt.Errorf("scroll: load %s: %w", dir, err)
 	}
-	for _, b := range raw {
+	return s, nil
+}
+
+// load decodes the WAL under dir into the (empty) scroll, record by record.
+func (s *Scroll) load(dir string) error {
+	r, err := wal.NewReader(dir)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	for {
+		b, err := r.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
 		rec, err := decodeRecord(b)
 		if err != nil {
-			log.Close()
-			return nil, fmt.Errorf("scroll: load %s: %w", dir, err)
+			return err
 		}
-		s.recs = append(s.recs, rec)
+		switch at := uint64(s.n); {
+		case rec.Seq > at:
+			return fmt.Errorf("record %d has seq %d: %d records missing before it", at, rec.Seq, rec.Seq-at)
+		case rec.Seq < at:
+			return fmt.Errorf("record %d has seq %d: the log repeats records", at, rec.Seq)
+		}
+		s.push(rec)
 	}
-	s.next = uint64(len(s.recs))
-	return s, nil
 }
 
 // Proc returns the process ID this scroll belongs to.
 func (s *Scroll) Proc() string { return s.proc }
+
+// push stores r as record n. Caller holds mu (or is the constructor).
+func (s *Scroll) push(r Record) {
+	if s.n < segLen {
+		s.head = append(s.head, r)
+		s.n++
+		return
+	}
+	k, i := s.n/segLen-1, s.n%segLen
+	if k == len(s.tail) {
+		if k < cap(s.tail) && s.tail[:k+1][k] != nil {
+			s.tail = s.tail[:k+1] // a segment Truncate kept
+		} else {
+			if s.tail == nil {
+				s.tail = make([][]Record, 0, 16) // past its first segment a scroll is a long one
+			}
+			s.tail = append(s.tail, make([]Record, segLen))
+		}
+	}
+	s.tail[k][i] = r
+	s.n++
+}
 
 // Append records an action. The record's Proc and Seq are assigned by the
 // scroll; other fields are taken from r. It returns the assigned sequence.
@@ -284,16 +381,8 @@ func (s *Scroll) Append(r Record) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r.Proc = s.proc
-	r.Seq = s.next
-	s.next++
-	if n := len(s.recs); n == cap(s.recs) && n >= 256 {
-		// append grows large slices by ~1.25x, which copies a long scroll
-		// about five times over on its way up; doubling copies it once.
-		grown := make([]Record, n, 2*n)
-		copy(grown, s.recs)
-		s.recs = grown
-	}
-	s.recs = append(s.recs, r)
+	r.Seq = uint64(s.n)
+	s.push(r)
 	if s.log != nil {
 		if _, err := s.log.Append(r.encode()); err != nil {
 			return r.Seq, err
@@ -306,46 +395,57 @@ func (s *Scroll) Append(r Record) (uint64, error) {
 func (s *Scroll) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.recs)
+	return s.n
 }
 
-// records returns the live record slice header under the scroll's lock —
-// the copy-free view the streaming Fingerprinter merges. Callers must treat
-// the slice as read-only and must not retain it across a later Append or
-// Truncate (truncation reuses the backing array).
-func (s *Scroll) records() []Record {
+// records returns a view of the records now in the scroll, taken under the
+// scroll's lock and copy-free. Callers must not read it after a later
+// Truncate (truncation reuses the segments).
+func (s *Scroll) records() view {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.recs
+	return s.view()
 }
 
-// Records returns a copy of all records in order.
+// view captures the scroll's records. Caller holds mu.
+func (s *Scroll) view() view { return view{head: s.head, tail: s.tail, n: s.n} }
+
+// Records returns a copy of all records in order, as one slice.
 func (s *Scroll) Records() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Record, len(s.recs))
-	copy(out, s.recs)
-	return out
+	return s.view().appendTo(make([]Record, 0, s.n))
+}
+
+// All iterates over the records in order without copying the scroll: each
+// loop sees the records present when it starts and runs outside the
+// scroll's lock, so the body may Append (to this scroll or any other). It
+// must not Truncate this scroll.
+func (s *Scroll) All() iter.Seq[Record] {
+	return func(yield func(Record) bool) {
+		s.records().all(func(r *Record) bool { return yield(*r) })
+	}
 }
 
 // Truncate discards all records at sequence >= seq. The Time Machine uses
 // this when rolling a process back: the replayed future may differ, so the
-// suffix of the scroll is invalidated (paper §3.2). Durable scrolls
-// persist the truncation by rewriting their backing WAL; the error, if
-// any, is returned by the next Close (truncation itself cannot fail in
-// memory).
+// suffix of the scroll is invalidated (paper §3.2). Dropped segments stay
+// allocated for the records appended next. Durable scrolls persist the
+// truncation by rewriting their backing WAL; the error, if any, is returned
+// by the next Close (truncation itself cannot fail in memory).
 func (s *Scroll) Truncate(seq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if seq >= uint64(len(s.recs)) {
+	if seq >= uint64(s.n) {
 		return
 	}
-	s.recs = s.recs[:seq]
-	s.next = seq
+	s.n = int(seq)
+	s.head = s.head[:min(s.n, segLen)]
+	s.tail = s.tail[:max(s.view().segs()-1, 0)]
 	if s.log != nil {
-		payloads := make([][]byte, len(s.recs))
-		for i := range s.recs {
-			payloads[i] = s.recs[i].encode()
+		payloads := make([][]byte, 0, s.n)
+		for r := range s.view().all {
+			payloads = append(payloads, r.encode())
 		}
 		if err := s.log.Rewrite(payloads); err != nil {
 			s.truncErr = err
@@ -456,7 +556,7 @@ func (rp *Replayer) ExpectSend(peer string, payload []byte) error {
 func Merge(scrolls ...*Scroll) []Record {
 	var all []Record
 	for _, s := range scrolls {
-		all = append(all, s.Records()...)
+		all = s.records().appendTo(all)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]

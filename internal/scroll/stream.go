@@ -180,17 +180,35 @@ func (s shapeKeys) Less(i, j int) bool {
 	return x.win < y.win
 }
 
-// cursor is one scroll's read position during the k-way merge, plus its
-// clock-suffix cache: clockBytes is the encoded suffix of clock. Record
-// clocks are immutable by convention and the simulator shares one snapshot
-// across the records between two ticks, so handle equality is both sound
-// and frequent. Holding the handle keeps the snapshot alive, so its address
-// cannot come back as a different clock while it is cached.
+// cursor is one scroll's read position during the k-way merge — seg is
+// segment k of v, pos the next record in it — plus its clock-suffix cache:
+// clockBytes is the encoded suffix of clock. Record clocks are immutable by
+// convention and the simulator shares one snapshot across the records
+// between two ticks, so handle equality is both sound and frequent. Holding
+// the handle keeps the snapshot alive, so its address cannot come back as a
+// different clock while it is cached.
 type cursor struct {
-	recs       []Record
+	v          view
+	k          int
+	seg        []Record
 	pos        int
 	clock      vclock.VC
 	clockBytes []byte
+}
+
+// next steps past the current record, into the next segment when this one
+// is used up, and reports whether a record is left.
+func (c *cursor) next() bool {
+	c.pos++
+	if c.pos < len(c.seg) {
+		return true
+	}
+	c.k++
+	if c.k == c.v.segs() {
+		return false
+	}
+	c.seg, c.pos = c.v.seg(c.k), 0
+	return true
 }
 
 // Fingerprinter computes the digest and shape of the globally merged record
@@ -218,15 +236,17 @@ func (f *Fingerprinter) Fingerprint(scrolls []*Scroll, bucket uint64) (digest, s
 	f.cursors = f.cursors[:0]
 	sorted := true
 	for _, s := range scrolls {
-		recs := s.records()
-		if len(recs) == 0 {
+		v := s.records()
+		if v.n == 0 {
 			continue
 		}
-		for i := 1; i < len(recs); i++ {
-			if recs[i].Lamport < recs[i-1].Lamport {
+		var last uint64
+		for r := range v.all {
+			if r.Lamport < last {
 				sorted = false
 				break
 			}
+			last = r.Lamport
 		}
 		// Grow in place so each slot keeps its clock-cache scratch from
 		// earlier passes; only the record view and positions are reset, and
@@ -237,7 +257,7 @@ func (f *Fingerprinter) Fingerprint(scrolls []*Scroll, bucket uint64) (digest, s
 			f.cursors = append(f.cursors, cursor{})
 		}
 		c := &f.cursors[len(f.cursors)-1]
-		c.recs, c.pos = recs, 0
+		c.v, c.k, c.seg, c.pos = v, 0, v.seg(0), 0
 		c.clockBytes = appendEncodeClock(c.clockBytes[:0], c.clock)
 	}
 	n := len(f.cursors)
@@ -250,7 +270,7 @@ func (f *Fingerprinter) Fingerprint(scrolls []*Scroll, bucket uint64) (digest, s
 	}
 	digest, shape = f.hasher.Sum(), f.shape.Sum()
 	for i := range f.cursors[:n] { // drop record and clock references: scrolls are recycled
-		f.cursors[i].recs, f.cursors[i].clock = nil, vclock.VC{}
+		f.cursors[i].v, f.cursors[i].seg, f.cursors[i].clock = view{}, nil, vclock.VC{}
 	}
 	f.cursors = f.cursors[:0]
 	f.all = f.all[:0]
@@ -277,9 +297,9 @@ func (f *Fingerprinter) merge() {
 	live := f.cursors
 	for len(live) > 0 {
 		minI := 0
-		minR := &live[0].recs[live[0].pos]
+		minR := &live[0].seg[live[0].pos]
 		for i := 1; i < len(live); i++ {
-			r := &live[i].recs[live[i].pos]
+			r := &live[i].seg[live[i].pos]
 			if r.Lamport < minR.Lamport ||
 				(r.Lamport == minR.Lamport && (r.Proc < minR.Proc ||
 					(r.Proc == minR.Proc && r.Seq < minR.Seq))) {
@@ -287,8 +307,7 @@ func (f *Fingerprinter) merge() {
 			}
 		}
 		f.feed(minR, &live[minI])
-		live[minI].pos++
-		if live[minI].pos == len(live[minI].recs) {
+		if !live[minI].next() {
 			// Swap-remove: the exhausted cursor parks beyond len with its
 			// scratch intact for the next pass.
 			live[minI], live[len(live)-1] = live[len(live)-1], live[minI]
@@ -302,7 +321,7 @@ func (f *Fingerprinter) merge() {
 func (f *Fingerprinter) mergeUnsorted() {
 	all := f.all[:0]
 	for _, c := range f.cursors {
-		all = append(all, c.recs...)
+		all = c.v.appendTo(all)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]

@@ -8,19 +8,23 @@ import (
 	"repro/internal/vclock"
 )
 
-// randomScrolls builds nProcs scrolls of random records with nondecreasing
-// Lamport timestamps per process — the invariant every substrate recording
-// upholds and the streaming merge relies on.
-func randomScrolls(rng *rand.Rand, nProcs, maxRecs int) []*Scroll {
+// randomScrolls builds nProcs scrolls of minRecs..maxRecs random records. A
+// sorted scroll has nondecreasing Lamport timestamps — the invariant every
+// substrate recording upholds and the streaming merge relies on; an unsorted
+// one draws them at random, which only hand-built data does.
+func randomScrolls(rng *rand.Rand, nProcs, minRecs, maxRecs int, sorted bool) []*Scroll {
 	kinds := []Kind{KindRecv, KindSend, KindRandom, KindTime, KindEnv, KindCkpt, KindFault, KindCustom}
 	scrolls := make([]*Scroll, nProcs)
 	for p := range scrolls {
 		proc := fmt.Sprintf("p%d", p)
 		s := NewMemory(proc)
 		lam := uint64(0)
-		n := rng.Intn(maxRecs + 1)
+		n := minRecs + rng.Intn(maxRecs-minRecs+1)
 		for i := 0; i < n; i++ {
 			lam += uint64(rng.Intn(3)) // nondecreasing, with ties
+			if !sorted {
+				lam = uint64(rng.Intn(2 * maxRecs))
+			}
 			clock := vclock.New()
 			for c := 0; c <= rng.Intn(nProcs); c++ {
 				clock.Set(fmt.Sprintf("p%d", rng.Intn(nProcs)), uint64(rng.Intn(50)))
@@ -45,12 +49,18 @@ func randomScrolls(rng *rand.Rand, nProcs, maxRecs int) []*Scroll {
 // multi-process scrolls, the streaming Fingerprinter (k-way merge, cached
 // clock suffixes) produces exactly the Digest and Shape of the batch
 // Merge+Digest+Shape pipeline, and the incremental Hasher/ShapeAccumulator
-// match the batch functions record-for-record.
+// match the batch functions record-for-record. The last seeds build scrolls
+// of three segments and more, in and out of Lamport order, so the merge
+// cursor and the sort fallback both cross segment boundaries.
 func TestStreamingMatchesBatch(t *testing.T) {
 	var fp Fingerprinter // deliberately reused across seeds, like the chaos runner
-	for seed := int64(1); seed <= 50; seed++ {
+	for seed := int64(1); seed <= 56; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		scrolls := randomScrolls(rng, 2+rng.Intn(5), 60)
+		minRecs, maxRecs, sorted := 0, 60, true
+		if seed > 50 {
+			minRecs, maxRecs, sorted = 3*segLen, 4*segLen+1, seed%2 == 0
+		}
+		scrolls := randomScrolls(rng, 2+rng.Intn(5), minRecs, maxRecs, sorted)
 		merged := Merge(scrolls...)
 		wantDigest := Digest(merged)
 		wantShape := Shape(merged, 16)
@@ -117,7 +127,7 @@ func TestShapeBucketZero(t *testing.T) {
 // final hash state — not per-record work.
 func TestFingerprintAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	scrolls := randomScrolls(rng, 4, 200)
+	scrolls := randomScrolls(rng, 4, 0, 200, true)
 	var fp Fingerprinter
 	fp.Fingerprint(scrolls, 16) // warm the scratch buffers
 

@@ -239,7 +239,7 @@ func AppConsistent(s *dsim.Sim, line map[string]string) (bool, error) {
 	}
 	sends := map[string]bool{}
 	for id, limit := range lineSeq {
-		for _, r := range s.Scroll(id).Records() {
+		for r := range s.Scroll(id).All() {
 			if r.Seq >= limit {
 				break
 			}
@@ -249,7 +249,7 @@ func AppConsistent(s *dsim.Sim, line map[string]string) (bool, error) {
 		}
 	}
 	for id, limit := range lineSeq {
-		for _, r := range s.Scroll(id).Records() {
+		for r := range s.Scroll(id).All() {
 			if r.Seq >= limit {
 				break
 			}

@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"encoding/json"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -254,18 +256,21 @@ func TestNonFIFOBreaksChandyLamport(t *testing.T) {
 	// the algorithm states the FIFO assumption. Find at least one seed
 	// where it breaks.
 	broken := false
-	for seed := int64(1); seed <= 30 && !broken; seed++ {
+	for seed := int64(1); seed <= 64 && !broken; seed++ { // seed 33 is the first that breaks
 		inner := apps.NewTokenRing(apps.TokenRingConfig{N: 4, Rounds: 20})
 		s := dsim.New(dsim.Config{Seed: seed, MinLatency: 1, MaxLatency: 15, MaxSteps: 100_000})
 		wrappers := map[string]*Wrapper{}
-		for id, m := range inner {
+		// Sorted: the order processes are added in, and the order a node
+		// sends its markers in, decide which seeds break.
+		ids := slices.Sorted(maps.Keys(inner))
+		for _, id := range ids {
 			var peers []string
-			for other := range inner {
+			for _, other := range ids {
 				if other != id {
 					peers = append(peers, other)
 				}
 			}
-			w := Wrap(m, peers)
+			w := Wrap(inner[id], peers)
 			if id == apps.RingProcName(0) {
 				w.InitiateAt = uint64(5 + seed)
 			}

@@ -47,7 +47,8 @@ type LiveConfig struct {
 	CheckpointEvery uint64
 	// InitCheckpoint checkpoints every process right after Init.
 	InitCheckpoint bool
-	// HeapSize / HeapPageSize mirror dsim.Config (defaults 64KiB / 4096).
+	// HeapSize / HeapPageSize mirror dsim.Config (defaults 64KiB /
+	// checkpoint.DefaultPageSize).
 	HeapSize     int
 	HeapPageSize int
 	// DurableDir, when set, backs each process's stable storage
