@@ -277,33 +277,15 @@ func BenchmarkE7ModelDExplore(b *testing.B) {
 
 // --- E9/E10: the chaos run loop (hot path) ---
 
-// chaosBenchRunner is a representative matrix cell: the kvstore under a
-// seeded reorder scenario.
-func chaosBenchRunner(baseline bool) (chaos.Runner, chaos.Schedule) {
+// BenchmarkE9RunPooled measures the pooled hot path — per-worker arena
+// reuse plus streaming fingerprints — on a representative matrix cell: the
+// kvstore under a seeded reorder scenario.
+func BenchmarkE9RunPooled(b *testing.B) {
 	r, err := chaos.RunnerFor("kvstore", false, 3, true)
 	if err != nil {
-		panic(err)
+		b.Fatal(err)
 	}
-	r.Baseline = baseline
 	sched := chaos.Schedule{chaos.Generate(fault.Reorder, r.Procs(), r.Crashable(), r.Spec.Horizon, 3)}
-	return r, sched
-}
-
-// BenchmarkE9RunPooled measures the pooled hot path: per-worker arena
-// reuse plus streaming fingerprints.
-func BenchmarkE9RunPooled(b *testing.B) {
-	r, sched := chaosBenchRunner(false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Run(sched)
-	}
-}
-
-// BenchmarkE9RunBaseline measures the pre-pooling reference path: a fresh
-// simulation per run and batch fingerprints over the materialized merge.
-func BenchmarkE9RunBaseline(b *testing.B) {
-	r, sched := chaosBenchRunner(true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

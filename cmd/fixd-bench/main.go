@@ -1,14 +1,7 @@
 // fixd-bench regenerates every figure of the paper as a quantitative
 // experiment and prints the result tables (see README.md for the
-// experiment index). Whenever the chaos matrix (E9) runs, the sharding
-// benchmark also runs and writes machine-readable results — cells/sec,
-// sequential vs. sharded — to BENCH_chaos.json for CI trending. With
-// -search, the guided-search benchmark additionally runs and records
-// corpus growth, distinct-fingerprint counts (guided vs the equal-budget
-// random baseline) and the shrunk failing-schedule artifacts into
-// BENCH_search.json; it sweeps every seeded-bug application including the
-// scenario-zoo workloads, runs twice at different worker counts, and
-// fails on any report divergence.
+// experiment index). The tables reproduce the paper's claims; the
+// performance ledger is `bash bench/run.sh` (BENCHMARK.json).
 //
 // Usage:
 //
@@ -16,28 +9,9 @@
 //	fixd-bench -quick           # reduced sweeps (seconds, for CI)
 //	fixd-bench -only E3         # a single experiment
 //	fixd-bench -shard.workers 8 # worker pool for the chaos matrix
-//	fixd-bench -chaos.json out.json
-//	fixd-bench -search          # guided-search bench -> BENCH_search.json
-//	fixd-bench -runtime         # hot-path bench -> BENCH_runtime.json
-//	fixd-bench -fleet           # distributed-fleet bench -> BENCH_fleet.json
-//	fixd-bench -repair          # repair bench -> BENCH_repair.json
-//
-// -repair hunts a minimal failing artifact for every knobbed seeded-bug
-// application, searches its typed knob space for a verified fix (E11's
-// operating point), and records success rate, runs-to-fix and report
-// byte-identity across worker counts; fewer than three repaired
-// applications or any divergence fails the run.
-//
-// -runtime measures the chaos run loop end to end — runs/sec, ns/run and
-// allocs/run on the matrix and search workloads — on the pooled/streaming
-// path versus the pre-pooling reference path in the same binary, verifies
-// the two produce byte-identical reports (including a sharded sweep), and
-// records the buggy-tokenring cost before and after early-exit invariant
-// monitoring.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -68,235 +42,21 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced parameter sweeps")
 	only := flag.String("only", "", "run a single experiment (E1..E12 or ABL)")
 	workers := flag.Int("shard.workers", runtime.NumCPU(), "worker pool width for the chaos matrix sweep")
-	chaosJSON := flag.String("chaos.json", "BENCH_chaos.json", "chaos sharding benchmark output path (\"\" disables)")
-	search := flag.Bool("search", false, "run the guided-search benchmark and write its JSON artifact")
-	searchJSON := flag.String("search.json", "BENCH_search.json", "guided-search benchmark output path")
-	runtimeBench := flag.Bool("runtime", false, "run the hot-path runtime benchmark and write its JSON artifact")
-	runtimeJSON := flag.String("runtime.json", "BENCH_runtime.json", "runtime benchmark output path")
-	runtimeReps := flag.Int("runtime.reps", 0, "timing reps per path for -runtime (0 = default: 5, or 1 with -quick)")
-	fleetBench := flag.Bool("fleet", false, "run the distributed-fleet benchmark and write its JSON artifact")
-	fleetJSON := flag.String("fleet.json", "BENCH_fleet.json", "fleet benchmark output path")
-	repairBench := flag.Bool("repair", false, "run the repair benchmark and write its JSON artifact")
-	repairJSON := flag.String("repair.json", "BENCH_repair.json", "repair benchmark output path")
 	flag.Parse()
 
 	experiments.MatrixWorkers = *workers
 
 	if *only != "" {
-		id := strings.ToUpper(*only)
-		run, ok := runners[id]
+		run, ok := runners[strings.ToUpper(*only)]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "fixd-bench: unknown experiment %q (want E1..E12 or ABL)\n", *only)
 			os.Exit(2)
 		}
 		fmt.Print(run(*quick).Format())
-		if id == "E9" {
-			emitChaosBench(*workers, *chaosJSON)
-		}
-		if *search {
-			emitSearchBench(*workers, *searchJSON)
-		}
-		if *runtimeBench {
-			emitRuntimeBench(*workers, *runtimeReps, *quick, *runtimeJSON)
-		}
-		if *fleetBench {
-			emitFleetBench(*workers, *quick, *fleetJSON)
-		}
-		if *repairBench {
-			emitRepairBench(*workers, *quick, *repairJSON)
-		}
 		return
 	}
 	for _, tbl := range experiments.Suite(*quick) {
 		fmt.Print(tbl.Format())
 		fmt.Println()
 	}
-	emitChaosBench(*workers, *chaosJSON)
-	if *search {
-		emitSearchBench(*workers, *searchJSON)
-	}
-	if *runtimeBench {
-		emitRuntimeBench(*workers, *runtimeReps, *quick, *runtimeJSON)
-	}
-	if *fleetBench {
-		emitFleetBench(*workers, *quick, *fleetJSON)
-	}
-	if *repairBench {
-		emitRepairBench(*workers, *quick, *repairJSON)
-	}
-}
-
-// emitRepairBench runs the repair benchmark — artifact hunt plus
-// knob-space repair over every knobbed seeded-bug application — and
-// writes the JSON artifact. Fewer than three repaired applications, or
-// any report that is not byte-identical across worker counts, fails the
-// run: the detect → fix loop closing deterministically is the claim.
-func emitRepairBench(workers int, quick bool, path string) {
-	if path == "" {
-		return
-	}
-	b, err := experiments.RunRepairBench(workers, quick)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fixd-bench: repair bench:", err)
-		os.Exit(1)
-	}
-	out, err := b.JSON()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fixd-bench: repair bench:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "fixd-bench: repair bench:", err)
-		os.Exit(1)
-	}
-	verdict := "deterministic"
-	if !b.AllDeterministic {
-		verdict = "REPORTS DIVERGED ACROSS WORKER COUNTS"
-	}
-	fmt.Printf("repair bench: %d/%d apps repaired (%.0f%%, kvstore is the expected honest failure), %s -> %s\n",
-		b.Repaired, len(b.Apps), 100*b.SuccessRate, verdict, path)
-	if b.Repaired < 3 || !b.AllDeterministic {
-		fmt.Fprintln(os.Stderr, "fixd-bench: repair bench: repair regressed (want >= 3 repaired, deterministic reports)")
-		os.Exit(1)
-	}
-}
-
-// emitFleetBench runs the distributed-fleet benchmark — coordinator plus
-// 1/2/4 loopback-TCP workers against the in-process sharded search — and
-// writes the JSON artifact. Report divergence between the fleet and the
-// baseline fails the run: distribution must never change the search.
-func emitFleetBench(workers int, quick bool, path string) {
-	if path == "" {
-		return
-	}
-	b, err := experiments.RunFleetBench(workers, quick)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fixd-bench: fleet bench:", err)
-		os.Exit(1)
-	}
-	out, err := b.JSON()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fixd-bench: fleet bench:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "fixd-bench: fleet bench:", err)
-		os.Exit(1)
-	}
-	verdict := "identical reports"
-	if !b.AllIdentical {
-		verdict = "REPORTS DIVERGED"
-	}
-	fmt.Printf("fleet bench: baseline %.1f runs/s (%d in-process workers)", b.BaselineRunsSec, b.BaselineWorkers)
-	for _, p := range b.Points {
-		fmt.Printf(", fleet@%d %.1f runs/s", p.Workers, p.RunsPerSec)
-	}
-	fmt.Printf(", %s -> %s\n", verdict, path)
-	if !b.AllIdentical {
-		fmt.Fprintln(os.Stderr, "fixd-bench: fleet bench: fleet/baseline report divergence")
-		os.Exit(1)
-	}
-}
-
-// emitRuntimeBench runs the hot-path benchmark (old vs new run-loop path,
-// early-exit tokenring cost) and writes the JSON artifact.
-func emitRuntimeBench(workers, reps int, quick bool, path string) {
-	if path == "" {
-		return
-	}
-	b := experiments.RunRuntimeBench(workers, reps, quick)
-	out, err := b.JSON()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fixd-bench: runtime bench:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "fixd-bench: runtime bench:", err)
-		os.Exit(1)
-	}
-	identical := "identical reports"
-	if !b.MatrixIdentical || !b.SearchIdentical || !b.MatrixShardedIdentical {
-		identical = "REPORTS DIVERGED"
-	}
-	fmt.Printf("runtime bench: matrix %.0f -> %.0f runs/s (%.2fx), search %.0f -> %.0f runs/s (%.2fx), %s; buggy tokenring %.1fms -> %.2fms median/run -> %s\n",
-		b.MatrixOld.RunsPerSec, b.MatrixNew.RunsPerSec, b.MatrixSpeedup,
-		b.SearchOld.RunsPerSec, b.SearchNew.RunsPerSec, b.SearchSpeedup,
-		identical, b.TokenringBeforeMedianMs, b.TokenringAfterMedianMs, path)
-	if identical != "identical reports" {
-		// The byte-identity cross-check is the whole point of carrying the
-		// old path in the binary; a diverging artifact must fail the run
-		// (and CI), not just annotate the JSON.
-		fmt.Fprintln(os.Stderr, "fixd-bench: runtime bench: old/new report divergence")
-		os.Exit(1)
-	}
-}
-
-// emitSearchBench runs the guided-vs-random search benchmark (E10's
-// operating point) and writes the JSON artifact, including the corpus
-// growth curves and the shrunk failing-schedule artifacts. The benchmark
-// runs twice at different worker counts and fails the run if the reports
-// diverge (timing fields excluded): the corpus, coverage counts and
-// shrunk artifacts must not depend on how the search was sharded.
-func emitSearchBench(workers int, path string) {
-	if path == "" {
-		return
-	}
-	b := emitSearchBenchChecked(workers)
-	out, err := b.JSON()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fixd-bench: search bench:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "fixd-bench: search bench:", err)
-		os.Exit(1)
-	}
-	verdict := "guided > random"
-	if !b.GuidedWins {
-		verdict = "guided did NOT beat random"
-	}
-	fmt.Printf("guided-search bench: %d runs/app, guided %d shapes vs random %d (%s), %d apps -> %s\n",
-		b.Budget, b.GuidedShapes, b.RandomShapes, verdict, len(b.Apps), path)
-}
-
-// emitSearchBenchChecked runs the search benchmark at the requested worker
-// count plus one alternate count and exits non-zero on report divergence.
-func emitSearchBenchChecked(workers int) *experiments.SearchBench {
-	alt := 1
-	if workers <= 1 {
-		alt = 4
-	}
-	b := experiments.RunSearchBench(workers)
-	b2 := experiments.RunSearchBench(alt)
-	f1, err1 := b.Fingerprint()
-	f2, err2 := b2.Fingerprint()
-	if err1 != nil || err2 != nil {
-		fmt.Fprintln(os.Stderr, "fixd-bench: search bench: fingerprint:", err1, err2)
-		os.Exit(1)
-	}
-	if !bytes.Equal(f1, f2) {
-		fmt.Fprintf(os.Stderr, "fixd-bench: search bench: reports diverged at %d vs %d workers\n", workers, alt)
-		os.Exit(1)
-	}
-	return b
-}
-
-// emitChaosBench runs the sequential-vs-sharded matrix benchmark (reduced
-// seed set — see RunChaosBench) and writes the JSON artifact.
-func emitChaosBench(workers int, path string) {
-	if path == "" {
-		return
-	}
-	b := experiments.RunChaosBench(workers)
-	out, err := b.JSON()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fixd-bench: chaos bench:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "fixd-bench: chaos bench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("chaos sharding bench: %d cells, %.1f cells/s sequential, %.1f cells/s with %d workers (%.2fx) -> %s\n",
-		b.Cells, b.SequentialCellsPerSec, b.ShardedCellsPerSec, b.Workers, b.Speedup, path)
 }

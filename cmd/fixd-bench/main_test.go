@@ -1,13 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-
-	"repro/internal/experiments"
-)
+import "testing"
 
 // TestRunnersComplete: every experiment the suite knows is reachable via
 // -only, including the chaos matrix.
@@ -24,53 +17,5 @@ func TestRunnerProducesTable(t *testing.T) {
 	tbl := runners["E1"](true)
 	if tbl.ID != "E1" || len(tbl.Rows) == 0 || len(tbl.Format()) == 0 {
 		t.Errorf("E1 quick table broken: %+v", tbl)
-	}
-}
-
-// TestEmitChaosBench: the machine-readable artifact lands on disk with
-// sane numbers and a report identical across sequential and sharded runs.
-func TestEmitChaosBench(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_chaos.json")
-	emitChaosBench(4, path)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b experiments.ChaosBench
-	if err := json.Unmarshal(raw, &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Cells == 0 || b.Workers != 4 {
-		t.Errorf("bench = %+v", b)
-	}
-	if b.SequentialCellsPerSec <= 0 || b.ShardedCellsPerSec <= 0 {
-		t.Errorf("cells/sec not populated: %+v", b)
-	}
-	if !b.Deterministic {
-		t.Error("sharded report diverged from sequential")
-	}
-	if b.Failures != 0 {
-		t.Errorf("%d matrix failures in the bench sweep", b.Failures)
-	}
-}
-
-// TestEmitSearchBench: -search writes a machine-readable artifact where
-// guided search wins the equal-budget comparison.
-func TestEmitSearchBench(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_search.json")
-	emitSearchBench(4, path)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b experiments.SearchBench
-	if err := json.Unmarshal(raw, &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Budget == 0 || b.Workers != 4 || len(b.Apps) == 0 {
-		t.Errorf("bench = %+v", b)
-	}
-	if !b.GuidedWins || b.GuidedShapes <= b.RandomShapes {
-		t.Errorf("guided %d shapes vs random %d: expected a strict win", b.GuidedShapes, b.RandomShapes)
 	}
 }

@@ -2,8 +2,8 @@
 // owns the seeded candidate frontier and leases evaluation batches to
 // stateless workers over a length-prefixed TCP protocol (see
 // internal/fleet for the frame layout). For a fixed (seed, budget) the
-// fleet's report is byte-identical to the in-process `fixd-bench` search
-// at any worker count and across worker crashes.
+// fleet's report is byte-identical to the in-process search
+// (fixd.SearchChaos) at any worker count and across worker crashes.
 //
 // Usage:
 //

@@ -46,8 +46,8 @@
 // (Runner.CheckEvery, surfaced on fixd.ChaosMatrixConfig and
 // fixd.ChaosSearchConfig) halts a run with Stats.EarlyExit the moment a
 // global invariant is violated instead of burning the remaining step
-// budget. cmd/fixd-bench -runtime measures the pooled path against the
-// pre-change path in the same binary and writes BENCH_runtime.json — see
+// budget. The performance ledger — `bash bench/run.sh`, declared in
+// BENCHMARK.json — measures it end to end and layer by layer; see
 // README.md ("Performance") for how to read it.
 //
 // The benchmarks in bench_test.go regenerate the measurement behind every

@@ -132,9 +132,8 @@ type (
 	// ChaosReport is a chaos-matrix sweep's outcome.
 	ChaosReport = chaos.MatrixReport
 	// ChaosMatrixConfig parameterizes a chaos-matrix sweep: apps, kinds,
-	// seeds, worker sharding, the live sample lane, and the hot-path knobs
-	// CheckEvery (early-exit invariant cadence) and Baseline (pre-pooling
-	// reference path).
+	// seeds, worker sharding, the live sample lane, and CheckEvery (the
+	// early-exit invariant cadence).
 	ChaosMatrixConfig = chaos.MatrixConfig
 	// ChaosArtifact is a replayable minimized counterexample.
 	ChaosArtifact = chaos.Artifact
@@ -191,11 +190,10 @@ func Chaos(seeds ...int64) *ChaosReport {
 }
 
 // ChaosMatrix sweeps the chaos matrix with full control over the
-// configuration — worker sharding, the live lane, and the hot-path knobs:
-// CheckEvery halts each cell as soon as a global invariant is violated
-// (early-exit attribution lands on Stats.EarlyExit) instead of burning the
-// remaining step budget, and Baseline runs cells on the pre-pooling
-// reference path for benchmarking. Chaos is the zero-config shorthand.
+// configuration — worker sharding, the live lane, and CheckEvery, which
+// halts each cell as soon as a global invariant is violated (early-exit
+// attribution lands on Stats.EarlyExit) instead of burning the remaining
+// step budget. Chaos is the zero-config shorthand.
 func ChaosMatrix(cfg ChaosMatrixConfig) *ChaosReport {
 	return chaos.RunMatrix(cfg)
 }
@@ -455,18 +453,6 @@ func (s *System) Substrate() Substrate { return s.sub }
 // Close releases backend resources (network listeners, goroutines). Only
 // the live backend holds any; closing a simulated system is a no-op.
 func (s *System) Close() error { return s.sub.Close() }
-
-// Sim exposes the underlying simulator when the system runs on the
-// simulated backend, and nil otherwise.
-//
-// Deprecated: use Substrate, which works on every backend. Sim remains for
-// source compatibility with pre-substrate callers.
-func (s *System) Sim() *dsim.Sim {
-	if ss, ok := s.sub.(*substrate.SimSubstrate); ok {
-		return ss.Sim
-	}
-	return nil
-}
 
 // UnknownProcessError reports a Diagnose call for an unregistered process.
 type UnknownProcessError struct{ Proc string }

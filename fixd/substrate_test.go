@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/fixd"
+	"repro/internal/substrate"
 )
 
 // The cross-substrate demo app: a source emits numbered packets on a timer
@@ -210,20 +211,21 @@ func TestStableStorageBothSubstrates(t *testing.T) {
 	}
 }
 
-// TestSimAccessorCompat pins the deprecated escape hatch: sim-backed
-// systems still expose the simulator, live-backed systems return nil.
+// TestSimAccessorCompat pins the escape hatch that replaced System.Sim:
+// a sim-backed system's Substrate is the SimSubstrate carrying the
+// simulator, a live-backed system's is not.
 func TestSimAccessorCompat(t *testing.T) {
 	sim := fixd.New(fixd.Config{Seed: 1})
-	if sim.Sim() == nil {
-		t.Error("sim-backed System.Sim() = nil")
+	if ss, ok := sim.Substrate().(*substrate.SimSubstrate); !ok || ss.Sim == nil {
+		t.Errorf("sim-backed Substrate() = %T, want a SimSubstrate with its simulator", sim.Substrate())
 	}
 	live, err := fixd.NewLive(fixd.LiveConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer live.Close()
-	if live.Sim() != nil {
-		t.Error("live-backed System.Sim() should be nil")
+	if _, ok := live.Substrate().(*substrate.SimSubstrate); ok {
+		t.Error("live-backed Substrate() should not be a SimSubstrate")
 	}
 }
 

@@ -115,7 +115,7 @@ func NewFrontier(spec apps.AppSpec, cfg SearchConfig, strategy Strategy) *Fronti
 		cfg:      cfg,
 		spec:     spec,
 		runner: Runner{Spec: spec, Buggy: cfg.Buggy, Seed: cfg.Seed, Probe: true,
-			CheckEvery: cfg.CheckEvery, Baseline: cfg.Baseline},
+			CheckEvery: cfg.CheckEvery},
 		res:       &AppSearch{App: spec.Name},
 		seenShape: make(map[string]bool),
 		seenDig:   make(map[string]bool),

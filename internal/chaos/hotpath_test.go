@@ -15,14 +15,14 @@ import (
 
 // TestRunnerPathEquivalence: the pooled run path (per-worker arena +
 // streaming fingerprints) must produce byte-identical RunResults to the
-// pre-pooling baseline path for every registered application across fault
-// kinds — the contract the runtime benchmark's speedup claim rests on.
+// fresh-simulation reference (RunFresh) for every registered application
+// across fault kinds.
 func TestRunnerPathEquivalence(t *testing.T) {
 	PoisonRewound(t)
 	for _, spec := range apps.Registry() {
 		for _, buggy := range []bool{false, true} {
 			if buggy && spec.Name == "tokenring" {
-				continue // ~1.2s/run on the baseline path; covered by TestEarlyExitEquivalence
+				continue // covered by TestEarlyExitEquivalence
 			}
 			r := Runner{Spec: spec, Buggy: buggy, Seed: 2, Probe: true}
 			for _, kind := range []string{"crash", "reorder", "drop"} {
@@ -35,14 +35,10 @@ func TestRunnerPathEquivalence(t *testing.T) {
 				if sched == nil {
 					t.Fatalf("kind %q not found in MatrixKinds; equivalence coverage would silently vanish", kind)
 				}
-				pooled := r.Run(sched)
-				base := r
-				base.Baseline = true
-				want := base.Run(sched)
-				pj, _ := json.Marshal(pooled)
-				wj, _ := json.Marshal(want)
+				pj, _ := json.Marshal(r.Run(sched))
+				wj, _ := json.Marshal(r.RunFresh(sched))
 				if !bytes.Equal(pj, wj) {
-					t.Fatalf("%s buggy=%v %s: pooled path diverged from baseline\n pooled %s\n base   %s",
+					t.Fatalf("%s buggy=%v %s: pooled path diverged from the fresh reference\n pooled %s\n fresh  %s",
 						spec.Name, buggy, kind, pj, wj)
 				}
 			}
@@ -90,7 +86,7 @@ func TestWarmRunnerAllocs(t *testing.T) {
 // TestWarmRunBytes bounds the bytes one warm pooled kvstore run allocates,
 // so that an arena Reset drops instead of rewinds shows here and not only on
 // the perf ledger: the clock-snapshot chunks alone were 15 kB a run, a
-// copy-on-write page is 4 KiB. Measured 10,672 B (99,912 B while Reset
+// copy-on-write page is 1 KiB. Measured 10,672 B (99,912 B while Reset
 // dropped them); the ceiling is that + 10 %.
 func TestWarmRunBytes(t *testing.T) {
 	if raceDetector {
@@ -128,7 +124,12 @@ func TestRunResultOutlivesArena(t *testing.T) {
 	cfg := r.Spec.Config(r.Buggy)
 	cfg.Seed = r.Seed
 	a := &runArena{sim: dsim.New(cfg)}
-	res := r.finish(sched, a.sim, a)
+	runIn := func(r Runner, sched Schedule) *RunResult {
+		res := r.execute(sched, a.sim)
+		res.Digest, res.Shape = a.fp.Fingerprint(a.sim.Scrolls(), ShapeBucket)
+		return res
+	}
+	res := runIn(r, sched)
 	if len(res.Violations) == 0 || len(res.Durable) == 0 {
 		t.Fatalf("want a failing run with stable-storage contents, got %+v", res)
 	}
@@ -141,7 +142,7 @@ func TestRunResultOutlivesArena(t *testing.T) {
 	cfg = other.Spec.Config(other.Buggy)
 	cfg.Seed = other.Seed
 	a.sim.Reset(cfg)
-	other.finish(Schedule{Generate(fault.Reorder, other.Procs(), other.Crashable(), other.Spec.Horizon, 3)}, a.sim, a)
+	runIn(other, Schedule{Generate(fault.Reorder, other.Procs(), other.Crashable(), other.Spec.Horizon, 3)})
 
 	if after, _ := json.Marshal(res); !bytes.Equal(before, after) {
 		t.Fatalf("the result changed under its arena's next run:\nbefore %s\nafter  %s", before, after)
@@ -151,18 +152,23 @@ func TestRunResultOutlivesArena(t *testing.T) {
 	}
 }
 
-// TestMatrixPathEquivalence: whole-report byte identity between old and
-// new paths, sequentially and sharded.
+// TestMatrixPathEquivalence: every cell of a pooled sweep equals the
+// fresh reference run of the same cell, and the whole report is
+// byte-identical sequentially and sharded.
 func TestMatrixPathEquivalence(t *testing.T) {
 	PoisonRewound(t)
 	cfg := MatrixConfig{Seeds: []int64{1, 2}}
-	newRep, _ := json.Marshal(RunMatrix(cfg))
-	cfg.Baseline = true
-	oldRep, _ := json.Marshal(RunMatrix(cfg))
-	if !bytes.Equal(newRep, oldRep) {
-		t.Fatal("matrix report: pooled path != baseline path")
+	rep := RunMatrix(cfg)
+	for _, cell := range rep.Cells {
+		r, err := RunnerFor(cell.App, false, cell.Seed, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := r.RunFresh(Schedule{cell.Scenario}); !reflect.DeepEqual(cell.Result, want) {
+			t.Fatalf("%s: pooled cell diverged from the fresh reference\n pooled %+v\n fresh  %+v", cell, cell.Result, want)
+		}
 	}
-	cfg.Baseline = false
+	newRep, _ := json.Marshal(rep)
 	cfg.Workers = 4
 	shardRep, _ := json.Marshal(RunMatrix(cfg))
 	if !bytes.Equal(newRep, shardRep) {
@@ -170,19 +176,32 @@ func TestMatrixPathEquivalence(t *testing.T) {
 	}
 }
 
-// TestSearchPathEquivalence: guided-search reports are byte-identical
-// across old/new paths and worker counts.
+// TestSearchPathEquivalence: every schedule a pooled guided search kept —
+// corpus entries and failures — runs to the same fingerprint and
+// violations on the fresh reference, and the report is byte-identical
+// across worker counts.
 func TestSearchPathEquivalence(t *testing.T) {
 	PoisonRewound(t)
 	cfg := SearchConfig{Apps: apps.RegistryExcept("tokenring"), Buggy: true,
 		Seed: 1, Budget: 24, ShrinkBudget: -1}
-	newRep, _ := json.Marshal(Search(cfg))
-	cfg.Baseline = true
-	oldRep, _ := json.Marshal(Search(cfg))
-	if !bytes.Equal(newRep, oldRep) {
-		t.Fatal("search report: pooled path != baseline path")
+	rep := Search(cfg)
+	for _, app := range rep.Apps {
+		r, err := RunnerFor(app.App, cfg.Buggy, cfg.Seed, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range app.Corpus {
+			if want := r.RunFresh(e.Schedule); e.Fingerprint != (Fingerprint{want.Digest, want.Shape}) {
+				t.Fatalf("%s corpus entry %s: pooled fingerprint diverged from the fresh reference", app.App, e.Schedule)
+			}
+		}
+		for _, f := range app.Failures {
+			if want := r.RunFresh(f.Schedule); !reflect.DeepEqual(f.Violations, want.Violations) {
+				t.Fatalf("%s failure %s: pooled violations %v, fresh reference %v", app.App, f.Schedule, f.Violations, want.Violations)
+			}
+		}
 	}
-	cfg.Baseline = false
+	newRep, _ := json.Marshal(rep)
 	cfg.Workers = 3
 	shardRep, _ := json.Marshal(Search(cfg))
 	if !bytes.Equal(newRep, shardRep) {
@@ -192,9 +211,9 @@ func TestSearchPathEquivalence(t *testing.T) {
 
 // TestEarlyExitEquivalence: early exit on the buggy tokenring must (a)
 // halt far below the step bound with the violation attributed, (b) be
-// deterministic, (c) produce identical results on pooled and baseline
-// paths, and (d) replay byte-identically through an artifact that records
-// the cadence.
+// deterministic, (c) produce identical results on the pooled path and the
+// fresh reference, and (d) replay byte-identically through an artifact
+// that records the cadence.
 func TestEarlyExitEquivalence(t *testing.T) {
 	r, err := RunnerFor("tokenring", true, 1, true)
 	if err != nil {
@@ -218,10 +237,8 @@ func TestEarlyExitEquivalence(t *testing.T) {
 	if again.Digest != res.Digest {
 		t.Fatal("early-exit run is not deterministic")
 	}
-	base := r
-	base.Baseline = true
-	if b := base.Run(sched); b.Digest != res.Digest || b.Stats != res.Stats {
-		t.Fatal("early-exit run differs between pooled and baseline paths")
+	if b := r.RunFresh(sched); b.Digest != res.Digest || b.Stats != res.Stats {
+		t.Fatal("early-exit run differs between the pooled path and the fresh reference")
 	}
 
 	art := NewArtifact(r, sched, res)

@@ -77,10 +77,6 @@ type MatrixConfig struct {
 	// CheckEvery is the early-exit invariant cadence every cell runs with
 	// (see Runner.CheckEvery). 0 checks only at quiescence.
 	CheckEvery uint64
-	// Baseline runs every cell on the pre-pooling reference path (see
-	// Runner.Baseline); the report must be byte-identical. Used by the
-	// runtime benchmark and the path-equivalence tests.
-	Baseline bool
 }
 
 // LiveCellResult is one live-lane re-execution of a passing sim cell.
@@ -166,8 +162,7 @@ func RunMatrix(cfg MatrixConfig) *MatrixReport {
 	rep := &MatrixReport{Cells: make([]*CellResult, len(specs))}
 	runCell := func(i int) {
 		cs := specs[i]
-		runner := Runner{Spec: cs.spec, Seed: cs.seed, Probe: true,
-			CheckEvery: cfg.CheckEvery, Baseline: cfg.Baseline}
+		runner := Runner{Spec: cs.spec, Seed: cs.seed, Probe: true, CheckEvery: cfg.CheckEvery}
 		scen := Generate(cs.kind, cs.procs, cs.crashable, cs.spec.Horizon, cs.seed)
 		sched := Schedule{scen}
 		r1 := runner.Run(sched)

@@ -71,20 +71,6 @@ type Runner struct {
 	// run executes (shorter scroll, different digest), so it is a run
 	// parameter: artifacts record it, and replays must use the same value.
 	CheckEvery uint64
-
-	// Baseline selects the pre-pooling reference path: a fresh simulation
-	// per run and batch fingerprinting over the materialized merged scroll.
-	// Results are byte-identical to the pooled path (the runtime benchmark
-	// and TestRunnerPathEquivalence depend on that); it exists only to
-	// measure what pooling buys and as an executable specification.
-	Baseline bool
-
-	// Legacy disables timeline-epoch fencing (dsim.Config.LegacyTimelines),
-	// restoring the pre-fix rollback semantics. Like Baseline it is an
-	// in-binary executable record: the heal × crash storm regression flips
-	// it to reproduce the stale-durable re-installation bug the timeline
-	// epoch fixed, and to prove the fenced path eliminates it.
-	Legacy bool
 }
 
 // Procs returns the sorted process list a run will have, for target
@@ -133,25 +119,21 @@ var arenaPool = sync.Pool{}
 func (r Runner) Run(sched Schedule) *RunResult {
 	cfg := r.Spec.Config(r.Buggy)
 	cfg.Seed = r.Seed
-	cfg.LegacyTimelines = r.Legacy
-	if r.Baseline {
-		return r.finish(sched, dsim.New(cfg), nil)
-	}
 	a, _ := arenaPool.Get().(*runArena)
 	if a == nil {
 		a = &runArena{sim: dsim.New(cfg)}
 	} else {
 		a.sim.Reset(cfg)
 	}
-	res := r.finish(sched, a.sim, a)
+	res := r.execute(sched, a.sim)
+	res.Digest, res.Shape = a.fp.Fingerprint(a.sim.Scrolls(), ShapeBucket)
 	arenaPool.Put(a)
 	return res
 }
 
-// finish populates the simulation, executes the schedule and fingerprints
-// the outcome. With a nil arena it is the baseline path: batch
-// fingerprints over the materialized merged scroll.
-func (r Runner) finish(sched Schedule, s *dsim.Sim, a *runArena) *RunResult {
+// execute populates the simulation, executes the schedule and collects
+// everything of the outcome but its fingerprint.
+func (r Runner) execute(sched Schedule, s *dsim.Sim) *RunResult {
 	ms := r.Spec.Make(r.Buggy)
 	ids := make([]string, 0, len(ms))
 	for id := range ms {
@@ -184,13 +166,6 @@ func (r Runner) finish(sched Schedule, s *dsim.Sim, a *runArena) *RunResult {
 		if f.Proc == ProbeName {
 			res.ProbeFaults++
 		}
-	}
-	if a != nil {
-		res.Digest, res.Shape = a.fp.Fingerprint(s.Scrolls(), ShapeBucket)
-	} else {
-		merged := s.MergedScroll()
-		res.Digest = scroll.Digest(merged)
-		res.Shape = scroll.Shape(merged, ShapeBucket)
 	}
 	return res
 }

@@ -46,10 +46,6 @@ type SearchConfig struct {
 	// quiescence. Shrinking and artifacts inherit the cadence, so every
 	// captured failure replays byte-identically.
 	CheckEvery uint64
-	// Baseline evaluates candidates on the pre-pooling reference path (see
-	// Runner.Baseline); the report must be byte-identical. Used by the
-	// runtime benchmark and the path-equivalence tests.
-	Baseline bool
 	// ExtraKinds seeds the guided corpus with generated scenarios for fault
 	// kinds beyond MatrixKinds (Rollback, Corrupt, SlowNode). They are
 	// appended after the matrix seeds, so the default empty list leaves every
@@ -91,7 +87,7 @@ type CorpusEntry struct {
 }
 
 // GrowthPoint samples corpus and fingerprint growth over the budget — the
-// coverage curve fixd-bench records into BENCH_search.json.
+// coverage curve of a search.
 type GrowthPoint struct {
 	Execs   int `json:"execs"`
 	Corpus  int `json:"corpus"`

@@ -128,12 +128,13 @@ func TestTimelineStormLive(t *testing.T) {
 // 2PC workload: run to the seeded atomicity violation, heal (rollback to a
 // verified line + inject the fixed coordinator), then crash-restart the
 // coordinator before the healed timeline re-decides, and resume to
-// quiescence. With legacy timelines the restart re-installs the buggy
-// timeline's durable "commit" against the healed timeline's abort; with
-// fencing the abandoned cell is invalidated and recovery finds nothing.
+// quiescence. Unfenced, the restart would re-install the buggy timeline's
+// durable "commit" against the healed timeline's abort; the heal's rollback
+// invalidates the abandoned cell, so recovery finds nothing — the helper
+// asserts the cell was there before the heal and is gone after it.
 // ok reports whether the race was actually staged (bug manifested, line
 // found, heal verified) — callers skip seeds where it was not.
-func healCrashRace(t *testing.T, seed int64, legacy bool) (violations []string, ok bool) {
+func healCrashRace(t *testing.T, seed int64) (violations []string, ok bool) {
 	t.Helper()
 	var spec apps.AppSpec
 	for _, s := range apps.Registry() {
@@ -144,7 +145,6 @@ func healCrashRace(t *testing.T, seed int64, legacy bool) (violations []string, 
 	cfg := spec.Config(true)
 	cfg.Seed = seed
 	cfg.CICheckpoint = true // fine-grained recovery lines, as RunPipeline uses
-	cfg.LegacyTimelines = legacy
 	s := dsim.New(cfg)
 	ms := spec.Make(true)
 	ids := make([]string, 0, len(ms))
@@ -168,10 +168,19 @@ func healCrashRace(t *testing.T, seed int64, legacy bool) (violations []string, 
 	for _, id := range ids {
 		factories[id] = func() dsim.Machine { return spec.MakeFixed()[id] }
 	}
+	decided := func() bool {
+		_, ok := s.DurableSnapshot()[apps.CoordName]["2pc:decision"]
+		return ok
+	}
+	before := decided()
 	rep, err := heal.Apply(s, line, heal.Program{Version: "fixed", Factories: factories},
 		nil, heal.VerifyOptions{Invariants: invs})
 	if err != nil || !rep.Verified() {
 		return nil, false
+	}
+	if after := decided(); !before || after {
+		t.Errorf("seed %d: coordinator's durable decision live before heal = %v, after = %v; "+
+			"want the buggy timeline's cell written, then fenced by the heal's rollback", seed, before, after)
 	}
 	// Race the crash-restart into the window between the rollback and the
 	// healed coordinator's re-armed vote timeout (well before Timeout=10).
@@ -185,32 +194,24 @@ func healCrashRace(t *testing.T, seed int64, legacy bool) (violations []string, 
 	return violations, true
 }
 
-// TestHealCrashRaceRegression pins the pre-fix stale-durable
-// re-installation bug through the in-binary Runner.Legacy-style toggle
-// (dsim.Config.LegacyTimelines): some seed must reproduce the violation
-// under legacy timelines, and the identical schedule must be clean — for
-// every staged seed — under timeline fencing.
+// TestHealCrashRaceRegression pins the fix for the stale-durable
+// re-installation bug: on every staged seed the heal's rollback fences the
+// coordinator's durable decision (healCrashRace asserts it), and the
+// crash-restart raced in behind it violates nothing.
 func TestHealCrashRaceRegression(t *testing.T) {
-	staged, reproduced := 0, 0
+	staged := 0
 	for seed := int64(1); seed <= 24; seed++ {
-		fenced, ok := healCrashRace(t, seed, false)
+		violations, ok := healCrashRace(t, seed)
 		if !ok {
 			continue
 		}
 		staged++
-		if len(fenced) > 0 {
-			t.Errorf("seed %d: heal × crash-restart violated %v despite timeline fencing", seed, fenced)
-		}
-		if legacy, ok := healCrashRace(t, seed, true); ok && len(legacy) > 0 {
-			reproduced++
+		if len(violations) > 0 {
+			t.Errorf("seed %d: heal × crash-restart violated %v despite timeline fencing", seed, violations)
 		}
 	}
 	if staged == 0 {
 		t.Fatal("no seed staged the heal × crash-restart race; widen the seed range")
-	}
-	if reproduced == 0 {
-		t.Errorf("legacy timelines never reproduced the stale-durable re-installation bug "+
-			"across %d staged seeds", staged)
 	}
 }
 

@@ -166,13 +166,6 @@ type Config struct {
 	// HeapPageSize overrides the checkpoint page size (default
 	// checkpoint.DefaultPageSize).
 	HeapPageSize int
-	// LegacyTimelines restores the pre-epoch recovery semantics: deliberate
-	// rollbacks neither invalidate durable cells written on the abandoned
-	// timeline nor prune its checkpoints, so a later crash-restart can
-	// re-install rolled-back state. It exists, Baseline-style, as an
-	// executable record of the bug the timeline epoch fixed — regression
-	// tests flip it to prove the failure still reproduces.
-	LegacyTimelines bool
 }
 
 // Stats are cumulative simulation counters.
@@ -1200,9 +1193,6 @@ func (s *Sim) bumpEpoch() { s.epoch++ }
 // Crash-restart recovery never calls this — there the disk is the
 // authoritative recovery source and nothing is abandoned.
 func (s *Sim) invalidateDurable(p *proc, scrollSeq uint64) {
-	if s.cfg.LegacyTimelines {
-		return
-	}
 	for k, c := range p.durable {
 		if !c.stale && c.writeSeq >= scrollSeq {
 			c.stale = true
@@ -1216,9 +1206,6 @@ func (s *Sim) invalidateDurable(p *proc, scrollSeq uint64) {
 // snapshot states of the abandoned timeline, and store.Latest must not hand
 // them to a subsequent crash-restart.
 func (s *Sim) pruneAbandoned(id string, ck *checkpoint.Checkpoint) {
-	if s.cfg.LegacyTimelines {
-		return
-	}
 	for _, old := range s.store.List(id) {
 		if old.ScrollSeq > ck.ScrollSeq {
 			s.store.Remove(old.ID)

@@ -130,37 +130,6 @@ func TestDurableFencedByRollbackTo(t *testing.T) {
 	}
 }
 
-// TestDurableLegacyTimelines pins the pre-fix semantics behind the
-// Config.LegacyTimelines toggle: with fencing disabled, the abandoned
-// timeline's cell survives the rollback and a crash-restart re-installs it
-// — the re-installation bug the timeline epoch fixed.
-func TestDurableLegacyTimelines(t *testing.T) {
-	s := New(Config{Seed: 2, InitCheckpoint: true, LegacyTimelines: true})
-	m := &durMachine{ticks: 6}
-	s.AddProcess("p", m)
-	s.Run()
-	ck := s.Store().Latest("p")
-	if ck == nil {
-		t.Fatal("no checkpoint")
-	}
-	if err := s.RollbackTo(map[string]string{"p": ck.ID}); err != nil {
-		t.Fatal(err)
-	}
-	snap := s.DurableSnapshot()
-	if v := snap["p"]["n"]; len(v) != 8 || binary.LittleEndian.Uint64(v) != 6 {
-		t.Fatalf("legacy durable counter = %v after rollback, want 6 (pre-fix cells never rewind)", v)
-	}
-	s.CrashAt("p", s.Now()+1)
-	s.RestartAt("p", s.Now()+2)
-	s.Resume()
-	// The restart re-installed the abandoned counter (6) instead of
-	// re-executing from the init checkpoint, then ticked once more: the
-	// timeline inconsistency the fenced path prevents.
-	if m.st.Seen != 7 {
-		t.Fatalf("legacy restart recovered Seen=%d, want 7 (stale counter re-installed)", m.st.Seen)
-	}
-}
-
 // TestDurableResetEquivalence: a Reset arena must start every run with
 // empty stable storage and produce byte-identical outcomes to a fresh
 // simulation — the pooled-chaos-runner contract (satellite of

@@ -5,22 +5,22 @@ import (
 	"repro/internal/chaos"
 )
 
-// SearchBudget is the per-application execution budget E10 and the search
-// benchmark give each strategy. At this operating point blind sampling has
-// begun to saturate (repeat shapes) while guided mutation keeps composing
-// new multi-fault schedules, so the comparison is a fair equal-budget one.
+// SearchBudget is the per-application execution budget E10 gives each
+// strategy. At this operating point blind sampling has begun to saturate
+// (repeat shapes) while guided mutation keeps composing new multi-fault
+// schedules, so the comparison is a fair equal-budget one.
 const SearchBudget = 96
 
-// SearchCheckEvery is the early-exit invariant cadence E10 and the search
-// benchmark run every candidate with (chaos.SearchConfig.CheckEvery): the
-// global invariants are evaluated every this many simulation steps and a
-// violating run halts immediately. It is what makes the seeded-bug
+// SearchCheckEvery is the early-exit invariant cadence E10 runs every
+// candidate with (chaos.SearchConfig.CheckEvery): the global invariants
+// are evaluated every this many simulation steps and a violating run
+// halts immediately. It is what makes the seeded-bug
 // tokenring affordable — its regeneration storm used to saturate the
 // 200k-step bound on every run (~1s, three orders of magnitude above the
 // other workloads, so E10 excluded it); the storm's double-token state is
 // reached within the first few hundred steps, so early exit cuts a
-// violating run to ~1ms. See BENCH_runtime.json for the measured
-// before/after cost.
+// violating run to ~1ms. chaos.TestEarlyExitEquivalence pins the early
+// exit and its step count.
 const SearchCheckEvery = 256
 
 // searchApps returns the seeded-bug applications E10 sweeps — the full
@@ -66,7 +66,7 @@ func RunE10(quick bool) *Table {
 		gs, gd, rs, rd, SearchBudget)
 	t.Note("fingerprint = merged-scroll digest + event-shape signature; corpus admission is shape-keyed")
 	t.Note("tokenring included: early-exit invariant checks every %d steps halt its regeneration storm as soon as "+
-		"the double-token state appears (was ~1.2s/run saturating the 200k-step bound — see BENCH_runtime.json for before/after)",
+		"the double-token state appears (was ~1.2s/run saturating the 200k-step bound — see TestEarlyExitEquivalence)",
 		SearchCheckEvery)
 
 	// Controlled find → shrink → replay: the failure must be fault-induced

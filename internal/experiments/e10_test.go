@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/chaos"
 )
 
 // TestE10GuidedBeatsRandom: the acceptance claim — at an equal execution
@@ -48,30 +50,37 @@ func TestE10GuidedBeatsRandom(t *testing.T) {
 	}
 }
 
-// TestSearchBench: the machine-readable benchmark carries the same
-// verdict and well-formed growth curves.
+// TestSearchBench: E10's operating point with shrinking on and the search
+// sharded four ways — guided still beats random in total, every growth
+// curve ends at the budget, and every failure carries its replayable
+// artifact.
 func TestSearchBench(t *testing.T) {
-	b := RunSearchBench(4)
-	if !b.GuidedWins {
-		t.Errorf("guided %d shapes vs random %d: benchmark lost the headline claim",
-			b.GuidedShapes, b.RandomShapes)
+	cfg := chaos.SearchConfig{Apps: searchApps(), Buggy: true, Seed: 1,
+		Budget: SearchBudget, Workers: 4, CheckEvery: SearchCheckEvery}
+	guided := chaos.Search(cfg)
+	cfg.ShrinkBudget = -1 // the baseline only measures coverage
+	random := chaos.RandomSearch(cfg)
+	gs, _ := guided.Totals()
+	rs, _ := random.Totals()
+	if gs <= rs {
+		t.Errorf("guided %d shapes vs random %d: the headline claim is lost", gs, rs)
 	}
-	if len(b.Apps) == 0 {
+	if len(guided.Apps) == 0 {
 		t.Fatal("no per-app results")
 	}
-	for _, app := range b.Apps {
+	for _, app := range guided.Apps {
 		if len(app.Growth) == 0 {
-			t.Errorf("%s: empty growth curve", app.App)
+			t.Fatalf("%s: empty growth curve", app.App)
 		}
-		if last := app.Growth[len(app.Growth)-1]; last.Execs != b.Budget {
-			t.Errorf("%s: growth curve ends at %d execs, want %d", app.App, last.Execs, b.Budget)
+		if last := app.Growth[len(app.Growth)-1]; last.Execs != SearchBudget {
+			t.Errorf("%s: growth curve ends at %d execs, want %d", app.App, last.Execs, SearchBudget)
 		}
-		if app.Failures > 0 && len(app.ArtifactsFound) == 0 {
-			t.Errorf("%s: %d failures but no embedded artifacts", app.App, app.Failures)
+		for _, f := range app.Failures {
+			if f.Artifact == nil {
+				t.Errorf("%s: failure %s has no artifact", app.App, f.Schedule)
+			} else if _, err := f.Artifact.JSON(); err != nil {
+				t.Errorf("%s: artifact does not render: %v", app.App, err)
+			}
 		}
-	}
-	raw, err := b.JSON()
-	if err != nil || len(raw) == 0 {
-		t.Fatalf("bench does not marshal: %v", err)
 	}
 }

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/repair"
 )
 
 // TestE11RepairsThreeApps: the acceptance claim — the knob-space repair
@@ -42,29 +45,38 @@ func TestE11RepairsThreeApps(t *testing.T) {
 	}
 }
 
-// TestRepairBenchQuick: the machine-readable benchmark carries the same
-// verdict — three repaired applications, byte-identical reports across
-// worker counts — and renders.
+// TestRepairBenchQuick: E11's quick operating point app by app — three
+// repaired applications, each report byte-identical at 2 workers and 1.
 func TestRepairBenchQuick(t *testing.T) {
-	b, err := RunRepairBench(2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Repaired != 3 {
-		t.Errorf("repaired %d apps, want 3", b.Repaired)
-	}
-	if !b.AllDeterministic {
-		t.Error("a repair report diverged across worker counts")
-	}
-	for _, app := range b.Apps {
-		if app.Fixed && app.Runs <= 0 {
-			t.Errorf("%s: fixed with %d runs-to-fix", app.App, app.Runs)
+	repaired := 0
+	for _, app := range repairApps {
+		a, err := findRepairArtifact(app, 16)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !app.Deterministic {
-			t.Errorf("%s: report not byte-identical at 1 vs 2 workers", app.App)
+		var out [2][]byte
+		for i, workers := range []int{2, 1} {
+			cfg := repairConfig(a, true)
+			cfg.Workers = workers
+			rep, err := repair.Repair(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out[i], err = rep.JSON(); err != nil {
+				t.Fatalf("%s: report does not render: %v", app, err)
+			}
+			if i == 0 && rep.Fixed {
+				repaired++
+				if rep.Runs <= 0 {
+					t.Errorf("%s: fixed with %d runs-to-fix", app, rep.Runs)
+				}
+			}
+		}
+		if !bytes.Equal(out[0], out[1]) {
+			t.Errorf("%s: report not byte-identical at 1 vs 2 workers", app)
 		}
 	}
-	if raw, err := b.JSON(); err != nil || len(raw) == 0 {
-		t.Fatalf("artifact does not render: %v", err)
+	if repaired != 3 {
+		t.Errorf("repaired %d apps, want 3", repaired)
 	}
 }

@@ -77,6 +77,12 @@ func (t *Table) Format() string {
 	return b.String()
 }
 
+// MatrixWorkers is the worker-pool width E9, E10 and E12 use for their
+// sweeps. 0/1 runs sequentially; cmd/fixd-bench sets it from
+// -shard.workers. The tables are identical either way — sharding only
+// changes wall time.
+var MatrixWorkers int
+
 // Suite runs every experiment. quick mode shrinks parameters for tests.
 func Suite(quick bool) []*Table {
 	return []*Table{

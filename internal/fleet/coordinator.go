@@ -17,8 +17,7 @@ type Config struct {
 	// chaos.Search takes. The application list must name registered
 	// applications (apps.Registry): stateless workers resolve leases by
 	// app name. Search.Workers is ignored; evaluation parallelism is the
-	// fleet's worker count. Search.Baseline is unsupported (the pooled
-	// path is the only one workers run).
+	// fleet's worker count.
 	Search chaos.SearchConfig
 
 	// Workers is the number of local loopback-TCP workers Search spawns in
@@ -131,9 +130,6 @@ type Coordinator struct {
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	scfg := cfg.Search.WithDefaults()
-	if scfg.Baseline {
-		return nil, errors.New("fleet: SearchConfig.Baseline is unsupported in fleet mode")
-	}
 	names := make([]string, len(scfg.Apps))
 	for i, spec := range scfg.Apps {
 		if _, err := chaos.RunnerFor(spec.Name, scfg.Buggy, scfg.Seed, true); err != nil {

@@ -298,10 +298,6 @@ func TestFleetConfigValidation(t *testing.T) {
 	if _, err := Search(Config{NoLocalFallback: true}); err == nil {
 		t.Error("NoLocalFallback with zero workers must error, not hang")
 	}
-	scfg := chaos.SearchConfig{Baseline: true}
-	if _, err := NewCoordinator(Config{Search: scfg}); err == nil {
-		t.Error("Baseline search config must be rejected in fleet mode")
-	}
 	bad := chaos.SearchConfig{Apps: []apps.AppSpec{{Name: "not-registered"}}}
 	if _, err := NewCoordinator(Config{Search: bad}); err == nil {
 		t.Error("unregistered app must be rejected: workers cannot resolve it")

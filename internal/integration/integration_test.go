@@ -55,17 +55,17 @@ func TestPipelineTokenRing(t *testing.T) {
 	// alternate, non-regenerating path — the buggy action must never fire
 	// again (residual duplicate tokens from before the line may still
 	// collide; cleaning those up is application logic, not FixD's).
-	if err := sys.Sim().RollbackTo(resp.Line); err != nil {
+	if err := sys.Substrate().RollbackTo(resp.Line); err != nil {
 		t.Fatal(err)
 	}
 	totalRegens := func() int {
 		n := 0
-		for _, id := range sys.Sim().Procs() {
+		for _, id := range sys.Substrate().Procs() {
 			var st struct {
 				Regens int
 				Fixed  bool
 			}
-			if err := json.Unmarshal(sys.Sim().MachineState(id), &st); err != nil {
+			if err := json.Unmarshal(sys.Substrate().MachineState(id), &st); err != nil {
 				t.Fatal(err)
 			}
 			if !st.Fixed {

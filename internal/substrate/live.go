@@ -66,13 +66,6 @@ type LiveConfig struct {
 	// crash left it, keeping post-mortem replay possible. Empty keeps
 	// scrolls in memory.
 	ScrollDir string
-	// LegacyTimelines disables timeline-epoch fencing — stale-epoch message
-	// drops, stale-incarnation timer fences, durable-cell invalidation and
-	// checkpoint pruning on deliberate rollback — restoring the pre-fix
-	// at-least-once redelivery and durable re-installation hazards.
-	// Regression tests flip it to reproduce the old bugs; mirrors
-	// dsim.Config.LegacyTimelines.
-	LegacyTimelines bool
 }
 
 func (cfg LiveConfig) withDefaults() LiveConfig {
@@ -415,7 +408,7 @@ func (p *liveProc) handle(ev liveEvent) {
 			s.crashDrops.Add(1)
 			return
 		}
-		if !s.cfg.LegacyTimelines && ev.msg.Epoch < s.epoch.Load() {
+		if ev.msg.Epoch < s.epoch.Load() {
 			// The message was sent on a timeline a rollback has since
 			// abandoned; the real network could not recall it, so fence it
 			// here — turning redelivery from at-least-once into
@@ -550,14 +543,10 @@ func (s *LiveSubstrate) rollbackLatest(anchor *liveProc) {
 		case q.crashed:
 			// Not resurrected here; fence its disk and prune so the restart
 			// path recovers the restored timeline, not the abandoned one.
-			if !s.cfg.LegacyTimelines {
-				q.fenceAbandonedLocked(ck)
-			}
+			q.fenceAbandonedLocked(ck)
 		default:
 			q.restoreLocked(ck)
-			if !s.cfg.LegacyTimelines {
-				q.fenceAbandonedLocked(ck)
-			}
+			q.fenceAbandonedLocked(ck)
 			q.machine.OnRollback(&liveCtx{p: q}, dsim.RollbackInfo{Manual: true, Reason: "time machine rollback"})
 		}
 		q.mu.Unlock()
@@ -1016,9 +1005,7 @@ func (s *LiveSubstrate) RollbackTo(line map[string]string) error {
 		}
 		p.mu.Lock()
 		p.restoreLocked(cks[id])
-		if !s.cfg.LegacyTimelines {
-			p.fenceAbandonedLocked(cks[id])
-		}
+		p.fenceAbandonedLocked(cks[id])
 		p.machine.OnRollback(&liveCtx{p: p}, dsim.RollbackInfo{Manual: true, Reason: "time machine rollback"})
 		p.mu.Unlock()
 	}

@@ -23,87 +23,70 @@ func (f *fenceProbe) OnRollback(dsim.Context, dsim.RollbackInfo) {}
 // stamped with the current epoch is delivered; after the epoch advances,
 // the same-shaped frame is fenced — dropped deterministically, counted,
 // and recorded in the scroll under EpochFenceMsgID so replay sees the
-// drop as part of the timeline. Under LegacyTimelines the fence is off
-// and the stale frame is redelivered (the historical at-least-once).
+// drop as part of the timeline.
 func TestLiveEpochFenceMessage(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		s, err := NewLive(LiveConfig{LegacyTimelines: legacy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		probe := &fenceProbe{}
-		s.AddProcess("w", probe)
-		s.mu.Lock()
-		p := s.procs["w"]
-		s.mu.Unlock()
+	s, err := NewLive(LiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	probe := &fenceProbe{}
+	s.AddProcess("w", probe)
+	s.mu.Lock()
+	p := s.procs["w"]
+	s.mu.Unlock()
 
-		p.handle(liveEvent{kind: levMsg, msg: transport.Message{
-			ID: "m1", From: "x", Payload: []byte("a"), Epoch: s.epoch.Load()}})
-		s.epoch.Add(1)
-		p.handle(liveEvent{kind: levMsg, msg: transport.Message{
-			ID: "m2", From: "x", Payload: []byte("b")}}) // epoch 0 < 1: stale timeline
+	p.handle(liveEvent{kind: levMsg, msg: transport.Message{
+		ID: "m1", From: "x", Payload: []byte("a"), Epoch: s.epoch.Load()}})
+	s.epoch.Add(1)
+	p.handle(liveEvent{kind: levMsg, msg: transport.Message{
+		ID: "m2", From: "x", Payload: []byte("b")}}) // epoch 0 < 1: stale timeline
 
-		wantMsgs := 1
-		if legacy {
-			wantMsgs = 2
+	if probe.st.Msgs != 1 {
+		t.Errorf("machine saw %d messages, want 1", probe.st.Msgs)
+	}
+	var fences int
+	for _, r := range p.scroll.Records() {
+		if r.Kind == scroll.KindCustom && r.MsgID == EpochFenceMsgID {
+			fences++
 		}
-		if probe.st.Msgs != wantMsgs {
-			t.Errorf("legacy=%v: machine saw %d messages, want %d", legacy, probe.st.Msgs, wantMsgs)
-		}
-		var fences int
-		for _, r := range p.scroll.Records() {
-			if r.Kind == scroll.KindCustom && r.MsgID == EpochFenceMsgID {
-				fences++
-			}
-		}
-		if legacy {
-			if fences != 0 || s.EpochFences() != 0 {
-				t.Errorf("legacy timelines fenced anyway: records=%d counter=%d", fences, s.EpochFences())
-			}
-		} else {
-			if fences != 1 {
-				t.Errorf("fenced delivery left %d fence records, want 1", fences)
-			}
-			if s.EpochFences() != 1 {
-				t.Errorf("EpochFences() = %d, want 1", s.EpochFences())
-			}
-		}
-		s.Close()
+	}
+	if fences != 1 {
+		t.Errorf("fenced delivery left %d fence records, want 1", fences)
+	}
+	if s.EpochFences() != 1 {
+		t.Errorf("EpochFences() = %d, want 1", s.EpochFences())
 	}
 }
 
 // TestLiveIncarnationFenceTimer: a timer fire carrying a previous
 // incarnation's generation is fenced — the restore re-armed the
 // checkpointed timers itself, and the orphaned time.AfterFunc cannot be
-// recalled. Unlike the message fence this holds under LegacyTimelines
-// too: it is the one mechanism that replaced the ad-hoc stale-timer skip,
-// and PR 2's fix already made the legacy behavior equivalent.
+// recalled.
 func TestLiveIncarnationFenceTimer(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		s, err := NewLive(LiveConfig{LegacyTimelines: legacy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		probe := &fenceProbe{}
-		s.AddProcess("w", probe)
-		s.mu.Lock()
-		p := s.procs["w"]
-		s.mu.Unlock()
+	s, err := NewLive(LiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	probe := &fenceProbe{}
+	s.AddProcess("w", probe)
+	s.mu.Lock()
+	p := s.procs["w"]
+	s.mu.Unlock()
 
-		p.handle(liveEvent{kind: levTimer, timer: "tick", gen: 0})
-		if probe.st.Timers != 1 {
-			t.Fatalf("legacy=%v: current-incarnation timer did not fire", legacy)
-		}
-		p.mu.Lock()
-		p.incarnation++ // what any restore does
-		p.mu.Unlock()
-		p.handle(liveEvent{kind: levTimer, timer: "tick", gen: 0})
-		if probe.st.Timers != 1 {
-			t.Errorf("legacy=%v: stale-incarnation timer fired (count %d)", legacy, probe.st.Timers)
-		}
-		if s.EpochFences() != 1 {
-			t.Errorf("legacy=%v: EpochFences() = %d, want 1", legacy, s.EpochFences())
-		}
-		s.Close()
+	p.handle(liveEvent{kind: levTimer, timer: "tick", gen: 0})
+	if probe.st.Timers != 1 {
+		t.Fatal("current-incarnation timer did not fire")
+	}
+	p.mu.Lock()
+	p.incarnation++ // what any restore does
+	p.mu.Unlock()
+	p.handle(liveEvent{kind: levTimer, timer: "tick", gen: 0})
+	if probe.st.Timers != 1 {
+		t.Errorf("stale-incarnation timer fired (count %d)", probe.st.Timers)
+	}
+	if s.EpochFences() != 1 {
+		t.Errorf("EpochFences() = %d, want 1", s.EpochFences())
 	}
 }
