@@ -10,14 +10,16 @@ import (
 )
 
 // Kindswitch enforces exhaustiveness for switches over FixD's closed
-// enums — fault.Kind and the fleet wire protocol's FrameType. Every PR
-// that adds a fault kind (Rollback in PR 6, Corrupt/SlowNode in PR 9) has
-// to thread it through the Compile/Generate/Normalize/mutate/shrink
-// tables; a switch that silently ignores the new constant is exactly the
-// omission a reviewer misses and replay-time tests only catch when a seed
-// happens to reach it. A switch over an enum must either mention every
-// declared constant or carry a default clause that makes the remainder
-// explicit.
+// enums — fault.Kind and the fleet wire protocol's FrameType. A switch that
+// silently ignores a newly added constant is exactly the omission a
+// reviewer misses and replay-time tests only catch when a seed happens to
+// reach it: Rollback (PR 6) and Corrupt/SlowNode (PR 9) each had to be
+// threaded through a dozen such switches, and this analyzer found the arm
+// PR 9 missed. The fault and chaos packages have since replaced those
+// switches with one descriptor row per kind, so for fault.Kind this is a
+// backstop for switches written later. A switch over an enum must either
+// mention every declared constant or carry a default clause that makes the
+// remainder explicit.
 var Kindswitch = &Analyzer{
 	Name: "kindswitch",
 	Doc:  "exhaustiveness checking for switches over fault.Kind and fleet.FrameType",

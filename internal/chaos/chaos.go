@@ -55,13 +55,13 @@ func (w Window) Len() uint64 {
 	return w.To - w.From
 }
 
-// Intensity quantifies a scenario's severity. Only the fields relevant to
-// the scenario's kind are used.
+// Intensity quantifies a scenario's severity. Only the fields of the kind's
+// intensity dimension (see dims) are used.
 type Intensity struct {
-	Extra  uint64  `json:",omitempty"` // Delay/Reorder: fixed extra latency; SlowNode: handler lag
-	Jitter uint64  `json:",omitempty"` // Reorder: seeded extra latency bound
-	Prob   float64 `json:",omitempty"` // Duplicate/Drop/Corrupt: per-message probability
-	Skew   int64   `json:",omitempty"` // ClockSkew: observed-clock offset
+	Extra  uint64  `json:",omitempty"` // fixed extra latency, or handler lag
+	Jitter uint64  `json:",omitempty"` // seeded extra latency bound
+	Prob   float64 `json:",omitempty"` // per-message probability
+	Skew   int64   `json:",omitempty"` // observed-clock offset
 }
 
 // Scenario is one composable fault: kind × target set × timing window ×
@@ -86,21 +86,7 @@ type Scenario struct {
 func (sc Scenario) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%v", sc.Kind)
-	switch sc.Kind {
-	case fault.Delay:
-		fmt.Fprintf(&b, "(+%d)", sc.Intensity.Extra)
-	case fault.Reorder:
-		fmt.Fprintf(&b, "(j=%d)", sc.Intensity.Jitter)
-	case fault.Duplicate, fault.Drop, fault.Corrupt:
-		fmt.Fprintf(&b, "(p=%.2f)", sc.Intensity.Prob)
-	case fault.ClockSkew:
-		fmt.Fprintf(&b, "(%+d)", sc.Intensity.Skew)
-	case fault.SlowNode:
-		fmt.Fprintf(&b, "(+%d)", sc.Intensity.Extra)
-	case fault.Crash, fault.Restart, fault.Partition, fault.Rollback:
-		// No intensity to print: these kinds are fully described by
-		// window and targets.
-	}
+	b.WriteString(dims[rowOf(sc.Kind).dim].format(sc.Intensity))
 	fmt.Fprintf(&b, "@[%d,%d)", sc.Window.From, sc.Window.To)
 	if len(sc.Targets) > 0 {
 		fmt.Fprintf(&b, "→%v", sc.Targets)
@@ -136,72 +122,35 @@ func resolve(targets []int, procs []string) []string {
 }
 
 // Compile resolves the schedule against a concrete (sorted) process list
-// into an injectable fault plan.
+// into an injectable fault plan. A scenario whose kind is not a scenario
+// kind compiles to nothing.
 func (s Schedule) Compile(procs []string) *fault.Plan {
 	plan := &fault.Plan{}
-	add := func(inj fault.Injection) { plan.Injections = append(plan.Injections, inj) }
 	for _, sc := range s {
+		row := rowOf(sc.Kind)
 		targets := resolve(sc.Targets, procs)
-		switch sc.Kind {
-		case fault.Crash:
+		in := dims[row.dim].only(sc.Intensity)
+		inj := fault.Injection{Kind: sc.Kind, At: sc.Window.From, Until: sc.Window.To,
+			Extra: in.Extra, Jitter: in.Jitter, Prob: in.Prob, Skew: in.Skew}
+		switch row.shape {
+		case shapeGroup:
+			inj.Group = targets
+			plan.Injections = append(plan.Injections, inj)
+		case shapePerProc:
 			for _, p := range targets {
-				add(fault.Injection{Kind: fault.Crash, Proc: p, At: sc.Window.From})
-				add(fault.Injection{Kind: fault.Restart, Proc: p, At: sc.Window.To})
+				inj.Proc = p
+				plan.Injections = append(plan.Injections, inj)
 			}
-		case fault.Partition:
-			add(fault.Injection{Kind: fault.Partition, Group: targets,
-				At: sc.Window.From, Until: sc.Window.To})
-		case fault.Delay:
-			add(fault.Injection{Kind: fault.Delay, Group: targets,
-				At: sc.Window.From, Until: sc.Window.To, Extra: sc.Intensity.Extra})
-		case fault.Reorder:
-			add(fault.Injection{Kind: fault.Reorder, Group: targets,
-				At: sc.Window.From, Until: sc.Window.To,
-				Extra: sc.Intensity.Extra, Jitter: sc.Intensity.Jitter})
-		case fault.Duplicate:
-			add(fault.Injection{Kind: fault.Duplicate, Group: targets,
-				At: sc.Window.From, Until: sc.Window.To, Prob: sc.Intensity.Prob})
-		case fault.Drop:
-			add(fault.Injection{Kind: fault.Drop, Group: targets,
-				At: sc.Window.From, Until: sc.Window.To, Prob: sc.Intensity.Prob})
-		case fault.ClockSkew:
+		case shapePoint, shapeCrashRestart:
 			for _, p := range targets {
-				add(fault.Injection{Kind: fault.ClockSkew, Proc: p,
-					At: sc.Window.From, Until: sc.Window.To, Skew: sc.Intensity.Skew})
+				plan.Injections = append(plan.Injections, fault.Injection{Kind: sc.Kind, Proc: p, At: sc.Window.From})
+				if row.shape == shapeCrashRestart {
+					plan.Injections = append(plan.Injections, fault.Injection{Kind: fault.Restart, Proc: p, At: sc.Window.To})
+				}
 			}
-		case fault.Rollback:
-			// A deliberate rollback is a point event: the window's From is
-			// when the target rewinds to its latest checkpoint (new epoch).
-			for _, p := range targets {
-				add(fault.Injection{Kind: fault.Rollback, Proc: p, At: sc.Window.From})
-			}
-		case fault.Corrupt:
-			add(fault.Injection{Kind: fault.Corrupt, Group: targets,
-				At: sc.Window.From, Until: sc.Window.To, Prob: sc.Intensity.Prob})
-		case fault.SlowNode:
-			for _, p := range targets {
-				add(fault.Injection{Kind: fault.SlowNode, Proc: p,
-					At: sc.Window.From, Until: sc.Window.To, Extra: sc.Intensity.Extra})
-			}
-		case fault.Restart:
-			// Restart is not a scenario kind: it exists only as the
-			// compiled second half of a Crash scenario, and DecodeSchedule's
-			// validScenarioKind rejects it before a schedule reaches here.
 		}
 	}
 	return plan
-}
-
-// MatrixKinds are the fault kinds the matrix sweeps by default. Restart is
-// not listed separately: Crash scenarios compile to crash-restart pairs.
-// Rollback, Corrupt and SlowNode are deliberately absent: they are valid
-// scenario kinds (Generate/Compile/Normalize/mutation all handle them) but
-// opt-in — schedules only carry them when a caller asks (e.g.
-// MatrixConfig.Kinds or SearchConfig.ExtraKinds) — so every matrix/search
-// artifact generated before they existed stays byte-identical.
-var MatrixKinds = []fault.Kind{
-	fault.Crash, fault.Partition, fault.Delay, fault.Reorder,
-	fault.Duplicate, fault.Drop, fault.ClockSkew,
 }
 
 // Generate builds the seeded scenario for one matrix cell. Identical
@@ -219,53 +168,13 @@ func Generate(kind fault.Kind, procs []string, crashable []int, horizon uint64, 
 	if horizon < 40 {
 		horizon = 40
 	}
-	window := func(minLen uint64) Window {
-		from := 5 + uint64(rng.Int63n(int64(horizon/3+1)))
-		length := minLen + uint64(rng.Int63n(int64(horizon/2+1)))
-		return Window{From: from, To: from + length}
-	}
+	row := rowOf(kind)
 	sc := Scenario{Kind: kind}
-	switch kind {
-	case fault.Crash, fault.Partition, fault.Delay, fault.Rollback, fault.SlowNode:
-		sc.Window = window(horizon / 4)
-	case fault.Reorder, fault.Duplicate, fault.Drop, fault.Corrupt:
-		sc.Window = window(horizon / 3)
-	case fault.ClockSkew:
-		// Bound the window so the probe is still ticking when the skew
-		// starts and ends — both edges are detectable regressions.
-		from := 5 + uint64(rng.Int63n(25))
-		sc.Window = Window{From: from, To: from + 20 + uint64(rng.Int63n(40))}
-	case fault.Restart:
-		// Not a scenario kind: Generate is only called with matrix or
-		// ExtraKinds members, never Restart (compiled from Crash).
+	if row.window != nil {
+		sc.Window = row.window(rng, horizon)
 	}
-	sc.Targets = pickTargets(rng, kind, procs, crashable)
-	switch kind {
-	case fault.Delay:
-		sc.Intensity.Extra = 5 + uint64(rng.Int63n(20))
-	case fault.Reorder:
-		sc.Intensity.Jitter = 10 + uint64(rng.Int63n(25))
-	case fault.Duplicate:
-		sc.Intensity.Prob = 0.3 + 0.4*rng.Float64()
-	case fault.Drop:
-		sc.Intensity.Prob = 0.2 + 0.4*rng.Float64()
-	case fault.Corrupt:
-		sc.Intensity.Prob = 0.3 + 0.4*rng.Float64()
-	case fault.SlowNode:
-		// Enough lag that timeout-sensitive protocols feel it, bounded so
-		// runs still quiesce inside the step budget.
-		sc.Intensity.Extra = 10 + uint64(rng.Int63n(30))
-	case fault.ClockSkew:
-		// The probe ticks every 5; an offset > 5 guarantees the window edge
-		// shows up as a regression on one side.
-		off := int64(6 + rng.Int63n(39))
-		if rng.Intn(2) == 0 {
-			off = -off
-		}
-		sc.Intensity.Skew = off
-	case fault.Crash, fault.Restart, fault.Partition, fault.Rollback:
-		// No intensity dimension: window and targets say it all.
-	}
+	sc.Targets = pickTargets(rng, row.targets, procs, crashable)
+	sc.Intensity = dims[row.dim].gen(rng, row.lo, row.span)
 	return sc
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/apps"
@@ -213,13 +214,9 @@ func (f *Frontier) seedBatch() []Candidate {
 		}
 	}
 	add(nil, "seed:baseline")
-	for _, kind := range MatrixKinds {
-		add(Schedule{Generate(kind, f.procs, f.crashable, f.spec.Horizon, f.cfg.Seed)}.Normalize(),
-			"seed:"+kind.String())
-	}
 	// Opt-in kinds come after the matrix seeds so an empty ExtraKinds leaves
 	// the stream — and every pinned fixture — byte-identical.
-	for _, kind := range f.cfg.ExtraKinds {
+	for _, kind := range slices.Concat(MatrixKinds, f.cfg.ExtraKinds) {
 		add(Schedule{Generate(kind, f.procs, f.crashable, f.spec.Horizon, f.cfg.Seed)}.Normalize(),
 			"seed:"+kind.String())
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dsim"
+	"repro/internal/fault"
 )
 
 // FuzzScheduleRoundTrip: arbitrary bytes decode into a Schedule,
@@ -39,11 +40,17 @@ func FuzzScheduleRoundTrip(f *testing.F) {
 	f.Add([]byte{6, 10, 1, 40, 0b1, 200, 0, 0, 0, 0, 3, 0, 0, 9, 0b11, 128, 7, 0, 0, 0})
 	f.Add([]byte{})
 	f.Add([]byte("\xff\x00\x13garbage that is not a schedule"))
-	// JSON seeds carrying the opt-in kinds (Rollback=8, Corrupt=9,
-	// SlowNode=10): valid scenario kinds that the binary form never emits.
-	f.Add([]byte(`[{"Kind":9,"Targets":[0,1],"Window":{"From":10,"To":60},"Intensity":{"Prob":0.5}}]`))
-	f.Add([]byte(`[{"Kind":10,"Targets":[1],"Window":{"From":5,"To":40},"Intensity":{"Extra":25}},` +
-		`{"Kind":8,"Targets":[0],"Window":{"From":12,"To":12}}]`))
+	// JSON seeds for the opt-in kinds: valid scenario kinds the binary form,
+	// whose kind byte maps onto MatrixKinds, never emits.
+	for k, row := range kinds {
+		if row.scenario && !row.matrix {
+			seed, err := json.Marshal(Schedule{Generate(fault.Kind(k), []string{"a", "b", "c"}, []int{0, 1}, 80, 1)})
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(seed)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := DecodeSchedule(data)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"repro/internal/fault"
 )
@@ -25,23 +26,17 @@ const (
 	maxSkewAbs    = 1 << 20
 )
 
-// validScenarioKind reports whether k is a scenario kind (Restart is not:
-// it exists only as the compiled second half of a Crash scenario).
-// Rollback, Corrupt and SlowNode are valid scenario kinds without being
-// matrix-swept: the storm suites and the scenario-zoo sweeps compose them
-// explicitly, and mutation must not normalize them away when it splices
-// such a schedule.
-func validScenarioKind(k fault.Kind) bool {
-	switch k { //fixd:nondeterm membership test: kinds not listed fall through to the MatrixKinds scan below
-	case fault.Rollback, fault.Corrupt, fault.SlowNode:
-		return true
+// clamped bounds every field: latencies and skew to their maxima, Prob to
+// [0,1] with NaN scrubbed to 0.
+func (in Intensity) clamped() Intensity {
+	in.Extra = min(in.Extra, maxExtra)
+	in.Jitter = min(in.Jitter, maxExtra)
+	if math.IsNaN(in.Prob) {
+		in.Prob = 0
 	}
-	for _, mk := range MatrixKinds {
-		if k == mk {
-			return true
-		}
-	}
-	return false
+	in.Prob = max(0, min(in.Prob, 1))
+	in.Skew = max(-maxSkewAbs, min(in.Skew, maxSkewAbs))
+	return in
 }
 
 // Normalize returns the canonical, injectable form of the schedule:
@@ -63,7 +58,8 @@ func (s Schedule) Normalize() Schedule {
 		if len(out) == MaxScheduleLen {
 			break
 		}
-		if !validScenarioKind(sc.Kind) {
+		row := rowOf(sc.Kind)
+		if !row.scenario {
 			continue
 		}
 		n := Scenario{Kind: sc.Kind}
@@ -100,33 +96,7 @@ func (s Schedule) Normalize() Schedule {
 		}
 
 		// Intensity: only the kind's fields, clamped.
-		switch sc.Kind {
-		case fault.Delay, fault.SlowNode:
-			n.Intensity.Extra = min(sc.Intensity.Extra, maxExtra)
-		case fault.Reorder:
-			n.Intensity.Extra = min(sc.Intensity.Extra, maxExtra)
-			n.Intensity.Jitter = min(sc.Intensity.Jitter, maxExtra)
-		case fault.Duplicate, fault.Drop, fault.Corrupt:
-			p := sc.Intensity.Prob
-			switch {
-			case math.IsNaN(p) || p <= 0:
-				p = 0
-			case p > 1:
-				p = 1
-			}
-			n.Intensity.Prob = p
-		case fault.ClockSkew:
-			sk := sc.Intensity.Skew
-			if sk > maxSkewAbs {
-				sk = maxSkewAbs
-			}
-			if sk < -maxSkewAbs {
-				sk = -maxSkewAbs
-			}
-			n.Intensity.Skew = sk
-		case fault.Crash, fault.Restart, fault.Partition, fault.Rollback:
-			// No intensity fields to clamp; n.Intensity stays zero.
-		}
+		n.Intensity = dims[row.dim].only(sc.Intensity.clamped())
 		out = append(out, n)
 	}
 	if len(out) == 0 {
@@ -154,9 +124,15 @@ func DecodeSchedule(data []byte) (Schedule, error) {
 			s = a.Schedule
 		}
 		for i, sc := range s {
-			if !validScenarioKind(sc.Kind) {
-				return nil, fmt.Errorf("chaos: scenario %d has unknown fault kind %v (valid: matrix kinds plus %v, %v, %v)",
-					i, sc.Kind, fault.Rollback, fault.Corrupt, fault.SlowNode)
+			if !rowOf(sc.Kind).scenario {
+				var optIn []string
+				for k, row := range kinds {
+					if row.scenario && !row.matrix {
+						optIn = append(optIn, fault.Kind(k).String())
+					}
+				}
+				return nil, fmt.Errorf("chaos: scenario %d has unknown fault kind %v (valid: matrix kinds plus %s)",
+					i, sc.Kind, strings.Join(optIn, ", "))
 			}
 		}
 		return s, nil
@@ -174,26 +150,8 @@ func DecodeSchedule(data []byte) (Schedule, error) {
 				sc.Targets = append(sc.Targets, i)
 			}
 		}
-		switch sc.Kind {
-		case fault.Delay:
-			sc.Intensity.Extra = uint64(b[5])
-		case fault.Reorder:
-			sc.Intensity.Extra = uint64(b[5])
-			sc.Intensity.Jitter = uint64(b[6])
-		case fault.Duplicate, fault.Drop, fault.Corrupt:
-			sc.Intensity.Prob = float64(b[5]) / 255
-		case fault.ClockSkew:
-			sc.Intensity.Skew = int64(b[5]) - 128
-		case fault.SlowNode:
-			sc.Intensity.Extra = uint64(b[5])
-		case fault.Crash, fault.Restart, fault.Partition, fault.Rollback:
-			// No intensity bytes to decode.
-		}
-		// Corrupt and SlowNode are unreachable today — the kind byte maps
-		// onto MatrixKinds only — but the PR 9 rollout left their intensity
-		// decode missing here, which would have silently produced zero
-		// probability/lag the day either joins the binary form. fixd-lint's
-		// kindswitch analyzer found the gap.
+		sc.Intensity = dims[rowOf(sc.Kind).dim].only(Intensity{
+			Extra: uint64(b[5]), Jitter: uint64(b[6]), Prob: float64(b[5]) / 255, Skew: int64(b[5]) - 128})
 		s = append(s, sc)
 	}
 	return s, nil
@@ -310,41 +268,12 @@ func MutateOp(rng *rand.Rand, op string, parent, donor Schedule, procs []string,
 	case OpPerturbIntensity:
 		i := rng.Intn(len(cand))
 		sc := cand[i]
-		grow := rng.Intn(2) == 0
-		scale := func(v uint64) uint64 {
-			if grow {
-				return v*2 + 1
-			}
-			return v / 2
-		}
-		switch sc.Kind {
-		case fault.Delay, fault.SlowNode:
-			sc.Intensity.Extra = scale(sc.Intensity.Extra)
-		case fault.Reorder:
-			sc.Intensity.Jitter = scale(sc.Intensity.Jitter)
-		case fault.Duplicate, fault.Drop, fault.Corrupt:
-			if grow {
-				sc.Intensity.Prob = math.Min(1, sc.Intensity.Prob*1.5+0.05)
-			} else {
-				sc.Intensity.Prob /= 2
-			}
-		case fault.ClockSkew:
-			if grow {
-				sc.Intensity.Skew *= 2
-			} else {
-				sc.Intensity.Skew /= 2
-			}
-			if sc.Intensity.Skew == 0 {
-				sc.Intensity.Skew = 6 // below the probe cadence a skew is invisible
-			}
-		default: // Crash, Partition: nothing to scale; nudge the window instead
-			sc.Window.To++
-		}
+		dims[rowOf(sc.Kind).dim].perturb(&sc, rng.Intn(2) == 0)
 		cand[i] = sc
 	case OpRetarget:
 		i := rng.Intn(len(cand))
 		sc := cand[i]
-		sc.Targets = pickTargets(rng, sc.Kind, procs, crashable)
+		sc.Targets = pickTargets(rng, rowOf(sc.Kind).targets, procs, crashable)
 		cand[i] = sc
 	case OpAddScenario:
 		kind := MatrixKinds[rng.Intn(len(MatrixKinds))]
@@ -365,13 +294,9 @@ func MutateOp(rng *rand.Rand, op string, parent, donor Schedule, procs []string,
 	return out
 }
 
-// pickTargets draws a scenario's target set — the single implementation
-// Generate and the retarget mutation share: crash scenarios target one
-// crashable process, clock skew targets the probe (always the trailing
-// process, see ProbeName), partitions leave someone outside, slow-node
-// slows one application process, and message-level kinds (Corrupt
-// included) pick a non-empty subset of the app's processes.
-func pickTargets(rng *rand.Rand, kind fault.Kind, procs []string, crashable []int) []int {
+// pickTargets draws a target set by a kind's targetPolicy — the single
+// implementation Generate and the retarget mutation share.
+func pickTargets(rng *rand.Rand, policy targetPolicy, procs []string, crashable []int) []int {
 	n := len(procs) - 1 // exclude the trailing clock probe
 	if n < 1 {
 		n = 1
@@ -385,17 +310,17 @@ func pickTargets(rng *rand.Rand, kind fault.Kind, procs []string, crashable []in
 		sort.Ints(perm)
 		return perm
 	}
-	switch kind {
-	case fault.Crash, fault.Rollback:
+	switch policy {
+	case targetOneCrashable:
 		if len(crashable) == 0 {
 			return nil
 		}
 		return []int{crashable[rng.Intn(len(crashable))]}
-	case fault.ClockSkew:
+	case targetProbe:
 		return []int{len(procs) - 1}
-	case fault.SlowNode:
+	case targetOneApp:
 		return []int{rng.Intn(n)}
-	case fault.Partition:
+	case targetLeaveOneOut:
 		return subset(len(procs) - 2)
 	default:
 		return subset(len(procs))

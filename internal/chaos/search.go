@@ -47,7 +47,7 @@ type SearchConfig struct {
 	// captured failure replays byte-identically.
 	CheckEvery uint64
 	// ExtraKinds seeds the guided corpus with generated scenarios for fault
-	// kinds beyond MatrixKinds (Rollback, Corrupt, SlowNode). They are
+	// kinds beyond MatrixKinds (the opt-in scenario kinds). They are
 	// appended after the matrix seeds, so the default empty list leaves every
 	// existing search trajectory — and the pinned pre-refactor fixtures —
 	// byte-identical.

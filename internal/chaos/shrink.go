@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-
-	"repro/internal/fault"
 )
 
 // ShrinkResult is the outcome of minimizing a failing schedule.
@@ -88,69 +86,16 @@ func Shrink(sched Schedule, fails func(Schedule) bool, budget int) *ShrinkResult
 			cur = cand
 		}
 	}
-	halve := func(v uint64, floor uint64) (uint64, bool) {
-		if v/2 < floor {
-			return v, false
-		}
-		return v / 2, true
-	}
 	for i := range cur {
 		shrinkAttr(i, func(sc *Scenario) bool {
-			l, ok := halve(sc.Window.Len(), 1)
+			l, ok := halve(sc.Window.Len())
 			sc.Window.To = sc.Window.From + l
 			return ok
 		})
-		switch cur[i].Kind {
-		case fault.Delay, fault.SlowNode:
-			shrinkAttr(i, func(sc *Scenario) bool {
-				var ok bool
-				sc.Intensity.Extra, ok = halve(sc.Intensity.Extra, 1)
-				return ok
-			})
-		case fault.Reorder:
-			shrinkAttr(i, func(sc *Scenario) bool {
-				var ok bool
-				sc.Intensity.Jitter, ok = halve(sc.Intensity.Jitter, 1)
-				return ok
-			})
-		case fault.Duplicate, fault.Drop, fault.Corrupt:
-			shrinkAttr(i, func(sc *Scenario) bool {
-				if sc.Intensity.Prob/2 < 0.05 {
-					return false
-				}
-				sc.Intensity.Prob /= 2
-				return true
-			})
-		case fault.ClockSkew:
-			shrinkAttr(i, func(sc *Scenario) bool {
-				s := sc.Intensity.Skew / 2
-				if s == 0 {
-					return false
-				}
-				sc.Intensity.Skew = s
-				return true
-			})
-		case fault.Restart:
-			// Restart is not a scenario kind: Compile emits it from Crash
-			// windows and validScenarioKind rejects it, so shrink never
-			// sees one. Listed so kindswitch keeps this table exhaustive.
-		case fault.Crash, fault.Partition, fault.Rollback:
-			// No intensity to shrink; the remaining attribute is onset. Halve
-			// Window.From toward the run's start, keeping the length, so a
-			// minimized crash still restarts after the same outage (and a
-			// rollback point event moves to the earliest reproducing time).
-			// Floor 1, not 0: halve(0, 0) would "succeed" in place forever
-			// and burn the whole budget without progress.
-			shrinkAttr(i, func(sc *Scenario) bool {
-				f, ok := halve(sc.Window.From, 1)
-				if !ok {
-					return false
-				}
-				l := sc.Window.Len()
-				sc.Window.From = f
-				sc.Window.To = f + l
-				return true
-			})
+		// Only scenario kinds have a further attribute: a kind Normalize would
+		// drop compiles to nothing, so there is nothing left to minimize.
+		if row := rowOf(cur[i].Kind); row.scenario {
+			shrinkAttr(i, dims[row.dim].shrink)
 		}
 	}
 

@@ -4,11 +4,15 @@
 package dsim_test
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/chaos"
+	"repro/internal/dsim"
 	"repro/internal/fault"
+	"repro/internal/scroll"
 )
 
 // TestScrollDigestDeterminism: identical seed + scenario ⇒ byte-identical
@@ -57,5 +61,38 @@ func TestScrollDigestSensitivity(t *testing.T) {
 	}
 	if d3 := base.Run(nil).Digest; d3 == d1 {
 		t.Error("injected faults left no trace in the digest")
+	}
+}
+
+// TestAddProcessOrderDoesNotChangeRun: a seed determines the run whatever
+// order the caller adds processes in. The periodic-checkpoint stagger used
+// to come from insertion position, so a caller ranging over a map of
+// machines (experiments E5 and E6 did) got a different run each time.
+func TestAddProcessOrderDoesNotChangeRun(t *testing.T) {
+	for _, spec := range apps.Registry() {
+		digest := func(reversed bool) string {
+			cfg := spec.Config(false)
+			cfg.Seed, cfg.CheckpointEvery = 7, 3
+			ms := spec.Make(false)
+			ids := make([]string, 0, len(ms))
+			for id := range ms {
+				ids = append(ids, id)
+			}
+			sort.Strings(ids)
+			if reversed {
+				slices.Reverse(ids)
+			}
+			s := dsim.New(cfg)
+			for _, id := range ids {
+				s.AddProcess(id, ms[id])
+			}
+			if s.Run().Checkpoints == 0 {
+				t.Fatalf("%s: no periodic checkpoint taken; the test would be vacuous", spec.Name)
+			}
+			return scroll.Digest(s.MergedScroll())
+		}
+		if sorted, rev := digest(false), digest(true); sorted != rev {
+			t.Errorf("%s: added in sorted order the run digests %s, in reverse %s", spec.Name, sorted[:12], rev[:12])
+		}
 	}
 }

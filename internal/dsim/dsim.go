@@ -588,9 +588,6 @@ func (s *Sim) AddProcess(id string, m Machine) {
 		// beyond the callback, which none do).
 		p.ctx = &simContext{sim: s, proc: p}
 	}
-	if s.cfg.CheckpointEvery > 0 {
-		p.ckptSkew = uint64(len(s.order)) % s.cfg.CheckpointEvery
-	}
 	s.procs[id] = p
 	s.order = append(s.order, id)
 	sort.Strings(s.order)
@@ -980,8 +977,14 @@ func (s *Sim) partitioned(from, to string, t uint64) bool {
 // Run initializes all machines and processes events until the queue is
 // empty, MaxSteps is reached, or Stop is called. It returns the stats.
 func (s *Sim) Run() Stats {
-	for _, id := range s.order {
+	for i, id := range s.order {
 		p := s.procs[id]
+		// Periodic checkpoints are staggered by the process's rank among the
+		// sorted IDs, not by when AddProcess saw it: a seed determines the run
+		// whatever order the caller (ranging over a map, say) added processes in.
+		if n := s.cfg.CheckpointEvery; n > 0 {
+			p.ckptSkew = uint64(i) % n
+		}
 		p.machine.Init(p.ctx)
 	}
 	if s.cfg.InitCheckpoint {

@@ -248,3 +248,27 @@ func TestAblationsTable(t *testing.T) {
 		t.Errorf("A5 rich %d <= plain %d", rich, plain)
 	}
 }
+
+// TestE5E6StableAcrossRuns: both experiments add their processes by ranging
+// over a map, and a seeded simulation must not care — every column but E5's
+// wall-clock one is the same on every run.
+func TestE5E6StableAcrossRuns(t *testing.T) {
+	cells := func(tbl *Table) string {
+		var b strings.Builder
+		for _, row := range tbl.Rows {
+			if tbl.ID == "E5" {
+				row = row[:len(row)-1] // ms
+			}
+			b.WriteString(strings.Join(row, " ") + "\n")
+		}
+		return b.String()
+	}
+	for _, run := range []func(bool) *Table{RunE5, RunE6} {
+		want := cells(run(true))
+		for i := 0; i < 3; i++ {
+			if got := cells(run(true)); got != want {
+				t.Fatalf("run %d differs from the first:\n%s\nfirst:\n%s", i+2, got, want)
+			}
+		}
+	}
+}

@@ -57,38 +57,36 @@ const (
 	SlowNode              // per-process handler slowdown (resource exhaustion)
 )
 
-// NumKinds is one past the highest declared Kind; the exhaustiveness
-// property test iterates [0, NumKinds) and demands a stable name for each.
+// NumKinds is one past the highest declared Kind; kinds has one row for
+// each, and chaos.TestKindTableComplete fails a kind left without one.
 const NumKinds = int(SlowNode) + 1
+
+// kinds is what this package knows about each kind: the stable lowercase
+// name schedule artifacts and error messages print, and how one planned
+// Injection of that kind is armed on a substrate's Injector.
+var kinds = [NumKinds]struct {
+	name string
+	arm  func(Injector, Injection)
+}{
+	Crash:     {"crash", func(s Injector, i Injection) { s.CrashAt(i.Proc, i.At) }},
+	Restart:   {"restart", func(s Injector, i Injection) { s.RestartAt(i.Proc, i.At) }},
+	Partition: {"partition", func(s Injector, i Injection) { s.Partition(i.Group, i.At, i.Until) }},
+	Delay:     {"delay", func(s Injector, i Injection) { s.InjectDelay(i.Group, i.At, i.Until, i.Extra, 0) }},
+	Reorder:   {"reorder", func(s Injector, i Injection) { s.InjectDelay(i.Group, i.At, i.Until, i.Extra, i.Jitter) }},
+	Duplicate: {"duplicate", func(s Injector, i Injection) { s.InjectDup(i.Group, i.At, i.Until, i.Prob) }},
+	Drop:      {"drop", func(s Injector, i Injection) { s.InjectDrop(i.Group, i.At, i.Until, i.Prob) }},
+	ClockSkew: {"clock-skew", func(s Injector, i Injection) { s.InjectSkew(i.Proc, i.At, i.Until, i.Skew) }},
+	Rollback:  {"rollback", func(s Injector, i Injection) { s.RollbackAt(i.Proc, i.At) }},
+	Corrupt:   {"corrupt", func(s Injector, i Injection) { s.InjectCorrupt(i.Group, i.At, i.Until, i.Prob) }},
+	SlowNode:  {"slow-node", func(s Injector, i Injection) { s.InjectSlow(i.Proc, i.At, i.Until, i.Extra) }},
+}
 
 // String returns the kind name.
 func (k Kind) String() string {
-	switch k {
-	case Crash:
-		return "crash"
-	case Restart:
-		return "restart"
-	case Partition:
-		return "partition"
-	case Delay:
-		return "delay"
-	case Reorder:
-		return "reorder"
-	case Duplicate:
-		return "duplicate"
-	case Drop:
-		return "drop"
-	case ClockSkew:
-		return "clock-skew"
-	case Rollback:
-		return "rollback"
-	case Corrupt:
-		return "corrupt"
-	case SlowNode:
-		return "slow-node"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if uint(k) < uint(NumKinds) {
+		return kinds[k].name
 	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Injection is one planned fault.
@@ -147,32 +145,11 @@ type Injector interface {
 }
 
 // Apply arms every injection on the substrate's injector. Call before the
-// run starts.
+// run starts. An injection whose kind is not declared arms nothing.
 func (p *Plan) Apply(s Injector) {
 	for _, inj := range p.Injections {
-		switch inj.Kind {
-		case Crash:
-			s.CrashAt(inj.Proc, inj.At)
-		case Restart:
-			s.RestartAt(inj.Proc, inj.At)
-		case Rollback:
-			s.RollbackAt(inj.Proc, inj.At)
-		case Partition:
-			s.Partition(inj.Group, inj.At, inj.Until)
-		case Delay:
-			s.InjectDelay(inj.Group, inj.At, inj.Until, inj.Extra, 0)
-		case Reorder:
-			s.InjectDelay(inj.Group, inj.At, inj.Until, inj.Extra, inj.Jitter)
-		case Duplicate:
-			s.InjectDup(inj.Group, inj.At, inj.Until, inj.Prob)
-		case Drop:
-			s.InjectDrop(inj.Group, inj.At, inj.Until, inj.Prob)
-		case ClockSkew:
-			s.InjectSkew(inj.Proc, inj.At, inj.Until, inj.Skew)
-		case Corrupt:
-			s.InjectCorrupt(inj.Group, inj.At, inj.Until, inj.Prob)
-		case SlowNode:
-			s.InjectSlow(inj.Proc, inj.At, inj.Until, inj.Extra)
+		if uint(inj.Kind) < uint(NumKinds) {
+			kinds[inj.Kind].arm(s, inj)
 		}
 	}
 }

@@ -15,27 +15,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// TestKindExhaustiveNames: every declared kind renders a stable lowercase
-// name — an unnamed kind would silently print "Kind(n)", which breaks
-// schedule artifacts and the DecodeSchedule error messages.
-func TestKindExhaustiveNames(t *testing.T) {
-	seen := map[string]Kind{}
-	for i := 0; i < NumKinds; i++ {
-		k := Kind(i)
-		name := k.String()
-		if strings.HasPrefix(name, "Kind(") {
-			t.Errorf("Kind(%d) has no declared name", i)
-		}
-		if prev, dup := seen[name]; dup {
-			t.Errorf("Kind(%d) and Kind(%d) share the name %q", int(prev), i, name)
-		}
-		seen[name] = k
-	}
-	if name := Kind(NumKinds).String(); !strings.HasPrefix(name, "Kind(") {
-		t.Errorf("Kind(%d) = %q: NumKinds lags the enum; bump it", NumKinds, name)
-	}
-}
-
 func TestHeartbeatDetectsCrash(t *testing.T) {
 	s := dsim.New(dsim.Config{Seed: 1, MinLatency: 1, MaxLatency: 1, MaxSteps: 400})
 	mon := &HeartbeatMonitor{Peers: []string{"worker"}, Interval: 10, Timeout: 25}

@@ -2,6 +2,7 @@ package scroll
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -214,15 +215,24 @@ func TestLongAppendByteCeiling(t *testing.T) {
 		t.Skip("allocation ceilings are measured without the race detector's instrumentation")
 	}
 	const n = 100_000
-	s := NewMemory("p")
 	var r Record
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range n {
-		s.Append(r)
+	// The counters are process-wide, and the runtime allocates too: its first
+	// collection sets up nine objects (so run one before measuring — alone or
+	// shuffled first, this test would otherwise pay for it), and a collection
+	// that lands inside the window can add one or two. The cheapest of three
+	// appends is the scroll's own cost.
+	runtime.GC()
+	bytes, allocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		s := NewMemory("p")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range n {
+			s.Append(r)
+		}
+		runtime.ReadMemStats(&after)
+		bytes, allocs = min(bytes, after.TotalAlloc-before.TotalAlloc), min(allocs, after.Mallocs-before.Mallocs)
 	}
-	runtime.ReadMemStats(&after)
-	bytes, allocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	if limit := uint64(1.05 * n * float64(unsafe.Sizeof(Record{}))); bytes > limit {
 		t.Errorf("appending %d records allocated %d bytes; want <= %d (1.05x the records themselves)", n, bytes, limit)
 	}

@@ -335,9 +335,6 @@ func (s *LiveSubstrate) AddProcess(id string, m dsim.Machine) {
 		inbox:   inbox,
 		events:  make(chan liveEvent, 1024),
 	}
-	if s.cfg.CheckpointEvery > 0 {
-		p.ckptSkew = uint64(len(s.order)) % s.cfg.CheckpointEvery
-	}
 	s.procs[id] = p
 	s.order = append(s.order, id)
 	sort.Strings(s.order)
@@ -685,6 +682,15 @@ func (s *LiveSubstrate) Run() dsim.Stats {
 		}
 		s.pending = nil
 		tab := vclock.NewTable(s.order...)
+		// Periodic checkpoints are staggered by rank among the sorted IDs, as
+		// on the simulator (Sim.Run): independent of AddProcess call order.
+		// Every stagger is set before the first levInit goes out — an
+		// initialised peer's message can reach a process ahead of its own.
+		if n := s.cfg.CheckpointEvery; n > 0 {
+			for i, id := range s.order {
+				s.procs[id].ckptSkew = uint64(i) % n
+			}
+		}
 		for _, id := range s.order {
 			s.procs[id].post(liveEvent{kind: levInit, tab: tab}, true)
 		}
