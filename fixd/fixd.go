@@ -114,8 +114,8 @@ type (
 	SubstrateCapabilities = substrate.Capabilities
 	// LiveConfig parameterizes the live (real-goroutine) substrate.
 	LiveConfig = substrate.LiveConfig
-	// ChaosInjector is the fault-injection capability surface chaos
-	// schedules arm; both backends provide one.
+	// ChaosInjector is the fault-injection capability chaos schedules arm —
+	// one method, Inject; every Substrate is one.
 	ChaosInjector = fault.Injector
 
 	// FaultKind classifies injectable faults.
@@ -346,10 +346,10 @@ func (s *System) Protect(opts ProtectOptions) {
 
 // InjectChaos compiles a chaos schedule against this system's processes
 // (scenario targets index the sorted process list) and arms it on the
-// substrate's injector. Call after every Add and before Run. The same
-// schedule value works on both backends.
+// substrate. Call after every Add and before Run. The same schedule value
+// works on both backends.
 func (s *System) InjectChaos(sched ChaosSchedule) {
-	sched.Compile(s.sub.Procs()).Apply(s.sub.Injector())
+	sched.Compile(s.sub.Procs()).Apply(s.sub)
 }
 
 // Run executes the system until quiescence, a step bound, or a protected

@@ -1,8 +1,8 @@
-// Package integration exercises cross-module flows end to end: every
-// workload application through the full FixD pipeline, crash detection
-// feeding investigation, speculative execution on live workloads, and the
-// ablations A2/A5.
-package integration
+package fixd_test
+
+// Cross-module flows end to end: every workload application through the
+// full FixD pipeline, crash detection feeding investigation, speculative
+// execution on live workloads, and the ablations A2/A5.
 
 import (
 	"encoding/json"
@@ -121,7 +121,7 @@ func TestCrashDetectionFeedsPipeline(t *testing.T) {
 	hb := &fault.Heartbeater{Monitor: "mon", Interval: 10}
 	s.AddProcess("mon", mon)
 	s.AddProcess("worker", hb)
-	s.CrashAt("worker", 30)
+	s.Inject(fault.Injection{Kind: fault.Crash, Proc: "worker", At: 30})
 	factories := map[string]func() dsim.Machine{
 		"mon": func() dsim.Machine {
 			return &fault.HeartbeatMonitor{Peers: []string{"worker"}, Interval: 10, Timeout: 25}

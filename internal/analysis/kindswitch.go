@@ -27,9 +27,10 @@ var Kindswitch = &Analyzer{
 }
 
 // kindswitchEnums lists the closed enum types the analyzer guards,
-// keyed by defining package path and type name.
+// keyed by defining package path and type name. fault.Kind is an alias of
+// inject.Kind: a switch over either resolves to the one entry.
 var kindswitchEnums = map[[2]string]bool{
-	{"repro/internal/fault", "Kind"}:      true,
+	{"repro/internal/inject", "Kind"}:     true,
 	{"repro/internal/fleet", "FrameType"}: true,
 }
 
@@ -80,8 +81,11 @@ func runKindswitch(pass *Pass) error {
 				}
 			}
 			if len(missing) > 0 {
-				pass.Reportf(sw.Pos(), "switch over %s.%s is missing %s and has no default — a future %s added here would be silently skipped",
-					obj.Pkg().Name(), obj.Name(), strings.Join(missing, ", "), obj.Name())
+				// Name the type as the switch's author wrote it (fault.Kind, not
+				// the inject.Kind it aliases).
+				written := types.TypeString(tagType, func(p *types.Package) string { return p.Name() })
+				pass.Reportf(sw.Pos(), "switch over %s is missing %s and has no default — a future %s added here would be silently skipped",
+					written, strings.Join(missing, ", "), obj.Name())
 			}
 			return true
 		})

@@ -287,8 +287,8 @@ func TestTwoPCCoordinatorCheckpointlessRestart(t *testing.T) {
 	for _, id := range ids {
 		s.AddProcess(id, ms[id])
 	}
-	s.CrashAt(CoordName, 4)
-	s.RestartAt(CoordName, 8)
+	s.Inject(fault.Injection{Kind: fault.Crash, Proc: CoordName, At: 4})
+	s.Inject(fault.Injection{Kind: fault.Restart, Proc: CoordName, At: 8})
 	stats := s.Run()
 	if stats.Crashes != 1 || stats.Restarts != 1 {
 		t.Fatalf("crashes=%d restarts=%d, want 1/1", stats.Crashes, stats.Restarts)

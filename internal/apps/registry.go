@@ -54,7 +54,7 @@ type AppSpec struct {
 
 // Canonical workload parameters for the chaos matrix. The buggy variants
 // reuse the tunings under which the seeded bugs are known to manifest
-// (see internal/integration and the apps tests).
+// (see fixd/integration_test.go and the apps tests).
 var (
 	chaosRingCfg     = TokenRingConfig{N: 4, Rounds: 6}
 	chaosRingBugCfg  = TokenRingConfig{N: 4, Rounds: 50, Buggy: true, RegenTimeout: 8}

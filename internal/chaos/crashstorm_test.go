@@ -112,7 +112,7 @@ func TestCrashStormLive(t *testing.T) {
 			target := procIndex(t, live.Procs(), tc.proc)
 			sched := Schedule{{Kind: fault.Crash, Targets: []int{target},
 				Window: Window{From: 6, To: 6 + spec.Horizon/3}}}
-			sched.Compile(live.Procs()).Apply(live.Injector())
+			sched.Compile(live.Procs()).Apply(live)
 			stats := live.Run()
 			if stats.Crashes == 0 || stats.Restarts == 0 {
 				t.Errorf("%s seed %d (live): crashes=%d restarts=%d, want >= 1/1",

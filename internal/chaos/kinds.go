@@ -11,8 +11,8 @@ import (
 // everything it decides per intensity dimension — five of them serve the
 // ten scenario kinds — is a row of dims. Scenario.String, Schedule.Compile,
 // Generate, Normalize, DecodeSchedule, MutateOp and Shrink read the rows;
-// none of them branches on a kind. Adding a kind is one row here, one in
-// fault.kinds, and its Injector method on each backend.
+// none of them branches on a kind. Adding a kind is one row here and one in
+// inject.kinds, which is where every backend learns what the kind does.
 
 // dim is the part of Intensity a kind uses.
 type dim uint8

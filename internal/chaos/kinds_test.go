@@ -10,36 +10,20 @@ import (
 	"repro/internal/fault"
 )
 
-// callLog is a fault.Injector that records which methods were called.
-type callLog []string
+// armed is a fault.Injector that records what it was handed.
+type armed []fault.Injection
 
-func (c *callLog) CrashAt(string, uint64)             { *c = append(*c, "CrashAt") }
-func (c *callLog) RestartAt(string, uint64)           { *c = append(*c, "RestartAt") }
-func (c *callLog) RollbackAt(string, uint64)          { *c = append(*c, "RollbackAt") }
-func (c *callLog) Partition([]string, uint64, uint64) { *c = append(*c, "Partition") }
-func (c *callLog) InjectDelay([]string, uint64, uint64, uint64, uint64) {
-	*c = append(*c, "InjectDelay")
-}
-func (c *callLog) InjectDrop([]string, uint64, uint64, float64)    { *c = append(*c, "InjectDrop") }
-func (c *callLog) InjectDup([]string, uint64, uint64, float64)     { *c = append(*c, "InjectDup") }
-func (c *callLog) InjectSkew(string, uint64, uint64, int64)        { *c = append(*c, "InjectSkew") }
-func (c *callLog) InjectCorrupt([]string, uint64, uint64, float64) { *c = append(*c, "InjectCorrupt") }
-func (c *callLog) InjectSlow(string, uint64, uint64, uint64)       { *c = append(*c, "InjectSlow") }
+func (a *armed) Inject(inj fault.Injection) { *a = append(*a, inj) }
 
 // TestKindTableComplete is the exhaustiveness check the kind switches used
 // to need a linter for: over [0, NumKinds), every kind has a stable unique
 // name; Restart is the only kind that is not a scenario kind; and every
 // scenario kind's row is filled in and works end to end — what Generate
-// draws is already normal, survives JSON, and compiles to a plan that arms
-// exactly that kind's Injector method.
+// draws is already normal, survives JSON, and compiles to a plan whose Apply
+// hands the Injector exactly the compiled injections, of that kind (a crash
+// also of its restart) — and every kind has a class in the inject table,
+// without which a backend would arm nothing for it.
 func TestKindTableComplete(t *testing.T) {
-	arms := map[fault.Kind][]string{
-		fault.Crash: {"CrashAt", "RestartAt"}, fault.Partition: {"Partition"},
-		fault.Delay: {"InjectDelay"}, fault.Reorder: {"InjectDelay"},
-		fault.Duplicate: {"InjectDup"}, fault.Drop: {"InjectDrop"},
-		fault.ClockSkew: {"InjectSkew"}, fault.Rollback: {"RollbackAt"},
-		fault.Corrupt: {"InjectCorrupt"}, fault.SlowNode: {"InjectSlow"},
-	}
 	names := map[string]fault.Kind{}
 	for i := 0; i < fault.NumKinds; i++ {
 		kind, row := fault.Kind(i), kinds[i]
@@ -51,6 +35,9 @@ func TestKindTableComplete(t *testing.T) {
 			t.Errorf("Kind(%d) and Kind(%d) share the name %q", int(prev), i, name)
 		}
 		names[name] = kind
+		if kind.Class() == 0 {
+			t.Errorf("%v has no class in inject.kinds: no backend would arm it", kind)
+		}
 
 		if kind == fault.Restart {
 			if !reflect.ValueOf(row).IsZero() {
@@ -82,13 +69,24 @@ func TestKindTableComplete(t *testing.T) {
 				if err != nil || !reflect.DeepEqual(back, sched) {
 					t.Fatalf("%v seed %d: JSON round trip of %s gave %s, %v", kind, seed, raw, back, err)
 				}
-				var calls callLog
-				sched.Compile(sh.procs).Apply(&calls)
-				if !slices.Equal(calls, arms[kind]) {
-					t.Fatalf("%v seed %d: %s armed %v, want %v", kind, seed, sched, []string(calls), arms[kind])
+				var got armed
+				plan := sched.Compile(sh.procs)
+				plan.Apply(&got)
+				if len(got) == 0 || !reflect.DeepEqual([]fault.Injection(got), plan.Injections) {
+					t.Fatalf("%v seed %d: %s armed %+v, compiled %+v", kind, seed, sched, got, plan.Injections)
+				}
+				for _, inj := range got {
+					if inj.Kind != kind && !(kind == fault.Crash && inj.Kind == fault.Restart) {
+						t.Fatalf("%v seed %d: %s armed a %v", kind, seed, sched, inj.Kind)
+					}
 				}
 			}
 		}
+	}
+	var got armed
+	(&fault.Plan{Injections: []fault.Injection{{Kind: fault.Kind(fault.NumKinds)}, {Kind: -1}}}).Apply(&got)
+	if len(got) != 0 {
+		t.Errorf("undeclared kinds armed %+v, want nothing", got)
 	}
 	if name := fault.Kind(fault.NumKinds).String(); !strings.HasPrefix(name, "Kind(") {
 		t.Errorf("Kind(%d) = %q: NumKinds lags the enum; bump it", fault.NumKinds, name)

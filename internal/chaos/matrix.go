@@ -250,7 +250,7 @@ func runLiveCell(spec apps.AppSpec, c *CellResult) *LiveCellResult {
 		live.AddProcess(id, ms[id])
 	}
 	live.AddProcess(ProbeName, &clockProbe{})
-	Schedule{c.Scenario}.Compile(live.Procs()).Apply(live.Injector())
+	Schedule{c.Scenario}.Compile(live.Procs()).Apply(live)
 	live.Run()
 	for _, v := range fault.NewMonitor(spec.Invariants(false)...).Check(live) {
 		out.Violations = append(out.Violations, v.Invariant)

@@ -106,7 +106,7 @@ func TestTimelineStormLive(t *testing.T) {
 				{Kind: fault.Crash, Targets: []int{target},
 					Window: Window{From: from + 4, To: from + 4 + spec.Horizon/3}},
 			}
-			sched.Compile(live.Procs()).Apply(live.Injector())
+			sched.Compile(live.Procs()).Apply(live)
 			live.Run()
 			if live.Epoch() == 0 {
 				t.Errorf("%s seed %d (live): injected rollback never advanced the epoch", tc.app, seed)
@@ -185,8 +185,8 @@ func healCrashRace(t *testing.T, seed int64) (violations []string, ok bool) {
 	// Race the crash-restart into the window between the rollback and the
 	// healed coordinator's re-armed vote timeout (well before Timeout=10).
 	now := s.Now()
-	s.CrashAt(apps.CoordName, now+1)
-	s.RestartAt(apps.CoordName, now+3)
+	s.Inject(fault.Injection{Kind: fault.Crash, Proc: apps.CoordName, At: now + 1})
+	s.Inject(fault.Injection{Kind: fault.Restart, Proc: apps.CoordName, At: now + 3})
 	s.Resume()
 	for _, v := range fault.NewMonitor(invs...).Check(s) {
 		violations = append(violations, v.Invariant)

@@ -137,7 +137,7 @@ func TestZooStormLive(t *testing.T) {
 				{Kind: fault.Crash, Targets: []int{target},
 					Window: Window{From: from + 4, To: from + 4 + spec.Horizon/3}},
 			}
-			sched.Compile(live.Procs()).Apply(live.Injector())
+			sched.Compile(live.Procs()).Apply(live)
 			stats := live.Run()
 			if stats.Crashes == 0 || stats.Restarts == 0 {
 				t.Errorf("%s seed %d (live): crashes=%d restarts=%d, want >= 1/1",

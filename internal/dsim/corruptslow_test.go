@@ -1,6 +1,10 @@
 package dsim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/inject"
+)
 
 // stamper records when its handlers ran and what bytes arrived; with a
 // payload set it sends them to peer on Init.
@@ -36,7 +40,7 @@ func TestInjectCorruptMutatesReceiverCopy(t *testing.T) {
 		b := &stamper{}
 		s.AddProcess("a", &stamper{peer: "b", payload: buf})
 		s.AddProcess("b", b)
-		s.InjectCorrupt(nil, 0, 1_000, 1.0)
+		s.Inject(inject.Injection{Kind: inject.Corrupt, At: 0, Until: 1_000, Prob: 1.0})
 		s.Run()
 		return b.st.Got, s.Corrupted(), string(buf)
 	}
@@ -66,7 +70,7 @@ func TestInjectCorruptWindowScoped(t *testing.T) {
 	b := &stamper{}
 	s.AddProcess("a", &stamper{peer: "b", payload: []byte("safe")})
 	s.AddProcess("b", b)
-	s.InjectCorrupt(nil, 500, 1_000, 1.0) // delivery happens well before 500
+	s.Inject(inject.Injection{Kind: inject.Corrupt, At: 500, Until: 1_000, Prob: 1.0}) // delivery happens well before 500
 	s.Run()
 	if b.st.Got != "safe" {
 		t.Errorf("out-of-window rule mutated the payload: %q", b.st.Got)
@@ -87,7 +91,7 @@ func TestInjectSlowLagsHandlerEvents(t *testing.T) {
 		s.AddProcess("a", a)
 		s.AddProcess("b", b)
 		if extra > 0 {
-			s.InjectSlow("b", 0, 10_000, extra)
+			s.Inject(inject.Injection{Kind: inject.SlowNode, Proc: "b", At: 0, Until: 10_000, Extra: extra})
 		}
 		s.Run()
 		return a, b
@@ -118,7 +122,7 @@ func TestInjectSlowWindowScoped(t *testing.T) {
 		s.AddProcess("a", &stamper{peer: "b", payload: []byte("x")})
 		s.AddProcess("b", b)
 		if slow {
-			s.InjectSlow("b", 500, 1_000, 50) // events all happen before 500
+			s.Inject(inject.Injection{Kind: inject.SlowNode, Proc: "b", At: 500, Until: 1_000, Extra: 50}) // events all happen before 500
 		}
 		s.Run()
 		return b.st.MsgAt, b.st.TimerAt

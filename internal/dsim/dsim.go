@@ -26,6 +26,7 @@ import (
 	"strconv"
 
 	"repro/internal/checkpoint"
+	"repro/internal/inject"
 	"repro/internal/recovery"
 	"repro/internal/scroll"
 	"repro/internal/slab"
@@ -222,9 +223,10 @@ type eventKind int
 const (
 	evMessage eventKind = iota
 	evTimer
-	evCrash
-	evRestart
-	evRollback
+	evControl  // evControl + k carries a control injection of kind k (Inject)
+	evCrash    = evControl + eventKind(inject.Crash)
+	evRestart  = evControl + eventKind(inject.Restart)
+	evRollback = evControl + eventKind(inject.Rollback)
 )
 
 // proc is the simulator's bookkeeping for one process.
@@ -288,62 +290,6 @@ func (p *proc) tick() {
 	p.snap = vclock.VC{}
 }
 
-// partition is a temporary network split.
-type partition struct {
-	groupA   map[string]bool
-	from, to uint64
-}
-
-// netRuleKind classifies a windowed network perturbation.
-type netRuleKind int
-
-const (
-	ruleDelay netRuleKind = iota
-	ruleDrop
-	ruleDup
-	ruleCorrupt
-)
-
-// netRule is a windowed, target-scoped network perturbation installed by
-// fault injection (see internal/fault and internal/chaos). A rule matches
-// a message when the relevant virtual time falls in [from, to) and either
-// endpoint is in procs (empty procs = every message).
-type netRule struct {
-	kind     netRuleKind
-	procs    map[string]bool
-	from, to uint64
-	extra    uint64  // ruleDelay: fixed extra latency
-	jitter   uint64  // ruleDelay: seeded extra in [0, jitter] — reorders
-	prob     float64 // ruleDrop / ruleDup / ruleCorrupt: per-message probability
-}
-
-// matches reports whether the rule applies to a from->to message at time t.
-func (r *netRule) matches(from, to string, t uint64) bool {
-	if t < r.from || t >= r.to {
-		return false
-	}
-	return len(r.procs) == 0 || r.procs[from] || r.procs[to]
-}
-
-// skewRule offsets one process's observed clock during a window.
-type skewRule struct {
-	proc     string
-	from, to uint64
-	offset   int64
-}
-
-// slowRule lags every event one process handles — inbound deliveries and
-// its own timer fires — by extra ticks during a window: a slow node
-// (resource exhaustion), as distinct from a slow link (ruleDelay, which is
-// message-scoped and matches either endpoint). Slow rules consume no
-// seeded randomness, so schedules without them leave the rng stream — and
-// therefore every existing artifact — untouched.
-type slowRule struct {
-	proc     string
-	from, to uint64
-	extra    uint64
-}
-
 // Sim is a deterministic distributed-system simulation.
 type Sim struct {
 	cfg    Config
@@ -360,12 +306,9 @@ type Sim struct {
 	store    *checkpoint.Store
 	faults   []FaultRecord
 	stats    Stats
-	epoch    uint64 // timeline epoch: bumped by every deliberate rollback
-	parts    []partition
-	rules    []netRule
-	skews    []skewRule
-	slows    []slowRule
-	corrupts uint64 // payloads mutated by ruleCorrupt (not in Stats: artifact JSON is pinned)
+	epoch    uint64       // timeline epoch: bumped by every deliberate rollback
+	rules    inject.Store // armed by Inject, evaluated at Send, SetTimer, Now and deliver
+	corrupts uint64       // payloads a corrupt rule mutated (not in Stats: artifact JSON is pinned)
 	msgN     uint64
 	tab      *vclock.Table // process-ID table every clock of the run shares
 	stop     bool
@@ -540,10 +483,7 @@ func (s *Sim) Reset(cfg Config) {
 	s.faults = s.faults[:0]
 	s.stats = Stats{}
 	s.epoch = 0
-	s.parts = s.parts[:0]
-	s.rules = s.rules[:0]
-	s.skews = s.skews[:0]
-	s.slows = s.slows[:0]
+	s.rules.Reset()
 	s.corrupts = 0
 	s.stop = false
 	clear(s.lastFIFO)
@@ -746,214 +686,25 @@ func (s *Sim) MergedScroll() []scroll.Record {
 	return scroll.Merge(scrolls...)
 }
 
-// CrashAt schedules a crash of proc at virtual time t.
-func (s *Sim) CrashAt(procID string, t uint64) {
-	s.push(event{time: t, kind: evCrash, proc: procID})
-}
-
-// RestartAt schedules a restart of proc at virtual time t: the process is
-// restored from its most recent checkpoint (or reinitialized if none).
-func (s *Sim) RestartAt(procID string, t uint64) {
-	s.push(event{time: t, kind: evRestart, proc: procID})
-}
-
-// RollbackAt schedules a deliberate timeline rollback anchored at proc at
-// virtual time t: the whole system is restored to its latest globally
-// consistent recovery line through the Time-Machine path (epoch bump,
-// durable-cell invalidation, checkpoint pruning, OnRollback with
-// CrashRestart=false) — the injection primitive chaos schedules use to
-// race heal-style rollbacks against crash-restarts. A crashed anchor, or
-// one with no checkpoint yet, makes the injection a no-op.
-func (s *Sim) RollbackAt(procID string, t uint64) {
-	s.push(event{time: t, kind: evRollback, proc: procID})
-}
-
-// Partition splits the network into groupA vs everyone else during the
-// half-open virtual-time interval [from, to): messages across the split are
-// dropped.
-func (s *Sim) Partition(groupA []string, from, to uint64) {
-	g := make(map[string]bool, len(groupA))
-	for _, id := range groupA {
-		g[id] = true
+// Inject arms one fault injection (fault.Injector). A control kind becomes
+// an event on inj.Proc at inj.At: a crash; a restart from the most recent
+// checkpoint (or re-Init if none); or a deliberate rollback anchored at the
+// process (rollbackLatest). Every other kind is a rule in the simulation's
+// inject.Store, which says what it means. No rule touches what a sender
+// recorded: a skewed clock changes its reader's observations, a corrupted
+// delivery is a copy the receiver records — replay reproduces the lie.
+func (s *Sim) Inject(inj inject.Injection) {
+	if inj.Kind.Class() == inject.Control {
+		s.push(event{time: inj.At, kind: evControl + eventKind(inj.Kind), proc: inj.Proc})
+		return
 	}
-	s.parts = append(s.parts, partition{groupA: g, from: from, to: to})
-}
-
-// procSet builds the rule target set (nil means "all processes").
-func procSet(procs []string) map[string]bool {
-	if len(procs) == 0 {
-		return nil
-	}
-	g := make(map[string]bool, len(procs))
-	for _, id := range procs {
-		g[id] = true
-	}
-	return g
-}
-
-// InjectDelay adds extra latency, plus a seeded jitter in [0, jitter], to
-// every message touching one of procs (either endpoint; empty = all) sent
-// during [from, to). A non-zero jitter reorders messages on a channel.
-func (s *Sim) InjectDelay(procs []string, from, to, extra, jitter uint64) {
-	s.rules = append(s.rules, netRule{
-		kind: ruleDelay, procs: procSet(procs), from: from, to: to,
-		extra: extra, jitter: jitter,
-	})
-}
-
-// InjectDrop loses messages touching one of procs with probability prob
-// while in transit during [from, to).
-func (s *Sim) InjectDrop(procs []string, from, to uint64, prob float64) {
-	s.rules = append(s.rules, netRule{
-		kind: ruleDrop, procs: procSet(procs), from: from, to: to, prob: prob,
-	})
-}
-
-// InjectDup duplicates messages touching one of procs with probability
-// prob when sent during [from, to); the copy takes a fresh latency draw,
-// so it may arrive arbitrarily reordered relative to the original.
-func (s *Sim) InjectDup(procs []string, from, to uint64, prob float64) {
-	s.rules = append(s.rules, netRule{
-		kind: ruleDup, procs: procSet(procs), from: from, to: to, prob: prob,
-	})
-}
-
-// InjectSkew offsets the virtual clock proc observes through Context.Now
-// by offset during [from, to) — the classic drifting-clock fault. The
-// simulation's own event ordering is unaffected; only the process's
-// observations (and therefore its scroll) change.
-func (s *Sim) InjectSkew(proc string, from, to uint64, offset int64) {
-	s.skews = append(s.skews, skewRule{proc: proc, from: from, to: to, offset: offset})
-}
-
-// InjectCorrupt mutates the payload of messages touching one of procs with
-// probability prob while in transit during [from, to) — seeded byzantine
-// corruption. The sender's scroll keeps the bytes it actually sent; the
-// receiver records (and handles) the corrupted copy, so per-process replay
-// reproduces the lie exactly.
-func (s *Sim) InjectCorrupt(procs []string, from, to uint64, prob float64) {
-	s.rules = append(s.rules, netRule{
-		kind: ruleCorrupt, procs: procSet(procs), from: from, to: to, prob: prob,
-	})
-}
-
-// InjectSlow lags every event proc handles — inbound deliveries and its
-// own timer fires — by extra ticks during [from, to): a slow node, as
-// distinct from a slow link (InjectDelay).
-func (s *Sim) InjectSlow(proc string, from, to, extra uint64) {
-	s.slows = append(s.slows, slowRule{proc: proc, from: from, to: to, extra: extra})
+	s.rules.Add(inj)
 }
 
 // Corrupted reports how many delivered payloads a corrupt rule mutated.
 // It lives outside Stats deliberately: RunResult embeds Stats in the
 // pinned artifact JSON, so Stats cannot grow fields.
 func (s *Sim) Corrupted() uint64 { return s.corrupts }
-
-// injectedDelay sums the extra latency of every delay rule matching a
-// from->to message sent at time t (jitter draws consume seeded randomness).
-func (s *Sim) injectedDelay(from, to string, t uint64) uint64 {
-	var d uint64
-	for i := range s.rules {
-		r := &s.rules[i]
-		if r.kind != ruleDelay || !r.matches(from, to, t) {
-			continue
-		}
-		d += r.extra
-		if r.jitter > 0 {
-			d += uint64(s.rng.Int63n(int64(r.jitter + 1)))
-		}
-	}
-	return d
-}
-
-// ruleDrops reports whether a drop rule loses a from->to message at time t.
-func (s *Sim) ruleDrops(from, to string, t uint64) bool {
-	dropped := false
-	for i := range s.rules {
-		r := &s.rules[i]
-		if r.kind != ruleDrop || !r.matches(from, to, t) {
-			continue
-		}
-		// Always consume the draw so rule evaluation stays deterministic
-		// regardless of earlier matches.
-		if s.rng.Float64() < r.prob {
-			dropped = true
-		}
-	}
-	return dropped
-}
-
-// ruleDups reports whether a dup rule copies a from->to message at time t.
-func (s *Sim) ruleDups(from, to string, t uint64) bool {
-	dup := false
-	for i := range s.rules {
-		r := &s.rules[i]
-		if r.kind != ruleDup || !r.matches(from, to, t) {
-			continue
-		}
-		if s.rng.Float64() < r.prob {
-			dup = true
-		}
-	}
-	return dup
-}
-
-// ruleCorrupts reports whether a corrupt rule mutates a from->to message
-// delivered at time t. Like ruleDrops, every matching rule consumes its
-// draw so evaluation stays deterministic regardless of earlier matches.
-func (s *Sim) ruleCorrupts(from, to string, t uint64) bool {
-	hit := false
-	for i := range s.rules {
-		r := &s.rules[i]
-		if r.kind != ruleCorrupt || !r.matches(from, to, t) {
-			continue
-		}
-		if s.rng.Float64() < r.prob {
-			hit = true
-		}
-	}
-	return hit
-}
-
-// corruptPayload returns a mutated copy of payload: one seeded byte index
-// xor'd with a seeded non-zero mask, so the result always differs. The
-// original slice is never touched — it backs the sender's scroll record.
-func (s *Sim) corruptPayload(payload []byte) []byte {
-	if len(payload) == 0 {
-		return payload
-	}
-	out := s.pay.Copy(payload)
-	i := s.rng.Intn(len(out))
-	out[i] ^= byte(1 + s.rng.Intn(255))
-	return out
-}
-
-// slowExtra sums the handler lag of every slow rule covering proc at time
-// t. No randomness is consumed: schedules without slow rules leave the
-// seeded stream byte-identical.
-func (s *Sim) slowExtra(proc string, t uint64) uint64 {
-	var d uint64
-	for _, r := range s.slows {
-		if r.proc == proc && t >= r.from && t < r.to {
-			d += r.extra
-		}
-	}
-	return d
-}
-
-// skewedNow returns proc's observed clock at time t.
-func (s *Sim) skewedNow(proc string, t uint64) uint64 {
-	v := int64(t)
-	for _, sk := range s.skews {
-		if sk.proc == proc && t >= sk.from && t < sk.to {
-			v += sk.offset
-		}
-	}
-	if v < 0 {
-		return 0
-	}
-	return uint64(v)
-}
 
 // Stop makes Run return after the current event.
 func (s *Sim) Stop() { s.stop = true }
@@ -962,16 +713,6 @@ func (s *Sim) push(e event) {
 	s.seq++
 	e.seq = s.seq
 	s.queue.push(e)
-}
-
-// partitioned reports whether a message from -> to is cut at time t.
-func (s *Sim) partitioned(from, to string, t uint64) bool {
-	for _, p := range s.parts {
-		if t >= p.from && t < p.to && p.groupA[from] != p.groupA[to] {
-			return true
-		}
-	}
-	return false
 }
 
 // Run initializes all machines and processes events until the queue is
@@ -1050,12 +791,12 @@ func (s *Sim) deliver(ev *event) {
 			return
 		}
 	}
-	if s.partitioned(ev.from, ev.to, s.now) {
+	if s.rules.Partitioned(ev.from, ev.to, s.now) {
 		s.stats.Dropped++
 		return
 	}
 	// Windowed, target-scoped loss installed by fault injection.
-	if s.ruleDrops(ev.from, ev.to, s.now) {
+	if s.rules.Hit(s.rng, inject.Drop, ev.from, ev.to, s.now) {
 		s.stats.Dropped++
 		return
 	}
@@ -1063,8 +804,11 @@ func (s *Sim) deliver(ev *event) {
 	// copy; the sender's scroll (which shares ev.payload's backing array)
 	// keeps the original bytes.
 	payload := ev.payload
-	if s.ruleCorrupts(ev.from, ev.to, s.now) {
-		payload = s.corruptPayload(payload)
+	if s.rules.Hit(s.rng, inject.Corrupt, ev.from, ev.to, s.now) {
+		if len(payload) > 0 {
+			payload = s.pay.Copy(payload)
+			inject.Mutate(s.rng, payload)
+		}
 		s.corrupts++
 	}
 	// Communication-induced checkpoint: save state before consuming a new
@@ -1121,7 +865,7 @@ func (s *Sim) crash(id string) {
 	s.stats.Crashes++
 }
 
-// rollbackLatest performs an injected deliberate rollback (RollbackAt)
+// rollbackLatest performs an injected deliberate rollback (inject.Rollback)
 // anchored at one process: the Time Machine computes the latest globally
 // consistent recovery line over every process's checkpoints
 // (recovery.MaxConsistentSet, so no member's state reflects a message
@@ -1490,7 +1234,7 @@ func (c *simContext) Self() string { return c.proc.id }
 // Now returns the virtual time — offset by any injected clock skew — and
 // records the read.
 func (c *simContext) Now() uint64 {
-	t := c.sim.skewedNow(c.proc.id, c.sim.now)
+	t := c.sim.rules.Skewed(c.proc.id, c.sim.now)
 	c.proc.scroll.Append(scroll.Record{
 		Kind: scroll.KindTime, Payload: c.sim.appendU64(t),
 		Lamport: c.proc.lamport.Now(), Clock: c.proc.clockSnap(),
@@ -1538,8 +1282,8 @@ func (c *simContext) Send(to string, payload []byte) {
 		// Injected delay applies after the FIFO clamp: chaos rules may
 		// reorder a channel on purpose. A slow receiver lags every
 		// delivery it handles on top of that.
-		t += s.injectedDelay(p.id, to, s.now)
-		t += s.slowExtra(to, s.now)
+		t += s.rules.Delay(s.rng, p.id, to, s.now)
+		t += s.rules.Slow(to, s.now)
 		s.push(event{
 			time: t, kind: evMessage,
 			msgID: id, from: p.id, to: to, payload: body,
@@ -1551,7 +1295,7 @@ func (c *simContext) Send(to string, payload []byte) {
 		s.stats.Duplicated++
 		deliver()
 	}
-	if s.ruleDups(p.id, to, s.now) {
+	if s.rules.Hit(s.rng, inject.Duplicate, p.id, to, s.now) {
 		s.stats.Duplicated++
 		deliver()
 	}
@@ -1561,7 +1305,7 @@ func (c *simContext) Send(to string, payload []byte) {
 // lags its own timer fires too: the slowdown is per-handler, not per-link.
 func (c *simContext) SetTimer(name string, delay uint64) {
 	c.sim.push(event{
-		time: c.sim.now + delay + c.sim.slowExtra(c.proc.id, c.sim.now), kind: evTimer,
+		time: c.sim.now + delay + c.sim.rules.Slow(c.proc.id, c.sim.now), kind: evTimer,
 		proc: c.proc.id, timerName: name, creatorSeq: uint64(c.proc.scroll.Len()),
 	})
 }

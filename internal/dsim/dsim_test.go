@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/inject"
 	"repro/internal/scroll"
 	"repro/internal/trace"
 )
@@ -291,8 +292,8 @@ func TestCrashAndRestartFromCheckpoint(t *testing.T) {
 	c := &counterMachine{ckptAt: 3}
 	s.AddProcess("ctr", c)
 	s.AddProcess("drv", &driver{target: "ctr", n: 6}) // deliveries at t=1..~6
-	s.CrashAt("ctr", 4)
-	s.RestartAt("ctr", 100)
+	s.Inject(inject.Injection{Kind: inject.Crash, Proc: "ctr", At: 4})
+	s.Inject(inject.Injection{Kind: inject.Restart, Proc: "ctr", At: 100})
 	stats := s.Run()
 	if stats.Crashes != 1 || stats.Restarts != 1 {
 		t.Fatalf("stats = %+v", stats)
@@ -336,7 +337,7 @@ func TestPartition(t *testing.T) {
 	c := &counterMachine{}
 	s.AddProcess("ctr", c)
 	s.AddProcess("drv", &driver{target: "ctr", n: 4}) // all delivered at t=1
-	s.Partition([]string{"drv"}, 0, 100)
+	s.Inject(inject.Injection{Kind: inject.Partition, Group: []string{"drv"}, At: 0, Until: 100})
 	stats := s.Run()
 	if stats.Delivered != 0 || stats.Dropped != 4 {
 		t.Errorf("stats = %+v, want all dropped", stats)

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/inject"
 	"repro/internal/scroll"
 )
 
@@ -57,8 +58,8 @@ func durCount(ctx Context) uint64 {
 func TestDurableSurvivesCrashRestart(t *testing.T) {
 	s := New(Config{Seed: 1, InitCheckpoint: true})
 	s.AddProcess("p", &durMachine{ticks: 8})
-	s.CrashAt("p", 7)
-	s.RestartAt("p", 12)
+	s.Inject(inject.Injection{Kind: inject.Crash, Proc: "p", At: 7})
+	s.Inject(inject.Injection{Kind: inject.Restart, Proc: "p", At: 12})
 	stats := s.Run()
 	if stats.Crashes != 1 || stats.Restarts != 1 {
 		t.Fatalf("crashes=%d restarts=%d, want 1/1", stats.Crashes, stats.Restarts)
@@ -118,8 +119,8 @@ func TestDurableFencedByRollbackTo(t *testing.T) {
 	// A crash-restart firing right after the rollback must recover the
 	// restored timeline (counter absent), not re-install the abandoned
 	// timeline's cell — the pre-epoch bug.
-	s.CrashAt("p", s.Now()+1)
-	s.RestartAt("p", s.Now()+2)
+	s.Inject(inject.Injection{Kind: inject.Crash, Proc: "p", At: s.Now() + 1})
+	s.Inject(inject.Injection{Kind: inject.Restart, Proc: "p", At: s.Now() + 2})
 	s.Resume()
 	if m.st.Seen < 6 {
 		t.Fatalf("new timeline reached %d ticks, want the re-run to complete 6", m.st.Seen)
@@ -140,8 +141,8 @@ func TestDurableResetEquivalence(t *testing.T) {
 	run := func(s *Sim) (Stats, string, map[string]map[string][]byte) {
 		s.AddProcess("p", &durMachine{ticks: 8})
 		s.AddProcess("q", &durMachine{ticks: 3})
-		s.CrashAt("p", 9)
-		s.RestartAt("p", 15)
+		s.Inject(inject.Injection{Kind: inject.Crash, Proc: "p", At: 9})
+		s.Inject(inject.Injection{Kind: inject.Restart, Proc: "p", At: 15})
 		stats := s.Run()
 		return stats, scroll.Digest(s.MergedScroll()), s.DurableSnapshot()
 	}

@@ -5,7 +5,9 @@
 // detects a fault locally" (paper §3.3). This package supplies the two
 // standard local detection mechanisms — invariant monitors over process
 // state and heartbeat-based crash detection — plus a declarative injection
-// plan used by the experiments to provoke the faults in the first place.
+// plan used by the experiments to provoke the faults in the first place: a
+// Plan is a list of Injections, data a substrate arms through its one
+// Inject method; what each kind does is internal/inject's to say.
 //
 // # Invariants and the States view
 //
@@ -37,119 +39,54 @@ import (
 	"sort"
 
 	"repro/internal/dsim"
+	"repro/internal/inject"
 )
 
-// Kind classifies injected faults.
-type Kind int
+// Kind, Injection and the kind constants are internal/inject's — the leaf
+// that also holds the per-kind table and the rule evaluator both backends
+// share — under the names the rest of the tree has always used.
+type (
+	Kind      = inject.Kind
+	Injection = inject.Injection
+)
 
 // Injected fault kinds.
 const (
-	Crash     Kind = iota // process stops executing
-	Restart               // crashed process restarts from its checkpoint
-	Partition             // network split for a time window
-	Delay                 // fixed extra message latency in a window
-	Reorder               // seeded latency jitter that reorders channels
-	Duplicate             // probabilistic message duplication in a window
-	Drop                  // probabilistic message loss in a window
-	ClockSkew             // offset applied to one process's observed clock
-	Rollback              // deliberate rollback to the latest checkpoint (new timeline epoch)
-	Corrupt               // probabilistic deterministic payload mutation (byzantine corruption)
-	SlowNode              // per-process handler slowdown (resource exhaustion)
+	Crash     = inject.Crash
+	Restart   = inject.Restart
+	Partition = inject.Partition
+	Delay     = inject.Delay
+	Reorder   = inject.Reorder
+	Duplicate = inject.Duplicate
+	Drop      = inject.Drop
+	ClockSkew = inject.ClockSkew
+	Rollback  = inject.Rollback
+	Corrupt   = inject.Corrupt
+	SlowNode  = inject.SlowNode
+
+	NumKinds = inject.NumKinds
 )
-
-// NumKinds is one past the highest declared Kind; kinds has one row for
-// each, and chaos.TestKindTableComplete fails a kind left without one.
-const NumKinds = int(SlowNode) + 1
-
-// kinds is what this package knows about each kind: the stable lowercase
-// name schedule artifacts and error messages print, and how one planned
-// Injection of that kind is armed on a substrate's Injector.
-var kinds = [NumKinds]struct {
-	name string
-	arm  func(Injector, Injection)
-}{
-	Crash:     {"crash", func(s Injector, i Injection) { s.CrashAt(i.Proc, i.At) }},
-	Restart:   {"restart", func(s Injector, i Injection) { s.RestartAt(i.Proc, i.At) }},
-	Partition: {"partition", func(s Injector, i Injection) { s.Partition(i.Group, i.At, i.Until) }},
-	Delay:     {"delay", func(s Injector, i Injection) { s.InjectDelay(i.Group, i.At, i.Until, i.Extra, 0) }},
-	Reorder:   {"reorder", func(s Injector, i Injection) { s.InjectDelay(i.Group, i.At, i.Until, i.Extra, i.Jitter) }},
-	Duplicate: {"duplicate", func(s Injector, i Injection) { s.InjectDup(i.Group, i.At, i.Until, i.Prob) }},
-	Drop:      {"drop", func(s Injector, i Injection) { s.InjectDrop(i.Group, i.At, i.Until, i.Prob) }},
-	ClockSkew: {"clock-skew", func(s Injector, i Injection) { s.InjectSkew(i.Proc, i.At, i.Until, i.Skew) }},
-	Rollback:  {"rollback", func(s Injector, i Injection) { s.RollbackAt(i.Proc, i.At) }},
-	Corrupt:   {"corrupt", func(s Injector, i Injection) { s.InjectCorrupt(i.Group, i.At, i.Until, i.Prob) }},
-	SlowNode:  {"slow-node", func(s Injector, i Injection) { s.InjectSlow(i.Proc, i.At, i.Until, i.Extra) }},
-}
-
-// String returns the kind name.
-func (k Kind) String() string {
-	if uint(k) < uint(NumKinds) {
-		return kinds[k].name
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// Injection is one planned fault.
-type Injection struct {
-	Kind   Kind
-	Proc   string   // Crash/Restart/ClockSkew/SlowNode target
-	Group  []string // Partition group A; Delay/Reorder/Duplicate/Drop/Corrupt targets (empty = all messages)
-	At     uint64   // virtual time (window start for windowed kinds)
-	Until  uint64   // window end for windowed kinds
-	Extra  uint64   // Delay: fixed extra latency; SlowNode: per-event handler lag
-	Jitter uint64   // Reorder: seeded extra latency in [0, Jitter]
-	Prob   float64  // Duplicate/Drop/Corrupt: per-message probability
-	Skew   int64    // ClockSkew: observed-clock offset
-}
 
 // Plan is a reproducible fault schedule.
 type Plan struct {
 	Injections []Injection
 }
 
-// Injector is the chaos capability surface a substrate exposes for fault
-// injection: process-level crash/restart and clock skew, plus windowed
-// message-level perturbations. *dsim.Sim implements it natively; the live
-// runtime implements it at the transport hub (internal/substrate). Times
-// are virtual ticks — the substrate defines their duration.
+// Injector is the chaos capability a substrate exposes: take one injection.
+// What it means is its Kind's row in internal/inject, evaluated by an
+// inject.Store — *dsim.Sim keeps one, the live runtime one at its transport
+// hub — so an implementation only routes: control kinds to the process, the
+// rest to its store. Times are virtual ticks of the substrate's choosing.
 type Injector interface {
-	// CrashAt stops proc at virtual time t.
-	CrashAt(proc string, t uint64)
-	// RestartAt revives a crashed proc at t from its latest checkpoint.
-	RestartAt(proc string, t uint64)
-	// RollbackAt deliberately rolls a running proc back to its latest
-	// checkpoint at t, starting a new timeline epoch — the injection that
-	// races Time-Machine/heal rollbacks against in-flight traffic and
-	// crash-restarts.
-	RollbackAt(proc string, t uint64)
-	// Partition splits groupA from everyone else during [from, to).
-	Partition(groupA []string, from, to uint64)
-	// InjectDelay adds extra latency plus jitter in [0, jitter] to
-	// messages touching procs (either endpoint; empty = all) in [from, to).
-	InjectDelay(procs []string, from, to, extra, jitter uint64)
-	// InjectDrop loses matching messages with probability prob.
-	InjectDrop(procs []string, from, to uint64, prob float64)
-	// InjectDup duplicates matching messages with probability prob.
-	InjectDup(procs []string, from, to uint64, prob float64)
-	// InjectSkew offsets proc's observed clock by offset during [from, to).
-	InjectSkew(proc string, from, to uint64, offset int64)
-	// InjectCorrupt mutates matching message payloads with probability prob
-	// — a seeded deterministic byzantine corruption: which messages are hit
-	// and which byte flips are functions of the substrate seed, and the
-	// sender's scroll keeps the original bytes (only the delivery is lied to).
-	InjectCorrupt(procs []string, from, to uint64, prob float64)
-	// InjectSlow lags every event proc handles — inbound deliveries and its
-	// own timer fires — by extra ticks during [from, to): a slow node, as
-	// distinct from a slow link (InjectDelay).
-	InjectSlow(proc string, from, to, extra uint64)
+	Inject(Injection)
 }
 
-// Apply arms every injection on the substrate's injector. Call before the
-// run starts. An injection whose kind is not declared arms nothing.
+// Apply arms every injection on the substrate. Call before the run starts.
+// An injection whose kind is not declared arms nothing.
 func (p *Plan) Apply(s Injector) {
 	for _, inj := range p.Injections {
-		if uint(inj.Kind) < uint(NumKinds) {
-			kinds[inj.Kind].arm(s, inj)
+		if inj.Kind.Class() != 0 {
+			s.Inject(inj)
 		}
 	}
 }

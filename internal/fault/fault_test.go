@@ -21,7 +21,7 @@ func TestHeartbeatDetectsCrash(t *testing.T) {
 	hb := &Heartbeater{Monitor: "mon", Interval: 10}
 	s.AddProcess("mon", mon)
 	s.AddProcess("worker", hb)
-	s.CrashAt("worker", 30)
+	s.Inject(Injection{Kind: Crash, Proc: "worker", At: 30})
 	var faults []dsim.FaultRecord
 	s.FaultHandler = func(_ *dsim.Sim, f dsim.FaultRecord) bool {
 		faults = append(faults, f)

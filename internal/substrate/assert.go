@@ -18,6 +18,4 @@ var (
 	_ heal.Target       = (Substrate)(nil)
 	_ fault.StateSource = (Substrate)(nil)
 	_ baselines.Source  = (Substrate)(nil)
-
-	_ fault.Injector = (*LiveSubstrate)(nil)
 )

@@ -211,7 +211,7 @@ func TestConformance(t *testing.T) {
 
 				// The identical schedule value compiles through the same
 				// path on every backend.
-				tc.sched.Compile(sub.Procs()).Apply(sub.Injector())
+				tc.sched.Compile(sub.Procs()).Apply(sub)
 
 				stats := sub.Run()
 				if bad := fault.NewMonitor(ackedSubsetOfSeen()).Check(sub); len(bad) != 0 {
@@ -257,7 +257,7 @@ func TestLiveInjectionAudit(t *testing.T) {
 	sub := newConfSubstrate(t, "live")
 	sched := chaos.Schedule{{Kind: fault.Drop, Window: wide,
 		Intensity: chaos.Intensity{Prob: 1.0}}}
-	sched.Compile(sub.Procs()).Apply(sub.Injector())
+	sched.Compile(sub.Procs()).Apply(sub)
 	sub.Run()
 	audit := sub.(*substrate.LiveSubstrate).InjectionAudit()
 	if len(audit) == 0 {
@@ -277,7 +277,7 @@ func TestLiveCrashRestart(t *testing.T) {
 	sub := newConfSubstrate(t, "live")
 	sched := chaos.Schedule{{Kind: fault.Crash, Targets: []int{1},
 		Window: chaos.Window{From: 8, To: 22}}}
-	sched.Compile(sub.Procs()).Apply(sub.Injector())
+	sched.Compile(sub.Procs()).Apply(sub)
 	stats := sub.Run()
 	if stats.Crashes != 1 || stats.Restarts != 1 {
 		t.Errorf("crashes=%d restarts=%d, want 1/1", stats.Crashes, stats.Restarts)
@@ -346,7 +346,7 @@ func TestConformanceStableStorage(t *testing.T) {
 			sub.AddProcess("producer", &confProducer{n: confJobs, every: 3})
 			sched := chaos.Schedule{{Kind: fault.Crash, Targets: []int{1}, // worker sorts after producer
 				Window: chaos.Window{From: 8, To: 22}}}
-			sched.Compile(sub.Procs()).Apply(sub.Injector())
+			sched.Compile(sub.Procs()).Apply(sub)
 			stats := sub.Run()
 			if stats.Crashes != 1 || stats.Restarts != 1 {
 				t.Fatalf("crashes=%d restarts=%d, want 1/1", stats.Crashes, stats.Restarts)
@@ -452,7 +452,7 @@ func TestLiveClockSkew(t *testing.T) {
 	defer live.Close()
 	probe := &nowProbe{}
 	live.AddProcess("probe", probe)
-	live.InjectSkew("probe", 0, 1<<30, 500_000)
+	live.Inject(fault.Injection{Kind: fault.ClockSkew, Proc: "probe", At: 0, Until: 1 << 30, Skew: 500_000})
 	live.Run()
 	probeState := struct{ Samples []uint64 }{}
 	json.Unmarshal(live.MachineState("probe"), &probeState)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/dsim"
 	"repro/internal/fault"
+	"repro/internal/inject"
 	"repro/internal/recovery"
 	"repro/internal/scroll"
 	"repro/internal/transport"
@@ -111,9 +113,10 @@ const (
 	levInit = iota
 	levMsg
 	levTimer
-	levCrash
-	levRestart
-	levRollback
+	levControl  // levControl + k carries a control injection of kind k (Inject)
+	levCrash    = levControl + int(fault.Crash)
+	levRestart  = levControl + int(fault.Restart)
+	levRollback = levControl + int(fault.Rollback)
 )
 
 // EpochFenceMsgID is the scroll MsgID under which a fenced stale-epoch
@@ -141,17 +144,19 @@ type LiveSubstrate struct {
 	sw  *transport.Switch // in-memory mode
 	net *transport.ChaosNet
 
-	mu      sync.Mutex // registry, faults, handler, skews, pending injections
+	mu      sync.Mutex // registry, faults, handler, control injections
 	procs   map[string]*liveProc
 	order   []string
 	faults  []dsim.FaultRecord
 	handler func(dsim.FaultRecord) bool
-	skews   []liveSkew
-	slows   []liveSlow
-	pending []func() // injections armed before Run, fired at start
-	ctlTims []*time.Timer
-	started bool
-	closed  bool
+	// ctl: control injections not yet released, sorted by (tick, arm order);
+	// ctlTim wakes releaseDue at the head's tick; releasing keeps two
+	// wake-ups from interleaving their posts.
+	ctl       []fault.Injection
+	ctlTim    *time.Timer
+	releasing bool
+	started   bool
+	closed    bool
 
 	faultMu sync.Mutex // serializes fault-handler executions across procs
 
@@ -161,10 +166,9 @@ type LiveSubstrate struct {
 	store    *checkpoint.Store
 	shutdown chan struct{}
 
-	startAt    atomic.Pointer[time.Time] // tick origin (nil = not started); monotonic
-	activity   atomic.Int64              // queued events + pending timers + running handlers
-	ctlPending atomic.Int64              // armed injection timers not yet fired
-	msgN       atomic.Uint64
+	startAt  atomic.Pointer[time.Time] // tick origin (nil = not started); monotonic
+	activity atomic.Int64              // queued events + pending timers + running handlers
+	msgN     atomic.Uint64
 
 	pauseMu   sync.Mutex
 	pauseCond *sync.Cond
@@ -175,7 +179,7 @@ type LiveSubstrate struct {
 	audit   []string // hub-tap record of chaos verdicts (drop/partition/dup)
 
 	// epoch is the timeline epoch: bumped by every deliberate rollback
-	// (RollbackTo, injected RollbackAt, ReplaceMachine), never by
+	// (RollbackTo, an injected fault.Rollback, ReplaceMachine), never by
 	// crash-restart. Sends stamp it onto transport.Message; receivers fence
 	// deliveries from an older epoch — in-flight frames of an abandoned
 	// timeline that the real network cannot recall.
@@ -190,22 +194,6 @@ type LiveSubstrate struct {
 	crashes    atomic.Uint64
 	restarts   atomic.Uint64
 	steps      atomic.Uint64
-}
-
-// liveSkew offsets one process's observed clock during a tick window.
-type liveSkew struct {
-	proc     string
-	from, to uint64
-	offset   int64
-}
-
-// liveSlow lags one process's handlers during a tick window. The delivery
-// half is enforced at the hub (ChaosNet); this list covers the event-loop
-// half — the slowed process's own timer fires.
-type liveSlow struct {
-	proc     string
-	from, to uint64
-	extra    uint64
 }
 
 // NewLive returns a live substrate. With cfg.UseTCP it starts a TCP hub on
@@ -382,7 +370,7 @@ func (p *liveProc) loop() {
 // handle executes one event under the process mutex.
 func (p *liveProc) handle(ev liveEvent) {
 	if ev.kind == levRollback {
-		// Injected deliberate rollback (fault.Injector.RollbackAt): a
+		// Injected deliberate rollback (fault.Rollback): a
 		// whole-substrate restore that locks every process in sorted order,
 		// so it must run before this process's own mutex is taken.
 		p.sub.rollbackLatest(p)
@@ -394,8 +382,8 @@ func (p *liveProc) handle(ev liveEvent) {
 	ctx := &liveCtx{p: p}
 	switch ev.kind {
 	case levInit:
-		// Merge, not replace: a peer's first message can overtake Init.
-		p.clock = ev.tab.New().Merge(p.clock)
+		p.clock = ev.tab.New() // nothing has ticked it yet: Run queues levInit first
+
 		p.machine.Init(ctx)
 		if s.cfg.InitCheckpoint {
 			p.takeCheckpointLocked("init")
@@ -482,7 +470,7 @@ func (p *liveProc) handle(ev liveEvent) {
 }
 
 // rollbackLatest performs an injected deliberate rollback anchored at one
-// process (fault.Injector.RollbackAt): the Time Machine computes the
+// process (fault.Rollback): the Time Machine computes the
 // latest globally consistent recovery line over every process's
 // checkpoints (recovery.MaxConsistentSet) and restores it through the
 // timeline-fencing path, exactly as a heal-driven RollbackTo would.
@@ -677,22 +665,24 @@ func (s *LiveSubstrate) Run() dsim.Stats {
 		s.started = true
 		now := time.Now() //fixd:wallclock live backend anchors tick 0 to real start time
 		s.startAt.Store(&now)
-		for _, f := range s.pending {
-			f()
-		}
-		s.pending = nil
+		s.armCtlLocked()
 		tab := vclock.NewTable(s.order...)
-		// Periodic checkpoints are staggered by rank among the sorted IDs, as
-		// on the simulator (Sim.Run): independent of AddProcess call order.
-		// Every stagger is set before the first levInit goes out — an
-		// initialised peer's message can reach a process ahead of its own.
-		if n := s.cfg.CheckpointEvery; n > 0 {
-			for i, id := range s.order {
+		// Every event loop is held until each process has its levInit queued:
+		// as on the simulator, no peer's message overtakes an Init. (A process
+		// that handled traffic before its init checkpoint can leave the run
+		// without any consistent recovery line.) A Stop before Run stays.
+		wasPaused := s.isPaused()
+		s.pause()
+		for i, id := range s.order {
+			// Periodic checkpoints are staggered by rank among the sorted IDs, as
+			// on the simulator (Sim.Run): independent of AddProcess call order.
+			if n := s.cfg.CheckpointEvery; n > 0 {
 				s.procs[id].ckptSkew = uint64(i) % n
 			}
-		}
-		for _, id := range s.order {
 			s.procs[id].post(liveEvent{kind: levInit, tab: tab}, true)
+		}
+		if !wasPaused {
+			s.unpause()
 		}
 	}
 	s.mu.Unlock()
@@ -741,11 +731,15 @@ func (s *LiveSubstrate) waitUnpaused() {
 
 // idle reports whether no work is queued, running, or in flight.
 func (s *LiveSubstrate) idle() bool {
-	if s.activity.Load() != 0 || s.net.InFlight() != 0 || s.ctlPending.Load() != 0 {
+	if s.activity.Load() != 0 || s.net.InFlight() != 0 {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Scheduled injections are pending work: the simulator drains them too.
+	if len(s.ctl) != 0 || s.releasing {
+		return false
+	}
 	for _, p := range s.procs {
 		if len(p.inbox) != 0 || len(p.events) != 0 {
 			return false
@@ -1042,140 +1036,59 @@ func (s *LiveSubstrate) ReplaceMachine(procID string, m dsim.Machine, state []by
 
 // --- Substrate: chaos capability (fault.Injector) ---
 
-// Injector implements Substrate.
-func (s *LiveSubstrate) Injector() fault.Injector { return s }
-
-// CrashAt implements fault.Injector: the process stops consuming events at
-// tick t (messages to it are counted dropped).
-func (s *LiveSubstrate) CrashAt(proc string, t uint64) {
-	s.ctlAt(proc, t, levCrash)
-}
-
-// RestartAt implements fault.Injector: the crashed process restarts from
-// its latest checkpoint (or re-initializes).
-func (s *LiveSubstrate) RestartAt(proc string, t uint64) {
-	s.ctlAt(proc, t, levRestart)
-}
-
-// RollbackAt implements fault.Injector: at tick t the (running) process is
-// deliberately rolled back to its latest checkpoint, advancing the
-// timeline epoch — the chaos primitive for racing heal-style rollbacks
-// against in-flight traffic and crash-restarts.
-func (s *LiveSubstrate) RollbackAt(proc string, t uint64) {
-	s.ctlAt(proc, t, levRollback)
-}
-
-func (s *LiveSubstrate) ctlAt(proc string, tick uint64, kind int) {
-	s.at(tick, func() {
-		s.mu.Lock()
-		p, ok := s.procs[proc]
-		s.mu.Unlock()
-		if ok {
-			p.post(liveEvent{kind: kind}, true)
-		}
-	})
-}
-
-// at schedules f at virtual tick t, deferring until Run if not started.
-func (s *LiveSubstrate) at(tick uint64, f func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.started {
-		s.pending = append(s.pending, func() { s.armAt(tick, f) })
+// Inject implements fault.Injector. A rule goes to the hub's store, which
+// also answers what the event loops ask (a slow node's timer lag, a skewed
+// clock read). A control kind is posted to inj.Proc's event loop at tick
+// inj.At: a crash (messages to it count as dropped from then on), a restart
+// from its latest checkpoint, or a deliberate rollback (rollbackLatest).
+// One sorted list, not a timer per injection: however late a loaded machine
+// wakes up, a process gets its control events in (tick, arm order) — a
+// rollback before the crash scheduled after it, a crash before its restart.
+func (s *LiveSubstrate) Inject(inj fault.Injection) {
+	if inj.Kind.Class() != inject.Control {
+		s.net.Inject(inj)
 		return
 	}
-	s.armAt(tick, f)
-}
-
-// armAt converts a tick to a monotonic deadline (caller holds s.mu). The
-// armed timer counts as pending work so quiescence waits for scheduled
-// injections, matching the simulator (which drains every scheduled
-// crash/restart event before Run returns).
-func (s *LiveSubstrate) armAt(tick uint64, f func()) {
-	var d time.Duration
-	if start := s.startAt.Load(); start != nil {
-		d = time.Duration(tick)*s.cfg.Tick - time.Since(*start) //fixd:wallclock converts a tick deadline to a wall delay
-	}
-	if d < 0 {
-		d = 0
-	}
-	s.ctlPending.Add(1)
-	s.ctlTims = append(s.ctlTims, time.AfterFunc(d, func() { //fixd:wallclock live backend arms real timers
-		defer s.ctlPending.Add(-1)
-		f()
-	}))
-}
-
-// Partition implements fault.Injector at the transport hub.
-func (s *LiveSubstrate) Partition(groupA []string, from, to uint64) {
-	s.net.Partition(groupA, from, to)
-}
-
-// InjectDelay implements fault.Injector at the transport hub.
-func (s *LiveSubstrate) InjectDelay(procs []string, from, to, extra, jitter uint64) {
-	s.net.InjectDelay(procs, from, to, extra, jitter)
-}
-
-// InjectDrop implements fault.Injector at the transport hub.
-func (s *LiveSubstrate) InjectDrop(procs []string, from, to uint64, prob float64) {
-	s.net.InjectDrop(procs, from, to, prob)
-}
-
-// InjectDup implements fault.Injector at the transport hub.
-func (s *LiveSubstrate) InjectDup(procs []string, from, to uint64, prob float64) {
-	s.net.InjectDup(procs, from, to, prob)
-}
-
-// InjectCorrupt implements fault.Injector at the transport hub.
-func (s *LiveSubstrate) InjectCorrupt(procs []string, from, to uint64, prob float64) {
-	s.net.InjectCorrupt(procs, from, to, prob)
-}
-
-// InjectSlow implements fault.Injector: deliveries to proc are lagged at
-// the hub, and proc's own timer fires are lagged by the event loop — the
-// node is slow, not its links.
-func (s *LiveSubstrate) InjectSlow(proc string, from, to, extra uint64) {
-	s.net.InjectSlow(proc, from, to, extra)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.slows = append(s.slows, liveSlow{proc: proc, from: from, to: to, extra: extra})
+	i := sort.Search(len(s.ctl), func(i int) bool { return s.ctl[i].At > inj.At })
+	s.ctl = slices.Insert(s.ctl, i, inj)
+	s.armCtlLocked()
 }
 
-// slowExtra sums the handler lag of every slow rule covering proc at tick t.
-func (s *LiveSubstrate) slowExtra(proc string, t uint64) uint64 {
-	var d uint64
-	s.mu.Lock()
-	for _, r := range s.slows {
-		if r.proc == proc && t >= r.from && t < r.to {
-			d += r.extra
-		}
+// armCtlLocked points the wake-up at the earliest pending control injection
+// (caller holds s.mu). Run arms the first one; a release re-arms when done.
+func (s *LiveSubstrate) armCtlLocked() {
+	if !s.started || s.closed || s.releasing || len(s.ctl) == 0 {
+		return
 	}
-	s.mu.Unlock()
-	return d
+	if s.ctlTim != nil {
+		s.ctlTim.Stop() // a wake-up that fires anyway finds nothing new due
+	}
+	d := time.Duration(s.ctl[0].At)*s.cfg.Tick - time.Since(*s.startAt.Load()) //fixd:wallclock converts a tick deadline to a wall delay
+	s.ctlTim = time.AfterFunc(max(d, 0), func() { s.releaseDue(s.Now()) })     //fixd:wallclock live backend arms real timers
 }
 
-// InjectSkew implements fault.Injector: proc's Context.Now observations
-// are offset during [from, to).
-func (s *LiveSubstrate) InjectSkew(proc string, from, to uint64, offset int64) {
+// releaseDue posts every control injection due at tick now to its process,
+// in list order, and re-arms the wake-up for the rest.
+func (s *LiveSubstrate) releaseDue(now uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.skews = append(s.skews, liveSkew{proc: proc, from: from, to: to, offset: offset})
-}
-
-// skewedNow returns proc's observed clock at tick t.
-func (s *LiveSubstrate) skewedNow(proc string, t uint64) uint64 {
-	v := int64(t)
-	s.mu.Lock()
-	for _, sk := range s.skews {
-		if sk.proc == proc && t >= sk.from && t < sk.to {
-			v += sk.offset
+	if s.releasing {
+		return // the release under way re-arms, immediately if more is due
+	}
+	s.releasing = true
+	for len(s.ctl) > 0 && s.ctl[0].At <= now {
+		inj, p := s.ctl[0], s.procs[s.ctl[0].Proc]
+		s.ctl = s.ctl[1:]
+		if p != nil {
+			s.mu.Unlock() // post blocks on a full event queue
+			p.post(liveEvent{kind: levControl + int(inj.Kind)}, true)
+			s.mu.Lock()
 		}
 	}
-	s.mu.Unlock()
-	if v < 0 {
-		return 0
-	}
-	return uint64(v)
+	s.releasing = false
+	s.armCtlLocked()
 }
 
 // --- Substrate: lifecycle ---
@@ -1201,7 +1114,9 @@ func (s *LiveSubstrate) Close() error {
 		return nil
 	}
 	s.closed = true
-	tims := s.ctlTims
+	if s.ctlTim != nil {
+		s.ctlTim.Stop()
+	}
 	procs := make([]*liveProc, 0, len(s.order))
 	for _, id := range s.order {
 		procs = append(procs, s.procs[id])
@@ -1213,9 +1128,6 @@ func (s *LiveSubstrate) Close() error {
 	s.closing = true
 	s.pauseMu.Unlock()
 	s.pauseCond.Broadcast()
-	for _, t := range tims {
-		t.Stop()
-	}
 	// Cancel delayed chaos deliveries before the inner transports close so
 	// none of them lands on a closed transport.
 	s.net.Close()
@@ -1251,7 +1163,7 @@ func (c *liveCtx) Self() string { return c.p.id }
 // Now returns the virtual tick — offset by injected skew — and records it.
 func (c *liveCtx) Now() uint64 {
 	p := c.p
-	t := p.sub.skewedNow(p.id, p.sub.Now())
+	t := p.sub.net.Skewed(p.id, p.sub.Now())
 	p.scroll.Append(scroll.Record{
 		Kind: scroll.KindTime, Payload: binary.LittleEndian.AppendUint64(nil, t),
 		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
@@ -1298,7 +1210,7 @@ func (c *liveCtx) Send(to string, payload []byte) {
 func (c *liveCtx) SetTimer(name string, delay uint64) {
 	p := c.p
 	gen := p.incarnation
-	delay += p.sub.slowExtra(p.id, p.sub.Now())
+	delay += p.sub.net.Slow(p.id, p.sub.Now())
 	p.pendingTimers = append(p.pendingTimers, name)
 	p.sub.activity.Add(1)                                        // held until the timer event is handled
 	time.AfterFunc(time.Duration(delay)*p.sub.cfg.Tick, func() { //fixd:wallclock live backend arms real timers

@@ -1,14 +1,11 @@
 package substrate
 
-import (
-	"repro/internal/dsim"
-	"repro/internal/fault"
-)
+import "repro/internal/dsim"
 
 // SimSubstrate adapts the deterministic discrete-event simulator to the
 // Substrate interface. It is a thin wrapper: *dsim.Sim natively satisfies
-// every consumer interface already, so the adapter only adds the
-// capability descriptor and the injector accessor.
+// every consumer interface already (fault.Injector included), so the adapter
+// only adds the capability descriptor and Close.
 type SimSubstrate struct {
 	*dsim.Sim
 }
@@ -18,9 +15,6 @@ func NewSim(cfg dsim.Config) *SimSubstrate { return &SimSubstrate{Sim: dsim.New(
 
 // WrapSim adapts an existing simulation.
 func WrapSim(s *dsim.Sim) *SimSubstrate { return &SimSubstrate{Sim: s} }
-
-// Injector implements Substrate: the simulator injects natively.
-func (s *SimSubstrate) Injector() fault.Injector { return s.Sim }
 
 // Capabilities implements Substrate: the simulator supports everything.
 func (s *SimSubstrate) Capabilities() Capabilities {

@@ -18,9 +18,10 @@
 //     monitoring, fault response and best-effort checkpoint/rollback all
 //     work.
 //
-// The same chaos.Schedule compiles onto either backend through the
-// fault.Injector capability surface, so a fault scenario exercised in the
-// simulator can be replayed against real goroutines unchanged.
+// The same chaos.Schedule compiles to the same fault.Injections on either
+// backend, and both evaluate them with the one inject.Store, so a fault
+// scenario exercised in the simulator can be replayed against real
+// goroutines unchanged.
 package substrate
 
 import (
@@ -100,8 +101,8 @@ type Substrate interface {
 
 	// --- chaos capability ---
 
-	// Injector returns the fault-injection surface chaos schedules arm.
-	Injector() fault.Injector
+	// Inject arms one fault injection: plan.Apply(sub).
+	fault.Injector
 
 	// --- lifecycle ---
 

@@ -5,15 +5,17 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/inject"
 )
 
-// ChaosNet interposes windowed fault-injection rules on the live
-// transport's send path — the hub-level counterpart of dsim's netRule
-// machinery, so the same chaos.Schedule that perturbs the simulator can
-// perturb real goroutines exchanging real messages. Rules are scoped by
-// target set and a half-open virtual-time window [from, to); the clock is
-// supplied by the substrate (the live runtime maps virtual ticks onto wall
-// time), and tick gives one virtual tick's real duration for delays.
+// ChaosNet interposes fault-injection rules on the live transport's send
+// path, so the same chaos.Schedule that perturbs the simulator can perturb
+// real goroutines exchanging real messages. The rules are an inject.Store —
+// the one the simulator evaluates too — asked under the net's mutex with the
+// net's seeded rng; the clock is supplied by the substrate (the live runtime
+// maps virtual ticks onto wall time), and tick gives one virtual tick's real
+// duration for delays.
 //
 // A single ChaosNet is shared by every node of a run: Wrap decorates each
 // node's Transport so all sends flow through the same rule set and seeded
@@ -26,8 +28,7 @@ type ChaosNet struct {
 
 	mu     sync.Mutex
 	rng    *rand.Rand
-	rules  []chaosRule
-	parts  []chaosPartition
+	rules  inject.Store
 	closed bool
 	timers map[uint64]*time.Timer // pending delayed deliveries, by id
 	timerN uint64
@@ -40,34 +41,6 @@ type ChaosNet struct {
 	corrupted  atomic.Uint64
 
 	tap func(msg Message, verdict string)
-}
-
-// chaosRule mirrors dsim's netRule: one windowed, target-scoped
-// perturbation. A rule matches a message when the send time falls in
-// [from, to) and either endpoint is in procs (empty procs = every message);
-// slow-node rules additionally require the receiver to be the slowed
-// process — the lag models a busy handler, not a busy link.
-type chaosRule struct {
-	kind     int
-	procs    map[string]bool
-	from, to uint64
-	extra    uint64 // chaosDelay / chaosSlow: extra ticks
-	jitter   uint64
-	prob     float64 // chaosDrop / chaosDup / chaosCorrupt
-}
-
-const (
-	chaosDelay = iota
-	chaosDrop
-	chaosDup
-	chaosCorrupt
-	chaosSlow
-)
-
-// chaosPartition cuts groupA off from everyone else during [from, to).
-type chaosPartition struct {
-	groupA   map[string]bool
-	from, to uint64
 }
 
 // NewChaosNet returns an empty rule set. now supplies the current virtual
@@ -86,71 +59,27 @@ func NewChaosNet(now func() uint64, tick time.Duration, seed int64) *ChaosNet {
 // live substrate uses it to keep network stats and an injection audit trail.
 func (n *ChaosNet) SetTap(tap func(msg Message, verdict string)) { n.tap = tap }
 
-// Partition splits groupA from everyone else during [from, to).
-func (n *ChaosNet) Partition(groupA []string, from, to uint64) {
+// Inject arms a rule. Message rules act on every send routed from now on;
+// a slow node's deliveries are lagged here and its timers by the substrate,
+// which asks Slow; a clock skew only answers Skewed.
+func (n *ChaosNet) Inject(inj inject.Injection) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	g := make(map[string]bool, len(groupA))
-	for _, id := range groupA {
-		g[id] = true
-	}
-	n.parts = append(n.parts, chaosPartition{groupA: g, from: from, to: to})
+	n.rules.Add(inj)
 }
 
-// InjectDelay adds extra ticks of latency, plus seeded jitter in
-// [0, jitter], to matching messages sent during [from, to).
-func (n *ChaosNet) InjectDelay(procs []string, from, to, extra, jitter uint64) {
-	n.addRule(chaosRule{kind: chaosDelay, procs: chaosSet(procs), from: from, to: to, extra: extra, jitter: jitter})
-}
-
-// InjectDrop loses matching messages with probability prob during [from, to).
-func (n *ChaosNet) InjectDrop(procs []string, from, to uint64, prob float64) {
-	n.addRule(chaosRule{kind: chaosDrop, procs: chaosSet(procs), from: from, to: to, prob: prob})
-}
-
-// InjectDup duplicates matching messages with probability prob during
-// [from, to); the copy takes its own delay draw.
-func (n *ChaosNet) InjectDup(procs []string, from, to uint64, prob float64) {
-	n.addRule(chaosRule{kind: chaosDup, procs: chaosSet(procs), from: from, to: to, prob: prob})
-}
-
-// InjectCorrupt mutates the payload of matching messages with probability
-// prob during [from, to) — byzantine corruption at the hub. The mutation
-// happens on a copy: the sender's scroll record shares the original
-// payload's backing array and must keep the bytes that were actually sent.
-func (n *ChaosNet) InjectCorrupt(procs []string, from, to uint64, prob float64) {
-	n.addRule(chaosRule{kind: chaosCorrupt, procs: chaosSet(procs), from: from, to: to, prob: prob})
-}
-
-// InjectSlow lags every delivery proc receives by extra ticks during
-// [from, to) — the network half of a slow node. The event-loop half (timer
-// lag) lives in the substrate, which owns the timers.
-func (n *ChaosNet) InjectSlow(proc string, from, to, extra uint64) {
-	n.addRule(chaosRule{kind: chaosSlow, procs: chaosSet([]string{proc}), from: from, to: to, extra: extra})
-}
-
-func (n *ChaosNet) addRule(r chaosRule) {
+// Slow returns the slow-node lag covering proc at tick t.
+func (n *ChaosNet) Slow(proc string, t uint64) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.rules = append(n.rules, r)
+	return n.rules.Slow(proc, t)
 }
 
-func chaosSet(procs []string) map[string]bool {
-	if len(procs) == 0 {
-		return nil
-	}
-	g := make(map[string]bool, len(procs))
-	for _, id := range procs {
-		g[id] = true
-	}
-	return g
-}
-
-func (r *chaosRule) matches(from, to string, t uint64) bool {
-	if t < r.from || t >= r.to {
-		return false
-	}
-	return len(r.procs) == 0 || r.procs[from] || r.procs[to]
+// Skewed returns the clock proc observes at tick t.
+func (n *ChaosNet) Skewed(proc string, t uint64) uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.rules.Skewed(proc, t)
 }
 
 // InFlight returns the number of delayed sends not yet delivered — part of
@@ -176,79 +105,34 @@ func (n *ChaosNet) Wrap(inner Transport) Transport {
 func (n *ChaosNet) route(inner Transport, msg Message) error {
 	t := n.now()
 	n.mu.Lock()
-	for _, p := range n.parts {
-		if t >= p.from && t < p.to && p.groupA[msg.From] != p.groupA[msg.To] {
-			n.mu.Unlock()
-			n.dropped.Add(1)
-			n.emit(msg, "partition")
-			return nil
-		}
+	if n.rules.Partitioned(msg.From, msg.To, t) {
+		n.mu.Unlock()
+		n.dropped.Add(1)
+		n.emit(msg, "partition")
+		return nil
 	}
-	var (
-		delay   uint64
-		dup     bool
-		drop    bool
-		corrupt bool
-	)
-	for i := range n.rules {
-		r := &n.rules[i]
-		if !r.matches(msg.From, msg.To, t) {
-			continue
-		}
-		switch r.kind {
-		case chaosDelay:
-			delay += r.extra
-			if r.jitter > 0 {
-				delay += uint64(n.rng.Int63n(int64(r.jitter + 1)))
-			}
-		case chaosDrop:
-			if n.rng.Float64() < r.prob {
-				drop = true
-			}
-		case chaosDup:
-			if n.rng.Float64() < r.prob {
-				dup = true
-			}
-		case chaosCorrupt:
-			if n.rng.Float64() < r.prob {
-				corrupt = true
-			}
-		case chaosSlow:
-			// A slow node lags what it handles: only deliveries TO the
-			// slowed process, unlike delay rules which match either end.
-			if r.procs[msg.To] {
-				delay += r.extra
-			}
-		}
+	// Sender-side link delay, then the receiver's handler lag: a slow node
+	// lags what it handles, not what it sends.
+	lag := func() uint64 {
+		return n.rules.Delay(n.rng, msg.From, msg.To, t) + n.rules.Slow(msg.To, t)
 	}
-	if corrupt && len(msg.Payload) > 0 {
+	delay := lag()
+	drop := n.rules.Hit(n.rng, inject.Drop, msg.From, msg.To, t)
+	dup := n.rules.Hit(n.rng, inject.Duplicate, msg.From, msg.To, t)
+	corrupt := n.rules.Hit(n.rng, inject.Corrupt, msg.From, msg.To, t) && len(msg.Payload) > 0
+	if corrupt {
 		// Mutate a copy: the caller's scroll record shares the original
 		// payload's backing array.
-		p := append([]byte(nil), msg.Payload...)
-		i := n.rng.Intn(len(p))
-		p[i] ^= byte(1 + n.rng.Intn(255))
-		msg.Payload = p
+		msg.Payload = append([]byte(nil), msg.Payload...)
+		inject.Mutate(n.rng, msg.Payload)
 	}
 	dupDelay := delay
 	if dup && delay > 0 {
-		// The copy takes an independent jitter draw where jitter applies.
-		dupDelay = 0
-		for i := range n.rules {
-			r := &n.rules[i]
-			if r.kind == chaosDelay && r.matches(msg.From, msg.To, t) {
-				dupDelay += r.extra
-				if r.jitter > 0 {
-					dupDelay += uint64(n.rng.Int63n(int64(r.jitter + 1)))
-				}
-			}
-			if r.kind == chaosSlow && r.matches(msg.From, msg.To, t) && r.procs[msg.To] {
-				dupDelay += r.extra
-			}
-		}
+		dupDelay = lag() // the copy takes its own jitter draws
 	}
 	n.mu.Unlock()
 
-	if corrupt && len(msg.Payload) > 0 {
+	if corrupt {
 		n.corrupted.Add(1)
 		n.emit(msg, "corrupt")
 	}

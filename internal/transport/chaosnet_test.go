@@ -3,6 +3,8 @@ package transport
 import (
 	"testing"
 	"time"
+
+	"repro/internal/inject"
 )
 
 // chaosEnv wires two endpoints through a ChaosNet-wrapped switch.
@@ -34,7 +36,7 @@ func recvWithin(t *testing.T, ch <-chan Message, d time.Duration) (Message, bool
 
 func TestChaosNetDropAll(t *testing.T) {
 	net := NewChaosNet(func() uint64 { return 10 }, time.Millisecond, 1)
-	net.InjectDrop(nil, 0, 100, 1.0)
+	net.Inject(inject.Injection{Kind: inject.Drop, At: 0, Until: 100, Prob: 1.0})
 	tr, _, b := chaosEnv(t, net)
 	if err := tr.Send(Message{From: "a", To: "b", Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
@@ -50,7 +52,7 @@ func TestChaosNetDropAll(t *testing.T) {
 func TestChaosNetWindowScoping(t *testing.T) {
 	var now uint64 = 200 // outside the rule window
 	net := NewChaosNet(func() uint64 { return now }, time.Millisecond, 1)
-	net.InjectDrop(nil, 0, 100, 1.0)
+	net.Inject(inject.Injection{Kind: inject.Drop, At: 0, Until: 100, Prob: 1.0})
 	tr, _, b := chaosEnv(t, net)
 	if err := tr.Send(Message{From: "a", To: "b", Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
@@ -62,7 +64,7 @@ func TestChaosNetWindowScoping(t *testing.T) {
 
 func TestChaosNetTargetScoping(t *testing.T) {
 	net := NewChaosNet(func() uint64 { return 10 }, time.Millisecond, 1)
-	net.InjectDrop([]string{"c"}, 0, 100, 1.0) // neither endpoint matches
+	net.Inject(inject.Injection{Kind: inject.Drop, Group: []string{"c"}, At: 0, Until: 100, Prob: 1.0}) // neither endpoint matches
 	tr, _, b := chaosEnv(t, net)
 	if err := tr.Send(Message{From: "a", To: "b", Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
@@ -74,7 +76,7 @@ func TestChaosNetTargetScoping(t *testing.T) {
 
 func TestChaosNetDuplicate(t *testing.T) {
 	net := NewChaosNet(func() uint64 { return 10 }, time.Millisecond, 1)
-	net.InjectDup(nil, 0, 100, 1.0)
+	net.Inject(inject.Injection{Kind: inject.Duplicate, At: 0, Until: 100, Prob: 1.0})
 	tr, _, b := chaosEnv(t, net)
 	if err := tr.Send(Message{ID: "m1", From: "a", To: "b", Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
@@ -91,7 +93,7 @@ func TestChaosNetDuplicate(t *testing.T) {
 
 func TestChaosNetDelayHoldsMessage(t *testing.T) {
 	net := NewChaosNet(func() uint64 { return 10 }, 5*time.Millisecond, 1)
-	net.InjectDelay(nil, 0, 100, 40, 0) // 40 ticks × 5ms = 200ms
+	net.Inject(inject.Injection{Kind: inject.Delay, At: 0, Until: 100, Extra: 40}) // 40 ticks × 5ms = 200ms
 	tr, _, b := chaosEnv(t, net)
 	start := time.Now()
 	if err := tr.Send(Message{From: "a", To: "b", Payload: []byte("x")}); err != nil {
@@ -110,7 +112,7 @@ func TestChaosNetDelayHoldsMessage(t *testing.T) {
 
 func TestChaosNetPartition(t *testing.T) {
 	net := NewChaosNet(func() uint64 { return 10 }, time.Millisecond, 1)
-	net.Partition([]string{"a"}, 0, 100)
+	net.Inject(inject.Injection{Kind: inject.Partition, Group: []string{"a"}, At: 0, Until: 100})
 	tr, a, b := chaosEnv(t, net)
 	if err := tr.Send(Message{From: "a", To: "b", Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
@@ -129,7 +131,7 @@ func TestChaosNetPartition(t *testing.T) {
 
 func TestChaosNetCorruptMutatesCopy(t *testing.T) {
 	net := NewChaosNet(func() uint64 { return 10 }, time.Millisecond, 1)
-	net.InjectCorrupt(nil, 0, 100, 1.0)
+	net.Inject(inject.Injection{Kind: inject.Corrupt, At: 0, Until: 100, Prob: 1.0})
 	var verdicts []string
 	net.SetTap(func(_ Message, v string) { verdicts = append(verdicts, v) })
 	tr, _, b := chaosEnv(t, net)
@@ -162,7 +164,7 @@ func TestChaosNetCorruptMutatesCopy(t *testing.T) {
 
 func TestChaosNetCorruptSkipsEmptyPayload(t *testing.T) {
 	net := NewChaosNet(func() uint64 { return 10 }, time.Millisecond, 1)
-	net.InjectCorrupt(nil, 0, 100, 1.0)
+	net.Inject(inject.Injection{Kind: inject.Corrupt, At: 0, Until: 100, Prob: 1.0})
 	tr, _, b := chaosEnv(t, net)
 	if err := tr.Send(Message{From: "a", To: "b"}); err != nil {
 		t.Fatal(err)
@@ -177,7 +179,7 @@ func TestChaosNetCorruptSkipsEmptyPayload(t *testing.T) {
 
 func TestChaosNetSlowLagsOnlyReceiver(t *testing.T) {
 	net := NewChaosNet(func() uint64 { return 10 }, 5*time.Millisecond, 1)
-	net.InjectSlow("b", 0, 100, 40) // 40 ticks × 5ms = 200ms, deliveries to b only
+	net.Inject(inject.Injection{Kind: inject.SlowNode, Proc: "b", At: 0, Until: 100, Extra: 40}) // 40 ticks × 5ms = 200ms, deliveries to b only
 	tr, a, b := chaosEnv(t, net)
 	start := time.Now()
 	if err := tr.Send(Message{From: "a", To: "b", Payload: []byte("x")}); err != nil {
@@ -206,7 +208,7 @@ func TestChaosNetTap(t *testing.T) {
 	net := NewChaosNet(func() uint64 { return 10 }, time.Millisecond, 1)
 	var verdicts []string
 	net.SetTap(func(_ Message, v string) { verdicts = append(verdicts, v) })
-	net.InjectDrop(nil, 0, 100, 1.0)
+	net.Inject(inject.Injection{Kind: inject.Drop, At: 0, Until: 100, Prob: 1.0})
 	tr, _, _ := chaosEnv(t, net)
 	if err := tr.Send(Message{From: "a", To: "b"}); err != nil {
 		t.Fatal(err)
