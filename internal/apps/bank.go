@@ -47,6 +47,7 @@ type Bank struct {
 	st   bankState
 	cfg  BankConfig
 	self int
+	w    wire
 }
 
 // NewBank builds the branch machines.
@@ -108,7 +109,7 @@ func (b *Bank) OnTimer(ctx dsim.Context, name string) {
 	if amount > 0 {
 		b.setBalance(ctx, acct, bal-amount)
 		b.st.SentCredits += amount
-		ctx.Send(BankProcName(peer), []byte(fmt.Sprintf("credit|%d|%d", acct%b.cfg.AccountsPer, amount)))
+		ctx.Send(BankProcName(peer), b.w.verb("credit").int(int64(acct%b.cfg.AccountsPer)).int(amount))
 	}
 	if newBal := b.balance(ctx, acct); newBal < 0 {
 		b.st.Overdrafts++
@@ -120,15 +121,17 @@ func (b *Bank) OnTimer(ctx dsim.Context, name string) {
 	}
 }
 
-// OnMessage applies an incoming credit.
+// OnMessage applies an incoming credit. One naming an account no branch
+// has (a corrupted "-1") is dropped like any other unparseable message:
+// the money stays in flight rather than in nobody's books.
 func (b *Bank) OnMessage(ctx dsim.Context, from string, payload []byte) {
-	parts := strings.Split(string(payload), "|")
-	if len(parts) != 3 || parts[0] != "credit" {
+	var f [3][]byte
+	if fields(payload, f[:]) != 3 || string(f[0]) != "credit" {
 		return
 	}
-	acct, err1 := strconv.Atoi(parts[1])
-	amount, err2 := strconv.ParseInt(parts[2], 10, 64)
-	if err1 != nil || err2 != nil {
+	acct, err1 := strconv.Atoi(string(f[1]))
+	amount, err2 := strconv.ParseInt(string(f[2]), 10, 64)
+	if err1 != nil || err2 != nil || acct < 0 {
 		return
 	}
 	b.st.RecvCredits += amount

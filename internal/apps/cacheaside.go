@@ -2,7 +2,6 @@ package apps
 
 import (
 	"encoding/binary"
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -51,6 +50,7 @@ type caPrimaryState struct {
 type CAPrimary struct {
 	st  caPrimaryState
 	cfg CacheAsideConfig
+	w   wire
 }
 
 // caCacheState is the cache's serializable state.
@@ -69,6 +69,7 @@ type caCacheState struct {
 type CACache struct {
 	st  caCacheState
 	cfg CacheAsideConfig
+	w   wire
 }
 
 // caRead is one recorded read: the version served against the client's
@@ -94,6 +95,7 @@ type caClientState struct {
 type CAClient struct {
 	st  caClientState
 	cfg CacheAsideConfig
+	w   wire
 }
 
 // NewCacheAside builds the client, cache and primary.
@@ -144,46 +146,46 @@ func (p *CAPrimary) recover(ctx dsim.Context) {
 
 // OnMessage handles client writes, cache fetches, and invalidation acks.
 func (p *CAPrimary) OnMessage(ctx dsim.Context, from string, payload []byte) {
-	parts := strings.Split(string(payload), "|")
-	switch parts[0] {
+	var f [3][]byte
+	nf := fields(payload, f[:])
+	switch string(f[0]) {
 	case "put": // put|key|value — client write
-		if len(parts) != 3 {
+		if nf != 3 {
 			return
 		}
-		key, val := parts[1], parts[2]
+		key, val := p.w.intern(f[1]), f[2]
 		ver := p.st.Versions[key] + 1
-		cell := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(val)), ver)
-		ctx.DurablePut(caDurablePrefix+key, append(cell, val...))
+		ctx.DurablePut(caDurablePrefix+key, versionedCell(&p.w, ver, val))
 		p.st.Versions[key] = ver
-		p.st.Values[key] = val
+		p.st.Values[key] = string(val)
 		if p.cfg.Buggy {
 			// BUG: the ack races the (never-sent) invalidation — the cache
 			// keeps serving the old version after the client saw the ack.
-			ctx.Send(CAClientName, []byte(fmt.Sprintf("wack|%s|%d", key, ver)))
+			ctx.Send(CAClientName, p.w.verb("wack").str(key).uint(ver))
 			return
 		}
 		// Invalidate-then-ack: the client's read fence only advances once
 		// the cache can no longer serve anything older.
 		p.st.AckWait[key] = ver
-		ctx.Send(CACacheName, []byte(fmt.Sprintf("inv|%s|%d", key, ver)))
+		ctx.Send(CACacheName, p.w.verb("inv").str(key).uint(ver))
 	case "invack": // invack|key|ver — cache confirmed the invalidation
-		if len(parts) != 3 {
+		if nf != 3 {
 			return
 		}
-		key := parts[1]
-		ver, err := strconv.ParseUint(parts[2], 10, 64)
-		if err != nil || p.st.AckWait[key] != ver {
+		key := f[1]
+		ver, err := strconv.ParseUint(string(f[2]), 10, 64)
+		if err != nil || p.st.AckWait[string(key)] != ver {
 			return
 		}
-		delete(p.st.AckWait, key)
-		ctx.Send(CAClientName, []byte(fmt.Sprintf("wack|%s|%d", key, ver)))
+		delete(p.st.AckWait, string(key))
+		ctx.Send(CAClientName, p.w.verb("wack").raw(key).uint(ver))
 	case "fetch": // fetch|key|seq — cache miss
-		if len(parts) != 3 {
+		if nf != 3 {
 			return
 		}
-		key := parts[1]
-		ctx.Send(CACacheName, []byte(fmt.Sprintf("fill|%s|%s|%d|%s",
-			key, p.st.Values[key], p.st.Versions[key], parts[2])))
+		key, seq := f[1], f[2]
+		ctx.Send(CACacheName, p.w.verb("fill").raw(key).str(p.st.Values[string(key)]).
+			uint(p.st.Versions[string(key)]).raw(seq))
 	}
 }
 
@@ -225,22 +227,22 @@ func (c *CACache) serveable(key string, min uint64) bool {
 	return ver >= min && ver >= c.st.InvVer[key]
 }
 
-func (c *CACache) serve(ctx dsim.Context, key, seq string) {
-	ctx.Send(CAClientName, []byte(fmt.Sprintf("val|%s|%s|%d|%s",
-		key, c.st.Values[key], c.st.Versions[key], seq)))
+func (c *CACache) serve(ctx dsim.Context, key string, seq []byte) {
+	ctx.Send(CAClientName, c.w.verb("val").str(key).str(c.st.Values[key]).uint(c.st.Versions[key]).raw(seq))
 }
 
 // OnMessage serves reads, fetches on miss, installs fills, and applies
 // invalidations.
 func (c *CACache) OnMessage(ctx dsim.Context, from string, payload []byte) {
-	parts := strings.Split(string(payload), "|")
-	switch parts[0] {
+	var f [5][]byte
+	nf := fields(payload, f[:])
+	switch string(f[0]) {
 	case "get": // get|key|min|seq — client read, fenced at min
-		if len(parts) != 4 {
+		if nf != 4 {
 			return
 		}
-		key, seq := parts[1], parts[3]
-		min, err := strconv.ParseUint(parts[2], 10, 64)
+		key, seq := c.w.intern(f[1]), f[3]
+		min, err := strconv.ParseUint(string(f[2]), 10, 64)
 		if err != nil {
 			return
 		}
@@ -248,14 +250,14 @@ func (c *CACache) OnMessage(ctx dsim.Context, from string, payload []byte) {
 			c.serve(ctx, key, seq)
 			return
 		}
-		c.st.Pending[seq] = key + "|" + parts[2]
-		ctx.Send(CAPrimaryName, []byte(fmt.Sprintf("fetch|%s|%s", key, seq)))
+		c.st.Pending[string(seq)] = string(c.w.verb(key).raw(f[2])) // key|min
+		ctx.Send(CAPrimaryName, c.w.verb("fetch").str(key).raw(seq))
 	case "inv": // inv|key|ver — raise the invalidation floor, confirm
-		if len(parts) != 3 {
+		if nf != 3 {
 			return
 		}
-		key := parts[1]
-		ver, err := strconv.ParseUint(parts[2], 10, 64)
+		key := c.w.intern(f[1])
+		ver, err := strconv.ParseUint(string(f[2]), 10, 64)
 		if err != nil {
 			return
 		}
@@ -266,13 +268,13 @@ func (c *CACache) OnMessage(ctx dsim.Context, from string, payload []byte) {
 			delete(c.st.Values, key)
 			delete(c.st.Versions, key)
 		}
-		ctx.Send(CAPrimaryName, []byte(fmt.Sprintf("invack|%s|%d", key, ver)))
+		ctx.Send(CAPrimaryName, c.w.verb("invack").str(key).uint(ver))
 	case "fill": // fill|key|value|ver|seq — primary's answer to a fetch
-		if len(parts) != 5 {
+		if nf != 5 {
 			return
 		}
-		key, val, seq := parts[1], parts[2], parts[4]
-		ver, err := strconv.ParseUint(parts[3], 10, 64)
+		key, val, seq := c.w.intern(f[1]), f[2], f[4]
+		ver, err := strconv.ParseUint(string(f[3]), 10, 64)
 		if err != nil {
 			return
 		}
@@ -281,17 +283,17 @@ func (c *CACache) OnMessage(ctx dsim.Context, from string, payload []byte) {
 			floor = 0 // BUG: stale in-flight fills resurrect invalidated entries
 		}
 		if ver >= floor && ver >= c.st.Versions[key] {
-			c.st.Values[key] = val
+			c.st.Values[key] = string(val)
 			c.st.Versions[key] = ver
 		}
-		pk, ok := c.st.Pending[seq]
+		pk, ok := c.st.Pending[string(seq)]
 		if !ok {
 			return
 		}
 		pkey, pmin, _ := strings.Cut(pk, "|")
 		min, _ := strconv.ParseUint(pmin, 10, 64)
 		if pkey == key && c.serveable(key, min) {
-			delete(c.st.Pending, seq)
+			delete(c.st.Pending, string(seq))
 			c.serve(ctx, key, seq)
 		}
 	}
@@ -322,44 +324,43 @@ func (cl *CAClient) Init(ctx dsim.Context) {
 	ctx.SetTimer("op", 1)
 }
 
-func (cl *CAClient) key(step int) string {
-	return fmt.Sprintf("k%d", (step/2)%cl.cfg.Keys)
-}
+func (cl *CAClient) key(step int) string { return caKeys.name((step / 2) % cl.cfg.Keys) }
 
 // OnMessage advances the read fence on write acks and judges read replies
 // against the fence recorded when the read was issued.
 func (cl *CAClient) OnMessage(ctx dsim.Context, from string, payload []byte) {
-	parts := strings.Split(string(payload), "|")
-	switch parts[0] {
+	var f [5][]byte
+	nf := fields(payload, f[:])
+	switch string(f[0]) {
 	case "wack": // wack|key|ver
-		if len(parts) != 3 {
+		if nf != 3 {
 			return
 		}
-		ver, err := strconv.ParseUint(parts[2], 10, 64)
+		ver, err := strconv.ParseUint(string(f[2]), 10, 64)
 		if err != nil {
 			return
 		}
-		if ver > cl.st.MinVer[parts[1]] {
-			cl.st.MinVer[parts[1]] = ver
+		if ver > cl.st.MinVer[string(f[1])] {
+			cl.st.MinVer[cl.w.intern(f[1])] = ver
 		}
 	case "val": // val|key|value|ver|seq
-		if len(parts) != 5 {
+		if nf != 5 {
 			return
 		}
-		pk, ok := cl.st.Issued[parts[4]]
+		pk, ok := cl.st.Issued[string(f[4])]
 		if !ok {
 			return
 		}
 		key, pmin, _ := strings.Cut(pk, "|")
-		if key != parts[1] {
+		if key != string(f[1]) {
 			return
 		}
-		ver, err := strconv.ParseUint(parts[3], 10, 64)
+		ver, err := strconv.ParseUint(string(f[3]), 10, 64)
 		if err != nil {
 			return
 		}
 		min, _ := strconv.ParseUint(pmin, 10, 64)
-		delete(cl.st.Issued, parts[4])
+		delete(cl.st.Issued, string(f[4]))
 		cl.st.Reads = append(cl.st.Reads, caRead{Key: key, Ver: ver, Min: min})
 		if ver < min {
 			cl.st.Stale++
@@ -375,13 +376,13 @@ func (cl *CAClient) OnTimer(ctx dsim.Context, name string) {
 	}
 	key := cl.key(cl.st.Step)
 	if cl.st.Step%2 == 0 {
-		ctx.Send(CAPrimaryName, []byte(fmt.Sprintf("put|%s|v%d", key, cl.st.Step)))
+		ctx.Send(CAPrimaryName, cl.w.verb("put").str(key).tagged("v", cl.st.Step))
 	} else {
 		seq := strconv.Itoa(cl.st.Seq)
 		cl.st.Seq++
 		min := cl.st.MinVer[key]
-		cl.st.Issued[seq] = fmt.Sprintf("%s|%d", key, min)
-		ctx.Send(CACacheName, []byte(fmt.Sprintf("get|%s|%d|%s", key, min, seq)))
+		cl.st.Issued[seq] = string(cl.w.verb(key).uint(min)) // key|min
+		ctx.Send(CACacheName, cl.w.verb("get").str(key).uint(min).str(seq))
 	}
 	cl.st.Step++
 	if cl.st.Step < 2*cl.cfg.Keys*cl.cfg.Rounds {

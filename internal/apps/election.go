@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -60,6 +59,7 @@ type Election struct {
 	st   electState
 	cfg  ElectionConfig
 	self int
+	w    wire
 }
 
 // NewElection builds the N ring nodes.
@@ -96,23 +96,27 @@ func (e *Election) Init(ctx dsim.Context) {
 
 func (e *Election) startElection(ctx dsim.Context) {
 	e.st.Elections++
-	ctx.Send(e.next(), []byte(fmt.Sprintf("cand|%d", e.self)))
+	ctx.Send(e.next(), e.w.verb("cand").int(int64(e.self)))
 }
 
 func (e *Election) announce(ctx dsim.Context) {
-	ctx.Send(e.next(), []byte(fmt.Sprintf("leader|%d", e.self)))
+	ctx.Send(e.next(), e.w.verb("leader").int(int64(e.self)))
 }
 
 // OnMessage implements the Chang–Roberts forwarding rule plus leader
-// announcement handling.
+// announcement handling. Both messages are verb|id; anything after the id
+// is ignored.
 func (e *Election) OnMessage(ctx dsim.Context, from string, payload []byte) {
-	parts := strings.Split(string(payload), "|")
-	switch parts[0] {
+	var f [2][]byte
+	if fields(payload, f[:]) < 2 {
+		return
+	}
+	id, err := strconv.Atoi(string(f[1]))
+	if err != nil {
+		return
+	}
+	switch string(f[0]) {
 	case "cand":
-		id, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return
-		}
 		switch {
 		case id == e.self:
 			// Our candidacy returned: we win.
@@ -134,7 +138,7 @@ func (e *Election) OnMessage(ctx dsim.Context, from string, payload []byte) {
 			e.announce(ctx)
 		case id > e.self:
 			e.st.Forwards++
-			ctx.Send(e.next(), []byte(fmt.Sprintf("cand|%d", id)))
+			ctx.Send(e.next(), e.w.verb("cand").int(int64(id)))
 		default:
 			// Swallow lower candidacies (we could start our own; the lower
 			// node already did) — but a sitting leader answers them with a
@@ -145,10 +149,6 @@ func (e *Election) OnMessage(ctx dsim.Context, from string, payload []byte) {
 			}
 		}
 	case "leader":
-		id, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return
-		}
 		if id == e.self {
 			return // announcement completed the circle
 		}
@@ -157,14 +157,14 @@ func (e *Election) OnMessage(ctx dsim.Context, from string, payload []byte) {
 				// BUG: omits the step-down — the old leader keeps believing
 				// it leads. The announcement still forwards, so the rest of
 				// the ring learns the other leader; the split persists.
-				ctx.Send(e.next(), []byte(fmt.Sprintf("leader|%d", id)))
+				ctx.Send(e.next(), e.w.verb("leader").int(int64(id)))
 				return
 			}
 			e.st.IsLeader = false
 			e.st.SteppedOn = true
 		}
 		e.st.LeaderSeen = ElectProcName(id)
-		ctx.Send(e.next(), []byte(fmt.Sprintf("leader|%d", id)))
+		ctx.Send(e.next(), e.w.verb("leader").int(int64(id)))
 	}
 }
 

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"encoding/binary"
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -54,6 +53,7 @@ type KVNode struct {
 	cfg     KVConfig
 	primary bool
 	index   int
+	w       wire
 }
 
 // kvClientState is the workload driver's state.
@@ -63,6 +63,7 @@ type kvClientState struct{ Issued int }
 type KVClient struct {
 	st  kvClientState
 	cfg KVConfig
+	w   wire
 }
 
 // NewKVStore builds the primary, replicas and client.
@@ -95,33 +96,42 @@ func (n *KVNode) Init(ctx dsim.Context) {
 
 // install sets key=value@ver in state and mirrors it into the heap — the
 // shared tail of the normal apply path and crash recovery, so the two
-// cannot drift.
-func (n *KVNode) install(ctx dsim.Context, key, val string, ver uint64) {
-	n.st.Values[key] = val
+// cannot drift. The value is the one string a write has to allocate: it is
+// kept.
+func (n *KVNode) install(ctx dsim.Context, key string, val []byte, ver uint64) {
+	n.st.Values[key] = string(val)
 	n.st.Versions[key] = ver
-	// One heap page region per key index keeps writes page-local.
-	if idx, err := strconv.Atoi(strings.TrimPrefix(key, "k")); err == nil {
+	// One heap page region per key index keeps writes page-local. Only the
+	// keys the workload owns have a region: a corrupted "k-1" or "k9999999"
+	// is still a key, but not a heap offset.
+	if idx, err := strconv.Atoi(strings.TrimPrefix(key, "k")); err == nil && idx >= 0 && idx < n.cfg.Keys {
 		ctx.Heap().WriteUint64(idx*512, ver)
 	}
 }
 
 // replicate broadcasts an assignment to every replica.
-func (n *KVNode) replicate(ctx dsim.Context, key, val string, ver uint64) {
+func (n *KVNode) replicate(ctx dsim.Context, key string, val []byte, ver uint64) {
+	msg := n.w.verb("repl").str(key).raw(val).uint(ver)
 	for i := 0; i < n.cfg.Replicas; i++ {
-		ctx.Send(KVReplicaName(i), []byte(fmt.Sprintf("repl|%s|%s|%d", key, val, ver)))
+		ctx.Send(KVReplicaName(i), msg)
 	}
 }
 
 // apply installs key=value@ver. The primary additionally forces the
 // assignment to stable storage — before any replica can observe it, since
 // apply precedes the replication broadcast.
-func (n *KVNode) apply(ctx dsim.Context, key, val string, ver uint64) {
+func (n *KVNode) apply(ctx dsim.Context, key string, val []byte, ver uint64) {
 	if n.primary {
-		cell := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(val)), ver)
-		ctx.DurablePut(kvDurablePrefix+key, append(cell, val...))
+		ctx.DurablePut(kvDurablePrefix+key, versionedCell(&n.w, ver, val))
 	}
 	n.install(ctx, key, val, ver)
 	n.st.Applied++
+}
+
+// versionedCell renders a stable-storage cell — 8-byte LE version, then
+// the value — in w's scratch.
+func versionedCell(w *wire, ver uint64, val []byte) []byte {
+	return append(binary.LittleEndian.AppendUint64(w.buf[:0], ver), val...)
 }
 
 // recoverAssignments re-installs durably recorded version assignments that
@@ -141,36 +151,36 @@ func (n *KVNode) recoverAssignments(ctx dsim.Context) {
 			continue
 		}
 		ver := binary.LittleEndian.Uint64(cell[:8])
-		val := string(cell[8:])
 		if ver <= n.st.Versions[key] {
 			continue
 		}
-		n.install(ctx, key, val, ver)
-		n.replicate(ctx, key, val, ver)
+		n.install(ctx, key, cell[8:], ver)
+		n.replicate(ctx, key, cell[8:], ver)
 	}
 }
 
 // OnMessage handles client writes (primary) and replication (replicas).
 func (n *KVNode) OnMessage(ctx dsim.Context, from string, payload []byte) {
-	parts := strings.Split(string(payload), "|")
-	switch parts[0] {
+	var f [4][]byte
+	nf := fields(payload, f[:])
+	switch string(f[0]) {
 	case "put": // put|key|value — client write to the primary
-		if !n.primary || len(parts) != 3 {
+		if !n.primary || nf != 3 {
 			return
 		}
-		key, val := parts[1], parts[2]
+		key, val := n.w.intern(f[1]), f[2]
 		ver := n.st.Versions[key] + 1
 		n.apply(ctx, key, val, ver)
 		n.replicate(ctx, key, val, ver)
 	case "repl": // repl|key|value|version — replication to a replica
-		if n.primary || len(parts) != 4 {
+		if n.primary || nf != 4 {
 			return
 		}
-		key, val := parts[1], parts[2]
-		ver, err := strconv.ParseUint(parts[3], 10, 64)
+		ver, err := strconv.ParseUint(string(f[3]), 10, 64)
 		if err != nil {
 			return
 		}
+		key, val := n.w.intern(f[1]), f[2]
 		if n.cfg.Buggy && !n.st.Fixed {
 			// BUG: blind apply. With message reordering a lower version can
 			// overwrite a higher one, leaving the replica stale forever.
@@ -217,9 +227,8 @@ func (c *KVClient) OnTimer(ctx dsim.Context, name string) {
 	if name != "write" || c.st.Issued >= c.cfg.Writes {
 		return
 	}
-	key := fmt.Sprintf("k%d", int(ctx.Random()%uint64(c.cfg.Keys)))
-	val := fmt.Sprintf("v%d", c.st.Issued)
-	ctx.Send(KVPrimaryName, []byte(fmt.Sprintf("put|%s|%s", key, val)))
+	key := int(ctx.Random() % uint64(c.cfg.Keys))
+	ctx.Send(KVPrimaryName, c.w.verb("put").tagged("k", key).tagged("v", c.st.Issued))
 	c.st.Issued++
 	if c.st.Issued < c.cfg.Writes {
 		ctx.SetTimer("write", 1+ctx.Random()%3)

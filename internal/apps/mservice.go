@@ -69,6 +69,7 @@ type MSService struct {
 	st   msSvcState
 	cfg  MServiceConfig
 	self int
+	w    wire
 }
 
 // msBackState is a backend's serializable state.
@@ -83,6 +84,7 @@ type MSBackend struct {
 	st    msBackState
 	cfg   MServiceConfig
 	spare bool
+	w     wire
 }
 
 // msClientState is the workload driver's serializable state.
@@ -100,6 +102,7 @@ type msClientState struct {
 type MSClient struct {
 	st  msClientState
 	cfg MServiceConfig
+	w   wire
 }
 
 // NewMService builds the client, Hops service tiers and both backends.
@@ -167,7 +170,7 @@ func (s *MSService) downstream() string {
 
 func (s *MSService) forward(ctx dsim.Context, id, to string) {
 	s.st.Attempts[id]++
-	ctx.Send(to, []byte("req|"+id))
+	ctx.Send(to, s.w.verb("req").str(id))
 	ctx.SetTimer("t|"+id, s.cfg.msDeadline(s.st.Attempts[id]-1))
 }
 
@@ -177,20 +180,21 @@ func (s *MSService) forward(ctx dsim.Context, id, to string) {
 func (s *MSService) relay(ctx dsim.Context, id, verdict string) {
 	s.st.Done[id] = verdict
 	if up := s.st.Upstream[id]; up != "" {
-		ctx.Send(up, []byte(verdict+"|"+id))
+		ctx.Send(up, s.w.verb(verdict).str(id))
 	}
 }
 
 // OnMessage forwards requests downstream and relays verdicts upstream.
 func (s *MSService) OnMessage(ctx dsim.Context, from string, payload []byte) {
-	kind, id, ok := strings.Cut(string(payload), "|")
-	if !ok || id == "" {
+	kind, rawID, ok := cut(payload)
+	if !ok || len(rawID) == 0 {
 		return // corrupted beyond parsing: drop, the sender will retry
 	}
-	switch kind {
+	id := s.w.intern(rawID)
+	switch string(kind) {
 	case "req":
 		if v, done := s.st.Done[id]; done {
-			ctx.Send(from, []byte(v+"|"+id)) // idempotent cached verdict
+			ctx.Send(from, s.w.verb(v).str(id)) // idempotent cached verdict
 			return
 		}
 		s.st.Upstream[id] = from
@@ -262,10 +266,10 @@ func (b *MSBackend) recoverExecuted(ctx dsim.Context) {
 func (b *MSBackend) commit(ctx dsim.Context, id string) {
 	delete(b.st.Pending, id)
 	if !b.st.Executed[id] {
-		ctx.DurablePut(msDonePrefix+id, []byte("1"))
+		ctx.DurablePut(msDonePrefix+id, b.w.verb("1"))
 		b.st.Executed[id] = true
 	}
-	ctx.Send(MSSvcName(b.cfg.Hops-1), []byte("ok|"+id))
+	ctx.Send(MSSvcName(b.cfg.Hops-1), b.w.verb("ok").str(id))
 }
 
 // slowPath reports whether request id models a slow downstream dependency.
@@ -281,12 +285,13 @@ func (b *MSBackend) slowPath(id string) bool {
 // behind a processing timer. Duplicates of an executed request re-serve
 // the cached verdict; duplicates of a pending one are absorbed.
 func (b *MSBackend) OnMessage(ctx dsim.Context, from string, payload []byte) {
-	kind, id, ok := strings.Cut(string(payload), "|")
-	if !ok || kind != "req" || id == "" {
+	kind, rawID, ok := cut(payload)
+	if !ok || string(kind) != "req" || len(rawID) == 0 {
 		return
 	}
+	id := b.w.intern(rawID)
 	if b.st.Executed[id] {
-		ctx.Send(MSSvcName(b.cfg.Hops-1), []byte("ok|"+id))
+		ctx.Send(MSSvcName(b.cfg.Hops-1), b.w.verb("ok").str(id))
 		return
 	}
 	if b.st.Pending[id] {
@@ -332,7 +337,7 @@ func (c *MSClient) Init(ctx dsim.Context) {
 
 func (c *MSClient) send(ctx dsim.Context, id string) {
 	c.st.Attempts[id]++
-	ctx.Send(MSSvcName(0), []byte("req|"+id))
+	ctx.Send(MSSvcName(0), c.w.verb("req").str(id))
 	ctx.SetTimer("t|"+id, c.cfg.msDeadline(c.st.Attempts[id]-1))
 }
 
@@ -346,10 +351,11 @@ func (c *MSClient) resolved(id string) bool {
 // holds answers that met the retry schedule, which is what keeps the
 // bounded-latency invariant honest under injected delay.
 func (c *MSClient) OnMessage(ctx dsim.Context, from string, payload []byte) {
-	kind, id, ok := strings.Cut(string(payload), "|")
+	kind, rawID, ok := cut(payload)
 	if !ok {
 		return
 	}
+	id := c.w.intern(rawID)
 	if c.resolved(id) {
 		c.st.Late++
 		return
@@ -357,7 +363,7 @@ func (c *MSClient) OnMessage(ctx dsim.Context, from string, payload []byte) {
 	if _, issued := c.st.IssuedAt[id]; !issued {
 		return // corrupted id: no such request
 	}
-	switch kind {
+	switch string(kind) {
 	case "ok":
 		c.st.Completed[id] = ctx.Now() - c.st.IssuedAt[id]
 	case "fail":

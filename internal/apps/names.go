@@ -32,4 +32,5 @@ var (
 	msNames    = newNameTable("mssvc%d")
 	ringNames  = newNameTable("ring%02d")
 	partNames  = newNameTable("part%02d")
+	caKeys     = newNameTable("k%d")
 )

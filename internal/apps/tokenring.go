@@ -8,7 +8,6 @@
 package apps
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -73,6 +72,7 @@ type TokenRing struct {
 	st   tokenRingState
 	cfg  TokenRingConfig
 	self int // position in the ring
+	w    wire
 }
 
 // RingProcName returns the process ID of ring position i.
@@ -131,15 +131,15 @@ func (t *TokenRing) enterCS(ctx dsim.Context) {
 // does not mask them. Every token receipt is acknowledged so the sender
 // stops retransmitting.
 func (t *TokenRing) OnMessage(ctx dsim.Context, from string, payload []byte) {
-	parts := strings.Split(string(payload), "|")
-	if len(parts) != 2 {
+	var f [2][]byte
+	if fields(payload, f[:]) != 2 {
 		return
 	}
-	gen, err := strconv.ParseUint(parts[1], 10, 64)
+	gen, err := strconv.ParseUint(string(f[1]), 10, 64)
 	if err != nil {
 		return
 	}
-	switch parts[0] {
+	switch string(f[0]) {
 	case "ack":
 		if t.st.PendingGen != 0 && gen == t.st.PendingGen {
 			t.st.PendingGen = 0
@@ -150,7 +150,7 @@ func (t *TokenRing) OnMessage(ctx dsim.Context, from string, payload []byte) {
 			// This node's work is done: retire the token instead of
 			// starting another lap, but still acknowledge so the sender
 			// can finish too.
-			ctx.Send(t.prev(), []byte(fmt.Sprintf("ack|%d", gen)))
+			ctx.Send(t.prev(), t.w.verb("ack").uint(gen))
 			t.maybeHalt(ctx)
 			return
 		}
@@ -163,10 +163,10 @@ func (t *TokenRing) OnMessage(ctx dsim.Context, from string, payload []byte) {
 			if t.cfg.Buggy && !t.st.Fixed && (t.st.HasToken || t.st.InCS) {
 				ctx.Fault("token-ring: received token while already holding one")
 			}
-			ctx.Send(t.prev(), []byte(fmt.Sprintf("ack|%d", gen)))
+			ctx.Send(t.prev(), t.w.verb("ack").uint(gen))
 			return
 		}
-		ctx.Send(t.prev(), []byte(fmt.Sprintf("ack|%d", gen)))
+		ctx.Send(t.prev(), t.w.verb("ack").uint(gen))
 		if t.st.HasToken || t.st.InCS {
 			// A second live token: the local manifestation of the
 			// regeneration race.
@@ -186,7 +186,7 @@ func (t *TokenRing) OnMessage(ctx dsim.Context, from string, payload []byte) {
 func (t *TokenRing) pass(ctx dsim.Context) {
 	t.st.PendingGen = t.st.TokenGen + 1
 	t.st.RetxSpent = 0
-	ctx.Send(t.next(), []byte(fmt.Sprintf("token|%d", t.st.PendingGen)))
+	ctx.Send(t.next(), t.w.verb("token").uint(t.st.PendingGen))
 	ctx.SetTimer("retx", ringRetxEvery)
 }
 
@@ -225,7 +225,7 @@ func (t *TokenRing) OnTimer(ctx dsim.Context, name string) {
 			return
 		}
 		t.st.RetxSpent++
-		ctx.Send(t.next(), []byte(fmt.Sprintf("token|%d", t.st.PendingGen)))
+		ctx.Send(t.next(), t.w.verb("token").uint(t.st.PendingGen))
 		ctx.SetTimer("retx", ringRetxEvery)
 	case "regen":
 		if !t.cfg.Buggy || t.st.Fixed {

@@ -53,6 +53,7 @@ type coordState struct {
 type Coordinator struct {
 	st  coordState
 	cfg TwoPCConfig
+	w   wire
 }
 
 // partState is a participant's serializable state.
@@ -66,6 +67,7 @@ type Participant struct {
 	st   partState
 	cfg  TwoPCConfig
 	self int
+	w    wire
 }
 
 // NewTwoPC builds a coordinator plus participants.
@@ -100,7 +102,7 @@ func (c *Coordinator) Init(ctx dsim.Context) {
 	c.st.Phase = "prepare"
 	c.st.Voted = map[string]bool{}
 	for i := 0; i < c.cfg.Participants; i++ {
-		ctx.Send(PartName(i), []byte("prepare"))
+		ctx.Send(PartName(i), c.w.verb("prepare"))
 	}
 	ctx.SetTimer("vote-timeout", c.cfg.Timeout)
 }
@@ -110,11 +112,11 @@ func (c *Coordinator) Init(ctx dsim.Context) {
 // crash, or a restart from a pre-decision checkpoint would re-decide —
 // possibly differently — against participants that already applied it.
 func (c *Coordinator) decide(ctx dsim.Context, d string) {
-	ctx.DurablePut(decisionKey, []byte(d))
+	ctx.DurablePut(decisionKey, c.w.verb(d))
 	c.st.Decision = d
 	c.st.Phase = "done"
 	for i := 0; i < c.cfg.Participants; i++ {
-		ctx.Send(PartName(i), []byte(d))
+		ctx.Send(PartName(i), c.w.verb(d))
 	}
 }
 
@@ -131,7 +133,7 @@ func (c *Coordinator) recoverDecision(ctx dsim.Context) bool {
 	c.st.Decision = string(d)
 	c.st.Phase = "done"
 	for i := 0; i < c.cfg.Participants; i++ {
-		ctx.Send(PartName(i), []byte(c.st.Decision))
+		ctx.Send(PartName(i), c.w.verb(c.st.Decision))
 	}
 	return true
 }
@@ -230,24 +232,30 @@ func (p *Participant) OnMessage(ctx dsim.Context, from string, payload []byte) {
 		if p.isSlow() {
 			ctx.SetTimer("slow-vote", p.cfg.VoteDelay)
 		} else {
-			ctx.Send(CoordName, []byte(vote))
+			ctx.Send(CoordName, p.w.verb(vote))
 		}
-	case "commit", "abort":
-		d := string(payload)
-		if p.st.Decision == "" {
-			p.st.Decision = d
-		} else if p.st.Decision != d {
-			// Local detection of the atomicity violation: the coordinator's
-			// decision contradicts this participant's binding vote.
-			ctx.Fault(fmt.Sprintf("2pc: coordinator says %s but local decision is %s", d, p.st.Decision))
-		}
+	case "commit":
+		p.decided(ctx, "commit")
+	case "abort":
+		p.decided(ctx, "abort")
+	}
+}
+
+// decided applies the coordinator's decision d.
+func (p *Participant) decided(ctx dsim.Context, d string) {
+	if p.st.Decision == "" {
+		p.st.Decision = d
+	} else if p.st.Decision != d {
+		// Local detection of the atomicity violation: the coordinator's
+		// decision contradicts this participant's binding vote.
+		ctx.Fault(fmt.Sprintf("2pc: coordinator says %s but local decision is %s", d, p.st.Decision))
 	}
 }
 
 // OnTimer sends the delayed vote.
 func (p *Participant) OnTimer(ctx dsim.Context, name string) {
 	if name == "slow-vote" && p.st.Voted != "" {
-		ctx.Send(CoordName, []byte(p.st.Voted))
+		ctx.Send(CoordName, p.w.verb(p.st.Voted))
 	}
 }
 

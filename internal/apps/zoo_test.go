@@ -115,45 +115,28 @@ func (f *fuzzInjector) OnMessage(dsim.Context, string, []byte)     {}
 func (f *fuzzInjector) OnTimer(dsim.Context, string)               {}
 func (f *fuzzInjector) OnRollback(dsim.Context, dsim.RollbackInfo) {}
 
-// FuzzCorruptPayloadDecode: the scenario-zoo handlers parse in-flight
-// payloads that fault.Corrupt may have mutated arbitrarily, so every
-// machine must absorb arbitrary bytes — from any sender, at any time —
-// without panicking. The injector delivers the fuzz payload through a real
-// simulation, exercising the same OnMessage path corrupted deliveries take.
+// FuzzCorruptPayloadDecode: handlers parse in-flight payloads that
+// fault.Corrupt may have mutated arbitrarily, so every machine of every
+// application, either variant, must absorb arbitrary bytes — from any
+// sender, at any time — without panicking. The injector delivers the fuzz
+// payload through a real simulation, exercising the same OnMessage path
+// corrupted deliveries take.
 func FuzzCorruptPayloadDecode(f *testing.F) {
-	f.Add([]byte("req|3"))
-	f.Add([]byte("ok|0"))
-	f.Add([]byte("fail|"))
-	f.Add([]byte("put|k0|v1"))
-	f.Add([]byte("val|k1|v7|3|2"))
-	f.Add([]byte("wack|k0|18446744073709551615"))
-	f.Add([]byte("fill|k0|v0|notanumber|0"))
-	f.Add([]byte("inv|k1|2"))
-	f.Add([]byte{})
-	f.Add([]byte("\xff\x00|\xfe||9"))
+	for _, p := range payloadSeeds {
+		f.Add([]byte(p))
+	}
+	// Not in payloadSeeds, which the pre-refactor fixture ran against the
+	// handlers that still honoured it with a 5 GB heap.
+	f.Add([]byte("put|k9999999|v"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, buggy := range []bool{false, true} {
-			for _, mk := range []func(bool) map[string]dsim.Machine{
-				func(b bool) map[string]dsim.Machine {
-					cfg := chaosMSCfg
-					cfg.Buggy = b
-					return NewMService(cfg)
-				},
-				func(b bool) map[string]dsim.Machine {
-					cfg := chaosCACfg
-					cfg.Buggy = b
-					return NewCacheAside(cfg)
-				},
-			} {
-				ms := mk(buggy)
-				targets := make([]string, 0, len(ms))
-				for id := range ms {
-					targets = append(targets, id)
-				}
+		for _, spec := range append(Registry(), Zoo()...) {
+			for _, buggy := range []bool{false, true} {
+				ms := spec.Make(buggy)
+				targets := sortedProcs(ms)
 				ms["fuzzer"] = &fuzzInjector{payload: data, targets: targets}
-				s := dsim.New(dsim.Config{Seed: 1, MinLatency: 1, MaxLatency: 2, MaxSteps: 30_000})
-				for id, m := range ms {
-					s.AddProcess(id, m)
+				s := dsim.New(dsim.Config{Seed: 1, MinLatency: 1, MaxLatency: 2, MaxSteps: 2_000})
+				for _, id := range append(targets, "fuzzer") {
+					s.AddProcess(id, ms[id])
 				}
 				s.Run() // must quiesce or hit the step bound — never panic
 			}
