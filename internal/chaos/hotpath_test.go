@@ -60,12 +60,12 @@ func warmKVRun(t *testing.T) func() {
 }
 
 // TestWarmRunnerAllocs bounds what one warm pooled kvstore run allocates.
-// Measured 412 (658 while Reset dropped the run's arenas, message and
-// checkpoint IDs were rendered per run and every checkpoint was its own
+// Measured 116 (412 while handlers built payloads with fmt.Sprintf and cut
+// them with strings.Split; 658 while Reset dropped the run's arenas, message
+// and checkpoint IDs were rendered per run and every checkpoint was its own
 // objects; 955 while checkpoints and invariant checks went through
-// encoding/json; 1246 with a map clone per Lamport tick on top), and 460
-// under -race, where sync.Pool drops a quarter of its Puts on purpose and
-// fmt's scratch is re-made that often. The ceiling is the floor + 10 %.
+// encoding/json; 1246 with a map clone per Lamport tick on top), and 118
+// under -race. The ceiling is the floor + 10 %.
 func TestWarmRunnerAllocs(t *testing.T) {
 	run := warmKVRun(t)
 	// The cheapest of a few single warm runs: a dropped Put of the run
@@ -74,9 +74,9 @@ func TestWarmRunnerAllocs(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		best = min(best, testing.AllocsPerRun(1, run))
 	}
-	limit := 453.0
+	limit := 127.0
 	if raceDetector {
-		limit = 506
+		limit = 129
 	}
 	if best > limit {
 		t.Fatalf("warm kvstore/reorder run allocates %.0f times; want <= %.0f (the pooled run path has regressed)", best, limit)
@@ -86,8 +86,9 @@ func TestWarmRunnerAllocs(t *testing.T) {
 // TestWarmRunBytes bounds the bytes one warm pooled kvstore run allocates,
 // so that an arena Reset drops instead of rewinds shows here and not only on
 // the perf ledger: the clock-snapshot chunks alone were 15 kB a run, a
-// copy-on-write page is 1 KiB. Measured 10,672 B (99,912 B while Reset
-// dropped them); the ceiling is that + 10 %.
+// copy-on-write page is 1 KiB. Measured 5,088 B (10,672 B with text-built
+// payloads, 99,912 B while Reset dropped the arenas); the ceiling is that
+// + 10 %.
 func TestWarmRunBytes(t *testing.T) {
 	if raceDetector {
 		t.Skip("under -race sync.Pool drops a quarter of the run arenas, and a fresh simulation is 300 kB")
@@ -104,7 +105,7 @@ func TestWarmRunBytes(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		best = min(best, (after.TotalAlloc-before.TotalAlloc)/batch)
 	}
-	if limit := uint64(11_740); best > limit {
+	if limit := uint64(5_596); best > limit {
 		t.Fatalf("warm kvstore/reorder run allocates %d bytes; want <= %d (run-scoped memory is being dropped, not rewound)", best, limit)
 	}
 }

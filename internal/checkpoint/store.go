@@ -87,14 +87,16 @@ func (s *Store) Put(c *Checkpoint) string {
 }
 
 // assignedID returns "ckpt-<proc>-<n>", from the intern table when n is
-// small enough to be remembered. Caller holds mu.
+// small enough to be remembered. Past the table the string is the only
+// allocation: it is rendered in a stack array (a process name too long for
+// it spills). Caller holds mu.
 func (s *Store) assignedID(proc string, n uint64) string {
 	ids := s.ids[proc]
 	if n < uint64(len(ids)) && ids[n] != "" {
 		return ids[n]
 	}
-	buf := make([]byte, 0, len("ckpt-")+len(proc)+1+20)
-	buf = append(buf, "ckpt-"...)
+	var arr [64]byte
+	buf := append(arr[:0], "ckpt-"...)
 	buf = append(buf, proc...)
 	buf = append(buf, '-')
 	id := string(strconv.AppendUint(buf, n, 10))

@@ -129,3 +129,20 @@ func TestLatestNotAfter(t *testing.T) {
 		t.Error("unknown proc should be nil")
 	}
 }
+
+// TestAssignedIDAllocatesOnlyTheID: inside the intern table an assigned ID
+// is free once rendered; past it, the string is the one allocation.
+func TestAssignedIDAllocatesOnlyTheID(t *testing.T) {
+	s := NewStore()
+	if got := s.assignedID("kvprimary", maxInternedIDs+7); got != "ckpt-kvprimary-263" {
+		t.Fatalf("assignedID = %q", got)
+	}
+	s.assignedID("kvprimary", 9)
+	if n := testing.AllocsPerRun(100, func() { s.assignedID("kvprimary", 9) }); n != 0 {
+		t.Errorf("interned ID: %v allocations, want 0", n)
+	}
+	n := uint64(maxInternedIDs)
+	if got := testing.AllocsPerRun(100, func() { n++; s.assignedID("kvprimary", n) }); got != 1 {
+		t.Errorf("ID past the intern table: %v allocations, want 1", got)
+	}
+}

@@ -52,7 +52,10 @@ type Machine interface {
 	State() any
 	// Init runs once at simulation start (virtual time 0).
 	Init(ctx Context)
-	// OnMessage handles a delivered message.
+	// OnMessage handles a delivered message. The payload is borrowed: it is
+	// read-only and valid until OnMessage returns (on the simulator it is
+	// the very slice backing the sender's scroll record). A machine that
+	// keeps any of it copies what it keeps.
 	OnMessage(ctx Context, from string, payload []byte)
 	// OnTimer handles a timer the machine previously set.
 	OnTimer(ctx Context, name string)
@@ -75,7 +78,10 @@ type Context interface {
 	Now() uint64
 	// Random returns a pseudo-random value (recorded).
 	Random() uint64
-	// Send transmits a message to the named process.
+	// Send transmits a message to the named process. It does not retain
+	// payload: every implementation copies (or compares) the bytes before
+	// returning, so the caller may render its next message into the same
+	// buffer.
 	Send(to string, payload []byte)
 	// SetTimer schedules OnTimer(name) after delay ticks.
 	SetTimer(name string, delay uint64)

@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/chaos"
 	"repro/internal/dsim"
 	"repro/internal/fault"
+	"repro/internal/investigate"
 	"repro/internal/scroll"
 	"repro/internal/substrate"
 )
@@ -570,3 +572,134 @@ func (w *faultyWorker) OnMessage(ctx dsim.Context, from string, payload []byte) 
 }
 func (w *faultyWorker) OnTimer(dsim.Context, string)               {}
 func (w *faultyWorker) OnRollback(dsim.Context, dsim.RollbackInfo) {}
+
+// The no-retain contract (dsim.Context.Send, DurablePut): a machine may
+// render every message into one buffer it owns. reuser does, and scribbles
+// over the buffer the moment each call returns; sink keeps what it is
+// delivered. Any Context that held on to its argument instead of copying
+// it would record, deliver or store the scribble.
+
+type reuserState struct{ ReadBack string }
+
+type reuser struct {
+	st  reuserState
+	buf [16]byte
+}
+
+func (r *reuser) State() any { return &r.st }
+func (r *reuser) Init(ctx dsim.Context) {
+	for _, msg := range []string{"first", "second"} {
+		p := append(r.buf[:0], msg...)
+		ctx.Send("sink", p)
+		scribble(p)
+	}
+	p := append(r.buf[:0], "stored"...)
+	ctx.DurablePut("cell", p)
+	scribble(p)
+	v, _ := ctx.DurableGet("cell")
+	r.st.ReadBack = string(v)
+}
+func (r *reuser) OnMessage(dsim.Context, string, []byte)     {}
+func (r *reuser) OnTimer(dsim.Context, string)               {}
+func (r *reuser) OnRollback(dsim.Context, dsim.RollbackInfo) {}
+
+func scribble(p []byte) {
+	for i := range p {
+		p[i] = 'X'
+	}
+}
+
+type sinkState struct{ Got []string }
+
+type sink struct{ st sinkState }
+
+func (s *sink) State() any        { return &s.st }
+func (s *sink) Init(dsim.Context) {}
+func (s *sink) OnMessage(ctx dsim.Context, from string, payload []byte) {
+	s.st.Got = append(s.st.Got, string(payload)) // borrowed for the call: keep a copy
+	sort.Strings(s.st.Got)
+}
+func (s *sink) OnTimer(dsim.Context, string)               {}
+func (s *sink) OnRollback(dsim.Context, dsim.RollbackInfo) {}
+
+// intact reports whether the reuser's and sink's serialized states hold
+// only bytes the reuser rendered, and whether all of them have arrived.
+func intact(reuserJSON, sinkJSON []byte) (clean, complete bool) {
+	var r reuserState
+	var s sinkState
+	if (reuserJSON != nil && json.Unmarshal(reuserJSON, &r) != nil) || (sinkJSON != nil && json.Unmarshal(sinkJSON, &s) != nil) {
+		return false, false
+	}
+	clean = r.ReadBack == "" || r.ReadBack == "stored"
+	for _, got := range s.Got {
+		clean = clean && (got == "first" || got == "second")
+	}
+	return clean, r.ReadBack == "stored" && fmt.Sprint(s.Got) == "[first second]"
+}
+
+func TestContextDoesNotRetain(t *testing.T) {
+	var recorded []scroll.Record // the simulator's recording of the reuser, for the replay case
+	for _, backend := range []string{"sim", "live", "live-tcp"} {
+		t.Run(backend, func(t *testing.T) {
+			var sub substrate.Substrate
+			if backend == "sim" {
+				sub = substrate.NewSim(dsim.Config{Seed: 7, MinLatency: 1, MaxLatency: 4, MaxSteps: 1000})
+			} else {
+				live, err := substrate.NewLive(substrate.LiveConfig{Seed: 7, UseTCP: backend == "live-tcp"})
+				if err != nil {
+					t.Skipf("live substrate unavailable: %v", err)
+				}
+				sub = live
+			}
+			t.Cleanup(func() { sub.Close() })
+			sub.AddProcess("reuser", &reuser{})
+			sub.AddProcess("sink", &sink{})
+			sub.Run()
+			if clean, complete := intact(sub.MachineState("reuser"), sub.MachineState("sink")); !clean || !complete {
+				t.Errorf("delivered or read back: reuser %s, sink %s", sub.MachineState("reuser"), sub.MachineState("sink"))
+			}
+			var rec []string
+			for r := range sub.Scroll("reuser").All() {
+				if r.Kind == scroll.KindSend || (r.Kind == scroll.KindEnv && r.MsgID == dsim.DurablePutMsgID) {
+					rec = append(rec, string(r.Payload))
+				}
+			}
+			if fmt.Sprint(rec) != "[first second stored]" {
+				t.Errorf("recorded %q", rec)
+			}
+			if cell := sub.DurableSnapshot()["reuser"]["cell"]; string(cell) != "stored" {
+				t.Errorf("stored %q", cell)
+			}
+			if backend == "sim" {
+				recorded = sub.Scroll("reuser").Records()
+			}
+		})
+	}
+	t.Run("replay", func(t *testing.T) {
+		if recorded == nil {
+			t.Skip("no simulator recording")
+		}
+		m := &reuser{}
+		res, err := dsim.Replay("reuser", m, recorded, 0, 0)
+		if err != nil || res.Diverged || res.Sends != 2 || m.st.ReadBack != "stored" {
+			t.Errorf("replay of the reuser: %+v, err %v, read back %q", res, err, m.st.ReadBack)
+		}
+	})
+	t.Run("sandbox", func(t *testing.T) {
+		reached := false
+		rep, err := investigate.Run([]investigate.ProcModel{
+			{Proc: "reuser", New: func() dsim.Machine { return &reuser{} }},
+			{Proc: "sink", New: func() dsim.Machine { return &sink{} }},
+		}, nil, nil, investigate.Config{Invariants: []fault.GlobalInvariant{{
+			Name: "only rendered bytes",
+			Holds: func(states *fault.States) bool {
+				clean, complete := intact(states.Raw("reuser"), states.Raw("sink"))
+				reached = reached || complete
+				return clean
+			},
+		}}})
+		if err != nil || rep.Violating() || !reached {
+			t.Errorf("sandbox exploration: %+v, err %v, both deliveries reached: %v", rep, err, reached)
+		}
+	})
+}
