@@ -155,7 +155,7 @@ func (p *CAPrimary) OnMessage(ctx dsim.Context, from string, payload []byte) {
 		}
 		key, val := p.w.intern(f[1]), f[2]
 		ver := p.st.Versions[key] + 1
-		ctx.DurablePut(caDurablePrefix+key, versionedCell(&p.w, ver, val))
+		ctx.DurablePut(caDurablePrefix+key, p.w.cell(ver, val))
 		p.st.Versions[key] = ver
 		p.st.Values[key] = string(val)
 		if p.cfg.Buggy {

@@ -122,16 +122,10 @@ func (n *KVNode) replicate(ctx dsim.Context, key string, val []byte, ver uint64)
 // apply precedes the replication broadcast.
 func (n *KVNode) apply(ctx dsim.Context, key string, val []byte, ver uint64) {
 	if n.primary {
-		ctx.DurablePut(kvDurablePrefix+key, versionedCell(&n.w, ver, val))
+		ctx.DurablePut(kvDurablePrefix+key, n.w.cell(ver, val))
 	}
 	n.install(ctx, key, val, ver)
 	n.st.Applied++
-}
-
-// versionedCell renders a stable-storage cell — 8-byte LE version, then
-// the value — in w's scratch.
-func versionedCell(w *wire, ver uint64, val []byte) []byte {
-	return append(binary.LittleEndian.AppendUint64(w.buf[:0], ver), val...)
 }
 
 // recoverAssignments re-installs durably recorded version assignments that

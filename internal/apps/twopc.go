@@ -101,9 +101,7 @@ func (c *Coordinator) Init(ctx dsim.Context) {
 	}
 	c.st.Phase = "prepare"
 	c.st.Voted = map[string]bool{}
-	for i := 0; i < c.cfg.Participants; i++ {
-		ctx.Send(PartName(i), c.w.verb("prepare"))
-	}
+	c.broadcast(ctx, "prepare")
 	ctx.SetTimer("vote-timeout", c.cfg.Timeout)
 }
 
@@ -115,8 +113,14 @@ func (c *Coordinator) decide(ctx dsim.Context, d string) {
 	ctx.DurablePut(decisionKey, c.w.verb(d))
 	c.st.Decision = d
 	c.st.Phase = "done"
+	c.broadcast(ctx, d)
+}
+
+// broadcast sends msg to every participant.
+func (c *Coordinator) broadcast(ctx dsim.Context, msg string) {
+	p := c.w.verb(msg)
 	for i := 0; i < c.cfg.Participants; i++ {
-		ctx.Send(PartName(i), c.w.verb(d))
+		ctx.Send(PartName(i), p)
 	}
 }
 
@@ -132,9 +136,7 @@ func (c *Coordinator) recoverDecision(ctx dsim.Context) bool {
 	}
 	c.st.Decision = string(d)
 	c.st.Phase = "done"
-	for i := 0; i < c.cfg.Participants; i++ {
-		ctx.Send(PartName(i), c.w.verb(c.st.Decision))
-	}
+	c.broadcast(ctx, c.st.Decision)
 	return true
 }
 

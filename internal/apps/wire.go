@@ -2,6 +2,7 @@ package apps
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strconv"
 )
 
@@ -38,6 +39,12 @@ func (p payload) uint(v uint64) payload { return strconv.AppendUint(append(p, '|
 // tagged appends the field fmt.Sprintf("|%s%d", tag, v) — "k12", "v7".
 func (p payload) tagged(tag string, v int) payload {
 	return strconv.AppendInt(p.str(tag), int64(v), 10)
+}
+
+// cell renders a versioned stable-storage cell — 8-byte LE version, then
+// the value — for DurablePut, in the same scratch.
+func (w *wire) cell(ver uint64, val []byte) []byte {
+	return append(binary.LittleEndian.AppendUint64(w.buf[:0], ver), val...)
 }
 
 // intern returns string(b), allocating it only the first time this machine

@@ -3,7 +3,6 @@ package apps
 import (
 	"bytes"
 	"fmt"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -118,7 +117,7 @@ func TestHandlersAllocateNothing(t *testing.T) {
 	bank := &Bank{cfg: BankConfig{Branches: 3, AccountsPer: 4, InitialBalance: 1 << 40, Transfers: 1 << 40, MaxAmount: 100}}
 	ring := &TokenRing{cfg: TokenRingConfig{N: 4, Rounds: 1 << 40, HoldTime: 2}, self: 1}
 	var gen uint64
-	tok := make([]byte, 0, 32)
+	var peer wire // the ring neighbours' side of the conversation
 	kvClient := &KVClient{cfg: KVConfig{Writes: 1 << 40, Keys: 64}}
 	kvReplica := &KVNode{cfg: KVConfig{Replicas: 2, Keys: 64}}
 	elect := &Election{cfg: ElectionConfig{N: 5}, self: 1}
@@ -140,9 +139,9 @@ func TestHandlersAllocateNothing(t *testing.T) {
 		{"bank credit", bank, nil, msg(bank, "credit|3|17"), 0},
 		{"tokenring lap", ring, nil, func() {
 			gen += 4
-			ring.OnMessage(ctx, "ring00", strconv.AppendUint(append(tok[:0], "token|"...), gen, 10)) // acks, enters the CS
-			ring.OnTimer(ctx, "leave")                                                               // passes gen+1 on
-			ring.OnMessage(ctx, "ring02", strconv.AppendUint(append(tok[:0], "ack|"...), gen+1, 10))
+			ring.OnMessage(ctx, "ring00", peer.verb("token").uint(gen)) // acks, enters the CS
+			ring.OnTimer(ctx, "leave")                                  // passes gen+1 on
+			ring.OnMessage(ctx, "ring02", peer.verb("ack").uint(gen+1))
 		}, 2},
 		{"kv client write", kvClient, nil, timer(kvClient, "write"), 1},
 		{"kv replica, superseded write", kvReplica, msg(kvReplica, "repl|k12|v7|9"), msg(kvReplica, "repl|k12|v3|4"), 0},
