@@ -17,7 +17,8 @@ import (
 	"repro/internal/fault"
 	"repro/internal/heal"
 	"repro/internal/investigate"
-	"repro/internal/trace"
+	"repro/internal/scroll"
+	"repro/internal/substrate"
 )
 
 // TestPipelineTokenRing: duplicate-token race detected locally, rolled
@@ -312,30 +313,45 @@ func TestDeterministicPipeline(t *testing.T) {
 	}
 }
 
-// TestLiveAndSimulatedScrollCompatible: records from the live transport
-// runtime merge with simulated records through the same trace machinery.
+// TestLiveAndSimulatedScrollCompatible: a completed run's merged scroll is
+// consistent on either backend through the same record-level check — every
+// receive names a send recorded causally before it.
 func TestLiveAndSimulatedScrollCompatible(t *testing.T) {
-	s := dsim.New(dsim.Config{Seed: 1, MaxSteps: 1000})
-	cfg := apps.TwoPCConfig{Participants: 1}
-	for id, m := range apps.NewTwoPC(cfg) {
-		s.AddProcess(id, m)
+	factories := func() map[string]dsim.Machine {
+		return apps.NewTwoPC(apps.TwoPCConfig{Participants: 1})
 	}
-	s.Run()
-	recs := s.MergedScroll()
-	if len(recs) == 0 {
-		t.Fatal("no records")
+	live, err := substrate.NewLive(substrate.LiveConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	tr := s.Trace()
-	full := map[string]int{}
-	for p, evs := range tr.ByProcess() {
-		full[p] = len(evs)
-	}
-	// The full cut of any completed run must be consistent.
-	cut := traceCutFrom(full)
-	if !cut.Consistent(tr) {
-		t.Error("full cut inconsistent")
+	for _, sub := range []substrate.Substrate{substrate.NewSim(dsim.Config{Seed: 1, MaxSteps: 1000}), live} {
+		name := sub.Capabilities().Name
+		for id, m := range factories() {
+			sub.AddProcess(id, m)
+		}
+		sub.Run()
+		recs := sub.MergedScroll()
+		sub.Close()
+		if len(recs) == 0 {
+			t.Fatalf("%s: no records", name)
+		}
+		sends, receives := make(map[string]scroll.Record), 0
+		for _, r := range recs {
+			if r.Kind == scroll.KindSend {
+				sends[r.MsgID] = r
+			}
+		}
+		for _, r := range recs {
+			if r.Kind != scroll.KindRecv {
+				continue
+			}
+			receives++
+			if sent, ok := sends[r.MsgID]; !ok || !sent.Clock.HappensBefore(r.Clock) {
+				t.Errorf("%s: receive of %s by %s has no send recorded before it", name, r.MsgID, r.Proc)
+			}
+		}
+		if receives == 0 {
+			t.Errorf("%s: nothing was received", name)
+		}
 	}
 }
-
-// traceCutFrom adapts a map to trace.Cut.
-func traceCutFrom(m map[string]int) trace.Cut { return trace.Cut(m) }

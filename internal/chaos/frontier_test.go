@@ -13,9 +13,9 @@ import (
 // introduced the frontier): the shared candidate stream must consume the
 // seeded rng in exactly the original order, so guided and random reports —
 // corpus, growth curves, shrunk failures, artifacts — stay byte-identical.
-// The fixture is re-baselined (FIXD_REGEN_FIXTURES=1) when workload-app
-// behavior changes on purpose; between re-baselines it pins search-driver
-// refactors.
+// The fixture is re-baselined (go test -update, the flag every fixture in
+// the tree regenerates under) when workload-app behavior changes on
+// purpose; between re-baselines it pins search-driver refactors.
 func TestFrontierPreRefactorByteIdentity(t *testing.T) {
 	cfg := SearchConfig{Seed: 7, Budget: 24, Workers: 2, CheckEvery: 64}
 	buggy := cfg
@@ -31,7 +31,7 @@ func TestFrontierPreRefactorByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = append(out, '\n')
-	if os.Getenv("FIXD_REGEN_FIXTURES") != "" {
+	if *update {
 		if err := os.WriteFile("testdata/search_prerefactor.json", out, 0o644); err != nil {
 			t.Fatal(err)
 		}

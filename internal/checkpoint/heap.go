@@ -30,8 +30,8 @@
 // A capture allocates nothing and costs about a fifth of the json.Marshal it
 // replaced. JSON exists only at the boundary: Checkpoint.StateJSON decodes
 // the bytes into a fresh value of the state's type and marshals that, for
-// restores (which unmarshal it into the live machine, as they always
-// have), the Healer's state mappers and the Investigator's models. The
+// restores (RestoreState unmarshals it into the live machine, as restores
+// always have), the Healer's state mappers and the Investigator's models. The
 // decode is exact — the JSON is byte for byte what json.Marshal(State())
 // gave when the checkpoint was taken — because a type gets a codec only if
 // that can be guaranteed: anything encoding/json treats specially (custom
@@ -41,6 +41,30 @@
 // decoder trusts nothing: length prefixes are checked against the bytes
 // that remain, so corrupt input is an error, never a panic or an
 // allocation out of proportion to it.
+//
+// # The Time Machine's four decisions
+//
+// "Assemble local checkpoints into a globally consistent recovery line,
+// restore it" (paper §3.2, §4.2, Fig. 6) is four decisions, each made in one
+// place that the simulator, the live substrate, the Healer, the
+// Investigator and the coordinator all call:
+//
+//   - Selection — which checkpoint of each process the line takes:
+//     recovery.MaxConsistentSet, over lists of *Checkpoint.
+//   - Resolution — turning a caller's line (process -> checkpoint ID) into
+//     checkpoints, or refusing it whole: Store.ResolveLine; both backends'
+//     RollbackTo and heal.Apply validate through it before anything moves.
+//   - Restore — how state bytes become machine state: RestoreState (the
+//     heap half is Heap.Restore).
+//   - The timeline fence — what of the abandoned timeline must not survive
+//     a deliberate rollback to a checkpoint at scroll position n:
+//     Store.PruneAfter (its later checkpoints) and Cells.Fence (its
+//     stable-storage writes), cut at the same coordinate. Cells is the one
+//     stable-storage cell map; the live backend adds a write-ahead log
+//     around it.
+//
+// What stays per backend is the step kernel: how a process is paused,
+// locked and re-armed around those calls.
 //
 // # Run-scoped memory
 //

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"encoding/json"
+	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -44,6 +45,23 @@ func (c *Checkpoint) StateJSON() ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(state)
+}
+
+// RestoreState is the Time Machine's restore decision: the one place
+// checkpointed state bytes (JSON — what StateJSON returns, or a Healer
+// mapper's output) become machine state. dst is the Machine's State()
+// pointer. Every restore path of both backends, the Investigator's sandbox
+// and the Healer's type-safety probe load through it.
+//
+// The bytes are unmarshaled INTO the live value, and encoding/json keeps the
+// entries of a non-nil map it decodes into: a restored process keeps map
+// keys it wrote after the checkpoint (scalars and slices restore exactly).
+// Every committed digest depends on that overlay, so it is preserved
+// exactly, pinned by dsim's TestRestoreOverlaysLiveMaps; making the restore
+// exact (ROADMAP item 1) is a change to this function plus regenerated
+// fixtures.
+func RestoreState(state []byte, dst any) error {
+	return json.Unmarshal(state, dst)
 }
 
 // Store keeps the checkpoints of one or more processes. It is safe for
@@ -193,40 +211,51 @@ func (s *Store) Remove(id string) bool {
 	return true
 }
 
-// PruneBefore discards, for each process, all checkpoints older than the
-// newest n. It returns how many were removed. Committed speculations allow
-// earlier checkpoints to be reclaimed (paper §4.2).
-func (s *Store) PruneBefore(keep int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	removed := 0
-	for proc, list := range s.byProc {
-		if len(list) <= keep {
-			continue
-		}
-		drop := list[:len(list)-keep]
-		for _, c := range drop {
-			delete(s.byID, c.ID)
-			removed++
-		}
-		s.byProc[proc] = append([]*Checkpoint(nil), list[len(list)-keep:]...)
-	}
-	return removed
-}
-
-// LatestNotAfter returns the most recent checkpoint of proc whose vector
-// clock does not causally follow limit — i.e. a state from before (or
-// concurrent with) the observation described by limit. The Time Machine
-// uses this to pick rollback targets that precede the fault.
-func (s *Store) LatestNotAfter(proc string, limit vclock.VC) *Checkpoint {
+// PruneAfter removes proc's checkpoints taken strictly after scrollSeq —
+// the prune half of timeline fencing. A deliberate rollback to a checkpoint
+// at scrollSeq abandons everything the process did past it; the later
+// checkpoints snapshot that abandoned timeline, and Latest must not hand
+// them to a subsequent crash-restart. Stable-storage cells are fenced at
+// the same coordinate (Cells.Fence).
+func (s *Store) PruneAfter(proc string, scrollSeq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	list := s.byProc[proc]
-	for i := len(list) - 1; i >= 0; i-- {
-		c := list[i]
-		if o := c.Clock.Compare(limit); o != vclock.After {
-			return c
+	kept := list[:0]
+	for _, c := range list {
+		if c.ScrollSeq > scrollSeq {
+			delete(s.byID, c.ID)
+			continue
 		}
+		kept = append(kept, c)
 	}
-	return nil
+	clear(list[len(kept):])
+	s.byProc[proc] = kept
+}
+
+// ResolveLine is the Time Machine's resolution decision: it turns a
+// caller's recovery line (process -> checkpoint ID) into the checkpoints
+// themselves, in sorted process order, or reports the first entry that
+// names no stored checkpoint or another process's. Both backends' RollbackTo
+// and the Healer resolve through it before anything is touched.
+func (s *Store) ResolveLine(line map[string]string) ([]*Checkpoint, error) {
+	procs := make([]string, 0, len(line))
+	for proc := range line {
+		procs = append(procs, proc)
+	}
+	sort.Strings(procs)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cks := make([]*Checkpoint, len(procs))
+	for i, proc := range procs {
+		ck := s.byID[line[proc]]
+		if ck == nil {
+			return nil, fmt.Errorf("checkpoint: unknown checkpoint %q for %s", line[proc], proc)
+		}
+		if ck.Proc != proc {
+			return nil, fmt.Errorf("checkpoint: checkpoint %q belongs to %s, not %s", line[proc], ck.Proc, proc)
+		}
+		cks[i] = ck
+	}
+	return cks, nil
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/vclock"
@@ -86,47 +87,65 @@ func TestStoreRemove(t *testing.T) {
 	}
 }
 
-func TestStorePruneBefore(t *testing.T) {
+// TestStorePruneAfter: only the named process's checkpoints strictly past
+// the scroll position go — the restored checkpoint itself, and any taken at
+// the same position, stay.
+func TestStorePruneAfter(t *testing.T) {
 	s := NewStore()
-	for i := 1; i <= 5; i++ {
-		s.Put(mkCkpt("a", vc("a", i)))
+	var ids []string
+	for _, seq := range []uint64{0, 4, 4, 9, 12} {
+		c := mkCkpt("a", vclock.VC{})
+		c.ScrollSeq = seq
+		ids = append(ids, s.Put(c))
 	}
-	s.Put(mkCkpt("b", vc("b", 1)))
-	removed := s.PruneBefore(2)
-	if removed != 3 {
-		t.Errorf("removed = %d, want 3", removed)
+	other := mkCkpt("b", vclock.VC{})
+	other.ScrollSeq = 50
+	s.Put(other)
+	s.PruneAfter("a", 4)
+	var left []string
+	for _, c := range s.List("a") {
+		left = append(left, c.ID)
 	}
-	if len(s.List("a")) != 2 {
-		t.Errorf("a list = %d, want 2", len(s.List("a")))
+	if !reflect.DeepEqual(left, ids[:3]) {
+		t.Errorf("a keeps %v, want %v", left, ids[:3])
 	}
-	if len(s.List("b")) != 1 {
-		t.Errorf("b list = %d, want 1 (below keep)", len(s.List("b")))
+	if s.Get(ids[3]) != nil || s.Get(ids[4]) != nil || s.Latest("a").ID != ids[2] {
+		t.Errorf("pruned checkpoints still reachable: Latest = %s", s.Latest("a").ID)
 	}
-	if got := s.Latest("a").Clock.Get("a"); got != 5 {
-		t.Errorf("latest a clock = %d, want 5", got)
+	if s.Latest("b") != other || s.Len() != 4 {
+		t.Errorf("b touched: Latest = %v, Len = %d", s.Latest("b"), s.Len())
+	}
+	s.PruneAfter("nobody", 0) // unknown process: nothing to do
+	// The freed slots are reusable: a later Put lands after the survivors.
+	next := mkCkpt("a", vclock.VC{})
+	next.ScrollSeq = 5
+	if s.Put(next); s.Latest("a") != next || len(s.List("a")) != 4 {
+		t.Errorf("Put after prune: list %v", s.List("a"))
 	}
 }
 
-func TestLatestNotAfter(t *testing.T) {
+// TestStoreResolveLine: a line resolves to its checkpoints in sorted process
+// order, or to the first bad entry's error with nothing returned.
+func TestStoreResolveLine(t *testing.T) {
 	s := NewStore()
-	c1 := mkCkpt("a", vc("a", 1))
-	c2 := mkCkpt("a", vc("a", 5))
-	c3 := mkCkpt("a", vc("a", 9))
-	s.Put(c1)
-	s.Put(c2)
-	s.Put(c3)
-	// Fault observed at {a:6}: c3 (a:9) is causally after, c2 (a:5) is not.
-	got := s.LatestNotAfter("a", vc("a", 6))
-	if got != c2 {
-		t.Errorf("LatestNotAfter = %+v, want c2", got)
+	a, b := mkCkpt("a", vclock.VC{}), mkCkpt("b", vclock.VC{})
+	s.Put(b)
+	s.Put(a)
+	got, err := s.ResolveLine(map[string]string{"b": b.ID, "a": a.ID})
+	if err != nil || len(got) != 2 || got[0] != a || got[1] != b {
+		t.Fatalf("ResolveLine = %v, %v; want [a b]", got, err)
 	}
-	// Limit before everything: only nothing qualifies except... c1 has a:1 > a:0,
-	// which is After, so nil.
-	if got := s.LatestNotAfter("a", vclock.VC{}); got != nil {
-		t.Errorf("LatestNotAfter(empty) = %+v, want nil", got)
+	if got, err := s.ResolveLine(nil); err != nil || len(got) != 0 {
+		t.Errorf("empty line = %v, %v", got, err)
 	}
-	if got := s.LatestNotAfter("zz", vc("a", 1)); got != nil {
-		t.Error("unknown proc should be nil")
+	for name, line := range map[string]map[string]string{
+		"unknown checkpoint":      {"a": a.ID, "b": "ckpt-b-99"},
+		"another process's":       {"a": b.ID},
+		"process it never stored": {"a": a.ID, "ghost": ""},
+	} {
+		if got, err := s.ResolveLine(line); err == nil || got != nil {
+			t.Errorf("%s: ResolveLine = %v, %v; want an error", name, got, err)
+		}
 	}
 }
 

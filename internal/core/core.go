@@ -64,12 +64,26 @@ type Config struct {
 // degenerates to the always-consistent initial states (FellBackToNow).
 type Substrate interface {
 	heal.Target
+	// Now returns the current virtual time in ticks.
 	Now() uint64
+	// Clock returns a copy of the process's vector clock.
 	Clock(id string) vclock.VC
+	// Scroll returns the named process's recording (nil if unknown).
 	Scroll(id string) *scroll.Scroll
+	// SetFaultHandler installs h on every Context.Fault report; returning
+	// true pauses the run. Passing nil clears it.
 	SetFaultHandler(h func(dsim.FaultRecord) bool)
+	// Run starts the system (initializing machines on first call) and
+	// blocks until quiescence, a step/time bound, or a protected fault
+	// pauses it.
 	Run() dsim.Stats
+	// Resume continues after a pause without re-initializing machines.
 	Resume() dsim.Stats
+	// DurableSnapshotAt returns the stable-storage cells as of a recovery
+	// line (proc -> line scroll position): per process on the line, the
+	// cells written strictly before its position — what the Investigator's
+	// sandbox disks are seeded with.
+	DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string][]byte
 }
 
 // Response records one complete execution of the Fig. 4 protocol.
@@ -142,17 +156,12 @@ func (c *Coordinator) Respond(f dsim.FaultRecord) (*Response, error) {
 	// Choose a consistent set of checkpoints. Every process has an implicit
 	// initial checkpoint (empty clock — concurrent with everything), so a
 	// consistent set always exists.
-	ckpts := make(map[string][]recovery.CkptMeta, len(procs))
-	byID := make(map[string]*checkpoint.Checkpoint)
+	lists := make(map[string][]*checkpoint.Checkpoint, len(procs))
 	for _, id := range procs {
-		metas := []recovery.CkptMeta{{ID: "", Proc: id, Index: -1, Clock: vclock.New()}}
-		for i, ck := range c.sim.Store().List(id) {
-			metas = append(metas, recovery.CkptMeta{ID: ck.ID, Proc: id, Index: i, Clock: ck.Clock})
-			byID[ck.ID] = ck
-		}
-		ckpts[id] = metas
+		initial := &checkpoint.Checkpoint{Proc: id, Clock: vclock.New()}
+		lists[id] = append([]*checkpoint.Checkpoint{initial}, c.sim.Store().List(id)...)
 	}
-	set := recovery.MaxConsistentSet(ckpts)
+	set := recovery.MaxConsistentSet(lists)
 	if set == nil {
 		return nil, fmt.Errorf("core: no consistent checkpoint set (unreachable: initial states are concurrent)")
 	}
@@ -165,25 +174,24 @@ func (c *Coordinator) Respond(f dsim.FaultRecord) (*Response, error) {
 		timers  []investigate.Timer
 		lineSeq = make(map[string]uint64, len(procs))
 	)
-	for _, meta := range set {
-		factory, ok := c.factories[meta.Proc]
+	for _, id := range procs {
+		factory, ok := c.factories[id]
 		if !ok {
-			return nil, fmt.Errorf("core: no model factory for process %q", meta.Proc)
+			return nil, fmt.Errorf("core: no model factory for process %q", id)
 		}
-		pm := investigate.ProcModel{Proc: meta.Proc, New: factory}
-		if meta.ID != "" {
-			ck := byID[meta.ID]
+		pm := investigate.ProcModel{Proc: id, New: factory}
+		if ck := set[id]; ck.ID != "" { // else the initial-state sentinel
 			state, err := ck.StateJSON()
 			if err != nil {
 				return nil, fmt.Errorf("core: checkpoint %s: %w", ck.ID, err)
 			}
 			pm.State = append([]byte(nil), state...)
 			pm.Heap = ck.Snap
-			resp.Line[meta.Proc] = meta.ID
-			resp.LineClocks[meta.Proc] = ck.Clock.Copy()
-			lineSeq[meta.Proc] = ck.ScrollSeq
+			resp.Line[id] = ck.ID
+			resp.LineClocks[id] = ck.Clock.Copy()
+			lineSeq[id] = ck.ScrollSeq
 			for _, name := range ck.Timers {
-				timers = append(timers, investigate.Timer{Proc: meta.Proc, Name: name})
+				timers = append(timers, investigate.Timer{Proc: id, Name: name})
 			}
 		}
 		models = append(models, pm)
@@ -195,13 +203,9 @@ func (c *Coordinator) Respond(f dsim.FaultRecord) (*Response, error) {
 	// its (checkpoint, model) reply — restricted to writes before that
 	// process's line position, so the sandbox disk matches the line's
 	// timeline and never holds a later (or fenced) decision.
-	if src, ok := c.sim.(interface {
-		DurableSnapshotAt(map[string]uint64) map[string]map[string][]byte
-	}); ok {
-		durable := src.DurableSnapshotAt(lineSeq)
-		for i := range models {
-			models[i].Durable = durable[models[i].Proc]
-		}
+	durable := c.sim.DurableSnapshotAt(lineSeq)
+	for i := range models {
+		models[i].Durable = durable[models[i].Proc]
 	}
 	inTransit := c.inTransitAt(lineSeq)
 

@@ -31,7 +31,6 @@ import (
 	"repro/internal/scroll"
 	"repro/internal/slab"
 	"repro/internal/speculation"
-	"repro/internal/trace"
 	"repro/internal/vclock"
 )
 
@@ -254,25 +253,10 @@ type proc struct {
 	// durable is the process's stable storage (Context.Durable…): written
 	// through the context, never rewound by restoreProc — modeling a disk
 	// that survives crash-restart. Deliberate rollbacks (Time Machine, heal,
-	// speculation aborts) mark cells written on the abandoned timeline stale
-	// instead — see durableCell. Sim.Reset clears the map so pooled arenas
-	// start every run empty, like a fresh simulation.
-	durable map[string]durableCell
-}
-
-// durableCell is one stable-storage cell plus the timeline metadata that
-// fences it. epoch is the timeline epoch (Sim.Epoch) at the write; writeSeq
-// is the writer's scroll position, which orders the write against
-// checkpoints (Checkpoint.ScrollSeq uses the same coordinate). A deliberate
-// rollback to checkpoint ck marks cells with writeSeq >= ck.ScrollSeq stale:
-// they belong to the abandoned timeline and must not be re-installed by a
-// later crash-restart. Reads and snapshots skip stale cells; a fresh
-// DurablePut revives the key on the new timeline.
-type durableCell struct {
-	value    []byte
-	epoch    uint64
-	writeSeq uint64
-	stale    bool
+	// speculation aborts) fence the cells written on the abandoned timeline
+	// instead (Cells.Fence). Sim.Reset clears the map so pooled arenas start
+	// every run empty, like a fresh simulation.
+	durable checkpoint.Cells
 }
 
 // clockSnap returns a snapshot of the process's vector clock that is shared
@@ -663,15 +647,6 @@ func (s *Sim) Clock(id string) vclock.VC {
 	return vclock.VC{}
 }
 
-// Trace merges all process scrolls into a global trace.
-func (s *Sim) Trace() *trace.Trace {
-	scrolls := make([]*scroll.Scroll, 0, len(s.order))
-	for _, id := range s.order {
-		scrolls = append(scrolls, s.procs[id].scroll)
-	}
-	return scroll.ToTrace(scroll.Merge(scrolls...))
-}
-
 // Scrolls returns the live per-process scrolls in sorted process order —
 // the copy-free input to scroll.Fingerprinter, which streams the global
 // merge instead of materializing it like MergedScroll.
@@ -887,39 +862,31 @@ func (s *Sim) rollbackLatest(id string) {
 	if !ok || p.crashed || s.store.Latest(id) == nil {
 		return
 	}
-	metas := make(map[string][]recovery.CkptMeta, len(s.order))
-	byID := make(map[string]*checkpoint.Checkpoint)
+	lists := make(map[string][]*checkpoint.Checkpoint, len(s.order))
 	for _, pid := range s.order {
-		cks := s.store.List(pid)
-		if len(cks) == 0 {
-			continue
+		if cks := s.store.List(pid); len(cks) > 0 {
+			lists[pid] = cks
 		}
-		ms := make([]recovery.CkptMeta, len(cks))
-		for i, ck := range cks {
-			ms[i] = recovery.CkptMeta{ID: ck.ID, Proc: pid, Index: i, Clock: ck.Clock}
-			byID[ck.ID] = ck
-		}
-		metas[pid] = ms
 	}
-	set := recovery.MaxConsistentSet(metas)
+	set := recovery.MaxConsistentSet(lists)
 	if set == nil {
 		return
 	}
 	line := make(map[string]string, len(set))
-	var downed []recovery.CkptMeta
-	for _, m := range set {
-		if s.procs[m.Proc].crashed {
-			downed = append(downed, m)
+	for _, pid := range s.order {
+		ck, ok := set[pid]
+		if !ok {
 			continue
 		}
-		line[m.Proc] = m.ID
-	}
-	// Fence the downed members first: truncate their scrolls to the line
-	// and recall their still-queued post-line sends, so RollbackTo's
-	// in-transit re-delivery cannot resurrect the abandoned timeline's
-	// traffic out of a crashed process's recording.
-	for _, m := range downed {
-		p, ck := s.procs[m.Proc], byID[m.ID]
+		p := s.procs[pid]
+		if !p.crashed {
+			line[pid] = ck.ID
+			continue
+		}
+		// Fence the downed member before RollbackTo runs: truncate its scroll
+		// to the line and recall its still-queued post-line sends, so the
+		// in-transit re-delivery cannot resurrect the abandoned timeline's
+		// traffic out of a crashed process's recording.
 		p.scroll.Truncate(ck.ScrollSeq)
 		for i := 0; i < s.queue.len(); i++ {
 			ev := s.queue.at(i)
@@ -927,8 +894,7 @@ func (s *Sim) rollbackLatest(id string) {
 				ev.dead = true
 			}
 		}
-		s.invalidateDurable(p, ck.ScrollSeq)
-		s.pruneAbandoned(m.Proc, ck)
+		s.fenceAbandoned(p, ck)
 	}
 	if err := s.RollbackTo(line); err != nil {
 		panic(fmt.Sprintf("dsim: injected rollback anchored at %s: %v", id, err))
@@ -939,31 +905,14 @@ func (s *Sim) rollbackLatest(id string) {
 // abandoned, so everything stamped with the old epoch becomes fenceable.
 func (s *Sim) bumpEpoch() { s.epoch++ }
 
-// invalidateDurable marks stale every durable cell the process wrote at or
-// after the restored checkpoint's scroll position: those writes happened on
-// the timeline a deliberate rollback just abandoned, and a later
-// crash-restart must not re-install them (the pre-epoch bug this fences).
-// Crash-restart recovery never calls this — there the disk is the
-// authoritative recovery source and nothing is abandoned.
-func (s *Sim) invalidateDurable(p *proc, scrollSeq uint64) {
-	for k, c := range p.durable {
-		if !c.stale && c.writeSeq >= scrollSeq {
-			c.stale = true
-			p.durable[k] = c
-		}
-	}
-}
-
-// pruneAbandoned removes the process's checkpoints taken strictly after the
-// restored one (same ScrollSeq coordinate as durable invalidation): they
-// snapshot states of the abandoned timeline, and store.Latest must not hand
-// them to a subsequent crash-restart.
-func (s *Sim) pruneAbandoned(id string, ck *checkpoint.Checkpoint) {
-	for _, old := range s.store.List(id) {
-		if old.ScrollSeq > ck.ScrollSeq {
-			s.store.Remove(old.ID)
-		}
-	}
+// fenceAbandoned is the durable half of timeline fencing after a deliberate
+// rollback of p to ck: the stable-storage cells and the checkpoints the
+// abandoned timeline produced past ck's scroll position go, so a later
+// crash-restart recovers the restored timeline, not the abandoned one.
+// Crash-restart recovery itself never calls this.
+func (s *Sim) fenceAbandoned(p *proc, ck *checkpoint.Checkpoint) {
+	p.durable.Fence(ck.ScrollSeq)
+	s.store.PruneAfter(p.id, ck.ScrollSeq)
 }
 
 // restart revives a crashed process from its latest checkpoint.
@@ -1036,18 +985,14 @@ func (s *Sim) takeCheckpoint(p *proc, specID, label string) *checkpoint.Checkpoi
 // checkpoint are purged from the queue. Stable storage (proc.durable) is
 // deliberately untouched here: disk writes cannot be unwritten by a
 // restore. Deliberate-rollback callers additionally fence the cells written
-// after the checkpoint (invalidateDurable); the crash-restart caller must
-// not — the disk is its authoritative recovery source.
+// after the checkpoint (fenceAbandoned, or Cells.Fence alone for a
+// speculation abort); the crash-restart caller must not — the disk is its
+// authoritative recovery source.
 func (s *Sim) restoreProc(p *proc, ck *checkpoint.Checkpoint) {
 	p.heap.Restore(ck.Snap)
-	// The checkpoint's JSON is unmarshaled INTO the live state, and
-	// encoding/json keeps the entries of a non-nil map it decodes into: a
-	// restored process keeps map keys it wrote after the checkpoint. Every
-	// committed digest depends on that overlay, so it is preserved exactly
-	// (pinned by TestRestoreOverlaysLiveMaps; ROADMAP item 1).
 	state, err := ck.StateJSON()
 	if err == nil {
-		err = json.Unmarshal(state, p.machine.State())
+		err = checkpoint.RestoreState(state, p.machine.State())
 	}
 	if err != nil {
 		panic(fmt.Sprintf("dsim: restore state of %s: %v", p.id, err))
@@ -1082,42 +1027,35 @@ func (s *Sim) restoreProc(p *proc, ck *checkpoint.Checkpoint) {
 // that were in transit across the line, reading them from the scrolls.
 // Checkpoint IDs map process -> checkpoint ID.
 func (s *Sim) RollbackTo(line map[string]string) error {
-	procIDs := make([]string, 0, len(line))
-	for id := range line {
-		procIDs = append(procIDs, id)
+	resolved, err := s.store.ResolveLine(line)
+	if err != nil {
+		return err
 	}
-	sort.Strings(procIDs)
-	cks := make(map[string]*checkpoint.Checkpoint, len(line))
-	for _, id := range procIDs {
-		ck := s.store.Get(line[id])
-		if ck == nil {
-			return fmt.Errorf("dsim: unknown checkpoint %q for %s", line[id], id)
+	// Nothing moves — not the epoch, not one process — unless the whole line
+	// can be applied.
+	cks := make(map[string]*checkpoint.Checkpoint, len(resolved))
+	for _, ck := range resolved {
+		if s.procs[ck.Proc] == nil {
+			return fmt.Errorf("dsim: unknown process %q", ck.Proc)
 		}
-		if ck.Proc != id {
-			return fmt.Errorf("dsim: checkpoint %q belongs to %s, not %s", line[id], ck.Proc, id)
-		}
-		cks[id] = ck
+		cks[ck.Proc] = ck
 	}
 	// Purge queued events invalidated by the rollback: anything addressed
 	// to a rolled-back process (it will be re-delivered from the scroll if
 	// still in transit at the line), anything created by a rolled-back
 	// process after its checkpoint, and post-checkpoint timers.
-	rolled := make(map[string]bool, len(line))
-	for _, id := range procIDs {
-		rolled[id] = true
-	}
 	for i := 0; i < s.queue.len(); i++ {
 		ev := s.queue.at(i)
 		switch ev.kind {
 		case evMessage:
-			if rolled[ev.to] {
+			if cks[ev.to] != nil {
 				ev.dead = true
 			}
-			if rolled[ev.from] && ev.creatorSeq >= cks[ev.from].ScrollSeq {
+			if ck := cks[ev.from]; ck != nil && ev.creatorSeq >= ck.ScrollSeq {
 				ev.dead = true
 			}
 		case evTimer:
-			if rolled[ev.proc] && ev.creatorSeq >= cks[ev.proc].ScrollSeq {
+			if ck := cks[ev.proc]; ck != nil && ev.creatorSeq >= ck.ScrollSeq {
 				ev.dead = true
 			}
 		}
@@ -1126,19 +1064,18 @@ func (s *Sim) RollbackTo(line map[string]string) error {
 	// durable cells it wrote, and drop its checkpoints so a later
 	// crash-restart recovers the restored timeline, not the abandoned one.
 	s.bumpEpoch()
-	for _, id := range procIDs {
-		p := s.procs[id]
-		s.restoreProc(p, cks[id])
-		s.invalidateDurable(p, cks[id].ScrollSeq)
-		s.pruneAbandoned(id, cks[id])
+	for _, ck := range resolved {
+		p := s.procs[ck.Proc]
+		s.restoreProc(p, ck)
+		s.fenceAbandoned(p, ck)
 	}
 	// Re-deliver in-transit messages addressed to rolled-back processes:
 	// sends preserved in *any* process's scroll (rolled scrolls are already
 	// truncated to the line, so every record they retain is preserved)
 	// whose matching receive is no longer in the receiver's scroll.
 	received := make(map[string]bool)
-	for _, id := range procIDs {
-		for r := range s.procs[id].scroll.All() {
+	for _, ck := range resolved {
+		for r := range s.procs[ck.Proc].scroll.All() {
 			if r.Kind == scroll.KindRecv {
 				received[r.MsgID] = true
 			}
@@ -1146,7 +1083,7 @@ func (s *Sim) RollbackTo(line map[string]string) error {
 	}
 	for _, id := range s.order {
 		for r := range s.procs[id].scroll.All() {
-			if r.Kind != scroll.KindSend || received[r.MsgID] || !rolled[r.Peer] {
+			if r.Kind != scroll.KindSend || received[r.MsgID] || cks[r.Peer] == nil {
 				continue
 			}
 			s.push(event{
@@ -1157,8 +1094,8 @@ func (s *Sim) RollbackTo(line map[string]string) error {
 		}
 	}
 	// Notify machines (alternate path opportunity), in sorted order.
-	for _, id := range procIDs {
-		p := s.procs[id]
+	for _, ck := range resolved {
+		p := s.procs[ck.Proc]
 		p.machine.OnRollback(p.ctx, RollbackInfo{Manual: true, Reason: "time machine rollback"})
 	}
 	return nil
@@ -1175,7 +1112,7 @@ func (s *Sim) ReplaceMachine(procID string, m Machine, state []byte) error {
 		return fmt.Errorf("dsim: unknown process %q", procID)
 	}
 	if state != nil {
-		if err := json.Unmarshal(state, m.State()); err != nil {
+		if err := checkpoint.RestoreState(state, m.State()); err != nil {
 			return fmt.Errorf("dsim: update state of %s rejected: %w", procID, err)
 		}
 	}
@@ -1220,7 +1157,7 @@ func (c specCtl) Rollback(procID, ckptID string, aborted *speculation.Speculatio
 	// are left to the speculation manager, which owns their lifecycle.
 	c.s.bumpEpoch()
 	c.s.restoreProc(p, ck)
-	c.s.invalidateDurable(p, ck.ScrollSeq)
+	p.durable.Fence(ck.ScrollSeq)
 	p.machine.OnRollback(p.ctx, RollbackInfo{
 		SpecID: aborted.ID, Assumption: aborted.Assumption, Reason: aborted.Reason,
 	})

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/inject"
 	"repro/internal/scroll"
-	"repro/internal/trace"
+	"repro/internal/vclock"
 )
 
 // pingpong bounces a counter between two processes until Limit rounds.
@@ -622,19 +622,28 @@ func TestTraceConsistencyOfFullRun(t *testing.T) {
 	s.AddProcess("a", a)
 	s.AddProcess("b", b)
 	s.Run()
-	tr := s.Trace()
-	full := map[string]int{}
-	for p, evs := range tr.ByProcess() {
-		full[p] = len(evs)
-	}
-	cut := make(map[string]int, len(full))
-	for k, v := range full {
-		cut[k] = v
-	}
-	if !traceCut(cut).Consistent(tr) {
-		t.Error("full cut of a completed run must be consistent")
+	if id := orphanReceive(s.MergedScroll()); id != "" {
+		t.Errorf("receive of %s has no send that happens before it: a completed run's scrolls must be consistent", id)
 	}
 }
 
-// traceCut converts a plain map into a trace.Cut.
-func traceCut(m map[string]int) trace.Cut { return trace.Cut(m) }
+// orphanReceive returns the MsgID of the first receive in the merged scroll
+// whose send is not recorded causally before it, or "" when every receive
+// has its send — what makes the full cut of a run consistent.
+func orphanReceive(recs []scroll.Record) string {
+	sends := make(map[string]vclock.VC)
+	for _, r := range recs {
+		if r.Kind == scroll.KindSend {
+			sends[r.MsgID] = r.Clock
+		}
+	}
+	for _, r := range recs {
+		if r.Kind != scroll.KindRecv {
+			continue
+		}
+		if sent, ok := sends[r.MsgID]; !ok || !sent.HappensBefore(r.Clock) {
+			return r.MsgID
+		}
+	}
+	return ""
+}

@@ -3,7 +3,6 @@ package dsim
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/scroll"
 )
@@ -18,9 +17,9 @@ import (
 // §3.1: liblog/Flashback-style durable logging). Deliberate rollbacks are
 // fenced by the timeline epoch instead: a Time-Machine/heal restore or
 // speculation abort abandons the timeline it rewinds, so cells written
-// after the restored checkpoint are marked stale and stay invisible — a
-// crash-restart that fires later recovers the restored timeline's cells,
-// never the abandoned one's (see durableCell in dsim.go). Between runs the
+// after the restored checkpoint are fenced (deleted) — a crash-restart that
+// fires later recovers the restored timeline's cells, never the abandoned
+// one's (checkpoint.Cells, which both backends keep). Between runs the
 // store vanishes: Sim.Reset clears it along with the rest of the arena, so
 // a pooled simulation starts every run exactly like a fresh one.
 //
@@ -87,21 +86,13 @@ func DecodeDurableKeys(b []byte) ([]string, error) {
 }
 
 // DurablePut implements Context: the cell is written to the process's
-// stable store, stamped with the current timeline epoch and scroll
-// position, and the write is recorded in the scroll. Writes survive
-// crash-restart; a deliberate rollback fences writes made after the
-// restored checkpoint (a put on the new timeline revives the key).
+// stable store, stamped with the writer's scroll position, and the write is
+// recorded in the scroll (cell and record share the one copy of value).
+// Writes survive crash-restart; a deliberate rollback fences writes made
+// after the restored checkpoint (a put on the new timeline revives the key).
 func (c *simContext) DurablePut(key string, value []byte) {
 	p := c.proc
-	if p.durable == nil {
-		p.durable = make(map[string]durableCell)
-	}
-	body := append([]byte(nil), value...)
-	p.durable[key] = durableCell{
-		value:    body,
-		epoch:    c.sim.epoch,
-		writeSeq: uint64(p.scroll.Len()),
-	}
+	body := p.durable.Put(key, value, uint64(p.scroll.Len()))
 	p.scroll.Append(scroll.Record{
 		Kind: scroll.KindEnv, MsgID: DurablePutMsgID, Peer: key, Payload: body,
 		Lamport: p.lamport.Now(), Clock: p.clockSnap(),
@@ -112,33 +103,22 @@ func (c *simContext) DurablePut(key string, value []byte) {
 // the same value. Cells fenced by a deliberate rollback read as absent.
 func (c *simContext) DurableGet(key string) ([]byte, bool) {
 	p := c.proc
-	cell, ok := p.durable[key]
-	if cell.stale {
-		cell, ok = durableCell{}, false
-	}
+	v, ok := p.durable.Get(key)
 	p.scroll.Append(scroll.Record{
 		Kind: scroll.KindEnv, MsgID: DurableGetMsgID, Peer: key,
-		Payload: EncodeDurableGet(cell.value, ok),
+		Payload: EncodeDurableGet(v, ok),
 		Lamport: p.lamport.Now(), Clock: p.clockSnap(),
 	})
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), cell.value...), true
+	return append([]byte(nil), v...), true
 }
 
-// DurableKeys implements Context, recording the (sorted) key list of the
-// live (non-fenced) cells.
+// DurableKeys implements Context, recording the (sorted) key list.
 func (c *simContext) DurableKeys() []string {
 	p := c.proc
-	keys := make([]string, 0, len(p.durable))
-	for k, cell := range p.durable {
-		if cell.stale {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := p.durable.Keys()
 	p.scroll.Append(scroll.Record{
 		Kind: scroll.KindEnv, MsgID: DurableKeysMsgID,
 		Payload: EncodeDurableKeys(keys),
@@ -147,62 +127,39 @@ func (c *simContext) DurableKeys() []string {
 	return keys
 }
 
-// DurableSnapshotAt returns the live cells as of a recovery line: for
-// each process present in lineSeq, only cells written strictly before
-// that process's line scroll position (the same writeSeq >= seq boundary
-// a rollback fences). Processes absent from the line — no checkpoint, so
-// an investigation starts them from initial state — are omitted: a fresh
-// timeline has written nothing. This is what the Investigator seeds its
-// sandbox disks from, so exploration from a recovery line never observes
-// cells the line's timeline had not yet written.
-func (s *Sim) DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string][]byte {
-	var out map[string]map[string][]byte
-	for _, id := range s.order {
-		seq, ok := lineSeq[id]
-		if !ok {
-			continue
-		}
-		p := s.procs[id]
-		var cells map[string][]byte
-		for k, cell := range p.durable {
-			if cell.stale || cell.writeSeq >= seq {
-				continue
-			}
-			if cells == nil {
-				cells = make(map[string][]byte, len(p.durable))
-			}
-			cells[k] = append([]byte(nil), cell.value...)
-		}
-		if cells == nil {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]map[string][]byte, len(s.order))
-		}
-		out[id] = cells
-	}
-	return out
-}
-
-// DurableSnapshot returns a deep copy of every process's live (non-fenced)
-// stable-storage cells, keyed proc -> key -> value. Processes with no live
-// cells are omitted; a run in which nothing was written returns nil. The
-// snapshot is deterministic given the run, which is how chaos artifacts pin
+// DurableSnapshot returns a deep copy of every process's stable-storage
+// cells, keyed proc -> key -> value. Processes with no cells are omitted; a
+// run in which nothing was written returns nil. The snapshot is
+// deterministic given the run, which is how chaos artifacts pin
 // recovery-dependent outcomes in addition to the scroll digest.
 func (s *Sim) DurableSnapshot() map[string]map[string][]byte {
+	return s.snapshotCells(func(p *proc) map[string][]byte { return p.durable.Snapshot() })
+}
+
+// DurableSnapshotAt returns the cells as of a recovery line: for each
+// process present in lineSeq, only cells written strictly before that
+// process's line scroll position (the same boundary a rollback fences).
+// Processes absent from the line — no checkpoint, so an investigation
+// starts them from initial state — are omitted: a fresh timeline has
+// written nothing. This is what the Investigator seeds its sandbox disks
+// from, so exploration from a recovery line never observes cells the line's
+// timeline had not yet written.
+func (s *Sim) DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string][]byte {
+	return s.snapshotCells(func(p *proc) map[string][]byte {
+		seq, ok := lineSeq[p.id]
+		if !ok {
+			return nil
+		}
+		return p.durable.SnapshotAt(seq)
+	})
+}
+
+// snapshotCells collects what cellsOf copies out of each process's stable
+// storage, in process order, leaving out processes it returns nil for.
+func (s *Sim) snapshotCells(cellsOf func(*proc) map[string][]byte) map[string]map[string][]byte {
 	var out map[string]map[string][]byte
 	for _, id := range s.order {
-		p := s.procs[id]
-		var cells map[string][]byte
-		for k, cell := range p.durable {
-			if cell.stale {
-				continue
-			}
-			if cells == nil {
-				cells = make(map[string][]byte, len(p.durable))
-			}
-			cells[k] = append([]byte(nil), cell.value...)
-		}
+		cells := cellsOf(s.procs[id])
 		if cells == nil {
 			continue
 		}

@@ -99,8 +99,8 @@ func TestQuickReplayAlwaysFaithful(t *testing.T) {
 	}
 }
 
-// TestQuickScrollTraceConsistent: the full cut of any completed run's
-// trace is consistent (no orphan receives), for random drop rates.
+// TestQuickScrollTraceConsistent: the scrolls of any completed run are
+// consistent (no orphan receives), for random drop rates.
 func TestQuickScrollTraceConsistent(t *testing.T) {
 	f := func(seed int64, dropSeed uint8) bool {
 		s := New(Config{Seed: seed, DropRate: float64(dropSeed%5) * 0.15, MaxSteps: 5000})
@@ -108,12 +108,7 @@ func TestQuickScrollTraceConsistent(t *testing.T) {
 		s.AddProcess("a", a)
 		s.AddProcess("b", b)
 		s.Run()
-		tr := s.Trace()
-		full := map[string]int{}
-		for p, evs := range tr.ByProcess() {
-			full[p] = len(evs)
-		}
-		return traceCut(full).Consistent(tr)
+		return orphanReceive(s.MergedScroll()) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

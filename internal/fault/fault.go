@@ -91,17 +91,6 @@ func (p *Plan) Apply(s Injector) {
 	}
 }
 
-// Compose concatenates plans into one reproducible schedule.
-func Compose(plans ...*Plan) *Plan {
-	out := &Plan{}
-	for _, p := range plans {
-		if p != nil {
-			out.Injections = append(out.Injections, p.Injections...)
-		}
-	}
-	return out
-}
-
 // CrashRestart builds a plan that crashes proc at t and restarts it at t2.
 func CrashRestart(proc string, t, t2 uint64) *Plan {
 	return &Plan{Injections: []Injection{

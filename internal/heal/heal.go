@@ -23,6 +23,7 @@ package heal
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/checkpoint"
@@ -37,9 +38,16 @@ import (
 // the dynamic-update primitive. *dsim.Sim satisfies it natively; the live
 // substrate (internal/substrate) provides a best-effort implementation.
 type Target interface {
+	// Procs returns the sorted process IDs.
 	Procs() []string
+	// Store exposes the substrate's checkpoint store.
 	Store() *checkpoint.Store
+	// RollbackTo restores the given recovery line (proc -> checkpoint ID),
+	// all of it or — when an entry names an unknown checkpoint or process —
+	// none of it.
 	RollbackTo(line map[string]string) error
+	// ReplaceMachine swaps a process's implementation, loading state (JSON)
+	// into it when non-nil — the dynamic-update primitive.
 	ReplaceMachine(procID string, m dsim.Machine, state []byte) error
 }
 
@@ -105,23 +113,18 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 	if mapper == nil {
 		mapper = func(_ string, old []byte) ([]byte, error) { return old, nil }
 	}
-	procs := make([]string, 0, len(line))
-	for id := range line {
-		procs = append(procs, id)
+	cks, err := s.Store().ResolveLine(line)
+	if err != nil {
+		return nil, fmt.Errorf("heal: %w", err)
 	}
-	sort.Strings(procs)
 
 	// Stage 0: gather and map the checkpointed states.
+	procs := make([]string, len(cks))
 	mapped := make(map[string][]byte, len(line))
 	heaps := make(map[string]*investigate.ProcModel)
-	for _, id := range procs {
-		ck := s.Store().Get(line[id])
-		if ck == nil {
-			return nil, fmt.Errorf("heal: unknown checkpoint %q for %s", line[id], id)
-		}
-		if ck.Proc != id {
-			return nil, fmt.Errorf("heal: checkpoint %q belongs to %s, not %s", line[id], ck.Proc, id)
-		}
+	for i, ck := range cks {
+		id := ck.Proc
+		procs[i] = id
 		old, err := ck.StateJSON()
 		if err != nil {
 			return nil, fmt.Errorf("heal: checkpoint %s: %w", ck.ID, err)
@@ -148,7 +151,7 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 	rep.TypeSafe = true
 	for _, id := range procs {
 		probe := prog.Factories[id]()
-		if err := json.Unmarshal(mapped[id], probe.State()); err != nil {
+		if err := checkpoint.RestoreState(mapped[id], probe.State()); err != nil {
 			rep.TypeSafe = false
 			rep.Failures = append(rep.Failures, fmt.Sprintf("type safety: %s rejects mapped state: %v", id, err))
 		}
@@ -254,29 +257,16 @@ func VerifiedLine(s Target, invariants []fault.GlobalInvariant) map[string]strin
 		return nil
 	}
 	for {
-		metas := make(map[string][]recovery.CkptMeta, len(lists))
-		byID := make(map[string]*checkpoint.Checkpoint)
-		for id, cks := range lists {
-			if len(cks) == 0 {
-				return nil
-			}
-			ms := make([]recovery.CkptMeta, len(cks))
-			for i, ck := range cks {
-				ms[i] = recovery.CkptMeta{ID: ck.ID, Proc: id, Index: i, Clock: ck.Clock}
-				byID[ck.ID] = ck
-			}
-			metas[id] = ms
-		}
-		set := recovery.MaxConsistentSet(metas)
+		set := recovery.MaxConsistentSet(lists)
 		if set == nil {
 			return nil
 		}
 		ok := true
 		raw := make(map[string]json.RawMessage, len(set))
-		for _, meta := range set {
-			state, err := byID[meta.ID].StateJSON()
+		for id, ck := range set {
+			state, err := ck.StateJSON()
 			ok = ok && err == nil // a checkpoint whose state does not decode verifies nothing
-			raw[meta.Proc] = state
+			raw[id] = state
 		}
 		states := fault.StatesFromRaw(raw)
 		for i := 0; ok && i < len(invariants); i++ {
@@ -284,33 +274,21 @@ func VerifiedLine(s Target, invariants []fault.GlobalInvariant) map[string]strin
 		}
 		if ok {
 			line := make(map[string]string, len(set))
-			for _, meta := range set {
-				line[meta.Proc] = meta.ID
+			for id, ck := range set {
+				line[id] = ck.ID
 			}
 			return line
 		}
-		// Discard the newest checkpoint in the offending set and retry.
-		newestProc, newestTime := "", uint64(0)
-		for _, meta := range set {
-			ck := byID[meta.ID]
-			if newestProc == "" || ck.Time >= newestTime {
-				newestProc, newestTime = meta.Proc, ck.Time
+		// Discard the newest checkpoint in the offending set and retry: the
+		// set member is the last *consistent* one, so trim its process's list
+		// to end just before it.
+		var newest *checkpoint.Checkpoint
+		for _, ck := range set {
+			if newest == nil || ck.Time > newest.Time || ck.Time == newest.Time && ck.Proc > newest.Proc {
+				newest = ck
 			}
 		}
-		cks := lists[newestProc]
-		// The set member is the last *consistent* one; trim the list so it
-		// (and anything after it) is no longer considered.
-		var target string
-		for _, meta := range set {
-			if meta.Proc == newestProc {
-				target = meta.ID
-			}
-		}
-		for i, ck := range cks {
-			if ck.ID == target {
-				lists[newestProc] = cks[:i]
-				break
-			}
-		}
+		cks := lists[newest.Proc]
+		lists[newest.Proc] = cks[:slices.Index(cks, newest)]
 	}
 }

@@ -266,7 +266,7 @@ func (inv *investigation) rebuild(id string, p *procState) (dsim.Machine, *check
 	}
 	m := pm.New()
 	if p.stateJSON != nil {
-		if err := json.Unmarshal(p.stateJSON, m.State()); err != nil {
+		if err := checkpoint.RestoreState(p.stateJSON, m.State()); err != nil {
 			return nil, nil, fmt.Errorf("investigate: restore %s: %w", id, err)
 		}
 	}

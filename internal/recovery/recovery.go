@@ -13,14 +13,15 @@
 //     process, the latest checkpoint such that no member of the set causally
 //     precedes another (no orphan messages), matching the paper's
 //     requirement that "the checkpoint it provides needs to satisfy global
-//     consistency properties" (§3.3).
+//     consistency properties" (§3.3). It is the Time Machine's one selection
+//     rule; package checkpoint's doc lists the other three decisions.
 package recovery
 
 import (
 	"fmt"
 	"sort"
 
-	"repro/internal/vclock"
+	"repro/internal/checkpoint"
 )
 
 // Message describes one message exchange for rollback-dependency analysis.
@@ -127,89 +128,52 @@ func Consistent(line Line, msgs []Message) bool {
 	return true
 }
 
-// InTransit returns the messages whose send is preserved by the line but
-// whose receive is undone. A recovery implementation must re-deliver these
-// from the Scroll when resuming from the line.
-func InTransit(line Line, msgs []Message) []Message {
-	var out []Message
-	for _, m := range msgs {
-		lf, okF := line[m.From]
-		lt, okT := line[m.To]
-		if !okF || !okT {
-			continue
-		}
-		if lf > m.SendInterval && lt <= m.RecvInterval {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// CkptMeta is the metadata of one checkpoint for vector-clock-based
-// consistency analysis.
-type CkptMeta struct {
-	ID    string
-	Proc  string
-	Index int // position in the owner's checkpoint sequence
-	Clock vclock.VC
-}
-
-// ConsistentSet reports whether the given one-checkpoint-per-process set is
-// globally consistent: no member knows more about process p than p's own
-// checkpoint remembers (c_q.Clock[p] <= c_p.Clock[p] for all pairs). If
-// some c_q exceeded c_p's own component, q's state would reflect a message
-// chain originating in events p has rolled back past — an orphan.
-func ConsistentSet(set []CkptMeta) bool {
-	return findOrphanWitness(set) == -1
-}
-
-// findOrphanWitness returns the index of a member that knows too much
-// (must be demoted), or -1 if the set is consistent.
-func findOrphanWitness(set []CkptMeta) int {
-	for i := range set {
-		own := set[i].Clock.Get(set[i].Proc)
-		for j := range set {
-			if i == j {
-				continue
-			}
-			if set[j].Clock.Get(set[i].Proc) > own {
-				return j
-			}
-		}
-	}
-	return -1
-}
-
-// MaxConsistentSet selects, for each process, the latest checkpoint from
-// ckpts (grouped per process, each group ordered oldest-first) such that
-// the resulting set is consistent. It greedily demotes any checkpoint that
-// causally precedes another member. Returns nil if no consistent set
-// exists even at the oldest checkpoints (callers should then fall back to
-// initial states, which are always mutually concurrent).
-func MaxConsistentSet(ckpts map[string][]CkptMeta) []CkptMeta {
-	idx := make(map[string]int, len(ckpts))
-	procs := make([]string, 0, len(ckpts))
-	for p, list := range ckpts {
+// MaxConsistentSet is the Time Machine's selection decision, made here and
+// nowhere else: given each process's checkpoints oldest-first, it returns
+// for every process the latest one such that the set is globally
+// consistent — no member knows more about process p than p's own member
+// remembers (c_q.Clock[p] <= c_p.Clock[p]); a c_q beyond that would reflect
+// a message chain p has rolled back past, an orphan. Any member that knows
+// too much must be demoted whatever the others do, so the greedy loop
+// reaches the one maximal set. It returns nil when a process has no
+// checkpoint or no consistent set exists even at the oldest ones; a caller
+// that wants the always-consistent initial states as a fallback puts an
+// empty-clock sentinel at the head of each list (core.Respond does).
+func MaxConsistentSet(lists map[string][]*checkpoint.Checkpoint) map[string]*checkpoint.Checkpoint {
+	procs := make([]string, 0, len(lists))
+	for p, list := range lists {
 		if len(list) == 0 {
 			return nil
 		}
-		idx[p] = len(list) - 1
 		procs = append(procs, p)
 	}
 	sort.Strings(procs)
+	idx := make([]int, len(procs))
+	for i, p := range procs {
+		idx[i] = len(lists[p]) - 1
+	}
 	for {
-		set := make([]CkptMeta, 0, len(procs))
-		for _, p := range procs {
-			set = append(set, ckpts[p][idx[p]])
+		demote := -1
+	search:
+		for i, p := range procs {
+			own := lists[p][idx[i]].Clock.Get(p)
+			for j, q := range procs {
+				if i != j && lists[q][idx[j]].Clock.Get(p) > own {
+					demote = j
+					break search
+				}
+			}
 		}
-		w := findOrphanWitness(set)
-		if w == -1 {
+		if demote < 0 {
+			set := make(map[string]*checkpoint.Checkpoint, len(procs))
+			for i, p := range procs {
+				set[p] = lists[p][idx[i]]
+			}
 			return set
 		}
-		p := set[w].Proc
-		if idx[p] == 0 {
+		if idx[demote] == 0 {
 			return nil // cannot roll back further
 		}
-		idx[p]--
+		idx[demote]--
 	}
 }

@@ -2,9 +2,11 @@ package recovery
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/checkpoint"
 	"repro/internal/vclock"
 )
 
@@ -94,19 +96,6 @@ func TestRecoveryLineIgnoresOutsideProcs(t *testing.T) {
 	}
 }
 
-func TestInTransit(t *testing.T) {
-	msgs := []Message{
-		{ID: "kept", From: "A", To: "B", SendInterval: 0, RecvInterval: 1},
-		{ID: "undone", From: "A", To: "B", SendInterval: 2, RecvInterval: 2},
-	}
-	line := Line{"A": 1, "B": 1}
-	// "kept": send interval 0 < line 1 (preserved), recv interval 1 >= line 1 (undone) -> in transit.
-	got := InTransit(line, msgs)
-	if len(got) != 1 || got[0].ID != "kept" {
-		t.Errorf("InTransit = %v", got)
-	}
-}
-
 func TestConsistentDetectsOrphan(t *testing.T) {
 	msgs := []Message{{ID: "m", From: "A", To: "B", SendInterval: 1, RecvInterval: 0}}
 	if Consistent(Line{"A": 1, "B": 1}, msgs) {
@@ -120,28 +109,62 @@ func TestConsistentDetectsOrphan(t *testing.T) {
 	}
 }
 
+// ck builds a checkpoint of proc with the given clock.
+func ck(id, proc string, clock vclock.VC) *checkpoint.Checkpoint {
+	return &checkpoint.Checkpoint{ID: id, Proc: proc, Clock: clock}
+}
+
+// lineIDs renders a chosen set as proc -> checkpoint ID.
+func lineIDs(set map[string]*checkpoint.Checkpoint) map[string]string {
+	if set == nil {
+		return nil
+	}
+	ids := make(map[string]string, len(set))
+	for p, c := range set {
+		ids[p] = c.ID
+	}
+	return ids
+}
+
+// consistent is the oracle: no member knows more about a process than that
+// process's own member remembers.
+func consistent(set map[string]*checkpoint.Checkpoint) bool {
+	for p, own := range set {
+		for q, other := range set {
+			if p != q && other.Clock.Get(p) > own.Clock.Get(p) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestConsistentSetVC: what makes a one-checkpoint-per-process set
+// consistent, asked of MaxConsistentSet with nothing to demote to.
 func TestConsistentSetVC(t *testing.T) {
+	pair := func(b *checkpoint.Checkpoint) map[string]*checkpoint.Checkpoint {
+		return MaxConsistentSet(map[string][]*checkpoint.Checkpoint{
+			"A": {ck("a", "A", vc("A", 1))},
+			"B": {b},
+		})
+	}
 	// B knows MORE about A (A:2) than A's own checkpoint remembers (A:1):
 	// B's state reflects a rolled-back message — orphan, inconsistent.
-	a := CkptMeta{Proc: "A", Clock: vc("A", 1)}
-	bTooNew := CkptMeta{Proc: "B", Clock: vc("A", 2, "B", 2)}
-	if ConsistentSet([]CkptMeta{a, bTooNew}) {
+	if pair(ck("b", "B", vc("A", 2, "B", 2))) != nil {
 		t.Error("orphan-bearing set reported consistent")
 	}
 	// B knows exactly up to A's checkpoint: the message chain it reflects
 	// is fully remembered by A — consistent, even though the clocks are
 	// causally ordered.
-	bExact := CkptMeta{Proc: "B", Clock: vc("A", 1, "B", 2)}
-	if !ConsistentSet([]CkptMeta{a, bExact}) {
+	if pair(ck("b", "B", vc("A", 1, "B", 2))) == nil {
 		t.Error("exact-knowledge set reported inconsistent")
 	}
 	// Concurrent: consistent.
-	c := CkptMeta{Proc: "B", Clock: vc("B", 2)}
-	if !ConsistentSet([]CkptMeta{a, c}) {
+	if pair(ck("b", "B", vc("B", 2))) == nil {
 		t.Error("concurrent checkpoints reported inconsistent")
 	}
-	if !ConsistentSet(nil) {
-		t.Error("empty set should be consistent")
+	if set := MaxConsistentSet(nil); set == nil || len(set) != 0 {
+		t.Errorf("no processes: got %v, want the empty (consistent) set", set)
 	}
 }
 
@@ -149,48 +172,31 @@ func TestMaxConsistentSetPicksLatestConsistent(t *testing.T) {
 	// A's checkpoints: a0 {A:1}, a1 {A:5}.
 	// B's checkpoints: b0 {B:1}, b1 {A:7,B:3}: b1 knows A up to 7 > 5, so
 	// it reflects sends A has rolled back past — b1 must be demoted to b0.
-	ckpts := map[string][]CkptMeta{
-		"A": {{ID: "a0", Proc: "A", Index: 0, Clock: vc("A", 1)},
-			{ID: "a1", Proc: "A", Index: 1, Clock: vc("A", 5)}},
-		"B": {{ID: "b0", Proc: "B", Index: 0, Clock: vc("B", 1)},
-			{ID: "b1", Proc: "B", Index: 1, Clock: vc("A", 7, "B", 3)}},
-	}
-	set := MaxConsistentSet(ckpts)
-	if set == nil {
-		t.Fatal("no set found")
-	}
-	got := map[string]string{}
-	for _, c := range set {
-		got[c.Proc] = c.ID
-	}
-	if got["A"] != "a1" || got["B"] != "b0" {
+	set := MaxConsistentSet(map[string][]*checkpoint.Checkpoint{
+		"A": {ck("a0", "A", vc("A", 1)), ck("a1", "A", vc("A", 5))},
+		"B": {ck("b0", "B", vc("B", 1)), ck("b1", "B", vc("A", 7, "B", 3))},
+	})
+	if got := lineIDs(set); got["A"] != "a1" || got["B"] != "b0" || len(got) != 2 {
 		t.Errorf("set = %v, want a1/b0", got)
 	}
-	if !ConsistentSet(set) {
+	if !consistent(set) {
 		t.Error("result inconsistent")
 	}
 }
 
 func TestMaxConsistentSetKeepsExactKnowledge(t *testing.T) {
 	// b1 knows exactly A:5 — no demotion needed; latest everywhere.
-	ckpts := map[string][]CkptMeta{
-		"A": {{ID: "a1", Proc: "A", Clock: vc("A", 5)}},
-		"B": {{ID: "b0", Proc: "B", Clock: vc("B", 1)},
-			{ID: "b1", Proc: "B", Clock: vc("A", 5, "B", 3)}},
-	}
-	set := MaxConsistentSet(ckpts)
-	if set == nil {
-		t.Fatal("no set found")
-	}
-	for _, c := range set {
-		if c.Proc == "B" && c.ID != "b1" {
-			t.Errorf("B demoted to %s unnecessarily", c.ID)
-		}
+	set := MaxConsistentSet(map[string][]*checkpoint.Checkpoint{
+		"A": {ck("a1", "A", vc("A", 5))},
+		"B": {ck("b0", "B", vc("B", 1)), ck("b1", "B", vc("A", 5, "B", 3))},
+	})
+	if got := lineIDs(set); got["A"] != "a1" || got["B"] != "b1" {
+		t.Errorf("set = %v, want a1/b1 (B demoted unnecessarily)", got)
 	}
 }
 
 func TestMaxConsistentSetEmptyGroup(t *testing.T) {
-	if MaxConsistentSet(map[string][]CkptMeta{"A": {}}) != nil {
+	if MaxConsistentSet(map[string][]*checkpoint.Checkpoint{"A": {}}) != nil {
 		t.Error("empty group should yield nil")
 	}
 }
@@ -198,12 +204,80 @@ func TestMaxConsistentSetEmptyGroup(t *testing.T) {
 func TestMaxConsistentSetNoSolution(t *testing.T) {
 	// B's only checkpoint knows more about A than A's only checkpoint: no
 	// demotion possible.
-	ckpts := map[string][]CkptMeta{
-		"A": {{ID: "a0", Proc: "A", Clock: vc("A", 1)}},
-		"B": {{ID: "b0", Proc: "B", Clock: vc("A", 2, "B", 1)}},
+	lists := map[string][]*checkpoint.Checkpoint{
+		"A": {ck("a0", "A", vc("A", 1))},
+		"B": {ck("b0", "B", vc("A", 2, "B", 1))},
 	}
-	if got := MaxConsistentSet(ckpts); got != nil {
-		t.Errorf("want nil, got %v", got)
+	if got := MaxConsistentSet(lists); got != nil {
+		t.Errorf("want nil, got %v", lineIDs(got))
+	}
+	// core.Respond's sentinel: an empty-clock "initial state" at the head of
+	// every list is concurrent with everything, so a set always exists and
+	// only the process that knows too much falls back to it.
+	for p, list := range lists {
+		lists[p] = append([]*checkpoint.Checkpoint{ck("", p, vclock.New())}, list...)
+	}
+	if got := lineIDs(MaxConsistentSet(lists)); got["A"] != "a0" || got["B"] != "" || len(got) != 2 {
+		t.Errorf("with sentinels: set = %v, want A at a0 and B at its initial state", got)
+	}
+}
+
+// TestMaxConsistentSetIsTheMaximum checks the selection exhaustively against
+// the definition: for seeded random clocks over <= 4 processes x <= 4
+// checkpoints, the chosen line is consistent and no consistent line is
+// later for any process (the consistent lines form a lattice, so the
+// maximum is unique); nil is returned exactly when no consistent line exists.
+func TestMaxConsistentSetIsTheMaximum(t *testing.T) {
+	names := []string{"A", "B", "C", "D"}
+	for seed := int64(0); seed < 400; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		procs := names[:1+r.Intn(4)]
+		lists := make(map[string][]*checkpoint.Checkpoint, len(procs))
+		for _, p := range procs {
+			// Own components grow along a process's list; what it knows of
+			// the others is arbitrary, which is what creates orphans.
+			own := 0
+			for i, n := 0, 1+r.Intn(4); i < n; i++ {
+				own += 1 + r.Intn(3)
+				clock := vc(p, own)
+				for _, q := range procs {
+					if q != p && r.Intn(2) == 0 {
+						clock.Set(q, uint64(r.Intn(10)))
+					}
+				}
+				lists[p] = append(lists[p], ck(p+string(rune('0'+i)), p, clock))
+			}
+		}
+		got := MaxConsistentSet(lists)
+		if got != nil && !consistent(got) {
+			t.Fatalf("seed %d: chosen line %v is inconsistent", seed, lineIDs(got))
+		}
+		// Enumerate every line; a consistent one must be <= got everywhere.
+		idx := make([]int, len(procs))
+		for done := false; !done; {
+			line := make(map[string]*checkpoint.Checkpoint, len(procs))
+			for i, p := range procs {
+				line[p] = lists[p][idx[i]]
+			}
+			if consistent(line) {
+				if got == nil {
+					t.Fatalf("seed %d: nil returned but %v is consistent", seed, lineIDs(line))
+				}
+				for i, p := range procs {
+					if idx[i] > slices.Index(lists[p], got[p]) {
+						t.Fatalf("seed %d: chose %v but consistent %v is later for %s", seed, lineIDs(got), lineIDs(line), p)
+					}
+				}
+			}
+			done = true
+			for i, p := range procs {
+				if idx[i]++; idx[i] < len(lists[p]) {
+					done = false
+					break
+				}
+				idx[i] = 0
+			}
+		}
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/trace"
 	"repro/internal/vclock"
 	"repro/internal/wal"
 )
@@ -569,37 +568,4 @@ func Merge(scrolls ...*Scroll) []Record {
 		return a.Seq < b.Seq
 	})
 	return all
-}
-
-// ToTrace converts merged scroll records into a trace for cut analysis.
-func ToTrace(recs []Record) *trace.Trace {
-	t := trace.New()
-	seqs := make(map[string]int)
-	for _, r := range recs {
-		var k trace.Kind
-		switch r.Kind {
-		case KindRecv:
-			k = trace.Receive
-		case KindSend:
-			k = trace.Send
-		case KindCkpt:
-			k = trace.Checkpoint
-		case KindFault:
-			k = trace.Fault
-		default:
-			k = trace.Internal
-		}
-		t.Append(trace.Event{
-			Proc:    r.Proc,
-			Seq:     seqs[r.Proc],
-			Kind:    k,
-			MsgID:   r.MsgID,
-			Peer:    r.Peer,
-			Clock:   r.Clock,
-			Lamport: r.Lamport,
-			Label:   r.Kind.String(),
-		})
-		seqs[r.Proc]++
-	}
-	return t
 }

@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/checkpoint"
 	"repro/internal/dsim"
 	"repro/internal/fault"
 	"repro/internal/investigate"
@@ -368,6 +370,59 @@ func TestConformanceStableStorage(t *testing.T) {
 			}
 			if durable == 0 {
 				t.Fatal("worker made no durable progress")
+			}
+		})
+	}
+}
+
+// TestConformanceRollbackAllOrNothing: RollbackTo applies a recovery line
+// whole or not at all. A line with one bad entry — a checkpoint the store
+// does not hold, one that belongs to another process, or one (Put through
+// the exposed Store) of a process the substrate does not run — is refused
+// before the epoch moves or any process is restored, however many good
+// entries sort before the bad one.
+func TestConformanceRollbackAllOrNothing(t *testing.T) {
+	for _, backend := range []string{"sim", "live"} {
+		t.Run(backend, func(t *testing.T) {
+			sub := newConfSubstrate(t, backend)
+			sub.Run()
+			store := sub.Store()
+			first := func(proc string) string { return store.List(proc)[0].ID }
+			ghost := store.Put(&checkpoint.Checkpoint{Proc: "zz-ghost", Extra: []byte("{}")})
+			epoch := func() uint64 { return sub.(interface{ Epoch() uint64 }).Epoch() }
+			type observed struct {
+				epoch   uint64
+				scrolls map[string]int
+				states  map[string]string
+				ckpts   int
+			}
+			observe := func() observed {
+				o := observed{epoch: epoch(), scrolls: map[string]int{}, states: map[string]string{}, ckpts: store.Len()}
+				for _, id := range sub.Procs() {
+					o.scrolls[id] = sub.Scroll(id).Len()
+					o.states[id] = string(sub.MachineState(id))
+				}
+				return o
+			}
+			before := observe()
+			for name, line := range map[string]map[string]string{
+				"unknown process":    {"producer": first("producer"), "worker": first("worker"), "zz-ghost": ghost},
+				"unknown checkpoint": {"producer": first("producer"), "worker": "ckpt-worker-9999"},
+				"another process's":  {"producer": first("producer"), "worker": first("producer")},
+			} {
+				if err := sub.RollbackTo(line); err == nil {
+					t.Errorf("%s: RollbackTo accepted the line", name)
+				}
+				if after := observe(); !reflect.DeepEqual(after, before) {
+					t.Errorf("%s: a refused rollback changed the substrate:\n before %+v\n after  %+v", name, before, after)
+				}
+			}
+			// The same good entries on their own do apply.
+			if err := sub.RollbackTo(map[string]string{"producer": first("producer"), "worker": first("worker")}); err != nil {
+				t.Fatal(err)
+			}
+			if after := observe(); after.epoch != before.epoch+1 || after.scrolls["worker"] >= before.scrolls["worker"] {
+				t.Errorf("the good line did not roll back: before %+v, after %+v", before, after)
 			}
 		})
 	}

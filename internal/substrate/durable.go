@@ -5,45 +5,33 @@ import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
-	"sort"
 
+	"repro/internal/checkpoint"
 	"repro/internal/wal"
 )
 
 // durableStore is one live process's stable storage — the backend half of
 // the Context.Durable… seam (see internal/dsim/durable.go for the model).
-// The cell map always lives in memory; with a backing directory every put
-// is additionally write-ahead logged onto internal/wal (segmented,
-// checksummed, fsync'd appends), so the cells survive real process
-// crashes: reopening the store replays the log, last record per key wins.
-// A torn final record — the crash landed mid-append — is silently dropped
-// by the WAL's recovery scan, losing at most the newest put; corruption
-// anywhere earlier surfaces wal.ErrCorrupt instead of silently serving
-// bad state.
+// The cells are the same checkpoint.Cells the simulator keeps; with a
+// backing directory every put is additionally write-ahead logged onto
+// internal/wal (segmented, checksummed, fsync'd appends), so the cells
+// survive real process crashes: reopening the store replays the log, last
+// record per key wins. A torn final record — the crash landed mid-append —
+// is silently dropped by the WAL's recovery scan, losing at most the newest
+// put; corruption anywhere earlier surfaces wal.ErrCorrupt instead of
+// silently serving bad state.
 //
-// Each cell carries the timeline epoch and scroll position of its write,
-// and a deliberate rollback invalidates cells written at or after the
-// restored checkpoint's scroll position (durable tombstones when backed),
-// so a crash-restart that recovers this store cannot re-install an
-// abandoned timeline's decision — the re-installation bug the timeline
-// epoch fixed. In-memory stores still survive in-substrate crash-restart,
-// matching the simulator's model.
+// A deliberate rollback fences cells written at or after the restored
+// checkpoint's scroll position (Cells.Fence, plus durable tombstones when
+// backed), so a crash-restart that recovers this store cannot re-install an
+// abandoned timeline's decision. In-memory stores still survive
+// in-substrate crash-restart, matching the simulator's model.
 //
 // Synchronization is the caller's: LiveSubstrate accesses a process's
 // store under that process's mutex, like the scroll and heap.
 type durableStore struct {
-	cells map[string]liveCell
+	cells checkpoint.Cells
 	log   *wal.Log // nil = in-memory only (still survives in-substrate crash-restart)
-}
-
-// liveCell is one stable-storage cell with its timeline coordinates:
-// the epoch it was written in and the writer's scroll position — the
-// same coordinate checkpoints pin (Checkpoint.ScrollSeq), which is what
-// lets a rollback decide staleness without a clock.
-type liveCell struct {
-	value    []byte
-	epoch    uint64
-	writeSeq uint64
 }
 
 // openDurableStore opens proc's stable storage. An empty dir selects the
@@ -51,7 +39,7 @@ type liveCell struct {
 // recovered: puts (either record format) install cells, tombstones delete
 // them, in log order.
 func openDurableStore(dir, proc string) (*durableStore, error) {
-	ds := &durableStore{cells: make(map[string]liveCell)}
+	ds := &durableStore{}
 	if dir == "" {
 		return ds, nil
 	}
@@ -75,17 +63,17 @@ func openDurableStore(dir, proc string) (*durableStore, error) {
 			delete(ds.cells, r.key)
 			continue
 		}
-		ds.cells[r.key] = liveCell{value: r.value, epoch: r.epoch, writeSeq: r.writeSeq}
+		ds.cells.Put(r.key, r.value, r.writeSeq)
 	}
 	ds.log = log
 	return ds, nil
 }
 
-// put installs key = value stamped with the writer's timeline epoch and
-// scroll position and, when backed, appends it to the WAL.
+// put installs key = value stamped with the writer's scroll position and,
+// when backed, appends it to the WAL together with the timeline epoch of
+// the write (part of the record format; nothing reads it back).
 func (ds *durableStore) put(key string, value []byte, epoch, writeSeq uint64) error {
-	v := append([]byte(nil), value...)
-	ds.cells[key] = liveCell{value: v, epoch: epoch, writeSeq: writeSeq}
+	v := ds.cells.Put(key, value, writeSeq)
 	if ds.log != nil {
 		if _, err := ds.log.Append(encodeDurablePut(key, v, epoch, writeSeq)); err != nil {
 			return err
@@ -94,75 +82,20 @@ func (ds *durableStore) put(key string, value []byte, epoch, writeSeq uint64) er
 	return nil
 }
 
-// invalidate fences the abandoned timeline after a deliberate rollback:
-// cells written at or after the restored checkpoint's scroll position are
-// deleted, with a tombstone appended per key when backed so the fence
-// itself survives a crash (deletion is equivalent to the simulator's
-// stale mark — reads treat both as absent, and a put on the new timeline
-// revives the key either way).
-func (ds *durableStore) invalidate(scrollSeq uint64) error {
-	stale := make([]string, 0, len(ds.cells))
-	for k, c := range ds.cells {
-		if c.writeSeq >= scrollSeq {
-			stale = append(stale, k)
-		}
+// fence deletes the cells a deliberate rollback to scrollSeq abandons and,
+// when backed, appends a tombstone per key (in sorted order) so the fence
+// itself survives a crash.
+func (ds *durableStore) fence(scrollSeq uint64) error {
+	fenced := ds.cells.Fence(scrollSeq)
+	if ds.log == nil {
+		return nil
 	}
-	sort.Strings(stale) // deterministic tombstone order
-	for _, k := range stale {
-		delete(ds.cells, k)
-		if ds.log != nil {
-			if _, err := ds.log.Append(encodeDurableTombstone(k)); err != nil {
-				return err
-			}
+	for _, k := range fenced {
+		if _, err := ds.log.Append(encodeDurableTombstone(k)); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// get reads a cell.
-func (ds *durableStore) get(key string) ([]byte, bool) {
-	c, ok := ds.cells[key]
-	return c.value, ok
-}
-
-// keys returns the sorted cell keys.
-func (ds *durableStore) keys() []string {
-	out := make([]string, 0, len(ds.cells))
-	for k := range ds.cells {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// snapshot deep-copies the cell values (nil when empty).
-func (ds *durableStore) snapshot() map[string][]byte {
-	if len(ds.cells) == 0 {
-		return nil
-	}
-	out := make(map[string][]byte, len(ds.cells))
-	for k, c := range ds.cells {
-		out[k] = append([]byte(nil), c.value...)
-	}
-	return out
-}
-
-// snapshotAt deep-copies the cells written strictly before the given
-// scroll position (nil when none) — the writeSeq >= seq boundary
-// invalidate fences, so "as of this checkpoint" means the same thing to
-// a rollback and to an investigation seeded from one.
-func (ds *durableStore) snapshotAt(seq uint64) map[string][]byte {
-	var out map[string][]byte
-	for k, c := range ds.cells {
-		if c.writeSeq >= seq {
-			continue
-		}
-		if out == nil {
-			out = make(map[string][]byte, len(ds.cells))
-		}
-		out[k] = append([]byte(nil), c.value...)
-	}
-	return out
 }
 
 // close releases the WAL (no-op for the in-memory store).

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,8 +17,9 @@ import (
 )
 
 // TestDurableStoreRecovery: reopening a WAL-backed store replays the log,
-// last record per key winning, with each cell's timeline coordinates
-// (epoch, writeSeq) recovered alongside its value.
+// last record per key winning, with each cell's write position recovered
+// alongside its value (the epoch is in the record — see
+// TestDurableRecordRoundTrip — and nothing reads it back).
 func TestDurableStoreRecovery(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := openDurableStore(dir, "coord")
@@ -47,17 +49,19 @@ func TestDurableStoreRecovery(t *testing.T) {
 	}
 	defer re.close()
 	want := map[string][]byte{"k1": []byte("v3"), "k2": []byte("v2")}
-	if got := re.snapshot(); !reflect.DeepEqual(got, want) {
+	if got := re.cells.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered %v, want %v", got, want)
 	}
-	if keys := re.keys(); !reflect.DeepEqual(keys, []string{"k1", "k2"}) {
+	if keys := re.cells.Keys(); !reflect.DeepEqual(keys, []string{"k1", "k2"}) {
 		t.Fatalf("keys %v", keys)
 	}
-	if c := re.cells["k1"]; c.epoch != 2 || c.writeSeq != 11 {
-		t.Fatalf("k1 coordinates (%d,%d), want (2,11)", c.epoch, c.writeSeq)
+	// k2 was written at scroll position 7, k1 last at 11: a line at 11 sees
+	// only k2, a line at 7 sees neither.
+	if got := re.cells.SnapshotAt(11); !reflect.DeepEqual(got, map[string][]byte{"k2": []byte("v2")}) {
+		t.Fatalf("as of 11: %v, want k2 only", got)
 	}
-	if c := re.cells["k2"]; c.epoch != 1 || c.writeSeq != 7 {
-		t.Fatalf("k2 coordinates (%d,%d), want (1,7)", c.epoch, c.writeSeq)
+	if got := re.cells.SnapshotAt(7); got != nil {
+		t.Fatalf("as of 7: %v, want nothing", got)
 	}
 }
 
@@ -71,7 +75,7 @@ func TestDurableStoreInMemory(t *testing.T) {
 	if err := ds.put("a", []byte("1"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := ds.get("a"); !ok || string(v) != "1" {
+	if v, ok := ds.cells.Get("a"); !ok || string(v) != "1" {
 		t.Fatalf("get a = %q %v", v, ok)
 	}
 	if err := ds.close(); err != nil {
@@ -101,11 +105,11 @@ func TestDurableStoreInvalidate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ds.invalidate(10); err != nil {
+	if err := ds.fence(10); err != nil {
 		t.Fatal(err)
 	}
 	want := map[string][]byte{"early": []byte("keep")}
-	if got := ds.snapshot(); !reflect.DeepEqual(got, want) {
+	if got := ds.cells.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after invalidate: %v, want %v", got, want)
 	}
 	// The new timeline revives a fenced key by writing it again.
@@ -123,8 +127,96 @@ func TestDurableStoreInvalidate(t *testing.T) {
 	}
 	defer re.close()
 	want = map[string][]byte{"early": []byte("keep"), "late": []byte("revived")}
-	if got := re.snapshot(); !reflect.DeepEqual(got, want) {
+	if got := re.cells.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered %v, want %v (tombstones must survive reopen)", got, want)
+	}
+
+	// The same contract as a model test: random puts, fences and reads
+	// against a plain map of (value, write position), through the in-memory
+	// store and through the WAL-backed one reopened at random points.
+	for _, backing := range []string{"", t.TempDir()} {
+		for seed := int64(0); seed < 8; seed++ {
+			durableModelWalk(t, backing, fmt.Sprintf("p%d", seed), seed)
+		}
+	}
+}
+
+func durableModelWalk(t *testing.T, dir, proc string, seed int64) {
+	t.Helper()
+	type cell struct {
+		value    string
+		writeSeq uint64
+	}
+	r := rand.New(rand.NewSource(seed))
+	model := map[string]cell{}
+	ds, err := openDurableStore(dir, proc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { ds.close() }()
+	keys := []string{"a", "b", "c", "d", "never"}
+	check := func(step int) {
+		t.Helper()
+		live := []string{}
+		for k := range model {
+			live = append(live, k)
+		}
+		sort.Strings(live)
+		if got := ds.cells.Keys(); !reflect.DeepEqual(got, live) {
+			t.Fatalf("%q seed %d step %d: keys %v, want %v", dir, seed, step, got, live)
+		}
+		for _, k := range keys {
+			v, ok := ds.cells.Get(k)
+			if want, present := model[k]; ok != present || string(v) != want.value {
+				t.Fatalf("%q seed %d step %d: get %q = %q, %v; want %q, %v", dir, seed, step, k, v, ok, want.value, present)
+			}
+		}
+		for _, seq := range []uint64{0, 3, 8, 1 << 62} {
+			var want map[string][]byte
+			for k, c := range model {
+				if c.writeSeq < seq {
+					if want == nil {
+						want = map[string][]byte{}
+					}
+					want[k] = []byte(c.value)
+				}
+			}
+			if got := ds.cells.SnapshotAt(seq); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q seed %d step %d: as of %d: %v, want %v", dir, seed, step, seq, got, want)
+			}
+		}
+	}
+	seq := uint64(0)
+	for step := 0; step < 60; step++ {
+		switch op := r.Intn(10); {
+		case op < 5:
+			seq += uint64(r.Intn(3))
+			k, v := keys[r.Intn(4)], fmt.Sprint("v", step)
+			model[k] = cell{v, seq}
+			if err := ds.put(k, []byte(v), uint64(step), seq); err != nil {
+				t.Fatal(err)
+			}
+		case op < 7:
+			at := uint64(r.Intn(int(seq) + 2))
+			for k, c := range model {
+				if c.writeSeq >= at {
+					delete(model, k)
+				}
+			}
+			if err := ds.fence(at); err != nil {
+				t.Fatal(err)
+			}
+			seq = min(seq, at)
+		case op < 8 && dir != "":
+			// A crash: what was put and what was fenced both come back.
+			if err := ds.close(); err != nil {
+				t.Fatal(err)
+			}
+			if ds, err = openDurableStore(dir, proc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(step)
 	}
 }
 
@@ -225,9 +317,9 @@ func TestDurableStoreTornWriteProperty(t *testing.T) {
 		// Complete records strictly before the cut survive.
 		n := sort.Search(len(offsets), func(i int) bool { return offsets[i] > cut }) - 1
 		want := prefixState(n)
-		got := map[string][]byte{}
-		for k, c := range re.cells {
-			got[k] = c.value
+		got := re.cells.Snapshot()
+		if got == nil {
+			got = map[string][]byte{}
 		}
 		re.close()
 		if !reflect.DeepEqual(got, want) {
@@ -311,20 +403,18 @@ func TestDurableStoreLegacyFixture(t *testing.T) {
 		"2pc:decision": []byte("commit"),
 		"kv:k1":        append(binary.LittleEndian.AppendUint64(nil, 2), 'v', '2'),
 	}
-	if got := ds.snapshot(); !reflect.DeepEqual(got, want) {
+	if got := ds.cells.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("legacy recovery %v, want %v", got, want)
 	}
-	for k, c := range ds.cells {
-		if c.epoch != 0 || c.writeSeq != 0 {
-			t.Fatalf("legacy cell %q recovered coordinates (%d,%d), want (0,0)", k, c.epoch, c.writeSeq)
-		}
+	if got := ds.cells.SnapshotAt(1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy cells as of position 1: %v, want all of them (write position 0)", got)
 	}
 	// Mixed log: a versioned put and a fence append after the legacy prefix
 	// and recover together with it.
 	if err := ds.put("kv:k9", []byte("new"), 3, 42); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.invalidate(42); err != nil { // fences only kv:k9 (legacy cells are writeSeq 0)
+	if err := ds.fence(42); err != nil { // fences only kv:k9 (legacy cells are writeSeq 0)
 		t.Fatal(err)
 	}
 	if err := ds.put("kv:k9", []byte("revived"), 4, 2); err != nil {
@@ -339,7 +429,7 @@ func TestDurableStoreLegacyFixture(t *testing.T) {
 	}
 	defer re.close()
 	want["kv:k9"] = []byte("revived")
-	if got := re.snapshot(); !reflect.DeepEqual(got, want) {
+	if got := re.cells.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("mixed-format recovery %v, want %v", got, want)
 	}
 }

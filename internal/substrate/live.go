@@ -493,27 +493,15 @@ func (s *LiveSubstrate) rollbackLatest(anchor *liveProc) {
 		procs = append(procs, s.procs[id])
 	}
 	s.mu.Unlock()
-	metas := make(map[string][]recovery.CkptMeta, len(procs))
-	byID := make(map[string]*checkpoint.Checkpoint)
+	lists := make(map[string][]*checkpoint.Checkpoint, len(procs))
 	for _, q := range procs {
-		cks := s.store.List(q.id)
-		if len(cks) == 0 {
-			continue
+		if cks := s.store.List(q.id); len(cks) > 0 {
+			lists[q.id] = cks
 		}
-		ms := make([]recovery.CkptMeta, len(cks))
-		for i, ck := range cks {
-			ms[i] = recovery.CkptMeta{ID: ck.ID, Proc: q.id, Index: i, Clock: ck.Clock}
-			byID[ck.ID] = ck
-		}
-		metas[q.id] = ms
 	}
-	set := recovery.MaxConsistentSet(metas)
-	if set == nil {
+	line := recovery.MaxConsistentSet(lists)
+	if line == nil {
 		return
-	}
-	line := make(map[string]*checkpoint.Checkpoint, len(set))
-	for _, m := range set {
-		line[m.Proc] = byID[m.ID]
 	}
 	// One epoch bump per rollback, before any restore: every send from the
 	// abandoned timeline carries a smaller epoch and will be fenced.
@@ -544,18 +532,14 @@ func (s *LiveSubstrate) rollbackLatest(anchor *liveProc) {
 // (with WAL tombstones when backed), and strictly-later checkpoints are
 // pruned so a subsequent crash-restart cannot re-install abandoned state.
 func (p *liveProc) fenceAbandonedLocked(ck *checkpoint.Checkpoint) {
-	if err := p.durable.invalidate(ck.ScrollSeq); err != nil {
+	if err := p.durable.fence(ck.ScrollSeq); err != nil {
 		select {
 		case <-p.sub.shutdown:
 		default:
 			panic(fmt.Sprintf("substrate: durable invalidation for %s: %v", p.id, err))
 		}
 	}
-	for _, old := range p.sub.store.List(p.id) {
-		if old.ScrollSeq > ck.ScrollSeq {
-			p.sub.store.Remove(old.ID)
-		}
-	}
+	p.sub.store.PruneAfter(p.id, ck.ScrollSeq)
 }
 
 // removeTimerLocked drops one pending entry for name — plain bookkeeping:
@@ -608,7 +592,11 @@ func (p *liveProc) takeCheckpointLocked(label string) *checkpoint.Checkpoint {
 func (p *liveProc) restoreLocked(ck *checkpoint.Checkpoint) {
 	p.incarnation++
 	p.heap.Restore(ck.Snap)
-	if err := json.Unmarshal(ck.Extra, p.machine.State()); err != nil {
+	state, err := ck.StateJSON()
+	if err == nil {
+		err = checkpoint.RestoreState(state, p.machine.State())
+	}
+	if err != nil {
 		panic(fmt.Sprintf("substrate: restore state of %s: %v", p.id, err))
 	}
 	p.clock = ck.Clock.Copy()
@@ -909,34 +897,28 @@ func (s *LiveSubstrate) SetFaultHandler(h func(dsim.FaultRecord) bool) {
 // stable-storage cells. Pause the substrate (or wait for quiescence)
 // before relying on a snapshot — recording is concurrent.
 func (s *LiveSubstrate) DurableSnapshot() map[string]map[string][]byte {
-	s.mu.Lock()
-	procs := make([]*liveProc, 0, len(s.order))
-	for _, id := range s.order {
-		procs = append(procs, s.procs[id])
-	}
-	s.mu.Unlock()
-	var out map[string]map[string][]byte
-	for _, p := range procs {
-		p.mu.Lock()
-		cells := p.durable.snapshot()
-		p.mu.Unlock()
-		if cells == nil {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]map[string][]byte, len(procs))
-		}
-		out[p.id] = cells
-	}
-	return out
+	return s.snapshotCells(func(p *liveProc) map[string][]byte { return p.durable.cells.Snapshot() })
 }
 
-// DurableSnapshotAt mirrors dsim.Sim.DurableSnapshotAt for the live
-// backend: the cells as of a recovery line (proc -> line scroll position),
-// restricted to writes strictly before each process's line — what an
-// investigation seeded from that line is allowed to observe. Processes
-// absent from lineSeq are omitted.
+// DurableSnapshotAt implements core.Substrate as dsim.Sim does: the cells
+// as of a recovery line (proc -> line scroll position), restricted to
+// writes strictly before each process's line — what an investigation seeded
+// from that line is allowed to observe. Processes absent from lineSeq are
+// omitted.
 func (s *LiveSubstrate) DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string][]byte {
+	return s.snapshotCells(func(p *liveProc) map[string][]byte {
+		seq, ok := lineSeq[p.id]
+		if !ok {
+			return nil
+		}
+		return p.durable.cells.SnapshotAt(seq)
+	})
+}
+
+// snapshotCells collects what cellsOf copies out of each process's stable
+// storage (called under that process's mutex), in process order, leaving
+// out processes it returns nil for.
+func (s *LiveSubstrate) snapshotCells(cellsOf func(*liveProc) map[string][]byte) map[string]map[string][]byte {
 	s.mu.Lock()
 	procs := make([]*liveProc, 0, len(s.order))
 	for _, id := range s.order {
@@ -945,12 +927,8 @@ func (s *LiveSubstrate) DurableSnapshotAt(lineSeq map[string]uint64) map[string]
 	s.mu.Unlock()
 	var out map[string]map[string][]byte
 	for _, p := range procs {
-		seq, ok := lineSeq[p.id]
-		if !ok {
-			continue
-		}
 		p.mu.Lock()
-		cells := p.durable.snapshotAt(seq)
+		cells := cellsOf(p)
 		p.mu.Unlock()
 		if cells == nil {
 			continue
@@ -976,36 +954,31 @@ func (s *LiveSubstrate) Store() *checkpoint.Store { return s.store }
 // the abandoned timeline's checkpoints pruned, so a crash-restart that
 // fires after the rollback recovers the restored timeline.
 func (s *LiveSubstrate) RollbackTo(line map[string]string) error {
-	ids := make([]string, 0, len(line))
-	for id := range line {
-		ids = append(ids, id)
+	cks, err := s.store.ResolveLine(line)
+	if err != nil {
+		return err
 	}
-	sort.Strings(ids)
-	cks := make(map[string]*checkpoint.Checkpoint, len(line))
-	for _, id := range ids {
-		ck := s.store.Get(line[id])
-		if ck == nil {
-			return fmt.Errorf("substrate: unknown checkpoint %q for %s", line[id], id)
+	// Nothing moves — not the epoch, not one process — unless the whole line
+	// can be applied.
+	procs := make([]*liveProc, len(cks))
+	s.mu.Lock()
+	for i, ck := range cks {
+		procs[i] = s.procs[ck.Proc]
+	}
+	s.mu.Unlock()
+	for i, p := range procs {
+		if p == nil {
+			return fmt.Errorf("substrate: unknown process %q", cks[i].Proc)
 		}
-		if ck.Proc != id {
-			return fmt.Errorf("substrate: checkpoint %q belongs to %s, not %s", line[id], ck.Proc, id)
-		}
-		cks[id] = ck
 	}
 	// One epoch bump per rollback, before any process restores: every send
 	// from the abandoned timeline — including ones racing this rollback —
 	// carries a smaller epoch and will be fenced.
 	s.epoch.Add(1)
-	for _, id := range ids {
-		s.mu.Lock()
-		p, ok := s.procs[id]
-		s.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("substrate: unknown process %q", id)
-		}
+	for i, p := range procs {
 		p.mu.Lock()
-		p.restoreLocked(cks[id])
-		p.fenceAbandonedLocked(cks[id])
+		p.restoreLocked(cks[i])
+		p.fenceAbandonedLocked(cks[i])
 		p.machine.OnRollback(&liveCtx{p: p}, dsim.RollbackInfo{Manual: true, Reason: "time machine rollback"})
 		p.mu.Unlock()
 	}
@@ -1023,7 +996,7 @@ func (s *LiveSubstrate) ReplaceMachine(procID string, m dsim.Machine, state []by
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if state != nil {
-		if err := json.Unmarshal(state, m.State()); err != nil {
+		if err := checkpoint.RestoreState(state, m.State()); err != nil {
 			return fmt.Errorf("substrate: update state of %s rejected: %w", procID, err)
 		}
 	}
@@ -1226,7 +1199,7 @@ func (c *liveCtx) Heap() *checkpoint.Heap { return c.p.heap }
 // and recorded in the scroll under the same identity the simulator uses,
 // so live recordings replay uniformly. The write is stamped with the
 // current timeline epoch and scroll position — the coordinates a
-// deliberate rollback fences against (see durableStore.invalidate).
+// deliberate rollback fences against (see durableStore.fence).
 func (c *liveCtx) DurablePut(key string, value []byte) {
 	p := c.p
 	if err := p.durable.put(key, value, p.sub.epoch.Load(), uint64(p.scroll.Len())); err != nil {
@@ -1248,7 +1221,7 @@ func (c *liveCtx) DurablePut(key string, value []byte) {
 // DurableGet implements dsim.Context, recording the outcome.
 func (c *liveCtx) DurableGet(key string) ([]byte, bool) {
 	p := c.p
-	v, ok := p.durable.get(key)
+	v, ok := p.durable.cells.Get(key)
 	p.scroll.Append(scroll.Record{
 		Kind: scroll.KindEnv, MsgID: dsim.DurableGetMsgID, Peer: key,
 		Payload: dsim.EncodeDurableGet(v, ok),
@@ -1263,7 +1236,7 @@ func (c *liveCtx) DurableGet(key string) ([]byte, bool) {
 // DurableKeys implements dsim.Context, recording the key list.
 func (c *liveCtx) DurableKeys() []string {
 	p := c.p
-	keys := p.durable.keys()
+	keys := p.durable.cells.Keys()
 	p.scroll.Append(scroll.Record{
 		Kind: scroll.KindEnv, MsgID: dsim.DurableKeysMsgID,
 		Payload: dsim.EncodeDurableKeys(keys),

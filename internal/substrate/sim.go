@@ -13,9 +13,6 @@ type SimSubstrate struct {
 // NewSim returns a simulated substrate with the given configuration.
 func NewSim(cfg dsim.Config) *SimSubstrate { return &SimSubstrate{Sim: dsim.New(cfg)} }
 
-// WrapSim adapts an existing simulation.
-func WrapSim(s *dsim.Sim) *SimSubstrate { return &SimSubstrate{Sim: s} }
-
 // Capabilities implements Substrate: the simulator supports everything.
 func (s *SimSubstrate) Capabilities() Capabilities {
 	return Capabilities{

@@ -25,72 +25,38 @@
 package substrate
 
 import (
-	"repro/internal/checkpoint"
+	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/dsim"
 	"repro/internal/fault"
-	"repro/internal/scroll"
-	"repro/internal/vclock"
 )
 
-// Substrate is the backend-agnostic runtime surface. It is the superset of
-// the narrow consumer interfaces (core.Substrate, heal.Target,
-// fault.StateSource, fault.Injector, baselines.Source), so a Substrate
-// value can be handed to any FixD component directly.
+// Substrate is the backend-agnostic runtime surface: the consumer
+// interfaces of the framework's components, embedded — each of their
+// methods is declared and documented once, where it is consumed — plus what
+// only code that owns a backend needs. A Substrate value can therefore be
+// handed to any FixD component directly.
 type Substrate interface {
-	// --- process registry ---
+	// The coordinator's view, which includes the Healer's (heal.Target):
+	// registry, execution, scroll and clock access, the fault-report hook,
+	// checkpoint store, RollbackTo, ReplaceMachine, DurableSnapshotAt.
+	core.Substrate
+	// The monitor's view: Procs, MachineState, Now.
+	fault.StateSource
+	// The baselines' view: Procs, Scroll, MergedScroll.
+	baselines.Source
+	// Inject arms one fault injection: plan.Apply(sub).
+	fault.Injector
 
 	// AddProcess registers a machine under the given ID. Must be called
 	// before Run; duplicate IDs panic.
 	AddProcess(id string, m dsim.Machine)
-	// Procs returns the sorted process IDs.
-	Procs() []string
-
-	// --- execution ---
-
-	// Run starts the system (initializing machines on first call) and
-	// blocks until quiescence, a step/time bound, or a protected fault
-	// pauses it.
-	Run() dsim.Stats
-	// Resume continues after a pause without re-initializing machines.
-	Resume() dsim.Stats
 	// Stop pauses the run; Run/Resume return once in-flight work settles.
 	Stop()
 	// Stats returns the cumulative counters.
 	Stats() dsim.Stats
-	// Now returns the current virtual time in ticks.
-	Now() uint64
-
-	// --- scroll access ---
-
-	// Scroll returns the named process's recording (nil if unknown).
-	Scroll(id string) *scroll.Scroll
-	// MergedScroll returns all records in global (Lamport) order.
-	MergedScroll() []scroll.Record
-	// MachineState returns the JSON encoding of a process's current state.
-	MachineState(id string) []byte
-	// Clock returns a copy of the process's vector clock.
-	Clock(id string) vclock.VC
-
-	// --- fault detection ---
-
 	// Faults returns all locally detected faults so far.
 	Faults() []dsim.FaultRecord
-	// SetFaultHandler installs h on every Context.Fault report; returning
-	// true pauses the run. Passing nil clears it.
-	SetFaultHandler(h func(dsim.FaultRecord) bool)
-
-	// --- checkpoint / rollback (heal.Target) ---
-
-	// Store exposes the substrate's checkpoint store.
-	Store() *checkpoint.Store
-	// RollbackTo restores the given recovery line (proc -> checkpoint ID).
-	RollbackTo(line map[string]string) error
-	// ReplaceMachine swaps a process's implementation — the dynamic-update
-	// primitive the Healer builds on.
-	ReplaceMachine(procID string, m dsim.Machine, state []byte) error
-
-	// --- stable storage ---
-
 	// DurableSnapshot returns a deep copy of every process's
 	// stable-storage cells (proc -> key -> value; nil when nothing was
 	// written). Stable storage — the Context.Durable… seam — survives
@@ -98,19 +64,17 @@ type Substrate interface {
 	// written after the restored checkpoint (the abandoned timeline's
 	// writes), which the snapshot omits. See Capabilities.StableStorage.
 	DurableSnapshot() map[string]map[string][]byte
-
-	// --- chaos capability ---
-
-	// Inject arms one fault injection: plan.Apply(sub).
-	fault.Injector
-
-	// --- lifecycle ---
-
 	// Capabilities describes what this backend supports.
 	Capabilities() Capabilities
 	// Close releases backend resources (network listeners, goroutines).
 	Close() error
 }
+
+// Both backends implement the surface.
+var (
+	_ Substrate = (*SimSubstrate)(nil)
+	_ Substrate = (*LiveSubstrate)(nil)
+)
 
 // Capabilities describes a backend's supported feature set, so callers can
 // degrade gracefully instead of failing at runtime.

@@ -1,17 +1,13 @@
 // Package transport is the live (non-simulated) runtime: processes run as
 // goroutines exchanging messages over an in-memory switch or a real TCP
-// hub, with the Scroll interposed on every receive — the deployment mode
-// the paper targets, where liblog-style recording happens in production
-// and diagnosis happens offline (paper §2.2, §3.1).
-//
-// The same Handler can run live (recording) and be re-executed offline
-// from its scroll with remote peers absent, treated as black boxes defined
-// only by the recorded interaction.
+// hub — the deployment mode the paper targets, where liblog-style recording
+// happens in production and diagnosis happens offline (paper §2.2, §3.1).
+// The processes themselves, their scrolls and their offline replay are
+// substrate.LiveSubstrate's and dsim.Replay's; this package moves messages.
 package transport
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -20,7 +16,6 @@ import (
 	"net"
 	"sync"
 
-	"repro/internal/scroll"
 	"repro/internal/vclock"
 )
 
@@ -308,176 +303,3 @@ func (t *TCPTransport) Close() error {
 	t.done = nil
 	return nil
 }
-
-// --- Node runtime ---
-
-// Handler is a live process implementation.
-type Handler interface {
-	// HandleMessage processes one received message; it may send through
-	// the NodeContext.
-	HandleMessage(ctx *NodeContext, from string, payload []byte)
-}
-
-// HandlerFunc adapts a function to Handler.
-type HandlerFunc func(ctx *NodeContext, from string, payload []byte)
-
-// HandleMessage implements Handler.
-func (f HandlerFunc) HandleMessage(ctx *NodeContext, from string, payload []byte) {
-	f(ctx, from, payload)
-}
-
-// NodeContext is the API available to a live handler.
-type NodeContext struct {
-	node *Node
-}
-
-// Self returns the node ID.
-func (c *NodeContext) Self() string { return c.node.id }
-
-// Send transmits a payload to a peer, recording the send in the scroll.
-func (c *NodeContext) Send(to string, payload []byte) error { return c.node.send(to, payload) }
-
-// Node runs a Handler over a Transport with scroll recording.
-type Node struct {
-	id      string
-	tr      Transport
-	scroll  *scroll.Scroll
-	handler Handler
-	inbox   <-chan Message
-	mu      sync.Mutex
-	lamport vclock.Lamport
-	clock   vclock.VC
-	recvd   int
-}
-
-// NewNode registers id on the transport and returns the runtime.
-func NewNode(id string, tr Transport, h Handler) (*Node, error) {
-	inbox, err := tr.Register(id)
-	if err != nil {
-		return nil, err
-	}
-	return &Node{id: id, tr: tr, scroll: scroll.NewMemory(id), handler: h, inbox: inbox, clock: vclock.New()}, nil
-}
-
-// Scroll returns the node's recording.
-func (n *Node) Scroll() *scroll.Scroll { return n.scroll }
-
-// Send transmits a payload from this node (recorded in its scroll). It is
-// the entry point for messages originating outside a handler, e.g. the
-// opening message of a protocol.
-func (n *Node) Send(to string, payload []byte) error { return n.send(to, payload) }
-
-// Received returns how many messages the node has consumed.
-func (n *Node) Received() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.recvd
-}
-
-// send records and transmits.
-func (n *Node) send(to string, payload []byte) error {
-	n.mu.Lock()
-	n.clock.Tick(n.id)
-	lam := n.lamport.Tick()
-	n.scroll.Append(scroll.Record{
-		Kind: scroll.KindSend, Peer: to, Payload: append([]byte(nil), payload...),
-		Lamport: lam, Clock: n.clock.Copy(),
-	})
-	n.mu.Unlock()
-	return n.tr.Send(Message{From: n.id, To: to, Payload: payload, Lamport: lam})
-}
-
-// Run consumes the inbox until the context is cancelled or the transport
-// closes, recording each receive before handling it.
-func (n *Node) Run(ctx context.Context) error {
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case msg, ok := <-n.inbox:
-			if !ok {
-				return nil
-			}
-			n.mu.Lock()
-			n.clock.Tick(n.id)
-			n.lamport.Witness(msg.Lamport)
-			n.scroll.Append(scroll.Record{
-				Kind: scroll.KindRecv, Peer: msg.From, Payload: msg.Payload,
-				Lamport: n.lamport.Now(), Clock: n.clock.Copy(),
-			})
-			n.recvd++
-			n.mu.Unlock()
-			n.handler.HandleMessage(&NodeContext{node: n}, msg.From, msg.Payload)
-		}
-	}
-}
-
-// --- Offline replay ---
-
-// ReplayReport summarizes an offline re-execution of a live node.
-type ReplayReport struct {
-	Events   int
-	Sends    int
-	Diverged bool
-}
-
-// ReplayNode re-executes a handler against a recorded scroll with the
-// remote entities absent: receives are fed from the log, sends verified
-// against it (the black-box remote model of paper §2.2).
-func ReplayNode(id string, h Handler, recs []scroll.Record) (*ReplayReport, error) {
-	rp := scroll.NewReplayer(recs)
-	rep := &ReplayReport{}
-	rctx := &replayNodeCtx{rp: rp}
-	for {
-		rec, err := rp.Next(scroll.KindRecv)
-		if errors.Is(err, scroll.ErrReplayExhausted) {
-			rep.Sends = rctx.sends
-			return rep, nil
-		}
-		if errors.Is(err, scroll.ErrReplayDiverged) {
-			rep.Diverged = true
-			rep.Sends = rctx.sends
-			return rep, nil
-		}
-		if err != nil {
-			return rep, err
-		}
-		h.HandleMessage(&NodeContext{node: rctx.fakeNode(id)}, rec.Peer, rec.Payload)
-		if rctx.diverged {
-			rep.Diverged = true
-			rep.Sends = rctx.sends
-			return rep, nil
-		}
-		rep.Events++
-	}
-}
-
-// replayNodeCtx backs the NodeContext used during replay.
-type replayNodeCtx struct {
-	rp       *scroll.Replayer
-	sends    int
-	diverged bool
-}
-
-// fakeNode builds a Node whose send path verifies against the scroll.
-func (c *replayNodeCtx) fakeNode(id string) *Node {
-	return &Node{id: id, tr: replayTransport{c}, scroll: scroll.NewMemory(id + "-replay"), clock: vclock.New()}
-}
-
-// replayTransport verifies sends instead of transmitting them.
-type replayTransport struct{ c *replayNodeCtx }
-
-func (t replayTransport) Register(string) (<-chan Message, error) {
-	return nil, errors.New("transport: replay transport cannot register")
-}
-
-func (t replayTransport) Send(msg Message) error {
-	if err := t.c.rp.ExpectSend(msg.To, msg.Payload); err != nil {
-		t.c.diverged = true
-		return err
-	}
-	t.c.sends++
-	return nil
-}
-
-func (t replayTransport) Close() error { return nil }

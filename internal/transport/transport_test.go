@@ -1,106 +1,63 @@
 package transport
 
 import (
-	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
 
-// echoHandler replies "echo:<payload>" to every message until n replies.
-type echoHandler struct {
-	mu      sync.Mutex
-	replies int
-	limit   int
-	done    chan struct{}
-}
-
-func newEcho(limit int) *echoHandler {
-	return &echoHandler{limit: limit, done: make(chan struct{})}
-}
-
-func (h *echoHandler) HandleMessage(ctx *NodeContext, from string, payload []byte) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.replies >= h.limit {
-		return
-	}
-	h.replies++
-	ctx.Send(from, append([]byte("echo:"), payload...))
-	if h.replies == h.limit {
-		close(h.done)
-	}
-}
-
-// counterHandler counts received echoes and pings again.
-type counterHandler struct {
-	mu    sync.Mutex
-	seen  int
-	limit int
-	done  chan struct{}
-}
-
-func newCounter(limit int) *counterHandler {
-	return &counterHandler{limit: limit, done: make(chan struct{})}
-}
-
-func (h *counterHandler) HandleMessage(ctx *NodeContext, from string, payload []byte) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.seen++
-	if h.seen >= h.limit {
-		select {
-		case <-h.done:
-		default:
-			close(h.done)
-		}
-		return
-	}
-	ctx.Send(from, []byte(fmt.Sprintf("ping-%d", h.seen)))
-}
-
-func runPingPong(t *testing.T, tr Transport) (*Node, *Node, *counterHandler) {
+// pingPong drives rounds request/reply exchanges between two endpoints over
+// raw Register/Send: alice sends ping-i, bob answers echo:ping-i, and every
+// message must arrive once, intact, in order, with its identity.
+func pingPong(t *testing.T, trA, trB Transport, rounds int) {
 	t.Helper()
-	echo := newEcho(5)
-	count := newCounter(5)
-	a, err := NewNode("alice", tr, count)
+	inA, err := trA.Register("alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewNode("bob", tr, echo)
+	inB, err := trB.Register("bob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	go a.Run(ctx)
-	go b.Run(ctx)
-	// Kick off.
-	if err := (&NodeContext{node: a}).Send("bob", []byte("ping-0")); err != nil {
+	bobDone := make(chan error, 1)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			msg := <-inB
+			if want := fmt.Sprintf("ping-%d", i); msg.From != "alice" || string(msg.Payload) != want || msg.ID != want {
+				bobDone <- fmt.Errorf("bob got %+v, want %s from alice", msg, want)
+				return
+			}
+			if err := trB.Send(Message{ID: "echo-" + msg.ID, From: "bob", To: "alice", Payload: append([]byte("echo:"), msg.Payload...), Lamport: msg.Lamport + 1}); err != nil {
+				bobDone <- err
+				return
+			}
+		}
+		bobDone <- nil
+	}()
+	timeout := time.After(5 * time.Second)
+	for i := 0; i < rounds; i++ {
+		ping := fmt.Sprintf("ping-%d", i)
+		if err := trA.Send(Message{ID: ping, From: "alice", To: "bob", Payload: []byte(ping), Lamport: uint64(2 * i)}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case msg := <-inA:
+			if msg.From != "bob" || string(msg.Payload) != "echo:"+ping || msg.Lamport != uint64(2*i+1) {
+				t.Fatalf("alice got %+v, want echo:%s", msg, ping)
+			}
+		case <-timeout:
+			t.Fatal("ping-pong timed out")
+		}
+	}
+	if err := <-bobDone; err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-count.done:
-	case <-ctx.Done():
-		t.Fatal("ping-pong timed out")
-	}
-	return a, b, count
 }
 
 func TestSwitchPingPong(t *testing.T) {
 	tr := NewSwitch()
 	defer tr.Close()
-	a, b, count := runPingPong(t, tr)
-	if count.seen < 5 {
-		t.Errorf("seen = %d", count.seen)
-	}
-	if a.Received() < 5 || b.Received() < 5 {
-		t.Errorf("received a=%d b=%d", a.Received(), b.Received())
-	}
-	if a.Scroll().Len() == 0 || b.Scroll().Len() == 0 {
-		t.Error("scrolls empty")
-	}
+	pingPong(t, tr, tr, 5)
 }
 
 func TestSwitchErrors(t *testing.T) {
@@ -134,70 +91,5 @@ func TestTCPHubPingPong(t *testing.T) {
 	defer trA.Close()
 	defer trB.Close()
 
-	echo := newEcho(3)
-	count := newCounter(3)
-	a, err := NewNode("alice", trA, count)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewNode("bob", trB, echo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	go a.Run(ctx)
-	go b.Run(ctx)
-	if err := (&NodeContext{node: a}).Send("bob", []byte("ping-0")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-count.done:
-	case <-ctx.Done():
-		t.Fatal("TCP ping-pong timed out")
-	}
-	if b.Received() < 3 {
-		t.Errorf("bob received %d", b.Received())
-	}
-}
-
-func TestLiveReplayReproducesHandler(t *testing.T) {
-	tr := NewSwitch()
-	defer tr.Close()
-	_, b, _ := runPingPong(t, tr)
-
-	// Re-execute bob's handler offline from its scroll: the echo replies
-	// must match the recorded sends exactly.
-	fresh := newEcho(5)
-	rep, err := ReplayNode("bob", fresh, b.Scroll().Records())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Diverged {
-		t.Error("replay diverged on faithful handler")
-	}
-	if rep.Events != b.Received() {
-		t.Errorf("replayed %d events, want %d", rep.Events, b.Received())
-	}
-	if rep.Sends == 0 {
-		t.Error("no sends verified")
-	}
-}
-
-func TestLiveReplayDetectsChangedHandler(t *testing.T) {
-	tr := NewSwitch()
-	defer tr.Close()
-	_, b, _ := runPingPong(t, tr)
-
-	// A handler that replies differently must diverge.
-	villain := HandlerFunc(func(ctx *NodeContext, from string, payload []byte) {
-		ctx.Send(from, []byte("something-else"))
-	})
-	rep, err := ReplayNode("bob", villain, b.Scroll().Records())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Diverged {
-		t.Error("changed handler did not diverge")
-	}
+	pingPong(t, trA, trB, 3)
 }

@@ -319,9 +319,6 @@ func (v VC) Compare(o VC) Ordering {
 // HappensBefore reports whether v strictly precedes o causally.
 func (v VC) HappensBefore(o VC) bool { return v.Compare(o) == Before }
 
-// ConcurrentWith reports whether v and o are causally unrelated.
-func (v VC) ConcurrentWith(o VC) bool { return v.Compare(o) == Concurrent }
-
 // DominatesOrEqual reports whether v >= o component-wise (v "knows about"
 // everything o knows about). This is the consistency test used when picking
 // recovery lines: a cut is consistent iff each member's clock is not exceeded
