@@ -75,7 +75,17 @@
 // a Store keeps its lists and the checkpoint IDs it rendered. One rule
 // covers all three: everything handed out during a run — a Snapshot, a
 // Checkpoint, an encoding — is invalid after the Reset or Rewind that ends
-// it.
+// it. (A checkpoint ID is not handed out of run-scoped memory: it is an
+// ordinary string, carved from a block of ID text that lives as long as any
+// ID in it does.)
+//
+// What a heap cannot recycle it allocates in batches — the headers of a run
+// of pages in one array, their data in another — so a long run that copies a
+// page after every checkpoint allocates per batch, not per page. A page is
+// valid for as long as its heap, or any snapshot that holds it, is reachable;
+// a batch is freed whole, when the last of its pages is let go. The spare
+// lists are therefore bounded by the bytes their pages pin (maxSpareBytes,
+// counted batch by batch), not by the number of pages on them.
 package checkpoint
 
 import (
@@ -101,13 +111,41 @@ const DefaultPageSize = 1024
 type page struct {
 	data  []byte
 	epoch uint64 // heap epoch in which this page version was created
+	batch *batch
+	spare bool // on its heap's free or displaced list
 }
 
-// maxSpareBytes bounds, in bytes of page data, the displaced pages a heap
-// keeps for reuse: a long run's write set must not stay pinned in a pooled
-// worker, and a heap that is never Reset must not collect every page it
-// ever displaced.
+// batch is what pages are allocated in: the headers of a run of pages in one
+// array and their data in another, so that a long run's copy-on-write costs
+// an allocation per batch, not two per page. The price is that a page pins
+// its whole batch — both arrays stay reachable while any one page is — which
+// is why the spare-page cap counts batches (Heap.keep).
+type batch struct {
+	bytes  int // of page data
+	spares int // pages of the batch on their heap's free or displaced list
+}
+
+// newBatch allocates n zeroed pages of pageSize bytes. No two share memory:
+// each page's data is clipped to its own pageSize bytes.
+func newBatch(n, pageSize int) []page {
+	b := &batch{bytes: n * pageSize}
+	pages, data := make([]page, n), make([]byte, n*pageSize)
+	for i := range pages {
+		pages[i] = page{data: data[i*pageSize : (i+1)*pageSize : (i+1)*pageSize], batch: b}
+	}
+	return pages
+}
+
+// maxSpareBytes bounds, in bytes of page data, what the displaced pages a
+// heap keeps for reuse pin: a long run's write set must not stay pinned in a
+// pooled worker, and a heap that is never Reset must not collect every page
+// it ever displaced.
 const maxSpareBytes = 256 << 10
+
+// maxBatchBytes bounds, in bytes of page data, the batches copy-on-write
+// allocates: they double from one page up to this, so a heap that copies
+// three pages does not allocate thirty-two.
+const maxBatchBytes = 32 << 10
 
 // Heap is a paged, growable memory region with copy-on-write snapshots.
 // It is safe for concurrent use.
@@ -134,9 +172,16 @@ type Heap struct {
 	// pages of unknown origin (another heap's snapshot), and from then until
 	// Reset — which lets go of every installed page instead of zeroing it —
 	// nothing is collected. restored is set by any Restore: it can re-install
-	// a page that is already on the displaced list.
+	// a page that is already on the displaced list. spareBytes is what the two
+	// lists pin: the data of every batch with a page on either.
 	free, displaced   []*page
+	spareBytes        int
 	foreign, restored bool
+	// Page allocation, behind the recycling: fresh holds the pages of the
+	// newest batch not handed out yet, batchPages the size of the last batch
+	// copy-on-write asked for.
+	fresh      []page
+	batchPages int
 	// Where Snapshot headers and page tables are carved from; nil slabs (a
 	// heap that belongs to no Arena) allocate them.
 	snaps  *slab.Slab[Snapshot]
@@ -172,10 +217,10 @@ func (h *Heap) grow(size int) {
 		p := h.recycled()
 		if p != nil {
 			clear(p.data)
-			p.epoch = h.epoch
 		} else {
-			p = &page{data: make([]byte, h.pageSize), epoch: h.epoch}
+			p = h.newPage((size - h.size + h.pageSize - 1) / h.pageSize)
 		}
+		p.epoch = h.epoch
 		h.pages = append(h.pages, p)
 		h.size += h.pageSize
 		h.clean = nil
@@ -192,7 +237,57 @@ func (h *Heap) recycled() *page {
 	p := h.free[n-1]
 	h.free[n-1] = nil
 	h.free = h.free[:n-1]
+	h.unspare(p)
 	return p
+}
+
+// newPage carves a zeroed page out of the newest batch, for a caller that
+// found the free list empty and needs this many pages now. When the batch is
+// used up the next one holds exactly that many (a fresh heap is one batch)
+// or, for the single pages copy-on-write and a creeping heap ask for, twice
+// what the last such batch held, up to maxBatchBytes. Caller holds mu.
+func (h *Heap) newPage(need int) *page {
+	if len(h.fresh) == 0 {
+		if need == 1 {
+			h.batchPages = max(min(2*h.batchPages, maxBatchBytes/h.pageSize), 1)
+			need = h.batchPages
+		}
+		h.fresh = newBatch(need, h.pageSize)
+	}
+	p := &h.fresh[0]
+	h.fresh = h.fresh[1:]
+	return p
+}
+
+// keep puts p, which copy-on-write just displaced, on the displaced list for
+// the run after the next Reset: if it is this heap's own, is not there
+// already (a Restore can bring a displaced page back to be displaced again),
+// and pins no more than the cap allows. A page pins its batch, so the first
+// page of a batch to be kept is charged all of it and its siblings nothing;
+// past the cap a batch is refused page after page, and so let go of whole.
+// Caller holds mu.
+func (h *Heap) keep(p *page) {
+	if h.foreign || p.spare {
+		return
+	}
+	if p.batch.spares == 0 {
+		if h.spareBytes+p.batch.bytes > maxSpareBytes {
+			return
+		}
+		h.spareBytes += p.batch.bytes
+	}
+	p.batch.spares++
+	p.spare = true
+	h.displaced = append(h.displaced, p)
+}
+
+// unspare is the bookkeeping of p leaving the free or displaced list. Caller
+// holds mu.
+func (h *Heap) unspare(p *page) {
+	p.spare = false
+	if p.batch.spares--; p.batch.spares == 0 {
+		h.spareBytes -= p.batch.bytes
+	}
 }
 
 // Reset returns the heap to the zeroed state of a fresh NewHeapPages(size,
@@ -212,7 +307,8 @@ func (h *Heap) Reset(size, pageSize int) {
 	defer h.mu.Unlock()
 	if pageSize != h.pageSize {
 		h.pageSize = pageSize
-		h.pages, h.free, h.displaced = nil, nil, nil
+		h.pages, h.free, h.displaced, h.spareBytes = nil, nil, nil, 0
+		h.fresh, h.batchPages = nil, 0
 	}
 	want := min((size+pageSize-1)/pageSize, len(h.pages)) // grow below fills the rest
 	if h.foreign {
@@ -232,6 +328,7 @@ func (h *Heap) Reset(size, pageSize int) {
 	for _, p := range h.displaced {
 		// A Restore may have put a displaced page back in the heap.
 		if h.restored && slices.Contains(h.pages, p) {
+			h.unspare(p)
 			continue
 		}
 		if poison {
@@ -291,21 +388,14 @@ func (h *Heap) ensure(i int) *page {
 		return p
 	}
 	cp := h.recycled()
-	if cp != nil {
-		copy(cp.data, p.data)
-		cp.epoch = h.epoch
-	} else {
-		cp = &page{data: append([]byte(nil), p.data...), epoch: h.epoch}
+	if cp == nil {
+		cp = h.newPage(1)
 	}
+	copy(cp.data, p.data)
+	cp.epoch = h.epoch
 	h.pages[i] = cp
 	h.copied++
-	// Keep the displaced page for the run after the next Reset: if it is this
-	// heap's own, there is room under the cap, and a Restore has not brought
-	// back a page that is on the list already.
-	if !h.foreign && (len(h.free)+len(h.displaced))*h.pageSize < maxSpareBytes &&
-		!(h.restored && slices.Contains(h.displaced, p)) {
-		h.displaced = append(h.displaced, p)
-	}
+	h.keep(p)
 	return cp
 }
 
@@ -409,8 +499,10 @@ func (h *Heap) FullSnapshot() *Snapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	pages := h.tables.Tail(len(h.pages))
-	for _, p := range h.pages {
-		pages = append(pages, &page{data: append([]byte(nil), p.data...)})
+	copies := newBatch(len(h.pages), h.pageSize)
+	for i, p := range h.pages {
+		copy(copies[i].data, p.data)
+		pages = append(pages, &copies[i])
 	}
 	return h.snaps.Put(Snapshot{pageSize: h.pageSize, pages: h.tables.Keep(pages), size: h.size, full: true, owner: h.owner()})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/slab"
@@ -272,8 +273,33 @@ func runHeapModel(t *testing.T, seed int64, pageSize, steps int) {
 	}
 }
 
+// batchBytes is the page data the given pages pin: the data array of every
+// batch one of them belongs to.
+func batchBytes(lists ...[]*page) int {
+	seen, n := map[*batch]bool{}, 0
+	for _, list := range lists {
+		for _, p := range list {
+			if !seen[p.batch] {
+				seen[p.batch], n = true, n+p.batch.bytes
+			}
+		}
+	}
+	return n
+}
+
+// pinnedBytes is the page data reachable from h: its pages, its spare lists
+// and the batch not yet handed out.
+func pinnedBytes(h *Heap) int {
+	var fresh []*page
+	if len(h.fresh) > 0 {
+		fresh = append(fresh, &h.fresh[0])
+	}
+	return batchBytes(h.pages, h.free, h.displaced, fresh)
+}
+
 // TestSparePagesBounded: a heap that is never Reset does not collect every
-// page it displaces, and one that is keeps no more than the cap.
+// page it displaces, and one that is keeps no more than the cap — counted in
+// the bytes the kept pages pin (a page pins its batch), not in pages listed.
 func TestSparePagesBounded(t *testing.T) {
 	for _, pageSize := range []int{256, 1024, 4096} {
 		t.Run(fmt.Sprintf("page=%d", pageSize), func(t *testing.T) { testSparePagesBounded(t, pageSize) })
@@ -286,12 +312,33 @@ func testSparePagesBounded(t *testing.T, pageSize int) {
 		h.Snapshot()
 		h.WriteUint64(0, uint64(i))
 	}
-	if held := (len(h.free) + len(h.displaced)) * pageSize; held > maxSpareBytes {
-		t.Errorf("heap holds %d bytes of displaced pages, cap is %d", held, maxSpareBytes)
+	// What is reachable besides the spares: the batch being handed out, which
+	// holds the one page written; the other three are in the first batch, and
+	// that one is on the displaced list.
+	limit := maxSpareBytes + maxBatchBytes
+	spares := func() int {
+		for _, p := range slices.Concat(h.free, h.displaced) {
+			if !p.spare || p.batch.spares == 0 {
+				t.Fatalf("a listed page is not marked spare (batch counts %d)", p.batch.spares)
+			}
+		}
+		return batchBytes(h.free, h.displaced)
+	}
+	if got := spares(); got != h.spareBytes || got > maxSpareBytes || got < maxSpareBytes-maxBatchBytes {
+		t.Errorf("spare pages pin %d bytes, the heap counts %d, cap is %d", got, h.spareBytes, maxSpareBytes)
+	}
+	if got := pinnedBytes(h); got > limit {
+		t.Errorf("%d bytes of page data reachable from the heap, want at most %d", got, limit)
 	}
 	h.Reset(4*pageSize, pageSize)
-	if len(h.displaced) != 0 || len(h.free) == 0 || len(h.free)*pageSize > maxSpareBytes {
+	if len(h.displaced) != 0 || len(h.free) == 0 {
 		t.Errorf("after Reset: %d displaced, %d free pages", len(h.displaced), len(h.free))
+	}
+	if got := spares(); got != h.spareBytes || got > maxSpareBytes {
+		t.Errorf("after Reset: spare pages pin %d bytes, the heap counts %d, cap is %d", got, h.spareBytes, maxSpareBytes)
+	}
+	if got := pinnedBytes(h); got > limit {
+		t.Errorf("after Reset: %d bytes of page data reachable from the heap, want at most %d", got, limit)
 	}
 	// The next run copies into the free pages: nothing is allocated.
 	run := func() {
@@ -318,5 +365,104 @@ func testSparePagesBounded(t *testing.T, pageSize int) {
 	}
 	if n := testing.AllocsPerRun(5, run); n != 2*20 { // a standalone heap's Snapshot headers and page tables
 		t.Errorf("a warm run on a standalone heap allocates %.0f times, want the 40 of its snapshots", n)
+	}
+	// A Reset to another page size forgets every page of the old size: the
+	// spares, and the batch that was being handed out.
+	h.Reset(4*pageSize, 2*pageSize)
+	h.WriteUint64(0, 1)
+	h.Snapshot()
+	h.WriteUint64(0, 2)
+	for _, list := range [][]*page{h.pages, h.displaced, h.free} {
+		for _, p := range list {
+			if len(p.data) != 2*pageSize {
+				t.Fatalf("a %d-byte page survived the Reset to %d-byte pages", len(p.data), 2*pageSize)
+			}
+		}
+	}
+	if got := pinnedBytes(h); got != 4*pageSize+2*pageSize || h.spareBytes != 4*pageSize {
+		t.Errorf("after a Reset to another page size: %d bytes reachable, %d counted spare", got, h.spareBytes)
+	}
+}
+
+// TestBatchPagesDoNotAlias: pages lie side by side in their batch's one data
+// array, so a whole-page write through any one of them — in the heap that
+// made them, in a heap built from its snapshot, in one that restored it —
+// must be invisible in its siblings, in every live snapshot and in the other
+// heaps. Recycled pages are poisoned on the way (TestHeapModel walks the same
+// ground at random; this spells the property out).
+func TestBatchPagesDoNotAlias(t *testing.T) {
+	defer slab.Poison(slab.Poison(true))
+	const n = 7
+	for _, ps := range []int{8, 256, 1024} {
+		type view struct {
+			name  string
+			read  func() []byte
+			pages func() []*page
+			want  [n]byte // page i is ps bytes of want[i]
+		}
+		var views []*view
+		check := func(after string) {
+			t.Helper()
+			for _, v := range views {
+				got := v.read()
+				for i := 0; i < n; i++ {
+					if !bytes.Equal(got[i*ps:(i+1)*ps], bytes.Repeat([]byte{v.want[i]}, ps)) {
+						t.Fatalf("page=%d, after %s: page %d of %s reads %x…, want all %x", ps, after, i, v.name, got[i*ps:i*ps+4], v.want[i])
+					}
+				}
+				for i, p := range v.pages() {
+					if len(p.data) != ps || cap(p.data) != ps {
+						t.Fatalf("page=%d: page %d of %s has len %d cap %d: it can grow into its neighbour", ps, i, v.name, len(p.data), cap(p.data))
+					}
+				}
+			}
+		}
+		heap := func(name string, h *Heap, from *view) *view {
+			v := &view{name: name, pages: func() []*page { return h.pages }, read: func() []byte {
+				b := make([]byte, n*ps)
+				h.Read(0, b)
+				return b
+			}}
+			if from != nil {
+				v.want = from.want
+			}
+			views = append(views, v)
+			return v
+		}
+		snap := func(name string, h *Heap, of *view) (*Snapshot, *view) {
+			s := h.Snapshot()
+			v := &view{name: name, read: s.Bytes, pages: func() []*page { return s.pages }, want: of.want}
+			views = append(views, v)
+			return s, v
+		}
+		// fill writes every page of h, whole, one at a time, checking after each.
+		fill := func(h *Heap, v *view, base byte) {
+			for i := 0; i < n; i++ {
+				v.want[i] = base + byte(i)
+				h.Write(i*ps, bytes.Repeat([]byte{v.want[i]}, ps))
+				check(fmt.Sprintf("writing page %d of %s", i, v.name))
+			}
+		}
+
+		a := NewHeapPages(n*ps, ps) // one batch of n
+		va := heap("a", a, nil)
+		fill(a, va, 0x01) // in place
+		s1, vs1 := snap("a's first snapshot", a, va)
+		fill(a, va, 0x11) // copies: batches of 1, 2 and 4
+		s2, _ := snap("a's second snapshot", a, va)
+		b := NewHeapFrom(s2) // shares every page with a and s2
+		vb := heap("b, built from a's second snapshot", b, va)
+		c := NewHeapPages(n*ps, ps)
+		c.Restore(s1)
+		vc := heap("c, which restored a's first snapshot", c, vs1)
+		fill(b, vb, 0x21)
+		fill(c, vc, 0x31)
+		fill(a, va, 0x41)
+		a.Restore(s1) // brings back the first batch, whole
+		va.want = vs1.want
+		check("a restoring its first snapshot")
+		fill(a, va, 0x51)
+		snap("b's snapshot", b, vb)
+		fill(b, vb, 0x61)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/slab"
 	"repro/internal/vclock"
 )
 
@@ -73,12 +74,19 @@ type Store struct {
 	nextID uint64
 	// ids interns the IDs Put assigns, by process and number: a recycled
 	// simulation assigns the same "ckpt-<proc>-<n>" run after run. It
-	// survives Reset, and maxInternedIDs numbers per process bound it.
+	// survives Reset. The number is the store's one counter, not a count per
+	// process, so the table covers the first maxInternedIDs checkpoints of a
+	// run, whoever takes them: each process's slice is indexed by that number
+	// and holds an ID only where the process took the checkpoint (at most
+	// maxInternedIDs slots a process, mostly empty when there are many).
 	ids map[string][]string
+	// text is what assigned IDs are carved from, interned or not.
+	text slab.Text
 }
 
-// maxInternedIDs is how many assigned IDs the store remembers per process;
-// checkpoints numbered beyond it get a freshly rendered ID.
+// maxInternedIDs is how many checkpoints of a run, counted across all
+// processes, get their assigned ID remembered; those numbered beyond it get
+// a freshly rendered one.
 const maxInternedIDs = 256
 
 // NewStore returns an empty checkpoint store.
@@ -105,9 +113,9 @@ func (s *Store) Put(c *Checkpoint) string {
 }
 
 // assignedID returns "ckpt-<proc>-<n>", from the intern table when n is
-// small enough to be remembered. Past the table the string is the only
-// allocation: it is rendered in a stack array (a process name too long for
-// it spills). Caller holds mu.
+// small enough to be remembered. Past the table it is rendered in a stack
+// array (a process name too long for it spills) and carved from a block of
+// ID text: an allocation per block, not per checkpoint. Caller holds mu.
 func (s *Store) assignedID(proc string, n uint64) string {
 	ids := s.ids[proc]
 	if n < uint64(len(ids)) && ids[n] != "" {
@@ -117,7 +125,7 @@ func (s *Store) assignedID(proc string, n uint64) string {
 	buf := append(arr[:0], "ckpt-"...)
 	buf = append(buf, proc...)
 	buf = append(buf, '-')
-	id := string(strconv.AppendUint(buf, n, 10))
+	id := s.text.Carve(strconv.AppendUint(buf, n, 10))
 	if n < maxInternedIDs {
 		if n >= uint64(len(ids)) {
 			ids = append(ids, make([]string, n+1-uint64(len(ids)))...)

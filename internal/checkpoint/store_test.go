@@ -1,7 +1,9 @@
 package checkpoint
 
 import (
+	"fmt"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/vclock"
@@ -150,7 +152,8 @@ func TestStoreResolveLine(t *testing.T) {
 }
 
 // TestAssignedIDAllocatesOnlyTheID: inside the intern table an assigned ID
-// is free once rendered; past it, the string is the one allocation.
+// is free once rendered; past it, IDs are carved from blocks of text — a
+// thousand of them cost a handful of blocks, not an allocation each.
 func TestAssignedIDAllocatesOnlyTheID(t *testing.T) {
 	s := NewStore()
 	if got := s.assignedID("kvprimary", maxInternedIDs+7); got != "ckpt-kvprimary-263" {
@@ -160,8 +163,39 @@ func TestAssignedIDAllocatesOnlyTheID(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { s.assignedID("kvprimary", 9) }); n != 0 {
 		t.Errorf("interned ID: %v allocations, want 0", n)
 	}
+	const ids = 1000
 	n := uint64(maxInternedIDs)
-	if got := testing.AllocsPerRun(100, func() { n++; s.assignedID("kvprimary", n) }); got != 1 {
-		t.Errorf("ID past the intern table: %v allocations, want 1", got)
+	got := testing.AllocsPerRun(1, func() {
+		for range ids {
+			n++
+			s.assignedID("kvprimary", n)
+		}
+	})
+	if got > ids/64 {
+		t.Errorf("%d IDs past the intern table: %v allocations, want at most %d", ids, got, ids/64)
+	}
+}
+
+// TestAssignedIDsOutliveReset: IDs leave the run that assigned them (inside
+// artifacts and reports), so neither later checkpoints nor Reset may touch
+// one — interned or carved past the table.
+func TestAssignedIDsOutliveReset(t *testing.T) {
+	s := NewStore()
+	var got []string
+	for i := 0; i < maxInternedIDs+200; i++ {
+		got = append(got, s.Put(&Checkpoint{Proc: "p" + strconv.Itoa(i%3)}))
+	}
+	s.Reset()
+	for i := 0; i < 10_000; i++ {
+		s.Put(&Checkpoint{Proc: "q"})
+	}
+	s.Reset()
+	for i, id := range got {
+		if want := fmt.Sprintf("ckpt-p%d-%d", i%3, i+1); id != want {
+			t.Fatalf("ID %d reads %q after 10k more and two Resets, want %q", i, id, want)
+		}
+	}
+	if id := s.Put(&Checkpoint{Proc: "p0"}); id != got[0] {
+		t.Errorf("first ID after Reset = %q, want %q again", id, got[0])
 	}
 }

@@ -320,7 +320,7 @@ type Sim struct {
 	// Intern tables: strings and payloads that recur identically run after
 	// run. Bounded, shared read-only by records, and kept across Reset.
 	msgIDs   []string                 // "m<N>" at N-1, up to maxInternedMsgIDs
-	msgIDBuf []byte                   // scratch for rendering the others
+	idText   slab.Text                // where the table's strings and the others are carved
 	labels   map[string][]byte        // checkpoint labels as record payloads
 	timerRec map[string]timerRecParts // timer-record strings/payloads
 
@@ -365,13 +365,15 @@ const (
 )
 
 // msgID renders "m<n>", from the intern table when n is small enough to be
-// remembered.
+// remembered. Past the table — a long run, or a fresh simulation's first —
+// an ID is carved from a block of ID text, not allocated: it is an ordinary
+// string that outlives Reset (IDs leave runs inside RunResults).
 func (s *Sim) msgID(n uint64) string {
 	if n <= uint64(len(s.msgIDs)) {
 		return s.msgIDs[n-1]
 	}
-	s.msgIDBuf = strconv.AppendUint(append(s.msgIDBuf[:0], 'm'), n, 10)
-	id := string(s.msgIDBuf)
+	var arr [24]byte
+	id := s.idText.Carve(strconv.AppendUint(append(arr[:0], 'm'), n, 10))
 	// A run hands IDs out in order from m1, so the first one past the table's
 	// end is the one to append.
 	if n == uint64(len(s.msgIDs))+1 && n <= maxInternedMsgIDs {

@@ -2,6 +2,7 @@ package dsim
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/scroll"
@@ -195,5 +196,55 @@ func TestWarmArenaAllocs(t *testing.T) {
 
 	if allocs := testing.AllocsPerRun(10, run); allocs > 28 {
 		t.Fatalf("warm arena allocates %.0f times per run; want <= 28 (per-run pooling has regressed)", allocs)
+	}
+}
+
+// TestMsgIDAllocatesPerBlock: inside the intern table a message ID is free
+// once rendered; past it, IDs are carved from blocks of text — a thousand of
+// them cost a handful of blocks, not an allocation each (the twin of
+// checkpoint.TestAssignedIDAllocatesOnlyTheID).
+func TestMsgIDAllocatesPerBlock(t *testing.T) {
+	s := New(Config{})
+	for n := uint64(1); n <= maxInternedMsgIDs; n++ {
+		s.msgID(n)
+	}
+	if got := s.msgID(maxInternedMsgIDs + 7); got != "m1031" {
+		t.Fatalf("msgID = %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.msgID(9) }); n != 0 {
+		t.Errorf("interned ID: %v allocations, want 0", n)
+	}
+	const ids = 1000
+	n := uint64(maxInternedMsgIDs)
+	got := testing.AllocsPerRun(1, func() {
+		for range ids {
+			n++
+			s.msgID(n)
+		}
+	})
+	if got > ids/64 {
+		t.Errorf("%d IDs past the intern table: %v allocations, want at most %d", ids, got, ids/64)
+	}
+}
+
+// TestMsgIDsOutliveReset: message IDs leave the run that rendered them
+// (inside scroll records copied into RunResults and artifacts), so neither
+// later sends nor Reset may touch one — interned or carved past the table.
+func TestMsgIDsOutliveReset(t *testing.T) {
+	PoisonRewound(t)
+	s := New(Config{})
+	var got []string
+	for n := uint64(1); n <= maxInternedMsgIDs+300; n++ {
+		got = append(got, s.msgID(n))
+	}
+	s.Reset(Config{})
+	for n := uint64(1); n <= 10_000; n++ {
+		s.msgID(n)
+	}
+	s.Reset(Config{})
+	for i, id := range got {
+		if want := "m" + strconv.Itoa(i+1); id != want {
+			t.Fatalf("ID %d reads %q after 10k more and two Resets, want %q", i+1, id, want)
+		}
 	}
 }

@@ -5,19 +5,22 @@ package scroll
 // The batch path (Merge + Digest + Shape) materializes every record three
 // times and allocates an encode buffer per record; at matrix throughput
 // that is a double-digit percentage of the whole run. The types here
-// compute both signatures in one allocation-free pass, fed record by
-// record, and the Fingerprinter performs the global Lamport merge as a
+// compute both signatures in one pass that allocates nothing once warm, fed
+// record by record, and the Fingerprinter performs the global Lamport merge as a
 // k-way merge over the per-process scrolls without materializing the
 // merged slice. Output is byte-identical to the batch functions, which are
 // now thin wrappers (see TestStreamingMatchesBatch).
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"hash"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/vclock"
 )
@@ -73,11 +76,13 @@ func (h *Hasher) Sum() string {
 	return string(h.hex[:])
 }
 
-// shapeKey buckets a record for the event-shape signature.
+// shapeKey buckets a record for the event-shape signature. The process is
+// its index in the accumulator's name table, so a key is sixteen bytes
+// without a pointer: hashing and comparing one never touches a name.
 type shapeKey struct {
-	proc string
-	kind Kind
 	win  uint64
+	proc uint32
+	kind uint32 // a Kind, widened: no padding, so the key hashes and compares as sixteen plain bytes
 }
 
 // ShapeAccumulator incrementally computes Shape over a record stream: Add
@@ -86,8 +91,16 @@ type shapeKey struct {
 type ShapeAccumulator struct {
 	bucket uint64
 	counts map[shapeKey]int
-	keys   []shapeKey
-	buf    []byte
+	// procs is the name table, in first-seen order; last is the index of the
+	// process of the record added last. A stream has a handful of processes
+	// and names them by the same interned string record after record, so a
+	// miss on last is a short scan that mostly compares pointers.
+	procs []string
+	last  uint32
+	// Scratch for Sum.
+	order, rank []uint32
+	keys        []shapeKey
+	buf         []byte
 }
 
 // Reset prepares the accumulator for a new stream with the given Lamport
@@ -102,6 +115,8 @@ func (a *ShapeAccumulator) Reset(bucket uint64) {
 	} else {
 		clear(a.counts)
 	}
+	clear(a.procs) // names belong to scrolls that are recycled
+	a.procs, a.last = a.procs[:0], 0
 }
 
 // Add feeds one record to the signature.
@@ -109,7 +124,17 @@ func (a *ShapeAccumulator) Add(r *Record) {
 	if a.counts == nil {
 		a.Reset(a.bucket)
 	}
-	a.counts[shapeKey{r.Proc, r.Kind, r.Lamport / a.bucket}]++
+	i := a.last
+	if int(i) >= len(a.procs) || a.procs[i] != r.Proc {
+		at := slices.Index(a.procs, r.Proc)
+		if at < 0 {
+			at = len(a.procs)
+			a.procs = append(a.procs, r.Proc)
+		}
+		i = uint32(at)
+		a.last = i
+	}
+	a.counts[shapeKey{r.Lamport / a.bucket, i, uint32(r.Kind)}]++
 }
 
 // FNV-64a parameters (hash/fnv), applied inline so Sum hashes the canonical
@@ -129,20 +154,40 @@ func fnvUpdate(h uint64, b []byte) uint64 {
 // Sum returns the shape signature of the records added so far — identical
 // to Shape over the same records. The canonical rendering hashed per bucket
 // is "proc|kind|window|log2count;", exactly the bytes the fmt-based
-// implementation produced.
+// implementation produced, buckets in (proc name, kind, window) order.
 func (a *ShapeAccumulator) Sum() string {
 	if a.counts == nil {
 		a.Reset(a.bucket)
 	}
+	// Index order becomes name order: order lists the indices by name, rank
+	// is its inverse.
+	order, rank := a.order[:0], a.rank[:0]
+	for i := range a.procs {
+		order, rank = append(order, uint32(i)), append(rank, 0)
+	}
+	slices.SortFunc(order, func(x, y uint32) int { return strings.Compare(a.procs[x], a.procs[y]) })
+	for pos, i := range order {
+		rank[i] = uint32(pos)
+	}
 	keys := a.keys[:0]
 	for k := range a.counts {
+		k.proc = rank[k.proc] // sorts as the name does
 		keys = append(keys, k)
 	}
-	sort.Sort(shapeKeys(keys))
-	a.keys = keys
+	slices.SortFunc(keys, func(x, y shapeKey) int {
+		if x.proc != y.proc {
+			return cmp.Compare(x.proc, y.proc)
+		}
+		if x.kind != y.kind {
+			return cmp.Compare(x.kind, y.kind)
+		}
+		return cmp.Compare(x.win, y.win)
+	})
+	a.order, a.rank, a.keys = order, rank, keys
 	h := uint64(fnvOffset64)
 	for _, k := range keys {
-		buf := append(a.buf[:0], k.proc...)
+		k.proc = order[k.proc] // the index again: what counts is keyed by
+		buf := append(a.buf[:0], a.procs[k.proc]...)
 		buf = append(buf, '|')
 		buf = strconv.AppendUint(buf, uint64(k.kind), 10)
 		buf = append(buf, '|')
@@ -161,23 +206,6 @@ func (a *ShapeAccumulator) Sum() string {
 	}
 	hex.Encode(out[:], raw[:])
 	return string(out[:])
-}
-
-// shapeKeys orders shape buckets by (proc, kind, window); a named sorter
-// avoids sort.Slice's per-call closure allocation on the hot path.
-type shapeKeys []shapeKey
-
-func (s shapeKeys) Len() int      { return len(s) }
-func (s shapeKeys) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s shapeKeys) Less(i, j int) bool {
-	x, y := s[i], s[j]
-	if x.proc != y.proc {
-		return x.proc < y.proc
-	}
-	if x.kind != y.kind {
-		return x.kind < y.kind
-	}
-	return x.win < y.win
 }
 
 // cursor is one scroll's read position during the k-way merge — seg is

@@ -13,6 +13,9 @@
 // what a rewound chunk still holds is never read; Rewind zeroes it all the
 // same unless the elements are plain bytes or integers, so that a retained
 // chunk does not keep alive what the last run's values pointed to.
+//
+// Text (text.go) is the slab's counterpart for strings that must outlive
+// the run — IDs: carved from blocks the same way, never rewound.
 package slab
 
 import (
