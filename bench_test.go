@@ -1,18 +1,16 @@
 package repro
 
-// One benchmark per paper figure (see README.md for the index). The full table
-// regeneration lives in cmd/fixd-bench; these testing.B benchmarks measure
-// the core operation behind each experiment so regressions are visible in
-// standard Go tooling.
+// One benchmark per paper figure (see README.md for the index). The tables
+// cmd/fixd-bench prints are deterministic goldens and read no clock; these
+// testing.B benchmarks time the core operation behind each experiment so
+// regressions are visible in standard Go tooling.
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/baselines"
 	"repro/internal/chaos"
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dsim"
 	"repro/internal/experiments"
@@ -69,56 +67,9 @@ func BenchmarkE1ScrollReplay(b *testing.B) {
 	}
 }
 
-// --- E2: the Time Machine (Figure 2) ---
-
-func benchHeap(size int) *checkpoint.Heap {
-	h := checkpoint.NewHeapPages(size, 4096)
-	buf := make([]byte, 8)
-	for off := 0; off < size; off += 4096 {
-		h.Write(off, buf)
-	}
-	return h
-}
-
-func BenchmarkE2CheckpointFull(b *testing.B) {
-	for _, size := range []int{64 << 10, 1 << 20} {
-		b.Run(fmt.Sprintf("heap=%dKiB", size>>10), func(b *testing.B) {
-			h := benchHeap(size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.FullSnapshot()
-			}
-		})
-	}
-}
-
-func BenchmarkE2CheckpointCOW(b *testing.B) {
-	for _, size := range []int{64 << 10, 1 << 20} {
-		b.Run(fmt.Sprintf("heap=%dKiB", size>>10), func(b *testing.B) {
-			h := benchHeap(size)
-			buf := make([]byte, 8)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Snapshot()
-				h.Write((i%4)*4096, buf) // touch a small working set
-			}
-		})
-	}
-}
-
-func BenchmarkE2Rollback(b *testing.B) {
-	h := benchHeap(256 << 10)
-	snap := h.Snapshot()
-	buf := make([]byte, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Write((i%16)*4096, buf)
-		h.Restore(snap)
-	}
-}
+// --- E2: the Time Machine (Figure 2) --- BenchmarkE2CheckpointFull/COW
+// and BenchmarkE2Rollback live beside the heap they measure, in
+// internal/checkpoint.
 
 // --- E3: the Investigator (Figure 3) ---
 
@@ -258,9 +209,10 @@ func BenchmarkE6RecoveryLineNaive(b *testing.B) {
 }
 
 // --- E7: the ModelD engine (Figure 7) --- BenchmarkE7ModelDExplore lives
-// beside the model it explores, in internal/experiments.
+// beside the model it explores, in internal/experiments; it times what E7's
+// states columns count.
 
-// --- E9/E10: the chaos run loop (hot path) ---
+// --- E9 and guided search: the chaos run loop (hot path) ---
 
 // BenchmarkE9RunPooled measures the pooled hot path — per-worker arena
 // reuse plus streaming fingerprints — on a representative matrix cell: the

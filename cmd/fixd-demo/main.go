@@ -66,6 +66,12 @@ func run(seed int64, maxStates int, out io.Writer) error {
 
 	fmt.Fprintln(out, "[ run ] starting buggy two-phase commit under FixD protection ...")
 	sys.Run()
+	return narrate(sys, out)
+}
+
+// narrate prints the fault response of a protected run stage by stage,
+// then resumes the healed system and checks it.
+func narrate(sys *fixd.System, out io.Writer) error {
 	resp := sys.Response()
 	if resp == nil {
 		fmt.Fprintln(out, "[ run ] completed without faults — nothing to do")
@@ -85,6 +91,9 @@ func run(seed int64, maxStates int, out io.Writer) error {
 		fmt.Fprintf(out, "         %-8s -> %s @ %s\n", proc, resp.Line[proc], resp.LineClocks[proc])
 	}
 
+	if resp.Err != nil {
+		return fmt.Errorf("fault response failed: %w", resp.Err)
+	}
 	inv := resp.Investigation
 	fmt.Fprintf(out, "[invest] explored %d states / %d transitions (depth <= %d, truncated=%v)\n",
 		inv.StatesExplored, inv.Transitions, inv.MaxDepth, inv.Truncated)

@@ -50,8 +50,10 @@
 // BENCHMARK.json — measures it end to end and layer by layer; see
 // README.md ("Performance") for how to read it.
 //
-// The benchmarks in bench_test.go regenerate the measurement behind every
-// figure of the paper; run them with:
+// The paper's figures are deterministic tables (cmd/fixd-bench, goldens in
+// internal/experiments/testdata); what they cost in time is measured by the
+// benchmarks in bench_test.go, internal/checkpoint (Figure 2) and
+// internal/experiments (Figure 7):
 //
-//	go test -bench=. -benchmem .
+//	go test -bench=. -benchmem . ./internal/checkpoint ./internal/experiments
 package repro

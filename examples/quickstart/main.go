@@ -132,6 +132,10 @@ func run(out io.Writer) {
 		return
 	}
 	fmt.Fprintf(out, "fault: %s — %s\n", resp.Fault.Proc, resp.Fault.Desc)
+	if resp.Err != nil {
+		fmt.Fprintln(out, "fault response failed:", resp.Err)
+		return
+	}
 	if tr := resp.Investigation.ShortestTrail(); tr != nil {
 		fmt.Fprintf(out, "trail to %q: %v\n", tr.Invariant, tr.Steps)
 	}

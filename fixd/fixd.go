@@ -59,7 +59,7 @@
 //	sys.AddInvariant(myInvariant)
 //	sys.Protect(fixd.ProtectOptions{StopAtFirstViolation: true})
 //	sys.Run()
-//	if r := sys.Response(); r != nil {
+//	if r := sys.Response(); r != nil && r.Err == nil {
 //	    fmt.Println(r.Investigation.Trails)
 //	}
 package fixd

@@ -12,8 +12,8 @@ import (
 // sweep is guaranteed to catch. Seeded rand.New(rand.NewSource(seed)) is
 // fine and common; the global top-level rand functions are not.
 //
-// Intentional sites (the live backend's wall-clock bridge, bench timing
-// in internal/experiments) carry //fixd:wallclock <reason>.
+// Intentional sites (the live backend's wall-clock bridge) carry
+// //fixd:wallclock <reason>.
 var Detwall = &Analyzer{
 	Name: "detwall",
 	Doc:  "forbid wall-clock, global-rand, env, and CPU-topology reads in the deterministic core",

@@ -16,10 +16,10 @@
 //   - detwall: forbids wall-clock reads (time.Now/Since/Sleep/After/...),
 //     global math/rand draws, os.Getenv-style environment reads, and
 //     runtime.NumCPU-style topology reads inside the deterministic core
-//     (internal/{dsim,chaos,scroll,fault,apps,vclock,checkpoint}) plus the
-//     annotation-audited bridge packages (internal/substrate,
-//     internal/experiments). Seeded rand.New(rand.NewSource(seed)) is
-//     allowed; ambient inputs are not.
+//     (internal/{dsim,chaos,scroll,fault,apps,vclock,checkpoint,experiments})
+//     plus the annotation-audited bridge package internal/substrate.
+//     Seeded rand.New(rand.NewSource(seed)) is allowed; ambient inputs are
+//     not.
 //
 //   - detmaprange: flags `for range` over a map whose body appends to a
 //     slice, writes scroll records, feeds a Hasher/ShapeAccumulator/

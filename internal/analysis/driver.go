@@ -22,15 +22,15 @@ var CorePackages = []string{
 	"repro/internal/apps",
 	"repro/internal/vclock",
 	"repro/internal/checkpoint",
+	"repro/internal/experiments", // its tables are committed goldens
 }
 
-// WallclockScope extends the core with the two packages that bridge to
-// real time — the live substrate and the bench/experiment harness — where
-// wall-clock reads are legitimate but must be annotated
-// (//fixd:wallclock <reason>) so each one is an audited decision.
+// WallclockScope extends the core with the package that bridges to real
+// time — the live substrate — where wall-clock reads are legitimate but
+// must be annotated (//fixd:wallclock <reason>) so each one is an audited
+// decision.
 var WallclockScope = append(append([]string{}, CorePackages...),
 	"repro/internal/substrate",
-	"repro/internal/experiments",
 )
 
 // appliesTo decides whether an analyzer runs on a package. Fixture

@@ -12,7 +12,7 @@ import (
 // BankConfig parameterizes the distributed bank workload: each branch owns
 // a slice of accounts (balances live in the branch's heap, one 8-byte slot
 // per account) and issues transfers to random peers. This is the bulk-state
-// workload behind the checkpoint experiments (E2, E5).
+// workload behind the Healer experiment (E5).
 type BankConfig struct {
 	Branches       int
 	AccountsPer    int   // accounts per branch

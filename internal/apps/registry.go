@@ -130,8 +130,8 @@ func Lookup(name string) (AppSpec, error) {
 // failure modes they unlock, kept out of Registry so the default chaos
 // matrix — and every artifact pinned against it — stays byte-identical.
 // Sweeps that want them list them explicitly (MatrixConfig.Apps,
-// SearchConfig.Apps) or combine Registry()+Zoo(), as experiment E12 and
-// the search benchmark do.
+// SearchConfig.Apps) or combine Registry()+Zoo(), as the guided-vs-random
+// search test and the search benchmark do.
 func Zoo() []AppSpec {
 	return []AppSpec{
 		{

@@ -17,6 +17,12 @@ func PoisonRewound(t testing.TB) {
 	t.Cleanup(func() { slab.Poison(was) })
 }
 
+// RandomSearch is the blind-sampling baseline guided search is measured
+// against at the same budget: it evaluates the seeded single-scenario
+// schedules the matrix would generate (kinds × seeds in matrix order) and
+// keeps the identical coverage bookkeeping, but never mutates.
+func RandomSearch(cfg SearchConfig) *SearchReport { return search(cfg, StrategyRandom) }
+
 // reloaded is a written out and read back the way an artifact file is.
 func reloaded(t testing.TB, a *Artifact) *Artifact {
 	t.Helper()

@@ -19,7 +19,8 @@ const (
 	// the AFL-style loop Search runs.
 	StrategyGuided Strategy = "guided"
 	// StrategyRandom replays the matrix's seeded single-scenario
-	// generation at the same budget — the RandomSearch baseline.
+	// generation at the same budget — the baseline guided search is
+	// measured against.
 	StrategyRandom Strategy = "random"
 )
 
@@ -72,7 +73,7 @@ func LocalShrinker(runner Runner, budget int) ShrinkFunc {
 
 // Frontier is the seeded candidate stream plus corpus-admission state one
 // application's search advances through. It is the single implementation
-// behind Search, RandomSearch and the fleet coordinator: candidates are
+// behind Search, its random baseline and the fleet coordinator: candidates are
 // generated in batches from one seeded rng, evaluation happens elsewhere
 // (a local worker pool or remote fleet workers — the frontier never runs a
 // schedule itself except through its shrink delegate), and results are fed

@@ -20,7 +20,7 @@ type Fingerprint struct {
 }
 
 // SearchConfig parameterizes a coverage-guided schedule search (Search)
-// and its blind-sampling baseline (RandomSearch). Zero values select the
+// and its blind-sampling baseline (StrategyRandom). Zero values select the
 // defaults: every registered application, correct variants, seed 1, a
 // budget of 48 executions per application, sequential evaluation.
 type SearchConfig struct {
@@ -166,25 +166,14 @@ const searchBatch = 4
 // Search is the in-process driver of a Frontier; the fleet coordinator
 // (internal/fleet) drives the identical frontier with remote evaluation
 // and produces byte-identical reports.
-func Search(cfg SearchConfig) *SearchReport {
-	cfg = cfg.withDefaults()
-	rep := &SearchReport{Strategy: string(StrategyGuided), Seed: cfg.Seed, Budget: cfg.Budget, Buggy: cfg.Buggy}
-	for _, spec := range cfg.Apps {
-		rep.Apps = append(rep.Apps, driveFrontier(NewFrontier(spec, cfg, StrategyGuided), cfg.Workers))
-	}
-	return rep
-}
+func Search(cfg SearchConfig) *SearchReport { return search(cfg, StrategyGuided) }
 
-// RandomSearch is the blind-sampling baseline at the same budget: it
-// evaluates the seeded single-scenario schedules the matrix would generate
-// (kinds × seeds in matrix order) and tracks the identical coverage
-// bookkeeping, but never mutates. Comparing its report against Search's
-// quantifies what the coverage feedback buys (see experiment E10).
-func RandomSearch(cfg SearchConfig) *SearchReport {
+// search drives one frontier of the given strategy per application.
+func search(cfg SearchConfig, strategy Strategy) *SearchReport {
 	cfg = cfg.withDefaults()
-	rep := &SearchReport{Strategy: string(StrategyRandom), Seed: cfg.Seed, Budget: cfg.Budget, Buggy: cfg.Buggy}
+	rep := &SearchReport{Strategy: string(strategy), Seed: cfg.Seed, Budget: cfg.Budget, Buggy: cfg.Buggy}
 	for _, spec := range cfg.Apps {
-		rep.Apps = append(rep.Apps, driveFrontier(NewFrontier(spec, cfg, StrategyRandom), cfg.Workers))
+		rep.Apps = append(rep.Apps, driveFrontier(NewFrontier(spec, cfg, strategy), cfg.Workers))
 	}
 	return rep
 }

@@ -305,15 +305,19 @@ func TestZooSearchExtraKinds(t *testing.T) {
 	}
 }
 
-// TestZooMatrixCorruptSlow sweeps the opt-in kinds over the correct
-// mservice chain — whose retry discipline is robust to both — including a
-// live-lane sample, proving the new kinds compile and run on both
-// substrates through the stock matrix machinery.
+// TestZooMatrixCorruptSlow sweeps the opt-in kinds over seeds 1..24 of the
+// correct mservice chain — whose retry discipline is robust to both —
+// including a live-lane sample, proving the new kinds compile and run on
+// both substrates through the stock matrix machinery.
 func TestZooMatrixCorruptSlow(t *testing.T) {
+	seeds := make([]int64, 24)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
 	rep := RunMatrix(MatrixConfig{
 		Apps:       []apps.AppSpec{appByName(t, "mservice")},
 		Kinds:      []fault.Kind{fault.Corrupt, fault.SlowNode},
-		Seeds:      []int64{1, 2, 3},
+		Seeds:      seeds,
 		LiveSample: 2,
 		CheckEvery: 256,
 	})

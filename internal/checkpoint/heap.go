@@ -461,20 +461,6 @@ func (h *Heap) owner() *Heap {
 	return h
 }
 
-// FullSnapshot eagerly deep-copies the entire heap (the traditional
-// checkpoint baseline measured in experiment E2/A1).
-func (h *Heap) FullSnapshot() *Snapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	pages := h.tables.Tail(len(h.pages))
-	copies := newBatch(len(h.pages), h.pageSize)
-	for i, p := range h.pages {
-		copy(copies[i].data, p.data)
-		pages = append(pages, &copies[i])
-	}
-	return h.snaps.Put(Snapshot{pageSize: h.pageSize, pages: h.tables.Keep(pages), size: h.size, owner: h.owner()})
-}
-
 // Restore rewinds the heap to the snapshot's state. The heap's size becomes
 // the snapshot's size. Restoring is O(#pages) pointer copies; pages become
 // shared again and will be re-copied on write.

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -43,6 +44,20 @@ func (s *Snapshot) bytes() []byte {
 		out = append(out, p.data...)
 	}
 	return out[:s.size]
+}
+
+// FullSnapshot eagerly deep-copies the entire heap: the traditional
+// checkpoint the copy-on-write Snapshot is measured against.
+func (h *Heap) FullSnapshot() *Snapshot {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	pages := h.tables.Tail(len(h.pages))
+	copies := newBatch(len(h.pages), h.pageSize)
+	for i, p := range h.pages {
+		copy(copies[i].data, p.data)
+		pages = append(pages, &copies[i])
+	}
+	return h.snaps.Put(Snapshot{pageSize: h.pageSize, pages: h.tables.Keep(pages), size: h.size, owner: h.owner()})
 }
 
 func TestHeapReadWrite(t *testing.T) {
@@ -150,22 +165,84 @@ func TestRestoreShrinksSize(t *testing.T) {
 	}
 }
 
+// TestCOWCopiesOnlyDirtyPages is ablation A1 (paper §4.2: speculation-style
+// checkpoints cost less than traditional ones) without a clock: after a
+// copy-on-write snapshot, a write set copies exactly its dirty pages, at
+// every heap size — the cost follows the dirty fraction, not the heap.
 func TestCOWCopiesOnlyDirtyPages(t *testing.T) {
-	const pages = 64
-	h := NewHeapPages(pages*16, 16)
-	h.Snapshot()
-	before := h.copiedPages()
-	// Touch exactly 3 pages.
-	h.Write(0, []byte{1})
-	h.Write(5*16, []byte{1})
-	h.Write(20*16, []byte{1})
-	if got := h.copiedPages() - before; got != 3 {
-		t.Errorf("copied %d pages, want 3", got)
+	const pageSize = 4096
+	for _, size := range []int{64 << 10, 256 << 10, 1 << 20} {
+		for _, pct := range []int{1, 10, 50, 100} {
+			pages := size / pageSize
+			dirty := max(pages*pct/100, 1)
+			h := NewHeapPages(size, pageSize)
+			for p := 0; p < pages; p++ {
+				h.Write(p*pageSize, []byte{1}) // every page exists before the snapshot
+			}
+			h.Snapshot()
+			before := h.copiedPages()
+			for p := 0; p < dirty; p++ {
+				h.Write(p*pageSize+16, []byte{2})
+			}
+			if got := h.copiedPages() - before; got != uint64(dirty) {
+				t.Errorf("%d KiB, %d%% dirty: copied %d pages, want %d", size>>10, pct, got, dirty)
+			}
+			// Touching a dirty page again must not copy again.
+			h.Write(1, []byte{3})
+			if got := h.copiedPages() - before; got != uint64(dirty) {
+				t.Errorf("%d KiB, %d%% dirty: after rewrite copied %d pages, want %d", size>>10, pct, got, dirty)
+			}
+		}
 	}
-	// Touching the same page again must not copy again.
-	h.Write(1, []byte{2})
-	if got := h.copiedPages() - before; got != 3 {
-		t.Errorf("after rewrite copied %d pages, want 3", got)
+}
+
+// benchHeap is a heap of the given size with every page written.
+func benchHeap(size int) *Heap {
+	h := NewHeapPages(size, 4096)
+	buf := make([]byte, 8)
+	for off := 0; off < size; off += 4096 {
+		h.Write(off, buf)
+	}
+	return h
+}
+
+func BenchmarkE2CheckpointFull(b *testing.B) {
+	for _, size := range []int{64 << 10, 1 << 20} {
+		b.Run(fmt.Sprintf("heap=%dKiB", size>>10), func(b *testing.B) {
+			h := benchHeap(size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.FullSnapshot()
+			}
+		})
+	}
+}
+
+func BenchmarkE2CheckpointCOW(b *testing.B) {
+	for _, size := range []int{64 << 10, 1 << 20} {
+		b.Run(fmt.Sprintf("heap=%dKiB", size>>10), func(b *testing.B) {
+			h := benchHeap(size)
+			buf := make([]byte, 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Snapshot()
+				h.Write((i%4)*4096, buf) // touch a small working set
+			}
+		})
+	}
+}
+
+func BenchmarkE2Rollback(b *testing.B) {
+	h := benchHeap(256 << 10)
+	snap := h.Snapshot()
+	buf := make([]byte, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Write((i%16)*4096, buf)
+		h.Restore(snap)
 	}
 }
 

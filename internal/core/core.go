@@ -20,7 +20,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/dsim"
@@ -91,7 +90,9 @@ type Response struct {
 	Messages      int  // protocol messages exchanged (notify + replies)
 	Investigation *investigate.Report
 	Heal          *heal.Report
-	Elapsed       time.Duration
+	// Err is why the protocol stopped short; the fields above keep what it
+	// gathered before it did (a heal-stage error keeps the investigation).
+	Err error
 }
 
 // Coordinator drives FixD on top of a substrate.
@@ -129,19 +130,18 @@ func (c *Coordinator) onFault(f dsim.FaultRecord) bool {
 	if len(c.responses) >= c.cfg.MaxResponses {
 		return false
 	}
+	// A coordinator failure is itself a fault: record it with what the
+	// response found, and stop.
 	resp, err := c.Respond(f)
-	if err != nil {
-		// A coordinator failure is itself a fault; record it and stop.
-		resp = &Response{Fault: f}
-	}
+	resp.Err = err
 	c.responses = append(c.responses, resp)
 	return true // pause the substrate; caller decides whether to Resume
 }
 
 // Respond executes the Fig. 4 protocol for the given fault and returns the
-// full response record.
+// response record. On error the record holds what the protocol gathered
+// before it stopped.
 func (c *Coordinator) Respond(f dsim.FaultRecord) (*Response, error) {
-	start := time.Now()
 	resp := &Response{Fault: f, Line: map[string]string{}, LineClocks: map[string]vclock.VC{}}
 
 	procs := c.sim.Procs()
@@ -159,7 +159,7 @@ func (c *Coordinator) Respond(f dsim.FaultRecord) (*Response, error) {
 	}
 	set := recovery.MaxConsistentSet(lists)
 	if set == nil {
-		return nil, fmt.Errorf("core: no consistent checkpoint set (unreachable: initial states are concurrent)")
+		return resp, fmt.Errorf("core: no consistent checkpoint set (unreachable: initial states are concurrent)")
 	}
 
 	// Step 3: assemble the global checkpoint and models, plus the channel
@@ -173,13 +173,13 @@ func (c *Coordinator) Respond(f dsim.FaultRecord) (*Response, error) {
 	for _, id := range procs {
 		factory, ok := c.factories[id]
 		if !ok {
-			return nil, fmt.Errorf("core: no model factory for process %q", id)
+			return resp, fmt.Errorf("core: no model factory for process %q", id)
 		}
 		pm := investigate.ProcModel{Proc: id, New: factory}
 		if ck := set[id]; ck.ID != "" { // else the initial-state sentinel
 			state, err := ck.StateJSON()
 			if err != nil {
-				return nil, fmt.Errorf("core: checkpoint %s: %w", ck.ID, err)
+				return resp, fmt.Errorf("core: checkpoint %s: %w", ck.ID, err)
 			}
 			pm.State = append([]byte(nil), state...)
 			pm.Heap = ck.Snap
@@ -214,7 +214,7 @@ func (c *Coordinator) Respond(f dsim.FaultRecord) (*Response, error) {
 		StopAtFirstViolation:       c.cfg.StopAtFirstViolation,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: investigation: %w", err)
+		return resp, fmt.Errorf("core: investigation: %w", err)
 	}
 	resp.Investigation = rep
 
@@ -225,11 +225,10 @@ func (c *Coordinator) Respond(f dsim.FaultRecord) (*Response, error) {
 			ExploreDepth: c.cfg.VerifyDepth,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("core: heal: %w", err)
+			return resp, fmt.Errorf("core: heal: %w", err)
 		}
 		resp.Heal = hrep
 	}
-	resp.Elapsed = time.Since(start)
 	return resp, nil
 }
 

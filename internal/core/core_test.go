@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/json"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -67,9 +69,6 @@ func TestFig4ProtocolEndToEnd(t *testing.T) {
 	}
 	if resp.Investigation == nil || !resp.Investigation.Violating() {
 		t.Fatalf("investigation = %+v; expected violation trails", resp.Investigation)
-	}
-	if resp.Elapsed <= 0 {
-		t.Error("elapsed not measured")
 	}
 }
 
@@ -181,10 +180,25 @@ func TestRespondWithoutCheckpointsFallsBack(t *testing.T) {
 	}
 }
 
+// TestMissingFactoryError: a process without a model stops the protocol,
+// and the recorded response keeps the fault and the peer count and says
+// which process it was.
 func TestMissingFactoryError(t *testing.T) {
-	s, _, _ := buggy2PCSetup(true)
-	coord := NewCoordinator(s, map[string]func() dsim.Machine{}, Config{})
-	if _, err := coord.Respond(dsim.FaultRecord{Proc: "coord"}); err == nil {
-		t.Error("want error for missing factories")
+	s, factories, _ := buggy2PCSetup(true)
+	missing := apps.PartName(0)
+	delete(factories, missing)
+	coord := NewCoordinator(s, factories, Config{
+		Invariants:           []fault.GlobalInvariant{apps.TwoPCAtomicity()},
+		StopAtFirstViolation: true,
+	})
+	resp := coord.RunProtected()
+	if resp == nil {
+		t.Fatal("no response recorded")
+	}
+	if resp.Err == nil || !strings.Contains(resp.Err.Error(), strconv.Quote(missing)) {
+		t.Fatalf("Err = %v, want it to name %s", resp.Err, missing)
+	}
+	if resp.Fault.Proc == "" || resp.Messages != 2*(len(s.Procs())-1) || resp.Investigation != nil {
+		t.Errorf("partial response = %+v, want the fault and messages, no investigation", resp)
 	}
 }

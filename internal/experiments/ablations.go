@@ -2,18 +2,18 @@ package experiments
 
 import (
 	"encoding/json"
+	"maps"
+	"slices"
 
 	"repro/internal/apps"
 	"repro/internal/dsim"
 	"repro/internal/investigate"
-	"repro/internal/modeld"
 )
 
-// RunAblations prints the ablation summary: each row isolates
-// one design choice the paper calls out and quantifies its effect.
-// A1 and A4 are covered in depth by E2 and E3; this table adds A2, A3 and
-// A5 measurements and cross-references the rest.
-func RunAblations(quick bool) *Table {
+// runAblations prints the ablation summary: each row isolates one design
+// choice the paper calls out and quantifies its effect. This table measures
+// A2 and A5 and cross-references the rest.
+func runAblations() *Table {
 	t := &Table{
 		ID:     "ABL",
 		Title:  "Ablations — design choices isolated",
@@ -24,25 +24,12 @@ func RunAblations(quick bool) *Table {
 	regWith, regWithout := ablationAlternatePath()
 	t.Add("A2", "alternate path after rollback", regWith, regWithout, "buggy regenerations after recovery")
 
-	// A3: customizable search order (heuristic vs BFS to the same bug).
-	n := 6
-	if quick {
-		n = 5
-	}
-	rootB, engB := buggyMutexModel(n)
-	bfs := engB.Explore(rootB, modeld.Options{Strategy: modeld.BFS, MaxStates: 2_000_000, StopAtFirstViolation: true})
-	rootH, engH := buggyMutexModel(n)
-	heur := engH.Explore(rootH, modeld.Options{
-		Strategy: modeld.Heuristic, MaxStates: 2_000_000, StopAtFirstViolation: true,
-		Heuristic: occupancyHeuristic(n),
-	})
-	t.Add("A3", "heuristic search order", heur.StatesVisited, bfs.StatesVisited, "states to first violation")
-
 	// A5: environment modeled vs absent (from the integration measurements).
-	plain, rich := ablationEnvModel(quick)
+	plain, rich := ablationEnvModel()
 	t.Add("A5", "environment models (loss+crash)", rich, plain, "states explored (coverage)")
 
-	t.Note("A1 (COW vs full checkpoints) is measured by E2; A4 (checkpoint-seeded vs from-initial) by E3")
+	t.Note("A1 (COW copies only dirty pages) is pinned by checkpoint.TestCOWCopiesOnlyDirtyPages; " +
+		"A3 (heuristic vs BFS search order) is E7's to-bug rows; A4 (checkpoint-seeded vs from-initial) is E3")
 	t.Note("A2: after the Time Machine rollback, machines flip to the checked path, so zero further buggy actions")
 	t.Note("A5: richer environment models cover strictly more behaviours at the cost of a larger space")
 	return t
@@ -91,8 +78,7 @@ func ablationAlternatePath() (withAlt, withoutAlt int) {
 				json.Unmarshal(s.MachineState(id), &st)
 				st.Fixed = false
 				b, _ := json.Marshal(&st)
-				cfgCopy := cfg
-				s.ReplaceMachine(id, ringAt(cfgCopy, id), b)
+				s.ReplaceMachine(id, apps.NewTokenRing(cfg)[id], b)
 			}
 		}
 		atLine := totalRegens(s)
@@ -104,11 +90,6 @@ func ablationAlternatePath() (withAlt, withoutAlt int) {
 		return totalRegens(s) - atLine
 	}
 	return run(true), run(false)
-}
-
-// ringAt builds the ring machine for a given process ID.
-func ringAt(cfg apps.TokenRingConfig, id string) dsim.Machine {
-	return apps.NewTokenRing(cfg)[id]
 }
 
 func totalRegens(s *dsim.Sim) int {
@@ -124,26 +105,16 @@ func totalRegens(s *dsim.Sim) int {
 
 // ablationEnvModel returns explored-state counts without and with the
 // loss+crash environment models on correct 2PC.
-func ablationEnvModel(quick bool) (plain, rich int) {
-	maxStates := 50_000
-	maxDepth := 20
-	if quick {
-		maxStates = 10_000
-		maxDepth = 14
-	}
-	cfg := apps.TwoPCConfig{Participants: 2}
+func ablationEnvModel() (plain, rich int) {
+	factories := twoPCFactories(apps.TwoPCConfig{Participants: 2})
 	run := func(env bool) int {
 		var models []investigate.ProcModel
-		for id := range apps.NewTwoPC(cfg) {
-			id := id
-			models = append(models, investigate.ProcModel{
-				Proc: id,
-				New:  func() dsim.Machine { return apps.NewTwoPC(cfg)[id] },
-			})
+		for _, id := range slices.Sorted(maps.Keys(factories)) {
+			models = append(models, investigate.ProcModel{Proc: id, New: factories[id]})
 		}
 		rep, err := investigate.Run(models, nil, nil, investigate.Config{
 			ModelLoss: env, ModelCrash: env,
-			MaxStates: maxStates, MaxDepth: maxDepth,
+			MaxStates: 50_000, MaxDepth: 20,
 		})
 		if err != nil {
 			return -1
@@ -152,16 +123,3 @@ func ablationEnvModel(quick bool) (plain, rich int) {
 	}
 	return run(false), run(true)
 }
-
-func occupancyHeuristic(n int) func(modeld.State, int) int {
-	return func(s modeld.State, depth int) int {
-		v := s.(interface{ Get(string) int64 })
-		inCS := 0
-		for i := 0; i < n; i++ {
-			inCS += int(v.Get(csName(i)))
-		}
-		return -inCS*100 + depth
-	}
-}
-
-func csName(i int) string { return "cs" + string(rune('0'+i)) }

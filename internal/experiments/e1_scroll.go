@@ -1,30 +1,21 @@
 package experiments
 
 import (
-	"time"
-
 	"repro/internal/apps"
 	"repro/internal/dsim"
-	"repro/internal/scroll"
 )
 
-// RunE1 reproduces Figure 1 (the Scroll): every nondeterministic action of
-// a distributed run is recorded with its outcome, the per-record cost is
-// small, and the log suffices for bit-exact isolated replay of each
-// process.
-func RunE1(quick bool) *Table {
+// runE1 reproduces Figure 1 (the Scroll): every nondeterministic action of
+// a distributed run is recorded with its outcome, and the log suffices for
+// bit-exact isolated replay of each process.
+func runE1() *Table {
 	t := &Table{
 		ID:     "E1",
 		Title:  "Figure 1: the Scroll — recording and deterministic replay",
-		Header: []string{"procs", "deliveries", "records", "rec/deliv", "append ns/op", "replay events", "replay ok"},
+		Header: []string{"procs", "deliveries", "records", "rec/deliv", "replay events", "replay ok"},
 	}
-	sizes := []int{2, 4, 8, 16}
-	rounds := 12
-	if quick {
-		sizes = []int{2, 4}
-		rounds = 6
-	}
-	for _, n := range sizes {
+	const rounds = 12
+	for _, n := range []int{2, 4, 8, 16} {
 		ms := apps.NewTokenRing(apps.TokenRingConfig{N: n, Rounds: rounds})
 		s := dsim.New(dsim.Config{Seed: int64(n), MaxSteps: 500_000})
 		for id, m := range ms {
@@ -49,29 +40,9 @@ func RunE1(quick bool) *Table {
 			}
 			replayed += res.Events
 		}
-		t.Add(n, stats.Delivered, records, float64(records)/float64(max64(stats.Delivered, 1)),
-			appendCost(), replayed, replayOK)
+		t.Add(n, stats.Delivered, records, float64(records)/float64(max(stats.Delivered, 1)), replayed, replayOK)
 	}
 	t.Note("replay re-executes each process against its scroll with all peers absent (liblog-style local playback, paper §2.2)")
 	t.Note("records per delivery > 1 because sends, timers and annotations are logged alongside receives")
 	return t
-}
-
-// appendCost measures the per-record cost of scroll recording.
-func appendCost() int64 {
-	s := scroll.NewMemory("bench")
-	const n = 4096
-	payload := make([]byte, 64)
-	start := time.Now() //fixd:wallclock harness timing: measures real runtime, never feeds digests
-	for i := 0; i < n; i++ {
-		s.Append(scroll.Record{Kind: scroll.KindRecv, MsgID: "m", Peer: "p", Payload: payload, Lamport: uint64(i)})
-	}
-	return time.Since(start).Nanoseconds() / n //fixd:wallclock harness timing: measures real runtime, never feeds digests
-}
-
-func max64(a uint64, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

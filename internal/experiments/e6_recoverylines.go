@@ -10,7 +10,7 @@ import (
 	"repro/internal/snapshot"
 )
 
-// RunE6 reproduces Figure 6 (safe recovery lines via communication-induced
+// runE6 reproduces Figure 6 (safe recovery lines via communication-induced
 // checkpointing): after a failure, the rollback-propagation algorithm must
 // find a consistent line; with CIC checkpoints (one before every receive)
 // the line is always at most one interval behind, while sparse
@@ -19,19 +19,14 @@ import (
 // Shape expectation: CIC max rollback distance <= 1 interval regardless of
 // system size; uncoordinated distance grows with the communication rate
 // and checkpoint sparsity.
-func RunE6(quick bool) *Table {
+func runE6() *Table {
 	t := &Table{
 		ID:     "E6",
 		Title:  "Figure 6: recovery lines — CIC vs uncoordinated checkpoints",
 		Header: []string{"policy", "procs", "ckpts", "max rollback", "total rollback", "fixpoint iters", "domino to start"},
 	}
-	sizes := []int{4, 8, 16}
-	rounds := 12
-	if quick {
-		sizes = []int{4, 8}
-		rounds = 8
-	}
-	for _, n := range sizes {
+	const rounds = 12
+	for _, n := range []int{4, 8, 16} {
 		for _, policy := range []string{"cic", "uncoordinated", "coordinated-cl"} {
 			cfg := dsim.Config{Seed: int64(n), MaxSteps: 200_000}
 			switch policy {

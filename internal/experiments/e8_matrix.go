@@ -89,8 +89,8 @@ func PaperMatrix() []MatrixRow {
 	return []MatrixRow{mc, logging, cr, du, spec, liblog, cmc, fixd}
 }
 
-// RunE8 reproduces Figure 8 and executes every tool demo as evidence.
-func RunE8(quick bool) *Table {
+// runE8 reproduces Figure 8 and executes every tool demo as evidence.
+func runE8() *Table {
 	t := &Table{ID: "E8", Title: "Figure 8: characteristics of techniques and tools", Header: []string{"system"}}
 	for _, c := range Capabilities {
 		t.Header = append(t.Header, c.String())
@@ -123,26 +123,8 @@ func RunE8(quick bool) *Table {
 	return t
 }
 
-// buggy2PC builds a small faulty run shared by the demos.
-func buggy2PC() (*dsim.Sim, map[string]func() dsim.Machine, apps.TwoPCConfig) {
-	cfg := apps.TwoPCConfig{
-		Participants: 2, NoVoters: []int{1}, SlowVoters: []int{1},
-		Timeout: 10, VoteDelay: 100, Buggy: true,
-	}
-	s := dsim.New(dsim.Config{Seed: 1, MinLatency: 1, MaxLatency: 2, MaxSteps: 5000, CICheckpoint: true})
-	for id, m := range apps.NewTwoPC(cfg) {
-		s.AddProcess(id, m)
-	}
-	factories := map[string]func() dsim.Machine{}
-	for id := range apps.NewTwoPC(cfg) {
-		id := id
-		factories[id] = func() dsim.Machine { return apps.NewTwoPC(cfg)[id] }
-	}
-	return s, factories, cfg
-}
-
 func demoLiblogDiagnose() error {
-	s, factories, _ := buggy2PC()
+	s, factories := buggy2PC()
 	s.Run()
 	d, err := baselines.Diagnose(s, apps.PartName(1), factories[apps.PartName(1)]())
 	if err != nil {
@@ -155,8 +137,7 @@ func demoLiblogDiagnose() error {
 }
 
 func demoCMC() error {
-	_, factories, _ := buggy2PC()
-	rep, err := baselines.CMCCheck(factories, []fault.GlobalInvariant{apps.TwoPCAtomicity()}, 50_000, 40)
+	rep, err := baselines.CMCCheck(twoPCFactories(buggyTwoPC), []fault.GlobalInvariant{apps.TwoPCAtomicity()}, 50_000, 40)
 	if err != nil {
 		return err
 	}
@@ -177,34 +158,26 @@ func demoFixDPreventive() error {
 }
 
 func demoFixDDiagnostic() error {
-	s, factories, _ := buggy2PC()
-	coord := core.NewCoordinator(s, factories, core.Config{
-		Invariants:           []fault.GlobalInvariant{apps.TwoPCAtomicity()},
-		StopAtFirstViolation: true, MaxStates: 50_000, MaxDepth: 40,
-	})
-	resp := coord.RunProtected()
-	if resp == nil || !resp.Investigation.Violating() {
+	inv, err := investigate2PC(core.Config{StopAtFirstViolation: true, MaxStates: 50_000, MaxDepth: 40})
+	if err != nil {
+		return err
+	}
+	if !inv.Violating() {
 		return fmt.Errorf("no violation trail produced")
 	}
 	return nil
 }
 
 func demoFixDTreatment() error {
-	s, factories, cfg := buggy2PC()
-	fixedCfg := cfg
+	s, _ := buggy2PC()
+	fixedCfg := buggyTwoPC
 	fixedCfg.Buggy = false
-	fixedFactories := map[string]func() dsim.Machine{}
-	for id := range apps.NewTwoPC(fixedCfg) {
-		id := id
-		fixedFactories[id] = func() dsim.Machine { return apps.NewTwoPC(fixedCfg)[id] }
-	}
-	_ = factories
 	s.Run()
 	line := heal.LatestLine(s, s.Procs())
 	if line == nil {
 		return fmt.Errorf("no recovery line")
 	}
-	rep, err := heal.Apply(s, line, heal.Program{Version: "fixed", Factories: fixedFactories}, nil, heal.VerifyOptions{})
+	rep, err := heal.Apply(s, line, heal.Program{Version: "fixed", Factories: twoPCFactories(fixedCfg)}, nil, heal.VerifyOptions{})
 	if err != nil {
 		return err
 	}
@@ -217,19 +190,14 @@ func demoFixDTreatment() error {
 func demoFixDComprehensive() error {
 	// The Investigator must exhaust the bounded state space (not a single
 	// path) and return the complete set of violating trails within it.
-	s, factories, _ := buggy2PC()
-	coord := core.NewCoordinator(s, factories, core.Config{
-		Invariants: []fault.GlobalInvariant{apps.TwoPCAtomicity()},
-		MaxStates:  200_000, MaxDepth: 32,
-	})
-	resp := coord.RunProtected()
-	if resp == nil {
-		return fmt.Errorf("no fault")
+	inv, err := investigate2PC(core.Config{MaxStates: 200_000, MaxDepth: 32})
+	if err != nil {
+		return err
 	}
-	if resp.Investigation.Truncated {
+	if inv.Truncated {
 		return fmt.Errorf("exploration truncated")
 	}
-	if !resp.Investigation.Violating() {
+	if !inv.Violating() {
 		return fmt.Errorf("no trails")
 	}
 	return nil

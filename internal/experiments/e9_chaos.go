@@ -8,15 +8,12 @@ import (
 	"repro/internal/fault"
 )
 
-// RunE9 runs the chaos matrix: the scenario-diversity sweep (every fault
+// runE9 runs the chaos matrix: the scenario-diversity sweep (every fault
 // kind × every workload application × seeds, each cell checked for
 // invariant safety and replay determinism) plus one full detect → report
 // → recover pipeline execution per application's seeded-bug variant.
-func RunE9(quick bool) *Table {
+func runE9() *Table {
 	seeds := []int64{1, 2, 3, 4}
-	if quick {
-		seeds = []int64{1, 2}
-	}
 	t := &Table{
 		ID:    "E9",
 		Title: "Chaos matrix: fault scenarios × applications × seeds",
@@ -27,7 +24,7 @@ func RunE9(quick bool) *Table {
 	}
 	t.Header = append(t.Header, "pipeline")
 
-	rep := chaos.RunMatrix(chaos.MatrixConfig{Seeds: seeds, Workers: MatrixWorkers})
+	rep := chaos.RunMatrix(chaos.MatrixConfig{Seeds: seeds})
 	pass := map[string]map[fault.Kind]int{}
 	for _, c := range rep.Cells {
 		if pass[c.App] == nil {

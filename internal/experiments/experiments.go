@@ -1,12 +1,15 @@
-// Package experiments regenerates every figure of the paper as a
-// quantitative experiment (see README.md for the experiment index).
-// Each RunEx function returns a Table whose rows cmd/fixd-bench prints;
-// bench_test.go at the repository root exposes the same code as testing.B
-// benchmarks.
+// Package experiments regenerates the paper's figures as tables (see
+// README.md for the experiment index). Every table is a pure function of
+// its fixed parameters and seeds — no clock, no worker count — so each is
+// committed as a golden under testdata/<ID>.txt, which cmd/fixd-bench
+// prints byte for byte. What the figures cost in time is measured by the
+// testing.B benchmarks (bench_test.go at the repository root, e7_test.go)
+// and the performance ledger (bench/run.sh), not here.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -77,27 +80,38 @@ func (t *Table) Format() string {
 	return b.String()
 }
 
-// MatrixWorkers is the worker-pool width E9, E10 and E12 use for their
-// sweeps. 0/1 runs sequentially; cmd/fixd-bench sets it from
-// -shard.workers. The tables are identical either way — sharding only
-// changes wall time.
-var MatrixWorkers int
+// experiment is one table and the ID it is asked for by.
+type experiment struct {
+	id  string
+	run func() *Table
+}
 
-// Suite runs every experiment. quick mode shrinks parameters for tests.
-func Suite(quick bool) []*Table {
-	return []*Table{
-		RunE1(quick),
-		RunE2(quick),
-		RunE3(quick),
-		RunE4(quick),
-		RunE5(quick),
-		RunE6(quick),
-		RunE7(quick),
-		RunE8(quick),
-		RunE9(quick),
-		RunE10(quick),
-		RunE11(quick),
-		RunE12(quick),
-		RunAblations(quick),
+// experiments lists every table, in print order.
+var experiments = []experiment{
+	{"E1", runE1},
+	{"E3", runE3},
+	{"E4", runE4},
+	{"E5", runE5},
+	{"E6", runE6},
+	{"E7", runE7},
+	{"E8", runE8},
+	{"E9", runE9},
+	{"ABL", runAblations},
+}
+
+// Suite runs the named experiments in print order, or every experiment
+// when none is named. An unknown ID is an error.
+func Suite(ids ...string) ([]*Table, error) {
+	for _, id := range ids {
+		if !slices.ContainsFunc(experiments, func(e experiment) bool { return e.id == id }) {
+			return nil, fmt.Errorf("unknown experiment %q (want E1, E3..E9 or ABL)", id)
+		}
 	}
+	var out []*Table
+	for _, e := range experiments {
+		if len(ids) == 0 || slices.Contains(ids, e.id) {
+			out = append(out, e.run())
+		}
+	}
+	return out, nil
 }

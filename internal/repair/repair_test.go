@@ -75,25 +75,28 @@ func TestRepairTwoPCSeededBug(t *testing.T) {
 }
 
 // TestRepairDeterministicAcrossWorkers: same seed + artifact must produce
-// a byte-identical RepairReport at any worker count.
+// a byte-identical RepairReport at any worker count, for every registry
+// application with knobs — fixed or not.
 func TestRepairDeterministicAcrossWorkers(t *testing.T) {
-	a := findArtifact(t, "twopc")
-	var outs [][]byte
-	for _, workers := range []int{1, 4} {
-		cfg := quickCfg(a)
-		cfg.Workers = workers
-		rep, err := Repair(cfg)
-		if err != nil {
-			t.Fatal(err)
+	for _, app := range []string{"twopc", "election", "tokenring", "kvstore"} {
+		a := findArtifact(t, app)
+		var outs [][]byte
+		for _, workers := range []int{1, 4} {
+			cfg := quickCfg(a)
+			cfg.Workers = workers
+			rep, err := Repair(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := rep.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs = append(outs, out)
 		}
-		out, err := rep.JSON()
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(outs[0], outs[1]) {
+			t.Fatalf("%s: report differs across worker counts:\n--- w=1\n%s\n--- w=4\n%s", app, outs[0], outs[1])
 		}
-		outs = append(outs, out)
-	}
-	if !bytes.Equal(outs[0], outs[1]) {
-		t.Fatalf("report differs across worker counts:\n--- w=1\n%s\n--- w=4\n%s", outs[0], outs[1])
 	}
 }
 
