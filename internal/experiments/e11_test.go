@@ -2,63 +2,68 @@ package experiments
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
+	"repro/internal/apps"
+	"repro/internal/chaos"
 	"repro/internal/repair"
 )
 
-// TestE11RepairsThreeApps: the acceptance claim — the knob-space repair
-// stage fixes every application whose seeded bug actually is a timeout
-// misconfiguration (twopc, election, tokenring) and reports an honest
-// failure for kvstore, whose blind-apply bug no latency knob can fix.
+// E11 closes the detect → fix → prove loop. It prints no table — the
+// bug_hunt ledger reports repair.fixed_apps and repair.runs — so its claim
+// is checked here, against the registry applications with knob tables: the
+// three whose seeded bugs are misconfigured timeouts, and kvstore, whose
+// blind-apply bug no latency knob can fix.
+var repairApps = []string{"twopc", "election", "tokenring", "kvstore"}
+
+// repairArtifact hunts a minimal failing artifact for an app's seeded-bug
+// variant with a small guided search — the front half of the pipeline.
+func repairArtifact(t *testing.T, app string, budget int) *chaos.Artifact {
+	t.Helper()
+	spec, err := apps.Lookup(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fails := chaos.Search(chaos.SearchConfig{Apps: []apps.AppSpec{spec}, Buggy: true, Seed: 1,
+		Budget: budget, CheckEvery: searchCheckEvery}).Failures()
+	if len(fails) == 0 || fails[0].Artifact == nil {
+		t.Fatalf("no artifact found for buggy %s in %d runs", app, budget)
+	}
+	return fails[0].Artifact
+}
+
+// TestE11RepairsThreeApps: the knob-space repair stage, verifying with the
+// default two-seed matrix and guided re-run, fixes twopc, election and
+// tokenring and reports an honest failure for kvstore.
 func TestE11RepairsThreeApps(t *testing.T) {
-	tbl := RunE11(true)
-	if len(tbl.Rows) != len(repairApps) {
-		t.Fatalf("got %d rows, want %d", len(tbl.Rows), len(repairApps))
-	}
-	want := map[string]string{
-		"twopc": "true", "election": "true", "tokenring": "true",
-		"kvstore": "false",
-	}
-	for _, row := range tbl.Rows {
-		app, fixed, winner := row[0], row[4], row[5]
-		if fixed != want[app] {
-			t.Errorf("%s: fixed=%s, want %s (row %v)", app, fixed, want[app], row)
-			continue
+	want := map[string]bool{"twopc": true, "election": true, "tokenring": true, "kvstore": false}
+	for _, app := range repairApps {
+		rep, err := repair.Repair(repair.Config{Artifact: repairArtifact(t, app, 32), Seed: 1,
+			CheckEvery: searchCheckEvery})
+		if err != nil {
+			t.Fatalf("%s: %v", app, err)
 		}
-		if fixed == "true" && winner == "-" {
+		switch {
+		case rep.Fixed != want[app]:
+			t.Errorf("%s: fixed=%v, want %v", app, rep.Fixed, want[app])
+		case rep.Fixed && len(rep.Winner) == 0:
 			t.Errorf("%s: fixed but no winning assignment", app)
+		case !rep.Fixed && len(rep.Winner) > 0:
+			t.Errorf("%s: not fixed but reports winner %v", app, rep.Winner)
 		}
-		if fixed == "false" && winner != "-" {
-			t.Errorf("%s: not fixed but reports winner %q", app, winner)
-		}
-	}
-	found := false
-	for _, n := range tbl.Notes {
-		if strings.Contains(n, "repaired 3/4") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no repaired-3/4 note in %v", tbl.Notes)
 	}
 }
 
-// TestRepairBenchQuick: E11's quick operating point app by app — three
+// TestRepairBenchQuick: the quick operating point app by app — three
 // repaired applications, each report byte-identical at 2 workers and 1.
 func TestRepairBenchQuick(t *testing.T) {
 	repaired := 0
 	for _, app := range repairApps {
-		a, err := findRepairArtifact(app, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := repairArtifact(t, app, 16)
 		var out [2][]byte
 		for i, workers := range []int{2, 1} {
-			cfg := repairConfig(a, true)
-			cfg.Workers = workers
-			rep, err := repair.Repair(cfg)
+			rep, err := repair.Repair(repair.Config{Artifact: a, Seed: 1, CheckEvery: searchCheckEvery,
+				MatrixSeeds: []int64{1}, SearchBudget: 12, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/checkpoint"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/<ID>.txt from the code under test")
@@ -91,6 +94,43 @@ func TestE1ScrollReplayFidelity(t *testing.T) {
 	for _, row := range table(t, "E1").Rows {
 		if row[len(row)-1] != "true" {
 			t.Errorf("replay not ok in row %v", row)
+		}
+	}
+}
+
+// TestE2COWScalesWithDirtyNotHeap is Figure 2's claim (ablation A1, paper
+// §4.2: speculation-style checkpoints cost less than traditional ones)
+// measured in bytes, not time: a copy-on-write checkpoint followed by a
+// write set allocates its page table plus the dirty pages, never the heap.
+// A full copy of the 1 MiB heap would allocate 1 MiB at every dirty
+// fraction. checkpoint.TestCOWCopiesOnlyDirtyPages counts the copies from
+// inside the package.
+func TestE2COWScalesWithDirtyNotHeap(t *testing.T) {
+	const pageSize = 4096
+	for _, size := range []int{64 << 10, 256 << 10, 1 << 20} {
+		for _, pct := range []int{1, 10, 50, 100} {
+			pages := size / pageSize
+			dirty := max(pages*pct/100, 1)
+			h := checkpoint.NewHeapPages(size, pageSize)
+			for p := 0; p < pages; p++ {
+				h.Write(p*pageSize, []byte{1}) // every page exists before the snapshot
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			h.Snapshot()
+			for p := 0; p < dirty; p++ {
+				h.Write(p*pageSize+16, []byte{2})
+			}
+			runtime.ReadMemStats(&after)
+			// Copy-on-write allocates pages, each with a header under 64
+			// bytes, in batches of up to 8, so at most 8 past the dirty set,
+			// and lists each page it displaced; the page table is 8 bytes a
+			// page.
+			bound := (dirty+8)*(pageSize+64) + 16*dirty + 8*pages + 4<<10
+			if got := int(after.TotalAlloc - before.TotalAlloc); got > bound {
+				t.Errorf("%d KiB heap, %d%% dirty: checkpoint + writes allocated %d bytes, want <= %d",
+					size>>10, pct, got, bound)
+			}
 		}
 	}
 }
