@@ -17,7 +17,7 @@ import (
 	"repro/internal/scroll"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/payloads_prerefactor.json from the code under test")
+var update = flag.Bool("update", false, "rewrite the testdata fixtures from the code under test")
 
 const payloadsGoldenPath = "testdata/payloads_prerefactor.json"
 
