@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dsim"
-	"repro/internal/fault"
 )
 
 // Knob is one tunable, typed parameter of a workload application's
@@ -35,61 +34,33 @@ func (k Knob) Snap(v uint64) uint64 {
 	return v
 }
 
-// Knobs returns the knob table registered for a workload app: the
-// timeout/delay parameters whose misconfiguration the seeded bugs model.
-// The tables deliberately include knobs that cannot fix the bug (kvstore's
-// blind apply is not a latency problem) so repair has honest negative
-// space to report.
+// knob is a Knob of an app's table with the rule that sets it on the
+// seeded-bug config or, for a network knob, on its simulation profile.
+type knob[C any] struct {
+	Knob
+	set func(cfg *C, sim *dsim.Config, v uint64)
+}
+
+// Knobs returns (a copy of) the knob table registered for a workload app:
+// the timeout/delay parameters whose misconfiguration the seeded bugs
+// model. The tables deliberately include knobs that cannot fix the bug
+// (kvstore's blind apply is not a latency problem) so repair has honest
+// negative space to report.
 func Knobs(app string) ([]Knob, error) {
-	switch app {
-	case "twopc":
-		return []Knob{
-			{Name: "timeout", Min: 4, Max: 512, Step: 2, Current: chaosTwoPCBugCfg.Timeout},
-			{Name: "vote-delay", Min: 4, Max: 512, Step: 2, Current: chaosTwoPCBugCfg.VoteDelay},
-		}, nil
-	case "election":
-		return []Knob{
-			{Name: "re-elect-timeout", Min: 4, Max: 2048, Step: 2, Current: chaosElectBugCfg.ReElectTimeout},
-		}, nil
-	case "tokenring":
-		return []Knob{
-			{Name: "regen-timeout", Min: 2, Max: 1 << 16, Step: 2, Current: chaosRingBugCfg.RegenTimeout},
-			{Name: "hold-time", Min: 1, Max: 16, Step: 1, Current: orDefault(chaosRingBugCfg.HoldTime, 2)},
-		}, nil
-	case "kvstore":
-		// The floor keeps real jitter in the band: a latency cap cannot
-		// serialize the replicas, so no value in range fixes the blind
-		// apply — kvstore is the table's honest negative space.
-		return []Knob{
-			{Name: "max-latency", Min: 8, Max: 64, Step: 1, Current: 30},
-		}, nil
-	case "mservice":
-		// The timeout cascade is a misconfiguration: any knob that stretches
-		// the backend-adjacent tier's patience past the 40-tick slow path
-		// (a bigger timeout, more retries, steeper backoff) is a valid fix.
-		return []Knob{
-			{Name: "timeout", Min: 4, Max: 512, Step: 2, Current: chaosMSBugCfg.Timeout},
-			{Name: "retries", Min: 1, Max: 6, Step: 1, Current: uint64(chaosMSBugCfg.Retries)},
-			{Name: "backoff", Min: 2, Max: 64, Step: 2, Current: chaosMSBugCfg.Backoff},
-		}, nil
+	if r, err := find(app); err == nil {
+		if t := r.knobTable(); len(t) > 0 {
+			return t, nil
+		}
 	}
 	return nil, fmt.Errorf("apps: no knob table registered for %q", app)
 }
 
-func orDefault(v, def uint64) uint64 {
-	if v == 0 {
-		return def
-	}
-	return v
-}
-
 // ApplyKnobs returns the registry spec for app with assign applied to its
-// seeded-bug variant (the correct variant and invariants are untouched —
-// repair patches the broken program, not the oracle). Every assigned name
-// must exist in the app's knob table and every value must lie on the
-// knob's grid; a nil or empty assignment returns the unpatched spec.
+// seeded-bug variant (see app.spec). Every assigned name must exist in the
+// app's knob table and every value must lie on the knob's grid; a nil or
+// empty assignment returns the unpatched spec.
 func ApplyKnobs(app string, assign map[string]uint64) (AppSpec, error) {
-	spec, err := Lookup(app)
+	r, err := find(app)
 	if err != nil {
 		return AppSpec{}, err
 	}
@@ -113,111 +84,5 @@ func ApplyKnobs(app string, assign map[string]uint64) (AppSpec, error) {
 				app, name, v, k.Min, k.Max, k.Step)
 		}
 	}
-	if len(assign) == 0 {
-		return spec, nil
-	}
-	switch app {
-	case "twopc":
-		cfg := chaosTwoPCBugCfg
-		if v, ok := assign["timeout"]; ok {
-			cfg.Timeout = v
-		}
-		if v, ok := assign["vote-delay"]; ok {
-			cfg.VoteDelay = v
-		}
-		fixed := cfg
-		fixed.Buggy = false
-		spec.Make = func(buggy bool) map[string]dsim.Machine {
-			if buggy {
-				return NewTwoPC(cfg)
-			}
-			return NewTwoPC(chaosTwoPCCfg)
-		}
-		spec.MakeFixed = func() map[string]dsim.Machine { return NewTwoPC(fixed) }
-	case "election":
-		cfg := chaosElectBugCfg
-		if v, ok := assign["re-elect-timeout"]; ok {
-			cfg.ReElectTimeout = v
-		}
-		fixed := cfg
-		fixed.Buggy = false
-		spec.Make = func(buggy bool) map[string]dsim.Machine {
-			if buggy {
-				return NewElection(cfg)
-			}
-			return NewElection(chaosElectCfg)
-		}
-		spec.MakeFixed = func() map[string]dsim.Machine { return NewElection(fixed) }
-	case "tokenring":
-		cfg := chaosRingBugCfg
-		if v, ok := assign["regen-timeout"]; ok {
-			cfg.RegenTimeout = v
-		}
-		if v, ok := assign["hold-time"]; ok {
-			cfg.HoldTime = v
-		}
-		fixed := cfg
-		fixed.Buggy = false
-		spec.Make = func(buggy bool) map[string]dsim.Machine {
-			if buggy {
-				return NewTokenRing(cfg)
-			}
-			return NewTokenRing(chaosRingCfg)
-		}
-		spec.MakeFixed = func() map[string]dsim.Machine { return NewTokenRing(fixed) }
-	case "mservice":
-		cfg := chaosMSBugCfg
-		if v, ok := assign["timeout"]; ok {
-			cfg.Timeout = v
-		}
-		if v, ok := assign["retries"]; ok {
-			cfg.Retries = int(v)
-		}
-		if v, ok := assign["backoff"]; ok {
-			cfg.Backoff = v
-		}
-		fixed := cfg
-		fixed.Buggy = false
-		spec.Make = func(buggy bool) map[string]dsim.Machine {
-			if buggy {
-				return NewMService(cfg)
-			}
-			return NewMService(chaosMSCfg)
-		}
-		spec.MakeFixed = func() map[string]dsim.Machine { return NewMService(fixed) }
-		// The retry-storm limit and latency bound are derived from the knob
-		// values, so the oracle must track the patch: a legitimately longer
-		// retry schedule is not a storm.
-		spec.Invariants = func(buggy bool) []fault.GlobalInvariant {
-			c := chaosMSCfg
-			if buggy {
-				c = cfg
-			}
-			return []fault.GlobalInvariant{
-				MSNoDuplicateSideEffects(), MSNoRetryStorm(c), MSBoundedLatency(c),
-			}
-		}
-	case "kvstore":
-		// kvstore's knob bounds the network's latency band rather than an
-		// app timer: the buggy variant's jitter window shrinks to
-		// [min(MinLatency, max), max].
-		lat, ok := assign["max-latency"]
-		if !ok {
-			return spec, nil
-		}
-		base := spec.Config
-		spec.Config = func(buggy bool) dsim.Config {
-			c := base(buggy)
-			if buggy {
-				c.MaxLatency = lat
-				if c.MinLatency > lat {
-					c.MinLatency = lat
-				}
-			}
-			return c
-		}
-	default:
-		return AppSpec{}, fmt.Errorf("apps: %s has a knob table but no patch rule", app)
-	}
-	return spec, nil
+	return r.spec(assign), nil
 }

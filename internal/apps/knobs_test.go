@@ -1,21 +1,31 @@
 package apps
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
 )
 
+// TestKnobTablesRegistered: every app but bank and cacheaside has a sane
+// knob table whose Current values are the registered seeded-bug config —
+// setting a knob to Current renders the unpatched spec — and Knobs hands
+// out a copy of the table.
 func TestKnobTablesRegistered(t *testing.T) {
-	for _, app := range []string{"twopc", "election", "tokenring", "kvstore", "mservice"} {
+	var bare []string
+	for _, spec := range append(Registry(), Zoo()...) {
+		app := spec.Name
 		table, err := Knobs(app)
+		if err != nil {
+			bare = append(bare, app)
+			continue
+		}
+		base, err := ApplyKnobs(app, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
-		if len(table) == 0 {
-			t.Fatalf("%s: empty knob table", app)
-		}
+		want := renderSpec(base)
 		for _, k := range table {
 			if k.Min > k.Max || k.Step == 0 {
 				t.Errorf("%s/%s: degenerate range [%d,%d] step %d", app, k.Name, k.Min, k.Max, k.Step)
@@ -23,10 +33,22 @@ func TestKnobTablesRegistered(t *testing.T) {
 			if k.Snap(k.Current) != k.Current {
 				t.Errorf("%s/%s: current value %d is off its own grid", app, k.Name, k.Current)
 			}
+			at, err := ApplyKnobs(app, map[string]uint64{k.Name: k.Current})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", app, k.Name, err)
+			}
+			if got := renderSpec(at); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s=%d (Current) is not the registered config:\n got  %+v\n want %+v",
+					app, k.Name, k.Current, got, want)
+			}
+		}
+		table[0].Current++
+		if again, _ := Knobs(app); again[0].Current == table[0].Current {
+			t.Errorf("%s: mutating a returned knob table changed the registered one", app)
 		}
 	}
-	if _, err := Knobs("bank"); err == nil {
-		t.Error("bank has no seeded-bug knobs; expected an error")
+	if !reflect.DeepEqual(bare, []string{"bank", "cacheaside"}) {
+		t.Errorf("apps without a knob table = %v, want [bank cacheaside]", bare)
 	}
 }
 

@@ -47,12 +47,15 @@ type AppSpec struct {
 // (see fixd/integration_test.go and the apps tests).
 var (
 	chaosRingCfg     = TokenRingConfig{N: 4, Rounds: 6}
-	chaosRingBugCfg  = TokenRingConfig{N: 4, Rounds: 50, Buggy: true, RegenTimeout: 8}
+	chaosRingBugCfg  = TokenRingConfig{N: 4, Rounds: 50, Buggy: true, RegenTimeout: 8, HoldTime: 2}
 	chaosTwoPCCfg    = TwoPCConfig{Participants: 3}
 	chaosTwoPCBugCfg = TwoPCConfig{Participants: 2, NoVoters: []int{1}, SlowVoters: []int{1},
 		Timeout: 10, VoteDelay: 100, Buggy: true}
 	chaosKVCfg    = KVConfig{Replicas: 2, Writes: 15, Keys: 3}
 	chaosKVBugCfg = KVConfig{Replicas: 2, Writes: 30, Keys: 2, Buggy: true}
+	// The blind-apply bug needs jitter to reorder replication; the
+	// max-latency knob narrows this band.
+	chaosKVBugSim = chaosConfig(1, 30)
 	chaosElectCfg = ElectionConfig{N: 5}
 	// ReElectTimeout 6 is shorter than announcement propagation (the winning
 	// candidacy alone needs N latency hops), so the buggy premature
@@ -87,23 +90,218 @@ func chaosConfig(minLat, maxLat uint64) dsim.Config {
 	}
 }
 
+// app declares one workload application once: its constructor, the
+// correct (ok) and seeded-bug (bug) configs with their simulation profiles,
+// how the bug is switched off, the invariants, and the knob table repair
+// searches. Zoo apps are kept out of Registry.
+type app[C any] struct {
+	name          string
+	new           func(C) map[string]dsim.Machine
+	ok, bug       C
+	fix           func(*C) // clears Buggy: the corrected program
+	inv           func(cfg C, buggy bool) []fault.GlobalInvariant
+	okSim, bugSim dsim.Config
+	horizon       uint64
+	zoo           bool
+	knobs         []knob[C]
+}
+
+// row is an app of any config type, as the table holds it.
+type row interface {
+	id() (name string, zoo bool)
+	knobTable() []Knob
+	spec(assign map[string]uint64) AppSpec
+}
+
+func (a app[C]) id() (string, bool) { return a.name, a.zoo }
+
+func (a app[C]) knobTable() []Knob {
+	out := make([]Knob, len(a.knobs))
+	for i, k := range a.knobs {
+		out[i] = k.Knob
+	}
+	return out
+}
+
+// spec renders the app with assign set on its seeded-bug variant (the
+// correct variant is untouched — repair patches the broken program, not
+// the oracle, though an invariant may read the patched config). assign is
+// already validated against the knob table.
+func (a app[C]) spec(assign map[string]uint64) AppSpec {
+	bug, bugSim := a.bug, a.bugSim
+	for _, k := range a.knobs {
+		if v, ok := assign[k.Name]; ok {
+			k.set(&bug, &bugSim, v)
+		}
+	}
+	fixed := bug
+	a.fix(&fixed)
+	return AppSpec{
+		Name: a.name,
+		Make: func(buggy bool) map[string]dsim.Machine {
+			if buggy {
+				return a.new(bug)
+			}
+			return a.new(a.ok)
+		},
+		MakeFixed: func() map[string]dsim.Machine { return a.new(fixed) },
+		Invariants: func(buggy bool) []fault.GlobalInvariant {
+			if buggy {
+				return a.inv(bug, true)
+			}
+			return a.inv(a.ok, false)
+		},
+		Config: func(buggy bool) dsim.Config {
+			if buggy {
+				return bugSim
+			}
+			return a.okSim
+		},
+		Horizon: a.horizon,
+	}
+}
+
+// table is every workload application: Registry's five in matrix order,
+// then the scenario zoo.
+var table = []row{
+	app[BankConfig]{
+		name: "bank", new: NewBank, ok: chaosBankCfg, bug: chaosBankBugCfg,
+		fix: func(c *BankConfig) { c.Buggy = false },
+		inv: func(c BankConfig, buggy bool) []fault.GlobalInvariant {
+			if buggy {
+				return []fault.GlobalInvariant{BankNoOverdraft()}
+			}
+			return []fault.GlobalInvariant{BankConservation(c), BankNoOverdraft()}
+		},
+		okSim: chaosConfig(1, 6), bugSim: chaosConfig(1, 4), horizon: 90,
+	},
+	app[ElectionConfig]{
+		name: "election", new: NewElection, ok: chaosElectCfg, bug: chaosElectBugCfg,
+		fix: func(c *ElectionConfig) { c.Buggy = false },
+		inv: func(ElectionConfig, bool) []fault.GlobalInvariant {
+			return []fault.GlobalInvariant{ElectionSafety()}
+		},
+		okSim: chaosConfig(1, 6), bugSim: chaosConfig(1, 3), horizon: 60,
+		knobs: []knob[ElectionConfig]{
+			{Knob{Name: "re-elect-timeout", Min: 4, Max: 2048, Step: 2, Current: chaosElectBugCfg.ReElectTimeout},
+				func(c *ElectionConfig, _ *dsim.Config, v uint64) { c.ReElectTimeout = v }},
+		},
+	},
+	app[KVConfig]{
+		name: "kvstore", new: NewKVStore, ok: chaosKVCfg, bug: chaosKVBugCfg,
+		fix: func(c *KVConfig) { c.Buggy = false },
+		inv: func(KVConfig, bool) []fault.GlobalInvariant {
+			return []fault.GlobalInvariant{KVSafety()}
+		},
+		okSim: chaosConfig(1, 8), bugSim: chaosKVBugSim, horizon: 80,
+		// The knob bounds the network's latency band rather than an app
+		// timer: the jitter window shrinks to [min(MinLatency, max), max].
+		// The floor keeps real jitter in the band: a latency cap cannot
+		// serialize the replicas, so no value in range fixes the blind
+		// apply — kvstore is the table's honest negative space.
+		knobs: []knob[KVConfig]{
+			{Knob{Name: "max-latency", Min: 8, Max: 64, Step: 1, Current: chaosKVBugSim.MaxLatency},
+				func(_ *KVConfig, sim *dsim.Config, v uint64) {
+					sim.MaxLatency, sim.MinLatency = v, min(sim.MinLatency, v)
+				}},
+		},
+	},
+	app[TokenRingConfig]{
+		name: "tokenring", new: NewTokenRing, ok: chaosRingCfg, bug: chaosRingBugCfg,
+		fix: func(c *TokenRingConfig) { c.Buggy = false },
+		inv: func(TokenRingConfig, bool) []fault.GlobalInvariant {
+			return []fault.GlobalInvariant{TokenRingInvariant()}
+		},
+		okSim: chaosConfig(1, 6), bugSim: chaosConfig(5, 20), horizon: 160,
+		knobs: []knob[TokenRingConfig]{
+			{Knob{Name: "regen-timeout", Min: 2, Max: 1 << 16, Step: 2, Current: chaosRingBugCfg.RegenTimeout},
+				func(c *TokenRingConfig, _ *dsim.Config, v uint64) { c.RegenTimeout = v }},
+			{Knob{Name: "hold-time", Min: 1, Max: 16, Step: 1, Current: chaosRingBugCfg.HoldTime},
+				func(c *TokenRingConfig, _ *dsim.Config, v uint64) { c.HoldTime = v }},
+		},
+	},
+	app[TwoPCConfig]{
+		name: "twopc", new: NewTwoPC, ok: chaosTwoPCCfg, bug: chaosTwoPCBugCfg,
+		fix: func(c *TwoPCConfig) { c.Buggy = false },
+		inv: func(TwoPCConfig, bool) []fault.GlobalInvariant {
+			return []fault.GlobalInvariant{TwoPCAtomicity()}
+		},
+		okSim: chaosConfig(1, 6), bugSim: chaosConfig(1, 2), horizon: 50,
+		knobs: []knob[TwoPCConfig]{
+			{Knob{Name: "timeout", Min: 4, Max: 512, Step: 2, Current: chaosTwoPCBugCfg.Timeout},
+				func(c *TwoPCConfig, _ *dsim.Config, v uint64) { c.Timeout = v }},
+			{Knob{Name: "vote-delay", Min: 4, Max: 512, Step: 2, Current: chaosTwoPCBugCfg.VoteDelay},
+				func(c *TwoPCConfig, _ *dsim.Config, v uint64) { c.VoteDelay = v }},
+		},
+	},
+	app[MServiceConfig]{
+		name: "mservice", new: NewMService, ok: chaosMSCfg, bug: chaosMSBugCfg, zoo: true,
+		fix: func(c *MServiceConfig) { c.Buggy = false },
+		// The retry-storm limit and latency bound are derived from the knob
+		// values, so the oracle tracks the patch: a legitimately longer
+		// retry schedule is not a storm.
+		inv: func(c MServiceConfig, _ bool) []fault.GlobalInvariant {
+			return []fault.GlobalInvariant{MSNoDuplicateSideEffects(), MSNoRetryStorm(c), MSBoundedLatency(c)}
+		},
+		okSim: chaosConfig(1, 2), bugSim: chaosConfig(1, 2), horizon: 120,
+		// The timeout cascade is a misconfiguration: any knob that stretches
+		// the backend-adjacent tier's patience past the 40-tick slow path
+		// (a bigger timeout, more retries, steeper backoff) is a valid fix.
+		knobs: []knob[MServiceConfig]{
+			{Knob{Name: "timeout", Min: 4, Max: 512, Step: 2, Current: chaosMSBugCfg.Timeout},
+				func(c *MServiceConfig, _ *dsim.Config, v uint64) { c.Timeout = v }},
+			{Knob{Name: "retries", Min: 1, Max: 6, Step: 1, Current: uint64(chaosMSBugCfg.Retries)},
+				func(c *MServiceConfig, _ *dsim.Config, v uint64) { c.Retries = int(v) }},
+			{Knob{Name: "backoff", Min: 2, Max: 64, Step: 2, Current: chaosMSBugCfg.Backoff},
+				func(c *MServiceConfig, _ *dsim.Config, v uint64) { c.Backoff = v }},
+		},
+	},
+	app[CacheAsideConfig]{
+		name: "cacheaside", new: NewCacheAside, ok: chaosCACfg, bug: chaosCABugCfg, zoo: true,
+		fix: func(c *CacheAsideConfig) { c.Buggy = false },
+		inv: func(_ CacheAsideConfig, buggy bool) []fault.GlobalInvariant {
+			if buggy {
+				return []fault.GlobalInvariant{CANoStaleReads()}
+			}
+			return []fault.GlobalInvariant{CANoStaleReads(), CACacheNeverAhead()}
+		},
+		okSim: chaosConfig(1, 2), bugSim: chaosConfig(1, 2), horizon: 100,
+	},
+}
+
+// find returns the table row named name.
+func find(name string) (row, error) {
+	for _, r := range table {
+		if n, _ := r.id(); n == name {
+			return r, nil
+		}
+	}
+	return nil, fmt.Errorf("apps: unknown application %q", name)
+}
+
+// specs renders the table's rows in order, zoo or not.
+func specs(zoo bool) []AppSpec {
+	var out []AppSpec
+	for _, r := range table {
+		if _, z := r.id(); z == zoo {
+			out = append(out, r.spec(nil))
+		}
+	}
+	return out
+}
+
 // JitterFreeKV returns the kvstore spec pinned to a jitter-free latency
 // band, so its blind-apply bug manifests only when a fault schedule
 // actually reorders messages — the controlled setting the shrinker tests
-// and the guided-search experiment share. Artifacts recorded under this
-// spec replay via Artifact.VerifyWith (registry resolution would use the
-// stock config).
+// and the guided-search experiment share. Artifact.Verify and
+// repair.Repair reject artifacts recorded under this spec, because
+// resolving "kvstore" by name yields the stock band; replay them with
+// Artifact.VerifyWith(JitterFreeKV()).
 func JitterFreeKV() AppSpec {
-	for _, s := range Registry() {
-		if s.Name == "kvstore" {
-			s.Config = func(bool) dsim.Config {
-				return dsim.Config{MinLatency: 1, MaxLatency: 1,
-					InitCheckpoint: true, CheckpointEvery: 4, MaxSteps: 200_000}
-			}
-			return s
-		}
-	}
-	panic("apps: kvstore not registered")
+	r, _ := find("kvstore")
+	kv := r.(app[KVConfig])
+	kv.okSim, kv.bugSim = chaosConfig(1, 1), chaosConfig(1, 1)
+	return kv.spec(nil)
 }
 
 // Lookup resolves one registered application by name — how stateless
@@ -112,17 +310,11 @@ func JitterFreeKV() AppSpec {
 // artifacts recorded against a zoo workload replay through the same path
 // as matrix ones.
 func Lookup(name string) (AppSpec, error) {
-	for _, s := range Registry() {
-		if s.Name == name {
-			return s, nil
-		}
+	r, err := find(name)
+	if err != nil {
+		return AppSpec{}, err
 	}
-	for _, s := range Zoo() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return AppSpec{}, fmt.Errorf("apps: unknown application %q", name)
+	return r.spec(nil), nil
 }
 
 // Zoo returns the scenario-zoo workloads: applications that exist to
@@ -132,178 +324,7 @@ func Lookup(name string) (AppSpec, error) {
 // Sweeps that want them list them explicitly (MatrixConfig.Apps,
 // SearchConfig.Apps) or combine Registry()+Zoo(), as the guided-vs-random
 // search test and the search benchmark do.
-func Zoo() []AppSpec {
-	return []AppSpec{
-		{
-			Name: "mservice",
-			Make: func(buggy bool) map[string]dsim.Machine {
-				if buggy {
-					return NewMService(chaosMSBugCfg)
-				}
-				return NewMService(chaosMSCfg)
-			},
-			MakeFixed: func() map[string]dsim.Machine {
-				cfg := chaosMSBugCfg
-				cfg.Buggy = false
-				return NewMService(cfg)
-			},
-			Invariants: func(buggy bool) []fault.GlobalInvariant {
-				cfg := chaosMSCfg
-				if buggy {
-					cfg = chaosMSBugCfg
-				}
-				return []fault.GlobalInvariant{
-					MSNoDuplicateSideEffects(), MSNoRetryStorm(cfg), MSBoundedLatency(cfg),
-				}
-			},
-			Config: func(buggy bool) dsim.Config {
-				return chaosConfig(1, 2)
-			},
-			Horizon: 120,
-		},
-		{
-			Name: "cacheaside",
-			Make: func(buggy bool) map[string]dsim.Machine {
-				if buggy {
-					return NewCacheAside(chaosCABugCfg)
-				}
-				return NewCacheAside(chaosCACfg)
-			},
-			MakeFixed: func() map[string]dsim.Machine {
-				cfg := chaosCABugCfg
-				cfg.Buggy = false
-				return NewCacheAside(cfg)
-			},
-			Invariants: func(buggy bool) []fault.GlobalInvariant {
-				if buggy {
-					return []fault.GlobalInvariant{CANoStaleReads()}
-				}
-				return []fault.GlobalInvariant{CANoStaleReads(), CACacheNeverAhead()}
-			},
-			Config: func(buggy bool) dsim.Config {
-				return chaosConfig(1, 2)
-			},
-			Horizon: 100,
-		},
-	}
-}
+func Zoo() []AppSpec { return specs(true) }
 
 // Registry returns the five workload applications in matrix order.
-func Registry() []AppSpec {
-	pick := func(buggy bool, bug, ok dsim.Config) dsim.Config {
-		if buggy {
-			return bug
-		}
-		return ok
-	}
-	return []AppSpec{
-		{
-			Name: "bank",
-			Make: func(buggy bool) map[string]dsim.Machine {
-				if buggy {
-					return NewBank(chaosBankBugCfg)
-				}
-				return NewBank(chaosBankCfg)
-			},
-			MakeFixed: func() map[string]dsim.Machine {
-				cfg := chaosBankBugCfg
-				cfg.Buggy = false
-				return NewBank(cfg)
-			},
-			Invariants: func(buggy bool) []fault.GlobalInvariant {
-				if buggy {
-					return []fault.GlobalInvariant{BankNoOverdraft()}
-				}
-				return []fault.GlobalInvariant{BankConservation(chaosBankCfg), BankNoOverdraft()}
-			},
-			Config: func(buggy bool) dsim.Config {
-				return pick(buggy, chaosConfig(1, 4), chaosConfig(1, 6))
-			},
-			Horizon: 90,
-		},
-		{
-			Name: "election",
-			Make: func(buggy bool) map[string]dsim.Machine {
-				if buggy {
-					return NewElection(chaosElectBugCfg)
-				}
-				return NewElection(chaosElectCfg)
-			},
-			MakeFixed: func() map[string]dsim.Machine {
-				cfg := chaosElectBugCfg
-				cfg.Buggy = false
-				return NewElection(cfg)
-			},
-			Invariants: func(bool) []fault.GlobalInvariant {
-				return []fault.GlobalInvariant{ElectionSafety()}
-			},
-			Config: func(buggy bool) dsim.Config {
-				return pick(buggy, chaosConfig(1, 3), chaosConfig(1, 6))
-			},
-			Horizon: 60,
-		},
-		{
-			Name: "kvstore",
-			Make: func(buggy bool) map[string]dsim.Machine {
-				if buggy {
-					return NewKVStore(chaosKVBugCfg)
-				}
-				return NewKVStore(chaosKVCfg)
-			},
-			MakeFixed: func() map[string]dsim.Machine {
-				cfg := chaosKVBugCfg
-				cfg.Buggy = false
-				return NewKVStore(cfg)
-			},
-			Invariants: func(bool) []fault.GlobalInvariant {
-				return []fault.GlobalInvariant{KVSafety()}
-			},
-			Config: func(buggy bool) dsim.Config {
-				return pick(buggy, chaosConfig(1, 30), chaosConfig(1, 8))
-			},
-			Horizon: 80,
-		},
-		{
-			Name: "tokenring",
-			Make: func(buggy bool) map[string]dsim.Machine {
-				if buggy {
-					return NewTokenRing(chaosRingBugCfg)
-				}
-				return NewTokenRing(chaosRingCfg)
-			},
-			MakeFixed: func() map[string]dsim.Machine {
-				cfg := chaosRingBugCfg
-				cfg.Buggy = false
-				return NewTokenRing(cfg)
-			},
-			Invariants: func(bool) []fault.GlobalInvariant {
-				return []fault.GlobalInvariant{TokenRingInvariant()}
-			},
-			Config: func(buggy bool) dsim.Config {
-				return pick(buggy, chaosConfig(5, 20), chaosConfig(1, 6))
-			},
-			Horizon: 160,
-		},
-		{
-			Name: "twopc",
-			Make: func(buggy bool) map[string]dsim.Machine {
-				if buggy {
-					return NewTwoPC(chaosTwoPCBugCfg)
-				}
-				return NewTwoPC(chaosTwoPCCfg)
-			},
-			MakeFixed: func() map[string]dsim.Machine {
-				cfg := chaosTwoPCBugCfg
-				cfg.Buggy = false
-				return NewTwoPC(cfg)
-			},
-			Invariants: func(bool) []fault.GlobalInvariant {
-				return []fault.GlobalInvariant{TwoPCAtomicity()}
-			},
-			Config: func(buggy bool) dsim.Config {
-				return pick(buggy, chaosConfig(1, 2), chaosConfig(1, 6))
-			},
-			Horizon: 50,
-		},
-	}
-}
+func Registry() []AppSpec { return specs(false) }

@@ -160,7 +160,9 @@ func Repair(cfg Config) (*Report, error) {
 	}
 
 	// The artifact must reproduce against the unpatched program: repair
-	// only trusts the cheap reject if the baseline replay actually fails.
+	// only trusts the cheap reject if the baseline replay actually fails,
+	// and only searches the program the artifact ran if the replay digest
+	// matches (an artifact recorded under a customized spec does not).
 	base, err := apps.ApplyKnobs(a.App, nil)
 	if err != nil {
 		return nil, err
@@ -170,6 +172,10 @@ func Repair(cfg Config) (*Report, error) {
 	s.rep = &Report{App: a.App, Seed: cfg.Seed, Knobs: table, Runs: 1}
 	if len(res.Violations) == 0 {
 		return nil, fmt.Errorf("repair: artifact for %q does not reproduce; nothing to repair", a.App)
+	}
+	if res.Digest != a.Digest {
+		return nil, fmt.Errorf("repair: artifact for %q replays to digest %.12q, not its recorded %.12q",
+			a.App, res.Digest, a.Digest)
 	}
 	s.rep.Violations = res.Violations
 
@@ -299,8 +305,8 @@ func (s *searcher) trial(assign map[string]uint64) *Trial {
 	}
 	spec, err := apps.ApplyKnobs(s.art.App, assign)
 	if err != nil {
-		// Off-grid proposals cannot happen (the searcher snaps); an app
-		// without a patch rule surfaces as an all-fail trial.
+		// Off-grid proposals cannot happen (the searcher snaps); any
+		// other rejection surfaces as an all-fail trial.
 		t := &Trial{Assignment: assign}
 		s.admit(t)
 		return t

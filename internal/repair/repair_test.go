@@ -2,6 +2,7 @@ package repair
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -196,13 +197,31 @@ func TestRepairMServiceTimeoutCascade(t *testing.T) {
 	}
 }
 
-// TestRepairRejectsNonReproducingArtifact: a passing schedule is not a
-// counterexample; Repair must refuse rather than "fix" a non-bug.
+// TestRepairRejectsNonReproducingArtifact: Repair refuses an artifact that
+// does not reproduce on the program it names — a passing schedule is not a
+// counterexample, and one whose baseline replay lands on another digest ran
+// another program (the jitter-free kvstore band, or a tampered digest) —
+// rather than "fix" a non-bug or search the wrong program.
 func TestRepairRejectsNonReproducingArtifact(t *testing.T) {
 	a := findArtifact(t, "twopc")
 	clean := *a
 	clean.Buggy = false // the correct variant does not fail this schedule
 	if _, err := Repair(Config{Artifact: &clean}); err == nil {
 		t.Fatal("expected a does-not-reproduce error")
+	}
+
+	tampered := *a
+	tampered.Digest = strings.Repeat("0", len(a.Digest))
+	rep := chaos.Search(chaos.SearchConfig{
+		Apps: []apps.AppSpec{apps.JitterFreeKV()}, Buggy: true, Seed: 1, Budget: 160, Workers: 1,
+	})
+	fails := rep.Failures()
+	if len(fails) == 0 || fails[0].Artifact == nil {
+		t.Fatal("jitter-free kvstore search found no failure artifact")
+	}
+	for name, art := range map[string]*chaos.Artifact{"tampered twopc": &tampered, "jitter-free kvstore": fails[0].Artifact} {
+		if _, err := Repair(quickCfg(art)); err == nil || !strings.Contains(err.Error(), "digest") {
+			t.Errorf("%s artifact: want a digest error, got %v", name, err)
+		}
 	}
 }
