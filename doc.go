@@ -38,8 +38,8 @@
 // Chaos throughput is budgeted in runs, so the per-run hot path is built
 // for reuse: chaos.Runner checks a simulation out of a per-worker pool
 // and Resets it between runs (typed index-addressed event queue with a
-// free-list arena, recycled checkpoint heaps and scroll buffers, cached
-// seeded rng registers); each run's digest and event-shape signature are
+// free-list arena, recycled checkpoint heaps and scroll buffers, an rng
+// whose reseed is a mask clear); each run's digest and event-shape signature are
 // computed in one allocation-free streaming pass over the per-process
 // scrolls (scroll.Fingerprinter — scroll.Digest and scroll.Shape are thin
 // wrappers with byte-identical output); and an opt-in early-exit monitor

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -113,7 +112,10 @@ func (b *Bank) OnTimer(ctx dsim.Context, name string) {
 	}
 	if newBal := b.balance(ctx, acct); newBal < 0 {
 		b.st.Overdrafts++
-		ctx.Fault(fmt.Sprintf("bank: account %d overdrawn to %d", acct, newBal))
+		var buf [64]byte // fmt.Sprintf("bank: account %d overdrawn to %d", acct, newBal)
+		desc := strconv.AppendInt(append(buf[:0], "bank: account "...), int64(acct), 10)
+		desc = strconv.AppendInt(append(desc, " overdrawn to "...), newBal, 10)
+		ctx.Fault(string(desc))
 	}
 	b.st.Initiated++
 	if b.st.Initiated < b.cfg.Transfers {

@@ -68,10 +68,12 @@ func TestWireRendersWhatSprintfRendered(t *testing.T) {
 // (Send and DurablePut keep nothing) and does no work of its own, so an
 // allocation counted around a handler call is the handler's.
 type stubCtx struct {
-	heap  *checkpoint.Heap
-	now   uint64
-	sends int
-	sent  []byte // the last payload, copied into reused room
+	heap   *checkpoint.Heap
+	now    uint64
+	sends  int
+	sent   []byte // the last payload, copied into reused room
+	faults int
+	fault  string // the last fault report
 }
 
 func (c *stubCtx) Self() string   { return "stub" }
@@ -87,7 +89,7 @@ func (c *stubCtx) DurablePut(string, []byte)             {}
 func (c *stubCtx) DurableGet(string) ([]byte, bool)      { return nil, false }
 func (c *stubCtx) DurableKeys() []string                 { return nil }
 func (c *stubCtx) Log(string, ...any)                    {}
-func (c *stubCtx) Fault(string)                          {}
+func (c *stubCtx) Fault(desc string)                     { c.faults++; c.fault = desc }
 func (c *stubCtx) Checkpoint(string) string              { return "" }
 func (c *stubCtx) Speculate(string) (string, error)      { return "", nil }
 func (c *stubCtx) Commit(string) error                   { return nil }
@@ -182,5 +184,25 @@ func TestHandlersAllocateNothing(t *testing.T) {
 	}
 	if want := "repl|k12|v7|"; !bytes.HasPrefix(ctx.sent, []byte(want)) {
 		t.Errorf("kv primary put replicated %q, want %s<version>", ctx.sent, want)
+	}
+
+	// An overdraft on the buggy bank reports a fault each transfer; the
+	// report's text is the one string the turn allocates.
+	broke := &Bank{cfg: BankConfig{Branches: 3, AccountsPer: 4, Transfers: 1 << 40, MaxAmount: 100, Buggy: true}}
+	broke.Init(ctx)
+	overdraw := timer(broke, "xfer")
+	overdraw()
+	sends, faults := ctx.sends, ctx.faults
+	if allocs := testing.AllocsPerRun(200, overdraw); allocs > 1 {
+		t.Errorf("bank overdraft: %v allocations a turn, want at most 1 (the fault report)", allocs)
+	}
+	if ctx.faults-faults != 201 || ctx.sends-sends != 201 {
+		t.Errorf("bank overdraft: %d faults and %d sends in 201 turns, want one of each a turn", ctx.faults-faults, ctx.sends-sends)
+	}
+	var acct int
+	var bal int64
+	if _, err := fmt.Sscanf(ctx.fault, "bank: account %d overdrawn to %d", &acct, &bal); err != nil ||
+		ctx.fault != fmt.Sprintf("bank: account %d overdrawn to %d", acct, bal) || bal >= 0 {
+		t.Errorf("bank overdraft reported %q", ctx.fault)
 	}
 }

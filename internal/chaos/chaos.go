@@ -28,7 +28,7 @@ package chaos
 
 import (
 	"fmt"
-	"hash/fnv"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -37,9 +37,23 @@ import (
 )
 
 // genRngPool recycles scenario-generation rngs: Generate runs once per
-// matrix cell and once per search seed, and re-seeding a pooled source is
-// a register copy instead of the stdlib's full seeding pass.
+// matrix cell and once per added scenario, and re-seeding a pooled source
+// costs a mask clear where a fresh one costs its 5 kB register.
 var genRngPool = sync.Pool{New: func() any { return dsim.NewReseedableRand() }}
+
+// FNV-1a, 64-bit (hash/fnv's New64a), over strings and byte slices alike.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnv1a[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= fnvPrime
+	}
+	return h
+}
 
 // Window is a half-open virtual-time interval [From, To).
 type Window struct {
@@ -109,48 +123,54 @@ func (s Schedule) String() string {
 	return strings.Join(parts, " + ")
 }
 
-// resolve maps target indices to process IDs, silently skipping
-// out-of-range indices so shrunken schedules stay valid on any app.
-func resolve(targets []int, procs []string) []string {
-	out := make([]string, 0, len(targets))
-	for _, i := range targets {
-		if i >= 0 && i < len(procs) {
-			out = append(out, procs[i])
-		}
-	}
-	return out
-}
-
 // Compile resolves the schedule against a concrete (sorted) process list
 // into an injectable fault plan. A scenario whose kind is not a scenario
-// kind compiles to nothing.
+// kind compiles to nothing. Target indices out of range are silently
+// skipped, so shrunken schedules stay valid on any app.
 func (s Schedule) Compile(procs []string) *fault.Plan {
 	plan := &fault.Plan{}
+	s.compile(plan, nil, procs)
+	return plan
+}
+
+// compile appends the schedule's injections to plan, carving every group
+// target list from groups, and returns groups grown. The plan's groups
+// alias it: a pooled runner hands the same buffer to the next run's compile
+// only after the simulation the plan armed has been Reset.
+func (s Schedule) compile(plan *fault.Plan, groups, procs []string) []string {
+	if groups == nil {
+		groups = []string{} // a group is never nil, even when empty: plans marshal it as []
+	}
 	for _, sc := range s {
 		row := rowOf(sc.Kind)
-		targets := resolve(sc.Targets, procs)
 		in := dims[row.dim].only(sc.Intensity)
 		inj := fault.Injection{Kind: sc.Kind, At: sc.Window.From, Until: sc.Window.To,
 			Extra: in.Extra, Jitter: in.Jitter, Prob: in.Prob, Skew: in.Skew}
-		switch row.shape {
-		case shapeGroup:
-			inj.Group = targets
-			plan.Injections = append(plan.Injections, inj)
-		case shapePerProc:
-			for _, p := range targets {
+		start := len(groups)
+		for _, i := range sc.Targets {
+			if i < 0 || i >= len(procs) {
+				continue
+			}
+			p := procs[i]
+			switch row.shape {
+			case shapeGroup:
+				groups = append(groups, p)
+			case shapePerProc:
 				inj.Proc = p
 				plan.Injections = append(plan.Injections, inj)
-			}
-		case shapePoint, shapeCrashRestart:
-			for _, p := range targets {
+			case shapePoint, shapeCrashRestart:
 				plan.Injections = append(plan.Injections, fault.Injection{Kind: sc.Kind, Proc: p, At: sc.Window.From})
 				if row.shape == shapeCrashRestart {
 					plan.Injections = append(plan.Injections, fault.Injection{Kind: fault.Restart, Proc: p, At: sc.Window.To})
 				}
 			}
 		}
+		if row.shape == shapeGroup {
+			inj.Group = groups[start:len(groups):len(groups)]
+			plan.Injections = append(plan.Injections, inj)
+		}
 	}
-	return plan
+	return groups
 }
 
 // Generate builds the seeded scenario for one matrix cell. Identical
@@ -159,11 +179,20 @@ func (s Schedule) Compile(procs []string) *fault.Plan {
 // against (including the clock probe, which is always last); crashable
 // lists the indices eligible for crash-restart.
 func Generate(kind fault.Kind, procs []string, crashable []int, horizon uint64, seed int64) Scenario {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%v|%d|%s", kind, len(procs), strings.Join(procs, ","))
+	// The FNV-1a hash of fmt.Sprintf("%v|%d|%s", kind, len(procs),
+	// strings.Join(procs, ",")), without building the string.
+	var num [20]byte
+	h := fnv1a(fnv1a(fnvOffset, kind.String()), "|")
+	h = fnv1a(fnv1a(h, strconv.AppendInt(num[:0], int64(len(procs)), 10)), "|")
+	for i, p := range procs {
+		if i > 0 {
+			h = fnv1a(h, ",")
+		}
+		h = fnv1a(h, p)
+	}
 	pooled := genRngPool.Get().(*dsim.ReseedableRand)
 	defer genRngPool.Put(pooled)
-	pooled.Reseed(seed ^ int64(h.Sum64()))
+	pooled.Reseed(seed ^ int64(h))
 	rng := pooled.Rand
 	if horizon < 40 {
 		horizon = 40
@@ -216,7 +245,10 @@ func (p *clockProbe) OnTimer(ctx dsim.Context, name string) {
 	now := ctx.Now()
 	if now < p.st.Last {
 		p.st.Regressions++
-		ctx.Fault(fmt.Sprintf("clock-probe: observed clock regressed %d -> %d", p.st.Last, now))
+		var buf [80]byte // fmt.Sprintf("clock-probe: observed clock regressed %d -> %d", p.st.Last, now)
+		desc := strconv.AppendUint(append(buf[:0], "clock-probe: observed clock regressed "...), p.st.Last, 10)
+		desc = strconv.AppendUint(append(desc, " -> "...), now, 10)
+		ctx.Fault(string(desc))
 	}
 	p.st.Last = now
 	p.st.Ticks++

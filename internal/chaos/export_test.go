@@ -46,7 +46,7 @@ func (r Runner) RunFresh(sched Schedule) *RunResult {
 	cfg := r.Spec.Config(r.Buggy)
 	cfg.Seed = r.Seed
 	s := dsim.New(cfg)
-	res := r.execute(sched, s)
+	res := r.execute(sched, &runArena{sim: s})
 	merged := s.MergedScroll()
 	res.Digest = scroll.Digest(merged)
 	res.Shape = scroll.Shape(merged, ShapeBucket)

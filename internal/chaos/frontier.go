@@ -1,9 +1,8 @@
 package chaos
 
 import (
-	"encoding/json"
-	"fmt"
-	"hash/fnv"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -100,7 +99,8 @@ type Frontier struct {
 
 	// guided-only stream state
 	rng      *rand.Rand
-	tried    map[string]bool
+	tried    map[string]bool // dedup keys (appendKey) of every candidate issued
+	key      []byte          // scratch mark encodes each candidate's key into
 	opCredit map[string]int
 	seeded   bool
 
@@ -156,16 +156,50 @@ func (f *Frontier) Budget() int { return f.cfg.Budget }
 // it to journal entries as they are admitted.
 func (f *Frontier) Corpus() []CorpusEntry { return f.res.Corpus }
 
-// mark dedups candidates by canonical JSON: re-running a schedule the
-// search already evaluated can never reach new coverage, so duplicate
-// mutants are regenerated instead of burning budget.
+// mark dedups candidates: re-running a schedule the search already
+// evaluated can never reach new coverage, so duplicate mutants are
+// regenerated instead of burning budget. A repeat costs no allocation, a
+// new candidate the one string its key is kept as.
 func (f *Frontier) mark(s Schedule) bool {
-	key, _ := json.Marshal(s)
-	if f.tried[string(key)] {
+	f.key = appendKey(f.key[:0], s)
+	if f.tried[string(f.key)] {
 		return false
 	}
-	f.tried[string(key)] = true
+	f.tried[string(f.key)] = true
 	return true
+}
+
+// appendKey appends the dedup key of s: an exact binary encoding of every
+// field its JSON carries, so two schedules share a key exactly when they
+// marshal to the same bytes (TestDedupKeyMatchesJSON). Every number is a
+// self-delimiting varint; the leading one is 0 for nil ("null") and 1 + the
+// scenario count otherwise. What JSON does not tell apart encodes alike: a
+// nil and an empty target list, and a Prob of -0 and of 0 (both omitted).
+// Candidates are normalized, so no Prob is NaN, which JSON refuses.
+func appendKey(b []byte, s Schedule) []byte {
+	if s == nil {
+		return binary.AppendUvarint(b, 0)
+	}
+	b = binary.AppendUvarint(b, uint64(len(s))+1)
+	for _, sc := range s {
+		b = binary.AppendVarint(b, int64(sc.Kind))
+		b = binary.AppendUvarint(b, uint64(len(sc.Targets)))
+		for _, t := range sc.Targets {
+			b = binary.AppendVarint(b, int64(t))
+		}
+		b = binary.AppendUvarint(b, sc.Window.From)
+		b = binary.AppendUvarint(b, sc.Window.To)
+		in := sc.Intensity
+		b = binary.AppendUvarint(b, in.Extra)
+		b = binary.AppendUvarint(b, in.Jitter)
+		var prob uint64
+		if in.Prob != 0 {
+			prob = math.Float64bits(in.Prob)
+		}
+		b = binary.AppendUvarint(b, prob)
+		b = binary.AppendVarint(b, in.Skew)
+	}
+	return b
 }
 
 // NextBatch generates the next candidate batch. It must only be called
@@ -325,9 +359,7 @@ func (f *Frontier) Finish() *AppSearch {
 // application name, so adding an app to the sweep never perturbs another
 // app's search trajectory.
 func searchRng(seed int64, app string) *rand.Rand {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "search|%s", app)
-	return rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
+	return rand.New(rand.NewSource(seed ^ int64(fnv1a(fnv1a(fnvOffset, "search|"), app))))
 }
 
 // pickParent selects the index of the corpus entry to mutate: half the

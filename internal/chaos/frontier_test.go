@@ -3,8 +3,13 @@ package chaos
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
+	"slices"
 	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/fault"
 )
 
 // TestFrontierPreRefactorByteIdentity pins the Frontier extraction against
@@ -90,5 +95,83 @@ func TestFrontierDriveMatchesSearch(t *testing.T) {
 	wantJSON, _ := json.Marshal(want)
 	if !bytes.Equal(gotJSON, wantJSON) {
 		t.Fatal("frontier-driven report differs from Search report")
+	}
+}
+
+// TestDedupKeyMatchesJSON: the frontier's dedup key is exact — two
+// schedules share a key exactly when they marshal to the same JSON, which
+// is what the frontier deduplicated by before. The schedules are 12k
+// MutateOp outputs of seeded Registry+Zoo frontiers, mutated from a pool
+// that grows with them (so duplicates occur), plus the pairs JSON does not
+// tell apart and the near misses it does.
+func TestDedupKeyMatchesJSON(t *testing.T) {
+	byKey := map[string]string{}  // key -> JSON
+	byJSON := map[string]string{} // JSON -> key
+	dups := 0
+	check := func(s Schedule) {
+		t.Helper()
+		raw, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, k := string(raw), string(appendKey(nil, s))
+		if prev, ok := byKey[k]; ok && prev != j {
+			t.Fatalf("one key for two JSON encodings:\n %s\n %s", prev, j)
+		}
+		if prev, ok := byJSON[j]; ok && prev != k {
+			t.Fatalf("two keys for one JSON encoding %s", j)
+		}
+		if _, ok := byJSON[j]; ok {
+			dups++
+		}
+		byKey[k], byJSON[j] = j, k
+	}
+	const perApp = 12_000 / 7
+	for _, spec := range append(apps.Registry(), apps.Zoo()...) {
+		f := NewFrontier(spec, SearchConfig{Seed: 5}, StrategyGuided)
+		var pool []Schedule
+		for _, c := range f.seedBatch() {
+			check(c.Schedule)
+			if c.Schedule != nil {
+				pool = append(pool, c.Schedule)
+			}
+		}
+		for range perApp {
+			parent, donor := pool[f.rng.Intn(len(pool))], pool[f.rng.Intn(len(pool))]
+			op := MutationOps[f.rng.Intn(len(MutationOps))]
+			cand := MutateOp(f.rng, op, parent, donor, f.procs, f.crashable, spec.Horizon)
+			check(cand)
+			pool = append(pool, cand)
+		}
+	}
+	if dups == 0 {
+		t.Fatal("no duplicate mutant: the test never exercises the equal-key direction")
+	}
+
+	negZero := math.Copysign(0, -1)
+	sc := Scenario{Kind: fault.Drop, Targets: []int{1, 2}, Window: Window{From: 3, To: 9}, Intensity: Intensity{Prob: 0.5}}
+	with := func(edit func(*Scenario)) Schedule {
+		c := sc
+		c.Targets = slices.Clone(sc.Targets)
+		edit(&c)
+		return Schedule{c}
+	}
+	for _, s := range []Schedule{
+		nil, {}, {sc}, {sc, sc},
+		with(func(c *Scenario) { c.Targets = nil }),
+		with(func(c *Scenario) { c.Targets = []int{} }),
+		with(func(c *Scenario) { c.Targets = []int{12} }),
+		with(func(c *Scenario) { c.Targets = []int{1, 2, 0} }),
+		with(func(c *Scenario) { c.Targets = []int{-1, 2} }),
+		with(func(c *Scenario) { c.Intensity.Prob = 0 }),
+		with(func(c *Scenario) { c.Intensity.Prob = negZero }),
+		with(func(c *Scenario) { c.Intensity.Prob = math.Nextafter(0.5, 1) }),
+		with(func(c *Scenario) { c.Intensity.Skew = -3 }),
+		with(func(c *Scenario) { c.Intensity.Extra, c.Intensity.Jitter = 3, 0 }),
+		with(func(c *Scenario) { c.Intensity.Extra, c.Intensity.Jitter = 0, 3 }),
+		with(func(c *Scenario) { c.Window = Window{From: 9, To: 3} }),
+		with(func(c *Scenario) { c.Kind = fault.Reorder }),
+	} {
+		check(s)
 	}
 }

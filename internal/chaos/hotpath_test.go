@@ -60,12 +60,13 @@ func warmKVRun(t *testing.T) func() {
 }
 
 // TestWarmRunnerAllocs bounds what one warm pooled kvstore run allocates.
-// Measured 116 (412 while handlers built payloads with fmt.Sprintf and cut
-// them with strings.Split; 658 while Reset dropped the run's arenas, message
-// and checkpoint IDs were rendered per run and every checkpoint was its own
-// objects; 955 while checkpoints and invariant checks went through
-// encoding/json; 1246 with a map clone per Lamport tick on top), and 118
-// under -race. The ceiling is the floor + 10 %.
+// Measured 97 (116 while the schedule compiled into a fresh plan and durable
+// writes were copied per cell; 412 while handlers built payloads with
+// fmt.Sprintf and cut them with strings.Split; 658 while Reset dropped the
+// run's arenas, message and checkpoint IDs were rendered per run and every
+// checkpoint was its own objects; 955 while checkpoints and invariant checks
+// went through encoding/json; 1246 with a map clone per Lamport tick on
+// top), and 99 under -race (118 before). The ceiling is the floor + 10 %.
 func TestWarmRunnerAllocs(t *testing.T) {
 	run := warmKVRun(t)
 	// The cheapest of a few single warm runs: a dropped Put of the run
@@ -74,9 +75,9 @@ func TestWarmRunnerAllocs(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		best = min(best, testing.AllocsPerRun(1, run))
 	}
-	limit := 127.0
+	limit := 106.0
 	if raceDetector {
-		limit = 129
+		limit = 108
 	}
 	if best > limit {
 		t.Fatalf("warm kvstore/reorder run allocates %.0f times; want <= %.0f (the pooled run path has regressed)", best, limit)
@@ -86,9 +87,9 @@ func TestWarmRunnerAllocs(t *testing.T) {
 // TestWarmRunBytes bounds the bytes one warm pooled kvstore run allocates,
 // so that an arena Reset drops instead of rewinds shows here and not only on
 // the perf ledger: the clock-snapshot chunks alone were 15 kB a run, a
-// copy-on-write page is 1 KiB. Measured 5,088 B (10,672 B with text-built
-// payloads, 99,912 B while Reset dropped the arenas); the ceiling is that
-// + 10 %.
+// copy-on-write page is 1 KiB. Measured 4,688 B (5,088 B with a plan
+// compiled per run, 10,672 B with text-built payloads, 99,912 B while Reset
+// dropped the arenas); the ceiling is that + 10 %.
 func TestWarmRunBytes(t *testing.T) {
 	if raceDetector {
 		t.Skip("under -race sync.Pool drops a quarter of the run arenas, and a fresh simulation is 300 kB")
@@ -105,8 +106,72 @@ func TestWarmRunBytes(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		best = min(best, (after.TotalAlloc-before.TotalAlloc)/batch)
 	}
-	if limit := uint64(5_596); best > limit {
+	if limit := uint64(5_156); best > limit {
 		t.Fatalf("warm kvstore/reorder run allocates %d bytes; want <= %d (run-scoped memory is being dropped, not rewound)", best, limit)
+	}
+}
+
+// TestWarmFaultingRunAllocs bounds a warm pooled run of the buggy bank,
+// whose overdrafts report local faults: a report costs its text (the
+// string the handler renders) and nothing else — its scroll payload is
+// carved from the run's slab, and the runner counts reports without
+// copying them. Measured 64 (162 with a payload copy per report,
+// Sprintf-built text, a copied fault list and a plan compiled per run); the
+// ceiling is the floor + 10 %.
+func TestWarmFaultingRunAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("under -race sync.Pool drops run arenas, and a fresh simulation allocates its own")
+	}
+	spec, err := apps.Lookup("bank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Runner{Spec: spec, Buggy: true, Seed: 2, Probe: true}
+	sched := Schedule{Generate(fault.Reorder, r.Procs(), r.Crashable(), spec.Horizon, 2)}
+	if res := r.Run(sched); res.LocalFaults == 0 {
+		t.Fatal("the buggy bank run reported no fault; the test no longer measures the fault path")
+	}
+	best := math.Inf(1)
+	for i := 0; i < 256; i++ {
+		best = min(best, testing.AllocsPerRun(1, func() { r.Run(sched) }))
+	}
+	if limit := 70.0; best > limit {
+		t.Fatalf("warm faulting bank run allocates %.0f times; want <= %.0f (the fault path has regressed)", best, limit)
+	}
+}
+
+// TestFrontierCandidateAllocs bounds what the guided frontier allocates per
+// candidate in steady state — NextBatch plus Admit of a result it has
+// already seen, so the corpus stops growing: the mutant itself (its
+// normalized scenarios and target lists) and the dedup key a new one is
+// kept as; looking a key up allocates nothing. Measured 11.75 (22.5 while
+// keys were JSON and a mutant's scratch copy lived on the heap); the
+// ceiling is the floor + 10 %.
+func TestFrontierCandidateAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector changes what allocates")
+	}
+	f := NewFrontier(appByName(t, "kvstore"), SearchConfig{Seed: 3, Budget: math.MaxInt}, StrategyGuided)
+	var seen *RunResult
+	for _, c := range f.NextBatch() {
+		seen = f.Runner().Run(c.Schedule)
+		f.Admit(c, seen)
+	}
+	turn := func() {
+		for _, c := range f.NextBatch() {
+			f.Admit(c, seen)
+		}
+	}
+	for range 64 {
+		turn()
+	}
+	corpus := len(f.Corpus())
+	perCand := testing.AllocsPerRun(256, turn) / searchBatch
+	if len(f.Corpus()) != corpus {
+		t.Fatal("the corpus grew; the test no longer measures the steady state")
+	}
+	if limit := 12.92; perCand > limit {
+		t.Fatalf("frontier allocates %.2f times per candidate; want <= %.2f (generation or dedup has regressed)", perCand, limit)
 	}
 }
 
@@ -126,7 +191,7 @@ func TestRunResultOutlivesArena(t *testing.T) {
 	cfg.Seed = r.Seed
 	a := &runArena{sim: dsim.New(cfg)}
 	runIn := func(r Runner, sched Schedule) *RunResult {
-		res := r.execute(sched, a.sim)
+		res := r.execute(sched, a)
 		res.Digest, res.Shape = a.fp.Fingerprint(a.sim.Scrolls(), ShapeBucket)
 		return res
 	}

@@ -74,10 +74,10 @@ func (s Schedule) Normalize() Schedule {
 
 		// Targets: in-range, unique, sorted, bounded.
 		if len(sc.Targets) > 0 {
-			seen := make(map[int]bool, len(sc.Targets))
+			var seen [(maxTargetIdx + 64) / 64]uint64
 			for _, t := range sc.Targets {
-				if t >= 0 && t <= maxTargetIdx && !seen[t] {
-					seen[t] = true
+				if t >= 0 && t <= maxTargetIdx && seen[t>>6]&(1<<(t&63)) == 0 {
+					seen[t>>6] |= 1 << (t & 63)
 					n.Targets = append(n.Targets, t)
 				}
 			}
@@ -163,7 +163,10 @@ func MutateOp(rng *rand.Rand, op string, parent, donor Schedule, procs []string,
 	if horizon < 40 {
 		horizon = 40
 	}
-	cand := append(Schedule{}, parent...)
+	// cand is scratch: Normalize copies what it keeps. Only a splice can
+	// outgrow the buffer.
+	var buf [MaxScheduleLen + 1]Scenario
+	cand := append(Schedule(buf[:0]), parent...)
 	if len(cand) == 0 {
 		op = OpAddScenario
 	}

@@ -92,13 +92,17 @@ func (r Runner) Crashable() []int {
 }
 
 // runArena is the per-worker scratch a pooled run reuses: the simulation
-// (event arena, process heaps, scroll buffers) and the streaming
-// fingerprinter. Runner.Run checks arenas out of a sync.Pool, so each
-// worker of a matrix or search pool settles on its own arena instead of
-// paying a fresh simulation per run.
+// (event arena, process heaps, scroll buffers), the streaming
+// fingerprinter, and the buffers the schedule compiles into — the plan and
+// the group target lists its injections alias, both armed on the
+// simulation until its next Reset. Runner.Run checks arenas out of a
+// sync.Pool, so each worker of a matrix or search pool settles on its own
+// arena instead of paying a fresh simulation per run.
 type runArena struct {
-	sim *dsim.Sim
-	fp  scroll.Fingerprinter
+	sim    *dsim.Sim
+	fp     scroll.Fingerprinter
+	plan   fault.Plan
+	groups []string
 }
 
 var arenaPool = sync.Pool{}
@@ -116,15 +120,17 @@ func (r Runner) Run(sched Schedule) *RunResult {
 	} else {
 		a.sim.Reset(cfg)
 	}
-	res := r.execute(sched, a.sim)
+	res := r.execute(sched, a)
 	res.Digest, res.Shape = a.fp.Fingerprint(a.sim.Scrolls(), ShapeBucket)
 	arenaPool.Put(a)
 	return res
 }
 
-// execute populates the simulation, executes the schedule and collects
-// everything of the outcome but its fingerprint.
-func (r Runner) execute(sched Schedule, s *dsim.Sim) *RunResult {
+// execute populates the arena's simulation, which must be fresh or Reset,
+// executes the schedule and collects everything of the outcome but its
+// fingerprint.
+func (r Runner) execute(sched Schedule, a *runArena) *RunResult {
+	s := a.sim
 	ms := r.Spec.Make(r.Buggy)
 	ids := make([]string, 0, len(ms))
 	for id := range ms {
@@ -138,7 +144,9 @@ func (r Runner) execute(sched Schedule, s *dsim.Sim) *RunResult {
 		s.AddProcess(ProbeName, &clockProbe{})
 	}
 	procs := s.Procs() // one copy: the result outlives the arena's next Reset
-	sched.Compile(procs).Apply(s)
+	a.plan.Injections = a.plan.Injections[:0]
+	a.groups = sched.compile(&a.plan, a.groups[:0], procs)
+	a.plan.Apply(s)
 	mon := fault.NewMonitor(r.Spec.Invariants(r.Buggy)...)
 	if r.CheckEvery > 0 {
 		s.SetStepMonitor(r.CheckEvery, func() bool { return mon.AnyViolated(s) })

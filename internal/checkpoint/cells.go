@@ -21,16 +21,15 @@ type cell struct {
 	writeSeq uint64
 }
 
-// Put installs a private copy of value under key, stamped with the
-// writer's scroll position, and returns that copy so the caller can record
-// the write without copying again. The copy must not be modified.
-func (c *Cells) Put(key string, value []byte, writeSeq uint64) []byte {
+// Put installs value under key, stamped with the writer's scroll position.
+// The store keeps value itself, not a copy: the caller hands over a copy it
+// made — and may record the write with the same bytes — and nobody may
+// modify it afterwards.
+func (c *Cells) Put(key string, value []byte, writeSeq uint64) {
 	if *c == nil {
 		*c = make(Cells)
 	}
-	v := append([]byte(nil), value...)
-	(*c)[key] = cell{value: v, writeSeq: writeSeq}
-	return v
+	(*c)[key] = cell{value: value, writeSeq: writeSeq}
 }
 
 // Get returns the stored value (not a copy) and whether the key is present.

@@ -278,7 +278,7 @@ func (p *proc) tick() {
 type Sim struct {
 	cfg    Config
 	rng    *rand.Rand
-	rngSrc *gfsrSource // rng's source, reseeded (from cache) on Reset
+	rngSrc *gfsrSource // rng's source, reseeded on Reset
 	now    uint64
 	seq    uint64
 	queue  eventQueue
@@ -447,10 +447,6 @@ func New(cfg Config) *Sim {
 // zeroed and not dropped; copy out whatever must outlive the run first.
 func (s *Sim) Reset(cfg Config) {
 	s.cfg = normalize(cfg)
-	if s.rngSrc == nil {
-		s.rngSrc = &gfsrSource{}
-		s.rng = rand.New(s.rngSrc)
-	}
 	s.rngSrc.Seed(s.cfg.Seed)
 	s.now, s.seq, s.msgN = 0, 0, 0
 	s.queue.reset()
@@ -585,8 +581,10 @@ func (s *Sim) Epoch() uint64 { return s.epoch }
 // Stats returns the cumulative counters.
 func (s *Sim) Stats() Stats { return s.stats }
 
-// Faults returns all locally detected faults so far.
-func (s *Sim) Faults() []FaultRecord { return append([]FaultRecord(nil), s.faults...) }
+// Faults returns all locally detected faults so far. The slice is the
+// simulation's own, like everything else a run hands out invalid after
+// Reset; callers must not modify it.
+func (s *Sim) Faults() []FaultRecord { return s.faults[:len(s.faults):len(s.faults)] }
 
 // Procs returns the sorted process IDs.
 func (s *Sim) Procs() []string { return append([]string(nil), s.order...) }
@@ -1240,7 +1238,7 @@ func (c *simContext) Fault(desc string) {
 	s, p := c.sim, c.proc
 	rec := FaultRecord{Proc: p.id, Desc: desc, Time: s.now, Clock: p.clockSnap()}
 	p.scroll.Append(scroll.Record{
-		Kind: scroll.KindFault, Payload: []byte(desc),
+		Kind: scroll.KindFault, Payload: s.pay.Keep(append(s.pay.Tail(len(desc)), desc...)),
 		Lamport: p.lamport.Now(), Clock: p.clockSnap(),
 	})
 	s.faults = append(s.faults, rec)

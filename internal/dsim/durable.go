@@ -87,12 +87,15 @@ func DecodeDurableKeys(b []byte) ([]string, error) {
 
 // DurablePut implements Context: the cell is written to the process's
 // stable store, stamped with the writer's scroll position, and the write is
-// recorded in the scroll (cell and record share the one copy of value).
+// recorded in the scroll. Cell and record share one copy of value, carved
+// from the run's payload slab: Reset empties the store before it rewinds
+// the slab.
 // Writes survive crash-restart; a deliberate rollback fences writes made
 // after the restored checkpoint (a put on the new timeline revives the key).
 func (c *simContext) DurablePut(key string, value []byte) {
 	p := c.proc
-	body := p.durable.Put(key, value, uint64(p.scroll.Len()))
+	body := c.sim.pay.Copy(value)
+	p.durable.Put(key, body, uint64(p.scroll.Len()))
 	p.scroll.Append(scroll.Record{
 		Kind: scroll.KindEnv, MsgID: DurablePutMsgID, Peer: key, Payload: body,
 		Lamport: p.lamport.Now(), Clock: p.clockSnap(),

@@ -1,6 +1,8 @@
 package dsim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -12,41 +14,58 @@ import (
 // shared clock snapshots) must be invisible in every observable output.
 // These tests pin the equivalences the chaos engine depends on.
 
-// TestGFSRMatchesStdlib: the cached-seeding source must be bit-exact with
-// math/rand's default source across the drawing methods dsim uses —
-// including after a cached re-seed, which is the path Sim.Reset takes.
-func TestGFSRMatchesStdlib(t *testing.T) {
-	src := &gfsrSource{}
-	for _, seed := range []int64{0, 1, 2, 42, -7, 1 << 40} {
-		for pass := 0; pass < 2; pass++ { // pass 1 hits the seeded-register cache
-			src.Seed(seed)
-			got := rand.New(src)
-			want := rand.New(rand.NewSource(seed))
-			for i := 0; i < 200; i++ {
-				switch i % 4 {
-				case 0:
-					if g, w := got.Uint64(), want.Uint64(); g != w {
-						t.Fatalf("seed %d pass %d draw %d: Uint64 %d != %d", seed, pass, i, g, w)
-					}
-				case 1:
-					if g, w := got.Int63n(97), want.Int63n(97); g != w {
-						t.Fatalf("seed %d pass %d draw %d: Int63n %d != %d", seed, pass, i, g, w)
-					}
-				case 2:
-					if g, w := got.Float64(), want.Float64(); g != w {
-						t.Fatalf("seed %d pass %d draw %d: Float64 %v != %v", seed, pass, i, g, w)
-					}
-				case 3:
-					if g, w := got.Int63(), want.Int63(); g != w {
-						t.Fatalf("seed %d pass %d draw %d: Int63 %d != %d", seed, pass, i, g, w)
-					}
-				}
-			}
+// gfsrSeeds are the seeds the source is checked on: small, negative, past
+// 2³¹, both sides of the modulus (2³¹−1 reduces to the zero seed's
+// substitute), and the int64 extremes.
+var gfsrSeeds = []int64{0, 1, 2, 42, -7, 1 << 40, 2147483647, -2147483647, math.MinInt64, math.MaxInt64}
+
+// drawsMatch draws n values from got and want, cycling through the drawing
+// methods dsim uses, and reports the first difference.
+func drawsMatch(t *testing.T, tag string, got, want *rand.Rand, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		var g, w any
+		switch i % 4 {
+		case 0:
+			g, w = got.Uint64(), want.Uint64()
+		case 1:
+			g, w = got.Int63n(97), want.Int63n(97)
+		case 2:
+			g, w = got.Float64(), want.Float64()
+		case 3:
+			g, w = got.Int63(), want.Int63()
+		}
+		if g != w {
+			t.Fatalf("%s draw %d: %v != %v", tag, i, g, w)
 		}
 	}
 }
 
-// TestReseedableRand: Reseed rewinds to the exact stdlib stream.
+// TestGFSRMatchesStdlib: the lazily seeded source must be bit-exact with
+// math/rand's default source. 2,000 draws read every register word once
+// while it is still built lazily and again after it has been overwritten;
+// reseeding mid-stream — the path Sim.Reset and the chaos generator take —
+// must forget whatever the previous seed had built, however far it got.
+func TestGFSRMatchesStdlib(t *testing.T) {
+	src := &gfsrSource{}
+	got := rand.New(src)
+	for _, seed := range gfsrSeeds {
+		src.Seed(seed)
+		drawsMatch(t, fmt.Sprintf("seed %d", seed), got, rand.New(rand.NewSource(seed)), 2000)
+	}
+	for i, seed := range gfsrSeeds {
+		next := gfsrSeeds[(i+1)%len(gfsrSeeds)]
+		for _, cut := range []int{0, 1, 5, 300, 606, 607, 608, 1500} {
+			src.Seed(seed)
+			drawsMatch(t, fmt.Sprintf("seed %d", seed), got, rand.New(rand.NewSource(seed)), cut)
+			src.Seed(next)
+			drawsMatch(t, fmt.Sprintf("seed %d after %d draws of seed %d", next, cut, seed), got, rand.New(rand.NewSource(next)), 2000)
+		}
+	}
+}
+
+// TestReseedableRand: Reseed rewinds to the exact stdlib stream, and a
+// reseed plus the handful of draws a short run makes allocates nothing.
 func TestReseedableRand(t *testing.T) {
 	r := NewReseedableRand()
 	for i := 0; i < 3; i++ {
@@ -56,6 +75,29 @@ func TestReseedableRand(t *testing.T) {
 			if g, w := r.Uint64(), want.Uint64(); g != w {
 				t.Fatalf("reseed %d draw %d: %d != %d", i, j, g, w)
 			}
+		}
+	}
+	seed := int64(0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		r.Reseed(seed)
+		for range 6 {
+			r.Uint64()
+		}
+	}); allocs != 0 {
+		t.Fatalf("Reseed plus 6 draws allocates %v times, want 0", allocs)
+	}
+}
+
+// BenchmarkReseed: one reseed plus the 6 draws of a typical generated
+// scenario, on a fresh seed each time.
+func BenchmarkReseed(b *testing.B) {
+	r := NewReseedableRand()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Reseed(int64(i))
+		for range 6 {
+			r.Uint64()
 		}
 	}
 }

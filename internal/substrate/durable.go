@@ -73,7 +73,8 @@ func openDurableStore(dir, proc string) (*durableStore, error) {
 // when backed, appends it to the WAL together with the timeline epoch of
 // the write (part of the record format; nothing reads it back).
 func (ds *durableStore) put(key string, value []byte, epoch, writeSeq uint64) error {
-	v := ds.cells.Put(key, value, writeSeq)
+	v := append([]byte(nil), value...)
+	ds.cells.Put(key, v, writeSeq)
 	if ds.log != nil {
 		if _, err := ds.log.Append(encodeDurablePut(key, v, epoch, writeSeq)); err != nil {
 			return err
