@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"iter"
 	"sort"
 	"sync"
@@ -303,38 +302,30 @@ func NewMemory(proc string) *Scroll { return &Scroll{proc: proc} }
 
 // OpenDurable returns a scroll persisted under dir using a segmented WAL.
 // Existing records in dir are loaded first, so a restarted process resumes
-// its scroll where the crash left it. A record whose sequence number is not
-// its position in the log means records before it are missing — a deleted
-// segment file, or a damaged record in a segment that is not the last — and
-// is an error: a scroll with a hole replays a different execution.
+// its scroll where the crash left it; a log that does not load is refused
+// before the WAL is opened to append to it. A record whose sequence number
+// is not its position in the log means records before it are missing — a
+// deleted segment file, or a damaged record in a segment that is not the
+// last — and is an error: a scroll with a hole replays a different
+// execution.
 func OpenDurable(proc, dir string) (*Scroll, error) {
-	log, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		return nil, err
+	recs, err := wal.ReadAll(dir)
+	s := &Scroll{proc: proc}
+	if err == nil {
+		err = s.load(recs)
 	}
-	s := &Scroll{proc: proc, log: log}
-	if err := s.load(dir); err != nil {
-		log.Close()
+	if err != nil {
 		return nil, fmt.Errorf("scroll: load %s: %w", dir, err)
+	}
+	if s.log, err = wal.Open(dir, wal.Options{}); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// load decodes the WAL under dir into the (empty) scroll, record by record.
-func (s *Scroll) load(dir string) error {
-	r, err := wal.NewReader(dir)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	for {
-		b, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
+// load decodes WAL records into the (empty) scroll, in order.
+func (s *Scroll) load(recs [][]byte) error {
+	for _, b := range recs {
 		rec, err := decodeRecord(b)
 		if err != nil {
 			return err
@@ -347,6 +338,7 @@ func (s *Scroll) load(dir string) error {
 		}
 		s.push(rec)
 	}
+	return nil
 }
 
 // Proc returns the process ID this scroll belongs to.
@@ -383,7 +375,7 @@ func (s *Scroll) Append(r Record) (uint64, error) {
 	r.Seq = uint64(s.n)
 	s.push(r)
 	if s.log != nil {
-		if _, err := s.log.Append(r.encode()); err != nil {
+		if err := s.log.Append(r.encode()); err != nil {
 			return r.Seq, err
 		}
 	}

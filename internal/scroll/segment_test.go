@@ -1,6 +1,7 @@
 package scroll
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -12,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"repro/internal/wal"
 )
 
 // modelRecord is record i of the flat model the segmented scroll is checked
@@ -319,6 +322,24 @@ func TestOpenDurableRejectsGaps(t *testing.T) {
 		}
 		if s, err := OpenDurable("p", dir); err == nil || !strings.Contains(err.Error(), "repeats records") {
 			t.Fatalf("OpenDurable = %v, %v; want an error naming the repeat", s, err)
+		}
+	})
+	t.Run("corrupt record before the tail", func(t *testing.T) {
+		dir, files, _ := durableSegments(t)
+		b, err := os.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)/2] ^= 0xFF // inside a payload that is not the segment's last
+		if err := os.WriteFile(files[0], b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
+		if s, err := OpenDurable("p", dir); !errors.Is(err, wal.ErrCorrupt) {
+			t.Fatalf("OpenDurable = %v, %v; want wal.ErrCorrupt", s, err)
+		}
+		if after, _ := filepath.Glob(filepath.Join(dir, "*.wal")); len(after) != len(before) {
+			t.Fatalf("refusing a corrupt log changed it from %d to %d segment files", len(before), len(after))
 		}
 	})
 	t.Run("torn tail is a crash, not a gap", func(t *testing.T) {

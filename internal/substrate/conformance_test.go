@@ -451,11 +451,70 @@ func TestLiveDurableWALRecovery(t *testing.T) {
 	}
 }
 
+// TestLiveRecoveredCellsOutliveRollback: checkpoints are not persisted, so a
+// cell recovered from DurableDir predates every checkpoint of the substrate
+// that recovered it. Rolling that substrate back to its init line — a fence
+// at the very start of its fresh scroll — must keep the cell, and log no
+// tombstone that a third substrate would replay.
+func TestLiveRecoveredCellsOutliveRollback(t *testing.T) {
+	dir := t.TempDir()
+	first, err := substrate.NewLive(substrate.LiveConfig{Seed: 7, DurableDir: dir,
+		InitCheckpoint: true, CheckpointEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.AddProcess("worker", &durWorker{})
+	first.AddProcess("producer", &confProducer{n: confJobs, every: 3})
+	first.Run()
+	cell := first.DurableSnapshot()["worker"]["count"]
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(cell) != 8 {
+		t.Fatalf("first run wrote no durable count: %v", cell)
+	}
+
+	second, err := substrate.NewLive(substrate.LiveConfig{Seed: 8, DurableDir: dir, InitCheckpoint: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.AddProcess("worker", &durWorker{})
+	second.Run()
+	cks := second.Store().List("worker")
+	if len(cks) == 0 {
+		t.Fatal("the reopened worker took no init checkpoint")
+	}
+	if err := second.RollbackTo(map[string]string{"worker": cks[0].ID}); err != nil {
+		t.Fatal(err)
+	}
+	if got := second.DurableSnapshot()["worker"]["count"]; string(got) != string(cell) {
+		t.Fatalf("after rolling back to the init line the recovered cell is %v, want %v", got, cell)
+	}
+	if got := second.DurableSnapshotAt(map[string]uint64{"worker": 0})["worker"]["count"]; string(got) != string(cell) {
+		t.Fatalf("the line at position 0 sees %v, want the recovered cell %v", got, cell)
+	}
+	if err := second.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	third, err := substrate.NewLive(substrate.LiveConfig{Seed: 9, DurableDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer third.Close()
+	third.AddProcess("worker", &durWorker{})
+	if got := third.DurableSnapshot()["worker"]["count"]; string(got) != string(cell) {
+		t.Fatalf("third substrate recovered %v, want %v", got, cell)
+	}
+}
+
 // TestLiveScrollDirPersistence: with LiveConfig.ScrollDir set, each
 // process records onto a segmented durable scroll, so a second substrate
 // opened on the same directory starts with the first run's recording
 // already loaded — the Scroll survives real process crashes, not just
-// in-substrate restarts.
+// in-substrate restarts. The second substrate then runs on, and each
+// resumed scroll stays in Lamport order (and in order of its own
+// vector-clock component) across the resume, as merging scrolls assumes.
 func TestLiveScrollDirPersistence(t *testing.T) {
 	dir := t.TempDir()
 	live, err := substrate.NewLive(substrate.LiveConfig{Seed: 7, ScrollDir: dir,
@@ -485,6 +544,22 @@ func TestLiveScrollDirPersistence(t *testing.T) {
 	if len(got) != len(recs) || scroll.Digest(got) != digest {
 		t.Fatalf("reborn worker scroll has %d records (digest %s), want %d (digest %s)",
 			len(got), scroll.Digest(got), len(recs), digest)
+	}
+
+	reborn.AddProcess("producer", &confProducer{n: confJobs, every: 3})
+	reborn.Run()
+	if reborn.Scroll("worker").Len() <= len(recs) {
+		t.Fatalf("reborn worker recorded nothing past the %d loaded records", len(recs))
+	}
+	for _, id := range reborn.Procs() {
+		recs := reborn.Scroll(id).Records()
+		for i := 1; i < len(recs); i++ {
+			prev, r := recs[i-1], recs[i]
+			if r.Lamport < prev.Lamport || r.Clock.Get(id) < prev.Clock.Get(id) {
+				t.Fatalf("%s record %d (lamport %d, own clock %d) sorts before record %d (lamport %d, own clock %d)",
+					id, i, r.Lamport, r.Clock.Get(id), i-1, prev.Lamport, prev.Clock.Get(id))
+			}
+		}
 	}
 }
 

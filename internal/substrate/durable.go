@@ -27,6 +27,12 @@ import (
 // abandoned timeline's decision. In-memory stores still survive
 // in-substrate crash-restart, matching the simulator's model.
 //
+// Checkpoints are not persisted, so a cell recovered from the log predates
+// every checkpoint of the incarnation that recovered it: no rollback of
+// that incarnation may fence it, and every line sees it. The cells are
+// therefore stamped one past the writer's scroll position, which leaves
+// stamp 0 to the recovered ones; put, fence and snapshotAt shift by one.
+//
 // Synchronization is the caller's: LiveSubstrate accesses a process's
 // store under that process's mutex, like the scroll and heap.
 type durableStore struct {
@@ -35,50 +41,46 @@ type durableStore struct {
 }
 
 // openDurableStore opens proc's stable storage. An empty dir selects the
-// in-memory store; otherwise the WAL directory dir/proc is created or
-// recovered: puts (either record format) install cells, tombstones delete
-// them, in log order.
+// in-memory store; otherwise the WAL directory dir/proc is recovered —
+// puts (either record format) install cells, tombstones delete them, in log
+// order — and only then opened to append, so a corrupt log is refused
+// untouched.
 func openDurableStore(dir, proc string) (*durableStore, error) {
 	ds := &durableStore{}
 	if dir == "" {
 		return ds, nil
 	}
 	path := filepath.Join(dir, proc)
-	log, err := wal.Open(path, wal.Options{Sync: true})
-	if err != nil {
-		return nil, err
-	}
 	recs, err := wal.ReadAll(path)
 	if err != nil {
-		log.Close()
 		return nil, fmt.Errorf("substrate: recover durable store %s: %w", path, err)
 	}
 	for i, rec := range recs {
 		r, err := decodeDurableRecord(rec)
 		if err != nil {
-			log.Close()
 			return nil, fmt.Errorf("substrate: recover durable store %s record %d: %w", path, i, err)
 		}
 		if r.tombstone {
 			delete(ds.cells, r.key)
 			continue
 		}
-		ds.cells.Put(r.key, r.value, r.writeSeq)
+		ds.cells.Put(r.key, r.value, 0)
 	}
-	ds.log = log
+	if ds.log, err = wal.Open(path, wal.Options{Sync: true}); err != nil {
+		return nil, err
+	}
 	return ds, nil
 }
 
 // put installs key = value stamped with the writer's scroll position and,
-// when backed, appends it to the WAL together with the timeline epoch of
-// the write (part of the record format; nothing reads it back).
+// when backed, appends it to the WAL together with that position and the
+// timeline epoch of the write (part of the record format; recovery reads
+// neither back).
 func (ds *durableStore) put(key string, value []byte, epoch, writeSeq uint64) error {
 	v := append([]byte(nil), value...)
-	ds.cells.Put(key, v, writeSeq)
+	ds.cells.Put(key, v, writeSeq+1)
 	if ds.log != nil {
-		if _, err := ds.log.Append(encodeDurablePut(key, v, epoch, writeSeq)); err != nil {
-			return err
-		}
+		return ds.log.Append(encodeDurablePut(key, v, epoch, writeSeq))
 	}
 	return nil
 }
@@ -87,16 +89,22 @@ func (ds *durableStore) put(key string, value []byte, epoch, writeSeq uint64) er
 // when backed, appends a tombstone per key (in sorted order) so the fence
 // itself survives a crash.
 func (ds *durableStore) fence(scrollSeq uint64) error {
-	fenced := ds.cells.Fence(scrollSeq)
+	fenced := ds.cells.Fence(scrollSeq + 1)
 	if ds.log == nil {
 		return nil
 	}
 	for _, k := range fenced {
-		if _, err := ds.log.Append(encodeDurableTombstone(k)); err != nil {
+		if err := ds.log.Append(encodeDurableTombstone(k)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// snapshotAt deep-copies the cells written strictly before scroll position
+// seq, and every recovered cell.
+func (ds *durableStore) snapshotAt(seq uint64) map[string][]byte {
+	return ds.cells.SnapshotAt(seq + 1)
 }
 
 // close releases the WAL (no-op for the in-memory store).
@@ -163,53 +171,40 @@ func encodeDurableTombstone(key string) []byte {
 // recovery decode path, hardened against arbitrary bytes (fuzzed by
 // FuzzDurableRecordDecode).
 func decodeDurableRecord(b []byte) (durableRecord, error) {
-	if !bytes.HasPrefix(b, durableMagic) {
-		// Legacy layout: uvarint keylen | key | value, a put from before
-		// cells carried timeline coordinates.
-		n, w := binary.Uvarint(b)
-		if w <= 0 || uint64(len(b)-w) < n {
-			return durableRecord{}, fmt.Errorf("substrate: malformed durable record (key length %d, %d bytes)", n, len(b))
+	var r durableRecord
+	if rest, versioned := bytes.CutPrefix(b, durableMagic); versioned {
+		if len(rest) == 0 {
+			return durableRecord{}, fmt.Errorf("substrate: truncated durable record (no kind)")
 		}
-		return durableRecord{
-			key:   string(b[w : w+int(n)]),
-			value: append([]byte(nil), b[w+int(n):]...),
-		}, nil
+		kind := rest[0]
+		b = rest[1:]
+		switch kind {
+		case durKindPut:
+			var w int
+			if r.epoch, w = binary.Uvarint(b); w <= 0 {
+				return durableRecord{}, fmt.Errorf("substrate: malformed durable put (epoch)")
+			}
+			b = b[w:]
+			if r.writeSeq, w = binary.Uvarint(b); w <= 0 {
+				return durableRecord{}, fmt.Errorf("substrate: malformed durable put (write seq)")
+			}
+			b = b[w:]
+		case durKindTombstone:
+			r.tombstone = true
+		default:
+			return durableRecord{}, fmt.Errorf("substrate: unknown durable record kind %d", kind)
+		}
 	}
-	b = b[len(durableMagic):]
-	if len(b) == 0 {
-		return durableRecord{}, fmt.Errorf("substrate: truncated durable record (no kind)")
+	// Every layout ends uvarint keylen | key | value; the legacy one is just
+	// that, a put from before cells carried timeline coordinates. A
+	// tombstone's value is empty.
+	n, w := binary.Uvarint(b)
+	if w <= 0 || uint64(len(b)-w) < n || r.tombstone && uint64(len(b)-w) != n {
+		return durableRecord{}, fmt.Errorf("substrate: malformed durable record (key length %d, %d bytes)", n, len(b))
 	}
-	kind := b[0]
-	b = b[1:]
-	switch kind {
-	case durKindPut:
-		epoch, w := binary.Uvarint(b)
-		if w <= 0 {
-			return durableRecord{}, fmt.Errorf("substrate: malformed durable put (epoch)")
-		}
-		b = b[w:]
-		writeSeq, w := binary.Uvarint(b)
-		if w <= 0 {
-			return durableRecord{}, fmt.Errorf("substrate: malformed durable put (write seq)")
-		}
-		b = b[w:]
-		n, w := binary.Uvarint(b)
-		if w <= 0 || uint64(len(b)-w) < n {
-			return durableRecord{}, fmt.Errorf("substrate: malformed durable put (key length %d, %d bytes)", n, len(b))
-		}
-		return durableRecord{
-			key:      string(b[w : w+int(n)]),
-			value:    append([]byte(nil), b[w+int(n):]...),
-			epoch:    epoch,
-			writeSeq: writeSeq,
-		}, nil
-	case durKindTombstone:
-		n, w := binary.Uvarint(b)
-		if w <= 0 || uint64(len(b)-w) != n {
-			return durableRecord{}, fmt.Errorf("substrate: malformed durable tombstone (key length %d, %d bytes)", n, len(b))
-		}
-		return durableRecord{tombstone: true, key: string(b[w : w+int(n)])}, nil
-	default:
-		return durableRecord{}, fmt.Errorf("substrate: unknown durable record kind %d", kind)
+	r.key = string(b[w : w+int(n)])
+	if !r.tombstone {
+		r.value = append([]byte(nil), b[w+int(n):]...)
 	}
+	return r, nil
 }

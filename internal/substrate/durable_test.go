@@ -17,9 +17,11 @@ import (
 )
 
 // TestDurableStoreRecovery: reopening a WAL-backed store replays the log,
-// last record per key winning, with each cell's write position recovered
-// alongside its value (the epoch is in the record — see
-// TestDurableRecordRoundTrip — and nothing reads it back).
+// last record per key winning. The write positions are in the records (see
+// TestDurableRecordRoundTrip) but recovery does not read them back:
+// checkpoints are not persisted, so a recovered cell predates every
+// checkpoint of the reopened store — every line sees it, and no fence
+// reaches it, one at position 0 included.
 func TestDurableStoreRecovery(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := openDurableStore(dir, "coord")
@@ -39,6 +41,14 @@ func TestDurableStoreRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// k2 was written at scroll position 7, k1 last at 11: in the writing
+	// incarnation a line at 11 sees only k2, a line at 7 sees neither.
+	if got := ds.snapshotAt(11); !reflect.DeepEqual(got, map[string][]byte{"k2": []byte("v2")}) {
+		t.Fatalf("as of 11: %v, want k2 only", got)
+	}
+	if got := ds.snapshotAt(7); got != nil {
+		t.Fatalf("as of 7: %v, want nothing", got)
+	}
 	if err := ds.close(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +65,16 @@ func TestDurableStoreRecovery(t *testing.T) {
 	if keys := re.cells.Keys(); !reflect.DeepEqual(keys, []string{"k1", "k2"}) {
 		t.Fatalf("keys %v", keys)
 	}
-	// k2 was written at scroll position 7, k1 last at 11: a line at 11 sees
-	// only k2, a line at 7 sees neither.
-	if got := re.cells.SnapshotAt(11); !reflect.DeepEqual(got, map[string][]byte{"k2": []byte("v2")}) {
-		t.Fatalf("as of 11: %v, want k2 only", got)
+	for _, seq := range []uint64{0, 7, 11} {
+		if got := re.snapshotAt(seq); !reflect.DeepEqual(got, want) {
+			t.Fatalf("recovered cells as of %d: %v, want all of them", seq, got)
+		}
 	}
-	if got := re.cells.SnapshotAt(7); got != nil {
-		t.Fatalf("as of 7: %v, want nothing", got)
+	if err := re.fence(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := re.cells.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a fence at 0 left %v, want every recovered cell %v", got, want)
 	}
 }
 
@@ -144,8 +157,9 @@ func TestDurableStoreInvalidate(t *testing.T) {
 func durableModelWalk(t *testing.T, dir, proc string, seed int64) {
 	t.Helper()
 	type cell struct {
-		value    string
-		writeSeq uint64
+		value     string
+		writeSeq  uint64
+		recovered bool // read back by a reopen: predates every checkpoint since
 	}
 	r := rand.New(rand.NewSource(seed))
 	model := map[string]cell{}
@@ -174,14 +188,14 @@ func durableModelWalk(t *testing.T, dir, proc string, seed int64) {
 		for _, seq := range []uint64{0, 3, 8, 1 << 62} {
 			var want map[string][]byte
 			for k, c := range model {
-				if c.writeSeq < seq {
+				if c.recovered || c.writeSeq < seq {
 					if want == nil {
 						want = map[string][]byte{}
 					}
 					want[k] = []byte(c.value)
 				}
 			}
-			if got := ds.cells.SnapshotAt(seq); !reflect.DeepEqual(got, want) {
+			if got := ds.snapshotAt(seq); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%q seed %d step %d: as of %d: %v, want %v", dir, seed, step, seq, got, want)
 			}
 		}
@@ -192,14 +206,14 @@ func durableModelWalk(t *testing.T, dir, proc string, seed int64) {
 		case op < 5:
 			seq += uint64(r.Intn(3))
 			k, v := keys[r.Intn(4)], fmt.Sprint("v", step)
-			model[k] = cell{v, seq}
+			model[k] = cell{v, seq, false}
 			if err := ds.put(k, []byte(v), uint64(step), seq); err != nil {
 				t.Fatal(err)
 			}
 		case op < 7:
 			at := uint64(r.Intn(int(seq) + 2))
 			for k, c := range model {
-				if c.writeSeq >= at {
+				if !c.recovered && c.writeSeq >= at {
 					delete(model, k)
 				}
 			}
@@ -208,13 +222,20 @@ func durableModelWalk(t *testing.T, dir, proc string, seed int64) {
 			}
 			seq = min(seq, at)
 		case op < 8 && dir != "":
-			// A crash: what was put and what was fenced both come back.
+			// A crash: what was put and what was fenced both come back, as
+			// cells older than any checkpoint of the new incarnation, whose
+			// scroll starts over.
 			if err := ds.close(); err != nil {
 				t.Fatal(err)
 			}
 			if ds, err = openDurableStore(dir, proc); err != nil {
 				t.Fatal(err)
 			}
+			for k, c := range model {
+				c.recovered = true
+				model[k] = c
+			}
+			seq = 0
 		}
 		check(step)
 	}
@@ -330,7 +351,7 @@ func TestDurableStoreTornWriteProperty(t *testing.T) {
 
 // TestDurableStoreMidSegmentCorruption: a bit flipped before the final
 // record must surface wal.ErrCorrupt rather than silently serving a bad
-// prefix.
+// prefix, and the refused log is left as it was found.
 func TestDurableStoreMidSegmentCorruption(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := openDurableStore(dir, "p")
@@ -354,8 +375,15 @@ func TestDurableStoreMidSegmentCorruption(t *testing.T) {
 	if err := os.WriteFile(seg, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	before, err := os.ReadDir(filepath.Join(dir, "p"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := openDurableStore(dir, "p"); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("mid-segment corruption recovered with err=%v, want wal.ErrCorrupt", err)
+	}
+	if after, _ := os.ReadDir(filepath.Join(dir, "p")); len(after) != len(before) {
+		t.Fatalf("refusing a corrupt log changed its directory from %d to %d files", len(before), len(after))
 	}
 }
 
@@ -406,15 +434,15 @@ func TestDurableStoreLegacyFixture(t *testing.T) {
 	if got := ds.cells.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("legacy recovery %v, want %v", got, want)
 	}
-	if got := ds.cells.SnapshotAt(1); !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy cells as of position 1: %v, want all of them (write position 0)", got)
+	if got := ds.snapshotAt(0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered legacy cells as of position 0: %v, want all of them", got)
 	}
 	// Mixed log: a versioned put and a fence append after the legacy prefix
 	// and recover together with it.
 	if err := ds.put("kv:k9", []byte("new"), 3, 42); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.fence(42); err != nil { // fences only kv:k9 (legacy cells are writeSeq 0)
+	if err := ds.fence(42); err != nil { // fences only kv:k9 (no fence reaches recovered cells)
 		t.Fatal(err)
 	}
 	if err := ds.put("kv:k9", []byte("revived"), 4, 2); err != nil {

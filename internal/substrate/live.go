@@ -352,7 +352,16 @@ func (p *liveProc) handle(ev liveEvent) {
 	switch ev.kind {
 	case levInit:
 		p.clock = ev.tab.New() // nothing has ticked it yet: Run queues levInit first
-
+		if p.scroll.Len() > 0 {
+			// A scroll resumed from ScrollDir: both clocks continue past the
+			// loaded tail, so what is recorded next never sorts before it.
+			var lam, own uint64
+			for r := range p.scroll.All() {
+				lam, own = max(lam, r.Lamport), max(own, r.Clock.Get(p.id))
+			}
+			p.lamport.Witness(lam)
+			p.clock.Set(p.id, own)
+		}
 		p.machine.Init(ctx)
 		if s.cfg.InitCheckpoint {
 			p.takeCheckpointLocked("init")
@@ -620,7 +629,7 @@ func (s *LiveSubstrate) Run() dsim.Stats {
 	s.mu.Lock()
 	if !s.started {
 		s.started = true
-		now := time.Now() //fixd:wallclock live backend anchors tick 0 to real start time
+		now := wallNow()
 		s.startAt.Store(&now)
 		s.armCtlLocked()
 		tab := vclock.NewTable(s.order...)
@@ -708,7 +717,7 @@ func (s *LiveSubstrate) idle() bool {
 // waitQuiesce polls until the system stays idle for the settle window, the
 // run is paused, or MaxWait elapses.
 func (s *LiveSubstrate) waitQuiesce() dsim.Stats {
-	deadline := time.Now().Add(s.cfg.MaxWait) //fixd:wallclock quiesce deadline is real time by design
+	deadline := wallNow().Add(s.cfg.MaxWait)
 	var quietSince time.Time
 	for {
 		if s.isPaused() {
@@ -724,20 +733,21 @@ func (s *LiveSubstrate) waitQuiesce() dsim.Stats {
 			quietSince = time.Time{} // handler declined the pause; keep running
 			continue
 		}
-		if time.Now().After(deadline) { //fixd:wallclock quiesce deadline is real time by design
+		now := wallNow()
+		if now.After(deadline) {
 			return s.Stats()
 		}
 		if s.idle() {
 			if quietSince.IsZero() {
-				quietSince = time.Now() //fixd:wallclock quiet-period tracking is real time by design
+				quietSince = now
 			}
-			if time.Since(quietSince) >= s.cfg.Settle { //fixd:wallclock quiet-period tracking is real time by design
+			if now.Sub(quietSince) >= s.cfg.Settle {
 				return s.Stats()
 			}
 		} else {
 			quietSince = time.Time{}
 		}
-		time.Sleep(2 * time.Millisecond) //fixd:wallclock live backend polls idleness in real time
+		wallSleep(2 * time.Millisecond)
 	}
 }
 
@@ -753,8 +763,17 @@ func (s *LiveSubstrate) Now() uint64 {
 	if start == nil {
 		return 0
 	}
-	return uint64(time.Since(*start) / s.cfg.Tick) //fixd:wallclock maps elapsed wall time onto virtual ticks
+	return uint64(wallNow().Sub(*start) / s.cfg.Tick)
 }
+
+// The live backend's only doors to real time: every wall-clock read, wait
+// and timer in this file goes through one of these three.
+
+func wallNow() time.Time { return time.Now() } //fixd:wallclock the live backend maps elapsed wall time onto virtual ticks and deadlines
+
+func wallSleep(d time.Duration) { time.Sleep(d) } //fixd:wallclock the live backend polls for quiescence in real time
+
+func wallAfter(d time.Duration, f func()) *time.Timer { return time.AfterFunc(d, f) } //fixd:wallclock the live backend arms real timers for process timers and scheduled injections
 
 // Stats returns the cumulative counters.
 func (s *LiveSubstrate) Stats() dsim.Stats {
@@ -855,7 +874,7 @@ func (s *LiveSubstrate) DurableSnapshotAt(lineSeq map[string]uint64) map[string]
 		if !ok {
 			return nil
 		}
-		return p.durable.cells.SnapshotAt(seq)
+		return p.durable.snapshotAt(seq)
 	})
 }
 
@@ -982,8 +1001,8 @@ func (s *LiveSubstrate) armCtlLocked() {
 	if s.ctlTim != nil {
 		s.ctlTim.Stop() // a wake-up that fires anyway finds nothing new due
 	}
-	d := time.Duration(s.ctl[0].At)*s.cfg.Tick - time.Since(*s.startAt.Load()) //fixd:wallclock converts a tick deadline to a wall delay
-	s.ctlTim = time.AfterFunc(max(d, 0), func() { s.releaseDue(s.Now()) })     //fixd:wallclock live backend arms real timers
+	d := time.Duration(s.ctl[0].At)*s.cfg.Tick - wallNow().Sub(*s.startAt.Load())
+	s.ctlTim = wallAfter(max(d, 0), func() { s.releaseDue(s.Now()) })
 }
 
 // releaseDue posts every control injection due at tick now to its process,
@@ -1129,8 +1148,8 @@ func (c *liveCtx) SetTimer(name string, delay uint64) {
 	gen := p.incarnation
 	delay += p.sub.net.Slow(p.id, p.sub.Now())
 	p.pendingTimers = append(p.pendingTimers, name)
-	p.sub.activity.Add(1)                                        // held until the timer event is handled
-	time.AfterFunc(time.Duration(delay)*p.sub.cfg.Tick, func() { //fixd:wallclock live backend arms real timers
+	p.sub.activity.Add(1) // held until the timer event is handled
+	wallAfter(time.Duration(delay)*p.sub.cfg.Tick, func() {
 		p.post(liveEvent{kind: levTimer, timer: name, gen: gen}, false)
 	})
 }

@@ -33,7 +33,7 @@ func TestGoldenSegments(t *testing.T) {
 	}{
 		{"append", func(l *Log) error {
 			for _, p := range payloads {
-				if _, err := l.Append(p); err != nil {
+				if err := l.Append(p); err != nil {
 					return err
 				}
 			}
@@ -41,15 +41,14 @@ func TestGoldenSegments(t *testing.T) {
 		}, payloads},
 		{"rewrite", func(l *Log) error {
 			for _, p := range [][]byte{[]byte("old-0"), []byte("old-1")} {
-				if _, err := l.Append(p); err != nil {
+				if err := l.Append(p); err != nil {
 					return err
 				}
 			}
 			if err := l.Rewrite(payloads); err != nil {
 				return err
 			}
-			_, err := l.Append([]byte("after"))
-			return err
+			return l.Append([]byte("after"))
 		}, append(payloads[:len(payloads):len(payloads)], []byte("after"))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,12 +3,18 @@
 // The Scroll (paper §3.1) needs durable storage that survives process
 // crashes: liblog writes libc results to a file, Flashback logs at kernel
 // level. This package is the Go equivalent: length-prefixed records with
-// CRC-32 integrity, split across fixed-size segment files, with recovery
-// that tolerates a torn final record.
+// CRC-32 integrity, split across fixed-size segment files.
 //
-// Record layout (little endian):
+// Record layout (little endian), framed in one place (Log.write):
 //
 //	uint32 length | uint32 crc32(payload) | payload
+//
+// Read rules, applied in one place (readSegment) to each segment in index
+// order: a header or payload cut short by the end of its segment, or a
+// final record whose checksum fails, is the tail a crash tore mid-append
+// and ends that segment; a checksum mismatch on any earlier record is
+// ErrCorrupt. Open reads no record: a caller recovers a log with ReadAll
+// first and refuses a corrupt one before it opens the log to append.
 package wal
 
 import (
@@ -16,7 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -33,9 +39,9 @@ const (
 	segSuffix          = ".wal"
 )
 
-// ErrCorrupt is returned when a record fails its CRC check in the middle of
-// a segment (a torn *final* record is silently truncated instead, matching
-// crash-recovery semantics).
+// ErrCorrupt is returned by ReadAll when a record before the end of its
+// segment fails its checksum (a torn final record is dropped instead,
+// matching crash-recovery semantics).
 var ErrCorrupt = errors.New("wal: corrupt record")
 
 // Options configures a Log.
@@ -55,15 +61,13 @@ type Log struct {
 	dir     string
 	opts    Options
 	seg     *os.File // active segment
-	segIdx  int      // index of active segment
+	segIdx  int      // index of the next segment to create
 	segSize int64    // bytes written to active segment
-	count   int64    // records appended in this session + found at open
 	closed  bool
 }
 
-// Open opens (or creates) a log in dir. Existing segments are scanned so
-// Append indices continue after every durable record; appends go to a fresh
-// segment.
+// Open opens (or creates) a log in dir for appending. Appends go to a fresh
+// segment after every existing one.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
@@ -71,18 +75,13 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", dir, err)
 	}
-	l := &Log{dir: dir, opts: opts}
-	segs, err := l.segments()
+	segs, err := segments(dir)
 	if err != nil {
 		return nil, err
 	}
-	for _, idx := range segs {
-		n, _, err := scanSegment(l.segPath(idx))
-		if err != nil {
-			return nil, err
-		}
-		l.count += n
-		l.segIdx = idx + 1
+	l := &Log{dir: dir, opts: opts}
+	if len(segs) > 0 {
+		l.segIdx = segs[len(segs)-1] + 1
 	}
 	if err := l.roll(); err != nil {
 		return nil, err
@@ -90,15 +89,19 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-func (l *Log) segPath(idx int) string {
-	return filepath.Join(l.dir, fmt.Sprintf("%s%08d%s", segPrefix, idx, segSuffix))
+func segPath(dir string, idx int) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", segPrefix, idx, segSuffix))
 }
 
-// segments returns the sorted indices of existing segment files.
-func (l *Log) segments() ([]int, error) {
-	entries, err := os.ReadDir(l.dir)
+// segments returns the sorted indices of the segment files in dir; a
+// directory that does not exist holds none.
+func segments(dir string) ([]int, error) {
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
-		return nil, fmt.Errorf("wal: list %s: %w", l.dir, err)
+		return nil, fmt.Errorf("wal: list %s: %w", dir, err)
 	}
 	var idxs []int
 	for _, e := range entries {
@@ -124,7 +127,7 @@ func (l *Log) roll() error {
 			return fmt.Errorf("wal: close segment: %w", err)
 		}
 	}
-	f, err := os.OpenFile(l.segPath(l.segIdx), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(segPath(l.dir, l.segIdx), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
@@ -134,36 +137,43 @@ func (l *Log) roll() error {
 	return nil
 }
 
-// Append writes one record and returns its global index (0-based).
-func (l *Log) Append(payload []byte) (int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, errors.New("wal: append to closed log")
-	}
-	if l.segSize+headerSize+int64(len(payload)) > l.opts.SegmentSize && l.segSize > 0 {
-		if err := l.roll(); err != nil {
-			return 0, err
-		}
-	}
+// write frames one record onto the active segment. Caller holds mu.
+func (l *Log) write(payload []byte) error {
 	var hdr [headerSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 	if _, err := l.seg.Write(hdr[:]); err != nil {
-		return 0, fmt.Errorf("wal: write header: %w", err)
+		return fmt.Errorf("wal: write header: %w", err)
 	}
 	if _, err := l.seg.Write(payload); err != nil {
-		return 0, fmt.Errorf("wal: write payload: %w", err)
+		return fmt.Errorf("wal: write payload: %w", err)
+	}
+	l.segSize += headerSize + int64(len(payload))
+	return nil
+}
+
+// Append writes one record, rolling to a new segment first when the record
+// would overflow a non-empty one.
+func (l *Log) Append(payload []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return errors.New("wal: append to closed log")
+	}
+	if l.segSize > 0 && l.segSize+headerSize+int64(len(payload)) > l.opts.SegmentSize {
+		if err := l.roll(); err != nil {
+			return err
+		}
+	}
+	if err := l.write(payload); err != nil {
+		return err
 	}
 	if l.opts.Sync {
 		if err := l.seg.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: sync: %w", err)
+			return fmt.Errorf("wal: sync: %w", err)
 		}
 	}
-	l.segSize += headerSize + int64(len(payload))
-	idx := l.count
-	l.count++
-	return idx, nil
+	return nil
 }
 
 // Sync flushes the active segment to stable storage.
@@ -194,146 +204,8 @@ func (l *Log) Close() error {
 	return nil
 }
 
-// scanSegment validates a segment and returns (records, validBytes, err).
-// A torn record at the very end is tolerated (truncated read); corruption
-// before that returns ErrCorrupt.
-func scanSegment(path string) (int64, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: open segment: %w", err)
-	}
-	defer f.Close()
-	var (
-		n     int64
-		off   int64
-		hdr   [headerSize]byte
-		stat  os.FileInfo
-		total int64
-	)
-	if stat, err = f.Stat(); err != nil {
-		return 0, 0, err
-	}
-	total = stat.Size()
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return n, off, nil // clean end or torn header
-			}
-			return n, off, err
-		}
-		length := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if off+headerSize+length > total {
-			return n, off, nil // torn payload at tail
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return n, off, nil
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			if off+headerSize+length == total {
-				return n, off, nil // torn final record
-			}
-			return n, off, fmt.Errorf("%w: segment %s offset %d", ErrCorrupt, path, off)
-		}
-		off += headerSize + length
-		n++
-	}
-}
-
-// Reader iterates over all records of a log directory in append order.
-type Reader struct {
-	dir    string
-	segs   []int
-	segPos int
-	f      *os.File
-	path   string
-	offset int64
-	size   int64
-}
-
-// NewReader opens a reader over the log directory.
-func NewReader(dir string) (*Reader, error) {
-	l := &Log{dir: dir}
-	segs, err := l.segments()
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{dir: dir, segs: segs}, nil
-}
-
-// Next returns the next record payload, or io.EOF after the last record.
-// Torn tail records are skipped (treated as end of that segment); mid-file
-// corruption returns ErrCorrupt.
-func (r *Reader) Next() ([]byte, error) {
-	for {
-		if r.f == nil {
-			if r.segPos >= len(r.segs) {
-				return nil, io.EOF
-			}
-			l := &Log{dir: r.dir}
-			r.path = l.segPath(r.segs[r.segPos])
-			f, err := os.Open(r.path)
-			if err != nil {
-				return nil, err
-			}
-			stat, err := f.Stat()
-			if err != nil {
-				f.Close()
-				return nil, err
-			}
-			r.f, r.offset, r.size = f, 0, stat.Size()
-			r.segPos++
-		}
-		var hdr [headerSize]byte
-		if _, err := io.ReadFull(r.f, hdr[:]); err != nil {
-			r.f.Close()
-			r.f = nil
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				continue // next segment
-			}
-			return nil, err
-		}
-		length := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if r.offset+headerSize+length > r.size {
-			r.f.Close()
-			r.f = nil
-			continue // torn tail
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r.f, payload); err != nil {
-			r.f.Close()
-			r.f = nil
-			continue
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			if r.offset+headerSize+length == r.size {
-				r.f.Close()
-				r.f = nil
-				continue // torn final record
-			}
-			r.f.Close()
-			r.f = nil
-			return nil, fmt.Errorf("%w: segment %s offset %d", ErrCorrupt, r.path, r.offset)
-		}
-		r.offset += headerSize + length
-		return payload, nil
-	}
-}
-
-// Close releases the reader's resources.
-func (r *Reader) Close() error {
-	if r.f != nil {
-		err := r.f.Close()
-		r.f = nil
-		return err
-	}
-	return nil
-}
-
 // Rewrite atomically replaces the log's contents with the given records:
-// they are written to fresh segments and the old segments are removed.
+// they are written to one fresh segment and the old segments are removed.
 // The log must be open; subsequent appends continue after the new
 // contents. The Scroll uses this to persist truncation after a rollback
 // (paper §3.2: the rolled-back suffix of the log is invalid).
@@ -343,7 +215,7 @@ func (l *Log) Rewrite(payloads [][]byte) error {
 	if l.closed {
 		return errors.New("wal: rewrite on closed log")
 	}
-	old, err := l.segments()
+	old, err := segments(l.dir)
 	if err != nil {
 		return err
 	}
@@ -355,50 +227,58 @@ func (l *Log) Rewrite(payloads [][]byte) error {
 	if err := l.roll(); err != nil {
 		return err
 	}
-	l.count = 0
 	for _, p := range payloads {
-		var hdr [headerSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(p))
-		if _, err := l.seg.Write(hdr[:]); err != nil {
+		if err := l.write(p); err != nil {
 			return fmt.Errorf("wal: rewrite: %w", err)
 		}
-		if _, err := l.seg.Write(p); err != nil {
-			return fmt.Errorf("wal: rewrite: %w", err)
-		}
-		l.segSize += headerSize + int64(len(p))
-		l.count++
 	}
 	if err := l.seg.Sync(); err != nil {
 		return fmt.Errorf("wal: rewrite sync: %w", err)
 	}
 	for _, idx := range old {
-		if idx >= l.segIdx-1 {
-			continue // the segment we just wrote
-		}
-		if err := os.Remove(l.segPath(idx)); err != nil {
+		if err := os.Remove(segPath(l.dir, idx)); err != nil {
 			return fmt.Errorf("wal: rewrite cleanup: %w", err)
 		}
 	}
 	return nil
 }
 
-// ReadAll returns every record in the log directory, in order.
+// ReadAll returns every record in the log directory, in order, by the read
+// rules of the package doc. A directory that does not exist is an empty log.
 func ReadAll(dir string) ([][]byte, error) {
-	r, err := NewReader(dir)
+	segs, err := segments(dir)
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
 	var out [][]byte
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return out, nil
+	for _, idx := range segs {
+		if out, err = readSegment(out, segPath(dir, idx)); err != nil {
+			return nil, err
 		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
 	}
+	return out, nil
+}
+
+// readSegment appends the records of one segment file to out.
+func readSegment(out [][]byte, path string) ([][]byte, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("wal: read segment: %w", err)
+	}
+	for off := 0; len(b)-off >= headerSize; {
+		end := off + headerSize + int(binary.LittleEndian.Uint32(b[off:]))
+		if end > len(b) {
+			break // torn final record
+		}
+		payload := b[off+headerSize : end : end]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[off+4:]) {
+			if end == len(b) {
+				break // torn final record
+			}
+			return nil, fmt.Errorf("%w: segment %s offset %d", ErrCorrupt, path, off)
+		}
+		out = append(out, payload)
+		off = end
+	}
+	return out, nil
 }

@@ -4,19 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
-
-// records is the number of records in the log: durable plus this session's.
-func (l *Log) records() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.count
-}
 
 func TestAppendAndReadAll(t *testing.T) {
 	dir := t.TempDir()
@@ -25,13 +19,9 @@ func TestAppendAndReadAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := [][]byte{[]byte("alpha"), []byte("beta"), []byte(""), []byte("gamma")}
-	for i, p := range want {
-		idx, err := l.Append(p)
-		if err != nil {
+	for _, p := range want {
+		if err := l.Append(p); err != nil {
 			t.Fatal(err)
-		}
-		if idx != int64(i) {
-			t.Errorf("Append index = %d, want %d", idx, i)
 		}
 	}
 	if err := l.Close(); err != nil {
@@ -61,7 +51,7 @@ func TestSegmentRolling(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		p := []byte(fmt.Sprintf("record-%02d-padding-padding", i))
 		want = append(want, p)
-		if _, err := l.Append(p); err != nil {
+		if err := l.Append(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,6 +74,8 @@ func TestSegmentRolling(t *testing.T) {
 	}
 }
 
+// TestReopenCountsExisting: a reopened log appends after every record it
+// already holds.
 func TestReopenCountsExisting(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(dir, Options{})
@@ -95,17 +87,14 @@ func TestReopenCountsExisting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := l2.records(); got != 5 {
-		t.Errorf("Count after reopen = %d, want 5", got)
-	}
 	l2.Append([]byte("y"))
-	if got := l2.records(); got != 6 {
-		t.Errorf("Count after append = %d, want 6", got)
-	}
 	l2.Close()
-	recs, _ := ReadAll(dir)
-	if len(recs) != 6 {
-		t.Errorf("ReadAll after reopen = %d records, want 6", len(recs))
+	recs, err := ReadAll(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 6 || string(recs[5]) != "y" {
+		t.Errorf("ReadAll after reopen = %q, want five x then y", recs)
 	}
 }
 
@@ -131,14 +120,16 @@ func TestTornFinalRecordTolerated(t *testing.T) {
 	if len(recs) != 1 || string(recs[0]) != "good-1" {
 		t.Errorf("got %d records (%q), want only good-1", len(recs), recs)
 	}
-	// Reopen must also tolerate it and count 1.
+	// A reopened log appends past the torn record, which stays dropped.
 	l2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
-	if got := l2.records(); got != 1 {
-		t.Errorf("Count after torn tail = %d, want 1", got)
+	l2.Append([]byte("good-3"))
+	l2.Close()
+	recs, err = ReadAll(dir)
+	if err != nil || len(recs) != 2 || string(recs[1]) != "good-3" {
+		t.Errorf("after reopen: %q, %v; want good-1, good-3", recs, err)
 	}
 }
 
@@ -167,11 +158,13 @@ func TestAppendAfterClose(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(dir, Options{})
 	l.Close()
-	if _, err := l.Append([]byte("x")); err == nil {
+	if err := l.Append([]byte("x")); err == nil {
 		t.Error("Append after Close should fail")
 	}
 }
 
+// TestReaderAcrossSegments: ReadAll reads the segments in index order, one
+// record after another.
 func TestReaderAcrossSegments(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(dir, Options{SegmentSize: 32})
@@ -179,27 +172,20 @@ func TestReaderAcrossSegments(t *testing.T) {
 		l.Append([]byte(fmt.Sprintf("payload-%d", i)))
 	}
 	l.Close()
-	r, err := NewReader(dir)
+	if segs, _ := segments(dir); len(segs) < 5 {
+		t.Fatalf("10 records landed in %d segments; the test needs several", len(segs))
+	}
+	recs, err := ReadAll(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	n := 0
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	if len(recs) != 10 {
+		t.Fatalf("read %d records, want 10", len(recs))
+	}
+	for n, rec := range recs {
 		if want := fmt.Sprintf("payload-%d", n); string(rec) != want {
 			t.Errorf("record %d = %q, want %q", n, rec, want)
 		}
-		n++
-	}
-	if n != 10 {
-		t.Errorf("read %d records, want 10", n)
 	}
 }
 
@@ -209,7 +195,7 @@ func TestSyncOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("durable")); err != nil {
+	if err := l.Append([]byte("durable")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {
@@ -218,16 +204,20 @@ func TestSyncOption(t *testing.T) {
 	l.Close()
 }
 
+// TestEmptyLogReadAll: a log with no records, and a directory that does not
+// exist yet, both read as empty.
 func TestEmptyLogReadAll(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(dir, Options{})
 	l.Close()
-	recs, err := ReadAll(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
-		t.Errorf("empty log has %d records", len(recs))
+	for _, d := range []string{dir, filepath.Join(dir, "missing")} {
+		recs, err := ReadAll(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 0 {
+			t.Errorf("%s: empty log has %d records", d, len(recs))
+		}
 	}
 }
 
@@ -242,7 +232,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			return false
 		}
 		for _, p := range payloads {
-			if _, err := l.Append(p); err != nil {
+			if err := l.Append(p); err != nil {
 				return false
 			}
 		}
@@ -275,11 +265,8 @@ func TestRewrite(t *testing.T) {
 	if err := l.Rewrite([][]byte{[]byte("new-0"), []byte("new-1")}); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.records(); got != 2 {
-		t.Errorf("Count after rewrite = %d, want 2", got)
-	}
 	// New appends continue after the rewritten contents.
-	if _, err := l.Append([]byte("new-2")); err != nil {
+	if err := l.Append([]byte("new-2")); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -318,4 +305,87 @@ func TestRewriteClosed(t *testing.T) {
 	if err := l.Rewrite(nil); err == nil {
 		t.Error("Rewrite on closed log should fail")
 	}
+}
+
+// FuzzWALRecover: after n valid appends, arbitrary bytes become one more
+// segment (a stray or half-written file) or overwrite the tail of the last
+// one (a crash or a damaged disk). ReadAll never panics: it reports
+// ErrCorrupt, or returns a list that starts with every record the bytes
+// left untouched. A log that reads, reopened and appended to, reads back
+// with that append last.
+func FuzzWALRecover(f *testing.F) {
+	f.Add(uint8(3), false, []byte{})
+	f.Add(uint8(3), true, []byte{})
+	f.Add(uint8(2), true, []byte{1, 2, 3})
+	f.Add(uint8(4), false, []byte{5, 0, 0, 0, 0, 0, 0, 0, 'x'})
+	f.Add(uint8(1), false, []byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
+	f.Add(uint8(5), true, bytes.Repeat([]byte{0}, 40))
+	f.Fuzz(func(t *testing.T, n uint8, overwrite bool, junk []byte) {
+		dir := t.TempDir()
+		l, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][]byte, n%8)
+		var ends []int // where each record ends in the one segment they share
+		off := 0
+		for i := range want {
+			want[i] = []byte(strings.Repeat("r", i))
+			if err := l.Append(want[i]); err != nil {
+				t.Fatal(err)
+			}
+			off += headerSize + len(want[i])
+			ends = append(ends, off)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		valid := len(want)
+		if overwrite {
+			b, err := os.ReadFile(segPath(dir, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := max(len(b)-len(junk), 0)
+			valid = sort.SearchInts(ends, cut+1) // the records ending at or before cut
+			if err := os.WriteFile(segPath(dir, 0), append(b[:cut], junk...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := os.WriteFile(segPath(dir, 1), junk, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		got, err := ReadAll(dir)
+		if errors.Is(err, ErrCorrupt) {
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) < valid {
+			t.Fatalf("read %d records, want at least the %d untouched ones", len(got), valid)
+		}
+		for i := range valid {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
+			}
+		}
+
+		if l, err = Open(dir, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append([]byte("after")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadAll(dir)
+		if err != nil {
+			t.Fatalf("reopened log no longer reads: %v", err)
+		}
+		if len(again) != len(got)+1 || string(again[len(got)]) != "after" {
+			t.Fatalf("after reopen and append: %d records, want %d ending in %q", len(again), len(got)+1, "after")
+		}
+	})
 }
