@@ -40,10 +40,63 @@ var goldenRecords = []struct {
 
 const goldenDigest = "d684bd9862e95dda6082cddfb80004d0cc4e858308aaea037cae2a78d084aee8"
 
-func TestGoldenRecordEncoding(t *testing.T) {
+// goldenShapeSet is a multi-process, multi-window record set for the shape
+// golden: three processes (one named twice as often as the others), kinds 0
+// and 200 beside the named ones, Lamport times that revisit earlier windows,
+// and per-bucket counts spread over several log2 buckets.
+func goldenShapeSet() []Record {
+	procs := []string{"node-3", "b", "node-3", "zzprobe"}
+	kinds := []Kind{KindRecv, KindSend, 0, KindCkpt, 200, KindRecv}
+	var recs []Record
+	for i := range 300 {
+		recs = append(recs, Record{
+			Proc:    procs[i%len(procs)],
+			Seq:     uint64(i),
+			Kind:    kinds[(i/3)%len(kinds)],
+			Lamport: uint64(i*i) % 211,
+		})
+	}
+	return recs
+}
+
+// goldenShapes pins Shape over the golden records and the golden set. The
+// values were produced by the map-keyed accumulator the run-based one
+// replaced: the signature must not move when its implementation does.
+var goldenShapes = []struct {
+	name   string
+	recs   []Record
+	bucket uint64
+	want   string
+}{
+	{"golden records, bucket 16", goldenRecordSlice(), 16, "bede942c365c5ddc"},
+	{"golden records, bucket 0", goldenRecordSlice(), 0, "a7ba0623f5e08a8e"},
+	{"golden set, bucket 1", goldenShapeSet(), 1, "e7b150fe0ad28f02"},
+	{"golden set, bucket 16", goldenShapeSet(), 16, "6886ad144fd3762a"},
+	{"golden set, bucket 64", goldenShapeSet(), 64, "2202c19eb199624a"},
+}
+
+func goldenRecordSlice() []Record {
 	recs := make([]Record, len(goldenRecords))
 	for i, g := range goldenRecords {
 		recs[i] = g.rec
+	}
+	return recs
+}
+
+func TestGoldenShape(t *testing.T) {
+	for _, g := range goldenShapes {
+		if got := Shape(g.recs, g.bucket); got != g.want {
+			t.Errorf("%s: Shape = %s, want %s", g.name, got, g.want)
+		}
+		if got := shapeModel(g.recs, g.bucket); got != g.want {
+			t.Errorf("%s: the reference model gives %s, want %s", g.name, got, g.want)
+		}
+	}
+}
+
+func TestGoldenRecordEncoding(t *testing.T) {
+	recs := goldenRecordSlice()
+	for i, g := range goldenRecords {
 		if got := hex.EncodeToString(g.rec.encode()); got != g.hex {
 			t.Errorf("record %d encodes to\n %s, want\n %s", i, got, g.hex)
 		}
@@ -61,6 +114,9 @@ func TestGoldenRecordEncoding(t *testing.T) {
 	}
 	if got := Digest(recs); got != goldenDigest {
 		t.Errorf("Digest = %s, want %s", got, goldenDigest)
+	}
+	if got := digestModel(recs); got != goldenDigest {
+		t.Errorf("the reference model digests to %s, want %s", got, goldenDigest)
 	}
 }
 

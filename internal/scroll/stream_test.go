@@ -1,12 +1,58 @@
 package scroll
 
 import (
+	"cmp"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"hash/fnv"
+	"maps"
+	"math/bits"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/vclock"
 )
+
+// shapeModel is the reference semantics of Shape, kept apart from the
+// streaming accumulator so that one is never its own oracle: count the
+// records of each (process, kind, Lamport window) in a map, render every
+// bucket as "proc|kind|window|log2count;" in (process, kind, window) order,
+// and hash the rendering with FNV-64a.
+func shapeModel(recs []Record, bucket uint64) string {
+	if bucket == 0 {
+		bucket = 1
+	}
+	type key struct {
+		proc string
+		kind Kind
+		win  uint64
+	}
+	counts := map[key]int{}
+	for _, r := range recs {
+		counts[key{r.Proc, r.Kind, r.Lamport / bucket}]++
+	}
+	keys := slices.SortedFunc(maps.Keys(counts), func(a, b key) int {
+		return cmp.Or(strings.Compare(a.proc, b.proc), cmp.Compare(a.kind, b.kind), cmp.Compare(a.win, b.win))
+	})
+	h := fnv.New64a()
+	for _, k := range keys {
+		fmt.Fprintf(h, "%s|%d|%d|%d;", k.proc, k.kind, k.win, bits.Len(uint(counts[k])))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// digestModel is the reference semantics of Digest: SHA-256 over the
+// records' encodings, one write per record.
+func digestModel(recs []Record) string {
+	h := sha256.New()
+	for i := range recs {
+		h.Write(recs[i].encode())
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // randomScrolls builds nProcs scrolls of minRecs..maxRecs random records. A
 // sorted scroll has nondecreasing Lamport timestamps — the invariant every
