@@ -248,39 +248,66 @@ func BenchmarkE9RunEarlyExit(b *testing.B) {
 	}
 }
 
-// fingerprintBenchSim records a merged multi-process execution once.
-func fingerprintBenchSim() *dsim.Sim {
-	s := dsim.New(dsim.Config{Seed: 7, MaxSteps: 50_000})
-	for id, m := range apps.NewTokenRing(apps.TokenRingConfig{N: 6, Rounds: 10}) {
+// fingerprintCases are the executions the E10 benchmarks fingerprint: a
+// short tokenring run, and a long 8-process one whose scrolls each span
+// several segments.
+var fingerprintCases = []struct {
+	name          string
+	procs, rounds int
+}{
+	{"ring6", 6, 10},
+	{"ring8_segments", 8, 400},
+}
+
+// fingerprintBenchSim records a tokenring execution once and returns it
+// with its record count.
+func fingerprintBenchSim(procs, rounds int) (*dsim.Sim, int) {
+	s := dsim.New(dsim.Config{Seed: 7, MaxSteps: 5_000_000})
+	for id, m := range apps.NewTokenRing(apps.TokenRingConfig{N: procs, Rounds: rounds}) {
 		s.AddProcess(id, m)
 	}
 	s.Run()
-	return s
+	records := 0
+	for _, sc := range s.Scrolls() {
+		records += sc.Len()
+	}
+	return s, records
 }
 
 // BenchmarkE10FingerprintStreaming measures the one-pass digest+shape over
 // per-process scrolls (the coverage signal of guided search).
 func BenchmarkE10FingerprintStreaming(b *testing.B) {
-	s := fingerprintBenchSim()
-	scrolls := s.Scrolls()
-	var fp scroll.Fingerprinter
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fp.Fingerprint(scrolls, chaos.ShapeBucket)
+	for _, c := range fingerprintCases {
+		b.Run(c.name, func(b *testing.B) {
+			s, records := fingerprintBenchSim(c.procs, c.rounds)
+			scrolls := s.Scrolls()
+			var fp scroll.Fingerprinter
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fp.Fingerprint(scrolls, chaos.ShapeBucket)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+		})
 	}
 }
 
-// BenchmarkE10FingerprintBatch measures the pre-change pipeline: material-
-// ize the merge, then digest and shape it in separate passes.
+// BenchmarkE10FingerprintBatch measures the same signatures by the batch
+// functions: materialize the merge, then digest and shape it in separate
+// passes.
 func BenchmarkE10FingerprintBatch(b *testing.B) {
-	s := fingerprintBenchSim()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		merged := s.MergedScroll()
-		scroll.Digest(merged)
-		scroll.Shape(merged, chaos.ShapeBucket)
+	for _, c := range fingerprintCases {
+		b.Run(c.name, func(b *testing.B) {
+			s, records := fingerprintBenchSim(c.procs, c.rounds)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				merged := s.MergedScroll()
+				scroll.Digest(merged)
+				scroll.Shape(merged, chaos.ShapeBucket)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+		})
 	}
 }
 

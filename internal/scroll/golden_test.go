@@ -135,7 +135,8 @@ func TestRecordSizeDoesNotGrow(t *testing.T) {
 // TestDecodeRejectsHostileClocks: clock entries no writer produces —
 // unsorted, duplicated or zero-valued — are corrupt, not canonicalised.
 func TestDecodeRejectsHostileClocks(t *testing.T) {
-	prefix := (&Record{Proc: "p", Kind: KindEnv}).appendEncodePrefix(nil)
+	enc := (&Record{Proc: "p", Kind: KindEnv}).encode()
+	prefix := enc[:len(enc)-1] // all but the zero clock's entry count
 	entry := func(id string, n byte) []byte { return append(append([]byte{byte(len(id))}, id...), n) }
 	for name, clock := range map[string][]byte{
 		"unsorted":        append(append([]byte{2}, entry("b", 1)...), entry("a", 1)...),

@@ -10,11 +10,13 @@
 package scroll
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"iter"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/vclock"
@@ -83,27 +85,34 @@ func (r *Record) encode() []byte {
 
 // appendEncode appends the record's binary encoding to buf and returns the
 // extended buffer. The produced bytes are identical to encode's for the
-// same record — the streaming Hasher depends on that.
+// same record — the streaming hasher depends on that.
 func (r *Record) appendEncode(buf []byte) []byte {
-	return appendEncodeClock(r.appendEncodePrefix(buf), r.Clock)
+	buf = appendString(r.appendEncodeKey(buf), r.Proc)
+	return appendEncodeClock(r.appendEncodeBody(buf), r.Clock)
 }
 
-// appendEncodePrefix appends everything up to (excluding) the clock
-// entries: kind, lamport, seq, the string fields and the payload.
-func (r *Record) appendEncodePrefix(buf []byte) []byte {
+// appendEncodeKey appends the fixed-width head of the encoding: kind,
+// lamport and seq.
+func (r *Record) appendEncodeKey(buf []byte) []byte {
 	buf = append(buf, byte(r.Kind))
 	buf = binary.LittleEndian.AppendUint64(buf, r.Lamport)
-	buf = binary.LittleEndian.AppendUint64(buf, r.Seq)
-	appendStr := func(s string) {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	appendStr(r.Proc)
-	appendStr(r.MsgID)
-	appendStr(r.Peer)
+	return binary.LittleEndian.AppendUint64(buf, r.Seq)
+}
+
+// appendEncodeBody appends the fields between the process and the clock:
+// msgID, peer and payload.
+func (r *Record) appendEncodeBody(buf []byte) []byte {
+	buf = appendString(buf, r.MsgID)
+	buf = appendString(buf, r.Peer)
 	buf = binary.AppendUvarint(buf, uint64(len(r.Payload)))
-	buf = append(buf, r.Payload...)
-	return buf
+	return append(buf, r.Payload...)
+}
+
+// appendString appends s uvarint-length-prefixed, as the encoding writes
+// every variable field.
+func appendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
 }
 
 // appendEncodeClock appends the clock-entry suffix of the encoding: the
@@ -119,12 +128,9 @@ func appendEncodeClock(buf []byte, clock vclock.VC) []byte {
 	}
 	buf = binary.AppendUvarint(buf, uint64(set))
 	for i, n := range counts {
-		if n == 0 {
-			continue
+		if n != 0 {
+			buf = binary.AppendUvarint(appendString(buf, ids[i]), n)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(ids[i])))
-		buf = append(buf, ids[i]...)
-		buf = binary.AppendUvarint(buf, n)
 	}
 	return buf
 }
@@ -132,14 +138,15 @@ func appendEncodeClock(buf []byte, clock vclock.VC) []byte {
 // Digest returns a hex SHA-256 over the binary encoding of the records.
 // Two runs with identical scrolls produce identical digests, so a digest
 // over a merged scroll is the replay-equality fingerprint the chaos
-// harness compares across runs. It is a thin wrapper over the streaming
-// Hasher; feed records incrementally to avoid materializing the slice.
+// harness compares across runs. The Fingerprinter computes it over several
+// scrolls' merge without materializing the merged slice.
 func Digest(recs []Record) string {
-	var h Hasher
+	var h hasher
+	h.reset()
 	for i := range recs {
-		h.Write(&recs[i])
+		h.write(&recs[i])
 	}
-	return h.Sum()
+	return h.digest()
 }
 
 // Shape returns a coarse event-shape signature of a record stream: for
@@ -155,16 +162,16 @@ func Digest(recs []Record) string {
 // the coverage signal for coverage-guided chaos search (internal/chaos):
 // the exact Digest distinguishes almost every schedule, so on its own
 // every fingerprint is a singleton; Shape deliberately aliases nearby
-// interleavings so "new shape" means behaviorally new.
-// Shape is a thin wrapper over the streaming ShapeAccumulator; feed records
-// incrementally to avoid materializing the slice.
+// interleavings so "new shape" means behaviorally new. The records may
+// come in any order; the Fingerprinter computes the signature over several
+// scrolls' merge without materializing the merged slice.
 func Shape(recs []Record, bucket uint64) string {
-	var a ShapeAccumulator
-	a.Reset(bucket)
+	var a shapeAcc
+	a.reset(bucket)
 	for i := range recs {
-		a.Add(&recs[i])
+		a.addNamed(&recs[i])
 	}
-	return a.Sum()
+	return a.sum()
 }
 
 // decodeRecord parses a record produced by encode. It accepts exactly what
@@ -254,6 +261,11 @@ type Scroll struct {
 	n        int        // records in the scroll
 	log      *wal.Log   // nil for in-memory scrolls
 	truncErr error      // deferred durable-truncation failure
+	// disorder is 1 + the index of the first record that sorts before its
+	// predecessor by Lamport time or names another process than the
+	// scroll's, 0 if none: a scroll without one streams straight into the
+	// Fingerprinter's merge. Every recording keeps it 0.
+	disorder int
 }
 
 // view is a read-only capture of a scroll's first n records. Append never
@@ -261,9 +273,10 @@ type Scroll struct {
 // new array), so a view taken under the lock may be read outside it; a
 // Truncate followed by Append overwrites slots and so invalidates it.
 type view struct {
-	head []Record
-	tail [][]Record
-	n    int
+	head   []Record
+	tail   [][]Record
+	n      int
+	sorted bool // Lamport-nondecreasing, every record of the scroll's process
 }
 
 // segs returns the number of segments holding the view's records.
@@ -346,6 +359,9 @@ func (s *Scroll) Proc() string { return s.proc }
 
 // push stores r as record n. Caller holds mu (or is the constructor).
 func (s *Scroll) push(r Record) {
+	if s.disorder == 0 && (r.Proc != s.proc || s.n > 0 && r.Lamport < s.at(s.n-1).Lamport) {
+		s.disorder = s.n + 1
+	}
 	if s.n < segLen {
 		s.head = append(s.head, r)
 		s.n++
@@ -364,6 +380,14 @@ func (s *Scroll) push(r Record) {
 	}
 	s.tail[k][i] = r
 	s.n++
+}
+
+// at returns record i. Caller holds mu.
+func (s *Scroll) at(i int) *Record {
+	if i < segLen {
+		return &s.head[i]
+	}
+	return &s.tail[i/segLen-1][i%segLen]
 }
 
 // Append records an action. The record's Proc and Seq are assigned by the
@@ -399,7 +423,9 @@ func (s *Scroll) records() view {
 }
 
 // view captures the scroll's records. Caller holds mu.
-func (s *Scroll) view() view { return view{head: s.head, tail: s.tail, n: s.n} }
+func (s *Scroll) view() view {
+	return view{head: s.head, tail: s.tail, n: s.n, sorted: s.disorder == 0}
+}
 
 // Records returns a copy of all records in order, as one slice.
 func (s *Scroll) Records() []Record {
@@ -431,6 +457,9 @@ func (s *Scroll) Truncate(seq uint64) {
 		return
 	}
 	s.n = int(seq)
+	if s.disorder > s.n {
+		s.disorder = 0
+	}
 	s.head = s.head[:min(s.n, segLen)]
 	s.tail = s.tail[:max(s.view().segs()-1, 0)]
 	if s.log != nil {
@@ -537,20 +566,25 @@ func (rp *Replayer) ExpectSend(peer string, payload []byte) error {
 // Merge combines the scrolls of several processes into one globally ordered
 // record sequence (by Lamport timestamp, then process ID, then sequence),
 // the "collective local logs ... combined and analyzed" view of paper §2.2.
+// Records equal in all three keep the order of the scrolls given.
 func Merge(scrolls ...*Scroll) []Record {
 	var all []Record
 	for _, s := range scrolls {
 		all = s.records().appendTo(all)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
+	sortMerged(all)
+	return all
+}
+
+// sortMerged sorts records into Merge's order, stably.
+func sortMerged(recs []Record) {
+	slices.SortStableFunc(recs, func(a, b Record) int {
 		if a.Lamport != b.Lamport {
-			return a.Lamport < b.Lamport
+			return cmp.Compare(a.Lamport, b.Lamport)
 		}
 		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
+			return strings.Compare(a.Proc, b.Proc)
 		}
-		return a.Seq < b.Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
-	return all
 }

@@ -1,143 +1,213 @@
 package scroll
 
 // Streaming fingerprints: the chaos engine fingerprints every run by the
-// SHA-256 digest and the coarse event-shape signature of the merged scroll.
-// The batch path (Merge + Digest + Shape) materializes every record three
-// times and allocates an encode buffer per record; at matrix throughput
-// that is a double-digit percentage of the whole run. The types here
-// compute both signatures in one pass that allocates nothing once warm, fed
-// record by record, and the Fingerprinter performs the global Lamport merge as a
-// k-way merge over the per-process scrolls without materializing the
-// merged slice. Output is byte-identical to the batch functions, which are
-// now thin wrappers (see TestStreamingMatchesBatch).
+// SHA-256 Digest and the coarse Shape of the merged scroll, so the
+// Fingerprinter computes both in one pass over the per-process scrolls that
+// costs little more than hashing the same bytes, and allocates nothing once
+// warm:
+//
+//   - Merge. The scrolls are merged in place in Merge's order — Lamport
+//     time, process, sequence, then argument position — with each process
+//     ranked once per pass. The merge gallops: it picks the scroll whose
+//     head sorts first and emits its records for as long as they sort
+//     before the runner-up's head, so the heads are scanned once per run of
+//     records, not once per record.
+//   - Hashing. Records are encoded back to back into one reused buffer that
+//     SHA-256 sees a block of at least hashBlock bytes at a time. A scroll's
+//     process field is encoded once per pass, a clock table's id column
+//     once per table, and a clock snapshot once for the records sharing it.
+//   - Shape. Each process appends a (kind, window, count) run as its records
+//     move to a new window; windows never decrease within a sorted scroll,
+//     so there every shape bucket is one run. The runs are sorted and equal
+//     buckets merged once, at the end: no hash map is touched per record.
+//   - Sortedness. A Scroll notes at Append and Truncate whether it is still
+//     Lamport-nondecreasing. Every recording is; scrolls that are not
+//     (hand-built data) are merged by sorting a materialized copy.
+//
+// The output is byte-identical to Digest and Shape over Merge: see
+// TestStreamingMatchesBatch and FuzzFingerprint, and the goldens the
+// test-only reference models reproduce.
 
 import (
 	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"hash"
 	"math/bits"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/vclock"
 )
 
-// Hasher incrementally computes Digest over a record stream: Write each
-// record in merged order, then Sum. The encode buffer is reused across
-// records, so a warm Hasher appends records without allocating. The zero
-// value is ready to use; Reset recycles it.
-type Hasher struct {
+// hashBlock is the least the hasher hands SHA-256 at once: a write per
+// ~100-byte record costs more in call overhead than the block function
+// spends on the record.
+const hashBlock = 8 << 10
+
+// hasher computes Digest over a record stream: encoded records collect in
+// buf, which is hashed whenever it holds a block. reset before the first
+// record; digest ends the stream.
+type hasher struct {
 	h   hash.Hash
 	buf []byte
 	sum [sha256.Size]byte
 	hex [2 * sha256.Size]byte
 }
 
-// Reset discards accumulated state, keeping the scratch buffers.
-func (h *Hasher) Reset() {
-	if h.h != nil {
-		h.h.Reset()
+func (h *hasher) reset() {
+	if h.h == nil {
+		h.h, h.buf = sha256.New(), make([]byte, 0, hashBlock+hashBlock/2)
+	}
+	h.h.Reset()
+	h.buf = h.buf[:0]
+}
+
+// flush hashes the buffered records once they fill a block.
+func (h *hasher) flush() {
+	if len(h.buf) >= hashBlock {
+		h.h.Write(h.buf)
+		h.buf = h.buf[:0]
 	}
 }
 
-// Write feeds one record to the digest.
-func (h *Hasher) Write(r *Record) {
-	if h.h == nil {
-		h.h = sha256.New()
-	}
-	h.buf = r.appendEncode(h.buf[:0])
+// write feeds one record to the digest.
+func (h *hasher) write(r *Record) {
+	h.buf = r.appendEncode(h.buf)
+	h.flush()
+}
+
+// digest returns the hex SHA-256 of the records written since reset.
+func (h *hasher) digest() string {
 	h.h.Write(h.buf)
-}
-
-// writeCached feeds one record whose clock suffix was already encoded
-// (the Fingerprinter caches it per scroll: consecutive records of a
-// process share one immutable clock snapshot between Lamport ticks, so
-// re-encoding it for every record is mostly redundant work).
-func (h *Hasher) writeCached(r *Record, clockSuffix []byte) {
-	if h.h == nil {
-		h.h = sha256.New()
-	}
-	h.buf = r.appendEncodePrefix(h.buf[:0])
-	h.buf = append(h.buf, clockSuffix...)
-	h.h.Write(h.buf)
-}
-
-// Sum returns the hex SHA-256 of the records written so far — identical to
-// Digest over the same record sequence.
-func (h *Hasher) Sum() string {
-	if h.h == nil {
-		h.h = sha256.New()
-	}
+	h.buf = h.buf[:0]
 	h.h.Sum(h.sum[:0])
 	hex.Encode(h.hex[:], h.sum[:])
 	return string(h.hex[:])
 }
 
-// shapeKey buckets a record for the event-shape signature. The process is
-// its index in the accumulator's name table, so a key is sixteen bytes
-// without a pointer: hashing and comparing one never touches a name.
-type shapeKey struct {
-	win  uint64
-	proc uint32
-	kind uint32 // a Kind, widened: no padding, so the key hashes and compares as sixteen plain bytes
+// shapeRun counts records of one group — one process and kind — in one
+// Lamport window: one shape bucket, or a part of it, as a stream out of
+// Lamport order may visit a bucket in several runs, which sum adds up.
+type shapeRun struct {
+	win, count uint64
+	group      uint32
 }
 
-// ShapeAccumulator incrementally computes Shape over a record stream: Add
-// each record (any order — the signature is order-independent), then Sum.
-// Reset recycles the internal map and scratch for the next stream.
-type ShapeAccumulator struct {
+// shapeGroup is the runs of one lane and kind; n counts them.
+type shapeGroup struct {
+	lane, kind uint32
+	n          int
+}
+
+// shapeLane is one process's place in its shape buckets: the window of its
+// latest record (lo is the window's first Lamport time) and, per kind, 1 +
+// the index in runs of its latest run of that kind (0 before the first).
+type shapeLane struct {
+	lo, win uint64
+	open    [256]uint32
+}
+
+// shapeAcc computes Shape over a record stream in any order. A lane is one
+// process (the Fingerprinter opens one per scroll, so two scrolls of one
+// name are two lanes of one rank); records are added to a lane, or by
+// process name.
+type shapeAcc struct {
 	bucket uint64
-	counts map[shapeKey]int
-	// procs is the name table, in first-seen order; last is the index of the
-	// process of the record added last. A stream has a handful of processes
-	// and names them by the same interned string record after record, so a
-	// miss on last is a short scan that mostly compares pointers.
-	procs []string
-	last  uint32
-	// Scratch for Sum.
+	names  []string // lane i's process is names[i]
+	lanes  []shapeLane
+	last   int // the lane addNamed found last
+	groups []shapeGroup
+	runs   []shapeRun
+	// order lists the lanes by name; rank[i] is the position in order of the
+	// first lane named as lane i is.
 	order, rank []uint32
-	keys        []shapeKey
-	buf         []byte
+	// Scratch for sum: the groups in bucket order, and the runs laid out in it.
+	byKey  []uint32
+	sorted []shapeRun
+	buf    []byte
 }
 
-// Reset prepares the accumulator for a new stream with the given Lamport
+// reset prepares the accumulator for a new stream with the given Lamport
 // bucket width (0 means 1, as in Shape).
-func (a *ShapeAccumulator) Reset(bucket uint64) {
-	if bucket == 0 {
-		bucket = 1
-	}
-	a.bucket = bucket
-	if a.counts == nil {
-		a.counts = make(map[shapeKey]int)
-	} else {
-		clear(a.counts)
-	}
-	clear(a.procs) // names belong to scrolls that are recycled
-	a.procs, a.last = a.procs[:0], 0
+func (a *shapeAcc) reset(bucket uint64) {
+	a.bucket = max(bucket, 1)
+	clear(a.names) // names belong to scrolls that are recycled
+	a.names, a.lanes, a.groups, a.runs, a.last = a.names[:0], a.lanes[:0], a.groups[:0], a.runs[:0], 0
 }
 
-// Add feeds one record to the signature.
-func (a *ShapeAccumulator) Add(r *Record) {
-	if a.counts == nil {
-		a.Reset(a.bucket)
+// newLane opens a lane for the named process and returns its index.
+func (a *shapeAcc) newLane(proc string) int {
+	a.names = append(a.names, proc)
+	if n := len(a.lanes); n < cap(a.lanes) {
+		a.lanes = a.lanes[:n+1]
+		a.lanes[n] = shapeLane{}
+	} else {
+		a.lanes = append(a.lanes, shapeLane{})
 	}
-	i := a.last
-	if int(i) >= len(a.procs) || a.procs[i] != r.Proc {
-		at := slices.Index(a.procs, r.Proc)
-		if at < 0 {
-			at = len(a.procs)
-			a.procs = append(a.procs, r.Proc)
+	return len(a.lanes) - 1
+}
+
+// add counts r in lane i.
+func (a *shapeAcc) add(i int, r *Record) {
+	l := &a.lanes[i]
+	if r.Lamport-l.lo >= a.bucket { // wraps, and so holds, when r is before lo
+		l.win = r.Lamport / a.bucket
+		l.lo = l.win * a.bucket
+	}
+	var g uint32
+	if j := l.open[r.Kind]; j != 0 {
+		run := &a.runs[j-1]
+		if run.win == l.win {
+			run.count++
+			return
 		}
-		i = uint32(at)
+		g = run.group
+	} else {
+		g = uint32(len(a.groups))
+		a.groups = append(a.groups, shapeGroup{lane: uint32(i), kind: uint32(r.Kind)})
+	}
+	a.groups[g].n++
+	a.runs = append(a.runs, shapeRun{win: l.win, count: 1, group: g})
+	l.open[r.Kind] = uint32(len(a.runs))
+}
+
+// addNamed counts r in the first lane of r's process, opened at its first
+// record. A stream has a handful of processes and names each by one
+// interned string, so a miss on the last lane is a short scan that mostly
+// compares pointers.
+func (a *shapeAcc) addNamed(r *Record) {
+	i := a.last
+	if i >= len(a.names) || a.names[i] != r.Proc {
+		if i = slices.Index(a.names, r.Proc); i < 0 {
+			i = a.newLane(r.Proc)
+		}
 		a.last = i
 	}
-	a.counts[shapeKey{r.Lamport / a.bucket, i, uint32(r.Kind)}]++
+	a.add(i, r)
 }
 
-// FNV-64a parameters (hash/fnv), applied inline so Sum hashes the canonical
+// rankLanes orders the lanes by process name into order and rank.
+func (a *shapeAcc) rankLanes() {
+	order := a.order[:0]
+	for i := range a.names {
+		order = append(order, uint32(i))
+	}
+	slices.SortFunc(order, func(x, y uint32) int { return strings.Compare(a.names[x], a.names[y]) })
+	rank := slices.Grow(a.rank[:0], len(order))[:len(order)]
+	first := 0
+	for pos, i := range order {
+		if a.names[i] != a.names[order[first]] {
+			first = pos
+		}
+		rank[i] = uint32(first)
+	}
+	a.order, a.rank = order, rank
+}
+
+// FNV-64a parameters (hash/fnv), applied inline so sum hashes the canonical
 // rendering without an fmt round-trip or a hash.Hash allocation.
 const (
 	fnvOffset64 = 14695981039346656037
@@ -151,78 +221,98 @@ func fnvUpdate(h uint64, b []byte) uint64 {
 	return h
 }
 
-// Sum returns the shape signature of the records added so far — identical
-// to Shape over the same records. The canonical rendering hashed per bucket
-// is "proc|kind|window|log2count;", exactly the bytes the fmt-based
-// implementation produced, buckets in (proc name, kind, window) order.
-func (a *ShapeAccumulator) Sum() string {
-	if a.counts == nil {
-		a.Reset(a.bucket)
+// sum returns the shape signature of the records added since reset. The
+// canonical rendering hashed per bucket is "proc|kind|window|log2count;",
+// buckets in (process name, kind, window) order. The groups are sorted
+// into that order, and the runs laid out group by group in stream order,
+// which within a group of a sorted scroll is window order already; only a
+// group that is not gets its runs sorted.
+func (a *shapeAcc) sum() string {
+	a.rankLanes()
+	key := func(g uint32) (uint32, uint32) { return a.rank[a.groups[g].lane], a.groups[g].kind }
+	byKey := a.byKey[:0]
+	for g := range a.groups {
+		byKey = append(byKey, uint32(g))
 	}
-	// Index order becomes name order: order lists the indices by name, rank
-	// is its inverse.
-	order, rank := a.order[:0], a.rank[:0]
-	for i := range a.procs {
-		order, rank = append(order, uint32(i)), append(rank, 0)
-	}
-	slices.SortFunc(order, func(x, y uint32) int { return strings.Compare(a.procs[x], a.procs[y]) })
-	for pos, i := range order {
-		rank[i] = uint32(pos)
-	}
-	keys := a.keys[:0]
-	for k := range a.counts {
-		k.proc = rank[k.proc] // sorts as the name does
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(x, y shapeKey) int {
-		if x.proc != y.proc {
-			return cmp.Compare(x.proc, y.proc)
+	slices.SortFunc(byKey, func(x, y uint32) int {
+		rx, kx := key(x)
+		ry, ky := key(y)
+		if rx != ry {
+			return cmp.Compare(rx, ry)
 		}
-		if x.kind != y.kind {
-			return cmp.Compare(x.kind, y.kind)
-		}
-		return cmp.Compare(x.win, y.win)
+		return cmp.Compare(kx, ky)
 	})
-	a.order, a.rank, a.keys = order, rank, keys
+	end := 0
+	for _, g := range byKey {
+		end += a.groups[g].n
+		a.groups[g].n = end
+	}
+	sorted := slices.Grow(a.sorted[:0], len(a.runs))[:len(a.runs)]
+	for i := len(a.runs) - 1; i >= 0; i-- { // from the back, so n ends at the group's first run
+		g := &a.groups[a.runs[i].group]
+		g.n--
+		sorted[g.n] = a.runs[i]
+	}
+	a.byKey, a.sorted = byKey, sorted
+
 	h := uint64(fnvOffset64)
-	for _, k := range keys {
-		k.proc = order[k.proc] // the index again: what counts is keyed by
-		buf := append(a.buf[:0], a.procs[k.proc]...)
-		buf = append(buf, '|')
-		buf = strconv.AppendUint(buf, uint64(k.kind), 10)
-		buf = append(buf, '|')
-		buf = strconv.AppendUint(buf, k.win, 10)
-		buf = append(buf, '|')
-		buf = strconv.AppendUint(buf, uint64(bits.Len(uint(a.counts[k]))), 10)
-		buf = append(buf, ';')
-		a.buf = buf
-		h = fnvUpdate(h, buf)
+	for i := 0; i < len(byKey); {
+		// Groups of one key (lanes of one name) are adjacent; so are their runs.
+		first := a.groups[byKey[i]]
+		rank, kind := key(byKey[i])
+		for i++; i < len(byKey); i++ {
+			if r, k := key(byKey[i]); r != rank || k != kind {
+				break
+			}
+		}
+		end := len(sorted)
+		if i < len(byKey) {
+			end = a.groups[byKey[i]].n
+		}
+		runs := sorted[first.n:end]
+		byWin := func(x, y shapeRun) int { return cmp.Compare(x.win, y.win) }
+		if !slices.IsSortedFunc(runs, byWin) {
+			slices.SortFunc(runs, byWin)
+		}
+		for j := 0; j < len(runs); {
+			win, count := runs[j].win, runs[j].count
+			for j++; j < len(runs) && runs[j].win == win; j++ {
+				count += runs[j].count
+			}
+			buf := append(a.buf[:0], a.names[first.lane]...)
+			buf = append(buf, '|')
+			buf = strconv.AppendUint(buf, uint64(kind), 10)
+			buf = append(buf, '|')
+			buf = strconv.AppendUint(buf, win, 10)
+			buf = append(buf, '|')
+			buf = strconv.AppendUint(buf, uint64(bits.Len64(count)), 10)
+			buf = append(buf, ';')
+			a.buf = buf
+			h = fnvUpdate(h, buf)
+		}
 	}
 	var out [16]byte
 	var raw [8]byte
-	for i := 7; i >= 0; i-- { // big-endian, as hash.Hash64.Sum renders
-		raw[i] = byte(h)
-		h >>= 8
-	}
+	binary.BigEndian.PutUint64(raw[:], h) // as hash.Hash64.Sum renders
 	hex.Encode(out[:], raw[:])
 	return string(out[:])
 }
 
-// cursor is one scroll's read position during the k-way merge — seg is
-// segment k of v, pos the next record in it — plus its clock-suffix cache:
-// clockBytes is the encoded suffix of clock. Record clocks are immutable by
-// convention and the simulator shares one snapshot across the records
-// between two ticks, so handle equality is both sound and frequent. Holding
-// the handle keeps the snapshot alive, so its address cannot come back as a
-// different clock while it is cached.
+// cursor is one scroll's read position during the merge — seg is segment k
+// of v, pos the next record in it — and what its records share, encoded:
+// proc is the process field, and clock the clock suffix.
 type cursor struct {
-	v          view
-	k          int
-	seg        []Record
-	pos        int
-	clock      vclock.VC
-	clockBytes []byte
+	v      view
+	k, pos int
+	seg    []Record
+	i      int    // the argument position, and the shape lane
+	rank   uint32 // the process name's rank: see shapeAcc.rankLanes
+	proc   []byte
+	clock  clockEncoder
 }
+
+// head returns the record at the cursor.
+func (c *cursor) head() *Record { return &c.seg[c.pos] }
 
 // next steps past the current record, into the next segment when this one
 // is used up, and reports whether a record is left.
@@ -239,130 +329,196 @@ func (c *cursor) next() bool {
 	return true
 }
 
+// before reports whether c's head sorts before d's in Merge's order: by
+// Lamport time, process, sequence, then argument position.
+func (c *cursor) before(d *cursor) bool {
+	a, b := c.head(), d.head()
+	if a.Lamport != b.Lamport {
+		return a.Lamport < b.Lamport
+	}
+	if c.rank != d.rank {
+		return c.rank < d.rank
+	}
+	if a.Seq != b.Seq {
+		return a.Seq < b.Seq
+	}
+	return c.i < d.i
+}
+
 // Fingerprinter computes the digest and shape of the globally merged record
 // stream of several scrolls in one pass, without materializing the merged
 // slice. It is reusable — the chaos runner keeps one per worker — and not
 // safe for concurrent use.
-//
-// The merge assumes each scroll is Lamport-nondecreasing, which every
-// substrate recording guarantees (Lamport clocks only advance, and a
-// rollback truncates the scroll without rewinding the clock). Scrolls that
-// violate the assumption — e.g. hand-built test data — are detected by a
-// linear pre-scan and handled by sorting a materialized copy, so the result
-// always matches Digest/Shape over Merge.
 type Fingerprinter struct {
-	hasher  Hasher
-	shape   ShapeAccumulator
+	hasher  hasher
+	shape   shapeAcc
 	cursors []cursor
-	all     []Record // fallback scratch for unsorted scrolls
+	live    []*cursor
+	all     []Record // the merge of unsorted scrolls
 }
 
-// Fingerprint merges the scrolls in global (Lamport, proc, seq) order —
-// exactly Merge's order — and returns the Digest and Shape (with the given
-// bucket width) of the merged stream.
+// Fingerprint merges the scrolls in Merge's order and returns the Digest
+// and Shape (with the given bucket width) of the merged stream.
 func (f *Fingerprinter) Fingerprint(scrolls []*Scroll, bucket uint64) (digest, shape string) {
-	f.cursors = f.cursors[:0]
+	f.hasher.reset()
+	f.shape.reset(bucket)
 	sorted := true
 	for _, s := range scrolls {
 		v := s.records()
 		if v.n == 0 {
 			continue
 		}
-		var last uint64
-		for r := range v.all {
-			if r.Lamport < last {
-				sorted = false
-				break
-			}
-			last = r.Lamport
-		}
-		// Grow in place so each slot keeps its clock-cache scratch from
-		// earlier passes; only the record view and positions are reset, and
-		// the cache restarts at the zero VC every pass ends on.
-		if n := len(f.cursors); n < cap(f.cursors) {
+		sorted = sorted && v.sorted
+		// Grow in place so each slot keeps its scratch from earlier passes.
+		n := len(f.cursors)
+		if n < cap(f.cursors) {
 			f.cursors = f.cursors[:n+1]
 		} else {
 			f.cursors = append(f.cursors, cursor{})
 		}
-		c := &f.cursors[len(f.cursors)-1]
-		c.v, c.k, c.seg, c.pos = v, 0, v.seg(0), 0
-		c.clockBytes = appendEncodeClock(c.clockBytes[:0], c.clock)
+		c := &f.cursors[n]
+		c.v, c.k, c.seg, c.pos, c.i = v, 0, v.seg(0), 0, f.shape.newLane(s.proc)
+		c.proc = appendString(c.proc[:0], s.proc)
+		c.clock.reset()
 	}
-	n := len(f.cursors)
-	f.hasher.Reset()
-	f.shape.Reset(bucket)
 	if sorted {
 		f.merge()
 	} else {
 		f.mergeUnsorted()
 	}
-	digest, shape = f.hasher.Sum(), f.shape.Sum()
-	for i := range f.cursors[:n] { // drop record and clock references: scrolls are recycled
-		f.cursors[i].v, f.cursors[i].seg, f.cursors[i].clock = view{}, nil, vclock.VC{}
+	digest, shape = f.hasher.digest(), f.shape.sum()
+	for i := range f.cursors { // drop record and clock references: scrolls are recycled
+		f.cursors[i].v, f.cursors[i].seg = view{}, nil
+		f.cursors[i].clock.reset()
 	}
 	f.cursors = f.cursors[:0]
+	clear(f.all)
 	f.all = f.all[:0]
 	return digest, shape
 }
 
-// feed pushes one merged record through both signatures, reusing c's
-// encoded clock suffix when the record's clock is the cached snapshot.
-func (f *Fingerprinter) feed(r *Record, c *cursor) {
-	if c == nil {
-		f.hasher.Write(r)
-	} else {
-		if r.Clock != c.clock {
-			c.clock, c.clockBytes = r.Clock, appendEncodeClock(c.clockBytes[:0], r.Clock)
-		}
-		f.hasher.writeCached(r, c.clockBytes)
-	}
-	f.shape.Add(r)
-}
-
-// merge streams the cursors in (Lamport, proc, seq) order. The cursor count
-// is the process count — single digits — so a linear min scan beats a heap.
+// merge streams the cursors of sorted scrolls in Merge's order. There is a
+// cursor per process — single digits — so a linear scan for the two
+// smallest heads beats a heap.
 func (f *Fingerprinter) merge() {
-	live := f.cursors
-	for len(live) > 0 {
-		minI := 0
-		minR := &live[0].seg[live[0].pos]
-		for i := 1; i < len(live); i++ {
-			r := &live[i].seg[live[i].pos]
-			if r.Lamport < minR.Lamport ||
-				(r.Lamport == minR.Lamport && (r.Proc < minR.Proc ||
-					(r.Proc == minR.Proc && r.Seq < minR.Seq))) {
-				minI, minR = i, r
+	f.shape.rankLanes()
+	live := f.live[:0]
+	for i := range f.cursors {
+		c := &f.cursors[i]
+		c.rank = f.shape.rank[c.i]
+		live = append(live, c)
+	}
+	for len(live) > 1 {
+		m, r := 0, 1 // the cursors with the first and second head
+		if live[1].before(live[0]) {
+			m, r = 1, 0
+		}
+		for i := 2; i < len(live); i++ {
+			if live[i].before(live[m]) {
+				m, r = i, m
+			} else if live[i].before(live[r]) {
+				r = i
 			}
 		}
-		f.feed(minR, &live[minI])
-		if !live[minI].next() {
-			// Swap-remove: the exhausted cursor parks beyond len with its
-			// scratch intact for the next pass.
-			live[minI], live[len(live)-1] = live[len(live)-1], live[minI]
-			live = live[:len(live)-1]
+		c, runnerUp := live[m], live[r]
+		for {
+			f.emit(c)
+			if !c.next() {
+				live = slices.Delete(live, m, m+1) // keeps the rest in argument order
+				break
+			}
+			if !c.before(runnerUp) {
+				break
+			}
 		}
 	}
+	if len(live) == 1 {
+		for c := live[0]; ; {
+			f.emit(c)
+			if !c.next() {
+				break
+			}
+		}
+	}
+	clear(live[:cap(live)]) // pointers into cursors a later pass may reallocate
+	f.live = live[:0]
 }
 
-// mergeUnsorted is the fallback for scrolls recorded out of Lamport order:
-// materialize, sort with Merge's comparator, and stream.
+// emit feeds c's head to both signatures, encoded with the process field
+// and clock suffix c keeps.
+func (f *Fingerprinter) emit(c *cursor) {
+	r := c.head()
+	h := &f.hasher
+	h.buf = append(r.appendEncodeBody(append(r.appendEncodeKey(h.buf), c.proc...)), c.clock.encode(r.Clock)...)
+	h.flush()
+	f.shape.add(c.i, r)
+}
+
+// clockEncoder encodes the clocks of one process's records in turn
+// (appendEncodeClock's bytes). Record clocks are immutable by convention
+// and the simulator shares one snapshot across the records between two
+// ticks, so a record carrying the snapshot encoded last reuses its bytes;
+// holding the handle keeps the snapshot alive, so its address cannot come
+// back as a different clock while it is cached. The id column of the
+// clocks' table is encoded once.
+type clockEncoder struct {
+	clock vclock.VC // the snapshot bytes encodes
+	bytes []byte
+	// The id column of the table tab: id i encodes as ids[end[i-1]:end[i]].
+	tab *vclock.Table
+	ids []byte
+	end []int
+}
+
+// reset forgets every clock, keeping the buffers.
+func (e *clockEncoder) reset() {
+	e.clock, e.tab = vclock.VC{}, nil
+	e.bytes = appendEncodeClock(e.bytes[:0], e.clock)
+}
+
+// encode returns clock's encoding, valid until the next call.
+func (e *clockEncoder) encode(clock vclock.VC) []byte {
+	if clock == e.clock {
+		return e.bytes
+	}
+	e.clock = clock
+	ids, counts := clock.Entries()
+	if t := clock.Table(); t != e.tab {
+		e.tab, e.ids, e.end = t, e.ids[:0], slices.Grow(e.end[:0], len(ids))
+		for _, id := range ids {
+			e.ids = appendString(e.ids, id)
+			e.end = append(e.end, len(e.ids))
+		}
+	}
+	set := 0
+	for _, n := range counts {
+		if n != 0 {
+			set++
+		}
+	}
+	buf := binary.AppendUvarint(e.bytes[:0], uint64(set))
+	start := 0
+	for i, n := range counts {
+		if n != 0 {
+			buf = binary.AppendUvarint(append(buf, e.ids[start:e.end[i]]...), n)
+		}
+		start = e.end[i]
+	}
+	e.bytes = buf
+	return buf
+}
+
+// mergeUnsorted is the merge of scrolls recorded out of Lamport order:
+// materialize, sort as Merge does, and stream.
 func (f *Fingerprinter) mergeUnsorted() {
 	all := f.all[:0]
 	for _, c := range f.cursors {
 		all = c.v.appendTo(all)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Lamport != b.Lamport {
-			return a.Lamport < b.Lamport
-		}
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		return a.Seq < b.Seq
-	})
+	sortMerged(all)
 	for i := range all {
-		f.feed(&all[i], nil)
+		f.hasher.write(&all[i])
+		f.shape.addNamed(&all[i])
 	}
 	f.all = all
 }

@@ -54,33 +54,59 @@ func digestModel(recs []Record) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// randomScrolls builds nProcs scrolls of minRecs..maxRecs random records. A
-// sorted scroll has nondecreasing Lamport timestamps — the invariant every
-// substrate recording upholds and the streaming merge relies on; an unsorted
-// one draws them at random, which only hand-built data does.
-func randomScrolls(rng *rand.Rand, nProcs, minRecs, maxRecs int, sorted bool) []*Scroll {
-	kinds := []Kind{KindRecv, KindSend, KindRandom, KindTime, KindEnv, KindCkpt, KindFault, KindCustom}
-	scrolls := make([]*Scroll, nProcs)
+// scrollSpec shapes the scrolls randomScrolls builds.
+type scrollSpec struct {
+	scrolls          int
+	minRecs, maxRecs int
+	// names is the number of distinct process names (0: one per scroll);
+	// fewer than scrolls makes scrolls share a name, as no recording does
+	// but Merge and the Fingerprinter must still agree on.
+	names int
+	// maxStep bounds the Lamport step between records of a scroll: 0 makes
+	// every record of every scroll tie.
+	maxStep int
+	// unsorted draws Lamport times at random instead, out of order as only
+	// hand-built data is.
+	unsorted bool
+	// empty is the chance in 8 that a scroll gets no records.
+	empty int
+}
+
+// shapeKinds are the kinds randomScrolls draws from: every named kind, and
+// two (0 and 200) no recording writes.
+var shapeKinds = []Kind{0, KindRecv, KindSend, KindRandom, KindTime, KindEnv, KindCkpt, KindFault, KindCustom, 200}
+
+// randomScrolls builds scrolls of random records as sp describes. A sorted
+// scroll has nondecreasing Lamport timestamps — the invariant every
+// substrate recording upholds and the streaming merge relies on.
+func randomScrolls(rng *rand.Rand, sp scrollSpec) []*Scroll {
+	names := sp.names
+	if names == 0 {
+		names = sp.scrolls
+	}
+	scrolls := make([]*Scroll, sp.scrolls)
 	for p := range scrolls {
-		proc := fmt.Sprintf("p%d", p)
-		s := NewMemory(proc)
-		lam := uint64(0)
-		n := minRecs + rng.Intn(maxRecs-minRecs+1)
+		s := NewMemory(fmt.Sprintf("p%d", p%names))
+		lam := uint64(rng.Intn(3))
+		n := sp.minRecs + rng.Intn(sp.maxRecs-sp.minRecs+1)
+		if rng.Intn(8) < sp.empty {
+			n = 0
+		}
 		for i := 0; i < n; i++ {
-			lam += uint64(rng.Intn(3)) // nondecreasing, with ties
-			if !sorted {
-				lam = uint64(rng.Intn(2 * maxRecs))
+			lam += uint64(rng.Intn(sp.maxStep + 1))
+			if sp.unsorted {
+				lam = uint64(rng.Intn(2*sp.maxRecs + 1))
 			}
 			clock := vclock.New()
-			for c := 0; c <= rng.Intn(nProcs); c++ {
-				clock.Set(fmt.Sprintf("p%d", rng.Intn(nProcs)), uint64(rng.Intn(50)))
+			for c := 0; c <= rng.Intn(names); c++ {
+				clock.Set(fmt.Sprintf("p%d", rng.Intn(names)), uint64(rng.Intn(50)))
 			}
 			payload := make([]byte, rng.Intn(24))
 			rng.Read(payload)
 			s.Append(Record{
-				Kind:    kinds[rng.Intn(len(kinds))],
+				Kind:    shapeKinds[rng.Intn(len(shapeKinds))],
 				MsgID:   fmt.Sprintf("m%d", rng.Intn(40)),
-				Peer:    fmt.Sprintf("p%d", rng.Intn(nProcs)),
+				Peer:    fmt.Sprintf("p%d", rng.Intn(names)),
 				Payload: payload,
 				Lamport: lam,
 				Clock:   clock,
@@ -91,48 +117,144 @@ func randomScrolls(rng *rand.Rand, nProcs, minRecs, maxRecs int, sorted bool) []
 	return scrolls
 }
 
-// TestStreamingMatchesBatch is the 50-seed property: over randomized
-// multi-process scrolls, the streaming Fingerprinter (k-way merge, cached
-// clock suffixes) produces exactly the Digest and Shape of the batch
-// Merge+Digest+Shape pipeline, and the incremental Hasher/ShapeAccumulator
-// match the batch functions record-for-record. The last seeds build scrolls
-// of three segments and more, in and out of Lamport order, so the merge
-// cursor and the sort fallback both cross segment boundaries.
-func TestStreamingMatchesBatch(t *testing.T) {
-	var fp Fingerprinter // deliberately reused across seeds, like the chaos runner
-	for seed := int64(1); seed <= 56; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		minRecs, maxRecs, sorted := 0, 60, true
-		if seed > 50 {
-			minRecs, maxRecs, sorted = 3*segLen, 4*segLen+1, seed%2 == 0
+// checkFingerprint fingerprints the scrolls with fp at every bucket width
+// and compares both signatures with the batch functions over Merge and
+// with the reference models over it.
+func checkFingerprint(t *testing.T, fp *Fingerprinter, scrolls []*Scroll, what string) {
+	t.Helper()
+	merged := Merge(scrolls...)
+	wantDigest := digestModel(merged)
+	if got := Digest(merged); got != wantDigest {
+		t.Fatalf("%s: Digest %s != model %s", what, got, wantDigest)
+	}
+	for _, bucket := range []uint64{0, 1, 16, 64} {
+		wantShape := shapeModel(merged, bucket)
+		if got := Shape(merged, bucket); got != wantShape {
+			t.Fatalf("%s, bucket %d: Shape %s != model %s", what, bucket, got, wantShape)
 		}
-		scrolls := randomScrolls(rng, 2+rng.Intn(5), minRecs, maxRecs, sorted)
-		merged := Merge(scrolls...)
-		wantDigest := Digest(merged)
-		wantShape := Shape(merged, 16)
-
-		gotDigest, gotShape := fp.Fingerprint(scrolls, 16)
+		gotDigest, gotShape := fp.Fingerprint(scrolls, bucket)
 		if gotDigest != wantDigest {
-			t.Fatalf("seed %d: streaming digest %s != batch %s", seed, gotDigest, wantDigest)
+			t.Fatalf("%s, bucket %d: streaming digest %s != batch %s", what, bucket, gotDigest, wantDigest)
 		}
 		if gotShape != wantShape {
-			t.Fatalf("seed %d: streaming shape %s != batch %s", seed, gotShape, wantShape)
-		}
-
-		var h Hasher
-		var a ShapeAccumulator
-		a.Reset(16)
-		for i := range merged {
-			h.Write(&merged[i])
-			a.Add(&merged[i])
-		}
-		if got := h.Sum(); got != wantDigest {
-			t.Fatalf("seed %d: incremental Hasher %s != Digest %s", seed, got, wantDigest)
-		}
-		if got := a.Sum(); got != wantShape {
-			t.Fatalf("seed %d: incremental ShapeAccumulator %s != Shape %s", seed, got, wantShape)
+			t.Fatalf("%s, bucket %d: streaming shape %s != batch %s", what, bucket, gotShape, wantShape)
 		}
 	}
+}
+
+// TestStreamingMatchesBatch is the differential: over randomized scrolls,
+// the streaming Fingerprinter (galloping merge, block hashing, shape runs)
+// produces exactly the Digest and Shape of Merge, and those match the
+// reference models. The seeds mix same-named scrolls, the kinds 0 and 200,
+// many-way Lamport ties and empty scrolls; the last seeds build scrolls of
+// three segments and more, in and out of Lamport order, so the merge
+// cursor and the sort fallback both cross segment boundaries. One
+// Fingerprinter serves every case, as the chaos runner's does, growing to
+// eight cursors and shrinking again.
+func TestStreamingMatchesBatch(t *testing.T) {
+	var fp Fingerprinter
+	for seed := int64(1); seed <= 56; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sp := scrollSpec{scrolls: 2 + rng.Intn(7), maxRecs: 60, maxStep: []int{0, 1, 2, 5}[rng.Intn(4)], empty: rng.Intn(3)}
+		if seed%3 == 0 {
+			sp.names = 1 + rng.Intn(sp.scrolls)
+		}
+		if seed > 50 {
+			sp.minRecs, sp.maxRecs, sp.unsorted, sp.empty = 3*segLen, 4*segLen+1, seed%2 == 1, 0
+		}
+		checkFingerprint(t, &fp, randomScrolls(rng, sp), fmt.Sprintf("seed %d", seed))
+	}
+
+	// One cursor gallops past several segments before the next one's head.
+	long := NewMemory("b")
+	for i := range 3*segLen + 5 {
+		long.Append(Record{Kind: Kind(1 + i%3), Lamport: uint64(1 + i/segLen)})
+	}
+	late := NewMemory("a")
+	late.Append(Record{Kind: KindRecv, Lamport: 4})
+	late.Append(Record{Kind: KindSend, Lamport: 9})
+	checkFingerprint(t, &fp, []*Scroll{NewMemory("e"), late, long, NewMemory("f")}, "galloping")
+
+	// From eight cursors to two on the same Fingerprinter.
+	rng := rand.New(rand.NewSource(99))
+	checkFingerprint(t, &fp, randomScrolls(rng, scrollSpec{scrolls: 8, minRecs: 40, maxRecs: 80, maxStep: 2}), "eight cursors")
+	checkFingerprint(t, &fp, randomScrolls(rng, scrollSpec{scrolls: 2, minRecs: 40, maxRecs: 80, maxStep: 2}), "then two")
+}
+
+// TestFingerprintTieOrder: records of two scrolls of one process name that
+// tie on Lamport time and sequence merge in argument order — in Merge and
+// in the Fingerprinter, sorted or not.
+func TestFingerprintTieOrder(t *testing.T) {
+	rec := func(lamport uint64, msg string) Record {
+		return Record{Kind: KindCustom, Lamport: lamport, MsgID: msg}
+	}
+	a := NewMemory("a")
+	a.Append(rec(1, ""))
+	one, two := NewMemory("p"), NewMemory("p")
+	for range 2 {
+		one.Append(rec(2, "one"))
+		two.Append(rec(2, "two"))
+	}
+	at := func(s *Scroll, i int) Record { return s.Records()[i] }
+	want := []Record{at(a, 0), at(one, 0), at(two, 0), at(one, 1), at(two, 1)}
+	unsorted := NewMemory("z")
+	unsorted.Append(rec(3, ""))
+	unsorted.Append(rec(0, ""))
+	for _, tc := range []struct {
+		name    string
+		scrolls []*Scroll
+		want    []Record
+	}{
+		{"sorted", []*Scroll{a, one, two}, want},
+		{"with an unsorted scroll", []*Scroll{a, one, two, unsorted}, append([]Record{at(unsorted, 1)}, append(slices.Clone(want), at(unsorted, 0))...)},
+	} {
+		if got := Merge(tc.scrolls...); !slices.EqualFunc(got, tc.want, func(x, y Record) bool { return x.Proc == y.Proc && x.Seq == y.Seq && x.MsgID == y.MsgID }) {
+			t.Errorf("%s: Merge order %v, want %v", tc.name, got, tc.want)
+		}
+		var fp Fingerprinter
+		digest, shape := fp.Fingerprint(tc.scrolls, 1)
+		if want := digestModel(tc.want); digest != want {
+			t.Errorf("%s: streamed digest %s, want %s", tc.name, digest, want)
+		}
+		if want := shapeModel(tc.want, 1); shape != want {
+			t.Errorf("%s: streamed shape %s, want %s", tc.name, shape, want)
+		}
+	}
+}
+
+// FuzzFingerprint builds scrolls from arbitrary bytes and checks the
+// streamed fingerprint against Merge and the reference models. The first
+// byte picks the scroll count and how many names they share; every further
+// three bytes append a record: its scroll, its Lamport step (or, with the
+// top bit set, a time at random — out of order), and its kind.
+func FuzzFingerprint(f *testing.F) {
+	f.Add([]byte{0x32, 0, 1, 1, 1, 0, 2, 2, 0, 3})
+	f.Add([]byte{0x77, 0, 0, 1, 1, 0, 1, 2, 0, 200, 3, 0x85, 0, 4, 1, 7, 5, 0, 6, 6, 2, 8, 7, 0, 1})
+	f.Add([]byte{0x11, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) == 0 || len(b) > 3*4*segLen {
+			return
+		}
+		n, names := 1+int(b[0]&7), 1+int(b[0]>>4&7)
+		scrolls := make([]*Scroll, n)
+		lam := make([]uint64, n)
+		for i := range scrolls {
+			scrolls[i] = NewMemory(fmt.Sprintf("p%d", i%names))
+		}
+		for b = b[1:]; len(b) >= 3; b = b[3:] {
+			i := int(b[0]) % n
+			if b[1]&0x80 != 0 {
+				lam[i] = uint64(b[1] & 0x7f)
+			} else {
+				lam[i] += uint64(b[1])
+			}
+			clock := vclock.New()
+			clock.Set(fmt.Sprintf("p%d", b[2]%8), uint64(b[1]))
+			scrolls[i].Append(Record{Kind: Kind(b[2]), Lamport: lam[i], Payload: b[:1], Clock: clock})
+		}
+		var fp Fingerprinter
+		checkFingerprint(t, &fp, scrolls, "fuzz")
+	})
 }
 
 // TestFingerprinterUnsortedFallback: scrolls recorded out of Lamport order
@@ -167,20 +289,19 @@ func TestShapeBucketZero(t *testing.T) {
 }
 
 // TestFingerprintAllocs is the regression guard on the streaming pass: a
-// warm Fingerprinter must run the whole merge + digest + shape pipeline in
-// (near) constant allocations, independent of the record count. The
-// allowance covers the two result strings, the shape key sort and the
-// final hash state — not per-record work.
+// warm Fingerprinter runs the whole merge + digest + shape pipeline in two
+// allocations, the result strings, independent of the record count.
 func TestFingerprintAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	scrolls := randomScrolls(rng, 4, 0, 200, true)
-	var fp Fingerprinter
-	fp.Fingerprint(scrolls, 16) // warm the scratch buffers
-
-	allocs := testing.AllocsPerRun(20, func() {
-		fp.Fingerprint(scrolls, 16)
-	})
-	if allocs > 16 {
-		t.Fatalf("streaming fingerprint allocates %.0f times per pass; want <= 16 (per-record allocation has crept back in)", allocs)
+	for _, recs := range []int{200, 4 * segLen} {
+		rng := rand.New(rand.NewSource(7))
+		scrolls := randomScrolls(rng, scrollSpec{scrolls: 4, maxRecs: recs, maxStep: 2})
+		var fp Fingerprinter
+		fp.Fingerprint(scrolls, 16) // warm the scratch buffers
+		allocs := testing.AllocsPerRun(20, func() {
+			fp.Fingerprint(scrolls, 16)
+		})
+		if allocs > 2 {
+			t.Errorf("streaming fingerprint of up to %d records a scroll allocates %.1f times per pass; want <= 2, the result strings", recs, allocs)
+		}
 	}
 }
