@@ -8,8 +8,8 @@ import (
 
 // Detmaprange flags `for range` over a map whose body feeds an
 // order-sensitive sink — appending to a slice, writing scroll records,
-// feeding a Hasher/ShapeAccumulator/Fingerprinter (or any hash), or
-// marshaling JSON. Go randomizes map iteration order on purpose, so such
+// feeding a Fingerprinter (or any hash), or marshaling JSON. Go
+// randomizes map iteration order on purpose, so such
 // a loop produces a different byte stream on every run: the classic
 // digest-divergence bug this repo keeps designing around (chaos.Runner
 // iterates the sorted r.Procs() slice precisely because of it).

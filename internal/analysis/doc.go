@@ -22,9 +22,9 @@
 //     not.
 //
 //   - detmaprange: flags `for range` over a map whose body appends to a
-//     slice, writes scroll records, feeds a Hasher/ShapeAccumulator/
-//     Fingerprinter or any hash, or marshals JSON — unless it is the
-//     collect-keys-then-sort idiom. Map order is randomized; these loops
+//     slice, writes scroll records, feeds a Fingerprinter or any hash,
+//     or marshals JSON — unless it is the collect-keys-then-sort idiom.
+//     Map order is randomized; these loops
 //     are the classic digest-divergence bug (chaos.Runner iterates the
 //     sorted Procs() slice precisely because of it).
 //

@@ -349,6 +349,9 @@ func (s *Scroll) load(recs [][]byte) error {
 		case rec.Seq < at:
 			return fmt.Errorf("record %d has seq %d: the log repeats records", at, rec.Seq)
 		}
+		if rec.Proc != s.proc && s.disorder == 0 { // a log opened under another name
+			s.disorder = s.n + 1
+		}
 		s.push(rec)
 	}
 	return nil
@@ -359,7 +362,7 @@ func (s *Scroll) Proc() string { return s.proc }
 
 // push stores r as record n. Caller holds mu (or is the constructor).
 func (s *Scroll) push(r Record) {
-	if s.disorder == 0 && (r.Proc != s.proc || s.n > 0 && r.Lamport < s.at(s.n-1).Lamport) {
+	if s.disorder == 0 && s.n > 0 && r.Lamport < s.at(s.n-1).Lamport {
 		s.disorder = s.n + 1
 	}
 	if s.n < segLen {

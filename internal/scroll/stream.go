@@ -3,8 +3,8 @@ package scroll
 // Streaming fingerprints: the chaos engine fingerprints every run by the
 // SHA-256 Digest and the coarse Shape of the merged scroll, so the
 // Fingerprinter computes both in one pass over the per-process scrolls that
-// costs little more than hashing the same bytes, and allocates nothing once
-// warm:
+// costs little more than hashing the same bytes, and once warm allocates
+// only the two result strings:
 //
 //   - Merge. The scrolls are merged in place in Merge's order — Lamport
 //     time, process, sequence, then argument position — with each process
@@ -17,9 +17,10 @@ package scroll
 //     process field is encoded once per pass, a clock table's id column
 //     once per table, and a clock snapshot once for the records sharing it.
 //   - Shape. Each process appends a (kind, window, count) run as its records
-//     move to a new window; windows never decrease within a sorted scroll,
-//     so there every shape bucket is one run. The runs are sorted and equal
-//     buckets merged once, at the end: no hash map is touched per record.
+//     of a kind move to a new window; windows never decrease within a
+//     sorted scroll, so there every shape bucket is one run. At the end the
+//     runs are laid out by (process, kind), sorted by window where they are
+//     not already, and equal buckets merged: no hash map is touched.
 //   - Sortedness. A Scroll notes at Append and Truncate whether it is still
 //     Lamport-nondecreasing. Every recording is; scrolls that are not
 //     (hand-built data) are merged by sorting a materialized copy.
@@ -34,6 +35,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -59,7 +61,7 @@ type hasher struct {
 
 func (h *hasher) reset() {
 	if h.h == nil {
-		h.h, h.buf = sha256.New(), make([]byte, 0, hashBlock+hashBlock/2)
+		h.h, h.buf = sha256.New(), make([]byte, 0, hashBlock+hashBlock/8) // a block, and the record that fills it
 	}
 	h.h.Reset()
 	h.buf = h.buf[:0]
@@ -92,22 +94,25 @@ func (h *hasher) digest() string {
 // Lamport window: one shape bucket, or a part of it, as a stream out of
 // Lamport order may visit a bucket in several runs, which sum adds up.
 type shapeRun struct {
-	win, count uint64
-	group      uint32
+	win   uint64
+	count uint32 // a run that would pass MaxUint32 continues in a new one
+	next  uint32 // 1 + the index in runs of the group's next run, 0 for its latest
 }
 
-// shapeGroup is the runs of one lane and kind; n counts them.
+// shapeGroup chains the runs of one lane and kind, in stream order.
 type shapeGroup struct {
-	lane, kind uint32
-	n          int
+	lane, kind  uint32
+	first, last uint32 // indices in runs
 }
 
 // shapeLane is one process's place in its shape buckets: the window of its
-// latest record (lo is the window's first Lamport time) and, per kind, 1 +
-// the index in runs of its latest run of that kind (0 before the first).
+// latest record (lo is the window's first Lamport time) and, per kind below
+// 16 — every named kind — 1 + the index in groups of its runs of that kind
+// (0 before the first). Other kinds, which no recording writes, are found
+// by a scan of the groups.
 type shapeLane struct {
 	lo, win uint64
-	open    [256]uint32
+	open    [16]uint32
 }
 
 // shapeAcc computes Shape over a record stream in any order. A lane is one
@@ -124,10 +129,10 @@ type shapeAcc struct {
 	// order lists the lanes by name; rank[i] is the position in order of the
 	// first lane named as lane i is.
 	order, rank []uint32
-	// Scratch for sum: the groups in bucket order, and the runs laid out in it.
-	byKey  []uint32
-	sorted []shapeRun
-	buf    []byte
+	// Scratch for sum: the groups in bucket order, and one key's runs.
+	byKey []uint32
+	span  []shapeRun
+	buf   []byte
 }
 
 // reset prepares the accumulator for a new stream with the given Lamport
@@ -141,13 +146,22 @@ func (a *shapeAcc) reset(bucket uint64) {
 // newLane opens a lane for the named process and returns its index.
 func (a *shapeAcc) newLane(proc string) int {
 	a.names = append(a.names, proc)
-	if n := len(a.lanes); n < cap(a.lanes) {
-		a.lanes = a.lanes[:n+1]
-		a.lanes[n] = shapeLane{}
-	} else {
-		a.lanes = append(a.lanes, shapeLane{})
-	}
+	a.lanes = append(a.lanes, shapeLane{})
 	return len(a.lanes) - 1
+}
+
+// group returns the index in groups of lane i's runs of kind k, or -1
+// before the first.
+func (a *shapeAcc) group(i int, k Kind) int {
+	if l := &a.lanes[i]; int(k) < len(l.open) {
+		return int(l.open[k]) - 1
+	}
+	for g, grp := range a.groups {
+		if grp.lane == uint32(i) && grp.kind == uint32(k) {
+			return g
+		}
+	}
+	return -1
 }
 
 // add counts r in lane i.
@@ -157,21 +171,22 @@ func (a *shapeAcc) add(i int, r *Record) {
 		l.win = r.Lamport / a.bucket
 		l.lo = l.win * a.bucket
 	}
-	var g uint32
-	if j := l.open[r.Kind]; j != 0 {
-		run := &a.runs[j-1]
-		if run.win == l.win {
+	at := uint32(len(a.runs))
+	if g := a.group(i, r.Kind); g >= 0 {
+		grp := &a.groups[g]
+		run := &a.runs[grp.last]
+		if run.win == l.win && run.count < math.MaxUint32 {
 			run.count++
 			return
 		}
-		g = run.group
+		run.next, grp.last = at+1, at
 	} else {
-		g = uint32(len(a.groups))
-		a.groups = append(a.groups, shapeGroup{lane: uint32(i), kind: uint32(r.Kind)})
+		a.groups = append(a.groups, shapeGroup{lane: uint32(i), kind: uint32(r.Kind), first: at, last: at})
+		if int(r.Kind) < len(l.open) {
+			l.open[r.Kind] = uint32(len(a.groups))
+		}
 	}
-	a.groups[g].n++
-	a.runs = append(a.runs, shapeRun{win: l.win, count: 1, group: g})
-	l.open[r.Kind] = uint32(len(a.runs))
+	a.runs = append(a.runs, shapeRun{win: l.win, count: 1})
 }
 
 // addNamed counts r in the first lane of r's process, opened at its first
@@ -191,7 +206,7 @@ func (a *shapeAcc) addNamed(r *Record) {
 
 // rankLanes orders the lanes by process name into order and rank.
 func (a *shapeAcc) rankLanes() {
-	order := a.order[:0]
+	order := slices.Grow(a.order[:0], len(a.names))
 	for i := range a.names {
 		order = append(order, uint32(i))
 	}
@@ -224,13 +239,13 @@ func fnvUpdate(h uint64, b []byte) uint64 {
 // sum returns the shape signature of the records added since reset. The
 // canonical rendering hashed per bucket is "proc|kind|window|log2count;",
 // buckets in (process name, kind, window) order. The groups are sorted
-// into that order, and the runs laid out group by group in stream order,
-// which within a group of a sorted scroll is window order already; only a
-// group that is not gets its runs sorted.
+// into that order; a group's runs, in stream order, are in window order
+// already when its scroll is sorted, so only the runs of a key that are
+// not — or that several lanes of one name share — get sorted.
 func (a *shapeAcc) sum() string {
 	a.rankLanes()
 	key := func(g uint32) (uint32, uint32) { return a.rank[a.groups[g].lane], a.groups[g].kind }
-	byKey := a.byKey[:0]
+	byKey := slices.Grow(a.byKey[:0], len(a.groups))
 	for g := range a.groups {
 		byKey = append(byKey, uint32(g))
 	}
@@ -242,44 +257,29 @@ func (a *shapeAcc) sum() string {
 		}
 		return cmp.Compare(kx, ky)
 	})
-	end := 0
-	for _, g := range byKey {
-		end += a.groups[g].n
-		a.groups[g].n = end
-	}
-	sorted := slices.Grow(a.sorted[:0], len(a.runs))[:len(a.runs)]
-	for i := len(a.runs) - 1; i >= 0; i-- { // from the back, so n ends at the group's first run
-		g := &a.groups[a.runs[i].group]
-		g.n--
-		sorted[g.n] = a.runs[i]
-	}
-	a.byKey, a.sorted = byKey, sorted
-
+	byWin := func(x, y shapeRun) int { return cmp.Compare(x.win, y.win) }
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(byKey); {
-		// Groups of one key (lanes of one name) are adjacent; so are their runs.
-		first := a.groups[byKey[i]]
+		name := a.names[a.groups[byKey[i]].lane]
 		rank, kind := key(byKey[i])
-		for i++; i < len(byKey); i++ {
+		span := a.span[:0]
+		for ; i < len(byKey); i++ {
 			if r, k := key(byKey[i]); r != rank || k != kind {
 				break
 			}
-		}
-		end := len(sorted)
-		if i < len(byKey) {
-			end = a.groups[byKey[i]].n
-		}
-		runs := sorted[first.n:end]
-		byWin := func(x, y shapeRun) int { return cmp.Compare(x.win, y.win) }
-		if !slices.IsSortedFunc(runs, byWin) {
-			slices.SortFunc(runs, byWin)
-		}
-		for j := 0; j < len(runs); {
-			win, count := runs[j].win, runs[j].count
-			for j++; j < len(runs) && runs[j].win == win; j++ {
-				count += runs[j].count
+			for j := a.groups[byKey[i]].first + 1; j != 0; j = a.runs[j-1].next {
+				span = append(span, a.runs[j-1])
 			}
-			buf := append(a.buf[:0], a.names[first.lane]...)
+		}
+		if !slices.IsSortedFunc(span, byWin) {
+			slices.SortFunc(span, byWin)
+		}
+		for j := 0; j < len(span); {
+			win, count := span[j].win, uint64(span[j].count)
+			for j++; j < len(span) && span[j].win == win; j++ {
+				count += uint64(span[j].count)
+			}
+			buf := append(a.buf[:0], name...)
 			buf = append(buf, '|')
 			buf = strconv.AppendUint(buf, uint64(kind), 10)
 			buf = append(buf, '|')
@@ -290,7 +290,9 @@ func (a *shapeAcc) sum() string {
 			a.buf = buf
 			h = fnvUpdate(h, buf)
 		}
+		a.span = span
 	}
+	a.byKey = byKey
 	var out [16]byte
 	var raw [8]byte
 	binary.BigEndian.PutUint64(raw[:], h) // as hash.Hash64.Sum renders
@@ -362,6 +364,8 @@ type Fingerprinter struct {
 func (f *Fingerprinter) Fingerprint(scrolls []*Scroll, bucket uint64) (digest, shape string) {
 	f.hasher.reset()
 	f.shape.reset(bucket)
+	f.cursors = slices.Grow(f.cursors, len(scrolls))
+	f.shape.lanes = slices.Grow(f.shape.lanes, len(scrolls))
 	sorted := true
 	for _, s := range scrolls {
 		v := s.records()
@@ -369,13 +373,8 @@ func (f *Fingerprinter) Fingerprint(scrolls []*Scroll, bucket uint64) (digest, s
 			continue
 		}
 		sorted = sorted && v.sorted
-		// Grow in place so each slot keeps its scratch from earlier passes.
 		n := len(f.cursors)
-		if n < cap(f.cursors) {
-			f.cursors = f.cursors[:n+1]
-		} else {
-			f.cursors = append(f.cursors, cursor{})
-		}
+		f.cursors = f.cursors[:n+1] // the slot keeps its scratch from earlier passes
 		c := &f.cursors[n]
 		c.v, c.k, c.seg, c.pos, c.i = v, 0, v.seg(0), 0, f.shape.newLane(s.proc)
 		c.proc = appendString(c.proc[:0], s.proc)
@@ -484,7 +483,12 @@ func (e *clockEncoder) encode(clock vclock.VC) []byte {
 	e.clock = clock
 	ids, counts := clock.Entries()
 	if t := clock.Table(); t != e.tab {
-		e.tab, e.ids, e.end = t, e.ids[:0], slices.Grow(e.end[:0], len(ids))
+		size := 0
+		for _, id := range ids {
+			size += binary.MaxVarintLen64 + len(id)
+		}
+		e.tab, e.ids, e.end = t, slices.Grow(e.ids[:0], size), slices.Grow(e.end[:0], len(ids))
+		e.bytes = slices.Grow(e.bytes[:0], size+binary.MaxVarintLen64*(len(ids)+1))
 		for _, id := range ids {
 			e.ids = appendString(e.ids, id)
 			e.end = append(e.end, len(e.ids))

@@ -280,6 +280,50 @@ func TestFingerprinterUnsortedFallback(t *testing.T) {
 	}
 }
 
+// TestScrollTracksLamportOrder: a scroll knows through Append and Truncate
+// whether its records are still in Lamport order.
+func TestScrollTracksLamportOrder(t *testing.T) {
+	s := NewMemory("p")
+	for _, lamport := range []uint64{1, 2, 2, 5, 3, 7} {
+		s.Append(Record{Lamport: lamport})
+	}
+	for _, step := range []struct {
+		truncate uint64
+		sorted   bool
+	}{{6, false}, {5, false}, {4, true}, {0, true}} {
+		s.Truncate(step.truncate)
+		if got := s.records().sorted; got != step.sorted {
+			t.Errorf("%d records: sorted = %v, want %v", s.Len(), got, step.sorted)
+		}
+	}
+}
+
+// TestFingerprintRenamedLog: a durable log opened under another process
+// name keeps the name its records were written with, so the Fingerprinter
+// cannot stream it under the scroll's; it still fingerprints as Merge
+// orders it.
+func TestFingerprintRenamedLog(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenDurable("a", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Append(Record{Kind: KindRecv, Lamport: 1})
+	w.Append(Record{Kind: KindSend, Lamport: 3})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	renamed, err := OpenDurable("z", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer renamed.Close()
+	other := NewMemory("m")
+	other.Append(Record{Kind: KindRecv, Lamport: 3})
+	var fp Fingerprinter
+	checkFingerprint(t, &fp, []*Scroll{other, renamed}, "renamed log")
+}
+
 // TestShapeBucketZero: bucket 0 must behave as bucket 1 in both paths.
 func TestShapeBucketZero(t *testing.T) {
 	recs := []Record{{Kind: KindRecv, Proc: "a", Lamport: 3}, {Kind: KindSend, Proc: "b", Lamport: 9}}
