@@ -37,9 +37,11 @@
 //
 // Chaos throughput is budgeted in runs, so the per-run hot path is built
 // for reuse: chaos.Runner checks a simulation out of a per-worker pool
-// and Resets it between runs (typed index-addressed event queue with a
-// free-list arena, recycled checkpoint heaps and scroll buffers, an rng
-// whose reseed is a mask clear); each run's digest and event-shape signature are
+// and Resets it between runs (a free-list event arena under a heap of
+// pointer-free ordering keys that also mark each live timer's owner, so
+// a checkpoint lists pending timers without walking the arena; recycled
+// checkpoint heaps and scroll buffers; an rng whose reseed is a mask
+// clear); each run's digest and event-shape signature are
 // computed in one allocation-free streaming pass over the per-process
 // scrolls (scroll.Fingerprinter, byte-identical to scroll.Digest and
 // scroll.Shape over scroll.Merge); and an opt-in early-exit monitor

@@ -212,11 +212,6 @@ type event struct {
 	dead bool
 }
 
-// pendingTimerOf reports whether the event is a live timer of the process.
-func (e *event) pendingTimerOf(proc string) bool {
-	return e.kind == evTimer && e.proc == proc && !e.dead
-}
-
 type eventKind int
 
 const (
@@ -236,6 +231,7 @@ type proc struct {
 	scroll    *scroll.Scroll
 	clock     vclock.VC // on the simulation's shared ID table (Sim.tab)
 	self      int       // this process's index in that table
+	tag       int32     // add order within the run: the queue keys its live timers by it
 	snap      vclock.VC // cached clock snapshot, shared by records between ticks
 	ctx       *simContext
 	lamport   vclock.Lamport
@@ -267,6 +263,10 @@ func (p *proc) clockSnap() vclock.VC {
 	}
 	return p.snap
 }
+
+// timerOf is what the event queue marks the process's live timers with:
+// 1 + its tag, so that 0 marks every other event (qkey.timerOf).
+func (p *proc) timerOf() int32 { return p.tag + 1 }
 
 // tick advances the process's own component of its vector clock.
 func (p *proc) tick() {
@@ -510,6 +510,7 @@ func (s *Sim) AddProcess(id string, m Machine) {
 		// beyond the callback, which none do).
 		p.ctx = &simContext{sim: s, proc: p}
 	}
+	p.tag = int32(len(s.procs))
 	s.procs[id] = p
 	s.order = append(s.order, id)
 	sort.Strings(s.order)
@@ -662,7 +663,7 @@ func (s *Sim) MergedScroll() []scroll.Record {
 // delivery is a copy the receiver records — replay reproduces the lie.
 func (s *Sim) Inject(inj inject.Injection) {
 	if inj.Kind.Class() == inject.Control {
-		s.push(event{time: inj.At, kind: evControl + eventKind(inj.Kind), proc: inj.Proc})
+		s.push(event{time: inj.At, kind: evControl + eventKind(inj.Kind), proc: inj.Proc}, 0)
 		return
 	}
 	s.rules.Add(inj)
@@ -671,10 +672,12 @@ func (s *Sim) Inject(inj inject.Injection) {
 // Stop makes Run return after the current event.
 func (s *Sim) Stop() { s.stop = true }
 
-func (s *Sim) push(e event) {
+// push schedules e. timerOf is the owner's proc.timerOf for a timer event,
+// and 0 for every other event.
+func (s *Sim) push(e event, timerOf int32) {
 	s.seq++
 	e.seq = s.seq
-	s.queue.push(e)
+	s.queue.push(e, timerOf)
 }
 
 // Run initializes all machines and processes events until the queue is
@@ -812,7 +815,10 @@ func (s *Sim) fireTimer(ev *event) {
 	p.machine.OnTimer(p.ctx, ev.timerName)
 }
 
-// crash marks a process crashed; its pending timers die with it.
+// crash marks a process crashed. Its queued timers stay queued: one that
+// comes due while the process is down fires into nothing (fireTimer), and
+// restart kills the rest — restoreProc re-arms the checkpointed ones, a
+// restart with no checkpoint re-runs Init, which arms its own.
 func (s *Sim) crash(id string) {
 	p, ok := s.procs[id]
 	if !ok || p.crashed {
@@ -865,9 +871,8 @@ func (s *Sim) rollbackLatest(id string) {
 		// traffic out of a crashed process's recording.
 		p.scroll.Truncate(ck.ScrollSeq)
 		for i := 0; i < s.queue.len(); i++ {
-			ev := s.queue.at(i)
-			if ev.kind == evMessage && ev.from == p.id && ev.creatorSeq >= ck.ScrollSeq {
-				ev.dead = true
+			if ev := s.queue.at(i); ev.kind == evMessage && ev.from == p.id && ev.creatorSeq >= ck.ScrollSeq {
+				s.queue.kill(i)
 			}
 		}
 		s.fenceAbandoned(p, ck)
@@ -903,6 +908,7 @@ func (s *Sim) restart(id string) {
 		s.restoreProc(p, ck)
 		p.machine.OnRollback(p.ctx, RollbackInfo{Manual: true, CrashRestart: true, Reason: "crash restart"})
 	} else {
+		s.queue.killTimers(p.timerOf())
 		p.machine.Init(p.ctx)
 	}
 }
@@ -915,21 +921,11 @@ func (s *Sim) takeCheckpoint(p *proc, specID, label string) *checkpoint.Checkpoi
 	if err != nil {
 		panic(fmt.Sprintf("dsim: state of %s not serializable: %v", p.id, err))
 	}
-	// Two passes over the queue, so that the list is carved at its exact size.
-	pending := 0
-	for i := 0; i < s.queue.len(); i++ {
-		if s.queue.at(i).pendingTimerOf(p.id) {
-			pending++
-		}
-	}
+	// Two passes over the queue's keys, so that the list is carved at its
+	// exact size, in heap-array order: the order restoreProc re-arms it in.
 	var timers []string // nil when none are pending, as it always was
-	if pending > 0 {
-		timers = s.timers.Tail(pending)
-		for i := 0; i < s.queue.len(); i++ {
-			if ev := s.queue.at(i); ev.pendingTimerOf(p.id) {
-				timers = append(timers, ev.timerName)
-			}
-		}
+	if pending := s.queue.countTimers(p.timerOf()); pending > 0 {
+		timers = s.queue.appendTimers(s.timers.Tail(pending), p.timerOf())
 	}
 	ck := s.ckpts.Put(checkpoint.Checkpoint{
 		Proc:      p.id,
@@ -973,14 +969,11 @@ func (s *Sim) restoreProc(p *proc, ck *checkpoint.Checkpoint) {
 	p.scroll.Truncate(ck.ScrollSeq)
 	p.halted = false
 	for i := 0; i < s.queue.len(); i++ {
-		ev := s.queue.at(i)
-		if ev.kind == evMessage && ev.from == p.id && ev.creatorSeq >= ck.ScrollSeq {
-			ev.dead = true
-		}
-		if ev.kind == evTimer && ev.proc == p.id {
-			ev.dead = true
+		if ev := s.queue.at(i); ev.kind == evMessage && ev.from == p.id && ev.creatorSeq >= ck.ScrollSeq {
+			s.queue.kill(i)
 		}
 	}
+	s.queue.killTimers(p.timerOf())
 	// Re-arm the timers that were pending when the checkpoint was taken
 	// (their original deadlines are gone; a fresh latency draw is within
 	// the asynchronous timing model).
@@ -988,7 +981,7 @@ func (s *Sim) restoreProc(p *proc, ck *checkpoint.Checkpoint) {
 		s.push(event{
 			time: s.now + s.latency(), kind: evTimer,
 			proc: p.id, timerName: name, creatorSeq: ck.ScrollSeq,
-		})
+		}, p.timerOf())
 	}
 	s.stats.Rollbacks++
 }
@@ -1020,14 +1013,14 @@ func (s *Sim) RollbackTo(line map[string]string) error {
 		switch ev.kind {
 		case evMessage:
 			if cks[ev.to] != nil {
-				ev.dead = true
+				s.queue.kill(i)
 			}
 			if ck := cks[ev.from]; ck != nil && ev.creatorSeq >= ck.ScrollSeq {
-				ev.dead = true
+				s.queue.kill(i)
 			}
 		case evTimer:
 			if ck := cks[ev.proc]; ck != nil && ev.creatorSeq >= ck.ScrollSeq {
-				ev.dead = true
+				s.queue.kill(i)
 			}
 		}
 	}
@@ -1061,7 +1054,7 @@ func (s *Sim) RollbackTo(line map[string]string) error {
 				time: s.now + s.latency(), kind: evMessage,
 				msgID: r.MsgID, from: r.Proc, to: r.Peer,
 				payload: r.Payload, lamport: r.Lamport, clock: r.Clock.Copy(),
-			})
+			}, 0)
 		}
 	}
 	// Notify machines (alternate path opportunity), in sorted order.
@@ -1202,7 +1195,7 @@ func (c *simContext) Send(to string, payload []byte) {
 			time: t, kind: evMessage,
 			msgID: id, from: p.id, to: to, payload: body,
 			lamport: lam, clock: p.clockSnap(), specs: specs, creatorSeq: seq,
-		})
+		}, 0)
 	}
 	deliver()
 	if s.rules.Hit(s.rng, inject.Duplicate, p.id, to, s.now) {
@@ -1217,7 +1210,7 @@ func (c *simContext) SetTimer(name string, delay uint64) {
 	c.sim.push(event{
 		time: c.sim.now + delay + c.sim.rules.Slow(c.proc.id, c.sim.now), kind: evTimer,
 		proc: c.proc.id, timerName: name, creatorSeq: uint64(c.proc.scroll.Len()),
-	})
+	}, c.proc.timerOf())
 }
 
 // Heap returns the process's checkpointable bulk store.

@@ -309,6 +309,38 @@ func TestCrashAndRestartFromCheckpoint(t *testing.T) {
 	}
 }
 
+// initTimer arms one timer from Init and counts its Init runs and fires.
+type initTimer struct {
+	st struct{ Inits, Fires int }
+}
+
+func (m *initTimer) State() any { return &m.st }
+func (m *initTimer) Init(ctx Context) {
+	m.st.Inits++
+	ctx.SetTimer("t", 100)
+}
+func (m *initTimer) OnMessage(Context, string, []byte) {}
+func (m *initTimer) OnTimer(Context, string)           { m.st.Fires++ }
+func (m *initTimer) OnRollback(Context, RollbackInfo)  {}
+
+// TestRestartWithoutCheckpointKillsTimers: a restart with no checkpoint to
+// restore re-runs Init, which arms the timer afresh; the one the crashed
+// incarnation armed must not fire into the new incarnation as well.
+func TestRestartWithoutCheckpointKillsTimers(t *testing.T) {
+	s := New(Config{Seed: 1})
+	m := &initTimer{}
+	s.AddProcess("p", m)
+	s.Inject(inject.Injection{Kind: inject.Crash, Proc: "p", At: 10})
+	s.Inject(inject.Injection{Kind: inject.Restart, Proc: "p", At: 20})
+	stats := s.Run()
+	if m.st.Inits != 2 || m.st.Fires != 1 || stats.TimerFires != 1 {
+		t.Errorf("Init ran %d times and OnTimer %d (%d timer fires), want 2 and 1", m.st.Inits, m.st.Fires, stats.TimerFires)
+	}
+	if s.Now() != 120 {
+		t.Errorf("run ended at %d, want 120 (the restarted incarnation's timer)", s.Now())
+	}
+}
+
 // wholeRun is a rule of the given kind and probability over every virtual
 // tick: loss and duplication the way the chaos matrix injects them.
 func wholeRun(kind inject.Kind, p float64) inject.Injection {

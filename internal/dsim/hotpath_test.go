@@ -192,27 +192,6 @@ func TestStepMonitorEarlyExit(t *testing.T) {
 	}
 }
 
-// TestEventPoolAllocs: the typed queue's arena and free-list must schedule
-// and pop events with zero allocations once warm — the regression guard on
-// the event pool itself (the old container/heap implementation boxed every
-// event: two allocations per push).
-func TestEventPoolAllocs(t *testing.T) {
-	var q eventQueue
-	churn := func() {
-		for i := 0; i < 64; i++ {
-			q.push(event{time: uint64(64 - i), seq: uint64(i)})
-		}
-		for q.len() > 0 {
-			q.pop()
-		}
-	}
-	churn() // warm the arena to its high-water mark
-
-	if allocs := testing.AllocsPerRun(100, churn); allocs > 0 {
-		t.Fatalf("warm event queue allocates %.1f times per 64-event churn; want 0", allocs)
-	}
-}
-
 // TestWarmArenaAllocs bounds the whole per-run allocation count of a warm
 // Reset arena. The floor is semantic — machine construction and what the
 // machines themselves allocate — and sits far below the fresh-simulation

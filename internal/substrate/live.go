@@ -234,9 +234,10 @@ type liveProc struct {
 	events  chan liveEvent
 	crashed bool
 	halted  bool
-	// incarnation is bumped by every restore (crash-restart AND rollback):
-	// pending time.AfterFunc timers of the pre-restore incarnation cannot be
-	// recalled, so their fires are fenced by generation instead. The global
+	// incarnation is bumped by every restore (crash-restart AND rollback)
+	// and by a restart that re-runs Init: pending time.AfterFunc timers of
+	// the previous incarnation cannot be recalled, so their fires are fenced
+	// by generation instead. The global
 	// epoch cannot serve here — crash-restart re-arms checkpointed timers
 	// without advancing the timeline.
 	incarnation uint64
@@ -442,6 +443,11 @@ func (p *liveProc) handle(ev liveEvent) {
 			p.restoreLocked(ck)
 			p.machine.OnRollback(ctx, dsim.RollbackInfo{Manual: true, CrashRestart: true, Reason: "crash restart"})
 		} else {
+			// A fresh incarnation with nothing to restore: Init arms its own
+			// timers, and the crashed incarnation's still-pending fires are
+			// fenced, as after a restore (the simulator kills them).
+			p.incarnation++
+			p.pendingTimers = nil
 			p.machine.Init(ctx)
 		}
 	}

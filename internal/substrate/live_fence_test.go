@@ -95,6 +95,42 @@ func TestLiveIncarnationFenceTimer(t *testing.T) {
 	}
 }
 
+// TestLiveRestartWithoutCheckpointFencesTimers: a restart with no
+// checkpoint re-runs Init as a new incarnation, so a fire the crashed
+// incarnation armed is fenced rather than handed to the new one, and a
+// later checkpoint does not list the dead timer as pending.
+func TestLiveRestartWithoutCheckpointFencesTimers(t *testing.T) {
+	s, err := NewLive(LiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	probe := &fenceProbe{}
+	s.AddProcess("w", probe)
+	s.mu.Lock()
+	p := s.procs["w"]
+	s.mu.Unlock()
+
+	p.mu.Lock()
+	p.pendingTimers = append(p.pendingTimers, "tick") // armed by incarnation 0
+	p.mu.Unlock()
+	p.handle(liveEvent{kind: levCrash})
+	p.handle(liveEvent{kind: levRestart}) // no checkpoint: re-Init
+	p.handle(liveEvent{kind: levTimer, timer: "tick", gen: 0})
+	if probe.st.Timers != 0 {
+		t.Errorf("the crashed incarnation's timer fired into the restarted one (%d fires)", probe.st.Timers)
+	}
+	if s.epochFences.Load() != 1 {
+		t.Errorf("epochFences = %d, want 1", s.epochFences.Load())
+	}
+	p.mu.Lock()
+	ck := p.takeCheckpointLocked("probe")
+	p.mu.Unlock()
+	if len(ck.Timers) != 0 {
+		t.Errorf("checkpoint after the restart lists pending timers %v, want none", ck.Timers)
+	}
+}
+
 // TestLiveControlInjectionsReleaseInTickOrder drives the release step
 // directly, with no clock: however the injections were armed and however
 // late the one wake-up comes, a process's event loop receives its control
