@@ -311,6 +311,28 @@ func BenchmarkE10FingerprintBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkE10Equal measures the matrix's determinism check on the same
+// executions: two recordings of one run compared record for record
+// (scroll.Equal), which is what a cell's second run costs instead of a
+// fingerprint. ns/record counts the records of one recording.
+func BenchmarkE10Equal(b *testing.B) {
+	for _, c := range fingerprintCases {
+		b.Run(c.name, func(b *testing.B) {
+			s, records := fingerprintBenchSim(c.procs, c.rounds)
+			again, _ := fingerprintBenchSim(c.procs, c.rounds)
+			x, y := s.Scrolls(), again.Scrolls()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !scroll.Equal(x, y) {
+					b.Fatal("two recordings of one run differ")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+		})
+	}
+}
+
 // --- E8: the capability matrix (Figure 8) ---
 
 func BenchmarkE8CapabilityMatrix(b *testing.B) {

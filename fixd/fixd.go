@@ -184,7 +184,7 @@ const (
 // application × every matrix fault kind × the given seeds (default 1–4) —
 // and returns the report. Every cell runs a seeded, generated scenario
 // twice; a cell passes when the application's global invariants hold and
-// both executions produce byte-identical scroll digests.
+// the second execution reproduces the first, scroll record for record.
 func Chaos(seeds ...int64) *ChaosReport {
 	return chaos.RunMatrix(chaos.MatrixConfig{Seeds: seeds})
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/dsim"
 	"repro/internal/fault"
+	"repro/internal/scroll"
 )
 
 // TestRunnerPathEquivalence: the pooled run path (per-worker arena +
@@ -46,16 +47,22 @@ func TestRunnerPathEquivalence(t *testing.T) {
 	}
 }
 
-// warmKVRun returns one pooled kvstore run under a reorder schedule — the
-// whole per-run path the matrix and the search pay: Spec.Make, Reset,
-// Compile, the run itself and the streaming fingerprint.
-func warmKVRun(t *testing.T) func() {
+// kvCell returns the runner and schedule of the kvstore/reorder/s2 matrix
+// cell.
+func kvCell(t testing.TB) (Runner, Schedule) {
 	spec, err := apps.Lookup("kvstore")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := Runner{Spec: spec, Seed: 2, Probe: true}
-	sched := Schedule{Generate(fault.Reorder, r.Procs(), r.Crashable(), spec.Horizon, 2)}
+	return r, Schedule{Generate(fault.Reorder, r.Procs(), r.Crashable(), spec.Horizon, 2)}
+}
+
+// warmKVRun returns one pooled kvstore run under a reorder schedule — the
+// whole per-run path the matrix and the search pay: Spec.Make, Reset,
+// Compile, the run itself and the streaming fingerprint.
+func warmKVRun(t *testing.T) func() {
+	r, sched := kvCell(t)
 	return func() { r.Run(sched) }
 }
 
@@ -81,6 +88,57 @@ func TestWarmRunnerAllocs(t *testing.T) {
 	}
 	if best > limit {
 		t.Fatalf("warm kvstore/reorder run allocates %.0f times; want <= %.0f (the pooled run path has regressed)", best, limit)
+	}
+}
+
+// TestWarmCellAllocs bounds what one warm two-run matrix cell allocates,
+// and holds it to no more than two pooled runs — what a cell cost while
+// both of its runs were fingerprinted. Measured 193 against 2 × 97 (the
+// second run's result strings saved, a second scroll list paid), and 197
+// under -race. The ceiling is the floor + 10 %.
+func TestWarmCellAllocs(t *testing.T) {
+	r, sched := kvCell(t)
+	cell, run := math.Inf(1), math.Inf(1)
+	for i := 0; i < 256; i++ {
+		cell = min(cell, testing.AllocsPerRun(1, func() { r.runTwice(sched) }))
+		run = min(run, testing.AllocsPerRun(1, func() { r.Run(sched) }))
+	}
+	limit := 212.0
+	if raceDetector {
+		limit = 216
+	}
+	if cell > limit || cell > 2*run {
+		t.Fatalf("warm kvstore/reorder cell allocates %.0f times; want <= %.0f and <= two runs (2 × %.0f)", cell, limit, run)
+	}
+}
+
+// TestWarmCompareAllocs: comparing the scrolls of two warm simulations of
+// one cell, as the matrix's determinism check does, allocates nothing.
+func TestWarmCompareAllocs(t *testing.T) {
+	r, sched := kvCell(t)
+	a, b := r.checkout(), r.checkout()
+	defer arenaPool.Put(a)
+	defer arenaPool.Put(b)
+	r.execute(sched, a)
+	r.execute(sched, b)
+	x, y := a.sim.Scrolls(), b.sim.Scrolls()
+	if !scroll.Equal(x, y) {
+		t.Fatal("two runs of one cell compare unequal")
+	}
+	if allocs := testing.AllocsPerRun(16, func() { scroll.Equal(x, y) }); allocs != 0 {
+		t.Fatalf("comparing two runs' scrolls allocates %.1f times; want 0", allocs)
+	}
+}
+
+// BenchmarkMatrixCell times one warm matrix cell, kvstore/reorder/s2: both
+// runs, the first one's fingerprint and the determinism check.
+func BenchmarkMatrixCell(b *testing.B) {
+	r, sched := kvCell(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok := r.runTwice(sched); !ok {
+			b.Fatal("the cell's second run diverged")
+		}
 	}
 }
 
@@ -190,12 +248,7 @@ func TestRunResultOutlivesArena(t *testing.T) {
 	cfg := r.Spec.Config(r.Buggy)
 	cfg.Seed = r.Seed
 	a := &runArena{sim: dsim.New(cfg)}
-	runIn := func(r Runner, sched Schedule) *RunResult {
-		res := r.execute(sched, a)
-		res.Digest, res.Shape = a.fp.Fingerprint(a.sim.Scrolls(), ShapeBucket)
-		return res
-	}
-	res := runIn(r, sched)
+	res := r.fingerprinted(sched, a)
 	if len(res.Violations) == 0 || len(res.Durable) == 0 {
 		t.Fatalf("want a failing run with stable-storage contents, got %+v", res)
 	}
@@ -208,7 +261,7 @@ func TestRunResultOutlivesArena(t *testing.T) {
 	cfg = other.Spec.Config(other.Buggy)
 	cfg.Seed = other.Seed
 	a.sim.Reset(cfg)
-	runIn(other, Schedule{Generate(fault.Reorder, other.Procs(), other.Crashable(), other.Spec.Horizon, 3)})
+	other.fingerprinted(Schedule{Generate(fault.Reorder, other.Procs(), other.Crashable(), other.Spec.Horizon, 3)}, a)
 
 	if after, _ := json.Marshal(res); !bytes.Equal(before, after) {
 		t.Fatalf("the result changed under its arena's next run:\nbefore %s\nafter  %s", before, after)

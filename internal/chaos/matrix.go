@@ -26,9 +26,13 @@ func (c Cell) String() string { return fmt.Sprintf("%s/%v/s%d", c.App, c.Kind, c
 // CellResult is one matrix cell's outcome.
 type CellResult struct {
 	Cell
-	Scenario      Scenario
-	Result        *RunResult
-	Deterministic bool // the repeated run produced a byte-identical digest
+	Scenario Scenario
+	Result   *RunResult
+	// Deterministic reports that a second run of the cell reproduced the
+	// first: the same scroll records on every field the digest encodes, and
+	// the same statistics, violations, fault counts, epoch, processes and
+	// stable storage.
+	Deterministic bool
 }
 
 // Pass reports whether the cell upholds the matrix contract: the correct
@@ -41,7 +45,7 @@ func (c *CellResult) Pass() bool { return c.Fail() == "" }
 func (c *CellResult) Fail() string {
 	switch {
 	case !c.Deterministic:
-		return "nondeterministic digest"
+		return "nondeterministic run: the second run diverged"
 	case len(c.Result.Violations) > 0:
 		return fmt.Sprintf("invariants violated: %v", c.Result.Violations)
 	case c.Kind == fault.ClockSkew && c.Result.ProbeFaults == 0:
@@ -105,8 +109,10 @@ func (m *MatrixReport) Failures() []*CellResult {
 
 // RunMatrix sweeps fault kinds × applications × seeds on the correct
 // variants. Each cell generates its scenario from the cell identity,
-// executes it twice (the second run is the replay-determinism check), and
-// evaluates the application's global invariants at quiescence. With
+// executes it and evaluates the application's global invariants at
+// quiescence, then executes it again as the replay-determinism check: the
+// second run is compared with the first record for record (see
+// CellResult.Deterministic), and only the first is fingerprinted. With
 // cfg.Workers > 1 the cells are sharded across a worker pool; the report
 // is identical to a sequential sweep regardless of worker count.
 func RunMatrix(cfg MatrixConfig) *MatrixReport {
@@ -146,14 +152,12 @@ func RunMatrix(cfg MatrixConfig) *MatrixReport {
 		cs := specs[i]
 		runner := Runner{Spec: cs.spec, Seed: cs.seed, Probe: true, CheckEvery: cfg.CheckEvery}
 		scen := Generate(cs.kind, cs.procs, cs.crashable, cs.spec.Horizon, cs.seed)
-		sched := Schedule{scen}
-		r1 := runner.Run(sched)
-		r2 := runner.Run(sched)
+		res, deterministic := runner.runTwice(Schedule{scen})
 		rep.Cells[i] = &CellResult{
 			Cell:          Cell{App: cs.spec.Name, Kind: cs.kind, Seed: cs.seed},
 			Scenario:      scen,
-			Result:        r1,
-			Deterministic: r1.Digest == r2.Digest,
+			Result:        res,
+			Deterministic: deterministic,
 		}
 	}
 	parallel(len(specs), cfg.Workers, runCell)

@@ -1,7 +1,10 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -96,8 +99,9 @@ func (r Runner) Crashable() []int {
 // fingerprinter, and the buffers the schedule compiles into — the plan and
 // the group target lists its injections alias, both armed on the
 // simulation until its next Reset. Runner.Run checks arenas out of a
-// sync.Pool, so each worker of a matrix or search pool settles on its own
-// arena instead of paying a fresh simulation per run.
+// sync.Pool (a matrix cell holds two at once), so each worker of a matrix
+// or search pool settles on its own arenas instead of paying a fresh
+// simulation per run.
 type runArena struct {
 	sim    *dsim.Sim
 	fp     scroll.Fingerprinter
@@ -112,18 +116,55 @@ var arenaPool = sync.Pool{}
 // nondeterministic draw flows through the seeded simulation, and a Reset
 // arena is observationally identical to a fresh one.
 func (r Runner) Run(sched Schedule) *RunResult {
+	a := r.checkout()
+	res := r.fingerprinted(sched, a)
+	arenaPool.Put(a)
+	return res
+}
+
+// runTwice executes the schedule as Run does, then again on a second
+// arena, and reports whether the second run reproduced the first: the
+// replay-determinism check of a matrix cell. The second run is compared,
+// not fingerprinted — its scrolls record for record on every field the
+// digest encodes (scroll.Equal), and the rest of its result field by
+// field — while both arenas are still checked out.
+func (r Runner) runTwice(sched Schedule) (res *RunResult, deterministic bool) {
+	a := r.checkout()
+	res = r.fingerprinted(sched, a)
+	b := r.checkout()
+	again := r.execute(sched, b)
+	deterministic = sameOutcome(res, again) && scroll.Equal(a.sim.Scrolls(), b.sim.Scrolls())
+	arenaPool.Put(a)
+	arenaPool.Put(b)
+	return res, deterministic
+}
+
+// checkout takes an arena from the pool, or builds one, with its
+// simulation Reset to the runner's configuration.
+func (r Runner) checkout() *runArena {
 	cfg := r.Spec.Config(r.Buggy)
 	cfg.Seed = r.Seed
 	a, _ := arenaPool.Get().(*runArena)
 	if a == nil {
-		a = &runArena{sim: dsim.New(cfg)}
-	} else {
-		a.sim.Reset(cfg)
+		return &runArena{sim: dsim.New(cfg)}
 	}
+	a.sim.Reset(cfg)
+	return a
+}
+
+// fingerprinted executes the schedule in the arena and fingerprints the
+// run's scrolls into the result.
+func (r Runner) fingerprinted(sched Schedule, a *runArena) *RunResult {
 	res := r.execute(sched, a)
 	res.Digest, res.Shape = a.fp.Fingerprint(a.sim.Scrolls(), ShapeBucket)
-	arenaPool.Put(a)
 	return res
+}
+
+// sameOutcome compares two results on everything but their fingerprints.
+func sameOutcome(x, y *RunResult) bool {
+	return x.Stats == y.Stats && x.LocalFaults == y.LocalFaults && x.ProbeFaults == y.ProbeFaults &&
+		x.Epoch == y.Epoch && slices.Equal(x.Violations, y.Violations) && slices.Equal(x.Procs, y.Procs) &&
+		maps.EqualFunc(x.Durable, y.Durable, func(p, q map[string][]byte) bool { return maps.EqualFunc(p, q, bytes.Equal) })
 }
 
 // execute populates the arena's simulation, which must be fresh or Reset,
