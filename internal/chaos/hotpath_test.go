@@ -116,12 +116,12 @@ func TestWarmCellAllocs(t *testing.T) {
 // one cell, as the matrix's determinism check does, allocates nothing.
 func TestWarmCompareAllocs(t *testing.T) {
 	r, sched := kvCell(t)
-	a := r.checkout()
+	a, b := r.checkout(), r.checkout()
 	defer arenaPool.Put(a)
-	a.twin = r.reset(a.twin)
+	defer arenaPool.Put(b)
 	r.execute(sched, a)
-	r.execute(sched, a.twin)
-	x, y := a.sim.Scrolls(), a.twin.sim.Scrolls()
+	r.execute(sched, b)
+	x, y := a.sim.Scrolls(), b.sim.Scrolls()
 	if !scroll.Equal(x, y) {
 		t.Fatal("two runs of one cell compare unequal")
 	}

@@ -99,19 +99,14 @@ func (r Runner) Crashable() []int {
 // fingerprinter, and the buffers the schedule compiles into — the plan and
 // the group target lists its injections alias, both armed on the
 // simulation until its next Reset. Runner.Run checks arenas out of a
-// sync.Pool, so each worker of a matrix or search pool settles on its own
-// arena instead of paying a fresh simulation per run.
+// sync.Pool (a matrix cell holds two at once), so each worker of a matrix
+// or search pool settles on its own arenas instead of paying a fresh
+// simulation per run.
 type runArena struct {
 	sim    *dsim.Sim
 	fp     scroll.Fingerprinter
 	plan   fault.Plan
 	groups []string
-	// twin is the arena a matrix cell's second run executes in, built at
-	// the first cell. It lives as long as this arena instead of in the
-	// pool, where an arena only matrix cells use sits idle through every
-	// search between them and a garbage collection drops it: a new one
-	// pays a fresh simulation and its warm-up again.
-	twin *runArena
 }
 
 var arenaPool = sync.Pool{}
@@ -127,34 +122,29 @@ func (r Runner) Run(sched Schedule) *RunResult {
 	return res
 }
 
-// runTwice executes the schedule as Run does, then again in the arena's
-// twin, and reports whether the second run reproduced the first: the
+// runTwice executes the schedule as Run does, then again on a second
+// arena, and reports whether the second run reproduced the first: the
 // replay-determinism check of a matrix cell. The second run is compared,
 // not fingerprinted — its scrolls record for record on every field the
 // digest encodes (scroll.Equal), and the rest of its result field by
-// field — while both arenas still hold their runs.
+// field — while both arenas are still checked out.
 func (r Runner) runTwice(sched Schedule) (res *RunResult, deterministic bool) {
 	a := r.checkout()
 	res = r.fingerprinted(sched, a)
-	a.twin = r.reset(a.twin)
-	again := r.execute(sched, a.twin)
-	deterministic = sameOutcome(res, again) && scroll.Equal(a.sim.Scrolls(), a.twin.sim.Scrolls())
+	b := r.checkout()
+	again := r.execute(sched, b)
+	deterministic = sameOutcome(res, again) && scroll.Equal(a.sim.Scrolls(), b.sim.Scrolls())
 	arenaPool.Put(a)
+	arenaPool.Put(b)
 	return res, deterministic
 }
 
-// checkout takes an arena from the pool, Reset to the runner's
-// configuration.
+// checkout takes an arena from the pool, or builds one, with its
+// simulation Reset to the runner's configuration.
 func (r Runner) checkout() *runArena {
-	a, _ := arenaPool.Get().(*runArena)
-	return r.reset(a)
-}
-
-// reset Resets the arena's simulation to the runner's configuration, or
-// builds an arena when a is nil.
-func (r Runner) reset(a *runArena) *runArena {
 	cfg := r.Spec.Config(r.Buggy)
 	cfg.Seed = r.Seed
+	a, _ := arenaPool.Get().(*runArena)
 	if a == nil {
 		return &runArena{sim: dsim.New(cfg)}
 	}
