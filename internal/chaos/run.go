@@ -122,29 +122,53 @@ func (r Runner) Run(sched Schedule) *RunResult {
 	return res
 }
 
-// runTwice executes the schedule as Run does, then again on a second
-// arena, and reports whether the second run reproduced the first: the
+// secondArenas holds the arenas matrix cells execute their second runs in.
+// They are kept out of arenaPool: a pooled arena that only matrix cells use
+// sits idle through every search between them, a garbage collection drops
+// it, and the next cell pays a fresh simulation and its warm-up again. The
+// list grows to the number of cells that ever ran at once.
+var secondArenas struct {
+	sync.Mutex
+	free []*runArena
+}
+
+// runTwice executes the schedule as Run does, then again in a second arena,
+// and reports whether the second run reproduced the first: the
 // replay-determinism check of a matrix cell. The second run is compared,
 // not fingerprinted — its scrolls record for record on every field the
 // digest encodes (scroll.Equal), and the rest of its result field by
-// field — while both arenas are still checked out.
+// field — while both arenas still hold their runs.
 func (r Runner) runTwice(sched Schedule) (res *RunResult, deterministic bool) {
 	a := r.checkout()
 	res = r.fingerprinted(sched, a)
-	b := r.checkout()
+	var b *runArena
+	secondArenas.Lock()
+	if n := len(secondArenas.free); n > 0 {
+		b, secondArenas.free = secondArenas.free[n-1], secondArenas.free[:n-1]
+	}
+	secondArenas.Unlock()
+	b = r.reset(b)
 	again := r.execute(sched, b)
 	deterministic = sameOutcome(res, again) && scroll.Equal(a.sim.Scrolls(), b.sim.Scrolls())
 	arenaPool.Put(a)
-	arenaPool.Put(b)
+	secondArenas.Lock()
+	secondArenas.free = append(secondArenas.free, b)
+	secondArenas.Unlock()
 	return res, deterministic
 }
 
-// checkout takes an arena from the pool, or builds one, with its
-// simulation Reset to the runner's configuration.
+// checkout takes an arena from the pool, Reset to the runner's
+// configuration.
 func (r Runner) checkout() *runArena {
+	a, _ := arenaPool.Get().(*runArena)
+	return r.reset(a)
+}
+
+// reset Resets the arena's simulation to the runner's configuration, or
+// builds an arena when a is nil.
+func (r Runner) reset(a *runArena) *runArena {
 	cfg := r.Spec.Config(r.Buggy)
 	cfg.Seed = r.Seed
-	a, _ := arenaPool.Get().(*runArena)
 	if a == nil {
 		return &runArena{sim: dsim.New(cfg)}
 	}
