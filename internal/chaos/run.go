@@ -99,9 +99,8 @@ func (r Runner) Crashable() []int {
 // fingerprinter, and the buffers the schedule compiles into — the plan and
 // the group target lists its injections alias, both armed on the
 // simulation until its next Reset. Runner.Run checks arenas out of a
-// sync.Pool (a matrix cell holds two at once), so each worker of a matrix
-// or search pool settles on its own arenas instead of paying a fresh
-// simulation per run.
+// sync.Pool, so each worker of a matrix or search pool settles on its own
+// arena instead of paying a fresh simulation per run.
 type runArena struct {
 	sim    *dsim.Sim
 	fp     scroll.Fingerprinter
