@@ -145,7 +145,7 @@ func BenchmarkMatrixCell(b *testing.B) {
 // TestWarmRunBytes bounds the bytes one warm pooled kvstore run allocates,
 // so that an arena Reset drops instead of rewinds shows here and not only on
 // the perf ledger: the clock-snapshot chunks alone were 15 kB a run, a
-// copy-on-write page is 1 KiB. Measured 4,688 B (5,088 B with a plan
+// copy-on-write page is 256 B. Measured 4,688 B (5,088 B with a plan
 // compiled per run, 10,672 B with text-built payloads, 99,912 B while Reset
 // dropped the arenas); the ceiling is that + 10 %.
 func TestWarmRunBytes(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/checkpoint"
 	"repro/internal/dsim"
 	"repro/internal/fault"
 )
@@ -32,7 +33,8 @@ func withPageSize(specs []apps.AppSpec, pageSize int) []apps.AppSpec {
 // and rollback cells included, which restore heaps from checkpoints), a
 // search of the seeded-bug variants down to its shrunk artifacts, and the
 // per-process replay of a recorded run give byte-identical results whether
-// heaps copy 1 KiB or 4 KiB pages.
+// heaps copy pages of the size that ships (checkpoint.DefaultPageSize), of
+// 4 KiB or of 64 bytes.
 func TestPageSizeNotObservable(t *testing.T) {
 	all := append(apps.Registry(), apps.Zoo()...)
 	type outcome struct{ matrix, search, replays []byte }
@@ -72,14 +74,17 @@ func TestPageSizeNotObservable(t *testing.T) {
 		o.replays = replays.Bytes()
 		return o
 	}
-	small, large := run(1024), run(4096)
-	if !bytes.Equal(small.matrix, large.matrix) {
-		t.Error("the matrix report depends on the heap page size")
-	}
-	if !bytes.Equal(small.search, large.search) {
-		t.Error("the search report (corpus, failures, artifacts) depends on the heap page size")
-	}
-	if !bytes.Equal(small.replays, large.replays) {
-		t.Errorf("replayed heaps depend on the heap page size:\n%s\nvs\n%s", small.replays, large.replays)
+	ships := run(checkpoint.DefaultPageSize)
+	for _, pageSize := range []int{4096, 64} {
+		other := run(pageSize)
+		if !bytes.Equal(ships.matrix, other.matrix) {
+			t.Errorf("the matrix report differs between %d-byte and %d-byte pages", checkpoint.DefaultPageSize, pageSize)
+		}
+		if !bytes.Equal(ships.search, other.search) {
+			t.Errorf("the search report (corpus, failures, artifacts) differs between %d-byte and %d-byte pages", checkpoint.DefaultPageSize, pageSize)
+		}
+		if !bytes.Equal(ships.replays, other.replays) {
+			t.Errorf("replayed heaps differ between %d-byte and %d-byte pages:\n%s\nvs\n%s", checkpoint.DefaultPageSize, pageSize, ships.replays, other.replays)
+		}
 	}
 }

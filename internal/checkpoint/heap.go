@@ -9,10 +9,14 @@
 //     expensive mechanism — our baseline).
 //   - COW snapshots capture the page table only; pages are copied lazily
 //     when the running process first writes them after the snapshot, so a
-//     checkpoint costs O(pages touched), not O(heap size). This reproduces
-//     the copy-on-write shadow mechanism of Flashback and of distributed
-//     speculations (paper §4.2: "Speculations use a copy-on-write mechanism
-//     to build lightweight, incremental checkpoints of processes").
+//     checkpoint costs O(pages touched), not O(heap size). A page appears
+//     when it is first written — one never written is absent and reads as
+//     zeros — and the table ends at the highest page written, so what a
+//     snapshot copies is as long as the span written, not the heap. This
+//     reproduces the copy-on-write shadow mechanism of Flashback and of
+//     distributed speculations (paper §4.2: "Speculations use a
+//     copy-on-write mechanism to build lightweight, incremental checkpoints
+//     of processes").
 //
 // Application state lives in a paged Heap so that page-granular dirty
 // tracking is meaningful, the same way kernel-level tools exploit hardware
@@ -71,13 +75,13 @@
 // A simulation that is Reset and run again allocates none of this twice.
 // An Arena carves state encodings, Snapshot headers and page tables out of
 // slabs (internal/slab) that Rewind hands to the next run; a Heap keeps the
-// pages its copy-on-write displaced and copies into them again after Reset;
-// a Store keeps its lists and the checkpoint IDs it rendered. One rule
-// covers all three: everything handed out during a run — a Snapshot, a
-// Checkpoint, an encoding — is invalid after the Reset or Rewind that ends
-// it. (A checkpoint ID is not handed out of run-scoped memory: it is an
-// ordinary string, carved from a block of ID text that lives as long as any
-// ID in it does.)
+// pages it wrote and those its copy-on-write displaced, and writes and
+// copies into them again after Reset; a Store keeps its lists and the
+// checkpoint IDs it rendered. One rule covers all three: everything handed
+// out during a run — a Snapshot, a Checkpoint, an encoding — is invalid
+// after the Reset or Rewind that ends it. (A checkpoint ID is not handed out
+// of run-scoped memory: it is an ordinary string, carved from a block of ID
+// text that lives as long as any ID in it does.)
 //
 // What a heap cannot recycle it allocates in batches — the headers of a run
 // of pages in one array, their data in another — so a long run that copies a
@@ -91,8 +95,6 @@ package checkpoint
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"slices"
 	"sync"
 
 	"repro/internal/slab"
@@ -100,11 +102,16 @@ import (
 
 // DefaultPageSize is the copy-on-write unit of a heap made without an
 // explicit page size (NewHeap, or a pageSize <= 0). It is sized to the write
-// set, not the hardware: the applications write a word or two between
-// checkpoints, and for a 64 KiB heap one copied page plus the snapshot's
-// page table cost p + 8*64Ki/p bytes per checkpoint, least near p = 724.
-// Page size never reaches a digest (chaos.TestPageSizeNotObservable).
-const DefaultPageSize = 1024
+// set, not the hardware. A checkpoint copies the w pages written since the
+// last one and the page table, which ends at the highest page written: for
+// a written span of S bytes that is about p*w + 8*S/p bytes, least at
+// p = sqrt(8*S/w). Measured on long simulations of the applications that
+// use the heap: tokenring's processes write within the first 64 B and
+// bank's within the first 384 B, one page and w = 1 at any size; kvstore's
+// write 64 words 512 B apart, S = 32 KiB, and w = 3.85 pages at 256 B
+// (3.78 at 1 KiB), which puts its optimum near 260. Page size never reaches
+// a digest (chaos.TestPageSizeNotObservable).
+const DefaultPageSize = 256
 
 // page is one copy-on-write unit. A page value is immutable once it is
 // shared with a snapshot; the heap copies it before mutating (see ensure).
@@ -136,14 +143,14 @@ func newBatch(n, pageSize int) []page {
 	return pages
 }
 
-// maxSpareBytes bounds, in bytes of page data, what the displaced pages a
-// heap keeps for reuse pin: a long run's write set must not stay pinned in a
-// pooled worker, and a heap that is never Reset must not collect every page
-// it ever displaced.
+// maxSpareBytes bounds, in bytes of page data, what the pages a heap keeps
+// for reuse pin: a long run's write set must not stay pinned in a pooled
+// worker, and a heap that is never Reset must not collect every page it
+// ever displaced.
 const maxSpareBytes = 256 << 10
 
-// maxBatchBytes bounds, in bytes of page data, the batches copy-on-write
-// allocates: they double from one page up to this, so a heap that copies
+// maxBatchBytes bounds, in bytes of page data, the batches pages are
+// allocated in: they double from one page up to this, so a heap that writes
 // three pages does not allocate thirty-two.
 const maxBatchBytes = 32 << 10
 
@@ -152,33 +159,31 @@ const maxBatchBytes = 32 << 10
 type Heap struct {
 	mu       sync.Mutex
 	pageSize int
-	pages    []*page
-	size     int
-	epoch    uint64 // bumped on every snapshot/restore
-	copied   uint64 // pages copied due to COW since the last Reset (metric)
-	// dirty has bit i set when page i may be non-zero: written since the
-	// last Reset, or installed by a Restore. Reset clears only those.
-	dirty []uint64
+	// pages is the page table. It ends at the highest page written (or
+	// installed by a Restore); a nil entry is a page never written. Both, and
+	// everything past the table up to size, read as zeros.
+	pages  []*page
+	size   int    // logical, in whole pages
+	epoch  uint64 // bumped on every snapshot/restore
+	copied uint64 // pages copied due to COW since the last Reset (metric)
 
 	// clean is the last Snapshot taken, for as long as nothing was written
 	// or restored since: a checkpoint of an unchanged heap is that snapshot
 	// again.
 	clean *Snapshot
-	// Page recycling. displaced holds pages COW replaced since the last
+	// Page recycling. displaced holds the pages COW replaced since the last
 	// Reset — snapshots still read them; free holds the ones from before it,
-	// which ensure and grow use in place of new allocations. Both only ever
-	// hold pages this heap allocated: foreign is set once a Restore installs
-	// pages of unknown origin (another heap's snapshot), and from then until
-	// Reset — which lets go of every installed page instead of zeroing it —
-	// nothing is collected. restored is set by any Restore: it can re-install
-	// a page that is already on the displaced list. spareBytes is what the two
-	// lists pin: the data of every batch with a page on either.
-	free, displaced   []*page
-	spareBytes        int
-	foreign, restored bool
+	// and the pages of the table Reset emptied, which ensure uses in place of
+	// new allocations. Both only ever hold pages this heap allocated: foreign
+	// is set once a Restore installs pages of unknown origin (another heap's
+	// snapshot), and from then until Reset — which lets go of every installed
+	// page instead of keeping it — nothing is collected. spareBytes is what
+	// the two lists pin: the data of every batch with a page on either.
+	free, displaced []*page
+	spareBytes      int
+	foreign         bool
 	// Page allocation, behind the recycling: fresh holds the pages of the
-	// newest batch not handed out yet, batchPages the size of the last batch
-	// copy-on-write asked for.
+	// newest batch not handed out yet, batchPages the size of that batch.
 	fresh      []page
 	batchPages int
 	// Where Snapshot headers and page tables are carved from; nil slabs (a
@@ -187,19 +192,12 @@ type Heap struct {
 	tables *slab.Slab[*page]
 }
 
-// markDirty records that page i may no longer be all zeros. Caller holds mu.
-func (h *Heap) markDirty(i int) {
-	for len(h.dirty) <= i/64 {
-		h.dirty = append(h.dirty, 0)
-	}
-	h.dirty[i/64] |= 1 << (i % 64)
-}
-
 // NewHeap returns a zeroed heap of the given size in bytes using the
 // default page size.
 func NewHeap(size int) *Heap { return NewHeapPages(size, DefaultPageSize) }
 
-// NewHeapPages returns a zeroed heap with an explicit page size.
+// NewHeapPages returns a zeroed heap with an explicit page size. It holds no
+// page until one is written.
 func NewHeapPages(size, pageSize int) *Heap {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
@@ -209,20 +207,11 @@ func NewHeapPages(size, pageSize int) *Heap {
 	return h
 }
 
-// grow extends the heap to at least size bytes with zeroed pages. Caller
-// holds mu (or is the constructor).
+// grow extends the heap's logical size to at least size bytes, rounded up to
+// whole pages. Caller holds mu (or is the constructor).
 func (h *Heap) grow(size int) {
-	for h.size < size {
-		p := h.recycled()
-		if p != nil {
-			clear(p.data)
-		} else {
-			p = h.newPage((size - h.size + h.pageSize - 1) / h.pageSize)
-		}
-		p.epoch = h.epoch
-		h.pages = append(h.pages, p)
-		h.size += h.pageSize
-		h.clean = nil
+	if size > h.size {
+		h.size = (size + h.pageSize - 1) / h.pageSize * h.pageSize
 	}
 }
 
@@ -241,30 +230,25 @@ func (h *Heap) recycled() *page {
 }
 
 // newPage carves a zeroed page out of the newest batch, for a caller that
-// found the free list empty and needs this many pages now. When the batch is
-// used up the next one holds exactly that many (a fresh heap is one batch)
-// or, for the single pages copy-on-write and a creeping heap ask for, twice
-// what the last such batch held, up to maxBatchBytes. Caller holds mu.
-func (h *Heap) newPage(need int) *page {
+// found the free list empty. When the batch is used up the next one holds
+// twice as many pages, up to maxBatchBytes. Caller holds mu.
+func (h *Heap) newPage() *page {
 	if len(h.fresh) == 0 {
-		if need == 1 {
-			h.batchPages = max(min(2*h.batchPages, maxBatchBytes/h.pageSize), 1)
-			need = h.batchPages
-		}
-		h.fresh = newBatch(need, h.pageSize)
+		h.batchPages = max(min(2*h.batchPages, maxBatchBytes/h.pageSize), 1)
+		h.fresh = newBatch(h.batchPages, h.pageSize)
 	}
 	p := &h.fresh[0]
 	h.fresh = h.fresh[1:]
 	return p
 }
 
-// keep puts p, which copy-on-write just displaced, on the displaced list for
-// the run after the next Reset: if it is this heap's own, is not there
-// already (a Restore can bring a displaced page back to be displaced again),
-// and pins no more than the cap allows. A page pins its batch, so the first
-// page of a batch to be kept is charged all of it and its siblings nothing;
-// past the cap a batch is refused page after page, and so let go of whole.
-// Caller holds mu.
+// keep puts p, which copy-on-write just displaced or Reset took out of the
+// table, on the displaced list for the run after the next Reset: if it is
+// this heap's own, is not there already (a Restore can bring a displaced
+// page back into the table), and pins no more than the cap allows. A page
+// pins its batch, so the first page of a batch to be kept is charged all of
+// it and its siblings nothing; past the cap a batch is refused page after
+// page, and so let go of whole. Caller holds mu.
 func (h *Heap) keep(p *page) {
 	if h.foreign || p.spare {
 		return
@@ -289,15 +273,14 @@ func (h *Heap) unspare(p *page) {
 	}
 }
 
-// Reset returns the heap to the zeroed state of a fresh NewHeapPages(size,
-// pageSize) while reusing the page buffers already allocated — the arena-
-// recycling primitive behind dsim.Sim.Reset. Only the pages written (or
-// installed by Restore) since the last Reset are cleared: a run touches a
-// few words of a 64 KiB heap. Retained pages are zeroed in place and the
-// pages copy-on-write displaced become available to the next run's copies,
-// so every Snapshot of this heap is invalid after Reset. Pages the heap did
-// not allocate — installed by a Restore from another heap's snapshot — are
-// let go of, never written.
+// Reset returns the heap to the state of a fresh NewHeapPages(size,
+// pageSize) — no pages — while keeping the page buffers it allocated: the
+// pages of its table and those copy-on-write displaced go on the free list,
+// within the cap, and the next run's first writes and copies take them from
+// there, so every Snapshot of this heap is invalid after Reset. This is the
+// arena-recycling primitive behind dsim.Sim.Reset. Pages the heap did not
+// allocate — installed by a Restore from another heap's snapshot — are let
+// go of, never written.
 func (h *Heap) Reset(size, pageSize int) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
@@ -309,27 +292,15 @@ func (h *Heap) Reset(size, pageSize int) {
 		h.pages, h.free, h.displaced, h.spareBytes = nil, nil, nil, 0
 		h.fresh, h.batchPages = nil, 0
 	}
-	want := min((size+pageSize-1)/pageSize, len(h.pages)) // grow below fills the rest
-	if h.foreign {
-		want = 0 // not this heap's pages to zero
-	}
-	clear(h.pages[want:])
-	h.pages = h.pages[:want]
-	h.epoch = 0
-	for i, p := range h.pages {
-		if i/64 < len(h.dirty) && h.dirty[i/64]&(1<<(i%64)) != 0 {
-			clear(p.data)
+	for _, p := range h.pages {
+		if p != nil {
+			h.keep(p)
 		}
-		p.epoch = 0
 	}
-	clear(h.dirty)
+	clear(h.pages)
+	h.pages = h.pages[:0]
 	poison := slab.Poisoning()
 	for _, p := range h.displaced {
-		// A Restore may have put a displaced page back in the heap.
-		if h.restored && slices.Contains(h.pages, p) {
-			h.unspare(p)
-			continue
-		}
 		if poison {
 			for i := range p.data {
 				p.data[i] = 0xDB
@@ -339,32 +310,39 @@ func (h *Heap) Reset(size, pageSize int) {
 	}
 	clear(h.displaced)
 	h.displaced = h.displaced[:0]
-	h.foreign, h.restored, h.clean = false, false, nil
-	h.size = want * pageSize
-	h.copied = 0
+	h.foreign, h.clean = false, nil
+	h.size, h.epoch, h.copied = 0, 0, 0
 	h.grow(size)
 }
 
 // PageSize returns the page granularity in bytes.
 func (h *Heap) PageSize() int { return h.pageSize }
 
-// ensure makes page i privately writable in the current epoch, copying it
-// if it is shared with an earlier snapshot — into a recycled page when the
-// free list has one. Caller holds mu.
+// ensure makes page i privately writable in the current epoch: a page never
+// written appears, zeroed, and one shared with an earlier snapshot is
+// copied. Both take a recycled page when the free list has one. Caller holds
+// mu.
 func (h *Heap) ensure(i int) *page {
+	for len(h.pages) <= i {
+		h.pages = append(h.pages, nil)
+	}
 	p := h.pages[i]
-	if p.epoch == h.epoch {
+	if p != nil && p.epoch == h.epoch {
 		return p
 	}
 	cp := h.recycled()
 	if cp == nil {
-		cp = h.newPage(1)
+		cp = h.newPage()
+	} else if p == nil {
+		clear(cp.data) // what it held in an earlier run
 	}
-	copy(cp.data, p.data)
+	if p != nil {
+		copy(cp.data, p.data)
+		h.copied++
+		h.keep(p)
+	}
 	cp.epoch = h.epoch
 	h.pages[i] = cp
-	h.copied++
-	h.keep(p)
 	return cp
 }
 
@@ -378,18 +356,15 @@ func (h *Heap) Write(off int, b []byte) {
 	h.grow(off + len(b))
 	h.clean = nil
 	for len(b) > 0 {
-		pi := off / h.pageSize
-		po := off % h.pageSize
-		p := h.ensure(pi)
-		h.markDirty(pi)
-		n := copy(p.data[po:], b)
+		p := h.ensure(off / h.pageSize)
+		n := copy(p.data[off%h.pageSize:], b)
 		b = b[n:]
 		off += n
 	}
 }
 
-// Read copies len(b) bytes from offset off into b. Reads beyond the current
-// size yield zeros.
+// Read copies len(b) bytes from offset off into b. Pages never written, and
+// reads beyond the current size, yield zeros.
 func (h *Heap) Read(off int, b []byte) {
 	if off < 0 {
 		panic(fmt.Sprintf("checkpoint: negative offset %d", off))
@@ -397,15 +372,17 @@ func (h *Heap) Read(off int, b []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for len(b) > 0 {
-		if off >= h.size {
-			for i := range b {
-				b[i] = 0
-			}
+		pi, po := off/h.pageSize, off%h.pageSize
+		if pi >= len(h.pages) {
+			clear(b)
 			return
 		}
-		pi := off / h.pageSize
-		po := off % h.pageSize
-		n := copy(b, h.pages[pi].data[po:])
+		n := min(len(b), h.pageSize-po)
+		if p := h.pages[pi]; p != nil {
+			copy(b, p.data[po:po+n])
+		} else {
+			clear(b[:n])
+		}
 		b = b[n:]
 		off += n
 	}
@@ -430,15 +407,48 @@ func (h *Heap) ReadUint64(off int) uint64 {
 func (h *Heap) Hash() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	d := fnv.New64a()
-	for _, p := range h.pages {
-		d.Write(p.data)
-	}
-	return d.Sum64()
+	return hashPages(h.pages, h.pageSize, h.size)
 }
 
-// Snapshot captures the current heap state in O(#pages) pointer copies,
-// without copying page data. Subsequent writes to the heap copy pages
+// The 64-bit FNV-1a parameters (hash/fnv). A zero byte leaves the state's
+// XOR step unchanged, so hashing n of them is one multiply by prime64^n.
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
+
+// hashPages is the FNV-1a digest of the size bytes the table holds: nil
+// pages, and everything past the table, are zeros and are not read.
+func hashPages(pages []*page, pageSize, size int) uint64 {
+	zeroPage := pow(prime64, pageSize)
+	d := uint64(offset64)
+	for _, p := range pages {
+		if p == nil {
+			d *= zeroPage
+			continue
+		}
+		for _, c := range p.data {
+			d ^= uint64(c)
+			d *= prime64
+		}
+	}
+	return d * pow(zeroPage, size/pageSize-len(pages))
+}
+
+// pow is x^n, mod 2^64.
+func pow(x uint64, n int) uint64 {
+	r := uint64(1)
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			r *= x
+		}
+		x *= x
+	}
+	return r
+}
+
+// Snapshot captures the current heap state in O(#pages written) pointer
+// copies, without copying page data. Subsequent writes to the heap copy pages
 // lazily (COW), leaving the snapshot unchanged. A heap that was neither
 // written nor restored since its last Snapshot returns that snapshot again.
 func (h *Heap) Snapshot() *Snapshot {
@@ -462,8 +472,9 @@ func (h *Heap) owner() *Heap {
 }
 
 // Restore rewinds the heap to the snapshot's state. The heap's size becomes
-// the snapshot's size. Restoring is O(#pages) pointer copies; pages become
-// shared again and will be re-copied on write.
+// the snapshot's size, and its table the snapshot's: pages past it are
+// zeros again. Restoring is O(#pages) pointer copies; pages become shared
+// again and will be re-copied on write.
 func (h *Heap) Restore(s *Snapshot) {
 	if s.pageSize != h.pageSize {
 		panic("checkpoint: restore with mismatched page size")
@@ -474,20 +485,17 @@ func (h *Heap) Restore(s *Snapshot) {
 	clear(h.pages)
 	h.pages = append(h.pages[:0], s.pages...)
 	h.size = s.size
-	h.clean, h.restored = nil, true
+	h.clean = nil
 	if s.owner != h {
 		h.foreign = true
 		// Another heap's pages carry that heap's epochs: step past all of
 		// them, or a page stamped with the epoch this heap happens to be in
 		// would pass for private and be written in place.
 		for _, p := range s.pages {
-			h.epoch = max(h.epoch, p.epoch+1)
+			if p != nil {
+				h.epoch = max(h.epoch, p.epoch+1)
+			}
 		}
-	}
-	// The snapshot's pages may come from another heap (NewHeapFrom) or from
-	// before a write this heap never saw: every installed index is suspect.
-	for i := range h.pages {
-		h.markDirty(i)
 	}
 }
 
@@ -495,11 +503,11 @@ func (h *Heap) Restore(s *Snapshot) {
 // it was taken from (or the Arena that heap belongs to) is next Reset.
 type Snapshot struct {
 	pageSize int
-	pages    []*page
+	pages    []*page // the heap's table, up to the highest page written
 	size     int
 	// owner is the heap that took the snapshot, if it allocated every page
 	// in it; nil when some page came out of another heap's snapshot. A heap
-	// recycles what copy-on-write displaces only while all it has restored
+	// recycles what copy-on-write displaced only while all it has restored
 	// are snapshots it owns.
 	owner *Heap
 }
@@ -513,10 +521,4 @@ func NewHeapFrom(s *Snapshot) *Heap {
 }
 
 // Hash returns the FNV-1a digest of the snapshot contents.
-func (s *Snapshot) Hash() uint64 {
-	d := fnv.New64a()
-	for _, p := range s.pages {
-		d.Write(p.data)
-	}
-	return d.Sum64()
-}
+func (s *Snapshot) Hash() uint64 { return hashPages(s.pages, s.pageSize, s.size) }

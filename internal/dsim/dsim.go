@@ -161,7 +161,9 @@ type Config struct {
 	FIFO bool
 	// MaxSteps bounds the number of processed events (0 = 1_000_000).
 	MaxSteps int
-	// HeapSize is each process's initial heap size in bytes (default 64KiB).
+	// HeapSize is each process's logical heap size in bytes (default
+	// 64KiB): what reads as zeros before it is written. Pages are allocated
+	// only when written, and a write past the size grows it.
 	HeapSize int
 	// HeapPageSize overrides the checkpoint page size (default
 	// checkpoint.DefaultPageSize).

@@ -50,7 +50,8 @@ type LiveConfig struct {
 	// InitCheckpoint checkpoints every process right after Init.
 	InitCheckpoint bool
 	// HeapSize / HeapPageSize mirror dsim.Config (defaults 64KiB /
-	// checkpoint.DefaultPageSize).
+	// checkpoint.DefaultPageSize): HeapSize is the logical size, and pages
+	// are allocated only when written.
 	HeapSize     int
 	HeapPageSize int
 	// DurableDir, when set, backs each process's stable storage
