@@ -6,6 +6,7 @@ package repro
 // regressions are visible in standard Go tooling.
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
@@ -22,28 +23,79 @@ import (
 
 // --- E1: the Scroll (Figure 1) ---
 
+// scrollRecordCases are the record streams the scroll append benchmarks
+// record: one peer throughout, and the simulator's mix — receives and sends
+// with peers cycling over 8 names, and random and time records, which name
+// no peer, between them — so that looking the peer up is measured too.
+var scrollRecordCases = []struct {
+	name string
+	rec  func(i int, payload []byte) scroll.Record
+}{
+	{"one_peer", func(i int, payload []byte) scroll.Record {
+		return scroll.Record{Kind: scroll.KindRecv, MsgID: "m", Peer: "p", Payload: payload, Lamport: uint64(i)}
+	}},
+	{"sim_mix", func(i int, payload []byte) scroll.Record {
+		switch i % 4 {
+		case 0:
+			return scroll.Record{Kind: scroll.KindRecv, MsgID: "m", Peer: mixPeers[i/4%8], Payload: payload, Lamport: uint64(i)}
+		case 1:
+			return scroll.Record{Kind: scroll.KindRandom, Payload: payload[:8], Lamport: uint64(i)}
+		case 2:
+			return scroll.Record{Kind: scroll.KindSend, MsgID: "m", Peer: mixPeers[(i/4+3)%8], Payload: payload, Lamport: uint64(i)}
+		}
+		return scroll.Record{Kind: scroll.KindTime, Payload: payload[:8], Lamport: uint64(i)}
+	}},
+}
+
+var mixPeers = [8]string{"n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7"}
+
+// reportBytesPerRecord reports what was allocated since before per record
+// appended.
+func reportBytesPerRecord(b *testing.B, before *runtime.MemStats, records int) {
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(records), "B/record")
+}
+
 func BenchmarkE1ScrollRecord(b *testing.B) {
-	s := scroll.NewMemory("bench")
-	payload := make([]byte, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Append(scroll.Record{Kind: scroll.KindRecv, MsgID: "m", Peer: "p", Payload: payload, Lamport: uint64(i)})
+	for _, c := range scrollRecordCases {
+		b.Run(c.name, func(b *testing.B) {
+			s := scroll.NewMemory("bench")
+			payload := make([]byte, 64)
+			var before runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Append(c.rec(i, payload))
+			}
+			reportBytesPerRecord(b, &before, b.N)
+		})
 	}
 }
 
 // BenchmarkScrollAppendLong records one long execution's worth of history
-// per iteration: B/op is what a 200k-record scroll costs to build, which is
-// its own size when history is appended and three times that when a growing
-// array recopies it.
+// per iteration: B/record is what a 200k-record scroll costs to build per
+// record, which is its stored entry (56 B) when history is appended and
+// about three times that when a growing array recopies it.
 func BenchmarkScrollAppendLong(b *testing.B) {
-	payload := make([]byte, 64)
-	b.ReportAllocs()
-	for b.Loop() {
-		s := scroll.NewMemory("bench")
-		for i := range 200_000 {
-			s.Append(scroll.Record{Kind: scroll.KindRecv, MsgID: "m", Peer: "p", Payload: payload, Lamport: uint64(i)})
-		}
+	const records = 200_000
+	for _, c := range scrollRecordCases {
+		b.Run(c.name, func(b *testing.B) {
+			payload := make([]byte, 64)
+			var before runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			n := 0
+			for b.Loop() {
+				s := scroll.NewMemory("bench")
+				for i := range records {
+					s.Append(c.rec(i, payload))
+				}
+				n += records
+			}
+			reportBytesPerRecord(b, &before, n)
+		})
 	}
 }
 

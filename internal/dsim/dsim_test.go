@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/inject"
@@ -528,6 +529,30 @@ func TestReplayDetectsTamperedScroll(t *testing.T) {
 	}
 	if !res.Diverged && res.HeapHash == cleanRes.HeapHash {
 		t.Error("tampering had no observable effect")
+	}
+}
+
+// A time or random record whose outcome is not 8 bytes — as a log damaged on
+// disk may hold — is a divergence at that record, not a panic.
+func TestReplayShortOutcomeDiverges(t *testing.T) {
+	s := New(Config{Seed: 11})
+	s.AddProcess("a", &randomUser{peer: "b"})
+	s.AddProcess("b", &randomUser{})
+	s.Run()
+	for _, kind := range []scroll.Kind{scroll.KindRandom, scroll.KindTime} {
+		recs := s.Scroll("b").Records()
+		at := slices.IndexFunc(recs, func(r scroll.Record) bool { return r.Kind == kind })
+		if at < 0 {
+			t.Fatalf("b recorded no %v", kind)
+		}
+		recs[at].Payload = []byte{1, 2, 3}
+		res, err := Replay("b", &randomUser{}, recs, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Diverged || res.DivergeAt != recs[at].Seq {
+			t.Errorf("%v outcome of 3 bytes at seq %d: diverged %v at %d", kind, recs[at].Seq, res.Diverged, res.DivergeAt)
+		}
 	}
 }
 

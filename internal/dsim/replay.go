@@ -34,6 +34,9 @@ type replayCtx struct {
 	faults  []string
 	halted  bool
 	openErr error // first divergence
+	// badAt is 1 + the position of the record openErr rejects when the
+	// replayer has moved past it, 0 otherwise.
+	badAt int
 }
 
 func (c *replayCtx) fail(err error) {
@@ -46,22 +49,34 @@ func (c *replayCtx) Self() string { return c.id }
 
 //fixd:nondeterm replayer consumes scroll records instead of producing them
 func (c *replayCtx) Now() uint64 {
-	rec, err := c.rp.Next(scroll.KindTime)
-	if err != nil {
-		c.fail(err)
-		return c.now
+	if v, ok := c.outcome(scroll.KindTime); ok {
+		return v
 	}
-	return binary.LittleEndian.Uint64(rec.Payload)
+	return c.now
 }
 
 //fixd:nondeterm replayer consumes scroll records instead of producing them
 func (c *replayCtx) Random() uint64 {
-	rec, err := c.rp.Next(scroll.KindRandom)
+	v, _ := c.outcome(scroll.KindRandom)
+	return v
+}
+
+// outcome returns the 8-byte outcome the next record of kind k holds. A
+// record whose payload is not 8 bytes long — a log damaged on disk, say —
+// is a divergence at that record.
+func (c *replayCtx) outcome(k scroll.Kind) (uint64, bool) {
+	rec, err := c.rp.Next(k)
+	if err == nil && len(rec.Payload) != 8 {
+		err = fmt.Errorf("%w: %v outcome of %d bytes at seq %d", scroll.ErrReplayDiverged, k, len(rec.Payload), rec.Seq)
+		if c.openErr == nil {
+			c.badAt = c.rp.Pos()
+		}
+	}
 	if err != nil {
 		c.fail(err)
-		return 0
+		return 0, false
 	}
-	return binary.LittleEndian.Uint64(rec.Payload)
+	return binary.LittleEndian.Uint64(rec.Payload), true
 }
 
 //fixd:nondeterm replayer consumes scroll records instead of producing them
@@ -214,6 +229,9 @@ func Replay(id string, m Machine, recs []scroll.Record, heapSize, pageSize int) 
 		if errors.Is(ctx.openErr, scroll.ErrReplayDiverged) {
 			res.Diverged = true
 			res.DivergeAt = uint64(ctx.rp.Pos())
+			if ctx.badAt > 0 {
+				res.DivergeAt = uint64(ctx.badAt - 1)
+			}
 		} else if !errors.Is(ctx.openErr, scroll.ErrReplayExhausted) {
 			return res, ctx.openErr
 		}

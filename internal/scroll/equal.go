@@ -67,15 +67,19 @@ type comparer struct {
 }
 
 // views compares two views record by record. Views of equal length have
-// their segment boundaries in the same places.
+// their segment boundaries in the same places; peers compare by slot where
+// the name tables are equal.
 func (c *comparer) views(x, y view) bool {
 	if x.n != y.n {
 		return false
 	}
+	names := slices.Equal(x.names, y.names)
 	for k := range x.segs() {
 		sx, sy := x.seg(k), y.seg(k)
 		for i := range sx {
-			if !c.records(&sx[i], &sy[i]) {
+			a, b := &sx[i], &sy[i]
+			if a.kind != b.kind || a.lamport != b.lamport || a.msgID != b.msgID || a.payload != b.payload ||
+				!(names && a.peer == b.peer || x.names[a.peer] == y.names[b.peer]) || !c.clocks(a.clock, b.clock) {
 				return false
 			}
 		}

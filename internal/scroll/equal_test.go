@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/vclock"
+	"repro/internal/wal"
 )
 
 // checkEqual asserts that Equal agrees with the digests of the merges, both
@@ -35,6 +36,53 @@ func rebuild(scrolls []*Scroll, mut func(p, i int, r *Record)) []*Scroll {
 			if mut != nil {
 				mut(p, i, &r)
 			}
+			out[p].Append(r)
+		}
+	}
+	return out
+}
+
+// reloaded writes the records of s to a WAL and loads it under the name
+// proc.
+func reloaded(t *testing.T, s *Scroll, proc string) *Scroll {
+	t.Helper()
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range s.Records() {
+		if err := w.Append(r.encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenDurable(proc, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { back.Close() })
+	return back
+}
+
+// reordered rebuilds the scrolls, each with its name table listing the
+// scroll's peers in the reverse of the order they first appear in it.
+func reordered(scrolls []*Scroll) []*Scroll {
+	out := make([]*Scroll, len(scrolls))
+	for p, s := range scrolls {
+		out[p] = NewMemory(s.Proc())
+		var peers []string
+		for r := range s.All() {
+			if !slices.Contains(peers, r.Peer) {
+				peers = append(peers, r.Peer)
+			}
+		}
+		for _, peer := range slices.Backward(peers) {
+			out[p].name(peer)
+		}
+		for r := range s.All() {
 			out[p].Append(r)
 		}
 	}
@@ -107,8 +155,9 @@ func mutateOne(rng *rand.Rand, scrolls []*Scroll, from int, mut func(r *Record))
 // multi-segment scrolls, sorted or not, with process names shared or not)
 // and make changes the encoding does not see: a nil for an empty payload, a
 // clock on a superset table, empty scrolls added or dropped, the scrolls
-// listed in another order, a log reopened under another name, and a
-// truncated suffix appended again.
+// listed in another order, a log reopened under another name, name tables
+// that list the same peers in another order, and a truncated suffix
+// appended again.
 func TestEqualMatchesDigest(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -132,20 +181,17 @@ func TestEqualMatchesDigest(t *testing.T) {
 			checkEqual(t, a, mutateOne(rng, a, from, m.mut), false, what+", "+m.name)
 		}
 		checkEqual(t, a, rebuild(a, func(_, _ int, r *Record) { r.Clock = onSuperset(r.Clock) }), true, what+", superset tables")
-		for _, field := range []string{"seq", "proc"} {
-			b := rebuild(a, nil)
-			s := b[rng.Intn(len(b))]
-			for s.Len() == 0 {
-				s = b[rng.Intn(len(b))]
-			}
-			r := s.at(rng.Intn(s.Len())) // a field Append assigns, so changed in place
-			if field == "seq" {
-				r.Seq++
-			} else {
-				r.Proc += "'"
-			}
-			checkEqual(t, a, b, false, what+", "+field)
-		}
+		// Seq is a record's position and Proc is stored as the scroll's own
+		// name, so neither can be changed in place. A log loaded under
+		// another name keeps its records' process; a name table that lists
+		// the same peers in another order holds the same records.
+		b := slices.Clone(a)
+		p := rng.Intn(len(b))
+		b[p] = reloaded(t, b[p], b[p].Proc()+"'")
+		checkEqual(t, a, b, true, what+", a log loaded under another name")
+		checkEqual(t, a, reordered(a), true, what+", name tables in another order")
+		peerChanged := mutateOne(rng, a, from, func(r *Record) { r.Peer += "'" })
+		checkEqual(t, a, reordered(peerChanged), false, what+", name tables in another order, a peer renamed")
 	}
 
 	rec := func(lamport uint64, payload []byte) Record {
@@ -208,7 +254,7 @@ func TestEqualMatchesDigest(t *testing.T) {
 		checkEqual(t, []*Scroll{s}, []*Scroll{long()}, true, fmt.Sprintf("truncated at %d and re-appended", cut))
 		s.Truncate(uint64(cut))
 		fill(t, s, cut, cut+1)
-		s.Append(Record{Kind: KindCustom, Lamport: s.at(cut).Lamport})
+		s.Append(Record{Kind: KindCustom, Lamport: s.at(cut).lamport})
 		fill(t, s, cut+2, 3*segLen+7)
 		checkEqual(t, []*Scroll{s}, []*Scroll{long()}, false, fmt.Sprintf("truncated at %d and re-appended otherwise", cut))
 	}

@@ -120,12 +120,16 @@ func TestGoldenRecordEncoding(t *testing.T) {
 	}
 }
 
-// Record is stored by value and []Record growth is a large share of what a
-// long run allocates: its clock must stay one machine word.
+// A scroll stores an entry per record, and entries are a large share of
+// what a long run allocates; a Record is what every copy out of a scroll
+// costs. The clock in both must stay one machine word.
 func TestRecordSizeDoesNotGrow(t *testing.T) {
 	const parent = 13 * unsafe.Sizeof(uintptr(0)) // 104 bytes on 64-bit, as with the map clock
 	if got := unsafe.Sizeof(Record{}); got > parent {
 		t.Errorf("unsafe.Sizeof(Record{}) = %d, want <= %d", got, parent)
+	}
+	if got := unsafe.Sizeof(entry{}); got > 56 {
+		t.Errorf("unsafe.Sizeof(entry{}) = %d, want <= 56", got)
 	}
 	if got := unsafe.Sizeof(vclock.VC{}); got != unsafe.Sizeof(uintptr(0)) {
 		t.Errorf("unsafe.Sizeof(vclock.VC{}) = %d, want one word", got)

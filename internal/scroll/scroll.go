@@ -15,9 +15,11 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/vclock"
 	"repro/internal/wal"
@@ -87,25 +89,17 @@ func (r *Record) encode() []byte {
 // extended buffer. The produced bytes are identical to encode's for the
 // same record — the streaming hasher depends on that.
 func (r *Record) appendEncode(buf []byte) []byte {
-	buf = appendString(r.appendEncodeKey(buf), r.Proc)
-	return appendEncodeClock(r.appendEncodeBody(buf), r.Clock)
+	var proc, peer [64]byte // names fit, and the encoding never escapes
+	return appendEncodeClock(appendRecord(buf, r.Kind, r.Lamport, r.Seq, appendString(proc[:0], r.Proc), r.MsgID, appendString(peer[:0], r.Peer), alias(r.Payload)), r.Clock)
 }
 
-// appendEncodeKey appends the fixed-width head of the encoding: kind,
-// lamport and seq.
-func (r *Record) appendEncodeKey(buf []byte) []byte {
-	buf = append(buf, byte(r.Kind))
-	buf = binary.LittleEndian.AppendUint64(buf, r.Lamport)
-	return binary.LittleEndian.AppendUint64(buf, r.Seq)
-}
-
-// appendEncodeBody appends the fields between the process and the clock:
-// msgID, peer and payload.
-func (r *Record) appendEncodeBody(buf []byte) []byte {
-	buf = appendString(buf, r.MsgID)
-	buf = appendString(buf, r.Peer)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Payload)))
-	return append(buf, r.Payload...)
+// appendRecord appends a record's encoding but its clock; proc and peer come encoded.
+func appendRecord(buf []byte, kind Kind, lamport, seq uint64, proc []byte, msgID string, peer []byte, payload string) []byte {
+	buf = append(buf, byte(kind))
+	buf = binary.LittleEndian.AppendUint64(buf, lamport)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = appendString(append(buf, proc...), msgID)
+	return appendString(append(buf, peer...), payload)
 }
 
 // appendString appends s uvarint-length-prefixed, as the encoding writes
@@ -241,26 +235,52 @@ func decodeRecord(b []byte) (Record, error) {
 	return r, nil
 }
 
-// segLen is the number of records in one storage segment (about 104 KiB).
+// segLen is the number of records in one storage segment (56 KiB).
 const segLen = 1024
+
+// entry is what a scroll cannot derive of a record: Seq is its position,
+// Proc and Peer slots in the name table, and the payload a string over the
+// bytes Append was given. isNil tells a nil payload from an empty one.
+type entry struct {
+	lamport        uint64
+	clock          vclock.VC
+	msgID, payload string
+	peer, proc     uint16
+	kind           Kind
+	isNil          bool
+}
+
+// alias returns a string over b's bytes, shared rather than copied.
+func alias(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// bytes returns the payload the entry was appended with, shared.
+func (e *entry) bytes() []byte {
+	if e.payload == "" && !e.isNil {
+		return []byte{}
+	}
+	return unsafe.Slice(unsafe.StringData(e.payload), len(e.payload)) // nil for alias(nil)
+}
 
 // Scroll records the nondeterministic actions of a single process. It is
 // safe for concurrent use. If backed by a WAL (see OpenDurable), records
 // survive crashes.
 //
-// Records live in segments of segLen records, so a long scroll is appended
-// to, never recopied. Segment 0 (head) grows by append: a short scroll is one
-// small slice. Every later segment (tail) is allocated once at full length
-// and its slice header never changes again, which is what lets a view be
-// read outside the lock while Append proceeds.
+// Records live as entries in segments of segLen, so a long scroll is
+// appended to, never recopied. Segment 0 (head) and the name table grow by
+// append: a short scroll is one small slice. Every later segment (tail) is
+// allocated once at full length and its slice header never changes again,
+// which is what lets a view be read outside the lock while Append proceeds.
 type Scroll struct {
 	mu       sync.Mutex
 	proc     string
-	head     []Record   // records [0, segLen)
-	tail     [][]Record // tail[k] holds records [(k+1)*segLen, (k+2)*segLen)
-	n        int        // records in the scroll
-	log      *wal.Log   // nil for in-memory scrolls
-	truncErr error      // deferred durable-truncation failure
+	head     []entry   // records [0, segLen)
+	tail     [][]entry // tail[k] holds records [(k+1)*segLen, (k+2)*segLen)
+	n        int       // records in the scroll
+	names    []string  // proc, "", then every other name as it first appears
+	lastPeer uint16    // the slot name found last
+	log      *wal.Log  // nil for in-memory scrolls
+	enc      []byte    // a durable record's encoding, reused
+	truncErr error     // deferred durable-truncation failure
 	// disorder is 1 + the index of the first record that sorts before its
 	// predecessor by Lamport time or names another process than the
 	// scroll's, 0 if none: a scroll without one streams straight into the
@@ -269,12 +289,13 @@ type Scroll struct {
 }
 
 // view is a read-only capture of a scroll's first n records. Append never
-// writes memory a view reaches (it fills slots past n, or moves head to a
-// new array), so a view taken under the lock may be read outside it; a
+// writes memory a view reaches (it fills slots past n, or moves head or names
+// to a new array), so a view taken under the lock may be read outside it; a
 // Truncate followed by Append overwrites slots and so invalidates it.
 type view struct {
-	head   []Record
-	tail   [][]Record
+	head   []entry
+	tail   [][]entry
+	names  []string
 	n      int
 	sorted bool // Lamport-nondecreasing, every record of the scroll's process
 }
@@ -282,28 +303,22 @@ type view struct {
 // segs returns the number of segments holding the view's records.
 func (v view) segs() int { return (v.n + segLen - 1) / segLen }
 
-// seg returns the view's records in segment k.
-func (v view) seg(k int) []Record {
+// seg returns the view's entries in segment k.
+func (v view) seg(k int) []entry {
 	if k == 0 {
 		return v.head[:min(v.n, segLen)]
 	}
 	return v.tail[k-1][:min(v.n-k*segLen, segLen)]
 }
 
-// appendTo appends the view's records to dst in order.
-func (v view) appendTo(dst []Record) []Record {
-	for k := range v.segs() {
-		dst = append(dst, v.seg(k)...)
-	}
-	return dst
-}
-
-// all iterates over the view's records in order, in place.
-func (v view) all(yield func(*Record) bool) {
+// all iterates over the view's records in order, rebuilt from the entries.
+func (v view) all(yield func(Record) bool) {
 	for k := range v.segs() {
 		seg := v.seg(k)
 		for i := range seg {
-			if !yield(&seg[i]) {
+			e := &seg[i]
+			if !yield(Record{Proc: v.names[e.proc], Seq: uint64(k*segLen + i), Kind: e.kind, MsgID: e.msgID,
+				Peer: v.names[e.peer], Payload: e.bytes(), Lamport: e.lamport, Clock: e.clock}) {
 				return
 			}
 		}
@@ -311,7 +326,7 @@ func (v view) all(yield func(*Record) bool) {
 }
 
 // NewMemory returns an in-memory scroll for process proc.
-func NewMemory(proc string) *Scroll { return &Scroll{proc: proc} }
+func NewMemory(proc string) *Scroll { return &Scroll{proc: proc, names: []string{proc, ""}} }
 
 // OpenDurable returns a scroll persisted under dir using a segmented WAL.
 // Existing records in dir are loaded first, so a restarted process resumes
@@ -323,7 +338,7 @@ func NewMemory(proc string) *Scroll { return &Scroll{proc: proc} }
 // execution.
 func OpenDurable(proc, dir string) (*Scroll, error) {
 	recs, err := wal.ReadAll(dir)
-	s := &Scroll{proc: proc}
+	s := NewMemory(proc)
 	if err == nil {
 		err = s.load(recs)
 	}
@@ -352,7 +367,12 @@ func (s *Scroll) load(recs [][]byte) error {
 		if rec.Proc != s.proc && s.disorder == 0 { // a log opened under another name
 			s.disorder = s.n + 1
 		}
-		s.push(rec)
+		proc, perr := s.name(rec.Proc)
+		peer, err := s.name(rec.Peer)
+		if err = cmp.Or(perr, err); err != nil {
+			return err
+		}
+		s.push(&rec, proc, peer)
 	}
 	return nil
 }
@@ -360,13 +380,36 @@ func (s *Scroll) load(recs [][]byte) error {
 // Proc returns the process ID this scroll belongs to.
 func (s *Scroll) Proc() string { return s.proc }
 
-// push stores r as record n. Caller holds mu (or is the constructor).
-func (s *Scroll) push(r Record) {
-	if s.disorder == 0 && s.n > 0 && r.Lamport < s.at(s.n-1).Lamport {
+// name returns the slot of name in the name table, adding it if it is new.
+// The table holds 65,536 slots — 65,535 names and the empty one — and is
+// scanned: a scroll names a handful. Caller holds mu.
+func (s *Scroll) name(name string) (uint16, error) {
+	if name == "" {
+		return 1, nil
+	}
+	if name != s.names[s.lastPeer] {
+		i := slices.Index(s.names, name)
+		if i < 0 {
+			if i = len(s.names); i > math.MaxUint16 {
+				return 0, fmt.Errorf("scroll: %s: %q would be name %d; a scroll holds %d", s.proc, name, i, math.MaxUint16)
+			}
+			s.names = append(s.names, name)
+		}
+		s.lastPeer = uint16(i)
+	}
+	return s.lastPeer, nil
+}
+
+// push stores r as record n, its process and peer at the given slots of the
+// name table. Caller holds mu (or is the constructor).
+func (s *Scroll) push(r *Record, proc, peer uint16) {
+	e := entry{lamport: r.Lamport, clock: r.Clock, msgID: r.MsgID, payload: alias(r.Payload),
+		peer: peer, proc: proc, kind: r.Kind, isNil: r.Payload == nil}
+	if s.disorder == 0 && s.n > 0 && e.lamport < s.at(s.n-1).lamport {
 		s.disorder = s.n + 1
 	}
 	if s.n < segLen {
-		s.head = append(s.head, r)
+		s.head = append(s.head, e)
 		s.n++
 		return
 	}
@@ -376,17 +419,17 @@ func (s *Scroll) push(r Record) {
 			s.tail = s.tail[:k+1] // a segment Truncate kept
 		} else {
 			if s.tail == nil {
-				s.tail = make([][]Record, 0, 16) // past its first segment a scroll is a long one
+				s.tail = make([][]entry, 0, 16) // past its first segment a scroll is a long one
 			}
-			s.tail = append(s.tail, make([]Record, segLen))
+			s.tail = append(s.tail, make([]entry, segLen))
 		}
 	}
-	s.tail[k][i] = r
+	s.tail[k][i] = e
 	s.n++
 }
 
-// at returns record i. Caller holds mu.
-func (s *Scroll) at(i int) *Record {
+// at returns entry i. Caller holds mu.
+func (s *Scroll) at(i int) *entry {
 	if i < segLen {
 		return &s.head[i]
 	}
@@ -395,16 +438,21 @@ func (s *Scroll) at(i int) *Record {
 
 // Append records an action. The record's Proc and Seq are assigned by the
 // scroll; other fields are taken from r. It returns the assigned sequence.
+// r.Payload is kept, not copied, as a Record copy keeps it (the scroll's
+// string drops only the capacity): its bytes must not change afterwards. A
+// peer that would overflow the name table (see name) is an error.
 func (s *Scroll) Append(r Record) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r.Proc = s.proc
-	r.Seq = uint64(s.n)
-	s.push(r)
+	r.Proc, r.Seq = s.proc, uint64(s.n)
+	peer, err := s.name(r.Peer)
+	if err != nil {
+		return r.Seq, err
+	}
+	s.push(&r, 0, peer)
 	if s.log != nil {
-		if err := s.log.Append(r.encode()); err != nil {
-			return r.Seq, err
-		}
+		s.enc = r.appendEncode(s.enc[:0])
+		return r.Seq, s.log.Append(s.enc)
 	}
 	return r.Seq, nil
 }
@@ -427,14 +475,14 @@ func (s *Scroll) records() view {
 
 // view captures the scroll's records. Caller holds mu.
 func (s *Scroll) view() view {
-	return view{head: s.head, tail: s.tail, n: s.n, sorted: s.disorder == 0}
+	return view{head: s.head, tail: s.tail, names: s.names, n: s.n, sorted: s.disorder == 0}
 }
 
 // Records returns a copy of all records in order, as one slice.
 func (s *Scroll) Records() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.view().appendTo(make([]Record, 0, s.n))
+	return slices.AppendSeq(make([]Record, 0, s.n), s.view().all)
 }
 
 // All iterates over the records in order without copying the scroll: each
@@ -442,9 +490,7 @@ func (s *Scroll) Records() []Record {
 // scroll's lock, so the body may Append (to this scroll or any other). It
 // must not Truncate this scroll.
 func (s *Scroll) All() iter.Seq[Record] {
-	return func(yield func(Record) bool) {
-		s.records().all(func(r *Record) bool { return yield(*r) })
-	}
+	return func(yield func(Record) bool) { s.records().all(yield) }
 }
 
 // Truncate discards all records at sequence >= seq. The Time Machine uses
@@ -462,6 +508,9 @@ func (s *Scroll) Truncate(seq uint64) {
 	s.n = int(seq)
 	if s.disorder > s.n {
 		s.disorder = 0
+	}
+	if s.n == 0 { // so a pooled scroll's table lists only this run's names
+		s.names, s.lastPeer = s.names[:2], 0
 	}
 	s.head = s.head[:min(s.n, segLen)]
 	s.tail = s.tail[:max(s.view().segs()-1, 0)]
@@ -573,7 +622,7 @@ func (rp *Replayer) ExpectSend(peer string, payload []byte) error {
 func Merge(scrolls ...*Scroll) []Record {
 	var all []Record
 	for _, s := range scrolls {
-		all = s.records().appendTo(all)
+		all = slices.AppendSeq(all, s.records().all)
 	}
 	sortMerged(all)
 	return all

@@ -164,15 +164,15 @@ func (a *shapeAcc) group(i int, k Kind) int {
 	return -1
 }
 
-// add counts r in lane i.
-func (a *shapeAcc) add(i int, r *Record) {
+// add counts a record of the given time and kind in lane i.
+func (a *shapeAcc) add(i int, lamport uint64, kind Kind) {
 	l := &a.lanes[i]
-	if r.Lamport-l.lo >= a.bucket { // wraps, and so holds, when r is before lo
-		l.win = r.Lamport / a.bucket
+	if lamport-l.lo >= a.bucket { // wraps, and so holds, when the record is before lo
+		l.win = lamport / a.bucket
 		l.lo = l.win * a.bucket
 	}
 	at := uint32(len(a.runs))
-	if g := a.group(i, r.Kind); g >= 0 {
+	if g := a.group(i, kind); g >= 0 {
 		grp := &a.groups[g]
 		run := &a.runs[grp.last]
 		if run.win == l.win && run.count < math.MaxUint32 {
@@ -181,9 +181,9 @@ func (a *shapeAcc) add(i int, r *Record) {
 		}
 		run.next, grp.last = at+1, at
 	} else {
-		a.groups = append(a.groups, shapeGroup{lane: uint32(i), kind: uint32(r.Kind), first: at, last: at})
-		if int(r.Kind) < len(l.open) {
-			l.open[r.Kind] = uint32(len(a.groups))
+		a.groups = append(a.groups, shapeGroup{lane: uint32(i), kind: uint32(kind), first: at, last: at})
+		if int(kind) < len(l.open) {
+			l.open[kind] = uint32(len(a.groups))
 		}
 	}
 	a.runs = append(a.runs, shapeRun{win: l.win, count: 1})
@@ -201,7 +201,7 @@ func (a *shapeAcc) addNamed(r *Record) {
 		}
 		a.last = i
 	}
-	a.add(i, r)
+	a.add(i, r.Lamport, r.Kind)
 }
 
 // rankLanes orders the lanes by process name into order and rank.
@@ -301,25 +301,26 @@ func (a *shapeAcc) sum() string {
 }
 
 // cursor is one scroll's read position during the merge — seg is segment k
-// of v, pos the next record in it — and what its records share, encoded:
-// proc is the process field, and clock the clock suffix.
+// of v, pos the next record in it and seq that record's sequence — and what
+// its records share, encoded: the view's name table and the clock suffix.
 type cursor struct {
-	v      view
-	k, pos int
-	seg    []Record
-	i      int    // the argument position, and the shape lane
-	rank   uint32 // the process name's rank: see shapeAcc.rankLanes
-	proc   []byte
-	clock  clockEncoder
+	v           view
+	k, pos, seq int
+	seg         []entry
+	i           int    // the argument position, and the shape lane
+	rank        uint32 // the process name's rank: see shapeAcc.rankLanes
+	names       encodedNames
+	clock       clockEncoder
 }
 
-// head returns the record at the cursor.
-func (c *cursor) head() *Record { return &c.seg[c.pos] }
+// head returns the entry at the cursor.
+func (c *cursor) head() *entry { return &c.seg[c.pos] }
 
 // next steps past the current record, into the next segment when this one
 // is used up, and reports whether a record is left.
 func (c *cursor) next() bool {
 	c.pos++
+	c.seq++
 	if c.pos < len(c.seg) {
 		return true
 	}
@@ -334,15 +335,14 @@ func (c *cursor) next() bool {
 // before reports whether c's head sorts before d's in Merge's order: by
 // Lamport time, process, sequence, then argument position.
 func (c *cursor) before(d *cursor) bool {
-	a, b := c.head(), d.head()
-	if a.Lamport != b.Lamport {
-		return a.Lamport < b.Lamport
+	if a, b := c.head().lamport, d.head().lamport; a != b {
+		return a < b
 	}
 	if c.rank != d.rank {
 		return c.rank < d.rank
 	}
-	if a.Seq != b.Seq {
-		return a.Seq < b.Seq
+	if c.seq != d.seq {
+		return c.seq < d.seq
 	}
 	return c.i < d.i
 }
@@ -376,8 +376,8 @@ func (f *Fingerprinter) Fingerprint(scrolls []*Scroll, bucket uint64) (digest, s
 		n := len(f.cursors)
 		f.cursors = f.cursors[:n+1] // the slot keeps its scratch from earlier passes
 		c := &f.cursors[n]
-		c.v, c.k, c.seg, c.pos, c.i = v, 0, v.seg(0), 0, f.shape.newLane(s.proc)
-		c.proc = appendString(c.proc[:0], s.proc)
+		c.v, c.k, c.seg, c.pos, c.seq, c.i = v, 0, v.seg(0), 0, 0, f.shape.newLane(s.proc)
+		c.names.set(v.names)
 		c.clock.reset()
 	}
 	if sorted {
@@ -443,14 +443,32 @@ func (f *Fingerprinter) merge() {
 	f.live = live[:0]
 }
 
-// emit feeds c's head to both signatures, encoded with the process field
-// and clock suffix c keeps.
+// emit feeds c's head to both signatures, encoded with the names and clock
+// suffix c keeps.
 func (f *Fingerprinter) emit(c *cursor) {
-	r := c.head()
+	e := c.head()
 	h := &f.hasher
-	h.buf = append(r.appendEncodeBody(append(r.appendEncodeKey(h.buf), c.proc...)), c.clock.encode(r.Clock)...)
+	h.buf = append(appendRecord(h.buf, e.kind, e.lamport, uint64(c.seq), c.names.at[e.proc], e.msgID, c.names.at[e.peer], e.payload), c.clock.encode(e.clock)...)
 	h.flush()
-	f.shape.add(c.i, r)
+	f.shape.add(c.i, e.lamport, e.kind)
+}
+
+// encodedNames lists names encoded as appendString writes them: name i as
+// at[i], a slice of buf.
+type encodedNames struct {
+	at  [][]byte
+	buf []byte
+}
+
+// set encodes names, keeping the buffers. buf's size is a guess: a name stays
+// valid when buf moves on, as nothing writes the array it was encoded into.
+func (l *encodedNames) set(names []string) {
+	l.at, l.buf = slices.Grow(l.at[:0], len(names)), slices.Grow(l.buf[:0], 16*len(names))
+	for _, name := range names {
+		n := len(l.buf)
+		l.buf = appendString(l.buf, name)
+		l.at = append(l.at, l.buf[n:])
+	}
 }
 
 // clockEncoder encodes the clocks of one process's records in turn
@@ -463,10 +481,8 @@ func (f *Fingerprinter) emit(c *cursor) {
 type clockEncoder struct {
 	clock vclock.VC // the snapshot bytes encodes
 	bytes []byte
-	// The id column of the table tab: id i encodes as ids[end[i-1]:end[i]].
-	tab *vclock.Table
-	ids []byte
-	end []int
+	tab   *vclock.Table
+	ids   encodedNames // tab's id column
 }
 
 // reset forgets every clock, keeping the buffers.
@@ -483,16 +499,9 @@ func (e *clockEncoder) encode(clock vclock.VC) []byte {
 	e.clock = clock
 	ids, counts := clock.Entries()
 	if t := clock.Table(); t != e.tab {
-		size := 0
-		for _, id := range ids {
-			size += binary.MaxVarintLen64 + len(id)
-		}
-		e.tab, e.ids, e.end = t, slices.Grow(e.ids[:0], size), slices.Grow(e.end[:0], len(ids))
-		e.bytes = slices.Grow(e.bytes[:0], size+binary.MaxVarintLen64*(len(ids)+1))
-		for _, id := range ids {
-			e.ids = appendString(e.ids, id)
-			e.end = append(e.end, len(e.ids))
-		}
+		e.tab = t
+		e.ids.set(ids)
+		e.bytes = slices.Grow(e.bytes[:0], len(e.ids.buf)+binary.MaxVarintLen64*(len(ids)+1))
 	}
 	set := 0
 	for _, n := range counts {
@@ -501,12 +510,10 @@ func (e *clockEncoder) encode(clock vclock.VC) []byte {
 		}
 	}
 	buf := binary.AppendUvarint(e.bytes[:0], uint64(set))
-	start := 0
 	for i, n := range counts {
 		if n != 0 {
-			buf = binary.AppendUvarint(append(buf, e.ids[start:e.end[i]]...), n)
+			buf = binary.AppendUvarint(append(buf, e.ids.at[i]...), n)
 		}
-		start = e.end[i]
 	}
 	e.bytes = buf
 	return buf
@@ -517,7 +524,7 @@ func (e *clockEncoder) encode(clock vclock.VC) []byte {
 func (f *Fingerprinter) mergeUnsorted() {
 	all := f.all[:0]
 	for _, c := range f.cursors {
-		all = c.v.appendTo(all)
+		all = slices.AppendSeq(all, c.v.all)
 	}
 	sortMerged(all)
 	for i := range all {

@@ -25,6 +25,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,6 +64,7 @@ type Log struct {
 	seg     *os.File // active segment
 	segIdx  int      // index of the next segment to create
 	segSize int64    // bytes written to active segment
+	buf     []byte   // the record being written, framed
 	closed  bool
 }
 
@@ -137,16 +139,15 @@ func (l *Log) roll() error {
 	return nil
 }
 
-// write frames one record onto the active segment. Caller holds mu.
+// write frames one record onto the active segment, header and payload in
+// one write from a buffer the log reuses. Caller holds mu.
 func (l *Log) write(payload []byte) error {
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := l.seg.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wal: write header: %w", err)
-	}
-	if _, err := l.seg.Write(payload); err != nil {
-		return fmt.Errorf("wal: write payload: %w", err)
+	buf := slices.Grow(l.buf[:0], headerSize+len(payload))[:headerSize]
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
+	l.buf = append(buf, payload...)
+	if _, err := l.seg.Write(l.buf); err != nil {
+		return fmt.Errorf("wal: write record: %w", err)
 	}
 	l.segSize += headerSize + int64(len(payload))
 	return nil
