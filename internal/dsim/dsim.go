@@ -266,6 +266,17 @@ func (p *proc) clockSnap() vclock.VC {
 	return p.snap
 }
 
+// record appends r to the process's scroll and returns its sequence. The
+// scroll is in memory, so an error is its name table overflowing: the
+// recording would miss the record, and its replay diverge.
+func (p *proc) record(r *scroll.Record) uint64 {
+	seq, err := p.scroll.Append(*r)
+	if err != nil {
+		panic(fmt.Sprintf("dsim: scroll append: %v", err))
+	}
+	return seq
+}
+
 // timerOf is what the event queue marks the process's live timers with:
 // 1 + its tag, so that 0 marks every other event (qkey.timerOf).
 func (p *proc) timerOf() int32 { return p.tag + 1 }
@@ -785,12 +796,10 @@ func (s *Sim) deliver(ev *event) {
 	p.clock.Merge(ev.clock)
 	p.tick()
 	lam := p.lamport.Witness(ev.lamport)
-	if _, err := p.scroll.Append(scroll.Record{
+	p.record(&scroll.Record{
 		Kind: scroll.KindRecv, MsgID: ev.msgID, Peer: ev.from,
 		Payload: payload, Lamport: lam, Clock: p.clockSnap(),
-	}); err != nil {
-		panic(fmt.Sprintf("dsim: scroll append: %v", err))
-	}
+	})
 	p.delivered++
 	s.stats.Delivered++
 	p.machine.OnMessage(p.ctx, ev.from, payload)
@@ -809,7 +818,7 @@ func (s *Sim) fireTimer(ev *event) {
 	p.tick()
 	lam := p.lamport.Tick()
 	tr := s.timerParts(ev.timerName)
-	p.scroll.Append(scroll.Record{
+	p.record(&scroll.Record{
 		Kind: scroll.KindCustom, MsgID: tr.msgID,
 		Payload: tr.payload, Lamport: lam, Clock: p.clockSnap(),
 	})
@@ -941,7 +950,7 @@ func (s *Sim) takeCheckpoint(p *proc, specID, label string) *checkpoint.Checkpoi
 		Timers:    s.timers.Keep(timers),
 	})
 	s.store.Put(ck)
-	p.scroll.Append(scroll.Record{
+	p.record(&scroll.Record{
 		Kind: scroll.KindCkpt, MsgID: ck.ID, Payload: s.labelPayload(label),
 		Lamport: p.lamport.Now(), Clock: p.clockSnap(),
 	})
@@ -1144,7 +1153,7 @@ func (c *simContext) Self() string { return c.proc.id }
 // records the read.
 func (c *simContext) Now() uint64 {
 	t := c.sim.rules.Skewed(c.proc.id, c.sim.now)
-	c.proc.scroll.Append(scroll.Record{
+	c.proc.record(&scroll.Record{
 		Kind: scroll.KindTime, Payload: c.sim.appendU64(t),
 		Lamport: c.proc.lamport.Now(), Clock: c.proc.clockSnap(),
 	})
@@ -1154,7 +1163,7 @@ func (c *simContext) Now() uint64 {
 // Random returns a deterministic pseudo-random uint64 and records it.
 func (c *simContext) Random() uint64 {
 	v := c.sim.rng.Uint64()
-	c.proc.scroll.Append(scroll.Record{
+	c.proc.record(&scroll.Record{
 		Kind: scroll.KindRandom, Payload: c.sim.appendU64(v),
 		Lamport: c.proc.lamport.Now(), Clock: c.proc.clockSnap(),
 	})
@@ -1175,7 +1184,7 @@ func (c *simContext) Send(to string, payload []byte) {
 		Kind: scroll.KindSend, MsgID: id, Peer: to, Payload: body,
 		Lamport: lam, Clock: p.clockSnap(),
 	}
-	seq, _ := p.scroll.Append(rec)
+	seq := p.record(&rec)
 	specs := s.specs.ActiveSpecs(p.id)
 	deliver := func() {
 		t := s.now + s.latency()
@@ -1220,7 +1229,7 @@ func (c *simContext) Heap() *checkpoint.Heap { return c.proc.heap }
 
 // Log appends an informational custom record to the scroll.
 func (c *simContext) Log(format string, args ...any) {
-	c.proc.scroll.Append(scroll.Record{
+	c.proc.record(&scroll.Record{
 		Kind: scroll.KindCustom, MsgID: "log",
 		Payload: []byte(fmt.Sprintf(format, args...)),
 		Lamport: c.proc.lamport.Now(), Clock: c.proc.clockSnap(),
@@ -1232,7 +1241,7 @@ func (c *simContext) Log(format string, args ...any) {
 func (c *simContext) Fault(desc string) {
 	s, p := c.sim, c.proc
 	rec := FaultRecord{Proc: p.id, Desc: desc, Time: s.now, Clock: p.clockSnap()}
-	p.scroll.Append(scroll.Record{
+	p.record(&scroll.Record{
 		Kind: scroll.KindFault, Payload: s.pay.Keep(append(s.pay.Tail(len(desc)), desc...)),
 		Lamport: p.lamport.Now(), Clock: p.clockSnap(),
 	})

@@ -96,7 +96,7 @@ func (c *simContext) DurablePut(key string, value []byte) {
 	p := c.proc
 	body := c.sim.pay.Copy(value)
 	p.durable.Put(key, body, uint64(p.scroll.Len()))
-	p.scroll.Append(scroll.Record{
+	p.record(&scroll.Record{
 		Kind: scroll.KindEnv, MsgID: DurablePutMsgID, Peer: key, Payload: body,
 		Lamport: p.lamport.Now(), Clock: p.clockSnap(),
 	})
@@ -107,7 +107,7 @@ func (c *simContext) DurablePut(key string, value []byte) {
 func (c *simContext) DurableGet(key string) ([]byte, bool) {
 	p := c.proc
 	v, ok := p.durable.Get(key)
-	p.scroll.Append(scroll.Record{
+	p.record(&scroll.Record{
 		Kind: scroll.KindEnv, MsgID: DurableGetMsgID, Peer: key,
 		Payload: EncodeDurableGet(v, ok),
 		Lamport: p.lamport.Now(), Clock: p.clockSnap(),
@@ -122,7 +122,7 @@ func (c *simContext) DurableGet(key string) ([]byte, bool) {
 func (c *simContext) DurableKeys() []string {
 	p := c.proc
 	keys := p.durable.Keys()
-	p.scroll.Append(scroll.Record{
+	p.record(&scroll.Record{
 		Kind: scroll.KindEnv, MsgID: DurableKeysMsgID,
 		Payload: EncodeDurableKeys(keys),
 		Lamport: p.lamport.Now(), Clock: p.clockSnap(),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -285,5 +286,69 @@ func TestDurableGetEncoding(t *testing.T) {
 	}
 	if _, err := DecodeDurableKeys([]byte{0xFF}); err == nil {
 		t.Fatal("malformed durable-keys payload decoded")
+	}
+}
+
+// keyWriter puts a fresh durable key per step, as a store does per request,
+// and reads every seventh back: its scroll names more keys than 65,536.
+type keyWriter struct {
+	st    struct{ Next int }
+	total int
+}
+
+func (m *keyWriter) State() any { return &m.st }
+
+func (m *keyWriter) Init(ctx Context) { ctx.SetTimer("batch", 1) }
+
+func (m *keyWriter) OnMessage(Context, string, []byte) {}
+
+func (m *keyWriter) OnTimer(ctx Context, name string) {
+	for end := min(m.st.Next+10_000, m.total); m.st.Next < end; m.st.Next++ {
+		key := fmt.Sprintf("done:%d", m.st.Next)
+		ctx.DurablePut(key, []byte{1})
+		if m.st.Next%7 == 0 {
+			if _, ok := ctx.DurableGet(key); !ok {
+				ctx.Fault("key lost")
+			}
+		}
+	}
+	if m.st.Next < m.total {
+		ctx.SetTimer("batch", 1)
+	}
+}
+
+func (m *keyWriter) OnRollback(Context, RollbackInfo) {}
+
+// TestDurableKeysPastNameTable: a process that writes 70,000 distinct durable
+// keys records every put under its key, and the recording replays without
+// divergence — a record missing past some key count would shift every later
+// one.
+func TestDurableKeysPastNameTable(t *testing.T) {
+	const keys = 70_000
+	s := New(Config{Seed: 1})
+	s.AddProcess("p", &keyWriter{total: keys})
+	s.Run()
+	if got := len(s.DurableSnapshot()["p"]); got != keys {
+		t.Fatalf("%d durable keys, want %d", got, keys)
+	}
+	recs := s.Scroll("p").Records()
+	puts := 0
+	for _, r := range recs {
+		if r.Kind == scroll.KindEnv && r.MsgID == DurablePutMsgID {
+			if want := fmt.Sprintf("done:%d", puts); r.Peer != want {
+				t.Fatalf("put %d recorded under %q, want %q", puts, r.Peer, want)
+			}
+			puts++
+		}
+	}
+	if puts != keys {
+		t.Fatalf("%d puts recorded, want %d", puts, keys)
+	}
+	rep, err := Replay("p", &keyWriter{total: keys}, recs, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Diverged || len(rep.Faults) != 0 {
+		t.Fatalf("replay diverged (%v at %d) or faulted (%v)", rep.Diverged, rep.DivergeAt, rep.Faults)
 	}
 }

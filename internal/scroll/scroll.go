@@ -89,17 +89,16 @@ func (r *Record) encode() []byte {
 // extended buffer. The produced bytes are identical to encode's for the
 // same record — the streaming hasher depends on that.
 func (r *Record) appendEncode(buf []byte) []byte {
-	var proc, peer [64]byte // names fit, and the encoding never escapes
-	return appendEncodeClock(appendRecord(buf, r.Kind, r.Lamport, r.Seq, appendString(proc[:0], r.Proc), r.MsgID, appendString(peer[:0], r.Peer), alias(r.Payload)), r.Clock)
+	return appendEncodeClock(appendRecord(buf, r.Kind, r.Lamport, r.Seq, r.Proc, r.MsgID, r.Peer, alias(r.Payload)), r.Clock)
 }
 
-// appendRecord appends a record's encoding but its clock; proc and peer come encoded.
-func appendRecord(buf []byte, kind Kind, lamport, seq uint64, proc []byte, msgID string, peer []byte, payload string) []byte {
+// appendRecord appends a record's encoding but its clock.
+func appendRecord(buf []byte, kind Kind, lamport, seq uint64, proc, msgID, peer, payload string) []byte {
 	buf = append(buf, byte(kind))
 	buf = binary.LittleEndian.AppendUint64(buf, lamport)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = appendString(append(buf, proc...), msgID)
-	return appendString(append(buf, peer...), payload)
+	buf = appendString(appendString(buf, proc), msgID)
+	return appendString(appendString(buf, peer), payload)
 }
 
 // appendString appends s uvarint-length-prefixed, as the encoding writes
@@ -245,7 +244,8 @@ type entry struct {
 	lamport        uint64
 	clock          vclock.VC
 	msgID, payload string
-	peer, proc     uint16
+	peer           uint32 // durable keys are peers too: a table grows with the key space
+	proc           uint16 // 0 but in a log loaded under another name
 	kind           Kind
 	isNil          bool
 }
@@ -273,14 +273,15 @@ func (e *entry) bytes() []byte {
 type Scroll struct {
 	mu       sync.Mutex
 	proc     string
-	head     []entry   // records [0, segLen)
-	tail     [][]entry // tail[k] holds records [(k+1)*segLen, (k+2)*segLen)
-	n        int       // records in the scroll
-	names    []string  // proc, "", then every other name as it first appears
-	lastPeer uint16    // the slot name found last
-	log      *wal.Log  // nil for in-memory scrolls
-	enc      []byte    // a durable record's encoding, reused
-	truncErr error     // deferred durable-truncation failure
+	head     []entry           // records [0, segLen)
+	tail     [][]entry         // tail[k] holds records [(k+1)*segLen, (k+2)*segLen)
+	n        int               // records in the scroll
+	names    []string          // proc, "", then every other name as it first appears
+	index    map[string]uint32 // the slots of names[nameScan:]
+	lastPeer uint32            // the slot name found last
+	log      *wal.Log          // nil for in-memory scrolls
+	enc      []byte            // a durable record's encoding, reused
+	truncErr error             // deferred durable-truncation failure
 	// disorder is 1 + the index of the first record that sorts before its
 	// predecessor by Lamport time or names another process than the
 	// scroll's, 0 if none: a scroll without one streams straight into the
@@ -369,10 +370,10 @@ func (s *Scroll) load(recs [][]byte) error {
 		}
 		proc, perr := s.name(rec.Proc)
 		peer, err := s.name(rec.Peer)
-		if err = cmp.Or(perr, err); err != nil {
-			return err
+		if err = cmp.Or(perr, err); err != nil || proc > math.MaxUint16 {
+			return cmp.Or(err, fmt.Errorf("record %d: process %q is name %d; a process must be one of the first %d", s.n, rec.Proc, proc, math.MaxUint16+1))
 		}
-		s.push(&rec, proc, peer)
+		s.push(&rec, uint16(proc), peer)
 	}
 	return nil
 }
@@ -380,29 +381,43 @@ func (s *Scroll) load(recs [][]byte) error {
 // Proc returns the process ID this scroll belongs to.
 func (s *Scroll) Proc() string { return s.proc }
 
+const nameScan = 16 // the name table's slots name scans; index holds the rest
+
 // name returns the slot of name in the name table, adding it if it is new.
-// The table holds 65,536 slots — 65,535 names and the empty one — and is
-// scanned: a scroll names a handful. Caller holds mu.
-func (s *Scroll) name(name string) (uint16, error) {
+// A recording's peers are a few processes, but durable keys are peers too —
+// kvstore names one per key, mservice one per request — so past its first
+// nameScan slots the table is indexed. It holds 2^32 slots: a scroll that
+// filled it would hold 2^32 records. Caller holds mu.
+func (s *Scroll) name(name string) (uint32, error) {
 	if name == "" {
 		return 1, nil
 	}
-	if name != s.names[s.lastPeer] {
-		i := slices.Index(s.names, name)
-		if i < 0 {
-			if i = len(s.names); i > math.MaxUint16 {
-				return 0, fmt.Errorf("scroll: %s: %q would be name %d; a scroll holds %d", s.proc, name, i, math.MaxUint16)
-			}
-			s.names = append(s.names, name)
-		}
-		s.lastPeer = uint16(i)
+	if name == s.names[s.lastPeer] {
+		return s.lastPeer, nil
 	}
-	return s.lastPeer, nil
+	j := slices.Index(s.names[:min(len(s.names), nameScan)], name)
+	i, ok := uint32(j), j >= 0
+	if !ok {
+		i, ok = s.index[name]
+	}
+	if !ok {
+		if i = uint32(len(s.names)); uint64(len(s.names)) > math.MaxUint32 {
+			return 0, fmt.Errorf("scroll: %s: %q would be name %d; a scroll holds %d", s.proc, name, len(s.names), uint64(math.MaxUint32))
+		}
+		if s.names = append(s.names, name); i >= nameScan {
+			if s.index == nil {
+				s.index = make(map[string]uint32)
+			}
+			s.index[name] = i
+		}
+	}
+	s.lastPeer = i
+	return i, nil
 }
 
 // push stores r as record n, its process and peer at the given slots of the
 // name table. Caller holds mu (or is the constructor).
-func (s *Scroll) push(r *Record, proc, peer uint16) {
+func (s *Scroll) push(r *Record, proc uint16, peer uint32) {
 	e := entry{lamport: r.Lamport, clock: r.Clock, msgID: r.MsgID, payload: alias(r.Payload),
 		peer: peer, proc: proc, kind: r.Kind, isNil: r.Payload == nil}
 	if s.disorder == 0 && s.n > 0 && e.lamport < s.at(s.n-1).lamport {
@@ -440,7 +455,8 @@ func (s *Scroll) at(i int) *entry {
 // scroll; other fields are taken from r. It returns the assigned sequence.
 // r.Payload is kept, not copied, as a Record copy keeps it (the scroll's
 // string drops only the capacity): its bytes must not change afterwards. A
-// peer that would overflow the name table (see name) is an error.
+// peer that would overflow the name table (see name) is an error, and the
+// record is not kept.
 func (s *Scroll) Append(r Record) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -511,6 +527,7 @@ func (s *Scroll) Truncate(seq uint64) {
 	}
 	if s.n == 0 { // so a pooled scroll's table lists only this run's names
 		s.names, s.lastPeer = s.names[:2], 0
+		clear(s.index)
 	}
 	s.head = s.head[:min(s.n, segLen)]
 	s.tail = s.tail[:max(s.view().segs()-1, 0)]

@@ -177,38 +177,58 @@ func FuzzScrollStore(f *testing.F) {
 	})
 }
 
-// The 65,536th distinct name a scroll meets — its own process the first,
-// the empty peer none — is refused: by Append, which records nothing, and
-// by OpenDurable, which refuses the log.
-func TestNameTableFull(t *testing.T) {
-	full := func(s *Scroll) {
-		for i := len(s.names); i <= math.MaxUint16; i++ {
-			s.names = append(s.names, fmt.Sprintf("n%d", i))
-		}
-	}
+// A scroll keeps a peer per distinct name past 65,536 of them — a durable
+// key is a peer, and a store's keys have no bound — and reads every record
+// back with its name. A table that large is indexed; truncating to nothing
+// empties it, and the scroll's own process keeps slot 0. Only a record's
+// process is limited to the first 65,536 slots, which only a log loaded under
+// other names reaches: OpenDurable refuses it.
+func TestNameTableGrows(t *testing.T) {
 	s := NewMemory("p")
-	full(s)
-	if _, err := s.Append(Record{Peer: "n65535"}); err != nil {
-		t.Fatalf("appending a known peer: %v", err)
+	var model []Record
+	for i := range 100_000 {
+		r := Record{Kind: KindEnv, MsgID: "put", Peer: fmt.Sprintf("k%d", i), Lamport: uint64(i)}
+		if i%3 == 0 {
+			r.Peer = fmt.Sprintf("k%d", i/2) // seen before
+		}
+		if _, err := s.Append(r); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		r.Proc, r.Seq = "p", uint64(i)
+		model = append(model, r)
 	}
-	if seq, err := s.Append(Record{Peer: "new"}); err == nil || !strings.Contains(err.Error(), "65536") {
-		t.Fatalf("appending the 65,536th name: seq %d, err %v", seq, err)
+	if got := s.Records(); !reflect.DeepEqual(got, model) {
+		t.Fatal("Records() differs from the appended records")
 	}
-	if _, err := s.Append(Record{Peer: ""}); err != nil {
-		t.Fatalf("appending with no peer after a refusal: %v", err)
+	var fp Fingerprinter
+	if d, _ := fp.Fingerprint([]*Scroll{s}, 16); d != Digest(model) {
+		t.Fatal("Fingerprint differs from Digest over the appended records")
 	}
-	if got := s.Len(); got != 2 {
-		t.Fatalf("Len = %d, want 2: the refused record was kept", got)
+	if n := len(s.names); n <= math.MaxUint16+1 || len(s.index) != n-nameScan {
+		t.Fatalf("%d names, %d indexed: want more than 65,536, all but the first %d indexed", n, len(s.index), nameScan)
+	}
+
+	s.Truncate(0)
+	for _, peer := range []string{"k1", "p", "k1", "p", ""} {
+		s.Append(Record{Peer: peer})
+	}
+	if !slices.Equal(s.names, []string{"p", "", "k1"}) || len(s.index) != 0 {
+		t.Fatalf("names after truncating to nothing and appending again: %q, %d indexed", s.names, len(s.index))
+	}
+	if got := s.Records(); got[1].Peer != "p" || got[2].Peer != "k1" || got[4].Peer != "" {
+		t.Fatalf("records after truncating to nothing: %+v", got)
 	}
 
 	loading := NewMemory("p")
-	full(loading)
-	rec := Record{Proc: "p", Peer: "new"}
-	if err := loading.load([][]byte{rec.encode()}); err == nil {
-		t.Fatal("a log naming the 65,536th name loaded")
+	for i := len(loading.names); i <= math.MaxUint16; i++ {
+		loading.name(fmt.Sprintf("n%d", i))
 	}
-	rec.Proc, rec.Peer = "other", ""
-	if err := loading.load([][]byte{rec.encode()}); err == nil {
-		t.Fatal("a log under the 65,536th name loaded")
+	rec := Record{Proc: "p", Peer: "new"}
+	if err := loading.load([][]byte{rec.encode()}); err != nil {
+		t.Fatalf("a log naming a 65,537th peer: %v", err)
+	}
+	rec.Proc, rec.Peer, rec.Seq = "other", "", 1
+	if err := loading.load([][]byte{rec.encode()}); err == nil || !strings.Contains(err.Error(), "first 65536") {
+		t.Fatalf("a log under a process past slot 65,535: err %v", err)
 	}
 }

@@ -301,15 +301,14 @@ func (a *shapeAcc) sum() string {
 }
 
 // cursor is one scroll's read position during the merge — seg is segment k
-// of v, pos the next record in it and seq that record's sequence — and what
-// its records share, encoded: the view's name table and the clock suffix.
+// of v, pos the next record in it and seq that record's sequence — and the
+// clock suffix its records share, encoded.
 type cursor struct {
 	v           view
 	k, pos, seq int
 	seg         []entry
 	i           int    // the argument position, and the shape lane
 	rank        uint32 // the process name's rank: see shapeAcc.rankLanes
-	names       encodedNames
 	clock       clockEncoder
 }
 
@@ -377,7 +376,6 @@ func (f *Fingerprinter) Fingerprint(scrolls []*Scroll, bucket uint64) (digest, s
 		f.cursors = f.cursors[:n+1] // the slot keeps its scratch from earlier passes
 		c := &f.cursors[n]
 		c.v, c.k, c.seg, c.pos, c.seq, c.i = v, 0, v.seg(0), 0, 0, f.shape.newLane(s.proc)
-		c.names.set(v.names)
 		c.clock.reset()
 	}
 	if sorted {
@@ -443,32 +441,14 @@ func (f *Fingerprinter) merge() {
 	f.live = live[:0]
 }
 
-// emit feeds c's head to both signatures, encoded with the names and clock
-// suffix c keeps.
+// emit feeds c's head to both signatures, encoded with the clock suffix c
+// keeps.
 func (f *Fingerprinter) emit(c *cursor) {
-	e := c.head()
+	e, names := c.head(), c.v.names
 	h := &f.hasher
-	h.buf = append(appendRecord(h.buf, e.kind, e.lamport, uint64(c.seq), c.names.at[e.proc], e.msgID, c.names.at[e.peer], e.payload), c.clock.encode(e.clock)...)
+	h.buf = append(appendRecord(h.buf, e.kind, e.lamport, uint64(c.seq), names[e.proc], e.msgID, names[e.peer], e.payload), c.clock.encode(e.clock)...)
 	h.flush()
 	f.shape.add(c.i, e.lamport, e.kind)
-}
-
-// encodedNames lists names encoded as appendString writes them: name i as
-// at[i], a slice of buf.
-type encodedNames struct {
-	at  [][]byte
-	buf []byte
-}
-
-// set encodes names, keeping the buffers. buf's size is a guess: a name stays
-// valid when buf moves on, as nothing writes the array it was encoded into.
-func (l *encodedNames) set(names []string) {
-	l.at, l.buf = slices.Grow(l.at[:0], len(names)), slices.Grow(l.buf[:0], 16*len(names))
-	for _, name := range names {
-		n := len(l.buf)
-		l.buf = appendString(l.buf, name)
-		l.at = append(l.at, l.buf[n:])
-	}
 }
 
 // clockEncoder encodes the clocks of one process's records in turn
@@ -481,8 +461,10 @@ func (l *encodedNames) set(names []string) {
 type clockEncoder struct {
 	clock vclock.VC // the snapshot bytes encodes
 	bytes []byte
-	tab   *vclock.Table
-	ids   encodedNames // tab's id column
+	// The id column of the table tab: id i encodes as ids[end[i-1]:end[i]].
+	tab *vclock.Table
+	ids []byte
+	end []int
 }
 
 // reset forgets every clock, keeping the buffers.
@@ -499,9 +481,16 @@ func (e *clockEncoder) encode(clock vclock.VC) []byte {
 	e.clock = clock
 	ids, counts := clock.Entries()
 	if t := clock.Table(); t != e.tab {
-		e.tab = t
-		e.ids.set(ids)
-		e.bytes = slices.Grow(e.bytes[:0], len(e.ids.buf)+binary.MaxVarintLen64*(len(ids)+1))
+		size := 0
+		for _, id := range ids {
+			size += binary.MaxVarintLen64 + len(id)
+		}
+		e.tab, e.ids, e.end = t, slices.Grow(e.ids[:0], size), slices.Grow(e.end[:0], len(ids))
+		e.bytes = slices.Grow(e.bytes[:0], size+binary.MaxVarintLen64*(len(ids)+1))
+		for _, id := range ids {
+			e.ids = appendString(e.ids, id)
+			e.end = append(e.end, len(e.ids))
+		}
 	}
 	set := 0
 	for _, n := range counts {
@@ -510,10 +499,12 @@ func (e *clockEncoder) encode(clock vclock.VC) []byte {
 		}
 	}
 	buf := binary.AppendUvarint(e.bytes[:0], uint64(set))
+	start := 0
 	for i, n := range counts {
 		if n != 0 {
-			buf = binary.AppendUvarint(append(buf, e.ids.at[i]...), n)
+			buf = binary.AppendUvarint(append(buf, e.ids[start:e.end[i]]...), n)
 		}
+		start = e.end[i]
 	}
 	e.bytes = buf
 	return buf

@@ -301,6 +301,15 @@ func (s *LiveSubstrate) AddProcess(id string, m dsim.Machine) {
 	go p.loop()
 }
 
+// record appends r to the process's scroll. An error — a durable scroll's
+// write failing, or its name table overflowing — would leave a hole in the
+// recording that replay runs into, so it panics, as a failed durable put does.
+func (p *liveProc) record(r *scroll.Record) {
+	if _, err := p.scroll.Append(*r); err != nil {
+		panic(fmt.Sprintf("substrate: scroll of %s: %v", p.id, err))
+	}
+}
+
 // pump forwards the transport inbox into the event loop.
 func (p *liveProc) pump() {
 	for msg := range p.inbox {
@@ -380,7 +389,7 @@ func (p *liveProc) handle(ev liveEvent) {
 			// exactly-once-per-timeline. The fence is recorded in the scroll
 			// (a KindCustom record, a no-op under dsim.Replay) so per-process
 			// replay and divergence checking see the same history.
-			p.scroll.Append(scroll.Record{
+			p.record(&scroll.Record{
 				Kind: scroll.KindCustom, MsgID: EpochFenceMsgID, Peer: ev.msg.From,
 				Payload: []byte(fmt.Sprintf("%s epoch %d < %d", ev.msg.ID, ev.msg.Epoch, s.epoch.Load())),
 				Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
@@ -394,7 +403,7 @@ func (p *liveProc) handle(ev liveEvent) {
 		p.clock.Merge(ev.msg.Clock)
 		p.clock.Tick(p.id)
 		lam := p.lamport.Witness(ev.msg.Lamport)
-		p.scroll.Append(scroll.Record{
+		p.record(&scroll.Record{
 			Kind: scroll.KindRecv, MsgID: ev.msg.ID, Peer: ev.msg.From,
 			Payload: ev.msg.Payload, Lamport: lam, Clock: p.clock.Copy(),
 		})
@@ -422,7 +431,7 @@ func (p *liveProc) handle(ev liveEvent) {
 		}
 		p.clock.Tick(p.id)
 		lam := p.lamport.Tick()
-		p.scroll.Append(scroll.Record{
+		p.record(&scroll.Record{
 			Kind: scroll.KindCustom, MsgID: "timer:" + ev.timer,
 			Payload: []byte(ev.timer), Lamport: lam, Clock: p.clock.Copy(),
 		})
@@ -555,7 +564,7 @@ func (p *liveProc) takeCheckpointLocked(label string) *checkpoint.Checkpoint {
 		Timers:    append([]string(nil), p.pendingTimers...),
 	}
 	p.sub.store.Put(ck)
-	p.scroll.Append(scroll.Record{
+	p.record(&scroll.Record{
 		Kind: scroll.KindCkpt, MsgID: ck.ID, Payload: []byte(label),
 		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
 	})
@@ -1107,7 +1116,7 @@ func (c *liveCtx) Self() string { return c.p.id }
 func (c *liveCtx) Now() uint64 {
 	p := c.p
 	t := p.sub.net.Skewed(p.id, p.sub.Now())
-	p.scroll.Append(scroll.Record{
+	p.record(&scroll.Record{
 		Kind: scroll.KindTime, Payload: binary.LittleEndian.AppendUint64(nil, t),
 		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
 	})
@@ -1120,7 +1129,7 @@ func (c *liveCtx) Random() uint64 {
 	p.sub.rngMu.Lock()
 	v := p.sub.rng.Uint64()
 	p.sub.rngMu.Unlock()
-	p.scroll.Append(scroll.Record{
+	p.record(&scroll.Record{
 		Kind: scroll.KindRandom, Payload: binary.LittleEndian.AppendUint64(nil, v),
 		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
 	})
@@ -1136,7 +1145,7 @@ func (c *liveCtx) Send(to string, payload []byte) {
 	lam := p.lamport.Tick()
 	id := fmt.Sprintf("L%d", p.sub.msgN.Add(1))
 	body := append([]byte(nil), payload...)
-	p.scroll.Append(scroll.Record{
+	p.record(&scroll.Record{
 		Kind: scroll.KindSend, MsgID: id, Peer: to, Payload: body,
 		Lamport: lam, Clock: p.clock.Copy(),
 	})
@@ -1181,7 +1190,7 @@ func (c *liveCtx) DurablePut(key string, value []byte) {
 			panic(fmt.Sprintf("substrate: durable put for %s: %v", p.id, err))
 		}
 	}
-	p.scroll.Append(scroll.Record{
+	p.record(&scroll.Record{
 		Kind: scroll.KindEnv, MsgID: dsim.DurablePutMsgID, Peer: key,
 		Payload: append([]byte(nil), value...),
 		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
@@ -1192,7 +1201,7 @@ func (c *liveCtx) DurablePut(key string, value []byte) {
 func (c *liveCtx) DurableGet(key string) ([]byte, bool) {
 	p := c.p
 	v, ok := p.durable.cells.Get(key)
-	p.scroll.Append(scroll.Record{
+	p.record(&scroll.Record{
 		Kind: scroll.KindEnv, MsgID: dsim.DurableGetMsgID, Peer: key,
 		Payload: dsim.EncodeDurableGet(v, ok),
 		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
@@ -1207,7 +1216,7 @@ func (c *liveCtx) DurableGet(key string) ([]byte, bool) {
 func (c *liveCtx) DurableKeys() []string {
 	p := c.p
 	keys := p.durable.cells.Keys()
-	p.scroll.Append(scroll.Record{
+	p.record(&scroll.Record{
 		Kind: scroll.KindEnv, MsgID: dsim.DurableKeysMsgID,
 		Payload: dsim.EncodeDurableKeys(keys),
 		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
@@ -1218,7 +1227,7 @@ func (c *liveCtx) DurableKeys() []string {
 // Log appends an informational record to the scroll.
 func (c *liveCtx) Log(format string, args ...any) {
 	p := c.p
-	p.scroll.Append(scroll.Record{
+	p.record(&scroll.Record{
 		Kind: scroll.KindCustom, MsgID: "log",
 		Payload: []byte(fmt.Sprintf(format, args...)),
 		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
@@ -1231,7 +1240,7 @@ func (c *liveCtx) Log(format string, args ...any) {
 func (c *liveCtx) Fault(desc string) {
 	p := c.p
 	rec := dsim.FaultRecord{Proc: p.id, Desc: desc, Time: p.sub.Now(), Clock: p.clock.Copy()}
-	p.scroll.Append(scroll.Record{
+	p.record(&scroll.Record{
 		Kind: scroll.KindFault, Payload: []byte(desc),
 		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
 	})
