@@ -272,7 +272,7 @@ func (p *proc) clockSnap() vclock.VC {
 func (p *proc) record(r *scroll.Record) uint64 {
 	seq, err := p.scroll.Append(*r)
 	if err != nil {
-		panic(fmt.Sprintf("dsim: scroll append: %v", err))
+		panic(err)
 	}
 	return seq
 }
