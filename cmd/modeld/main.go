@@ -43,9 +43,9 @@ func main() {
 	)
 	switch *model {
 	case "mutex":
-		root, engine = buildMutex(*n, false)
+		root, engine = guard.Mutex(*n, false)
 	case "mutex-buggy":
-		root, engine = buildMutex(*n, true)
+		root, engine = guard.Mutex(*n, true)
 	case "counter":
 		root, engine = buildCounter()
 	default:
@@ -76,44 +76,6 @@ func main() {
 			fmt.Printf("  %3d. %s\n", i+1, step.Action)
 		}
 	}
-}
-
-// buildMutex builds the n-process flag/turn mutex model; buggy adds a
-// barge-in action that ignores the turn.
-func buildMutex(n int, buggy bool) (modeld.State, *modeld.Engine) {
-	m := guard.NewModel().Init("turn", 0)
-	for i := 0; i < n; i++ {
-		i := i
-		cs := fmt.Sprintf("cs%d", i)
-		w := fmt.Sprintf("w%d", i)
-		m.Init(cs, 0)
-		m.Init(w, 0)
-		m.Action(fmt.Sprintf("p%d-enter", i)).
-			When(func(v guard.Vars) bool { return v.Get("turn") == int64(i) && v.Get(cs) == 0 }).
-			Do(func(v guard.Vars) { v.Set(cs, 1) })
-		if buggy {
-			m.Action(fmt.Sprintf("p%d-barge", i)).
-				When(func(v guard.Vars) bool { return v.Get(w) >= 2 && v.Get(cs) == 0 }).
-				Do(func(v guard.Vars) { v.Set(cs, 1) })
-		}
-		m.Action(fmt.Sprintf("p%d-leave", i)).
-			When(func(v guard.Vars) bool { return v.Get(cs) == 1 }).
-			Do(func(v guard.Vars) {
-				v.Set(cs, 0)
-				v.Set("turn", (int64(i)+1)%int64(n))
-			})
-		m.Action(fmt.Sprintf("p%d-work", i)).
-			When(func(v guard.Vars) bool { return v.Get(w) < 2 }).
-			Do(func(v guard.Vars) { v.Set(w, v.Get(w)+1) })
-	}
-	m.Invariant("mutex", func(v guard.Vars) bool {
-		in := 0
-		for i := 0; i < n; i++ {
-			in += int(v.Get(fmt.Sprintf("cs%d", i)))
-		}
-		return in <= 1
-	})
-	return m.Build()
 }
 
 // buildCounter is a trivial single-variable model for smoke testing.

@@ -51,7 +51,7 @@ func replayNames() []string {
 // scroll.OpenDurable and replayed by every process of every Registry
 // application. Replay may diverge or return an error, but must never
 // panic. The seeds are the first records each application's first process
-// records.
+// records, and one damaged durable-get outcome.
 func FuzzReplayDecoded(f *testing.F) {
 	names := replayNames()
 	for _, spec := range Registry() {
@@ -67,6 +67,10 @@ func FuzzReplayDecoded(f *testing.F) {
 			seed = append(seed, r.Payload[:min(len(r.Payload), 255)]...)
 		}
 		f.Add(seed)
+	}
+	// A durable-get outcome damaged on disk: its flag byte is neither 0 nor 1.
+	if get, ok := slices.BinarySearch(names, dsim.DurableGetMsgID); ok && get < 256 {
+		f.Add([]byte{byte(scroll.KindEnv), byte(get), 0, 2, 2, 'x'})
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -34,8 +34,8 @@
 // A capture allocates nothing and costs about a fifth of the json.Marshal it
 // replaced. JSON exists only at the boundary: Checkpoint.StateJSON decodes
 // the bytes into a fresh value of the state's type and marshals that, for
-// restores (RestoreState unmarshals it into the live machine, as restores
-// always have), the Healer's state mappers and the Investigator's models. The
+// restores (Checkpoint.Restore unmarshals it into the live machine, as
+// restores always have), the Healer's state mappers and the Investigator's models. The
 // decode is exact — the JSON is byte for byte what json.Marshal(State())
 // gave when the checkpoint was taken — because a type gets a codec only if
 // that can be guaranteed: anything encoding/json treats specially (custom
@@ -58,8 +58,10 @@
 //   - Resolution — turning a caller's line (process -> checkpoint ID) into
 //     checkpoints, or refusing it whole: Store.ResolveLine; both backends'
 //     RollbackTo and heal.Apply validate through it before anything moves.
-//   - Restore — how state bytes become machine state: RestoreState (the
-//     heap half is Heap.Restore).
+//   - Restore — how checkpointed state becomes machine state:
+//     Checkpoint.Restore (the heap half is Heap.Restore; both run inside
+//     dsim.Kernel.Restore). Bytes that come from no checkpoint — a dynamic
+//     update's, the Investigator's — load through RestoreState.
 //   - The timeline fence — what of the abandoned timeline must not survive
 //     a deliberate rollback to a checkpoint at scroll position n:
 //     Store.PruneAfter (its later checkpoints) and Cells.Fence (its
@@ -67,8 +69,8 @@
 //     stable-storage cell map; the live backend adds a write-ahead log
 //     around it.
 //
-// What stays per backend is the step kernel: how a process is paused,
-// locked and re-armed around those calls.
+// What stays per backend is how a process is paused, locked and re-armed
+// around those calls; the process-local half is dsim.Kernel's.
 //
 // # Run-scoped memory
 //

@@ -48,19 +48,31 @@ func (c *Checkpoint) StateJSON() ([]byte, error) {
 	return json.Marshal(state)
 }
 
-// RestoreState is the Time Machine's restore decision: the one place
-// checkpointed state bytes (JSON — what StateJSON returns, or a Healer
-// mapper's output) become machine state. dst is the Machine's State()
-// pointer. Every restore path of both backends, the Investigator's sandbox
-// and the Healer's type-safety probe load through it.
+// Restore loads the checkpointed machine state into dst, the Machine's
+// State() pointer: the one restore of checkpointed state, which both
+// backends' restores (dsim.Kernel.Restore) call.
 //
-// The bytes are unmarshaled INTO the live value, and encoding/json keeps the
+// It unmarshals StateJSON INTO the live value, and encoding/json keeps the
 // entries of a non-nil map it decodes into: a restored process keeps map
 // keys it wrote after the checkpoint (scalars and slices restore exactly).
 // Every committed digest depends on that overlay, so it is preserved
-// exactly, pinned by dsim's TestRestoreOverlaysLiveMaps; making the restore
-// exact (ROADMAP item 1) is a change to this function plus regenerated
+// exactly, pinned by dsim's TestRestoreOverlaysLiveMaps and, field by field
+// for every app state, TestRestoreStateTable; making the restore exact
+// (ROADMAP item 1b) is a change to this function's body plus regenerated
 // fixtures.
+func (c *Checkpoint) Restore(dst any) error {
+	state, err := c.StateJSON()
+	if err != nil {
+		return err
+	}
+	return RestoreState(state, dst)
+}
+
+// RestoreState loads state bytes that do not come from a checkpoint (JSON:
+// a Healer mapper's output, the Investigator's captured states) into dst,
+// a Machine's State() pointer. Dynamic updates (ReplaceMachine), the
+// Healer's type-safety probe and the Investigator load through it, with the
+// same overlay as Checkpoint.Restore.
 func RestoreState(state []byte, dst any) error {
 	return json.Unmarshal(state, dst)
 }

@@ -50,10 +50,11 @@ type Config struct {
 	Mapper          heal.StateMapper
 	// VerifyDepth bounds the Healer's verification exploration (0 = skip).
 	VerifyDepth int
-	// MaxResponses stops handling faults after this many responses
-	// (default 1: first fault triggers the pipeline and stops the run).
-	MaxResponses int
 }
+
+// maxResponses is how many faults a coordinator responds to: the first
+// fault triggers the pipeline and stops the run; later ones are declined.
+const maxResponses = 1
 
 // Substrate is the runtime surface the coordinator drives: the process
 // registry, scroll access, the fault-report hook, and the
@@ -114,9 +115,6 @@ func NewCoordinator(s Substrate, factories map[string]func() dsim.Machine, cfg C
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 48
 	}
-	if cfg.MaxResponses <= 0 {
-		cfg.MaxResponses = 1
-	}
 	c := &Coordinator{sim: s, factories: factories, cfg: cfg}
 	s.SetFaultHandler(c.onFault)
 	return c
@@ -127,7 +125,7 @@ func (c *Coordinator) Responses() []*Response { return c.responses }
 
 // onFault is installed as the substrate's fault handler.
 func (c *Coordinator) onFault(f dsim.FaultRecord) bool {
-	if len(c.responses) >= c.cfg.MaxResponses {
+	if len(c.responses) >= maxResponses {
 		return false
 	}
 	// A coordinator failure is itself a fault: record it with what the

@@ -89,7 +89,6 @@ func TestCoordinatorMaxResponses(t *testing.T) {
 		Invariants:           []fault.GlobalInvariant{apps.TwoPCAtomicity()},
 		StopAtFirstViolation: true,
 		MaxStates:            5_000,
-		MaxResponses:         1,
 	})
 	coord.RunProtected()
 	if got := len(coord.Responses()); got != 1 {

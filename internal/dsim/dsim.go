@@ -17,8 +17,6 @@
 package dsim
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -64,11 +62,14 @@ type Machine interface {
 	OnRollback(ctx Context, info RollbackInfo)
 }
 
-// Context is the environment API a machine programs against. The simulator
-// provides the live implementation (recording every nondeterministic
-// outcome in the Scroll); the replay runner provides one that feeds
-// recorded outcomes back (paper §2.3); the Investigator provides one that
-// captures effects for model checking (paper §3.3).
+// Context is the environment API a machine programs against. Two
+// implementations run processes and record every nondeterministic outcome
+// in the process's Scroll: the simulator's and the live substrate's
+// (internal/substrate). Both record through the process's Kernel, where the
+// record of each call is written once, so their scrolls agree record for
+// record. The replay runner's implementation feeds recorded outcomes back
+// (paper §2.3), and the Investigator's captures effects for model checking
+// (paper §3.3).
 type Context interface {
 	// Self returns the process ID.
 	Self() string
@@ -225,20 +226,14 @@ const (
 	evRollback = evControl + eventKind(inject.Rollback)
 )
 
-// proc is the simulator's bookkeeping for one process.
+// proc is the simulator's bookkeeping for one process: its kernel, whose
+// clock is on the simulation's shared ID table (Sim.tab) and whose memory is
+// the run's (Sim.mem), plus what only the simulator keeps.
 type proc struct {
-	id        string
-	machine   Machine
-	heap      *checkpoint.Heap
-	scroll    *scroll.Scroll
-	clock     vclock.VC // on the simulation's shared ID table (Sim.tab)
-	self      int       // this process's index in that table
-	tag       int32     // add order within the run: the queue keys its live timers by it
-	snap      vclock.VC // cached clock snapshot, shared by records between ticks
+	Kernel
+	tag       int32 // add order within the run: the queue keys its live timers by it
 	ctx       *simContext
-	lamport   vclock.Lamport
 	crashed   bool
-	halted    bool
 	delivered uint64 // events delivered (for periodic checkpoints)
 	ckptSkew  uint64 // stagger offset for periodic checkpoints
 
@@ -251,41 +246,9 @@ type proc struct {
 	durable checkpoint.Cells
 }
 
-// clockSnap returns a snapshot of the process's vector clock that is shared
-// by every record created until the clock next advances. Scroll records,
-// queued events, checkpoints and fault records all treat their clock as
-// immutable (nothing in the tree mutates a Record.Clock in place), so one
-// snapshot per tick serves them all — and lets the fingerprinter encode it
-// once. Snapshots are carved from the simulation's run-scoped arena
-// (rewound by Reset), so taking one allocates nothing. Every site that
-// mutates p.clock must zero p.snap (tick does).
-func (p *proc) clockSnap() vclock.VC {
-	if p.snap == (vclock.VC{}) {
-		p.snap = p.ctx.sim.clocks.Snapshot(p.clock)
-	}
-	return p.snap
-}
-
-// record appends r to the process's scroll and returns its sequence. The
-// scroll is in memory, so an error is its name table overflowing: the
-// recording would miss the record, and its replay diverge.
-func (p *proc) record(r *scroll.Record) uint64 {
-	seq, err := p.scroll.Append(*r)
-	if err != nil {
-		panic(err)
-	}
-	return seq
-}
-
 // timerOf is what the event queue marks the process's live timers with:
 // 1 + its tag, so that 0 marks every other event (qkey.timerOf).
 func (p *proc) timerOf() int32 { return p.tag + 1 }
-
-// tick advances the process's own component of its vector clock.
-func (p *proc) tick() {
-	p.clock.TickAt(p.self)
-	p.snap = vclock.VC{}
-}
 
 // Sim is a deterministic distributed-system simulation.
 type Sim struct {
@@ -317,19 +280,15 @@ type Sim struct {
 	// Run-scoped memory: carved during a run, rewound — not dropped — by
 	// Reset, so a warm pooled run allocates none of it again. Everything
 	// handed out of it (record payloads, clock snapshots, checkpoints and
-	// what they point to) is invalid after Reset.
-	pay    slab.Slab[byte]                  // record payloads: 8-byte values, message bodies
-	clocks vclock.Arena                     // clock snapshots (proc.clockSnap)
-	ckmem  checkpoint.Arena                 // state encodings, heap snapshots
-	ckpts  slab.Slab[checkpoint.Checkpoint] // the checkpoints themselves
-	timers slab.Slab[string]                // their pending-timer lists
+	// what they point to) is invalid after Reset. Every kernel of the run
+	// carves from mem.
+	mem    memory
+	timers slab.Slab[string] // checkpoints' pending-timer lists
 
-	// Intern tables: strings and payloads that recur identically run after
-	// run. Bounded, shared read-only by records, and kept across Reset.
-	msgIDs   []string                 // "m<N>" at N-1, up to maxInternedMsgIDs
-	idText   slab.Text                // where the table's strings and the others are carved
-	labels   map[string][]byte        // checkpoint labels as record payloads
-	timerRec map[string]timerRecParts // timer-record strings/payloads
+	// Message IDs recur identically run after run: "m<N>" at N-1, up to
+	// maxInternedMsgIDs, kept across Reset.
+	msgIDs []string
+	idText slab.Text // where the table's strings and the others are carved
 
 	// FaultHandler, if set, is invoked on every Context.Fault report. The
 	// FixD coordinator (internal/core) uses it to trigger the Fig. 4
@@ -337,39 +296,8 @@ type Sim struct {
 	FaultHandler func(*Sim, FaultRecord) bool
 }
 
-// timerRecParts caches the per-timer-name record fields ("timer:x" MsgID
-// and name payload). Timer fires are the single most frequent record in the
-// chaos workloads; the cached strings and payload bytes are shared across
-// records and runs — records never mutate them.
-type timerRecParts struct {
-	msgID   string
-	payload []byte
-}
-
-// timerParts returns the cached record fields for a timer name.
-func (s *Sim) timerParts(name string) timerRecParts {
-	if tr, ok := s.timerRec[name]; ok {
-		return tr
-	}
-	if s.timerRec == nil {
-		s.timerRec = make(map[string]timerRecParts)
-	}
-	tr := timerRecParts{msgID: "timer:" + name, payload: []byte(name)}
-	s.timerRec[name] = tr
-	return tr
-}
-
-// appendU64 renders v little-endian into the payload slab and returns the
-// 8-byte slice. Records retain these slices read-only, for the run.
-func (s *Sim) appendU64(v uint64) []byte {
-	return s.pay.Keep(binary.LittleEndian.AppendUint64(s.pay.Tail(8), v))
-}
-
-// Bounds of the intern tables.
-const (
-	maxInternedMsgIDs = 1024
-	maxInternedLabels = 64
-)
+// maxInternedMsgIDs bounds the message-ID intern table.
+const maxInternedMsgIDs = 1024
 
 // msgID renders "m<n>", from the intern table when n is small enough to be
 // remembered. Past the table — a long run, or a fresh simulation's first —
@@ -387,21 +315,6 @@ func (s *Sim) msgID(n uint64) string {
 		s.msgIDs = append(s.msgIDs, id)
 	}
 	return id
-}
-
-// labelPayload returns label as a record payload, interned.
-func (s *Sim) labelPayload(label string) []byte {
-	if b, ok := s.labels[label]; ok {
-		return b
-	}
-	b := []byte(label)
-	if len(s.labels) < maxInternedLabels {
-		if s.labels == nil {
-			s.labels = make(map[string][]byte)
-		}
-		s.labels[label] = b
-	}
-	return b
 }
 
 // normalize fills config defaults; New and Reset must agree on them.
@@ -484,10 +397,7 @@ func (s *Sim) Reset(cfg Config) {
 	clear(s.lastFIFO)
 	s.monEvery, s.monFn = 0, nil
 	s.FaultHandler = nil
-	s.pay.Rewind()
-	s.clocks.Rewind()
-	s.ckmem.Rewind()
-	s.ckpts.Rewind()
+	s.mem.rewind()
 	s.timers.Rewind()
 }
 
@@ -508,12 +418,14 @@ func (s *Sim) AddProcess(id string, m Machine) {
 		p.crashed, p.halted = false, false
 		p.delivered, p.ckptSkew = 0, 0
 	} else {
-		p = &proc{
+		p = &proc{Kernel: Kernel{
 			id:      id,
 			machine: m,
-			heap:    s.ckmem.NewHeap(s.cfg.HeapSize, s.cfg.HeapPageSize),
+			heap:    s.mem.ckmem.NewHeap(s.cfg.HeapSize, s.cfg.HeapPageSize),
 			scroll:  scroll.NewMemory(id),
-		}
+			store:   s.store,
+			mem:     &s.mem,
+		}}
 	}
 	if p.ctx == nil || p.ctx.sim != s {
 		// One reusable context per process: machine callbacks receive the
@@ -628,15 +540,10 @@ func (s *Sim) Scroll(id string) *scroll.Scroll {
 // MachineState returns the JSON encoding of a process's current machine
 // state.
 func (s *Sim) MachineState(id string) []byte {
-	p, ok := s.procs[id]
-	if !ok {
-		return nil
+	if p, ok := s.procs[id]; ok {
+		return p.MachineState()
 	}
-	b, err := json.Marshal(p.machine.State())
-	if err != nil {
-		panic(fmt.Sprintf("dsim: state of %s not serializable: %v", id, err))
-	}
-	return b
+	return nil
 }
 
 // Clock returns a copy of the process's vector clock.
@@ -779,7 +686,7 @@ func (s *Sim) deliver(ev *event) {
 	payload := ev.payload
 	if s.rules.Hit(s.rng, inject.Corrupt, ev.from, ev.to, s.now) {
 		if len(payload) > 0 {
-			payload = s.pay.Copy(payload)
+			payload = s.mem.pay.Copy(payload)
 			inject.Mutate(s.rng, payload)
 		}
 		s.corrupts++
@@ -793,13 +700,7 @@ func (s *Sim) deliver(ev *event) {
 	if err := s.specs.OnDeliver(ev.to, ev.specs); err != nil {
 		panic(fmt.Sprintf("dsim: absorption failed: %v", err))
 	}
-	p.clock.Merge(ev.clock)
-	p.tick()
-	lam := p.lamport.Witness(ev.lamport)
-	p.record(&scroll.Record{
-		Kind: scroll.KindRecv, MsgID: ev.msgID, Peer: ev.from,
-		Payload: payload, Lamport: lam, Clock: p.clockSnap(),
-	})
+	p.RecordRecv(ev.msgID, ev.from, payload, ev.lamport, ev.clock)
 	p.delivered++
 	s.stats.Delivered++
 	p.machine.OnMessage(p.ctx, ev.from, payload)
@@ -815,13 +716,7 @@ func (s *Sim) fireTimer(ev *event) {
 	if !ok || p.crashed || p.halted {
 		return
 	}
-	p.tick()
-	lam := p.lamport.Tick()
-	tr := s.timerParts(ev.timerName)
-	p.record(&scroll.Record{
-		Kind: scroll.KindCustom, MsgID: tr.msgID,
-		Payload: tr.payload, Lamport: lam, Clock: p.clockSnap(),
-	})
+	p.RecordTimer(ev.timerName)
 	s.stats.TimerFires++
 	p.machine.OnTimer(p.ctx, ev.timerName)
 }
@@ -927,58 +822,27 @@ func (s *Sim) restart(id string) {
 // takeCheckpoint snapshots a process. specID tags speculation-induced
 // checkpoints; label describes the policy that triggered it.
 func (s *Sim) takeCheckpoint(p *proc, specID, label string) *checkpoint.Checkpoint {
-	snap := p.heap.Snapshot()
-	extra, codec, err := s.ckmem.Encode(p.machine.State())
-	if err != nil {
-		panic(fmt.Sprintf("dsim: state of %s not serializable: %v", p.id, err))
-	}
 	// Two passes over the queue's keys, so that the list is carved at its
 	// exact size, in heap-array order: the order restoreProc re-arms it in.
 	var timers []string // nil when none are pending, as it always was
 	if pending := s.queue.countTimers(p.timerOf()); pending > 0 {
-		timers = s.queue.appendTimers(s.timers.Tail(pending), p.timerOf())
+		timers = s.timers.Keep(s.queue.appendTimers(s.timers.Tail(pending), p.timerOf()))
 	}
-	ck := s.ckpts.Put(checkpoint.Checkpoint{
-		Proc:      p.id,
-		Clock:     p.clockSnap(),
-		ScrollSeq: uint64(p.scroll.Len()),
-		Time:      s.now,
-		Snap:      snap,
-		Extra:     extra,
-		Codec:     codec,
-		SpecID:    specID,
-		Timers:    s.timers.Keep(timers),
-	})
-	s.store.Put(ck)
-	p.record(&scroll.Record{
-		Kind: scroll.KindCkpt, MsgID: ck.ID, Payload: s.labelPayload(label),
-		Lamport: p.lamport.Now(), Clock: p.clockSnap(),
-	})
+	ck := p.Checkpoint(s.now, specID, label, timers)
 	s.stats.Checkpoints++
 	return ck
 }
 
 // restoreProc rewinds a process to a checkpoint: heap, machine state,
-// vector clock and scroll position. Events the process created after the
-// checkpoint are purged from the queue. Stable storage (proc.durable) is
-// deliberately untouched here: disk writes cannot be unwritten by a
-// restore. Deliberate-rollback callers additionally fence the cells written
-// after the checkpoint (fenceAbandoned, or Cells.Fence alone for a
-// speculation abort); the crash-restart caller must not — the disk is its
-// authoritative recovery source.
+// vector clock and scroll position (Kernel.Restore). Events the process
+// created after the checkpoint are purged from the queue. Stable storage
+// (proc.durable) is deliberately untouched here: disk writes cannot be
+// unwritten by a restore. Deliberate-rollback callers additionally fence
+// the cells written after the checkpoint (fenceAbandoned, or Cells.Fence
+// alone for a speculation abort); the crash-restart caller must not — the
+// disk is its authoritative recovery source.
 func (s *Sim) restoreProc(p *proc, ck *checkpoint.Checkpoint) {
-	p.heap.Restore(ck.Snap)
-	state, err := ck.StateJSON()
-	if err == nil {
-		err = checkpoint.RestoreState(state, p.machine.State())
-	}
-	if err != nil {
-		panic(fmt.Sprintf("dsim: restore state of %s: %v", p.id, err))
-	}
-	p.clock = s.tab.New().Merge(ck.Clock)
-	p.snap = vclock.VC{}
-	p.scroll.Truncate(ck.ScrollSeq)
-	p.halted = false
+	p.Restore(ck)
 	for i := 0; i < s.queue.len(); i++ {
 		if ev := s.queue.at(i); ev.kind == evMessage && ev.from == p.id && ev.creatorSeq >= ck.ScrollSeq {
 			s.queue.kill(i)
@@ -1086,12 +950,9 @@ func (s *Sim) ReplaceMachine(procID string, m Machine, state []byte) error {
 	if !ok {
 		return fmt.Errorf("dsim: unknown process %q", procID)
 	}
-	if state != nil {
-		if err := checkpoint.RestoreState(state, m.State()); err != nil {
-			return fmt.Errorf("dsim: update state of %s rejected: %w", procID, err)
-		}
+	if err := p.Replace(m, state); err != nil {
+		return err
 	}
-	p.machine = m
 	// A dynamic update starts a new timeline too: the healer pairs it with a
 	// rollback, and messages produced by the replaced implementation must be
 	// fenceable on the live backend.
@@ -1152,39 +1013,20 @@ func (c *simContext) Self() string { return c.proc.id }
 // Now returns the virtual time — offset by any injected clock skew — and
 // records the read.
 func (c *simContext) Now() uint64 {
-	t := c.sim.rules.Skewed(c.proc.id, c.sim.now)
-	c.proc.record(&scroll.Record{
-		Kind: scroll.KindTime, Payload: c.sim.appendU64(t),
-		Lamport: c.proc.lamport.Now(), Clock: c.proc.clockSnap(),
-	})
-	return t
+	return c.proc.RecordTime(c.sim.rules.Skewed(c.proc.id, c.sim.now))
 }
 
 // Random returns a deterministic pseudo-random uint64 and records it.
-func (c *simContext) Random() uint64 {
-	v := c.sim.rng.Uint64()
-	c.proc.record(&scroll.Record{
-		Kind: scroll.KindRandom, Payload: c.sim.appendU64(v),
-		Lamport: c.proc.lamport.Now(), Clock: c.proc.clockSnap(),
-	})
-	return v
-}
+func (c *simContext) Random() uint64 { return c.proc.RecordRandom(c.sim.rng.Uint64()) }
 
 // Send transmits payload to the named process with simulated latency,
 // recording the send in the scroll and tagging the message with the
 // sender's active speculations.
 func (c *simContext) Send(to string, payload []byte) {
 	s, p := c.sim, c.proc
-	p.tick()
-	lam := p.lamport.Tick()
 	s.msgN++
 	id := s.msgID(s.msgN)
-	body := s.pay.Copy(payload)
-	rec := scroll.Record{
-		Kind: scroll.KindSend, MsgID: id, Peer: to, Payload: body,
-		Lamport: lam, Clock: p.clockSnap(),
-	}
-	seq := p.record(&rec)
+	body, lam, seq := p.RecordSend(id, to, payload)
 	specs := s.specs.ActiveSpecs(p.id)
 	deliver := func() {
 		t := s.now + s.latency()
@@ -1205,7 +1047,7 @@ func (c *simContext) Send(to string, payload []byte) {
 		s.push(event{
 			time: t, kind: evMessage,
 			msgID: id, from: p.id, to: to, payload: body,
-			lamport: lam, clock: p.clockSnap(), specs: specs, creatorSeq: seq,
+			lamport: lam, clock: p.ClockSnap(), specs: specs, creatorSeq: seq,
 		}, 0)
 	}
 	deliver()
@@ -1228,23 +1070,13 @@ func (c *simContext) SetTimer(name string, delay uint64) {
 func (c *simContext) Heap() *checkpoint.Heap { return c.proc.heap }
 
 // Log appends an informational custom record to the scroll.
-func (c *simContext) Log(format string, args ...any) {
-	c.proc.record(&scroll.Record{
-		Kind: scroll.KindCustom, MsgID: "log",
-		Payload: []byte(fmt.Sprintf(format, args...)),
-		Lamport: c.proc.lamport.Now(), Clock: c.proc.clockSnap(),
-	})
-}
+func (c *simContext) Log(format string, args ...any) { c.proc.RecordLog(format, args...) }
 
 // Fault reports a locally detected fault (invariant violation). It is
 // recorded in the scroll and forwarded to the simulation's FaultHandler.
 func (c *simContext) Fault(desc string) {
-	s, p := c.sim, c.proc
-	rec := FaultRecord{Proc: p.id, Desc: desc, Time: s.now, Clock: p.clockSnap()}
-	p.record(&scroll.Record{
-		Kind: scroll.KindFault, Payload: s.pay.Keep(append(s.pay.Tail(len(desc)), desc...)),
-		Lamport: p.lamport.Now(), Clock: p.clockSnap(),
-	})
+	s := c.sim
+	rec := c.proc.RecordFault(desc, s.now)
 	s.faults = append(s.faults, rec)
 	if s.FaultHandler != nil && s.FaultHandler(s, rec) {
 		s.stop = true
@@ -1272,4 +1104,4 @@ func (c *simContext) AbortSpec(specID, reason string) error {
 }
 
 // Halt stops the process permanently (normal termination).
-func (c *simContext) Halt() { c.proc.halted = true }
+func (c *simContext) Halt() { c.proc.Halt() }

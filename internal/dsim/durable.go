@@ -3,8 +3,6 @@ package dsim
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/scroll"
 )
 
 // Stable storage (Context.DurablePut/DurableGet/DurableKeys) models the
@@ -37,8 +35,8 @@ const (
 	DurableKeysMsgID = "durable:keys"
 )
 
-// EncodeDurableGet renders a DurableGet outcome as a scroll payload: a
-// found byte (0/1) followed by the value when found.
+// EncodeDurableGet renders a DurableGet outcome as a scroll payload: 0
+// alone for a miss, 1 followed by the value for a hit.
 func EncodeDurableGet(v []byte, ok bool) []byte {
 	if !ok {
 		return []byte{0}
@@ -49,15 +47,16 @@ func EncodeDurableGet(v []byte, ok bool) []byte {
 	return out
 }
 
-// DecodeDurableGet parses an EncodeDurableGet payload.
+// DecodeDurableGet parses an EncodeDurableGet payload, and nothing else: a
+// record damaged on disk is refused, not misread.
 func DecodeDurableGet(b []byte) ([]byte, bool, error) {
-	if len(b) == 0 {
-		return nil, false, fmt.Errorf("dsim: empty durable-get record")
-	}
-	if b[0] == 0 {
+	switch {
+	case len(b) == 1 && b[0] == 0:
 		return nil, false, nil
+	case len(b) > 0 && b[0] == 1:
+		return append([]byte(nil), b[1:]...), true, nil
 	}
-	return append([]byte(nil), b[1:]...), true, nil
+	return nil, false, fmt.Errorf("dsim: malformed durable-get record % x", b[:min(len(b), 8)])
 }
 
 // EncodeDurableKeys renders a DurableKeys outcome as a scroll payload:
@@ -85,49 +84,27 @@ func DecodeDurableKeys(b []byte) ([]string, error) {
 	return keys, nil
 }
 
-// DurablePut implements Context: the cell is written to the process's
-// stable store, stamped with the writer's scroll position, and the write is
-// recorded in the scroll. Cell and record share one copy of value, carved
-// from the run's payload slab: Reset empties the store before it rewinds
-// the slab.
+// DurablePut implements Context: the write is recorded in the scroll and
+// the cell written to the process's stable store, stamped with the write's
+// scroll position. Cell and record share one copy of value, carved from the
+// run's payload slab: Reset empties the store before it rewinds the slab.
 // Writes survive crash-restart; a deliberate rollback fences writes made
 // after the restored checkpoint (a put on the new timeline revives the key).
 func (c *simContext) DurablePut(key string, value []byte) {
-	p := c.proc
-	body := c.sim.pay.Copy(value)
-	p.durable.Put(key, body, uint64(p.scroll.Len()))
-	p.record(&scroll.Record{
-		Kind: scroll.KindEnv, MsgID: DurablePutMsgID, Peer: key, Payload: body,
-		Lamport: p.lamport.Now(), Clock: p.clockSnap(),
-	})
+	body, seq := c.proc.RecordDurablePut(key, value)
+	c.proc.durable.Put(key, body, seq)
 }
 
 // DurableGet implements Context, recording the outcome so replays observe
 // the same value. Cells fenced by a deliberate rollback read as absent.
 func (c *simContext) DurableGet(key string) ([]byte, bool) {
-	p := c.proc
-	v, ok := p.durable.Get(key)
-	p.record(&scroll.Record{
-		Kind: scroll.KindEnv, MsgID: DurableGetMsgID, Peer: key,
-		Payload: EncodeDurableGet(v, ok),
-		Lamport: p.lamport.Now(), Clock: p.clockSnap(),
-	})
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
+	v, ok := c.proc.durable.Get(key)
+	return c.proc.RecordDurableGet(key, v, ok)
 }
 
 // DurableKeys implements Context, recording the (sorted) key list.
 func (c *simContext) DurableKeys() []string {
-	p := c.proc
-	keys := p.durable.Keys()
-	p.record(&scroll.Record{
-		Kind: scroll.KindEnv, MsgID: DurableKeysMsgID,
-		Payload: EncodeDurableKeys(keys),
-		Lamport: p.lamport.Now(), Clock: p.clockSnap(),
-	})
-	return keys
+	return c.proc.RecordDurableKeys(c.proc.durable.Keys())
 }
 
 // DurableSnapshot returns a deep copy of every process's stable-storage

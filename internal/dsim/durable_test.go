@@ -253,7 +253,7 @@ func (m *tamperedDurChatty) OnTimer(ctx Context, name string) {
 }
 
 // TestDurableGetEncoding pins the scroll payload round-trip the replay
-// context depends on.
+// context depends on, and that nothing else decodes.
 func TestDurableGetEncoding(t *testing.T) {
 	for _, tc := range []struct {
 		v  []byte
@@ -272,8 +272,12 @@ func TestDurableGetEncoding(t *testing.T) {
 			t.Fatalf("round trip (%q,%v) -> (%q,%v)", tc.v, tc.ok, v, ok)
 		}
 	}
-	if _, _, err := DecodeDurableGet(nil); err == nil {
-		t.Fatal("empty durable-get payload decoded")
+	// Only what EncodeDurableGet writes decodes: a flag byte other than 0 or
+	// 1, or a miss with bytes after it, is a record damaged on disk.
+	for _, bad := range [][]byte{nil, {2}, {2, 'x'}, {0xFF, 0}, {0, 'x'}} {
+		if v, ok, err := DecodeDurableGet(bad); err == nil {
+			t.Errorf("durable-get payload % x decoded as (%q, %v)", bad, v, ok)
+		}
 	}
 
 	keys := []string{"", "a", "2pc:decision", "kv:k1"}

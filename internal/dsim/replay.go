@@ -151,7 +151,20 @@ func (c *replayCtx) DurableKeys() []string {
 	return keys
 }
 
-func (c *replayCtx) Log(string, ...any) {}
+// Log consumes the note the original run recorded, so that what the
+// handler does next lines up with the scroll.
+func (c *replayCtx) Log(string, ...any) {
+	rec, err := c.rp.Next(scroll.KindCustom)
+	if err == nil && rec.MsgID != logMsgID {
+		err = fmt.Errorf("%w: log where the scroll has %s at seq %d", scroll.ErrReplayDiverged, rec.MsgID, rec.Seq)
+		if c.openErr == nil {
+			c.badAt = c.rp.Pos()
+		}
+	}
+	if err != nil {
+		c.fail(err)
+	}
+}
 
 func (c *replayCtx) Fault(desc string) { c.faults = append(c.faults, desc) }
 

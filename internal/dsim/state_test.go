@@ -3,8 +3,6 @@ package dsim
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/checkpoint"
 )
 
 // setMachine keeps a set of the payloads it has received.
@@ -82,63 +80,6 @@ func TestRestoreOverlaysLiveMaps(t *testing.T) {
 	if want := (map[string]bool{"a": true, "b": true}); !reflect.DeepEqual(set.st.Seen, want) {
 		t.Errorf("Seen = %v after the rollback, want %v: the post-checkpoint key survives the restore "+
 			"(if this was fixed on purpose, regenerate the fixtures and update ROADMAP item 1)", set.st.Seen, want)
-	}
-}
-
-// TestRestoreStateTable spells out, field kind by field kind, what the one
-// restore helper (checkpoint.RestoreState — every restore path loads through
-// it) does to a live value: scalars, slices and nil maps take the
-// checkpoint's value exactly; a non-nil map keeps its later keys (the overlay
-// above); a field the checkpoint omits keeps its live value; bytes the
-// state's type does not accept are an error.
-func TestRestoreStateTable(t *testing.T) {
-	type state struct {
-		N     int
-		Name  string
-		List  []int
-		Set   map[string]bool
-		Inner struct{ Votes map[string]int }
-	}
-	live := func() *state {
-		st := &state{N: 9, Name: "late", List: []int{7, 8, 9}, Set: map[string]bool{"a": true, "late": true}}
-		st.Inner.Votes = map[string]int{"a": 2, "late": 1}
-		return st
-	}
-	for _, tc := range []struct {
-		name, ckpt string
-		into       *state
-		want       func(*state)
-		fails      bool
-	}{
-		{name: "scalars and slices restore exactly", ckpt: `{"N":1,"Name":"early","List":[1]}`, into: live(),
-			want: func(st *state) { st.N, st.Name, st.List = 1, "early", []int{1} }},
-		{name: "a null slice empties the live one", ckpt: `{"List":null}`, into: live(),
-			want: func(st *state) { st.List = nil }},
-		{name: "a live map keeps its later keys", ckpt: `{"Set":{"a":true},"Inner":{"Votes":{"a":1}}}`, into: live(),
-			want: func(st *state) { st.Inner.Votes["a"] = 1 }},
-		{name: "a null map empties the live one", ckpt: `{"Set":null}`, into: live(),
-			want: func(st *state) { st.Set = nil }},
-		{name: "a nil map restores exactly", ckpt: `{"Set":{"a":true}}`, into: &state{},
-			want: func(st *state) { st.Set = map[string]bool{"a": true} }},
-		{name: "an omitted field keeps its live value", ckpt: `{}`, into: live(), want: func(*state) {}},
-		{name: "a mistyped field is refused", ckpt: `{"N":"one"}`, into: live(), fails: true},
-		{name: "truncated bytes are refused", ckpt: `{"N":1`, into: live(), fails: true},
-		{name: "no bytes are refused", ckpt: ``, into: live(), fails: true},
-	} {
-		want := live()
-		if tc.into.Set == nil {
-			want = &state{}
-		}
-		err := checkpoint.RestoreState([]byte(tc.ckpt), tc.into)
-		if tc.fails {
-			if err == nil {
-				t.Errorf("%s: accepted %q", tc.name, tc.ckpt)
-			}
-			continue
-		}
-		if tc.want(want); err != nil || !reflect.DeepEqual(tc.into, want) {
-			t.Errorf("%s: restored %+v (%v), want %+v", tc.name, tc.into, err, want)
-		}
 	}
 }
 

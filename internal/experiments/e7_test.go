@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/guard"
 	"repro/internal/modeld"
 )
 
@@ -14,7 +15,7 @@ func BenchmarkE7ModelDExplore(b *testing.B) {
 		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				root, engine := mutexModel(n)
+				root, engine := guard.Mutex(n, false)
 				res := engine.Explore(root, modeld.Options{Strategy: modeld.BFS, MaxStates: 2_000_000})
 				if res.Truncated || len(res.Violations) != 0 {
 					b.Fatalf("unexpected result: %+v", res)

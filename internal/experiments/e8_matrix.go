@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dsim"
 	"repro/internal/fault"
+	"repro/internal/guard"
 	"repro/internal/heal"
 	"repro/internal/modeld"
 )
@@ -149,7 +150,7 @@ func demoCMC() error {
 
 func demoFixDPreventive() error {
 	// Verify an abstract guarded-command model before deployment.
-	root, engine := mutexModel(3)
+	root, engine := guard.Mutex(3, false)
 	res := engine.Explore(root, modeld.Options{Strategy: modeld.BFS, MaxStates: 500_000})
 	if len(res.Violations) != 0 || res.Truncated {
 		return fmt.Errorf("preventive verification failed: %d violations", len(res.Violations))

@@ -122,3 +122,49 @@ func (m *Model) Build() (modeld.State, *modeld.Engine) {
 	}
 	return m.initial.Clone(), e
 }
+
+// Mutex builds the n-process flag/turn mutual-exclusion model: a process
+// enters when it holds the turn and passes the turn on as it leaves, and
+// independent local work makes the state space grow exponentially with n.
+// The safe variant can also rest (undo a unit of work); buggy instead lets
+// a process that has worked twice barge in without the turn — a deep,
+// schedule-dependent violation of the "mutex" invariant. Each variant keeps
+// the action order experiments E7 and E8 were measured with.
+func Mutex(n int, buggy bool) (modeld.State, *modeld.Engine) {
+	m := NewModel().Init("turn", 0)
+	for i := range n {
+		cs, w := fmt.Sprintf("cs%d", i), fmt.Sprintf("w%d", i)
+		m.Init(cs, 0)
+		m.Init(w, 0)
+		m.Action(fmt.Sprintf("p%d-enter", i)).
+			When(func(v Vars) bool { return v.Get("turn") == int64(i) && v.Get(cs) == 0 }).
+			Do(func(v Vars) { v.Set(cs, 1) })
+		if buggy {
+			m.Action(fmt.Sprintf("p%d-barge", i)).
+				When(func(v Vars) bool { return v.Get(w) >= 2 && v.Get(cs) == 0 }).
+				Do(func(v Vars) { v.Set(cs, 1) }) // BUG: ignores the turn
+		}
+		m.Action(fmt.Sprintf("p%d-leave", i)).
+			When(func(v Vars) bool { return v.Get(cs) == 1 }).
+			Do(func(v Vars) {
+				v.Set(cs, 0)
+				v.Set("turn", (int64(i)+1)%int64(n))
+			})
+		m.Action(fmt.Sprintf("p%d-work", i)).
+			When(func(v Vars) bool { return v.Get(w) < 2 }).
+			Do(func(v Vars) { v.Set(w, v.Get(w)+1) })
+		if !buggy {
+			m.Action(fmt.Sprintf("p%d-rest", i)).
+				When(func(v Vars) bool { return v.Get(w) > 0 }).
+				Do(func(v Vars) { v.Set(w, v.Get(w)-1) })
+		}
+	}
+	m.Invariant("mutex", func(v Vars) bool {
+		in := 0
+		for i := range n {
+			in += int(v.Get(fmt.Sprintf("cs%d", i)))
+		}
+		return in <= 1
+	})
+	return m.Build()
+}

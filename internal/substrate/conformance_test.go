@@ -819,3 +819,87 @@ func TestContextDoesNotRetain(t *testing.T) {
 		}
 	})
 }
+
+// everyOp calls each recorded Context operation once: Init reads the clock
+// and the rng, writes, reads (a hit and a miss) and lists stable storage,
+// logs, reports a fault, checkpoints and sends; the peer's reply is its
+// receive, and the timer it then arms its timer fire.
+type everyOp struct{ st struct{ Got string } }
+
+func (m *everyOp) State() any { return &m.st }
+func (m *everyOp) Init(ctx dsim.Context) {
+	ctx.Now()
+	ctx.Random()
+	ctx.DurablePut("k", []byte("v"))
+	ctx.DurableGet("k")
+	ctx.DurableGet("absent")
+	ctx.DurableKeys()
+	ctx.Log("note %d", 1)
+	ctx.Fault("local fault")
+	ctx.Checkpoint("explicit")
+	ctx.Send("peer", []byte("ping"))
+}
+func (m *everyOp) OnMessage(ctx dsim.Context, _ string, payload []byte) {
+	m.st.Got = string(payload)
+	ctx.SetTimer("after", 1)
+}
+func (m *everyOp) OnTimer(dsim.Context, string)               {}
+func (m *everyOp) OnRollback(dsim.Context, dsim.RollbackInfo) {}
+
+// echoOnce answers the first message it gets.
+type echoOnce struct{ st struct{ N int } }
+
+func (m *echoOnce) State() any        { return &m.st }
+func (m *echoOnce) Init(dsim.Context) {}
+func (m *echoOnce) OnMessage(ctx dsim.Context, from string, _ []byte) {
+	if m.st.N++; m.st.N == 1 {
+		ctx.Send(from, []byte("pong"))
+	}
+}
+func (m *echoOnce) OnTimer(dsim.Context, string)               {}
+func (m *echoOnce) OnRollback(dsim.Context, dsim.RollbackInfo) {}
+
+// TestBackendsRecordAlike runs one machine that calls every recorded
+// operation on the simulator and on the live substrate: both scrolls agree
+// record for record on Kind, Peer, MsgID and payload, except for what only
+// the run decides (clock and rng values, still 8 bytes each, and message
+// IDs), and the live recording replays clean.
+func TestBackendsRecordAlike(t *testing.T) {
+	record := func(sub substrate.Substrate) []scroll.Record {
+		t.Cleanup(func() { sub.Close() })
+		sub.AddProcess("ops", &everyOp{})
+		sub.AddProcess("peer", &echoOnce{})
+		sub.Run()
+		return sub.Scroll("ops").Records()
+	}
+	sim := record(substrate.NewSim(dsim.Config{Seed: 3}))
+	live, err := substrate.NewLive(substrate.LiveConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := record(live)
+	if len(got) != len(sim) || len(sim) != 12 {
+		t.Fatalf("live recorded %d records, the simulator %d; want 12 each", len(got), len(sim))
+	}
+	for i, s := range sim {
+		l := got[i]
+		switch {
+		case l.Kind != s.Kind || l.Peer != s.Peer:
+			t.Errorf("record %d: live %v peer %q, sim %v peer %q", i, l.Kind, l.Peer, s.Kind, s.Peer)
+		case s.Kind == scroll.KindTime || s.Kind == scroll.KindRandom:
+			if len(l.Payload) != 8 || len(s.Payload) != 8 {
+				t.Errorf("record %d: %v payloads of %d and %d bytes, want 8", i, s.Kind, len(l.Payload), len(s.Payload))
+			}
+		case s.Kind == scroll.KindSend || s.Kind == scroll.KindRecv:
+			if string(l.Payload) != string(s.Payload) {
+				t.Errorf("record %d: %v payload live %q, sim %q", i, s.Kind, l.Payload, s.Payload)
+			}
+		case l.MsgID != s.MsgID || string(l.Payload) != string(s.Payload):
+			t.Errorf("record %d: live %v %q %q, sim %q %q", i, s.Kind, l.MsgID, l.Payload, s.MsgID, s.Payload)
+		}
+	}
+	rep, err := dsim.Replay("ops", &everyOp{}, got, 0, 0)
+	if err != nil || rep.Diverged || rep.Events != 2 {
+		t.Fatalf("live recording replays to %+v (%v), want 2 events and no divergence", rep, err)
+	}
+}

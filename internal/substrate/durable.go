@@ -75,12 +75,12 @@ func openDurableStore(dir, proc string) (*durableStore, error) {
 // put installs key = value stamped with the writer's scroll position and,
 // when backed, appends it to the WAL together with that position and the
 // timeline epoch of the write (part of the record format; recovery reads
-// neither back).
+// neither back). The cell keeps value, which the caller must not modify:
+// the live context hands it the copy its scroll record holds.
 func (ds *durableStore) put(key string, value []byte, epoch, writeSeq uint64) error {
-	v := append([]byte(nil), value...)
-	ds.cells.Put(key, v, writeSeq+1)
+	ds.cells.Put(key, value, writeSeq+1)
 	if ds.log != nil {
-		return ds.log.Append(encodeDurablePut(key, v, epoch, writeSeq))
+		return ds.log.Append(encodeDurablePut(key, value, epoch, writeSeq))
 	}
 	return nil
 }

@@ -1,8 +1,6 @@
 package substrate
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -120,12 +118,6 @@ const (
 	levRollback = levControl + int(fault.Rollback)
 )
 
-// EpochFenceMsgID is the scroll MsgID under which a fenced stale-epoch
-// delivery is recorded (KindCustom, so dsim.Replay treats it as a no-op).
-// Recording the fence keeps replay and divergence checking aligned with
-// the live history: the drop is part of the timeline, not an omission.
-const EpochFenceMsgID = "fence:epoch"
-
 // LiveSubstrate runs dsim.Machine implementations as real goroutines
 // exchanging messages over internal/transport, with the Scroll interposed
 // on every send and delivery and chaos injection interposed at the hub
@@ -219,22 +211,17 @@ func NewLive(cfg LiveConfig) (*LiveSubstrate, error) {
 	return s, nil
 }
 
-// liveProc is the runtime of one live process.
+// liveProc is the runtime of one live process: its kernel, with memory of
+// its own, plus what only the live backend keeps.
 type liveProc struct {
+	dsim.Kernel
 	sub     *LiveSubstrate
-	id      string
-	mu      sync.Mutex // serializes machine callbacks and state access
-	machine dsim.Machine
-	heap    *checkpoint.Heap
-	scroll  *scroll.Scroll
-	clock   vclock.VC
-	lamport vclock.Lamport
+	mu      sync.Mutex    // serializes machine callbacks and state access
 	durable *durableStore // stable storage: survives crash-restart and rollback
 	tr      transport.Transport
 	inbox   <-chan transport.Message
 	events  chan liveEvent
 	crashed bool
-	halted  bool
 	// incarnation is bumped by every restore (crash-restart AND rollback)
 	// and by a restart that re-runs Init: pending time.AfterFunc timers of
 	// the previous incarnation cannot be recalled, so their fires are fenced
@@ -283,12 +270,8 @@ func (s *LiveSubstrate) AddProcess(id string, m dsim.Machine) {
 		}
 	}
 	p := &liveProc{
+		Kernel:  dsim.NewKernel(id, m, checkpoint.NewHeapPages(s.cfg.HeapSize, s.cfg.HeapPageSize), sc, s.store),
 		sub:     s,
-		id:      id,
-		machine: m,
-		heap:    checkpoint.NewHeapPages(s.cfg.HeapSize, s.cfg.HeapPageSize),
-		scroll:  sc,
-		clock:   vclock.New(),
 		durable: durable,
 		tr:      tr,
 		inbox:   inbox,
@@ -299,15 +282,6 @@ func (s *LiveSubstrate) AddProcess(id string, m dsim.Machine) {
 	sort.Strings(s.order)
 	go p.pump()
 	go p.loop()
-}
-
-// record appends r to the process's scroll. An error — a durable scroll's
-// write failing, or its name table overflowing — would leave a hole in the
-// recording that replay runs into, so it panics, as a failed durable put does.
-func (p *liveProc) record(r *scroll.Record) {
-	if _, err := p.scroll.Append(*r); err != nil {
-		panic(fmt.Sprintf("substrate: scroll of %s: %v", p.id, err))
-	}
 }
 
 // pump forwards the transport inbox into the event loop.
@@ -362,55 +336,35 @@ func (p *liveProc) handle(ev liveEvent) {
 	ctx := &liveCtx{p: p}
 	switch ev.kind {
 	case levInit:
-		p.clock = ev.tab.New() // nothing has ticked it yet: Run queues levInit first
-		if p.scroll.Len() > 0 {
-			// A scroll resumed from ScrollDir: both clocks continue past the
-			// loaded tail, so what is recorded next never sorts before it.
-			var lam, own uint64
-			for r := range p.scroll.All() {
-				lam, own = max(lam, r.Lamport), max(own, r.Clock.Get(p.id))
-			}
-			p.lamport.Witness(lam)
-			p.clock.Set(p.id, own)
-		}
-		p.machine.Init(ctx)
+		p.Rehome(ev.tab) // nothing has ticked the clock yet: Run queues levInit first
+		p.Machine().Init(ctx)
 		if s.cfg.InitCheckpoint {
 			p.takeCheckpointLocked("init")
 		}
 	case levMsg:
-		if p.crashed || p.halted {
+		if p.crashed || p.Halted() {
 			s.crashDrops.Add(1)
 			return
 		}
-		if ev.msg.Epoch < s.epoch.Load() {
+		if epoch := s.epoch.Load(); ev.msg.Epoch < epoch {
 			// The message was sent on a timeline a rollback has since
 			// abandoned; the real network could not recall it, so fence it
 			// here — turning redelivery from at-least-once into
 			// exactly-once-per-timeline. The fence is recorded in the scroll
 			// (a KindCustom record, a no-op under dsim.Replay) so per-process
 			// replay and divergence checking see the same history.
-			p.record(&scroll.Record{
-				Kind: scroll.KindCustom, MsgID: EpochFenceMsgID, Peer: ev.msg.From,
-				Payload: []byte(fmt.Sprintf("%s epoch %d < %d", ev.msg.ID, ev.msg.Epoch, s.epoch.Load())),
-				Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
-			})
+			p.RecordFence(ev.msg.ID, ev.msg.From, ev.msg.Epoch, epoch)
 			s.epochFences.Add(1)
 			return
 		}
 		if s.cfg.CICheckpoint {
 			p.takeCheckpointLocked("cic")
 		}
-		p.clock.Merge(ev.msg.Clock)
-		p.clock.Tick(p.id)
-		lam := p.lamport.Witness(ev.msg.Lamport)
-		p.record(&scroll.Record{
-			Kind: scroll.KindRecv, MsgID: ev.msg.ID, Peer: ev.msg.From,
-			Payload: ev.msg.Payload, Lamport: lam, Clock: p.clock.Copy(),
-		})
+		p.RecordRecv(ev.msg.ID, ev.msg.From, ev.msg.Payload, ev.msg.Lamport, ev.msg.Clock)
 		p.delivered++
 		s.delivered.Add(1)
 		s.steps.Add(1)
-		p.machine.OnMessage(ctx, ev.msg.From, ev.msg.Payload)
+		p.Machine().OnMessage(ctx, ev.msg.From, ev.msg.Payload)
 		if n := s.cfg.CheckpointEvery; n > 0 && (p.delivered+p.ckptSkew)%n == 0 {
 			p.takeCheckpointLocked("periodic")
 		}
@@ -426,18 +380,13 @@ func (p *liveProc) handle(ev liveEvent) {
 			return
 		}
 		p.removeTimerLocked(ev.timer)
-		if p.crashed || p.halted {
+		if p.crashed || p.Halted() {
 			return
 		}
-		p.clock.Tick(p.id)
-		lam := p.lamport.Tick()
-		p.record(&scroll.Record{
-			Kind: scroll.KindCustom, MsgID: "timer:" + ev.timer,
-			Payload: []byte(ev.timer), Lamport: lam, Clock: p.clock.Copy(),
-		})
+		p.RecordTimer(ev.timer)
 		s.timerFires.Add(1)
 		s.steps.Add(1)
-		p.machine.OnTimer(ctx, ev.timer)
+		p.Machine().OnTimer(ctx, ev.timer)
 	case levCrash:
 		if !p.crashed {
 			p.crashed = true
@@ -449,16 +398,16 @@ func (p *liveProc) handle(ev liveEvent) {
 		}
 		p.crashed = false
 		s.restarts.Add(1)
-		if ck := s.store.Latest(p.id); ck != nil {
+		if ck := s.store.Latest(p.ID()); ck != nil {
 			p.restoreLocked(ck)
-			p.machine.OnRollback(ctx, dsim.RollbackInfo{Manual: true, CrashRestart: true, Reason: "crash restart"})
+			p.Machine().OnRollback(ctx, dsim.RollbackInfo{Manual: true, CrashRestart: true, Reason: "crash restart"})
 		} else {
 			// A fresh incarnation with nothing to restore: Init arms its own
 			// timers, and the crashed incarnation's still-pending fires are
 			// fenced, as after a restore (the simulator kills them).
 			p.incarnation++
 			p.pendingTimers = nil
-			p.machine.Init(ctx)
+			p.Machine().Init(ctx)
 		}
 	}
 }
@@ -476,7 +425,7 @@ func (p *liveProc) handle(ev liveEvent) {
 // each mutex instead of deadlocking.
 func (s *LiveSubstrate) rollbackLatest(anchor *liveProc) {
 	anchor.mu.Lock()
-	skip := anchor.crashed || s.store.Latest(anchor.id) == nil
+	skip := anchor.crashed || s.store.Latest(anchor.ID()) == nil
 	anchor.mu.Unlock()
 	if skip {
 		return
@@ -489,8 +438,8 @@ func (s *LiveSubstrate) rollbackLatest(anchor *liveProc) {
 	s.mu.Unlock()
 	lists := make(map[string][]*checkpoint.Checkpoint, len(procs))
 	for _, q := range procs {
-		if cks := s.store.List(q.id); len(cks) > 0 {
-			lists[q.id] = cks
+		if cks := s.store.List(q.ID()); len(cks) > 0 {
+			lists[q.ID()] = cks
 		}
 	}
 	line := recovery.MaxConsistentSet(lists)
@@ -501,7 +450,7 @@ func (s *LiveSubstrate) rollbackLatest(anchor *liveProc) {
 	// abandoned timeline carries a smaller epoch and will be fenced.
 	s.epoch.Add(1)
 	for _, q := range procs {
-		ck, ok := line[q.id]
+		ck, ok := line[q.ID()]
 		if !ok {
 			continue
 		}
@@ -514,7 +463,7 @@ func (s *LiveSubstrate) rollbackLatest(anchor *liveProc) {
 		default:
 			q.restoreLocked(ck)
 			q.fenceAbandonedLocked(ck)
-			q.machine.OnRollback(&liveCtx{p: q}, dsim.RollbackInfo{Manual: true, Reason: "time machine rollback"})
+			q.Machine().OnRollback(&liveCtx{p: q}, dsim.RollbackInfo{Manual: true, Reason: "time machine rollback"})
 		}
 		q.mu.Unlock()
 	}
@@ -530,10 +479,10 @@ func (p *liveProc) fenceAbandonedLocked(ck *checkpoint.Checkpoint) {
 		select {
 		case <-p.sub.shutdown:
 		default:
-			panic(fmt.Sprintf("substrate: durable invalidation for %s: %v", p.id, err))
+			panic(fmt.Sprintf("substrate: durable invalidation for %s: %v", p.ID(), err))
 		}
 	}
-	p.sub.store.PruneAfter(p.id, ck.ScrollSeq)
+	p.sub.store.PruneAfter(p.ID(), ck.ScrollSeq)
 }
 
 // removeTimerLocked drops one pending entry for name — plain bookkeeping:
@@ -550,52 +499,25 @@ func (p *liveProc) removeTimerLocked(name string) {
 
 // takeCheckpointLocked snapshots the process (caller holds p.mu).
 func (p *liveProc) takeCheckpointLocked(label string) *checkpoint.Checkpoint {
-	extra, err := json.Marshal(p.machine.State())
-	if err != nil {
-		panic(fmt.Sprintf("substrate: state of %s not serializable: %v", p.id, err))
-	}
-	ck := &checkpoint.Checkpoint{
-		Proc:      p.id,
-		Clock:     p.clock.Copy(),
-		ScrollSeq: uint64(p.scroll.Len()),
-		Time:      p.sub.Now(),
-		Snap:      p.heap.Snapshot(),
-		Extra:     extra,
-		Timers:    append([]string(nil), p.pendingTimers...),
-	}
-	p.sub.store.Put(ck)
-	p.record(&scroll.Record{
-		Kind: scroll.KindCkpt, MsgID: ck.ID, Payload: []byte(label),
-		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
-	})
+	ck := p.Checkpoint(p.sub.Now(), "", label, append([]string(nil), p.pendingTimers...))
 	p.sub.ckpts.Add(1)
 	return ck
 }
 
 // restoreLocked rewinds the process to a checkpoint: heap, machine state,
-// vector clock, scroll position, and the timers pending at the checkpoint.
-// Stable storage (p.durable) is deliberately untouched here: disk writes
-// cannot be unwritten by a restore, and for crash-restart the disk is the
-// authoritative recovery source (deliberate-rollback callers fence the
-// abandoned cells separately — fenceAbandonedLocked). Messages already in
-// flight cannot be recalled either; they are fenced at delivery by the
-// timeline epoch stamped on every transport.Message, so redelivery is
-// exactly-once-per-timeline rather than the historical at-least-once.
-// Orphaned time.AfterFunc timers are fenced the same way via the process
-// incarnation bumped below.
+// vector clock, scroll position (Kernel.Restore), and the timers pending at
+// the checkpoint. Stable storage (p.durable) is deliberately untouched
+// here: disk writes cannot be unwritten by a restore, and for crash-restart
+// the disk is the authoritative recovery source (deliberate-rollback
+// callers fence the abandoned cells separately — fenceAbandonedLocked).
+// Messages already in flight cannot be recalled either; they are fenced at
+// delivery by the timeline epoch stamped on every transport.Message, so
+// redelivery is exactly-once-per-timeline rather than the historical
+// at-least-once. Orphaned time.AfterFunc timers are fenced the same way via
+// the process incarnation bumped below.
 func (p *liveProc) restoreLocked(ck *checkpoint.Checkpoint) {
 	p.incarnation++
-	p.heap.Restore(ck.Snap)
-	state, err := ck.StateJSON()
-	if err == nil {
-		err = checkpoint.RestoreState(state, p.machine.State())
-	}
-	if err != nil {
-		panic(fmt.Sprintf("substrate: restore state of %s: %v", p.id, err))
-	}
-	p.clock = ck.Clock.Copy()
-	p.scroll.Truncate(ck.ScrollSeq)
-	p.halted = false
+	p.Restore(ck)
 	p.pendingTimers = nil
 	ctx := &liveCtx{p: p}
 	for _, name := range ck.Timers {
@@ -821,7 +743,7 @@ func (s *LiveSubstrate) Scroll(id string) *scroll.Scroll {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p, ok := s.procs[id]; ok {
-		return p.scroll
+		return p.Scroll()
 	}
 	return nil
 }
@@ -839,7 +761,7 @@ func (s *LiveSubstrate) Scrolls() []*scroll.Scroll {
 	defer s.mu.Unlock()
 	scrolls := make([]*scroll.Scroll, 0, len(s.order))
 	for _, id := range s.order {
-		scrolls = append(scrolls, s.procs[id].scroll)
+		scrolls = append(scrolls, s.procs[id].Scroll())
 	}
 	return scrolls
 }
@@ -854,11 +776,7 @@ func (s *LiveSubstrate) MachineState(id string) []byte {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	b, err := json.Marshal(p.machine.State())
-	if err != nil {
-		panic(fmt.Sprintf("substrate: state of %s not serializable: %v", id, err))
-	}
-	return b
+	return p.MachineState()
 }
 
 // --- Substrate: fault detection ---
@@ -886,7 +804,7 @@ func (s *LiveSubstrate) DurableSnapshot() map[string]map[string][]byte {
 // omitted.
 func (s *LiveSubstrate) DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string][]byte {
 	return s.snapshotCells(func(p *liveProc) map[string][]byte {
-		seq, ok := lineSeq[p.id]
+		seq, ok := lineSeq[p.ID()]
 		if !ok {
 			return nil
 		}
@@ -915,7 +833,7 @@ func (s *LiveSubstrate) snapshotCells(cellsOf func(*liveProc) map[string][]byte)
 		if out == nil {
 			out = make(map[string]map[string][]byte, len(procs))
 		}
-		out[p.id] = cells
+		out[p.ID()] = cells
 	}
 	return out
 }
@@ -958,7 +876,7 @@ func (s *LiveSubstrate) RollbackTo(line map[string]string) error {
 		p.mu.Lock()
 		p.restoreLocked(cks[i])
 		p.fenceAbandonedLocked(cks[i])
-		p.machine.OnRollback(&liveCtx{p: p}, dsim.RollbackInfo{Manual: true, Reason: "time machine rollback"})
+		p.Machine().OnRollback(&liveCtx{p: p}, dsim.RollbackInfo{Manual: true, Reason: "time machine rollback"})
 		p.mu.Unlock()
 	}
 	return nil
@@ -974,12 +892,9 @@ func (s *LiveSubstrate) ReplaceMachine(procID string, m dsim.Machine, state []by
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if state != nil {
-		if err := checkpoint.RestoreState(state, m.State()); err != nil {
-			return fmt.Errorf("substrate: update state of %s rejected: %w", procID, err)
-		}
+	if err := p.Replace(m, state); err != nil {
+		return err
 	}
-	p.machine = m
 	// A dynamic update starts a new timeline: in-flight output of the
 	// replaced implementation becomes fenceable, mirroring the simulator.
 	s.epoch.Add(1)
@@ -1088,7 +1003,7 @@ func (s *LiveSubstrate) Close() error {
 	for _, p := range procs {
 		p.mu.Lock()
 		p.durable.close()
-		p.scroll.Close() //nolint:errcheck // memory scrolls are no-ops; WAL errors mirror durable close
+		p.Scroll().Close() //nolint:errcheck // memory scrolls are no-ops; WAL errors mirror durable close
 		p.mu.Unlock()
 	}
 	if s.hub != nil {
@@ -1103,24 +1018,20 @@ func (s *LiveSubstrate) Close() error {
 // --- live Context ---
 
 // liveCtx is the dsim.Context implementation for live processes. Every
-// nondeterministic outcome is recorded in the process's scroll, so the
-// offline per-process replay (dsim.Replay) works on live recordings.
+// nondeterministic outcome is recorded in the process's scroll by its
+// kernel, as on the simulator, so the offline per-process replay
+// (dsim.Replay) works on live recordings.
 type liveCtx struct {
 	p *liveProc
 }
 
 // Self implements dsim.Context.
-func (c *liveCtx) Self() string { return c.p.id }
+func (c *liveCtx) Self() string { return c.p.ID() }
 
 // Now returns the virtual tick — offset by injected skew — and records it.
 func (c *liveCtx) Now() uint64 {
 	p := c.p
-	t := p.sub.net.Skewed(p.id, p.sub.Now())
-	p.record(&scroll.Record{
-		Kind: scroll.KindTime, Payload: binary.LittleEndian.AppendUint64(nil, t),
-		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
-	})
-	return t
+	return p.RecordTime(p.sub.net.Skewed(p.ID(), p.sub.Now()))
 }
 
 // Random returns a seeded pseudo-random uint64 and records it.
@@ -1129,11 +1040,7 @@ func (c *liveCtx) Random() uint64 {
 	p.sub.rngMu.Lock()
 	v := p.sub.rng.Uint64()
 	p.sub.rngMu.Unlock()
-	p.record(&scroll.Record{
-		Kind: scroll.KindRandom, Payload: binary.LittleEndian.AppendUint64(nil, v),
-		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
-	})
-	return v
+	return p.RecordRandom(v)
 }
 
 // Send records the transmission and routes it through the (chaos-wrapped)
@@ -1141,16 +1048,10 @@ func (c *liveCtx) Random() uint64 {
 // allowed to lose traffic, and machines must already tolerate loss.
 func (c *liveCtx) Send(to string, payload []byte) {
 	p := c.p
-	p.clock.Tick(p.id)
-	lam := p.lamport.Tick()
 	id := fmt.Sprintf("L%d", p.sub.msgN.Add(1))
-	body := append([]byte(nil), payload...)
-	p.record(&scroll.Record{
-		Kind: scroll.KindSend, MsgID: id, Peer: to, Payload: body,
-		Lamport: lam, Clock: p.clock.Copy(),
-	})
+	body, lam, _ := p.RecordSend(id, to, payload)
 	p.tr.Send(transport.Message{ //nolint:errcheck // loss is within the model
-		ID: id, From: p.id, To: to, Payload: body, Lamport: lam, Clock: p.clock.Copy(),
+		ID: id, From: p.ID(), To: to, Payload: body, Lamport: lam, Clock: p.ClockSnap(),
 		Epoch: p.sub.epoch.Load(),
 	})
 }
@@ -1162,7 +1063,7 @@ func (c *liveCtx) Send(to string, payload []byte) {
 func (c *liveCtx) SetTimer(name string, delay uint64) {
 	p := c.p
 	gen := p.incarnation
-	delay += p.sub.net.Slow(p.id, p.sub.Now())
+	delay += p.sub.net.Slow(p.ID(), p.sub.Now())
 	p.pendingTimers = append(p.pendingTimers, name)
 	p.sub.activity.Add(1) // held until the timer event is handled
 	wallAfter(time.Duration(delay)*p.sub.cfg.Tick, func() {
@@ -1171,80 +1072,47 @@ func (c *liveCtx) SetTimer(name string, delay uint64) {
 }
 
 // Heap implements dsim.Context.
-func (c *liveCtx) Heap() *checkpoint.Heap { return c.p.heap }
+func (c *liveCtx) Heap() *checkpoint.Heap { return c.p.Heap() }
 
-// DurablePut implements dsim.Context: the cell is written to the
-// process's stable store (WAL-backed when LiveConfig.DurableDir is set)
-// and recorded in the scroll under the same identity the simulator uses,
-// so live recordings replay uniformly. The write is stamped with the
-// current timeline epoch and scroll position — the coordinates a
+// DurablePut implements dsim.Context: the write is recorded in the scroll,
+// as on the simulator, and the cell written to the process's stable store
+// (WAL-backed when LiveConfig.DurableDir is set). The write is stamped with
+// the current timeline epoch and its scroll position — the coordinates a
 // deliberate rollback fences against (see durableStore.fence).
 func (c *liveCtx) DurablePut(key string, value []byte) {
 	p := c.p
-	if err := p.durable.put(key, value, p.sub.epoch.Load(), uint64(p.scroll.Len())); err != nil {
+	body, seq := p.RecordDurablePut(key, value)
+	if err := p.durable.put(key, body, p.sub.epoch.Load(), seq); err != nil {
 		select {
 		case <-p.sub.shutdown:
 			// Closing: the cell map still took the write; losing the WAL
 			// append mirrors the transport's drop-on-close behavior.
 		default:
-			panic(fmt.Sprintf("substrate: durable put for %s: %v", p.id, err))
+			panic(fmt.Sprintf("substrate: durable put for %s: %v", p.ID(), err))
 		}
 	}
-	p.record(&scroll.Record{
-		Kind: scroll.KindEnv, MsgID: dsim.DurablePutMsgID, Peer: key,
-		Payload: append([]byte(nil), value...),
-		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
-	})
 }
 
 // DurableGet implements dsim.Context, recording the outcome.
 func (c *liveCtx) DurableGet(key string) ([]byte, bool) {
-	p := c.p
-	v, ok := p.durable.cells.Get(key)
-	p.record(&scroll.Record{
-		Kind: scroll.KindEnv, MsgID: dsim.DurableGetMsgID, Peer: key,
-		Payload: dsim.EncodeDurableGet(v, ok),
-		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
-	})
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
+	v, ok := c.p.durable.cells.Get(key)
+	return c.p.RecordDurableGet(key, v, ok)
 }
 
 // DurableKeys implements dsim.Context, recording the key list.
 func (c *liveCtx) DurableKeys() []string {
-	p := c.p
-	keys := p.durable.cells.Keys()
-	p.record(&scroll.Record{
-		Kind: scroll.KindEnv, MsgID: dsim.DurableKeysMsgID,
-		Payload: dsim.EncodeDurableKeys(keys),
-		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
-	})
-	return keys
+	return c.p.RecordDurableKeys(c.p.durable.cells.Keys())
 }
 
 // Log appends an informational record to the scroll.
-func (c *liveCtx) Log(format string, args ...any) {
-	p := c.p
-	p.record(&scroll.Record{
-		Kind: scroll.KindCustom, MsgID: "log",
-		Payload: []byte(fmt.Sprintf(format, args...)),
-		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
-	})
-}
+func (c *liveCtx) Log(format string, args ...any) { c.p.RecordLog(format, args...) }
 
 // Fault reports a locally detected fault. The handler runs after the
 // current machine callback returns (outside the process mutex), so a
 // coordinator may inspect and roll back every process.
 func (c *liveCtx) Fault(desc string) {
 	p := c.p
-	rec := dsim.FaultRecord{Proc: p.id, Desc: desc, Time: p.sub.Now(), Clock: p.clock.Copy()}
-	p.record(&scroll.Record{
-		Kind: scroll.KindFault, Payload: []byte(desc),
-		Lamport: p.lamport.Now(), Clock: p.clock.Copy(),
-	})
-	p.pendingFaults = append(p.pendingFaults, rec)
+	p.pendingFaults = append(p.pendingFaults, p.RecordFault(desc, p.sub.Now()))
 }
 
 // Checkpoint takes an explicit checkpoint and returns its ID.
@@ -1270,4 +1138,4 @@ func (c *liveCtx) AbortSpec(string, string) error {
 }
 
 // Halt stops the process permanently.
-func (c *liveCtx) Halt() { c.p.halted = true }
+func (c *liveCtx) Halt() { c.p.Halt() }

@@ -50,8 +50,8 @@ func TestLiveEpochFenceMessage(t *testing.T) {
 		t.Errorf("machine saw %d messages, want 1", probe.st.Msgs)
 	}
 	var fences int
-	for _, r := range p.scroll.Records() {
-		if r.Kind == scroll.KindCustom && r.MsgID == EpochFenceMsgID {
+	for _, r := range p.Scroll().Records() {
+		if r.Kind == scroll.KindCustom && r.MsgID == dsim.EpochFenceMsgID {
 			fences++
 		}
 	}
@@ -148,7 +148,7 @@ func TestLiveControlInjectionsReleaseInTickOrder(t *testing.T) {
 	// Processes with an inbox and no event loop: what is posted stays put.
 	procs := map[string]*liveProc{}
 	for _, id := range []string{"p", "q"} {
-		procs[id] = &liveProc{sub: s, id: id, events: make(chan liveEvent, 8)}
+		procs[id] = &liveProc{Kernel: dsim.NewKernel(id, nil, nil, nil, nil), sub: s, events: make(chan liveEvent, 8)}
 	}
 	s.mu.Lock()
 	s.procs = procs
