@@ -232,8 +232,8 @@ const (
 type proc struct {
 	Kernel
 	tag       int32 // add order within the run: the queue keys its live timers by it
-	ctx       *simContext
 	crashed   bool
+	ctx       *simContext
 	delivered uint64 // events delivered (for periodic checkpoints)
 	ckptSkew  uint64 // stagger offset for periodic checkpoints
 
@@ -423,7 +423,6 @@ func (s *Sim) AddProcess(id string, m Machine) {
 			machine: m,
 			heap:    s.mem.ckmem.NewHeap(s.cfg.HeapSize, s.cfg.HeapPageSize),
 			scroll:  scroll.NewMemory(id),
-			store:   s.store,
 			mem:     &s.mem,
 		}}
 	}
@@ -445,7 +444,7 @@ func (s *Sim) AddProcess(id string, m Machine) {
 	if i := s.tab.Index(id); i < 0 {
 		p.clock = vclock.VC{} // a recycled clock's counts must not be re-homed
 		s.retable()
-	} else if p.self = i; p.clock.Table() == s.tab {
+	} else if p.self = int32(i); p.clock.Table() == s.tab {
 		p.clock.Reset()
 	} else {
 		p.clock = s.tab.New()
@@ -458,7 +457,7 @@ func (s *Sim) retable() {
 	s.tab = vclock.NewTable(s.order...)
 	for i, id := range s.order {
 		p := s.procs[id]
-		p.self = i
+		p.self = int32(i)
 		p.clock = s.tab.New().Merge(p.clock)
 		p.snap = vclock.VC{}
 	}
@@ -828,7 +827,7 @@ func (s *Sim) takeCheckpoint(p *proc, specID, label string) *checkpoint.Checkpoi
 	if pending := s.queue.countTimers(p.timerOf()); pending > 0 {
 		timers = s.timers.Keep(s.queue.appendTimers(s.timers.Tail(pending), p.timerOf()))
 	}
-	ck := p.Checkpoint(s.now, specID, label, timers)
+	ck := p.Checkpoint(s.store, s.now, specID, label, timers)
 	s.stats.Checkpoints++
 	return ck
 }

@@ -34,21 +34,19 @@ type Kernel struct {
 	machine Machine
 	heap    *checkpoint.Heap
 	scroll  *scroll.Scroll
-	store   *checkpoint.Store
 	clock   vclock.VC // on the table of the backend's processes, which every merged clock shares
-	self    int       // this process's index in that table
+	self    int32     // this process's index in that table
+	halted  bool
 	snap    vclock.VC // cached clock snapshot, shared by records between ticks
 	lamport vclock.Lamport
-	halted  bool
 	mem     *memory
 }
 
-// NewKernel returns the kernel of process id running m, filing its
-// checkpoints in store. Its memory is its own and never rewound: what it
-// carves lives as long as the process. Until Rehome its clock knows only id.
-func NewKernel(id string, m Machine, heap *checkpoint.Heap, sc *scroll.Scroll, store *checkpoint.Store) Kernel {
-	return Kernel{id: id, machine: m, heap: heap, scroll: sc, store: store,
-		clock: vclock.NewTable(id).New(), mem: &memory{}}
+// NewKernel returns the kernel of process id running m. Its memory is its
+// own and never rewound: what it carves lives as long as the process. Until
+// Rehome its clock knows only id.
+func NewKernel(id string, m Machine, heap *checkpoint.Heap, sc *scroll.Scroll) Kernel {
+	return Kernel{id: id, machine: m, heap: heap, scroll: sc, clock: vclock.NewTable(id).New(), mem: &memory{}}
 }
 
 // memory is what kernels carve record payloads, clock snapshots and
@@ -156,7 +154,7 @@ func (k *Kernel) ClockSnap() vclock.VC {
 
 // tick advances the process's own component of its vector clock.
 func (k *Kernel) tick() {
-	k.clock.TickAt(k.self)
+	k.clock.TickAt(int(k.self))
 	k.snap = vclock.VC{}
 }
 
@@ -165,7 +163,7 @@ func (k *Kernel) tick() {
 // scroll already holds (a scroll reopened from disk), so that nothing
 // recorded next sorts before them.
 func (k *Kernel) Rehome(tab *vclock.Table) {
-	k.clock, k.self, k.snap = tab.New(), tab.Index(k.id), vclock.VC{}
+	k.clock, k.self, k.snap = tab.New(), int32(tab.Index(k.id)), vclock.VC{}
 	if k.scroll.Len() == 0 {
 		return
 	}
@@ -288,9 +286,9 @@ func (k *Kernel) RecordFence(id, from string, epoch, current uint64) {
 
 // Checkpoint snapshots the process at virtual time now — heap, machine
 // state, clock and scroll position, with the names of the timers pending —
-// files it in the store and records it. specID tags a speculation's
-// checkpoint; label names the policy that took it.
-func (k *Kernel) Checkpoint(now uint64, specID, label string, timers []string) *checkpoint.Checkpoint {
+// files it in the backend's store and records it. specID tags a
+// speculation's checkpoint; label names the policy that took it.
+func (k *Kernel) Checkpoint(store *checkpoint.Store, now uint64, specID, label string, timers []string) *checkpoint.Checkpoint {
 	snap := k.heap.Snapshot()
 	extra, codec, err := k.mem.ckmem.Encode(k.machine.State())
 	if err != nil {
@@ -307,7 +305,7 @@ func (k *Kernel) Checkpoint(now uint64, specID, label string, timers []string) *
 		SpecID:    specID,
 		Timers:    timers,
 	})
-	k.store.Put(ck)
+	store.Put(ck)
 	k.record(&scroll.Record{Kind: scroll.KindCkpt, MsgID: ck.ID, Payload: k.mem.labelPayload(label),
 		Lamport: k.lamport.Now(), Clock: k.ClockSnap()})
 	return ck

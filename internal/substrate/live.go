@@ -270,7 +270,7 @@ func (s *LiveSubstrate) AddProcess(id string, m dsim.Machine) {
 		}
 	}
 	p := &liveProc{
-		Kernel:  dsim.NewKernel(id, m, checkpoint.NewHeapPages(s.cfg.HeapSize, s.cfg.HeapPageSize), sc, s.store),
+		Kernel:  dsim.NewKernel(id, m, checkpoint.NewHeapPages(s.cfg.HeapSize, s.cfg.HeapPageSize), sc),
 		sub:     s,
 		durable: durable,
 		tr:      tr,
@@ -499,7 +499,7 @@ func (p *liveProc) removeTimerLocked(name string) {
 
 // takeCheckpointLocked snapshots the process (caller holds p.mu).
 func (p *liveProc) takeCheckpointLocked(label string) *checkpoint.Checkpoint {
-	ck := p.Checkpoint(p.sub.Now(), "", label, append([]string(nil), p.pendingTimers...))
+	ck := p.Checkpoint(p.sub.store, p.sub.Now(), "", label, append([]string(nil), p.pendingTimers...))
 	p.sub.ckpts.Add(1)
 	return ck
 }

@@ -148,7 +148,7 @@ func TestLiveControlInjectionsReleaseInTickOrder(t *testing.T) {
 	// Processes with an inbox and no event loop: what is posted stays put.
 	procs := map[string]*liveProc{}
 	for _, id := range []string{"p", "q"} {
-		procs[id] = &liveProc{Kernel: dsim.NewKernel(id, nil, nil, nil, nil), sub: s, events: make(chan liveEvent, 8)}
+		procs[id] = &liveProc{Kernel: dsim.NewKernel(id, nil, nil, nil), sub: s, events: make(chan liveEvent, 8)}
 	}
 	s.mu.Lock()
 	s.procs = procs
