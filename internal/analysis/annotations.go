@@ -11,8 +11,8 @@ import (
 //
 //	now := time.Now() //fixd:wallclock live backend maps wall time to ticks
 //
-//	//fixd:nondeterm sandbox models sends locally; no scroll exists here
-//	func (c *sandboxCtx) Send(to string, payload []byte) { ... }
+//	//fixd:nondeterm replayer consumes scroll records instead of producing them
+//	func (c *replayCtx) Send(to string, payload []byte) { ... }
 //
 // AnnWallclock suppresses detwall; AnnNondeterm suppresses the other
 // analyzers (detmaprange, detgoroutine, kindswitch, scrollrecord). A
@@ -84,8 +84,7 @@ func parseAnnotations(pkg *Package) (annotationIndex, []Diagnostic) {
 // docAnnotated reports whether a declaration's doc comment carries the
 // given annotation with a reason — the method-level escape used by whole
 // Context implementations that intentionally do not write scrolls (the
-// replayer consumes records instead of producing them; the investigator
-// sandbox models effects locally).
+// replayer consumes records instead of producing them).
 func docAnnotated(doc *ast.CommentGroup, kind string) bool {
 	if doc == nil {
 		return false

@@ -51,8 +51,8 @@
 //
 //	deadline := time.Now().Add(w) //fixd:wallclock live quiescence is wall-time bounded
 //
-//	//fixd:nondeterm sandbox Send captures messages locally; there is no scroll
-//	func (c *sandboxCtx) Send(to string, payload []byte) { ... }
+//	//fixd:nondeterm replayer consumes scroll records instead of producing them
+//	func (c *replayCtx) Send(to string, payload []byte) { ... }
 //
 // //fixd:wallclock suppresses detwall; //fixd:nondeterm suppresses the
 // other four. An annotation without a reason is itself a diagnostic.

@@ -19,8 +19,9 @@ import (
 // whose name starts with "record") dominates every return. Timer arming
 // (SetTimer) is deliberately not in the list: virtual-time timers are
 // deterministic inputs, and neither backend records the arm itself.
-// Implementations that model effects locally instead of recording them
-// (the investigator sandbox) annotate with //fixd:nondeterm <reason>.
+// Implementations that consume records instead of writing them (the
+// replayer, and bench/'s tracing decorator, which forwards every call to a
+// context that records it) annotate with //fixd:nondeterm <reason>.
 var Scrollrecord = &Analyzer{
 	Name: "scrollrecord",
 	Doc:  "Context send/durable/clock/random methods must write a scroll record on every return path",

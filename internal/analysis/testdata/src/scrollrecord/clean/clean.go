@@ -61,10 +61,10 @@ func (c *tightCtx) DurablePut(key string, value []byte) {
 	_ = key
 }
 
-// DurableGet is excused by the method-level escape the replayer and the
-// investigator sandbox use.
+// DurableGet is excused by the method-level escape the replayer and bench/'s
+// tracing decorator use.
 //
-//fixd:nondeterm fixture: models the read locally, mirroring sandboxCtx
+//fixd:nondeterm fixture: consumes the read instead of recording it, mirroring replayCtx
 func (c *tightCtx) DurableGet(key string) ([]byte, bool) {
 	_ = key
 	return nil, false

@@ -75,11 +75,6 @@ type Substrate interface {
 	Run() dsim.Stats
 	// Resume continues after a pause without re-initializing machines.
 	Resume() dsim.Stats
-	// DurableSnapshotAt returns the stable-storage cells as of a recovery
-	// line (proc -> line scroll position): per process on the line, the
-	// cells written strictly before its position — what the Investigator's
-	// sandbox disks are seeded with.
-	DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string][]byte
 }
 
 // Response records one complete execution of the Fig. 4 protocol.
@@ -181,6 +176,7 @@ func (c *Coordinator) Respond(f dsim.FaultRecord) (*Response, error) {
 			}
 			pm.State = append([]byte(nil), state...)
 			pm.Heap = ck.Snap
+			pm.Time = ck.Time
 			resp.Line[id] = ck.ID
 			resp.LineClocks[id] = ck.Clock.Copy()
 			lineSeq[id] = ck.ScrollSeq
@@ -195,7 +191,7 @@ func (c *Coordinator) Respond(f dsim.FaultRecord) (*Response, error) {
 	}
 	// Substrates with stable storage ship each process's cells alongside
 	// its (checkpoint, model) reply — restricted to writes before that
-	// process's line position, so the sandbox disk matches the line's
+	// process's line position, so the explored disk matches the line's
 	// timeline and never holds a later (or fenced) decision.
 	durable := c.sim.DurableSnapshotAt(lineSeq)
 	for i := range models {

@@ -121,7 +121,7 @@ func (s *Sim) DurableSnapshot() map[string]map[string][]byte {
 // process's line scroll position (the same boundary a rollback fences).
 // Processes absent from the line — no checkpoint, so an investigation
 // starts them from initial state — are omitted: a fresh timeline has
-// written nothing. This is what the Investigator seeds its sandbox disks
+// written nothing. This is what the Investigator seeds its explored disks
 // from, so exploration from a recovery line never observes cells the line's
 // timeline had not yet written.
 func (s *Sim) DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string][]byte {

@@ -49,6 +49,11 @@ type Target interface {
 	// ReplaceMachine swaps a process's implementation, loading state (JSON)
 	// into it when non-nil — the dynamic-update primitive.
 	ReplaceMachine(procID string, m dsim.Machine, state []byte) error
+	// DurableSnapshotAt returns the stable-storage cells as of a recovery
+	// line (proc -> line scroll position): per process on the line, the
+	// cells written strictly before its position — the disks the
+	// Investigator's explored processes start from.
+	DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string][]byte
 }
 
 // Program is a versioned set of process implementations.
@@ -123,7 +128,6 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 	// Stage 0: gather and map the checkpointed states.
 	procs := make([]string, len(cks))
 	mapped := make(map[string][]byte, len(line))
-	heaps := make(map[string]*investigate.ProcModel)
 	for i, ck := range cks {
 		id := ck.Proc
 		procs[i] = id
@@ -137,12 +141,9 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 			continue
 		}
 		mapped[id] = m
-		f, ok := prog.Factories[id]
-		if !ok {
+		if _, ok := prog.Factories[id]; !ok {
 			rep.Failures = append(rep.Failures, fmt.Sprintf("program %s has no implementation for %s", prog.Version, id))
-			continue
 		}
-		heaps[id] = &investigate.ProcModel{Proc: id, New: f, State: m, Heap: ck.Snap}
 	}
 	if len(rep.Failures) > 0 {
 		return rep, nil
@@ -179,14 +180,25 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 		return rep, nil
 	}
 
-	// Stage 3: optional bounded exploration of the updated program.
+	// Stage 3: optional bounded exploration of the updated program, from
+	// the line's states, heaps, disks and pending timers.
 	rep.ExploreOK = true
 	if opts.ExploreDepth > 0 {
-		models := make([]investigate.ProcModel, 0, len(heaps))
-		for _, id := range procs {
-			models = append(models, *heaps[id])
+		lineSeq := make(map[string]uint64, len(cks))
+		for _, ck := range cks {
+			lineSeq[ck.Proc] = ck.ScrollSeq
 		}
-		irep, err := investigate.Run(models, nil, nil, investigate.Config{
+		durable := s.DurableSnapshotAt(lineSeq)
+		models := make([]investigate.ProcModel, len(cks))
+		var timers []investigate.Timer
+		for i, ck := range cks {
+			models[i] = investigate.ProcModel{Proc: ck.Proc, New: prog.Factories[ck.Proc],
+				State: mapped[ck.Proc], Heap: ck.Snap, Durable: durable[ck.Proc], Time: ck.Time}
+			for _, name := range ck.Timers {
+				timers = append(timers, investigate.Timer{Proc: ck.Proc, Name: name})
+			}
+		}
+		irep, err := investigate.Run(models, nil, timers, investigate.Config{
 			Invariants:                 opts.Invariants,
 			TreatLocalFaultAsViolation: true,
 			StopAtFirstViolation:       true,

@@ -327,6 +327,51 @@ func TestBoundedExplorationVetoesStillBuggyUpdate(t *testing.T) {
 	}
 }
 
+// keeper writes a cell before its first checkpoint and faults on a timer
+// when the cell is gone.
+type keeper struct{ st struct{ Checks int } }
+
+func (k *keeper) State() any { return &k.st }
+func (k *keeper) Init(ctx dsim.Context) {
+	ctx.DurablePut("decision", []byte("commit"))
+	ctx.SetTimer("check", 5)
+}
+func (k *keeper) OnMessage(dsim.Context, string, []byte) {}
+func (k *keeper) OnTimer(ctx dsim.Context, _ string) {
+	if _, ok := ctx.DurableGet("decision"); !ok {
+		ctx.Fault("decision lost")
+	}
+	k.st.Checks++
+}
+func (k *keeper) OnRollback(dsim.Context, dsim.RollbackInfo) {}
+
+// TestExplorationReadsTheLineDisks: the verification exploration runs the
+// updated program on the disks of the line it installs it at, and fires the
+// timers pending there.
+func TestExplorationReadsTheLineDisks(t *testing.T) {
+	s := dsim.New(dsim.Config{Seed: 1, InitCheckpoint: true})
+	s.AddProcess("k", &keeper{})
+	s.Run()
+	if len(s.Faults()) != 0 {
+		t.Fatalf("the run itself faulted: %v", s.Faults())
+	}
+	ck := s.Store().Latest("k")
+	if ck == nil || len(ck.Timers) != 1 {
+		t.Fatalf("checkpoint %+v, want the init checkpoint with the check timer pending", ck)
+	}
+	prog := Program{Version: "v2", Factories: map[string]func() dsim.Machine{"k": func() dsim.Machine { return &keeper{} }}}
+	rep, err := Apply(s, map[string]string{"k": ck.ID}, prog, nil, VerifyOptions{ExploreDepth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Verified() {
+		t.Errorf("refused: %v", rep.Failures)
+	}
+	if rep.ExploreStates < 2 {
+		t.Errorf("explored %d states: the pending timer never fired", rep.ExploreStates)
+	}
+}
+
 func TestUnknownCheckpointError(t *testing.T) {
 	s, _ := buggySim(5)
 	s.Run()

@@ -12,20 +12,28 @@
 // Real communication is replaced by an environment model (paper §4.3): the
 // network is a multiset of in-flight messages with deliver / drop /
 // duplicate actions, and pending timers may fire at any time. Process
-// implementations run unmodified inside the explorer through a sandboxed
-// dsim.Context that captures their effects.
+// implementations run unmodified inside the explorer, each step on a
+// dsim.Kernel that records every Context call as both backends do; stable
+// storage, the process's clock (which fixes its clock reads and random
+// draws) and its state are part of the explored state.
 package investigate
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"sort"
-	"strings"
+	"hash/crc32"
+	"maps"
+	"math/rand/v2"
+	"slices"
+	"strconv"
 
 	"repro/internal/checkpoint"
 	"repro/internal/dsim"
 	"repro/internal/fault"
 	"repro/internal/modeld"
+	"repro/internal/scroll"
 )
 
 // Msg is an in-flight message in the modeled network.
@@ -47,15 +55,21 @@ type ProcModel struct {
 	// New returns a fresh, blank instance of the process implementation.
 	New func() dsim.Machine
 	// State is the checkpointed machine state (JSON); nil means initial
-	// state (the machine's Init will be run in the sandbox).
+	// state (the machine's Init runs as the process's first step).
 	State []byte
 	// Heap is the checkpointed heap contents; nil means an empty heap.
 	Heap *checkpoint.Snapshot
 	// Durable is the process's stable-storage cells at the investigated
 	// cut (as the substrate snapshots them — post timeline fencing, so an
 	// abandoned timeline's cells never leak into exploration); nil means
-	// empty storage. Read-only: sandbox puts overlay it per handler.
+	// empty storage. It seeds the process's explored cells and is never
+	// written.
 	Durable map[string][]byte
+	// Time is the checkpoint's virtual time (0 for a process starting from
+	// its initial state), where the process's clock starts: Context.Now
+	// reads it plus one per handler the process has run since, plus the
+	// delay of every timer that has fired at it.
+	Time uint64
 }
 
 // Config bounds and directs an investigation.
@@ -77,54 +91,78 @@ type Config struct {
 	StopAtFirstViolation bool
 }
 
-// sandboxHeapSize is the heap a process without a checkpointed one starts
-// from in the sandbox.
-const sandboxHeapSize = 16 << 10
+// heapSize is the heap a process without a checkpointed one starts from.
+const heapSize = 16 << 10
 
 // procState is one process's state inside a global exploration state.
 type procState struct {
 	stateJSON []byte
 	heap      *checkpoint.Snapshot
+	cells     checkpoint.Cells // shared with the parent state until a step writes
+	clock     uint64           // the time the process's next handler reads, before a timer's delay
 	halted    bool
 	faults    []string
 }
 
 // global is the composite modeld.State: all processes + the network.
 type global struct {
-	inv    *investigation
 	procs  map[string]*procState
 	net    []Msg
-	timers []Timer
+	timers []armed
 }
 
-// Key canonically encodes the global state.
+// armed is a pending timer and the delay it was armed with: its handler
+// reads a time at least that far past the arming step's, as on either
+// backend.
+type armed struct {
+	Timer
+	delay uint64
+}
+
+// Key canonically encodes the global state. Every variable-length field is
+// length-prefixed, so two different states never share a key. The state is
+// the JSON encoding, not the codec's bytes: the codec's map order is not
+// canonical.
 func (g *global) Key() string {
-	var b strings.Builder
-	ids := make([]string, 0, len(g.procs))
-	for id := range g.procs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	var b []byte
+	for _, id := range slices.Sorted(maps.Keys(g.procs)) {
 		p := g.procs[id]
-		fmt.Fprintf(&b, "%s:%s:h%x:%v:%v;", id, p.stateJSON, snapHash(p.heap), p.halted, p.faults)
+		b = fields(field(field(b, id), p.stateJSON), p.faults)
+		b = binary.AppendUvarint(binary.LittleEndian.AppendUint64(b, snapHash(p.heap)), p.clock)
+		b = strconv.AppendBool(b, p.halted)
+		keys := p.cells.Keys()
+		b = binary.AppendUvarint(b, uint64(len(keys)))
+		for _, k := range keys {
+			v, _ := p.cells.Get(k)
+			b = field(field(b, k), v)
+		}
 	}
-	// The network is a multiset: sort canonical message encodings.
+	// The network and the timers are multisets: sort their encodings.
 	msgs := make([]string, len(g.net))
 	for i, m := range g.net {
-		msgs[i] = fmt.Sprintf("%s>%s>%s", m.From, m.To, m.Payload)
+		msgs[i] = string(field(field(field(nil, m.From), m.To), m.Payload))
 	}
-	sort.Strings(msgs)
-	b.WriteString("|net:")
-	b.WriteString(strings.Join(msgs, ","))
 	ts := make([]string, len(g.timers))
 	for i, t := range g.timers {
-		ts[i] = t.Proc + ">" + t.Name
+		ts[i] = string(binary.AppendUvarint(field(field(nil, t.Proc), t.Name), t.delay))
 	}
-	sort.Strings(ts)
-	b.WriteString("|tmr:")
-	b.WriteString(strings.Join(ts, ","))
-	return b.String()
+	slices.Sort(msgs)
+	slices.Sort(ts)
+	return string(fields(fields(b, msgs), ts))
+}
+
+// field appends s to b, prefixed with its length.
+func field[T string | []byte](b []byte, s T) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// fields appends ss to b, prefixed with their number.
+func fields(b []byte, ss []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = field(b, s)
+	}
+	return b
 }
 
 func snapHash(s *checkpoint.Snapshot) uint64 {
@@ -135,171 +173,142 @@ func snapHash(s *checkpoint.Snapshot) uint64 {
 }
 
 // Clone copies the global state; immutable parts (state JSON, heap
-// snapshots) are shared.
+// snapshots, cells, fault lists) are shared.
 func (g *global) Clone() modeld.State {
-	ng := &global{inv: g.inv, procs: make(map[string]*procState, len(g.procs))}
+	ng := &global{procs: make(map[string]*procState, len(g.procs))}
 	for id, p := range g.procs {
 		cp := *p
-		cp.faults = append([]string(nil), p.faults...)
+		cp.faults = slices.Clip(p.faults)
 		ng.procs[id] = &cp
 	}
-	ng.net = append([]Msg(nil), g.net...)
-	ng.timers = append([]Timer(nil), g.timers...)
+	ng.net = slices.Clone(g.net)
+	ng.timers = slices.Clone(g.timers)
 	return ng
 }
-
-// sandboxCtx captures a model's effects during one handler execution.
-type sandboxCtx struct {
-	self    string
-	heap    *checkpoint.Heap
-	sends   []Msg
-	timers  []Timer
-	faults  []string
-	durable map[string][]byte // handler-local overlay of puts
-	base    map[string][]byte // ProcModel.Durable: the investigated cut's cells (read-only)
-	halted  bool
-	randSeq uint64
-	step    uint64
-}
-
-func (c *sandboxCtx) Self() string { return c.self }
-
-// Now returns a logical step counter: the investigation abstracts real
-// time away (actions may fire "any time", §4.3).
-//
-//fixd:nondeterm sandbox models effects locally; no scroll exists during investigation
-func (c *sandboxCtx) Now() uint64 { return c.step }
-
-// Random returns a deterministic stream — an environment model standing in
-// for the recorded randomness (substituting recorded randomness for live draws).
-//
-//fixd:nondeterm sandbox models effects locally; no scroll exists during investigation
-func (c *sandboxCtx) Random() uint64 {
-	c.randSeq = c.randSeq*6364136223846793005 + 1442695040888963407
-	return c.randSeq
-}
-
-//fixd:nondeterm sandbox models effects locally; no scroll exists during investigation
-func (c *sandboxCtx) Send(to string, payload []byte) {
-	c.sends = append(c.sends, Msg{From: c.self, To: to, Payload: append([]byte(nil), payload...)})
-}
-
-func (c *sandboxCtx) SetTimer(name string, delay uint64) {
-	c.timers = append(c.timers, Timer{Proc: c.self, Name: name})
-}
-
-func (c *sandboxCtx) Heap() *checkpoint.Heap { return c.heap }
-
-// Stable storage during investigation reads through to the investigated
-// cut's cells (ProcModel.Durable — the substrate's snapshot, which already
-// omits cells fenced by a timeline rollback, so exploration can never
-// observe an abandoned timeline's durable decision), with puts captured
-// in a handler-local overlay. The overlay is not part of the explored
-// state space — the investigator explores message/timer interleavings,
-// not crash-recovery paths.
-//
-//fixd:nondeterm sandbox models effects locally; no scroll exists during investigation
-func (c *sandboxCtx) DurablePut(key string, value []byte) {
-	if c.durable == nil {
-		c.durable = make(map[string][]byte)
-	}
-	c.durable[key] = append([]byte(nil), value...)
-}
-
-//fixd:nondeterm sandbox models effects locally; no scroll exists during investigation
-func (c *sandboxCtx) DurableGet(key string) ([]byte, bool) {
-	v, ok := c.durable[key]
-	if !ok {
-		v, ok = c.base[key]
-	}
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
-}
-
-//fixd:nondeterm sandbox models effects locally; no scroll exists during investigation
-func (c *sandboxCtx) DurableKeys() []string {
-	seen := make(map[string]bool, len(c.durable)+len(c.base))
-	keys := make([]string, 0, len(c.durable)+len(c.base))
-	for k := range c.base {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	for k := range c.durable {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func (c *sandboxCtx) Log(string, ...any) {}
-
-func (c *sandboxCtx) Fault(desc string) { c.faults = append(c.faults, desc) }
-
-func (c *sandboxCtx) Checkpoint(string) string { return "investigate-ckpt" }
-
-func (c *sandboxCtx) Speculate(string) (string, error) { return "investigate-spec", nil }
-func (c *sandboxCtx) Commit(string) error              { return nil }
-func (c *sandboxCtx) AbortSpec(string, string) error   { return nil }
-func (c *sandboxCtx) Halt()                            { c.halted = true }
 
 // investigation holds the immutable exploration setup.
 type investigation struct {
 	models map[string]ProcModel
-	cfg    Config
+	store  *checkpoint.Store // where the handlers' Context.Checkpoint files
 }
 
-// rebuild materializes a live machine + heap from a procState.
-func (inv *investigation) rebuild(id string, p *procState) (dsim.Machine, *checkpoint.Heap, error) {
-	pm, ok := inv.models[id]
-	if !ok {
-		return nil, nil, fmt.Errorf("investigate: no model for process %q", id)
-	}
-	m := pm.New()
-	if p.stateJSON != nil {
-		if err := checkpoint.RestoreState(p.stateJSON, m.State()); err != nil {
-			return nil, nil, fmt.Errorf("investigate: restore %s: %w", id, err)
-		}
-	}
-	var h *checkpoint.Heap
+// kernel loads process id's state into a fresh machine on a fresh kernel.
+// Nothing of one step's kernel reaches another: sibling branches must not
+// share a machine, a halt or a clock.
+func (inv *investigation) kernel(id string, p *procState) (dsim.Kernel, error) {
+	heap := checkpoint.NewHeap(heapSize)
 	if p.heap != nil {
-		h = checkpoint.NewHeapFrom(p.heap)
-	} else {
-		h = checkpoint.NewHeap(sandboxHeapSize)
+		heap = checkpoint.NewHeapFrom(p.heap)
 	}
-	return m, h, nil
+	k := dsim.NewKernel(id, nil, heap, scroll.NewMemory(id))
+	if err := k.Replace(inv.models[id].New(), p.stateJSON); err != nil {
+		return k, fmt.Errorf("investigate: %w", err)
+	}
+	return k, nil
 }
 
-// step runs fn (a handler invocation) for process id and returns the
-// successor global state.
-func (inv *investigation) step(g *global, id string, fn func(m dsim.Machine, ctx *sandboxCtx)) *global {
-	ng := g.Clone().(*global)
-	p := ng.procs[id]
-	m, heap, err := inv.rebuild(id, p)
-	if err != nil {
-		panic(err) // models are validated at Run entry
+// step runs one handler of process id after it waited wait ticks, folding
+// what it did into g. An event for a halted or unknown process is consumed
+// without effect.
+func (inv *investigation) step(g *global, id string, wait uint64, handle func(dsim.Machine, dsim.Context)) {
+	p, ok := g.procs[id]
+	if !ok || p.halted {
+		return
 	}
-	ctx := &sandboxCtx{self: id, heap: heap, base: inv.models[id].Durable,
-		step: uint64(len(ng.net) + len(ng.timers))}
-	fn(m, ctx)
-	stateJSON, err := json.Marshal(m.State())
+	k, err := inv.kernel(id, p)
 	if err != nil {
-		panic(fmt.Sprintf("investigate: state of %s not serializable: %v", id, err))
+		panic(err) // Run loaded every model's state at entry
 	}
-	p.stateJSON = stateJSON
-	p.heap = heap.Snapshot()
-	p.halted = p.halted || ctx.halted
-	p.faults = append(p.faults, ctx.faults...)
-	ng.net = append(ng.net, ctx.sends...)
-	ng.timers = append(ng.timers, ctx.timers...)
-	return ng
+	c := &stepCtx{Kernel: k, g: g, p: p, store: inv.store, now: p.clock + wait}
+	handle(c.Machine(), c)
+	p.stateJSON = c.MachineState()
+	p.heap = c.Heap().Snapshot()
+	p.halted = p.halted || c.Halted()
+	p.clock = c.now + 1
 }
+
+// stepCtx is the Context of one Investigator step. The kernel records every
+// call as on either backend; what the explorer owns — the modeled network
+// and timers, stable storage, time and randomness — lands in the successor
+// state g.
+type stepCtx struct {
+	dsim.Kernel
+	g      *global
+	p      *procState
+	store  *checkpoint.Store
+	now    uint64    // the step's time: distinct for each step of the process
+	rng    *rand.PCG // the step's draws, seeded on the first
+	copied bool      // p.cells is this state's own
+}
+
+// errNoSpeculation is what the speculation calls return: nothing in an
+// exploration would ever resolve one.
+var errNoSpeculation = errors.New("investigate: speculation requires the simulated substrate")
+
+func (c *stepCtx) Self() string { return c.ID() }
+
+// Now returns the step's time: the cut's virtual time plus one per handler
+// the process has run since, plus the delay of every timer that has fired at
+// it, this step's included — per process and increasing, and never before a
+// timer's deadline. Time stays abstract otherwise: a timer fires "any time"
+// relative to other events (§4.3), and the clock depends only on which
+// events the process handled, not on their order.
+func (c *stepCtx) Now() uint64 { return c.RecordTime(c.now) }
+
+// Random returns draw i of the step: output i of a generator seeded with
+// the process and the step's time, so each step draws afresh and a
+// revisited state draws the same.
+func (c *stepCtx) Random() uint64 {
+	if c.rng == nil {
+		c.rng = rand.NewPCG(uint64(crc32.ChecksumIEEE([]byte(c.ID()))), c.now)
+	}
+	return c.RecordRandom(c.rng.Uint64())
+}
+
+// Send puts the message on the modeled network; its messages have no
+// identity, so the record names none.
+func (c *stepCtx) Send(to string, payload []byte) {
+	body, _, _ := c.RecordSend("", to, payload)
+	c.g.net = append(c.g.net, Msg{From: c.ID(), To: to, Payload: body})
+}
+
+// SetTimer arms name; it may fire at any point of the exploration.
+func (c *stepCtx) SetTimer(name string, delay uint64) {
+	c.g.timers = append(c.g.timers, armed{Timer{Proc: c.ID(), Name: name}, delay})
+}
+
+// DurablePut writes the process's cells, copying them on the step's first
+// write: the parent state shares them.
+func (c *stepCtx) DurablePut(key string, value []byte) {
+	body, seq := c.RecordDurablePut(key, value)
+	if !c.copied {
+		c.p.cells, c.copied = maps.Clone(c.p.cells), true
+	}
+	c.p.cells.Put(key, body, seq)
+}
+
+func (c *stepCtx) DurableGet(key string) ([]byte, bool) {
+	v, ok := c.p.cells.Get(key)
+	return c.RecordDurableGet(key, v, ok)
+}
+
+func (c *stepCtx) DurableKeys() []string { return c.RecordDurableKeys(c.p.cells.Keys()) }
+
+func (c *stepCtx) Log(format string, args ...any) { c.RecordLog(format, args...) }
+
+func (c *stepCtx) Fault(desc string) {
+	c.RecordFault(desc, c.now)
+	c.p.faults = append(c.p.faults, desc)
+}
+
+// Checkpoint files a real checkpoint in the investigation's store.
+func (c *stepCtx) Checkpoint(label string) string {
+	return c.Kernel.Checkpoint(c.store, c.now, "", label, nil).ID
+}
+
+func (c *stepCtx) Speculate(string) (string, error) { return "", errNoSpeculation }
+func (c *stepCtx) Commit(string) error              { return errNoSpeculation }
+func (c *stepCtx) AbortSpec(string, string) error   { return errNoSpeculation }
 
 // Trail is one readable violation trail.
 type Trail struct {
@@ -344,28 +353,10 @@ func Run(models []ProcModel, inTransit []Msg, timers []Timer, cfg Config) (*Repo
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 64
 	}
-	inv := &investigation{models: make(map[string]ProcModel, len(models)), cfg: cfg}
-	root := &global{inv: inv, procs: make(map[string]*procState, len(models))}
-	ids := make([]string, 0, len(models))
-	for _, pm := range models {
-		if pm.New == nil {
-			return nil, fmt.Errorf("investigate: model for %q has no factory", pm.Proc)
-		}
-		inv.models[pm.Proc] = pm
-		root.procs[pm.Proc] = &procState{stateJSON: pm.State, heap: pm.Heap}
-		ids = append(ids, pm.Proc)
+	inv, root, err := start(models, inTransit, timers)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(ids)
-	// Processes starting from their initial state run Init inside the
-	// sandbox to produce their initial sends/timers.
-	cur := root
-	for _, id := range ids {
-		if inv.models[id].State == nil {
-			cur = inv.step(cur, id, func(m dsim.Machine, ctx *sandboxCtx) { m.Init(ctx) })
-		}
-	}
-	cur.net = append(cur.net, inTransit...)
-	cur.timers = append(cur.timers, timers...)
 
 	engine := modeld.NewEngine()
 	engine.AddAction(deliverAction(inv))
@@ -407,7 +398,7 @@ func Run(models []ProcModel, inTransit []Msg, timers []Timer, cfg Config) (*Repo
 		})
 	}
 
-	res := engine.Explore(cur, modeld.Options{
+	res := engine.Explore(root, modeld.Options{
 		MaxStates:            cfg.MaxStates,
 		MaxDepth:             cfg.MaxDepth,
 		StopAtFirstViolation: cfg.StopAtFirstViolation,
@@ -431,104 +422,100 @@ func Run(models []ProcModel, inTransit []Msg, timers []Timer, cfg Config) (*Repo
 	return rep, nil
 }
 
-// deliverAction delivers each in-flight message, branching over the
-// possible targets (one successor per message).
-func deliverAction(inv *investigation) modeld.Action {
-	return modeld.NewBranchingAction("deliver",
-		func(s modeld.State) bool { return len(s.(*global).net) > 0 },
+// start validates the models and assembles the root state. A model without
+// a factory, a process modeled twice, or a state the model's machine rejects
+// is an error.
+func start(models []ProcModel, inTransit []Msg, timers []Timer) (*investigation, *global, error) {
+	inv := &investigation{models: make(map[string]ProcModel, len(models)), store: checkpoint.NewStore()}
+	root := &global{procs: make(map[string]*procState, len(models))}
+	for _, pm := range models {
+		if pm.New == nil {
+			return nil, nil, fmt.Errorf("investigate: model for %q has no factory", pm.Proc)
+		}
+		if _, dup := inv.models[pm.Proc]; dup {
+			return nil, nil, fmt.Errorf("investigate: two models for process %q", pm.Proc)
+		}
+		inv.models[pm.Proc] = pm
+		p := &procState{stateJSON: pm.State, heap: pm.Heap, clock: pm.Time}
+		for k, v := range pm.Durable {
+			p.cells.Put(k, v, 0)
+		}
+		if _, err := inv.kernel(pm.Proc, p); err != nil {
+			return nil, nil, err
+		}
+		root.procs[pm.Proc] = p
+	}
+	// Processes starting from their initial state run Init as their first
+	// step, producing their initial sends and timers.
+	for _, id := range slices.Sorted(maps.Keys(inv.models)) {
+		if inv.models[id].State == nil {
+			inv.step(root, id, 0, func(m dsim.Machine, ctx dsim.Context) { m.Init(ctx) })
+		}
+	}
+	root.net = append(root.net, inTransit...)
+	for _, t := range timers {
+		root.timers = append(root.timers, armed{Timer: t})
+	}
+	return inv, root, nil
+}
+
+// eventAction branches over the n(g) pending events of one kind: one
+// successor per event, in which take consumes it.
+func eventAction(name string, n func(*global) int, take func(g *global, i int)) modeld.Action {
+	return modeld.NewBranchingAction(name,
+		func(s modeld.State) bool { return n(s.(*global)) > 0 },
 		func(s modeld.State) []modeld.State {
 			g := s.(*global)
-			var out []modeld.State
-			for i := range g.net {
-				msg := g.net[i]
-				if p, ok := g.procs[msg.To]; !ok || p.halted {
-					// Undeliverable: model as silently consumed.
-					ng := g.Clone().(*global)
-					ng.net = append(ng.net[:i], ng.net[i+1:]...)
-					out = append(out, ng)
-					continue
-				}
-				base := g.Clone().(*global)
-				base.net = append(base.net[:i], base.net[i+1:]...)
-				ng := inv.step(base, msg.To, func(m dsim.Machine, ctx *sandboxCtx) {
-					m.OnMessage(ctx, msg.From, msg.Payload)
-				})
-				out = append(out, ng)
+			out := make([]modeld.State, n(g))
+			for i := range out {
+				ng := g.Clone().(*global)
+				take(ng, i)
+				out[i] = ng
 			}
 			return out
 		})
+}
+
+func inFlight(g *global) int { return len(g.net) }
+
+// deliverAction delivers each in-flight message.
+func deliverAction(inv *investigation) modeld.Action {
+	return eventAction("deliver", inFlight, func(g *global, i int) {
+		msg := g.net[i]
+		g.net = slices.Delete(g.net, i, i+1)
+		inv.step(g, msg.To, 0, func(m dsim.Machine, ctx dsim.Context) { m.OnMessage(ctx, msg.From, msg.Payload) })
+	})
 }
 
 // timerAction fires each pending timer (asynchrony: a timer may fire at
 // any point relative to message deliveries).
 func timerAction(inv *investigation) modeld.Action {
-	return modeld.NewBranchingAction("timer",
-		func(s modeld.State) bool { return len(s.(*global).timers) > 0 },
-		func(s modeld.State) []modeld.State {
-			g := s.(*global)
-			var out []modeld.State
-			for i := range g.timers {
-				tm := g.timers[i]
-				if p, ok := g.procs[tm.Proc]; !ok || p.halted {
-					ng := g.Clone().(*global)
-					ng.timers = append(ng.timers[:i], ng.timers[i+1:]...)
-					out = append(out, ng)
-					continue
-				}
-				base := g.Clone().(*global)
-				base.timers = append(base.timers[:i], base.timers[i+1:]...)
-				ng := inv.step(base, tm.Proc, func(m dsim.Machine, ctx *sandboxCtx) {
-					m.OnTimer(ctx, tm.Name)
-				})
-				out = append(out, ng)
-			}
-			return out
-		})
+	return eventAction("timer", func(g *global) int { return len(g.timers) }, func(g *global, i int) {
+		tm := g.timers[i]
+		g.timers = slices.Delete(g.timers, i, i+1)
+		inv.step(g, tm.Proc, tm.delay, func(m dsim.Machine, ctx dsim.Context) { m.OnTimer(ctx, tm.Name) })
+	})
 }
 
 // dropAction models a lossy network: any in-flight message may vanish.
 func dropAction() modeld.Action {
-	return modeld.NewBranchingAction("drop",
-		func(s modeld.State) bool { return len(s.(*global).net) > 0 },
-		func(s modeld.State) []modeld.State {
-			g := s.(*global)
-			var out []modeld.State
-			for i := range g.net {
-				ng := g.Clone().(*global)
-				ng.net = append(ng.net[:i], ng.net[i+1:]...)
-				out = append(out, ng)
-			}
-			return out
-		})
+	return eventAction("drop", inFlight, func(g *global, i int) { g.net = slices.Delete(g.net, i, i+1) })
 }
 
 // crashAction models fail-stop: any live process may halt at any point,
 // after which its pending messages become undeliverable.
 func crashAction() modeld.Action {
-	return modeld.NewBranchingAction("crash",
-		func(s modeld.State) bool {
-			for _, p := range s.(*global).procs {
-				if !p.halted {
-					return true
-				}
-			}
-			return false
-		},
-		func(s modeld.State) []modeld.State {
-			g := s.(*global)
-			ids := make([]string, 0, len(g.procs))
-			for id, p := range g.procs {
-				if !p.halted {
-					ids = append(ids, id)
-				}
-			}
-			sort.Strings(ids)
-			out := make([]modeld.State, 0, len(ids))
-			for _, id := range ids {
-				ng := g.Clone().(*global)
-				ng.procs[id].halted = true
-				out = append(out, ng)
-			}
-			return out
-		})
+	return eventAction("crash", func(g *global) int { return len(live(g)) },
+		func(g *global, i int) { g.procs[live(g)[i]].halted = true })
+}
+
+// live returns the processes that have not halted, sorted.
+func live(g *global) []string {
+	var ids []string
+	for _, id := range slices.Sorted(maps.Keys(g.procs)) {
+		if !g.procs[id].halted {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }

@@ -797,7 +797,7 @@ func (s *LiveSubstrate) DurableSnapshot() map[string]map[string][]byte {
 	return s.snapshotCells(func(p *liveProc) map[string][]byte { return p.durable.cells.Snapshot() })
 }
 
-// DurableSnapshotAt implements core.Substrate as dsim.Sim does: the cells
+// DurableSnapshotAt implements heal.Target as dsim.Sim does: the cells
 // as of a recovery line (proc -> line scroll position), restricted to
 // writes strictly before each process's line — what an investigation seeded
 // from that line is allowed to observe. Processes absent from lineSeq are

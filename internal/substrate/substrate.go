@@ -37,9 +37,9 @@ import (
 // only code that owns a backend needs. A Substrate value can therefore be
 // handed to any FixD component directly.
 type Substrate interface {
-	// The coordinator's view, which includes the Healer's (heal.Target):
-	// registry, execution, scroll and clock access, the fault-report hook,
-	// checkpoint store, RollbackTo, ReplaceMachine, DurableSnapshotAt.
+	// The coordinator's view, which includes the Healer's (heal.Target:
+	// checkpoint store, RollbackTo, ReplaceMachine, DurableSnapshotAt):
+	// registry, execution, scroll and clock access, the fault-report hook.
 	core.Substrate
 	// The monitor's view: Procs, MachineState, Now.
 	fault.StateSource
