@@ -11,8 +11,8 @@ import (
 //
 //	now := time.Now() //fixd:wallclock live backend maps wall time to ticks
 //
-//	//fixd:nondeterm replayer consumes scroll records instead of producing them
-//	func (c *replayCtx) Send(to string, payload []byte) { ... }
+//	//fixd:nondeterm the decorator forwards to the wrapped Context, which records the outcome
+//	func (c *tracedCtx) Send(to string, payload []byte) { ... }
 //
 // AnnWallclock suppresses detwall; AnnNondeterm suppresses the other
 // analyzers (detmaprange, detgoroutine, kindswitch, scrollrecord). A
@@ -83,8 +83,8 @@ func parseAnnotations(pkg *Package) (annotationIndex, []Diagnostic) {
 
 // docAnnotated reports whether a declaration's doc comment carries the
 // given annotation with a reason — the method-level escape used by whole
-// Context implementations that intentionally do not write scrolls (the
-// replayer consumes records instead of producing them).
+// Context implementations that intentionally do not write scrolls (bench/'s
+// tracing decorator forwards to a context that does).
 func docAnnotated(doc *ast.CommentGroup, kind string) bool {
 	if doc == nil {
 		return false

@@ -51,8 +51,8 @@
 //
 //	deadline := time.Now().Add(w) //fixd:wallclock live quiescence is wall-time bounded
 //
-//	//fixd:nondeterm replayer consumes scroll records instead of producing them
-//	func (c *replayCtx) Send(to string, payload []byte) { ... }
+//	//fixd:nondeterm the decorator forwards to the wrapped Context, which records the outcome
+//	func (c *tracedCtx) Send(to string, payload []byte) { ... }
 //
 // //fixd:wallclock suppresses detwall; //fixd:nondeterm suppresses the
 // other four. An annotation without a reason is itself a diagnostic.

@@ -10,7 +10,7 @@ import (
 // escapeCeiling is the most //fixd: escapes the module may hold outside this
 // package. Each marks a site no analyzer checks, so the number may fall but
 // never rise: lower it when an escape goes.
-const escapeCeiling = 17
+const escapeCeiling = 11
 
 // TestEscapeCeiling counts the //fixd: annotations of every package outside
 // internal/analysis (whose own are documentation and fixtures).

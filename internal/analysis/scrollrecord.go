@@ -19,9 +19,11 @@ import (
 // whose name starts with "record") dominates every return. Timer arming
 // (SetTimer) is deliberately not in the list: virtual-time timers are
 // deterministic inputs, and neither backend records the arm itself.
-// Implementations that consume records instead of writing them (the
-// replayer, and bench/'s tracing decorator, which forwards every call to a
-// context that records it) annotate with //fixd:nondeterm <reason>.
+// Every implementation in the module records through a dsim.Kernel Record…
+// method, replay's included (its kernel compares each record with the
+// recording instead of appending it). The one that does not is bench/'s
+// tracing decorator, which forwards every call to a context that records
+// it; such a method is annotated //fixd:nondeterm <reason>.
 var Scrollrecord = &Analyzer{
 	Name: "scrollrecord",
 	Doc:  "Context send/durable/clock/random methods must write a scroll record on every return path",

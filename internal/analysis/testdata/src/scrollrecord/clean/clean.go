@@ -61,10 +61,10 @@ func (c *tightCtx) DurablePut(key string, value []byte) {
 	_ = key
 }
 
-// DurableGet is excused by the method-level escape the replayer and bench/'s
-// tracing decorator use.
+// DurableGet is excused by the method-level escape bench/'s tracing
+// decorator uses.
 //
-//fixd:nondeterm fixture: consumes the read instead of recording it, mirroring replayCtx
+//fixd:nondeterm fixture: leaves the read to another context, mirroring bench/'s tracedCtx
 func (c *tightCtx) DurableGet(key string) ([]byte, bool) {
 	_ = key
 	return nil, false

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -50,8 +51,10 @@ func replayNames() []string {
 // which a durable scroll writes to a WAL; the log is opened again with
 // scroll.OpenDurable and replayed by every process of every Registry
 // application. Replay may diverge or return an error, but must never
-// panic. The seeds are the first records each application's first process
-// records, and one damaged durable-get outcome.
+// panic; it must return the same result twice, and a divergence it reports
+// must name a record the recording holds. The seeds are the first records
+// each application's first process records, and one damaged durable-get
+// outcome.
 func FuzzReplayDecoded(f *testing.F) {
 	names := replayNames()
 	for _, spec := range Registry() {
@@ -99,7 +102,14 @@ func FuzzReplayDecoded(f *testing.F) {
 		for _, spec := range Registry() {
 			cfg := spec.Config(false)
 			for _, id := range sortedProcs(spec.Make(false)) {
-				dsim.Replay(id, spec.Make(false)[id], recs, cfg.HeapSize, cfg.HeapPageSize)
+				res, err := dsim.Replay(id, spec.Make(false)[id], recs, cfg.HeapSize, cfg.HeapPageSize)
+				again, againErr := dsim.Replay(id, spec.Make(false)[id], recs, cfg.HeapSize, cfg.HeapPageSize)
+				if !reflect.DeepEqual(res, again) || (err == nil) != (againErr == nil) {
+					t.Fatalf("%s %s replays to %+v (%v), then to %+v (%v)", spec.Name, id, res, err, again, againErr)
+				}
+				if err == nil && res.Diverged && res.DivergeAt >= uint64(len(recs)) {
+					t.Fatalf("%s %s diverges at %d of %d records", spec.Name, id, res.DivergeAt, len(recs))
+				}
 			}
 		}
 	})

@@ -27,7 +27,6 @@ import (
 	"repro/internal/heal"
 	"repro/internal/investigate"
 	"repro/internal/recovery"
-	"repro/internal/scroll"
 	"repro/internal/vclock"
 )
 
@@ -64,8 +63,6 @@ const maxResponses = 1
 // degenerates to the always-consistent initial states (FellBackToNow).
 type Substrate interface {
 	heal.Target
-	// Scroll returns the named process's recording (nil if unknown).
-	Scroll(id string) *scroll.Scroll
 	// SetFaultHandler installs h on every Context.Fault report; returning
 	// true pauses the run. Passing nil clears it.
 	SetFaultHandler(h func(dsim.FaultRecord) bool)
@@ -197,9 +194,7 @@ func (c *Coordinator) Respond(f dsim.FaultRecord) (*Response, error) {
 	for i := range models {
 		models[i].Durable = durable[models[i].Proc]
 	}
-	inTransit := c.inTransitAt(lineSeq)
-
-	rep, err := investigate.Run(models, inTransit, timers, investigate.Config{
+	rep, err := investigate.Run(models, heal.InTransitAt(c.sim, lineSeq), timers, investigate.Config{
 		Invariants:                 c.cfg.Invariants,
 		TreatLocalFaultAsViolation: c.cfg.TreatLocalFaultAsViolation,
 		MaxStates:                  c.cfg.MaxStates,
@@ -224,38 +219,6 @@ func (c *Coordinator) Respond(f dsim.FaultRecord) (*Response, error) {
 		resp.Heal = hrep
 	}
 	return resp, nil
-}
-
-// inTransitAt computes the messages crossing the recovery line: sends
-// recorded within a process's line prefix whose matching receive is not
-// within the receiver's prefix. Processes restored to their initial state
-// have an empty prefix (no sends, no receives).
-func (c *Coordinator) inTransitAt(lineSeq map[string]uint64) []investigate.Msg {
-	received := make(map[string]bool)
-	for _, id := range c.sim.Procs() {
-		limit := lineSeq[id]
-		for r := range c.sim.Scroll(id).All() {
-			if r.Seq >= limit {
-				break
-			}
-			if r.Kind == scroll.KindRecv {
-				received[r.MsgID] = true
-			}
-		}
-	}
-	var out []investigate.Msg
-	for _, id := range c.sim.Procs() {
-		limit := lineSeq[id]
-		for r := range c.sim.Scroll(id).All() {
-			if r.Seq >= limit {
-				break
-			}
-			if r.Kind == scroll.KindSend && !received[r.MsgID] {
-				out = append(out, investigate.Msg{From: id, To: r.Peer, Payload: append([]byte(nil), r.Payload...)})
-			}
-		}
-	}
-	return out
 }
 
 // RunProtected runs the substrate under coordinator protection and

@@ -67,9 +67,9 @@ type Machine interface {
 // in the process's Scroll: the simulator's and the live substrate's
 // (internal/substrate). Both record through the process's Kernel, where the
 // record of each call is written once, so their scrolls agree record for
-// record. The replay runner's implementation feeds recorded outcomes back
-// (paper §2.3), and the Investigator's captures effects for model checking
-// (paper §3.3).
+// record. The replay runner's kernel compares each record with the
+// recording instead and feeds recorded outcomes back (paper §2.3), and the
+// Investigator's captures effects for model checking (paper §3.3).
 type Context interface {
 	// Self returns the process ID.
 	Self() string

@@ -13,9 +13,10 @@ import (
 
 // EpochFenceMsgID is the scroll MsgID under which the live backend records
 // a delivery it fenced because the message was sent on a timeline a
-// rollback has since abandoned (KindCustom, so Replay treats it as a
-// no-op). Recording the fence keeps replay and divergence checking aligned
-// with the live history: the drop is part of the timeline, not an omission.
+// rollback has since abandoned (KindCustom; Replay steps over it, as over
+// the backends' own checkpoint records). Recording the fence keeps replay
+// and divergence checking aligned with the live history: the drop is part
+// of the timeline, not an omission.
 const EpochFenceMsgID = "fence:epoch"
 
 // logMsgID marks a Context.Log note (KindCustom).
@@ -54,6 +55,9 @@ func NewKernel(id string, m Machine, heap *checkpoint.Heap, sc *scroll.Scroll) K
 // every kernel of a run the same one and rewinds it on Reset; a live
 // process owns one that is never rewound.
 type memory struct {
+	// replay, when set, takes the kernel's records in place of its scroll:
+	// each is compared with the recording being replayed (Replay), not kept.
+	replay *replayCursor
 	pay    slab.Slab[byte]                  // record payloads: 8-byte values, message bodies
 	clocks vclock.Arena                     // clock snapshots (Kernel.ClockSnap)
 	ckmem  checkpoint.Arena                 // state encodings, heap snapshots
@@ -175,10 +179,15 @@ func (k *Kernel) Rehome(tab *vclock.Table) {
 	k.clock.Set(k.id, own)
 }
 
-// record appends r and returns its sequence. An error — an in-memory
-// scroll's name table overflowing, a durable scroll's write failing — would
-// leave a hole in the recording that replay runs into, so it panics.
+// record appends r and returns its sequence — under replay, compares it
+// with the recording instead and returns its position there. An error — an
+// in-memory scroll's name table overflowing, a durable scroll's write
+// failing — would leave a hole in the recording that replay runs into, so it
+// panics.
 func (k *Kernel) record(r *scroll.Record) uint64 {
+	if c := k.mem.replay; c != nil {
+		return c.compare(r)
+	}
 	seq, err := k.scroll.Append(*r)
 	if err != nil {
 		panic(err)

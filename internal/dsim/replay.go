@@ -1,6 +1,7 @@
 package dsim
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/scroll"
+	"repro/internal/vclock"
 )
 
 // ReplayResult summarizes an isolated re-execution of one process from its
@@ -24,162 +26,157 @@ type ReplayResult struct {
 	DivergeAt uint64 // scroll position of the divergence
 }
 
-// replayCtx implements Context by feeding recorded outcomes back to the
-// machine and verifying its outputs against the scroll.
+// replayCtx is the Context of a replay: a kernel whose records are compared
+// with the recording instead of kept (memory.replay), fed the recorded
+// outcome of every input the machine reads.
 type replayCtx struct {
-	id      string
-	rp      *scroll.Replayer
-	heap    *checkpoint.Heap
-	now     uint64
-	faults  []string
-	halted  bool
-	openErr error // first divergence
-	// badAt is 1 + the position of the record openErr rejects when the
-	// replayer has moved past it, 0 otherwise.
-	badAt int
+	Kernel
+	cur    replayCursor
+	mem    memory
+	faults []string
+	store  *checkpoint.Store // made by the first Checkpoint
 }
 
-func (c *replayCtx) fail(err error) {
-	if c.openErr == nil {
-		c.openErr = err
+// replayCursor is where the replay stands in the recording. The kernel's
+// records arrive in order; each is compared with the recorded one at the
+// cursor. A record past the recording's end is not compared: a recording
+// that stops inside a handler replays as a prefix.
+type replayCursor struct {
+	recs     []scroll.Record
+	pos      int
+	sends    int  // sends that matched
+	diverged bool // some record differed from the recording
+	at       int  // the position of the first that did
+}
+
+// compare checks r against the recording at the cursor, moves past it, and
+// returns its position. It compares what the machine decides: kind, peer,
+// payload, and the message ID of every kind but sends and checkpoints,
+// whose IDs the backend assigns. Clocks and Lamport times are the
+// backend's too.
+func (c *replayCursor) compare(r *scroll.Record) uint64 {
+	pos := c.pos
+	c.pos++
+	if c.diverged || pos >= len(c.recs) {
+		return uint64(pos)
+	}
+	want := &c.recs[pos]
+	if want.Kind != r.Kind || want.Peer != r.Peer || !bytes.Equal(want.Payload, r.Payload) ||
+		want.MsgID != r.MsgID && r.Kind != scroll.KindSend && r.Kind != scroll.KindCkpt {
+		c.diverge(pos)
+	} else if r.Kind == scroll.KindSend {
+		c.sends++
+	}
+	return uint64(pos)
+}
+
+func (c *replayCursor) diverge(pos int) {
+	if !c.diverged {
+		c.diverged, c.at = true, pos
 	}
 }
+
+// next returns the recorded record at the cursor, nil past the end.
+func (c *replayCursor) next() *scroll.Record {
+	if c.pos < len(c.recs) {
+		return &c.recs[c.pos]
+	}
+	return nil
+}
+
+// outcome is the value the recorded record at the cursor holds if it is an
+// 8-byte outcome of kind k, and 0 otherwise — the comparison then flags it.
+func (c *replayCtx) outcome(k scroll.Kind) uint64 {
+	if r := c.cur.next(); r != nil && r.Kind == k && len(r.Payload) == 8 {
+		return binary.LittleEndian.Uint64(r.Payload)
+	}
+	return 0
+}
+
+// durableRead returns the payload of the recorded record at the cursor if
+// it is the durable read msgID of key, and nil otherwise.
+func (c *replayCtx) durableRead(msgID, key string) ([]byte, bool) {
+	if r := c.cur.next(); r != nil && r.Kind == scroll.KindEnv && r.MsgID == msgID && r.Peer == key {
+		return r.Payload, true
+	}
+	return nil, false
+}
+
+// errReplaySpeculation is what the speculation calls return under replay:
+// no backend records them, so the recording cannot say how one resolved.
+var errReplaySpeculation = errors.New("dsim: a replay cannot speculate")
 
 func (c *replayCtx) Self() string { return c.id }
 
-//fixd:nondeterm replayer consumes scroll records instead of producing them
-func (c *replayCtx) Now() uint64 {
-	if v, ok := c.outcome(scroll.KindTime); ok {
-		return v
-	}
-	return c.now
-}
+func (c *replayCtx) Now() uint64 { return c.RecordTime(c.outcome(scroll.KindTime)) }
 
-//fixd:nondeterm replayer consumes scroll records instead of producing them
-func (c *replayCtx) Random() uint64 {
-	v, _ := c.outcome(scroll.KindRandom)
-	return v
-}
+func (c *replayCtx) Random() uint64 { return c.RecordRandom(c.outcome(scroll.KindRandom)) }
 
-// outcome returns the 8-byte outcome the next record of kind k holds. A
-// record whose payload is not 8 bytes long — a log damaged on disk, say —
-// is a divergence at that record.
-func (c *replayCtx) outcome(k scroll.Kind) (uint64, bool) {
-	rec, err := c.rp.Next(k)
-	if err == nil && len(rec.Payload) != 8 {
-		err = fmt.Errorf("%w: %v outcome of %d bytes at seq %d", scroll.ErrReplayDiverged, k, len(rec.Payload), rec.Seq)
-		if c.openErr == nil {
-			c.badAt = c.rp.Pos()
-		}
-	}
-	if err != nil {
-		c.fail(err)
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(rec.Payload), true
-}
+func (c *replayCtx) Send(to string, payload []byte) { c.RecordSend("", to, payload) }
 
-//fixd:nondeterm replayer consumes scroll records instead of producing them
-func (c *replayCtx) Send(to string, payload []byte) {
-	if err := c.rp.ExpectSend(to, payload); err != nil {
-		c.fail(err)
-	}
-}
+func (c *replayCtx) SetTimer(string, uint64) {} // timer fires come from the recording
 
-func (c *replayCtx) SetTimer(string, uint64) {} // timer fires come from the scroll
+func (c *replayCtx) DurablePut(key string, value []byte) { c.RecordDurablePut(key, value) }
 
-func (c *replayCtx) Heap() *checkpoint.Heap { return c.heap }
-
-// DurablePut verifies the re-executed write against the recorded one —
-// like ExpectSend, a differing durable write means the replay took a
-// different path than the original run.
-//
-//fixd:nondeterm replayer consumes scroll records instead of producing them
-func (c *replayCtx) DurablePut(key string, value []byte) {
-	rec, err := c.rp.Next(scroll.KindEnv)
-	if err != nil {
-		c.fail(err)
-		return
-	}
-	if rec.MsgID != DurablePutMsgID || rec.Peer != key || string(rec.Payload) != string(value) {
-		c.fail(fmt.Errorf("%w: durable put %q differs from recorded %s %q at seq %d",
-			scroll.ErrReplayDiverged, key, rec.MsgID, rec.Peer, rec.Seq))
-	}
-}
-
-// DurableGet feeds the recorded read outcome back.
-//
-//fixd:nondeterm replayer consumes scroll records instead of producing them
+// DurableGet feeds the recorded read back. A damaged outcome decodes to a
+// miss, which re-encodes differently: the comparison flags it.
 func (c *replayCtx) DurableGet(key string) ([]byte, bool) {
-	rec, err := c.rp.Next(scroll.KindEnv)
-	if err != nil {
-		c.fail(err)
-		return nil, false
+	var v []byte
+	ok := false
+	if b, found := c.durableRead(DurableGetMsgID, key); found {
+		v, ok, _ = DecodeDurableGet(b)
 	}
-	if rec.MsgID != DurableGetMsgID || rec.Peer != key {
-		c.fail(fmt.Errorf("%w: durable get %q differs from recorded %s %q at seq %d",
-			scroll.ErrReplayDiverged, key, rec.MsgID, rec.Peer, rec.Seq))
-		return nil, false
-	}
-	v, ok, err := DecodeDurableGet(rec.Payload)
-	if err != nil {
-		c.fail(err)
-		return nil, false
-	}
-	return v, ok
+	return c.RecordDurableGet(key, v, ok)
 }
 
-// DurableKeys feeds the recorded key list back.
-//
-//fixd:nondeterm replayer consumes scroll records instead of producing them
+// DurableKeys feeds the recorded key list back; a damaged one is flagged
+// as DurableGet's is.
 func (c *replayCtx) DurableKeys() []string {
-	rec, err := c.rp.Next(scroll.KindEnv)
-	if err != nil {
-		c.fail(err)
-		return nil
+	var keys []string
+	if b, found := c.durableRead(DurableKeysMsgID, ""); found {
+		keys, _ = DecodeDurableKeys(b)
 	}
-	if rec.MsgID != DurableKeysMsgID {
-		c.fail(fmt.Errorf("%w: durable keys read differs from recorded %s at seq %d",
-			scroll.ErrReplayDiverged, rec.MsgID, rec.Seq))
-		return nil
-	}
-	keys, err := DecodeDurableKeys(rec.Payload)
-	if err != nil {
-		c.fail(err)
-		return nil
-	}
-	return keys
+	return c.RecordDurableKeys(keys)
 }
 
-// Log consumes the note the original run recorded, so that what the
-// handler does next lines up with the scroll.
-func (c *replayCtx) Log(string, ...any) {
-	rec, err := c.rp.Next(scroll.KindCustom)
-	if err == nil && rec.MsgID != logMsgID {
-		err = fmt.Errorf("%w: log where the scroll has %s at seq %d", scroll.ErrReplayDiverged, rec.MsgID, rec.Seq)
-		if c.openErr == nil {
-			c.badAt = c.rp.Pos()
-		}
-	}
-	if err != nil {
-		c.fail(err)
-	}
+func (c *replayCtx) Log(format string, args ...any) { c.RecordLog(format, args...) }
+
+func (c *replayCtx) Fault(desc string) {
+	c.RecordFault(desc, 0)
+	c.faults = append(c.faults, desc)
 }
 
-func (c *replayCtx) Fault(desc string) { c.faults = append(c.faults, desc) }
+// Checkpoint takes a checkpoint for its record; the replay never restores
+// it. The store, and the scroll whose length the kernel files as the
+// checkpoint's position, are made on first use: most machines never call
+// it.
+func (c *replayCtx) Checkpoint(label string) string {
+	if c.store == nil {
+		c.store, c.scroll = checkpoint.NewStore(), scroll.NewMemory(c.id)
+	}
+	return c.Kernel.Checkpoint(c.store, 0, "", label, nil).ID
+}
 
-func (c *replayCtx) Checkpoint(string) string { return "replay-ckpt" }
+func (c *replayCtx) Speculate(string) (string, error) { return "", errReplaySpeculation }
+func (c *replayCtx) Commit(string) error              { return errReplaySpeculation }
+func (c *replayCtx) AbortSpec(string, string) error   { return errReplaySpeculation }
 
-func (c *replayCtx) Speculate(string) (string, error) { return "replay-spec", nil }
-func (c *replayCtx) Commit(string) error              { return nil }
-func (c *replayCtx) AbortSpec(string, string) error   { return nil }
-func (c *replayCtx) Halt()                            { c.halted = true }
+// replayRewindEvery is how many events a replay handles between rewinds of
+// its kernel's memory. Nothing keeps what the kernel carves — its records
+// are compared, not kept — so a replay of any length stays within the first
+// chunks of its slabs (256 grew them to tens of kilobytes on long replays).
+const replayRewindEvery = 16
 
 // Replay re-executes machine m against the recorded scroll of process id.
 // The machine must be a fresh instance in its initial state; heapSize and
-// pageSize should match the original run's configuration. Replay stops at
-// the first divergence (reported in the result rather than as an error;
-// errors are reserved for malformed scrolls).
+// pageSize should match the original run's configuration. Each recorded
+// delivery and timer fire is handed to the machine, and every record its
+// handlers make is compared with the recording at the same position; the
+// recorded clock reads, random draws and durable reads are fed back. The
+// backends' own records — checkpoints and epoch fences — are stepped over
+// between handlers; any other record there is one the machine did not
+// make. Replay stops at the first divergence (reported in the result
+// rather than as an error; errors are reserved for malformed scrolls).
 func Replay(id string, m Machine, recs []scroll.Record, heapSize, pageSize int) (*ReplayResult, error) {
 	if heapSize <= 0 {
 		heapSize = 64 << 10
@@ -187,77 +184,40 @@ func Replay(id string, m Machine, recs []scroll.Record, heapSize, pageSize int) 
 	if pageSize <= 0 {
 		pageSize = checkpoint.DefaultPageSize
 	}
-	ctx := &replayCtx{
-		id:   id,
-		rp:   scroll.NewReplayer(recs),
-		heap: checkpoint.NewHeapPages(heapSize, pageSize),
-	}
+	c := &replayCtx{cur: replayCursor{recs: recs}}
+	c.Kernel = Kernel{id: id, machine: m, heap: checkpoint.NewHeapPages(heapSize, pageSize),
+		clock: vclock.NewTable(id).New(), mem: &c.mem}
+	c.mem.replay = &c.cur
 	res := &ReplayResult{}
-	m.Init(ctx)
-	for ctx.openErr == nil && !ctx.halted {
-		pos := ctx.rp.Pos()
-		if pos >= len(recs) {
-			break
-		}
-		rec := recs[pos]
-		switch rec.Kind {
-		case scroll.KindRecv:
-			if _, err := ctx.rp.Next(scroll.KindRecv); err != nil {
-				return nil, err
-			}
-			m.OnMessage(ctx, rec.Peer, rec.Payload)
-			res.Events++
-		case scroll.KindCustom:
-			if _, err := ctx.rp.Next(scroll.KindCustom); err != nil {
-				return nil, err
-			}
-			if name, ok := strings.CutPrefix(rec.MsgID, "timer:"); ok {
-				m.OnTimer(ctx, name)
-				res.Events++
-			}
-			// "log" and other custom records replay as no-ops.
-		case scroll.KindCkpt, scroll.KindFault, scroll.KindSend:
-			// Sends remaining at top level mean the original run sent a
-			// message the replay has not reproduced yet; since all sends
-			// happen inside handlers, an unconsumed send here is a
-			// divergence.
-			if rec.Kind == scroll.KindSend {
-				ctx.fail(fmt.Errorf("%w: unconsumed send %s at seq %d", scroll.ErrReplayDiverged, rec.MsgID, rec.Seq))
-				break
-			}
-			ctx.rp.Next(rec.Kind) // skip annotation
-		case scroll.KindRandom, scroll.KindTime, scroll.KindEnv:
-			// An outcome record at top level means the original handler
-			// performed a read the replayed handler did not.
-			ctx.fail(fmt.Errorf("%w: unconsumed %v at seq %d", scroll.ErrReplayDiverged, rec.Kind, rec.Seq))
-		default:
+	m.Init(c)
+	for !c.cur.diverged && !c.halted && c.cur.pos < len(recs) {
+		rec := &recs[c.cur.pos]
+		switch {
+		case rec.Kind == scroll.KindRecv:
+			c.RecordRecv(rec.MsgID, rec.Peer, rec.Payload, 0, vclock.VC{})
+			m.OnMessage(c, rec.Peer, rec.Payload)
+		case rec.Kind == scroll.KindCustom && strings.HasPrefix(rec.MsgID, "timer:"):
+			name := rec.MsgID[len("timer:"):]
+			c.RecordTimer(name)
+			m.OnTimer(c, name)
+		case rec.Kind == scroll.KindCkpt || rec.Kind == scroll.KindCustom && rec.MsgID == EpochFenceMsgID:
+			c.cur.pos++
+			continue
+		case rec.Kind < scroll.KindRecv || rec.Kind > scroll.KindCustom:
 			return nil, fmt.Errorf("dsim: replay: unknown record kind %v", rec.Kind)
+		default:
+			c.cur.diverge(c.cur.pos)
+			continue
+		}
+		if res.Events++; res.Events%replayRewindEvery == 0 {
+			c.mem.rewind()
+			c.snap = vclock.VC{}
 		}
 	}
-	res.Sends = countSends(recs[:ctx.rp.Pos()])
-	res.Faults = ctx.faults
-	res.HeapHash = ctx.heap.Hash()
-	res.Halted = ctx.halted
-	if ctx.openErr != nil {
-		if errors.Is(ctx.openErr, scroll.ErrReplayDiverged) {
-			res.Diverged = true
-			res.DivergeAt = uint64(ctx.rp.Pos())
-			if ctx.badAt > 0 {
-				res.DivergeAt = uint64(ctx.badAt - 1)
-			}
-		} else if !errors.Is(ctx.openErr, scroll.ErrReplayExhausted) {
-			return res, ctx.openErr
-		}
-	}
+	res.Sends = c.cur.sends
+	res.Faults = c.faults
+	res.HeapHash = c.heap.Hash()
+	res.Halted = c.halted
+	res.Diverged, res.DivergeAt = c.cur.diverged, uint64(c.cur.at)
 	return res, nil
-}
-
-func countSends(recs []scroll.Record) int {
-	n := 0
-	for _, r := range recs {
-		if r.Kind == scroll.KindSend {
-			n++
-		}
-	}
-	return n
 }

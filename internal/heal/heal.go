@@ -23,6 +23,7 @@ package heal
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -31,6 +32,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/investigate"
 	"repro/internal/recovery"
+	"repro/internal/scroll"
 )
 
 // Target is the checkpoint/rollback capability surface the Healer drives:
@@ -54,6 +56,8 @@ type Target interface {
 	// cells written strictly before its position — the disks the
 	// Investigator's explored processes start from.
 	DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string][]byte
+	// Scroll returns the named process's recording (nil if unknown).
+	Scroll(id string) *scroll.Scroll
 }
 
 // Program is a versioned set of process implementations.
@@ -181,7 +185,8 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 	}
 
 	// Stage 3: optional bounded exploration of the updated program, from
-	// the line's states, heaps, disks and pending timers.
+	// the line's states, heaps, disks, pending timers and messages in
+	// transit.
 	rep.ExploreOK = true
 	if opts.ExploreDepth > 0 {
 		lineSeq := make(map[string]uint64, len(cks))
@@ -189,6 +194,12 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 			lineSeq[ck.Proc] = ck.ScrollSeq
 		}
 		durable := s.DurableSnapshotAt(lineSeq)
+		// A process off the line is not rolled back: all it recorded counts.
+		cut := make(map[string]uint64, len(s.Procs()))
+		for _, id := range s.Procs() {
+			cut[id] = uint64(s.Scroll(id).Len())
+		}
+		maps.Copy(cut, lineSeq)
 		models := make([]investigate.ProcModel, len(cks))
 		var timers []investigate.Timer
 		for i, ck := range cks {
@@ -198,7 +209,7 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 				timers = append(timers, investigate.Timer{Proc: ck.Proc, Name: name})
 			}
 		}
-		irep, err := investigate.Run(models, nil, timers, investigate.Config{
+		irep, err := investigate.Run(models, InTransitAt(s, cut), timers, investigate.Config{
 			Invariants:                 opts.Invariants,
 			TreatLocalFaultAsViolation: true,
 			StopAtFirstViolation:       true,
@@ -229,6 +240,37 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 		}
 	}
 	return rep, nil
+}
+
+// InTransitAt returns the messages crossing a cut of the processes' scrolls
+// (proc -> scroll position): sends recorded before their sender's position
+// whose receive is not recorded before the receiver's. A process absent
+// from lineSeq is at position 0, its initial state: it has sent and
+// received nothing.
+func InTransitAt(s Target, lineSeq map[string]uint64) []investigate.Msg {
+	received := make(map[string]bool)
+	for _, id := range s.Procs() {
+		for r := range s.Scroll(id).All() {
+			if r.Seq >= lineSeq[id] {
+				break
+			}
+			if r.Kind == scroll.KindRecv {
+				received[r.MsgID] = true
+			}
+		}
+	}
+	var out []investigate.Msg
+	for _, id := range s.Procs() {
+		for r := range s.Scroll(id).All() {
+			if r.Seq >= lineSeq[id] {
+				break
+			}
+			if r.Kind == scroll.KindSend && !received[r.MsgID] {
+				out = append(out, investigate.Msg{From: id, To: r.Peer, Payload: append([]byte(nil), r.Payload...)})
+			}
+		}
+	}
+	return out
 }
 
 // LatestLine builds a recovery line from each process's most recent

@@ -297,6 +297,11 @@ func TestStateMapperErrorRefused(t *testing.T) {
 	}
 }
 
+// TestBoundedExplorationVetoesStillBuggyUpdate: at the line the accumulator
+// has summed 10 and the feeder's other ten messages are in transit, so an
+// update whose accumulator still double-counts past 10 goes wrong only on a
+// delivery. Exploration from the line delivers them: it vetoes that update
+// and passes the fixed one.
 func TestBoundedExplorationVetoesStillBuggyUpdate(t *testing.T) {
 	s, _ := buggySim(20)
 	s.Run()
@@ -308,22 +313,26 @@ func TestBoundedExplorationVetoesStillBuggyUpdate(t *testing.T) {
 			target = ck.ID
 		}
 	}
-	// "Fix" that still contains the bug: verification exploration must veto
-	// it... but the accumulator is message-driven and the exploration has
-	// no in-transit messages, so instead verify the safe path passes and
-	// records explored states.
-	rep, err := Apply(s, map[string]string{"acc": target}, fixedProgram(0), nil, VerifyOptions{
-		Invariants:   []fault.GlobalInvariant{sumInvariant(10)},
-		ExploreDepth: 5,
-	})
+	line := map[string]string{"acc": target}
+	opts := VerifyOptions{Invariants: []fault.GlobalInvariant{sumInvariant(20)}, ExploreDepth: 5}
+	stillBuggy := fixedProgram(0)
+	stillBuggy.Factories["acc"] = func() dsim.Machine { return &accumulator{buggy: true} }
+	rep, err := Apply(s, line, stillBuggy, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Verified() || rep.ExploreOK {
+		t.Fatalf("a still-buggy update passed verification: %+v", rep)
+	}
+	rep, err = Apply(s, line, fixedProgram(0), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Verified() {
 		t.Fatalf("refused: %v", rep.Failures)
 	}
-	if rep.ExploreStates == 0 {
-		t.Error("verification exploration did not run")
+	if rep.ExploreStates < 2 {
+		t.Errorf("verification explored %d states: it delivered nothing", rep.ExploreStates)
 	}
 }
 

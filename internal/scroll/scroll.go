@@ -557,81 +557,6 @@ func (s *Scroll) Close() error {
 	return s.truncErr
 }
 
-// ErrReplayExhausted is returned by a Replayer when the scroll has no more
-// records of the requested kind.
-var ErrReplayExhausted = errors.New("scroll: replay exhausted")
-
-// ErrReplayDiverged is returned when the next record does not match the
-// action the replaying process is attempting — the re-execution took a
-// different path than the original run.
-var ErrReplayDiverged = errors.New("scroll: replay diverged")
-
-// Replayer feeds recorded outcomes back to a process being re-executed,
-// providing the deterministic playback capability of liblog/Jockey (paper
-// §2.3) without the remote entities being present.
-type Replayer struct {
-	mu   sync.Mutex
-	recs []Record
-	pos  int
-}
-
-// NewReplayer returns a replayer over the given records (in scroll order).
-func NewReplayer(recs []Record) *Replayer { return &Replayer{recs: recs} }
-
-// Pos returns the index of the next record to replay.
-func (rp *Replayer) Pos() int {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	return rp.pos
-}
-
-// Next returns the next record of the given kind. Records of other kinds
-// that merely annotate the stream (sends, checkpoints, faults) are verified
-// to be skippable; if the next outcome-bearing record has a different kind,
-// Next reports ErrReplayDiverged.
-func (rp *Replayer) Next(kind Kind) (Record, error) {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	for rp.pos < len(rp.recs) {
-		rec := rp.recs[rp.pos]
-		if rec.Kind == kind {
-			rp.pos++
-			return rec, nil
-		}
-		// Annotation records are skipped transparently.
-		if rec.Kind == KindSend || rec.Kind == KindCkpt || rec.Kind == KindFault {
-			rp.pos++
-			continue
-		}
-		return Record{}, fmt.Errorf("%w: want %v at seq %d, scroll has %v", ErrReplayDiverged, kind, rec.Seq, rec.Kind)
-	}
-	return Record{}, ErrReplayExhausted
-}
-
-// ExpectSend consumes the next send annotation and verifies the re-executed
-// process sent the same message; divergence here means the replayed run is
-// not following the recorded path.
-func (rp *Replayer) ExpectSend(peer string, payload []byte) error {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	for rp.pos < len(rp.recs) {
-		rec := rp.recs[rp.pos]
-		if rec.Kind == KindCkpt || rec.Kind == KindFault {
-			rp.pos++
-			continue
-		}
-		if rec.Kind != KindSend {
-			return fmt.Errorf("%w: process sent but scroll has %v at seq %d", ErrReplayDiverged, rec.Kind, rec.Seq)
-		}
-		rp.pos++
-		if rec.Peer != peer || string(rec.Payload) != string(payload) {
-			return fmt.Errorf("%w: send to %s differs from recorded send to %s", ErrReplayDiverged, peer, rec.Peer)
-		}
-		return nil
-	}
-	return ErrReplayExhausted
-}
-
 // Merge combines the scrolls of several processes into one globally ordered
 // record sequence (by Lamport timestamp, then process ID, then sequence),
 // the "collective local logs ... combined and analyzed" view of paper §2.2.

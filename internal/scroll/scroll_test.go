@@ -3,8 +3,6 @@ package scroll
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -154,87 +152,6 @@ func TestTruncate(t *testing.T) {
 	}
 }
 
-func TestReplayerHappyPath(t *testing.T) {
-	s := NewMemory("p")
-	s.Append(Record{Kind: KindRecv, MsgID: "m1", Peer: "q", Payload: []byte("one")})
-	s.Append(Record{Kind: KindSend, MsgID: "m2", Peer: "q", Payload: []byte("reply")})
-	s.Append(Record{Kind: KindRandom, Payload: binary.LittleEndian.AppendUint64(nil, 42)})
-	s.Append(Record{Kind: KindRecv, MsgID: "m3", Peer: "q", Payload: []byte("two")})
-
-	rp := NewReplayer(s.Records())
-	r1, err := rp.Next(KindRecv)
-	if err != nil || string(r1.Payload) != "one" {
-		t.Fatalf("first recv = %+v, %v", r1, err)
-	}
-	if err := rp.ExpectSend("q", []byte("reply")); err != nil {
-		t.Fatalf("ExpectSend: %v", err)
-	}
-	r2, err := rp.Next(KindRandom)
-	if err != nil || binary.LittleEndian.Uint64(r2.Payload) != 42 {
-		t.Fatalf("random = %+v, %v", r2, err)
-	}
-	r3, err := rp.Next(KindRecv)
-	if err != nil || string(r3.Payload) != "two" {
-		t.Fatalf("second recv = %+v, %v", r3, err)
-	}
-	if _, err := rp.Next(KindRecv); !errors.Is(err, ErrReplayExhausted) {
-		t.Errorf("after end: %v, want ErrReplayExhausted", err)
-	}
-}
-
-func TestReplayerSkipsAnnotations(t *testing.T) {
-	s := NewMemory("p")
-	s.Append(Record{Kind: KindCkpt, Payload: []byte("ck1")})
-	s.Append(Record{Kind: KindSend, Peer: "q", Payload: []byte("x")})
-	s.Append(Record{Kind: KindRecv, MsgID: "m", Peer: "q", Payload: []byte("y")})
-	rp := NewReplayer(s.Records())
-	r, err := rp.Next(KindRecv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(r.Payload) != "y" {
-		t.Errorf("payload = %q", r.Payload)
-	}
-}
-
-func TestReplayerDivergence(t *testing.T) {
-	s := NewMemory("p")
-	s.Append(Record{Kind: KindRandom, Payload: make([]byte, 8)})
-	rp := NewReplayer(s.Records())
-	if _, err := rp.Next(KindRecv); !errors.Is(err, ErrReplayDiverged) {
-		t.Errorf("kind mismatch err = %v, want ErrReplayDiverged", err)
-	}
-
-	s2 := NewMemory("p")
-	s2.Append(Record{Kind: KindSend, Peer: "q", Payload: []byte("orig")})
-	rp2 := NewReplayer(s2.Records())
-	if err := rp2.ExpectSend("q", []byte("different")); !errors.Is(err, ErrReplayDiverged) {
-		t.Errorf("send payload mismatch err = %v, want ErrReplayDiverged", err)
-	}
-
-	s3 := NewMemory("p")
-	s3.Append(Record{Kind: KindRecv, Peer: "q", Payload: []byte("msg")})
-	rp3 := NewReplayer(s3.Records())
-	if err := rp3.ExpectSend("q", []byte("x")); !errors.Is(err, ErrReplayDiverged) {
-		t.Errorf("unexpected-send err = %v, want ErrReplayDiverged", err)
-	}
-}
-
-func TestReplayerPosRemaining(t *testing.T) {
-	s := NewMemory("p")
-	s.Append(Record{Kind: KindRandom})
-	s.Append(Record{Kind: KindRandom})
-	recs := s.Records()
-	rp := NewReplayer(recs)
-	if rp.Pos() != 0 || len(recs)-rp.Pos() != 2 {
-		t.Fatalf("pos=%d remaining=%d", rp.Pos(), len(recs)-rp.Pos())
-	}
-	rp.Next(KindRandom)
-	if rp.Pos() != 1 || len(recs)-rp.Pos() != 1 {
-		t.Errorf("pos=%d remaining=%d", rp.Pos(), len(recs)-rp.Pos())
-	}
-}
-
 // TestShape: the event-shape signature aliases nearby interleavings
 // (that is its job) but separates structurally different executions.
 func TestShape(t *testing.T) {
@@ -342,55 +259,6 @@ func TestToTraceCutAnalysis(t *testing.T) {
 	// Full cut is consistent.
 	if orphans(map[string]uint64{"a": 1, "b": 1}) != 0 {
 		t.Error("full cut should be consistent")
-	}
-}
-
-func TestQuickReplayDeterminism(t *testing.T) {
-	// Property: recording a random interaction sequence and replaying it
-	// yields exactly the recorded outcomes in order.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		s := NewMemory("p")
-		type step struct {
-			kind    Kind
-			payload []byte
-			peer    string
-		}
-		var steps []step
-		n := 5 + r.Intn(20)
-		for i := 0; i < n; i++ {
-			var st step
-			switch r.Intn(4) {
-			case 0:
-				st = step{KindRecv, []byte{byte(r.Intn(256))}, "q"}
-			case 1:
-				st = step{KindRandom, binary.LittleEndian.AppendUint64(nil, r.Uint64()), ""}
-			case 2:
-				st = step{KindSend, []byte{byte(r.Intn(256))}, "q"}
-			default:
-				st = step{KindEnv, []byte("env"), ""}
-			}
-			steps = append(steps, st)
-			s.Append(Record{Kind: st.kind, Peer: st.peer, Payload: st.payload})
-		}
-		rp := NewReplayer(s.Records())
-		for _, st := range steps {
-			switch st.kind {
-			case KindSend:
-				if err := rp.ExpectSend(st.peer, st.payload); err != nil {
-					return false
-				}
-			default:
-				rec, err := rp.Next(st.kind)
-				if err != nil || !bytes.Equal(rec.Payload, st.payload) {
-					return false
-				}
-			}
-		}
-		return rp.Pos() == s.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 
