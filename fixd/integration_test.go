@@ -293,7 +293,7 @@ func TestHealAcrossApps(t *testing.T) {
 		for id, m := range apps.NewTokenRing(bug) {
 			s.AddProcess(id, m)
 		}
-		s.FaultHandler = func(*dsim.Sim, dsim.FaultRecord) bool { return true }
+		s.SetFaultHandler(func(dsim.FaultRecord) bool { return true })
 		s.Run()
 		factories := map[string]func() dsim.Machine{}
 		for id := range apps.NewTokenRing(fix) {

@@ -165,9 +165,8 @@ func (s *durSink) OnRollback(ctx fixd.Context, info fixd.RollbackInfo) {
 }
 
 // TestStableStorageBothSubstrates: the public Context.Durable… seam works
-// on both backends — the capability row is advertised, a crash-restart
-// does not rewind the cells, and System.DurableSnapshot agrees with the
-// recovered machine state.
+// on both backends — a crash-restart does not rewind the cells, and
+// System.DurableSnapshot agrees with the recovered machine state.
 func TestStableStorageBothSubstrates(t *testing.T) {
 	for _, backend := range []string{"sim", "live"} {
 		t.Run(backend, func(t *testing.T) {
@@ -186,9 +185,6 @@ func TestStableStorageBothSubstrates(t *testing.T) {
 			defer sys.Close()
 			sys.Add("sink", func() fixd.Machine { return &durSink{} })
 			sys.Add("source", func() fixd.Machine { return &source{n: 20} })
-			if !sys.Substrate().Capabilities().StableStorage {
-				t.Fatal("backend does not advertise StableStorage")
-			}
 			sys.InjectChaos(fixd.ChaosSchedule{{Kind: fixd.FaultCrash,
 				Targets: []int{0}, Window: fixd.ChaosWindow{From: 8, To: 20}}})
 			stats := sys.Run()

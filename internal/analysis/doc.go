@@ -40,9 +40,10 @@
 //     table.
 //
 //   - scrollrecord: every dsim.Context implementation's Send, Now,
-//     Random, DurablePut, DurableGet and DurableKeys must append a scroll
-//     record on every return path — a path that skips the append records
-//     a run that replays differently than it executed.
+//     Random, DurablePut, DurableGet and DurableKeys, and those of every
+//     type embedded into one, must append a scroll record on every return
+//     path — a path that skips the append records a run that replays
+//     differently than it executed.
 //
 // # Annotations
 //

@@ -14,16 +14,19 @@ import (
 // it, which surfaces later as an inexplicable digest divergence.
 //
 // The analyzer finds methods named Send, Now, Random, DurablePut,
-// DurableGet, or DurableKeys on types implementing dsim.Context and
-// verifies a scroll append (a call to scroll.Scroll.Append, or a helper
-// whose name starts with "record") dominates every return. Timer arming
-// (SetTimer) is deliberately not in the list: virtual-time timers are
-// deterministic inputs, and neither backend records the arm itself.
-// Every implementation in the module records through a dsim.Kernel Record…
-// method, replay's included (its kernel compares each record with the
-// recording instead of appending it). The one that does not is bench/'s
-// tracing decorator, which forwards every call to a context that records
-// it; such a method is annotated //fixd:nondeterm <reason>.
+// DurableGet, or DurableKeys on types implementing dsim.Context, and on
+// types embedded into one (directly or through another embedded type),
+// whose methods the implementation takes as its own — dsim.Kernel serves
+// the durable calls of every context that way. It verifies a scroll append
+// (a call to scroll.Scroll.Append, or a helper whose name starts with
+// "record") dominates every return. Timer arming (SetTimer) is
+// deliberately not in the list: virtual-time timers are deterministic
+// inputs, and neither backend records the arm itself. Every implementation
+// in the module records through a dsim.Kernel Record… method, replay's
+// included (its kernel compares each record with the recording instead of
+// appending it). The one that does not is bench/'s tracing decorator, which
+// forwards every call to a context that records it; such a method is
+// annotated //fixd:nondeterm <reason>.
 var Scrollrecord = &Analyzer{
 	Name: "scrollrecord",
 	Doc:  "Context send/durable/clock/random methods must write a scroll record on every return path",
@@ -47,6 +50,7 @@ func runScrollrecord(pass *Pass) error {
 	if ctxIface == nil {
 		return nil // package neither defines nor imports dsim.Context
 	}
+	checked := recordingTypes(pass.Pkg, ctxIface)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -64,10 +68,7 @@ func runScrollrecord(pass *Pass) error {
 				recvType = p.Elem()
 			}
 			named := namedOf(recvType)
-			if named == nil {
-				continue
-			}
-			if !types.Implements(types.NewPointer(named), ctxIface) {
+			if named == nil || !checked[named.Obj()] {
 				continue
 			}
 			w := &recordWalker{pass: pass, fn: fn}
@@ -79,6 +80,40 @@ func runScrollrecord(pass *Pass) error {
 		}
 	}
 	return nil
+}
+
+// recordingTypes returns the package's types whose recorded operations are
+// checked: every dsim.Context implementation, and every type embedded into
+// one, at any depth.
+func recordingTypes(pkg *types.Package, ctxIface *types.Interface) map[*types.TypeName]bool {
+	out := map[*types.TypeName]bool{}
+	var add func(t types.Type)
+	add = func(t types.Type) {
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		named := namedOf(t)
+		if named == nil || out[named.Obj()] {
+			return
+		}
+		out[named.Obj()] = true
+		if st, ok := named.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Embedded() {
+					add(f.Type())
+				}
+			}
+		}
+	}
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+			if named := namedOf(tn.Type()); named != nil && types.Implements(types.NewPointer(named), ctxIface) {
+				add(named)
+			}
+		}
+	}
+	return out
 }
 
 // contextInterface finds dsim.Context from the analyzed package or its

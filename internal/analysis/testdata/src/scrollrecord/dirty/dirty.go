@@ -1,6 +1,7 @@
 // Package dirty holds a dsim.Context implementation that skips scroll
 // appends on some return paths — the recording bugs scrollrecord exists
-// to catch, each of which would surface later as a replay divergence.
+// to catch, each of which would surface later as a replay divergence. One
+// of them is on a type the implementation only embeds.
 package dirty
 
 import (
@@ -12,6 +13,7 @@ import (
 )
 
 type leakyCtx struct {
+	*disk
 	id  string
 	sc  *scroll.Scroll
 	now uint64
@@ -55,11 +57,6 @@ func (c *leakyCtx) DurablePut(key string, value []byte) {
 	c.record(scroll.KindEnv, value)
 }
 
-func (c *leakyCtx) DurableGet(key string) ([]byte, bool) {
-	c.record(scroll.KindEnv, nil)
-	return nil, false
-}
-
 func (c *leakyCtx) DurableKeys() []string {
 	c.record(scroll.KindEnv, nil)
 	return nil
@@ -72,3 +69,14 @@ func (c *leakyCtx) Speculate(string) (string, error) { return "", nil }
 func (c *leakyCtx) Commit(string) error              { return nil }
 func (c *leakyCtx) AbortSpec(string, string) error   { return nil }
 func (c *leakyCtx) Halt()                            {}
+
+// disk is not a Context itself: leakyCtx takes DurableGet from it.
+type disk struct {
+	cells map[string][]byte
+}
+
+// DurableGet skips the scroll append: replay cannot feed this read back.
+func (d *disk) DurableGet(key string) ([]byte, bool) {
+	v, ok := d.cells[key]
+	return v, ok
+}

@@ -50,13 +50,13 @@ func TestTokenRingBuggyDuplicatesToken(t *testing.T) {
 		s.AddProcess(id, m)
 	}
 	faultSeen := false
-	s.FaultHandler = func(_ *dsim.Sim, f dsim.FaultRecord) bool {
+	s.SetFaultHandler(func(f dsim.FaultRecord) bool {
 		if strings.Contains(f.Desc, "token") {
 			faultSeen = true
 			return true
 		}
 		return false
-	}
+	})
 	s.Run()
 	regens := 0
 	for i := 0; i < 4; i++ {
@@ -114,12 +114,12 @@ func TestTwoPCBuggyTimeoutCommitViolatesAtomicity(t *testing.T) {
 		s.AddProcess(id, m)
 	}
 	localDetect := false
-	s.FaultHandler = func(_ *dsim.Sim, f dsim.FaultRecord) bool {
+	s.SetFaultHandler(func(f dsim.FaultRecord) bool {
 		if strings.Contains(f.Desc, "2pc") {
 			localDetect = true
 		}
 		return false
-	}
+	})
 	s.Run()
 	coord := ms[CoordName].(*Coordinator)
 	if coord.st.Decision != "commit" {
@@ -215,12 +215,12 @@ func TestBankBuggyOverdraft(t *testing.T) {
 		s.AddProcess(id, m)
 	}
 	detected := false
-	s.FaultHandler = func(_ *dsim.Sim, f dsim.FaultRecord) bool {
+	s.SetFaultHandler(func(f dsim.FaultRecord) bool {
 		if strings.Contains(f.Desc, "overdrawn") {
 			detected = true
 		}
 		return false
-	}
+	})
 	s.Run()
 	if !detected {
 		t.Error("overdraft never locally detected")

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -188,6 +189,21 @@ func (s *Store) List(proc string) []*Checkpoint {
 	out := make([]*Checkpoint, len(s.byProc[proc]))
 	copy(out, s.byProc[proc])
 	return out
+}
+
+// Lists returns the checkpoints of each of procs oldest-first, leaving out
+// processes that have none: the input recovery.MaxConsistentSet chooses a
+// recovery line from. The slices are copies.
+func (s *Store) Lists(procs []string) map[string][]*Checkpoint {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	lists := make(map[string][]*Checkpoint, len(procs))
+	for _, proc := range procs {
+		if list := s.byProc[proc]; len(list) > 0 {
+			lists[proc] = slices.Clone(list)
+		}
+	}
+	return lists
 }
 
 // Procs returns the sorted list of processes with at least one checkpoint.

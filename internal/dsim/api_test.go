@@ -47,7 +47,7 @@ func TestStopMidRun(t *testing.T) {
 	c := &stopper{}
 	s.AddProcess("s", c)
 	s.AddProcess("drv", &driver{target: "s", n: 100})
-	s.FaultHandler = func(*Sim, FaultRecord) bool { return true }
+	s.SetFaultHandler(func(FaultRecord) bool { return true })
 	s.Run()
 	if c.st.Count != 3 {
 		t.Errorf("count = %d, want 3 (stopped)", c.st.Count)
@@ -80,10 +80,10 @@ func TestStopMethod(t *testing.T) {
 	c := &counterMachine{}
 	s.AddProcess("c", c)
 	s.AddProcess("drv", &driver{target: "c", n: 50})
-	s.FaultHandler = func(sim *Sim, f FaultRecord) bool {
-		sim.Stop()
+	s.SetFaultHandler(func(FaultRecord) bool {
+		s.Stop()
 		return false
-	}
+	})
 	c.faultAt = 5
 	s.Run()
 	if c.st.Count != 5 {

@@ -236,14 +236,6 @@ type proc struct {
 	ctx       *simContext
 	delivered uint64 // events delivered (for periodic checkpoints)
 	ckptSkew  uint64 // stagger offset for periodic checkpoints
-
-	// durable is the process's stable storage (Context.Durable…): written
-	// through the context, never rewound by restoreProc — modeling a disk
-	// that survives crash-restart. Deliberate rollbacks (Time Machine, heal,
-	// speculation aborts) fence the cells written on the abandoned timeline
-	// instead (Cells.Fence). Sim.Reset clears the map so pooled arenas start
-	// every run empty, like a fresh simulation.
-	durable checkpoint.Cells
 }
 
 // timerOf is what the event queue marks the process's live timers with:
@@ -290,10 +282,9 @@ type Sim struct {
 	msgIDs []string
 	idText slab.Text // where the table's strings and the others are carved
 
-	// FaultHandler, if set, is invoked on every Context.Fault report. The
-	// FixD coordinator (internal/core) uses it to trigger the Fig. 4
-	// response protocol. Returning true stops the simulation.
-	FaultHandler func(*Sim, FaultRecord) bool
+	// faultHandler, if set, is invoked on every Context.Fault report
+	// (SetFaultHandler). Returning true stops the simulation.
+	faultHandler func(FaultRecord) bool
 }
 
 // maxInternedMsgIDs bounds the message-ID intern table.
@@ -381,7 +372,7 @@ func (s *Sim) Reset(cfg Config) {
 		// Stable storage survives everything within a run; between runs it
 		// must vanish, or pooled and fresh simulations would diverge (see
 		// TestDurableResetEquivalence).
-		clear(p.durable)
+		clear(p.cells)
 		s.spare[id] = p
 		delete(s.procs, id)
 	}
@@ -396,7 +387,7 @@ func (s *Sim) Reset(cfg Config) {
 	s.stop = false
 	clear(s.lastFIFO)
 	s.monEvery, s.monFn = 0, nil
-	s.FaultHandler = nil
+	s.faultHandler = nil
 	s.mem.rewind()
 	s.timers.Rewind()
 }
@@ -477,15 +468,11 @@ func (s *Sim) SetStepMonitor(every uint64, fn func() bool) {
 	s.monEvery, s.monFn = every, fn
 }
 
-// SetFaultHandler installs h as the simulation's FaultHandler in the
-// substrate-neutral shape (no *Sim parameter). Passing nil clears it.
-func (s *Sim) SetFaultHandler(h func(FaultRecord) bool) {
-	if h == nil {
-		s.FaultHandler = nil
-		return
-	}
-	s.FaultHandler = func(_ *Sim, f FaultRecord) bool { return h(f) }
-}
+// SetFaultHandler installs h, which is invoked on every Context.Fault
+// report; returning true stops the simulation. The FixD coordinator
+// (internal/core) uses it to trigger the Fig. 4 response protocol. Passing
+// nil clears it.
+func (s *Sim) SetFaultHandler(h func(FaultRecord) bool) { s.faultHandler = h }
 
 // Store exposes the simulation's checkpoint store.
 func (s *Sim) Store() *checkpoint.Store { return s.store }
@@ -749,13 +736,7 @@ func (s *Sim) rollbackLatest(id string) {
 	if !ok || p.crashed || s.store.Latest(id) == nil {
 		return
 	}
-	lists := make(map[string][]*checkpoint.Checkpoint, len(s.order))
-	for _, pid := range s.order {
-		if cks := s.store.List(pid); len(cks) > 0 {
-			lists[pid] = cks
-		}
-	}
-	set := recovery.MaxConsistentSet(lists)
+	set := recovery.MaxConsistentSet(s.store.Lists(s.order))
 	if set == nil {
 		return
 	}
@@ -797,7 +778,7 @@ func (s *Sim) bumpEpoch() { s.epoch++ }
 // crash-restart recovers the restored timeline, not the abandoned one.
 // Crash-restart recovery itself never calls this.
 func (s *Sim) fenceAbandoned(p *proc, ck *checkpoint.Checkpoint) {
-	p.durable.Fence(ck.ScrollSeq)
+	p.FenceCells(ck.ScrollSeq)
 	s.store.PruneAfter(p.id, ck.ScrollSeq)
 }
 
@@ -835,9 +816,9 @@ func (s *Sim) takeCheckpoint(p *proc, specID, label string) *checkpoint.Checkpoi
 // restoreProc rewinds a process to a checkpoint: heap, machine state,
 // vector clock and scroll position (Kernel.Restore). Events the process
 // created after the checkpoint are purged from the queue. Stable storage
-// (proc.durable) is deliberately untouched here: disk writes cannot be
-// unwritten by a restore. Deliberate-rollback callers additionally fence
-// the cells written after the checkpoint (fenceAbandoned, or Cells.Fence
+// (the kernel's cells) is deliberately untouched here: disk writes cannot
+// be unwritten by a restore. Deliberate-rollback callers additionally fence
+// the cells written after the checkpoint (fenceAbandoned, or FenceCells
 // alone for a speculation abort); the crash-restart caller must not — the
 // disk is its authoritative recovery source.
 func (s *Sim) restoreProc(p *proc, ck *checkpoint.Checkpoint) {
@@ -992,31 +973,30 @@ func (c specCtl) Rollback(procID, ckptID string, aborted *speculation.Speculatio
 	// are left to the speculation manager, which owns their lifecycle.
 	c.s.bumpEpoch()
 	c.s.restoreProc(p, ck)
-	p.durable.Fence(ck.ScrollSeq)
+	p.FenceCells(ck.ScrollSeq)
 	p.machine.OnRollback(p.ctx, RollbackInfo{
 		SpecID: aborted.ID, Assumption: aborted.Assumption, Reason: aborted.Reason,
 	})
 	return nil
 }
 
-// simContext is the live Context implementation backed by the simulator. All
-// nondeterministic results are recorded in the process's scroll.
+// simContext is the Context implementation backed by the simulator: the
+// process's kernel (through *proc) serves the calls whose outcome is the
+// process's own and records every nondeterministic result in its scroll;
+// the methods below reach the simulation.
 type simContext struct {
-	sim  *Sim
-	proc *proc
+	sim *Sim
+	*proc
 }
-
-// Self returns the process ID.
-func (c *simContext) Self() string { return c.proc.id }
 
 // Now returns the virtual time — offset by any injected clock skew — and
 // records the read.
 func (c *simContext) Now() uint64 {
-	return c.proc.RecordTime(c.sim.rules.Skewed(c.proc.id, c.sim.now))
+	return c.RecordTime(c.sim.rules.Skewed(c.id, c.sim.now))
 }
 
 // Random returns a deterministic pseudo-random uint64 and records it.
-func (c *simContext) Random() uint64 { return c.proc.RecordRandom(c.sim.rng.Uint64()) }
+func (c *simContext) Random() uint64 { return c.RecordRandom(c.sim.rng.Uint64()) }
 
 // Send transmits payload to the named process with simulated latency,
 // recording the send in the scroll and tagging the message with the
@@ -1060,24 +1040,18 @@ func (c *simContext) Send(to string, payload []byte) {
 // lags its own timer fires too: the slowdown is per-handler, not per-link.
 func (c *simContext) SetTimer(name string, delay uint64) {
 	c.sim.push(event{
-		time: c.sim.now + delay + c.sim.rules.Slow(c.proc.id, c.sim.now), kind: evTimer,
-		proc: c.proc.id, timerName: name, creatorSeq: uint64(c.proc.scroll.Len()),
-	}, c.proc.timerOf())
+		time: c.sim.now + delay + c.sim.rules.Slow(c.id, c.sim.now), kind: evTimer,
+		proc: c.id, timerName: name, creatorSeq: uint64(c.scroll.Len()),
+	}, c.timerOf())
 }
 
-// Heap returns the process's checkpointable bulk store.
-func (c *simContext) Heap() *checkpoint.Heap { return c.proc.heap }
-
-// Log appends an informational custom record to the scroll.
-func (c *simContext) Log(format string, args ...any) { c.proc.RecordLog(format, args...) }
-
 // Fault reports a locally detected fault (invariant violation). It is
-// recorded in the scroll and forwarded to the simulation's FaultHandler.
+// recorded in the scroll and passed to the simulation's fault handler.
 func (c *simContext) Fault(desc string) {
 	s := c.sim
-	rec := c.proc.RecordFault(desc, s.now)
+	rec := c.RecordFault(desc, s.now)
 	s.faults = append(s.faults, rec)
-	if s.FaultHandler != nil && s.FaultHandler(s, rec) {
+	if s.faultHandler != nil && s.faultHandler(rec) {
 		s.stop = true
 	}
 }
@@ -1090,7 +1064,7 @@ func (c *simContext) Checkpoint(label string) string {
 // Speculate begins a speculation based on the given assumption; the
 // process is checkpointed and subsequent sends are tagged (paper §4.2).
 func (c *simContext) Speculate(assumption string) (string, error) {
-	return c.sim.specs.Begin(c.proc.id, assumption)
+	return c.sim.specs.Begin(c.id, assumption)
 }
 
 // Commit validates a speculation's assumption.
@@ -1101,6 +1075,3 @@ func (c *simContext) Commit(specID string) error { return c.sim.specs.Commit(spe
 func (c *simContext) AbortSpec(specID, reason string) error {
 	return c.sim.specs.Abort(specID, reason)
 }
-
-// Halt stops the process permanently (normal termination).
-func (c *simContext) Halt() { c.proc.Halt() }

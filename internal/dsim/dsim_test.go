@@ -245,10 +245,10 @@ func TestFaultHandlerStopsSim(t *testing.T) {
 	s.AddProcess("ctr", c)
 	s.AddProcess("drv", &driver{target: "ctr", n: 10})
 	var seen []FaultRecord
-	s.FaultHandler = func(_ *Sim, f FaultRecord) bool {
+	s.SetFaultHandler(func(f FaultRecord) bool {
 		seen = append(seen, f)
 		return true
-	}
+	})
 	s.Run()
 	if len(seen) != 1 || seen[0].Proc != "ctr" {
 		t.Fatalf("faults = %+v", seen)
@@ -561,7 +561,7 @@ func TestResumeAfterStop(t *testing.T) {
 	c := &counterMachine{faultAt: 3}
 	s.AddProcess("ctr", c)
 	s.AddProcess("drv", &driver{target: "ctr", n: 10})
-	s.FaultHandler = func(*Sim, FaultRecord) bool { return true } // stop at fault
+	s.SetFaultHandler(func(FaultRecord) bool { return true }) // stop at fault
 	s.Run()
 	if c.st.Count != 3 {
 		t.Fatalf("count = %d", c.st.Count)

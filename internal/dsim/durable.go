@@ -3,27 +3,39 @@ package dsim
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/checkpoint"
 )
 
 // Stable storage (Context.DurablePut/DurableGet/DurableKeys) models the
 // one resource a crash cannot take away from a process: its disk. Each
-// process owns a flat cell store that is written through the context and
-// deliberately NOT rewound by crash-restart — which is what makes
-// classically unrecoverable processes (a 2PC coordinator whose broadcast
-// decision would otherwise be forgotten, a KV primary whose version
-// assignments replicas already applied) genuinely crash-restartable (paper
-// §3.1: liblog/Flashback-style durable logging). Deliberate rollbacks are
-// fenced by the timeline epoch instead: a Time-Machine/heal restore or
-// speculation abort abandons the timeline it rewinds, so cells written
-// after the restored checkpoint are fenced (deleted) — a crash-restart that
-// fires later recovers the restored timeline's cells, never the abandoned
-// one's (checkpoint.Cells, which both backends keep). Between runs the
-// store vanishes: Sim.Reset clears it along with the rest of the arena, so
-// a pooled simulation starts every run exactly like a fresh one.
+// process's kernel owns a flat cell store (Kernel.cells) that is written
+// through the context and deliberately NOT rewound by a restore — which is
+// what makes classically unrecoverable processes (a 2PC coordinator whose
+// broadcast decision would otherwise be forgotten, a KV primary whose
+// version assignments replicas already applied) genuinely
+// crash-restartable (paper §3.1: liblog/Flashback-style durable logging).
+// Deliberate rollbacks are fenced by the timeline epoch instead: a
+// Time-Machine/heal restore or speculation abort abandons the timeline it
+// rewinds, so cells written after the restored checkpoint are fenced
+// (deleted, FenceCells) — a crash-restart that fires later recovers the
+// restored timeline's cells, never the abandoned one's. The simulator keeps
+// the cells only in memory, and Sim.Reset clears them along with the rest
+// of the arena, so a pooled simulation starts every run exactly like a
+// fresh one; the live substrate also writes them ahead to a log on disk.
+//
+// A cell is stamped one past the scroll position of the write that made
+// it, on every backend. Stamp 0 is left to cells the live substrate
+// recovers from its log: checkpoints are not persisted, so a recovered
+// cell predates every checkpoint of the incarnation that recovered it, and
+// no fence of that incarnation reaches it and every line sees it.
+// FenceCells and CellsAt take a scroll position and cut one past it, so
+// "as of a checkpoint" means the same to a rollback and to an
+// investigation seeded from one.
 //
 // Every durable operation is recorded in the process's scroll as a
 // KindEnv record under the MsgIDs below, with the same payload encodings
-// on both backends, so per-process replay (Replay) feeds the recorded
+// on every backend, so per-process replay (Replay) feeds the recorded
 // outcomes back without the store being present.
 
 // Scroll MsgIDs for stable-storage records. The live substrate records
@@ -84,28 +96,36 @@ func DecodeDurableKeys(b []byte) ([]string, error) {
 	return keys, nil
 }
 
-// DurablePut implements Context: the write is recorded in the scroll and
-// the cell written to the process's stable store, stamped with the write's
-// scroll position. Cell and record share one copy of value, carved from the
-// run's payload slab: Reset empties the store before it rewinds the slab.
-// Writes survive crash-restart; a deliberate rollback fences writes made
-// after the restored checkpoint (a put on the new timeline revives the key).
-func (c *simContext) DurablePut(key string, value []byte) {
-	body, seq := c.proc.RecordDurablePut(key, value)
-	c.proc.durable.Put(key, body, seq)
+// DurablePut writes key = value to the process's cells and records it
+// (RecordDurablePut). Writes survive crash-restart; a deliberate rollback
+// fences writes made after the restored checkpoint (a put on the new
+// timeline revives the key). On the simulator the value is carved from the
+// run's payload slab: Reset empties the cells before it rewinds the slab.
+func (k *Kernel) DurablePut(key string, value []byte) { k.RecordDurablePut(key, value) }
+
+// DurableGet reads a cell, recording the outcome so replays observe the
+// same value. Cells fenced by a deliberate rollback read as absent.
+func (k *Kernel) DurableGet(key string) ([]byte, bool) {
+	v, ok := k.cells.Get(key)
+	return k.RecordDurableGet(key, v, ok)
 }
 
-// DurableGet implements Context, recording the outcome so replays observe
-// the same value. Cells fenced by a deliberate rollback read as absent.
-func (c *simContext) DurableGet(key string) ([]byte, bool) {
-	v, ok := c.proc.durable.Get(key)
-	return c.proc.RecordDurableGet(key, v, ok)
-}
+// DurableKeys returns the sorted keys of the process's cells, recorded.
+func (k *Kernel) DurableKeys() []string { return k.RecordDurableKeys(k.cells.Keys()) }
 
-// DurableKeys implements Context, recording the (sorted) key list.
-func (c *simContext) DurableKeys() []string {
-	return c.proc.RecordDurableKeys(c.proc.durable.Keys())
-}
+// Cells returns the process's cells, for a backend to recover them from
+// disk, an explorer to seed and copy them, and a snapshot to read them.
+func (k *Kernel) Cells() *checkpoint.Cells { return &k.cells }
+
+// FenceCells deletes the cells a deliberate rollback to a checkpoint at
+// scroll position seq abandons — those written at or after it — and
+// returns their keys, sorted. Crash-restart recovery never fences.
+func (k *Kernel) FenceCells(seq uint64) []string { return k.cells.Fence(seq + 1) }
+
+// CellsAt deep-copies the cells written strictly before scroll position
+// seq, and every recovered cell (nil when there is none): the cells as of
+// a checkpoint at seq.
+func (k *Kernel) CellsAt(seq uint64) map[string][]byte { return k.cells.SnapshotAt(seq + 1) }
 
 // DurableSnapshot returns a deep copy of every process's stable-storage
 // cells, keyed proc -> key -> value. Processes with no cells are omitted; a
@@ -113,7 +133,7 @@ func (c *simContext) DurableKeys() []string {
 // deterministic given the run, which is how chaos artifacts pin
 // recovery-dependent outcomes in addition to the scroll digest.
 func (s *Sim) DurableSnapshot() map[string]map[string][]byte {
-	return s.snapshotCells(func(p *proc) map[string][]byte { return p.durable.Snapshot() })
+	return s.snapshotCells(func(p *proc) map[string][]byte { return p.cells.Snapshot() })
 }
 
 // DurableSnapshotAt returns the cells as of a recovery line: for each
@@ -130,7 +150,7 @@ func (s *Sim) DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string
 		if !ok {
 			return nil
 		}
-		return p.durable.SnapshotAt(seq)
+		return p.CellsAt(seq)
 	})
 }
 

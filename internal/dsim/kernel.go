@@ -3,6 +3,7 @@ package dsim
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/checkpoint"
@@ -22,14 +23,19 @@ const EpochFenceMsgID = "fence:epoch"
 // logMsgID marks a Context.Log note (KindCustom).
 const logMsgID = "log"
 
-// Kernel is one process as both backends hold it: its machine, heap,
-// scroll, Lamport and vector clocks, and the memory its records and
-// checkpoints are carved from. It writes the record of every Context call —
-// its layout, its stamping, the durable record codecs — and does the
-// process-local half of a checkpoint and of a restore, the same way on the
-// simulator and on the live substrate. A backend keeps only what differs:
-// how events reach the process, timers, locking, epochs, and where stable
-// storage lives. A Kernel is not safe for concurrent use.
+// Kernel is one process as every Context holds it: its machine, heap,
+// scroll, stable-storage cells, Lamport and vector clocks, and the memory
+// its records and checkpoints are carved from. It writes the record of
+// every Context call — its layout, its stamping, the durable record
+// codecs — serves the calls whose outcome is the process's own (Self, Heap,
+// Log, Halt, the Durable… calls, and the speculation calls only the
+// simulator overrides), and does the process-local half of a checkpoint and
+// of a restore, the same way on the simulator, the live substrate, the
+// Investigator and replay. A context embeds its kernel and declares only
+// the calls that reach its world: Now, Random, Send, SetTimer, Fault and
+// Checkpoint. A backend keeps event delivery, timers, locking, epochs, and
+// whether the cells are also written ahead to disk. A Kernel is not safe
+// for concurrent use.
 type Kernel struct {
 	id      string
 	machine Machine
@@ -41,6 +47,7 @@ type Kernel struct {
 	snap    vclock.VC // cached clock snapshot, shared by records between ticks
 	lamport vclock.Lamport
 	mem     *memory
+	cells   checkpoint.Cells // stable storage (durable.go): no restore rewinds it
 }
 
 // NewKernel returns the kernel of process id running m. Its memory is its
@@ -122,8 +129,8 @@ func (m *memory) u64(v uint64) []byte {
 	return m.pay.Keep(binary.LittleEndian.AppendUint64(m.pay.Tail(8), v))
 }
 
-// ID returns the process ID.
-func (k *Kernel) ID() string { return k.id }
+// Self returns the process ID.
+func (k *Kernel) Self() string { return k.id }
 
 // Machine returns the process's implementation.
 func (k *Kernel) Machine() Machine { return k.machine }
@@ -140,6 +147,21 @@ func (k *Kernel) Halted() bool { return k.halted }
 
 // Halt stops the process permanently (normal termination).
 func (k *Kernel) Halt() { k.halted = true }
+
+// errNoSpeculation is what the speculation calls return on every context
+// but the simulator's: aborting a speculation recalls its messages from the
+// network, which only a simulated network can do, and no recording says how
+// one resolved.
+var errNoSpeculation = errors.New("dsim: speculation requires the simulated substrate")
+
+// Speculate fails: only the simulator's context speculates.
+func (k *Kernel) Speculate(string) (string, error) { return "", errNoSpeculation }
+
+// Commit fails: no speculation exists to commit.
+func (k *Kernel) Commit(string) error { return errNoSpeculation }
+
+// AbortSpec fails: no speculation exists to abort.
+func (k *Kernel) AbortSpec(string, string) error { return errNoSpeculation }
 
 // ClockSnap returns a snapshot of the process's vector clock that is shared
 // by every record created until the clock next advances. Scroll records,
@@ -242,13 +264,16 @@ func (k *Kernel) RecordTimer(name string) {
 		Payload: tr.payload, Lamport: lam, Clock: k.ClockSnap()})
 }
 
-// RecordDurablePut records a stable-storage write of key = value. It returns
-// the copy of value the record holds, for the cell to share, and the scroll
-// position the cell is stamped with.
+// RecordDurablePut records a stable-storage write of key = value and
+// writes the cell (durable.go has the stamp). Record and cell share one copy
+// of value, which it returns together with the write's scroll position, for
+// a backend that also logs the write.
 func (k *Kernel) RecordDurablePut(key string, value []byte) (body []byte, seq uint64) {
 	body = k.mem.pay.Copy(value)
-	return body, k.record(&scroll.Record{Kind: scroll.KindEnv, MsgID: DurablePutMsgID, Peer: key,
+	seq = k.record(&scroll.Record{Kind: scroll.KindEnv, MsgID: DurablePutMsgID, Peer: key,
 		Payload: body, Lamport: k.lamport.Now(), Clock: k.ClockSnap()})
+	k.cells.Put(key, body, seq+1)
+	return body, seq
 }
 
 // RecordDurableGet records a stable-storage read of key that found v (ok),
@@ -270,8 +295,8 @@ func (k *Kernel) RecordDurableKeys(keys []string) []string {
 	return keys
 }
 
-// RecordLog records an informational note.
-func (k *Kernel) RecordLog(format string, args ...any) {
+// Log records an informational note.
+func (k *Kernel) Log(format string, args ...any) {
 	k.record(&scroll.Record{Kind: scroll.KindCustom, MsgID: logMsgID,
 		Payload: []byte(fmt.Sprintf(format, args...)), Lamport: k.lamport.Now(), Clock: k.ClockSnap()})
 }

@@ -3,7 +3,6 @@ package dsim
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -102,12 +101,6 @@ func (c *replayCtx) durableRead(msgID, key string) ([]byte, bool) {
 	return nil, false
 }
 
-// errReplaySpeculation is what the speculation calls return under replay:
-// no backend records them, so the recording cannot say how one resolved.
-var errReplaySpeculation = errors.New("dsim: a replay cannot speculate")
-
-func (c *replayCtx) Self() string { return c.id }
-
 func (c *replayCtx) Now() uint64 { return c.RecordTime(c.outcome(scroll.KindTime)) }
 
 func (c *replayCtx) Random() uint64 { return c.RecordRandom(c.outcome(scroll.KindRandom)) }
@@ -115,8 +108,6 @@ func (c *replayCtx) Random() uint64 { return c.RecordRandom(c.outcome(scroll.Kin
 func (c *replayCtx) Send(to string, payload []byte) { c.RecordSend("", to, payload) }
 
 func (c *replayCtx) SetTimer(string, uint64) {} // timer fires come from the recording
-
-func (c *replayCtx) DurablePut(key string, value []byte) { c.RecordDurablePut(key, value) }
 
 // DurableGet feeds the recorded read back. A damaged outcome decodes to a
 // miss, which re-encodes differently: the comparison flags it.
@@ -139,8 +130,6 @@ func (c *replayCtx) DurableKeys() []string {
 	return c.RecordDurableKeys(keys)
 }
 
-func (c *replayCtx) Log(format string, args ...any) { c.RecordLog(format, args...) }
-
 func (c *replayCtx) Fault(desc string) {
 	c.RecordFault(desc, 0)
 	c.faults = append(c.faults, desc)
@@ -156,10 +145,6 @@ func (c *replayCtx) Checkpoint(label string) string {
 	}
 	return c.Kernel.Checkpoint(c.store, 0, "", label, nil).ID
 }
-
-func (c *replayCtx) Speculate(string) (string, error) { return "", errReplaySpeculation }
-func (c *replayCtx) Commit(string) error              { return errReplaySpeculation }
-func (c *replayCtx) AbortSpec(string, string) error   { return errReplaySpeculation }
 
 // replayRewindEvery is how many events a replay handles between rewinds of
 // its kernel's memory. Nothing keeps what the kernel carves — its records

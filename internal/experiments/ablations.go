@@ -47,7 +47,7 @@ func ablationAlternatePath() (withAlt, withoutAlt int) {
 		for id, m := range apps.NewTokenRing(cfg) {
 			s.AddProcess(id, m)
 		}
-		s.FaultHandler = func(*dsim.Sim, dsim.FaultRecord) bool { return true }
+		s.SetFaultHandler(func(dsim.FaultRecord) bool { return true })
 		s.Run()
 		if len(s.Faults()) == 0 {
 			return 0
@@ -85,7 +85,7 @@ func ablationAlternatePath() (withAlt, withoutAlt int) {
 		// Residual duplicate tokens from before the line may still collide;
 		// the metric here is buggy *regenerations*, so keep running through
 		// any such faults.
-		s.FaultHandler = nil
+		s.SetFaultHandler(nil)
 		s.Resume()
 		return totalRegens(s) - atLine
 	}

@@ -21,10 +21,10 @@ func TestHeartbeatDetectsCrash(t *testing.T) {
 	s.AddProcess("worker", &Beater{})
 	s.Inject(Injection{Kind: Crash, Proc: "worker", At: 30})
 	var faults []dsim.FaultRecord
-	s.FaultHandler = func(_ *dsim.Sim, f dsim.FaultRecord) bool {
+	s.SetFaultHandler(func(f dsim.FaultRecord) bool {
 		faults = append(faults, f)
 		return true
-	}
+	})
 	s.Run()
 	if len(faults) != 1 {
 		t.Fatalf("faults = %v, want 1", faults)
@@ -39,10 +39,10 @@ func TestHeartbeatNoFalsePositive(t *testing.T) {
 	s.AddProcess("mon", &Watcher{peer: "worker", timeout: 25})
 	s.AddProcess("worker", &Beater{})
 	fired := false
-	s.FaultHandler = func(*dsim.Sim, dsim.FaultRecord) bool {
+	s.SetFaultHandler(func(dsim.FaultRecord) bool {
 		fired = true
 		return true
-	}
+	})
 	s.Run()
 	if fired {
 		t.Error("healthy worker was declared dead")
@@ -56,10 +56,10 @@ func TestHeartbeatDetectsPartition(t *testing.T) {
 	plan := &Plan{Injections: []Injection{{Kind: Partition, Group: []string{"worker"}, At: 20, Until: 100}}}
 	plan.Apply(s)
 	detected := false
-	s.FaultHandler = func(*dsim.Sim, dsim.FaultRecord) bool {
+	s.SetFaultHandler(func(dsim.FaultRecord) bool {
 		detected = true
 		return true
-	}
+	})
 	s.Run()
 	if !detected {
 		t.Error("partition not detected by heartbeat monitor")

@@ -299,12 +299,7 @@ func VerifiedLine(s Target, invariants []fault.GlobalInvariant) map[string]strin
 	// not rolled back; RollbackTo re-delivers their in-transit sends).
 	// Invariant functions receive only the line members' states and must
 	// tolerate absent processes.
-	lists := make(map[string][]*checkpoint.Checkpoint)
-	for _, id := range s.Procs() {
-		if cks := s.Store().List(id); len(cks) > 0 {
-			lists[id] = cks
-		}
-	}
+	lists := s.Store().Lists(s.Procs())
 	if len(lists) == 0 {
 		return nil
 	}

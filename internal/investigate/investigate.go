@@ -21,7 +21,6 @@ package investigate
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"maps"
@@ -192,15 +191,17 @@ type investigation struct {
 	store  *checkpoint.Store // where the handlers' Context.Checkpoint files
 }
 
-// kernel loads process id's state into a fresh machine on a fresh kernel.
-// Nothing of one step's kernel reaches another: sibling branches must not
-// share a machine, a halt or a clock.
+// kernel loads process id's state into a fresh machine on a fresh kernel,
+// which shares the state's cells until a step writes them (stepCtx.
+// DurablePut). Nothing else of one step's kernel reaches another: sibling
+// branches must not share a machine, a halt or a clock.
 func (inv *investigation) kernel(id string, p *procState) (dsim.Kernel, error) {
 	heap := checkpoint.NewHeap(heapSize)
 	if p.heap != nil {
 		heap = checkpoint.NewHeapFrom(p.heap)
 	}
 	k := dsim.NewKernel(id, nil, heap, scroll.NewMemory(id))
+	*k.Cells() = p.cells
 	if err := k.Replace(inv.models[id].New(), p.stateJSON); err != nil {
 		return k, fmt.Errorf("investigate: %w", err)
 	}
@@ -223,14 +224,15 @@ func (inv *investigation) step(g *global, id string, wait uint64, handle func(ds
 	handle(c.Machine(), c)
 	p.stateJSON = c.MachineState()
 	p.heap = c.Heap().Snapshot()
+	p.cells = *c.Cells()
 	p.halted = p.halted || c.Halted()
 	p.clock = c.now + 1
 }
 
 // stepCtx is the Context of one Investigator step. The kernel records every
-// call as on either backend; what the explorer owns — the modeled network
-// and timers, stable storage, time and randomness — lands in the successor
-// state g.
+// call as on either backend and holds the process's cells; what the
+// explorer owns — the modeled network and timers, time and randomness —
+// lands in the successor state g.
 type stepCtx struct {
 	dsim.Kernel
 	g      *global
@@ -238,14 +240,8 @@ type stepCtx struct {
 	store  *checkpoint.Store
 	now    uint64    // the step's time: distinct for each step of the process
 	rng    *rand.PCG // the step's draws, seeded on the first
-	copied bool      // p.cells is this state's own
+	copied bool      // the kernel's cells are this step's own
 }
-
-// errNoSpeculation is what the speculation calls return: nothing in an
-// exploration would ever resolve one.
-var errNoSpeculation = errors.New("investigate: speculation requires the simulated substrate")
-
-func (c *stepCtx) Self() string { return c.ID() }
 
 // Now returns the step's time: the cut's virtual time plus one per handler
 // the process has run since, plus the delay of every timer that has fired at
@@ -260,7 +256,7 @@ func (c *stepCtx) Now() uint64 { return c.RecordTime(c.now) }
 // revisited state draws the same.
 func (c *stepCtx) Random() uint64 {
 	if c.rng == nil {
-		c.rng = rand.NewPCG(uint64(crc32.ChecksumIEEE([]byte(c.ID()))), c.now)
+		c.rng = rand.NewPCG(uint64(crc32.ChecksumIEEE([]byte(c.Self()))), c.now)
 	}
 	return c.RecordRandom(c.rng.Uint64())
 }
@@ -269,32 +265,23 @@ func (c *stepCtx) Random() uint64 {
 // identity, so the record names none.
 func (c *stepCtx) Send(to string, payload []byte) {
 	body, _, _ := c.RecordSend("", to, payload)
-	c.g.net = append(c.g.net, Msg{From: c.ID(), To: to, Payload: body})
+	c.g.net = append(c.g.net, Msg{From: c.Self(), To: to, Payload: body})
 }
 
 // SetTimer arms name; it may fire at any point of the exploration.
 func (c *stepCtx) SetTimer(name string, delay uint64) {
-	c.g.timers = append(c.g.timers, armed{Timer{Proc: c.ID(), Name: name}, delay})
+	c.g.timers = append(c.g.timers, armed{Timer{Proc: c.Self(), Name: name}, delay})
 }
 
 // DurablePut writes the process's cells, copying them on the step's first
 // write: the parent state shares them.
 func (c *stepCtx) DurablePut(key string, value []byte) {
-	body, seq := c.RecordDurablePut(key, value)
 	if !c.copied {
-		c.p.cells, c.copied = maps.Clone(c.p.cells), true
+		cells := c.Cells()
+		*cells, c.copied = maps.Clone(*cells), true
 	}
-	c.p.cells.Put(key, body, seq)
+	c.RecordDurablePut(key, value)
 }
-
-func (c *stepCtx) DurableGet(key string) ([]byte, bool) {
-	v, ok := c.p.cells.Get(key)
-	return c.RecordDurableGet(key, v, ok)
-}
-
-func (c *stepCtx) DurableKeys() []string { return c.RecordDurableKeys(c.p.cells.Keys()) }
-
-func (c *stepCtx) Log(format string, args ...any) { c.RecordLog(format, args...) }
 
 func (c *stepCtx) Fault(desc string) {
 	c.RecordFault(desc, c.now)
@@ -305,10 +292,6 @@ func (c *stepCtx) Fault(desc string) {
 func (c *stepCtx) Checkpoint(label string) string {
 	return c.Kernel.Checkpoint(c.store, c.now, "", label, nil).ID
 }
-
-func (c *stepCtx) Speculate(string) (string, error) { return "", errNoSpeculation }
-func (c *stepCtx) Commit(string) error              { return errNoSpeculation }
-func (c *stepCtx) AbortSpec(string, string) error   { return errNoSpeculation }
 
 // Trail is one readable violation trail.
 type Trail struct {

@@ -47,6 +47,24 @@ func TestPutReadByLaterStep(t *testing.T) {
 	}
 }
 
+// TestStepLeavesParentCells: a step's put lands in its successor state
+// only; the state it was cloned from shares the cells and keeps them.
+func TestStepLeavesParentCells(t *testing.T) {
+	inv, parent, err := start([]ProcModel{{Proc: "d", New: func() dsim.Machine { return &disk{} },
+		State: []byte(`{}`), Durable: map[string][]byte{"k": []byte("old")}}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := parent.Clone().(*global)
+	inv.step(child, "d", 0, func(_ dsim.Machine, ctx dsim.Context) { ctx.DurablePut("k", []byte("new")) })
+	if v, _ := parent.procs["d"].cells.Get("k"); string(v) != "old" {
+		t.Errorf("the parent state's cell reads %q after its successor's put, want old", v)
+	}
+	if v, _ := child.procs["d"].cells.Get("k"); string(v) != "new" {
+		t.Errorf("the successor's cell reads %q, want new", v)
+	}
+}
+
 // dice draws once per timer step and faults if a step repeats the last draw.
 type dice struct {
 	st struct {

@@ -311,30 +311,83 @@ func (w *durWorker) OnRollback(ctx dsim.Context, info dsim.RollbackInfo) {
 	}
 }
 
+// durLine puts a, takes a checkpoint, then puts b: a deliberate rollback
+// to that checkpoint must fence b and keep a.
+type durLine struct{}
+
+func (*durLine) State() any { return &struct{}{} }
+func (*durLine) Init(ctx dsim.Context) {
+	ctx.DurablePut("a", []byte("1"))
+	ctx.Checkpoint("line")
+	ctx.DurablePut("b", []byte("2"))
+}
+func (*durLine) OnMessage(dsim.Context, string, []byte)     {}
+func (*durLine) OnTimer(dsim.Context, string)               {}
+func (*durLine) OnRollback(dsim.Context, dsim.RollbackInfo) {}
+
 // TestConformanceStableStorage: the Context.Durable… seam behaves
-// identically on every backend — the capability row is set, cells survive
-// a crash-restart that visibly rewinds machine state, and the final
-// DurableSnapshot agrees with the machine's recovered state.
+// identically on every backend. Cells survive a crash-restart that visibly
+// rewinds machine state, and the final DurableSnapshot agrees with the
+// machine's recovered state; a deliberate rollback fences the cells written
+// after its checkpoint, in the snapshot, in the snapshot as of the line,
+// and, on the live backend, in the write-ahead log.
 func TestConformanceStableStorage(t *testing.T) {
 	for _, backend := range []string{"sim", "live", "live-tcp"} {
-		t.Run(backend, func(t *testing.T) {
+		newSub := func(t *testing.T, cfg dsim.Config, dir string) substrate.Substrate {
+			t.Helper()
 			var sub substrate.Substrate
 			switch backend {
 			case "sim":
-				sub = substrate.NewSim(dsim.Config{Seed: 7, MinLatency: 1, MaxLatency: 4,
-					InitCheckpoint: true, CheckpointEvery: 4, MaxSteps: 100_000})
+				sub = substrate.NewSim(cfg)
 			default:
-				live, err := substrate.NewLive(substrate.LiveConfig{Seed: 7, UseTCP: backend == "live-tcp",
-					InitCheckpoint: true, CheckpointEvery: 4})
+				live, err := substrate.NewLive(substrate.LiveConfig{Seed: cfg.Seed, UseTCP: backend == "live-tcp",
+					InitCheckpoint: cfg.InitCheckpoint, CheckpointEvery: cfg.CheckpointEvery, DurableDir: dir})
 				if err != nil {
 					t.Skipf("live substrate unavailable: %v", err)
 				}
 				sub = live
 			}
 			t.Cleanup(func() { sub.Close() })
-			if !sub.Capabilities().StableStorage {
-				t.Fatalf("%s backend does not advertise StableStorage", backend)
+			return sub
+		}
+		t.Run(backend+"-rollback", func(t *testing.T) {
+			dir := t.TempDir()
+			sub := newSub(t, dsim.Config{Seed: 7}, dir)
+			sub.AddProcess("p", &durLine{})
+			sub.Run()
+			ck := sub.Store().Latest("p")
+			if ck == nil {
+				t.Fatal("no checkpoint taken")
 			}
+			want := map[string]map[string][]byte{"p": {"a": []byte("1")}}
+			line := map[string]uint64{"p": ck.ScrollSeq}
+			if got := sub.DurableSnapshotAt(line); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cells as of the checkpoint before the rollback: %q, want %q", got, want)
+			}
+			if err := sub.RollbackTo(map[string]string{"p": ck.ID}); err != nil {
+				t.Fatal(err)
+			}
+			if got := sub.DurableSnapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cells after the rollback: %q, want %q", got, want)
+			}
+			if got := sub.DurableSnapshotAt(line); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cells as of the line after the rollback: %q, want %q", got, want)
+			}
+			if backend == "sim" {
+				return
+			}
+			if err := sub.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re := newSub(t, dsim.Config{Seed: 7}, dir)
+			re.AddProcess("p", &durLine{})
+			if got := re.DurableSnapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cells reopened from the log: %q, want %q", got, want)
+			}
+		})
+		t.Run(backend, func(t *testing.T) {
+			sub := newSub(t, dsim.Config{Seed: 7, MinLatency: 1, MaxLatency: 4,
+				InitCheckpoint: true, CheckpointEvery: 4, MaxSteps: 100_000}, "")
 			sub.AddProcess("worker", &durWorker{})
 			sub.AddProcess("producer", &confProducer{n: confJobs, every: 3})
 			sched := chaos.Schedule{{Kind: fault.Crash, Targets: []int{1}, // worker sorts after producer

@@ -10,86 +10,76 @@ import (
 	"repro/internal/wal"
 )
 
-// durableStore is one live process's stable storage — the backend half of
-// the Context.Durable… seam (see internal/dsim/durable.go for the model).
-// The cells are the same checkpoint.Cells the simulator keeps; with a
-// backing directory every put is additionally write-ahead logged onto
-// internal/wal (segmented, checksummed, fsync'd appends), so the cells
-// survive real process crashes: reopening the store replays the log, last
-// record per key wins. A torn final record — the crash landed mid-append —
-// is silently dropped by the WAL's recovery scan, losing at most the newest
-// put; corruption anywhere earlier surfaces wal.ErrCorrupt instead of
-// silently serving bad state.
+// durableStore is the write-ahead log under one live process's stable
+// storage (see internal/dsim/durable.go for the model). The cells are the
+// process's kernel's, as on every backend; with a backing directory every
+// put is also logged onto internal/wal (segmented, checksummed, fsync'd
+// appends), so the cells survive real process crashes: reopening the store
+// replays the log into the kernel's cells, last record per key wins, each
+// cell stamped 0 (it predates every checkpoint of the new incarnation). A
+// torn final record — the crash landed mid-append — is silently dropped by
+// the WAL's recovery scan, losing at most the newest put; corruption
+// anywhere earlier surfaces wal.ErrCorrupt instead of silently serving bad
+// state.
 //
-// A deliberate rollback fences cells written at or after the restored
-// checkpoint's scroll position (Cells.Fence, plus durable tombstones when
-// backed), so a crash-restart that recovers this store cannot re-install an
-// abandoned timeline's decision. In-memory stores still survive
-// in-substrate crash-restart, matching the simulator's model.
-//
-// Checkpoints are not persisted, so a cell recovered from the log predates
-// every checkpoint of the incarnation that recovered it: no rollback of
-// that incarnation may fence it, and every line sees it. The cells are
-// therefore stamped one past the writer's scroll position, which leaves
-// stamp 0 to the recovered ones; put, fence and snapshotAt shift by one.
+// A deliberate rollback fences the cells written at or after the restored
+// checkpoint's scroll position (Kernel.FenceCells), and the store logs a
+// tombstone for each, so a crash-restart that recovers this store cannot
+// re-install an abandoned timeline's decision. Without a directory nothing
+// is logged: the cells still survive in-substrate crash-restart, matching
+// the simulator's model.
 //
 // Synchronization is the caller's: LiveSubstrate accesses a process's
-// store under that process's mutex, like the scroll and heap.
+// store under that process's mutex, like the scroll, heap and cells.
 type durableStore struct {
-	cells checkpoint.Cells
-	log   *wal.Log // nil = in-memory only (still survives in-substrate crash-restart)
+	log *wal.Log // nil = in-memory only
 }
 
-// openDurableStore opens proc's stable storage. An empty dir selects the
-// in-memory store; otherwise the WAL directory dir/proc is recovered —
-// puts (either record format) install cells, tombstones delete them, in log
+// openDurableStore opens proc's write-ahead log. An empty dir selects no
+// log; otherwise the WAL directory dir/proc is recovered into cells — puts
+// (either record format) install cells, tombstones delete them, in log
 // order — and only then opened to append, so a corrupt log is refused
 // untouched.
-func openDurableStore(dir, proc string) (*durableStore, error) {
-	ds := &durableStore{}
+func openDurableStore(dir, proc string, cells *checkpoint.Cells) (durableStore, error) {
 	if dir == "" {
-		return ds, nil
+		return durableStore{}, nil
 	}
 	path := filepath.Join(dir, proc)
 	recs, err := wal.ReadAll(path)
 	if err != nil {
-		return nil, fmt.Errorf("substrate: recover durable store %s: %w", path, err)
+		return durableStore{}, fmt.Errorf("substrate: recover durable store %s: %w", path, err)
 	}
 	for i, rec := range recs {
 		r, err := decodeDurableRecord(rec)
 		if err != nil {
-			return nil, fmt.Errorf("substrate: recover durable store %s record %d: %w", path, i, err)
+			return durableStore{}, fmt.Errorf("substrate: recover durable store %s record %d: %w", path, i, err)
 		}
 		if r.tombstone {
-			delete(ds.cells, r.key)
+			delete(*cells, r.key)
 			continue
 		}
-		ds.cells.Put(r.key, r.value, 0)
+		cells.Put(r.key, r.value, 0)
 	}
-	if ds.log, err = wal.Open(path, wal.Options{Sync: true}); err != nil {
-		return nil, err
+	log, err := wal.Open(path, wal.Options{Sync: true})
+	if err != nil {
+		return durableStore{}, err
 	}
-	return ds, nil
+	return durableStore{log: log}, nil
 }
 
-// put installs key = value stamped with the writer's scroll position and,
-// when backed, appends it to the WAL together with that position and the
-// timeline epoch of the write (part of the record format; recovery reads
-// neither back). The cell keeps value, which the caller must not modify:
-// the live context hands it the copy its scroll record holds.
-func (ds *durableStore) put(key string, value []byte, epoch, writeSeq uint64) error {
-	ds.cells.Put(key, value, writeSeq+1)
-	if ds.log != nil {
-		return ds.log.Append(encodeDurablePut(key, value, epoch, writeSeq))
+// put logs the write of key = value at scroll position writeSeq, together
+// with the timeline epoch of the write (part of the record format;
+// recovery reads neither back).
+func (ds durableStore) put(key string, value []byte, epoch, writeSeq uint64) error {
+	if ds.log == nil {
+		return nil
 	}
-	return nil
+	return ds.log.Append(encodeDurablePut(key, value, epoch, writeSeq))
 }
 
-// fence deletes the cells a deliberate rollback to scrollSeq abandons and,
-// when backed, appends a tombstone per key (in sorted order) so the fence
+// tombstone logs the deletion of each fenced key, in order, so the fence
 // itself survives a crash.
-func (ds *durableStore) fence(scrollSeq uint64) error {
-	fenced := ds.cells.Fence(scrollSeq + 1)
+func (ds durableStore) tombstone(fenced []string) error {
 	if ds.log == nil {
 		return nil
 	}
@@ -101,14 +91,8 @@ func (ds *durableStore) fence(scrollSeq uint64) error {
 	return nil
 }
 
-// snapshotAt deep-copies the cells written strictly before scroll position
-// seq, and every recovered cell.
-func (ds *durableStore) snapshotAt(seq uint64) map[string][]byte {
-	return ds.cells.SnapshotAt(seq + 1)
-}
-
-// close releases the WAL (no-op for the in-memory store).
-func (ds *durableStore) close() error {
+// close releases the WAL (no-op without one).
+func (ds durableStore) close() error {
 	if ds.log == nil {
 		return nil
 	}

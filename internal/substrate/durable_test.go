@@ -13,8 +13,48 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/dsim"
+	"repro/internal/scroll"
 	"repro/internal/wal"
 )
+
+// disk is one live process's stable storage as liveProc holds it: the
+// cells on a kernel, the log in a durableStore. put and fence go through
+// the kernel as liveCtx.DurablePut and fenceAbandonedLocked do.
+type disk struct {
+	k  dsim.Kernel
+	ds durableStore
+}
+
+func openDisk(dir, proc string) (*disk, error) {
+	d := &disk{k: dsim.NewKernel(proc, nil, nil, scroll.NewMemory(proc))}
+	var err error
+	d.ds, err = openDurableStore(dir, proc, d.k.Cells())
+	return d, err
+}
+
+// put writes key = value at scroll position seq: the kernel's scroll is
+// cut or padded to seq first.
+func (d *disk) put(key string, value []byte, epoch, seq uint64) error {
+	sc := d.k.Scroll()
+	sc.Truncate(min(seq, uint64(sc.Len())))
+	for uint64(sc.Len()) < seq {
+		if _, err := sc.Append(scroll.Record{Kind: scroll.KindCustom}); err != nil {
+			return err
+		}
+	}
+	body, at := d.k.RecordDurablePut(key, value)
+	return d.ds.put(key, body, epoch, at)
+}
+
+// fence is a deliberate rollback's fence to scroll position seq.
+func (d *disk) fence(seq uint64) error { return d.ds.tombstone(d.k.FenceCells(seq)) }
+
+func (d *disk) snapshotAt(seq uint64) map[string][]byte { return d.k.CellsAt(seq) }
+
+func (d *disk) snapshot() map[string][]byte { return d.k.Cells().Snapshot() }
+
+func (d *disk) close() error { return d.ds.close() }
 
 // TestDurableStoreRecovery: reopening a WAL-backed store replays the log,
 // last record per key winning. The write positions are in the records (see
@@ -24,7 +64,7 @@ import (
 // reaches it, one at position 0 included.
 func TestDurableStoreRecovery(t *testing.T) {
 	dir := t.TempDir()
-	ds, err := openDurableStore(dir, "coord")
+	ds, err := openDisk(dir, "coord")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,16 +93,16 @@ func TestDurableStoreRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := openDurableStore(dir, "coord")
+	re, err := openDisk(dir, "coord")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.close()
 	want := map[string][]byte{"k1": []byte("v3"), "k2": []byte("v2")}
-	if got := re.cells.Snapshot(); !reflect.DeepEqual(got, want) {
+	if got := re.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered %v, want %v", got, want)
 	}
-	if keys := re.cells.Keys(); !reflect.DeepEqual(keys, []string{"k1", "k2"}) {
+	if keys := re.k.Cells().Keys(); !reflect.DeepEqual(keys, []string{"k1", "k2"}) {
 		t.Fatalf("keys %v", keys)
 	}
 	for _, seq := range []uint64{0, 7, 11} {
@@ -73,7 +113,7 @@ func TestDurableStoreRecovery(t *testing.T) {
 	if err := re.fence(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := re.cells.Snapshot(); !reflect.DeepEqual(got, want) {
+	if got := re.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("a fence at 0 left %v, want every recovered cell %v", got, want)
 	}
 }
@@ -81,14 +121,14 @@ func TestDurableStoreRecovery(t *testing.T) {
 // TestDurableStoreInMemory: an empty dir selects the in-memory store,
 // which still round-trips cells within one substrate lifetime.
 func TestDurableStoreInMemory(t *testing.T) {
-	ds, err := openDurableStore("", "p")
+	ds, err := openDisk("", "p")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ds.put("a", []byte("1"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := ds.cells.Get("a"); !ok || string(v) != "1" {
+	if v, ok := ds.k.Cells().Get("a"); !ok || string(v) != "1" {
 		t.Fatalf("get a = %q %v", v, ok)
 	}
 	if err := ds.close(); err != nil {
@@ -102,7 +142,7 @@ func TestDurableStoreInMemory(t *testing.T) {
 // timeline revives the key.
 func TestDurableStoreInvalidate(t *testing.T) {
 	dir := t.TempDir()
-	ds, err := openDurableStore(dir, "coord")
+	ds, err := openDisk(dir, "coord")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +162,7 @@ func TestDurableStoreInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string][]byte{"early": []byte("keep")}
-	if got := ds.cells.Snapshot(); !reflect.DeepEqual(got, want) {
+	if got := ds.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after invalidate: %v, want %v", got, want)
 	}
 	// The new timeline revives a fenced key by writing it again.
@@ -134,13 +174,13 @@ func TestDurableStoreInvalidate(t *testing.T) {
 	}
 
 	// The fence must hold across a crash: recovery replays the tombstones.
-	re, err := openDurableStore(dir, "coord")
+	re, err := openDisk(dir, "coord")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.close()
 	want = map[string][]byte{"early": []byte("keep"), "late": []byte("revived")}
-	if got := re.cells.Snapshot(); !reflect.DeepEqual(got, want) {
+	if got := re.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered %v, want %v (tombstones must survive reopen)", got, want)
 	}
 
@@ -163,7 +203,7 @@ func durableModelWalk(t *testing.T, dir, proc string, seed int64) {
 	}
 	r := rand.New(rand.NewSource(seed))
 	model := map[string]cell{}
-	ds, err := openDurableStore(dir, proc)
+	ds, err := openDisk(dir, proc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +216,11 @@ func durableModelWalk(t *testing.T, dir, proc string, seed int64) {
 			live = append(live, k)
 		}
 		sort.Strings(live)
-		if got := ds.cells.Keys(); !reflect.DeepEqual(got, live) {
+		if got := ds.k.Cells().Keys(); !reflect.DeepEqual(got, live) {
 			t.Fatalf("%q seed %d step %d: keys %v, want %v", dir, seed, step, got, live)
 		}
 		for _, k := range keys {
-			v, ok := ds.cells.Get(k)
+			v, ok := ds.k.Cells().Get(k)
 			if want, present := model[k]; ok != present || string(v) != want.value {
 				t.Fatalf("%q seed %d step %d: get %q = %q, %v; want %q, %v", dir, seed, step, k, v, ok, want.value, present)
 			}
@@ -228,7 +268,7 @@ func durableModelWalk(t *testing.T, dir, proc string, seed int64) {
 			if err := ds.close(); err != nil {
 				t.Fatal(err)
 			}
-			if ds, err = openDurableStore(dir, proc); err != nil {
+			if ds, err = openDisk(dir, proc); err != nil {
 				t.Fatal(err)
 			}
 			for k, c := range model {
@@ -302,7 +342,7 @@ func TestDurableStoreTornWriteProperty(t *testing.T) {
 	}
 
 	write := func(dir string) {
-		ds, err := openDurableStore(dir, "p")
+		ds, err := openDisk(dir, "p")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,14 +371,14 @@ func TestDurableStoreTornWriteProperty(t *testing.T) {
 		if err := os.Truncate(seg, cut); err != nil {
 			t.Fatal(err)
 		}
-		re, err := openDurableStore(dir, "p")
+		re, err := openDisk(dir, "p")
 		if err != nil {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}
 		// Complete records strictly before the cut survive.
 		n := sort.Search(len(offsets), func(i int) bool { return offsets[i] > cut }) - 1
 		want := prefixState(n)
-		got := re.cells.Snapshot()
+		got := re.snapshot()
 		if got == nil {
 			got = map[string][]byte{}
 		}
@@ -354,7 +394,7 @@ func TestDurableStoreTornWriteProperty(t *testing.T) {
 // prefix, and the refused log is left as it was found.
 func TestDurableStoreMidSegmentCorruption(t *testing.T) {
 	dir := t.TempDir()
-	ds, err := openDurableStore(dir, "p")
+	ds, err := openDisk(dir, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +419,7 @@ func TestDurableStoreMidSegmentCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openDurableStore(dir, "p"); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := openDisk(dir, "p"); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("mid-segment corruption recovered with err=%v, want wal.ErrCorrupt", err)
 	}
 	if after, _ := os.ReadDir(filepath.Join(dir, "p")); len(after) != len(before) {
@@ -423,7 +463,7 @@ func TestDurableStoreLegacyFixture(t *testing.T) {
 		}
 	}
 
-	ds, err := openDurableStore(dir, "coord")
+	ds, err := openDisk(dir, "coord")
 	if err != nil {
 		t.Fatalf("legacy segment rejected: %v", err)
 	}
@@ -431,7 +471,7 @@ func TestDurableStoreLegacyFixture(t *testing.T) {
 		"2pc:decision": []byte("commit"),
 		"kv:k1":        append(binary.LittleEndian.AppendUint64(nil, 2), 'v', '2'),
 	}
-	if got := ds.cells.Snapshot(); !reflect.DeepEqual(got, want) {
+	if got := ds.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("legacy recovery %v, want %v", got, want)
 	}
 	if got := ds.snapshotAt(0); !reflect.DeepEqual(got, want) {
@@ -451,13 +491,13 @@ func TestDurableStoreLegacyFixture(t *testing.T) {
 	if err := ds.close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := openDurableStore(dir, "coord")
+	re, err := openDisk(dir, "coord")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.close()
 	want["kv:k9"] = []byte("revived")
-	if got := re.cells.Snapshot(); !reflect.DeepEqual(got, want) {
+	if got := re.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("mixed-format recovery %v, want %v", got, want)
 	}
 }

@@ -216,8 +216,8 @@ func NewLive(cfg LiveConfig) (*LiveSubstrate, error) {
 type liveProc struct {
 	dsim.Kernel
 	sub     *LiveSubstrate
-	mu      sync.Mutex    // serializes machine callbacks and state access
-	durable *durableStore // stable storage: survives crash-restart and rollback
+	mu      sync.Mutex   // serializes machine callbacks and state access
+	durable durableStore // the write-ahead log under the kernel's cells
 	tr      transport.Transport
 	inbox   <-chan transport.Message
 	events  chan liveEvent
@@ -255,10 +255,6 @@ func (s *LiveSubstrate) AddProcess(id string, m dsim.Machine) {
 	if err != nil {
 		panic(fmt.Sprintf("substrate: register live process %q: %v", id, err))
 	}
-	durable, err := openDurableStore(s.cfg.DurableDir, id)
-	if err != nil {
-		panic(fmt.Sprintf("substrate: durable store for %q: %v", id, err))
-	}
 	sc := scroll.NewMemory(id)
 	if s.cfg.ScrollDir != "" {
 		// Durable recordings: the scroll survives real process crashes like
@@ -270,12 +266,14 @@ func (s *LiveSubstrate) AddProcess(id string, m dsim.Machine) {
 		}
 	}
 	p := &liveProc{
-		Kernel:  dsim.NewKernel(id, m, checkpoint.NewHeapPages(s.cfg.HeapSize, s.cfg.HeapPageSize), sc),
-		sub:     s,
-		durable: durable,
-		tr:      tr,
-		inbox:   inbox,
-		events:  make(chan liveEvent, 1024),
+		Kernel: dsim.NewKernel(id, m, checkpoint.NewHeapPages(s.cfg.HeapSize, s.cfg.HeapPageSize), sc),
+		sub:    s,
+		tr:     tr,
+		inbox:  inbox,
+		events: make(chan liveEvent, 1024),
+	}
+	if p.durable, err = openDurableStore(s.cfg.DurableDir, id, p.Cells()); err != nil {
+		panic(fmt.Sprintf("substrate: durable store for %q: %v", id, err))
 	}
 	s.procs[id] = p
 	s.order = append(s.order, id)
@@ -333,7 +331,7 @@ func (p *liveProc) handle(ev liveEvent) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := p.sub
-	ctx := &liveCtx{p: p}
+	ctx := &liveCtx{p}
 	switch ev.kind {
 	case levInit:
 		p.Rehome(ev.tab) // nothing has ticked the clock yet: Run queues levInit first
@@ -398,7 +396,7 @@ func (p *liveProc) handle(ev liveEvent) {
 		}
 		p.crashed = false
 		s.restarts.Add(1)
-		if ck := s.store.Latest(p.ID()); ck != nil {
+		if ck := s.store.Latest(p.Self()); ck != nil {
 			p.restoreLocked(ck)
 			p.Machine().OnRollback(ctx, dsim.RollbackInfo{Manual: true, CrashRestart: true, Reason: "crash restart"})
 		} else {
@@ -425,24 +423,19 @@ func (p *liveProc) handle(ev liveEvent) {
 // each mutex instead of deadlocking.
 func (s *LiveSubstrate) rollbackLatest(anchor *liveProc) {
 	anchor.mu.Lock()
-	skip := anchor.crashed || s.store.Latest(anchor.ID()) == nil
+	skip := anchor.crashed || s.store.Latest(anchor.Self()) == nil
 	anchor.mu.Unlock()
 	if skip {
 		return
 	}
 	s.mu.Lock()
-	procs := make([]*liveProc, 0, len(s.order))
-	for _, id := range s.order {
+	ids := slices.Clone(s.order)
+	procs := make([]*liveProc, 0, len(ids))
+	for _, id := range ids {
 		procs = append(procs, s.procs[id])
 	}
 	s.mu.Unlock()
-	lists := make(map[string][]*checkpoint.Checkpoint, len(procs))
-	for _, q := range procs {
-		if cks := s.store.List(q.ID()); len(cks) > 0 {
-			lists[q.ID()] = cks
-		}
-	}
-	line := recovery.MaxConsistentSet(lists)
+	line := recovery.MaxConsistentSet(s.store.Lists(ids))
 	if line == nil {
 		return
 	}
@@ -450,7 +443,7 @@ func (s *LiveSubstrate) rollbackLatest(anchor *liveProc) {
 	// abandoned timeline carries a smaller epoch and will be fenced.
 	s.epoch.Add(1)
 	for _, q := range procs {
-		ck, ok := line[q.ID()]
+		ck, ok := line[q.Self()]
 		if !ok {
 			continue
 		}
@@ -463,7 +456,7 @@ func (s *LiveSubstrate) rollbackLatest(anchor *liveProc) {
 		default:
 			q.restoreLocked(ck)
 			q.fenceAbandonedLocked(ck)
-			q.Machine().OnRollback(&liveCtx{p: q}, dsim.RollbackInfo{Manual: true, Reason: "time machine rollback"})
+			q.Machine().OnRollback(&liveCtx{q}, dsim.RollbackInfo{Manual: true, Reason: "time machine rollback"})
 		}
 		q.mu.Unlock()
 	}
@@ -471,18 +464,18 @@ func (s *LiveSubstrate) rollbackLatest(anchor *liveProc) {
 
 // fenceAbandonedLocked applies the durable half of timeline fencing after a
 // deliberate rollback restored ck (caller holds p.mu): stable-storage cells
-// written at or after the checkpoint's scroll position are invalidated
-// (with WAL tombstones when backed), and strictly-later checkpoints are
-// pruned so a subsequent crash-restart cannot re-install abandoned state.
+// written at or after the checkpoint's scroll position are fenced (with WAL
+// tombstones when backed), and strictly-later checkpoints are pruned so a
+// subsequent crash-restart cannot re-install abandoned state.
 func (p *liveProc) fenceAbandonedLocked(ck *checkpoint.Checkpoint) {
-	if err := p.durable.fence(ck.ScrollSeq); err != nil {
+	if err := p.durable.tombstone(p.FenceCells(ck.ScrollSeq)); err != nil {
 		select {
 		case <-p.sub.shutdown:
 		default:
-			panic(fmt.Sprintf("substrate: durable invalidation for %s: %v", p.ID(), err))
+			panic(fmt.Sprintf("substrate: durable invalidation for %s: %v", p.Self(), err))
 		}
 	}
-	p.sub.store.PruneAfter(p.ID(), ck.ScrollSeq)
+	p.sub.store.PruneAfter(p.Self(), ck.ScrollSeq)
 }
 
 // removeTimerLocked drops one pending entry for name — plain bookkeeping:
@@ -506,7 +499,7 @@ func (p *liveProc) takeCheckpointLocked(label string) *checkpoint.Checkpoint {
 
 // restoreLocked rewinds the process to a checkpoint: heap, machine state,
 // vector clock, scroll position (Kernel.Restore), and the timers pending at
-// the checkpoint. Stable storage (p.durable) is deliberately untouched
+// the checkpoint. Stable storage (the kernel's cells) is deliberately untouched
 // here: disk writes cannot be unwritten by a restore, and for crash-restart
 // the disk is the authoritative recovery source (deliberate-rollback
 // callers fence the abandoned cells separately — fenceAbandonedLocked).
@@ -519,7 +512,7 @@ func (p *liveProc) restoreLocked(ck *checkpoint.Checkpoint) {
 	p.incarnation++
 	p.Restore(ck)
 	p.pendingTimers = nil
-	ctx := &liveCtx{p: p}
+	ctx := &liveCtx{p}
 	for _, name := range ck.Timers {
 		ctx.SetTimer(name, 2)
 	}
@@ -794,7 +787,7 @@ func (s *LiveSubstrate) SetFaultHandler(h func(dsim.FaultRecord) bool) {
 // stable-storage cells. Pause the substrate (or wait for quiescence)
 // before relying on a snapshot — recording is concurrent.
 func (s *LiveSubstrate) DurableSnapshot() map[string]map[string][]byte {
-	return s.snapshotCells(func(p *liveProc) map[string][]byte { return p.durable.cells.Snapshot() })
+	return s.snapshotCells(func(p *liveProc) map[string][]byte { return p.Cells().Snapshot() })
 }
 
 // DurableSnapshotAt implements heal.Target as dsim.Sim does: the cells
@@ -804,11 +797,11 @@ func (s *LiveSubstrate) DurableSnapshot() map[string]map[string][]byte {
 // omitted.
 func (s *LiveSubstrate) DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string][]byte {
 	return s.snapshotCells(func(p *liveProc) map[string][]byte {
-		seq, ok := lineSeq[p.ID()]
+		seq, ok := lineSeq[p.Self()]
 		if !ok {
 			return nil
 		}
-		return p.durable.snapshotAt(seq)
+		return p.CellsAt(seq)
 	})
 }
 
@@ -833,7 +826,7 @@ func (s *LiveSubstrate) snapshotCells(cellsOf func(*liveProc) map[string][]byte)
 		if out == nil {
 			out = make(map[string]map[string][]byte, len(procs))
 		}
-		out[p.ID()] = cells
+		out[p.Self()] = cells
 	}
 	return out
 }
@@ -876,7 +869,7 @@ func (s *LiveSubstrate) RollbackTo(line map[string]string) error {
 		p.mu.Lock()
 		p.restoreLocked(cks[i])
 		p.fenceAbandonedLocked(cks[i])
-		p.Machine().OnRollback(&liveCtx{p: p}, dsim.RollbackInfo{Manual: true, Reason: "time machine rollback"})
+		p.Machine().OnRollback(&liveCtx{p}, dsim.RollbackInfo{Manual: true, Reason: "time machine rollback"})
 		p.mu.Unlock()
 	}
 	return nil
@@ -962,14 +955,7 @@ func (s *LiveSubstrate) releaseDue(now uint64) {
 
 // Capabilities implements Substrate.
 func (s *LiveSubstrate) Capabilities() Capabilities {
-	return Capabilities{
-		Name:          "live",
-		Deterministic: false,
-		ProcessReplay: true,
-		Checkpoints:   true,
-		Speculation:   false,
-		StableStorage: true,
-	}
+	return Capabilities{Name: "live", Deterministic: false, Speculation: false}
 }
 
 // Close shuts the substrate down: event loops exit, transports and the hub
@@ -1017,42 +1003,37 @@ func (s *LiveSubstrate) Close() error {
 
 // --- live Context ---
 
-// liveCtx is the dsim.Context implementation for live processes. Every
-// nondeterministic outcome is recorded in the process's scroll by its
-// kernel, as on the simulator, so the offline per-process replay
-// (dsim.Replay) works on live recordings.
+// liveCtx is the dsim.Context implementation for live processes: the
+// process's kernel (through *liveProc) serves the calls whose outcome is the
+// process's own and records every nondeterministic outcome in its scroll,
+// as on the simulator, so the offline per-process replay (dsim.Replay)
+// works on live recordings. The methods below reach the substrate.
 type liveCtx struct {
-	p *liveProc
+	*liveProc
 }
-
-// Self implements dsim.Context.
-func (c *liveCtx) Self() string { return c.p.ID() }
 
 // Now returns the virtual tick — offset by injected skew — and records it.
 func (c *liveCtx) Now() uint64 {
-	p := c.p
-	return p.RecordTime(p.sub.net.Skewed(p.ID(), p.sub.Now()))
+	return c.RecordTime(c.sub.net.Skewed(c.Self(), c.sub.Now()))
 }
 
 // Random returns a seeded pseudo-random uint64 and records it.
 func (c *liveCtx) Random() uint64 {
-	p := c.p
-	p.sub.rngMu.Lock()
-	v := p.sub.rng.Uint64()
-	p.sub.rngMu.Unlock()
-	return p.RecordRandom(v)
+	c.sub.rngMu.Lock()
+	v := c.sub.rng.Uint64()
+	c.sub.rngMu.Unlock()
+	return c.RecordRandom(v)
 }
 
 // Send records the transmission and routes it through the (chaos-wrapped)
 // transport. Transport errors are dropped messages: the live network is
 // allowed to lose traffic, and machines must already tolerate loss.
 func (c *liveCtx) Send(to string, payload []byte) {
-	p := c.p
-	id := fmt.Sprintf("L%d", p.sub.msgN.Add(1))
-	body, lam, _ := p.RecordSend(id, to, payload)
-	p.tr.Send(transport.Message{ //nolint:errcheck // loss is within the model
-		ID: id, From: p.ID(), To: to, Payload: body, Lamport: lam, Clock: p.ClockSnap(),
-		Epoch: p.sub.epoch.Load(),
+	id := fmt.Sprintf("L%d", c.sub.msgN.Add(1))
+	body, lam, _ := c.RecordSend(id, to, payload)
+	c.tr.Send(transport.Message{ //nolint:errcheck // loss is within the model
+		ID: id, From: c.Self(), To: to, Payload: body, Lamport: lam, Clock: c.ClockSnap(),
+		Epoch: c.sub.epoch.Load(),
 	})
 }
 
@@ -1061,9 +1042,9 @@ func (c *liveCtx) Send(to string, payload []byte) {
 // (callers hold p.mu, so the read is stable). A slow node's own timers lag
 // by the injected extra, matching the simulator's per-handler slowdown.
 func (c *liveCtx) SetTimer(name string, delay uint64) {
-	p := c.p
+	p := c.liveProc
 	gen := p.incarnation
-	delay += p.sub.net.Slow(p.ID(), p.sub.Now())
+	delay += p.sub.net.Slow(p.Self(), p.sub.Now())
 	p.pendingTimers = append(p.pendingTimers, name)
 	p.sub.activity.Add(1) // held until the timer event is handled
 	wallAfter(time.Duration(delay)*p.sub.cfg.Tick, func() {
@@ -1071,71 +1052,31 @@ func (c *liveCtx) SetTimer(name string, delay uint64) {
 	})
 }
 
-// Heap implements dsim.Context.
-func (c *liveCtx) Heap() *checkpoint.Heap { return c.p.Heap() }
-
-// DurablePut implements dsim.Context: the write is recorded in the scroll,
-// as on the simulator, and the cell written to the process's stable store
-// (WAL-backed when LiveConfig.DurableDir is set). The write is stamped with
-// the current timeline epoch and its scroll position — the coordinates a
-// deliberate rollback fences against (see durableStore.fence).
+// DurablePut implements dsim.Context: the kernel records the write and
+// writes the cell, as on the simulator, and the write is logged to the
+// process's WAL when LiveConfig.DurableDir is set, with the current
+// timeline epoch and its scroll position.
 func (c *liveCtx) DurablePut(key string, value []byte) {
-	p := c.p
-	body, seq := p.RecordDurablePut(key, value)
-	if err := p.durable.put(key, body, p.sub.epoch.Load(), seq); err != nil {
+	body, seq := c.RecordDurablePut(key, value)
+	if err := c.durable.put(key, body, c.sub.epoch.Load(), seq); err != nil {
 		select {
-		case <-p.sub.shutdown:
+		case <-c.sub.shutdown:
 			// Closing: the cell map still took the write; losing the WAL
 			// append mirrors the transport's drop-on-close behavior.
 		default:
-			panic(fmt.Sprintf("substrate: durable put for %s: %v", p.ID(), err))
+			panic(fmt.Sprintf("substrate: durable put for %s: %v", c.Self(), err))
 		}
 	}
 }
-
-// DurableGet implements dsim.Context, recording the outcome.
-func (c *liveCtx) DurableGet(key string) ([]byte, bool) {
-	v, ok := c.p.durable.cells.Get(key)
-	return c.p.RecordDurableGet(key, v, ok)
-}
-
-// DurableKeys implements dsim.Context, recording the key list.
-func (c *liveCtx) DurableKeys() []string {
-	return c.p.RecordDurableKeys(c.p.durable.cells.Keys())
-}
-
-// Log appends an informational record to the scroll.
-func (c *liveCtx) Log(format string, args ...any) { c.p.RecordLog(format, args...) }
 
 // Fault reports a locally detected fault. The handler runs after the
 // current machine callback returns (outside the process mutex), so a
 // coordinator may inspect and roll back every process.
 func (c *liveCtx) Fault(desc string) {
-	p := c.p
-	p.pendingFaults = append(p.pendingFaults, p.RecordFault(desc, p.sub.Now()))
+	c.pendingFaults = append(c.pendingFaults, c.RecordFault(desc, c.sub.Now()))
 }
 
 // Checkpoint takes an explicit checkpoint and returns its ID.
 func (c *liveCtx) Checkpoint(label string) string {
-	return c.p.takeCheckpointLocked(label).ID
+	return c.takeCheckpointLocked(label).ID
 }
-
-// Speculate is unavailable on the live substrate: aborting a speculation
-// requires recalling messages from the network, which only a simulated
-// network can do.
-func (c *liveCtx) Speculate(string) (string, error) {
-	return "", fmt.Errorf("substrate: speculation requires the simulated substrate")
-}
-
-// Commit implements dsim.Context (no live speculations exist to commit).
-func (c *liveCtx) Commit(string) error {
-	return fmt.Errorf("substrate: speculation requires the simulated substrate")
-}
-
-// AbortSpec implements dsim.Context.
-func (c *liveCtx) AbortSpec(string, string) error {
-	return fmt.Errorf("substrate: speculation requires the simulated substrate")
-}
-
-// Halt stops the process permanently.
-func (c *liveCtx) Halt() { c.p.Halt() }

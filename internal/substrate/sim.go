@@ -15,14 +15,7 @@ func NewSim(cfg dsim.Config) *SimSubstrate { return &SimSubstrate{Sim: dsim.New(
 
 // Capabilities implements Substrate: the simulator supports everything.
 func (s *SimSubstrate) Capabilities() Capabilities {
-	return Capabilities{
-		Name:          "sim",
-		Deterministic: true,
-		ProcessReplay: true,
-		Checkpoints:   true,
-		Speculation:   true,
-		StableStorage: true,
-	}
+	return Capabilities{Name: "sim", Deterministic: true, Speculation: true}
 }
 
 // Close implements Substrate; the simulator holds no external resources.

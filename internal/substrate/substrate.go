@@ -58,7 +58,9 @@ type Substrate interface {
 	// written). Stable storage — the Context.Durable… seam — survives
 	// crash-restart on both backends; a deliberate rollback fences cells
 	// written after the restored checkpoint (the abandoned timeline's
-	// writes), which the snapshot omits. See Capabilities.StableStorage.
+	// writes), which the snapshot omits. On the live backend the cells,
+	// and the fences as tombstones, can also be written ahead to disk
+	// (LiveConfig.DurableDir), so they survive real process crashes too.
 	DurableSnapshot() map[string]map[string][]byte
 	// Capabilities describes what this backend supports.
 	Capabilities() Capabilities
@@ -82,27 +84,8 @@ type Capabilities struct {
 	// goroutine scheduling and network timing are outside the seed's
 	// control.
 	Deterministic bool
-	// ProcessReplay: a single process can be re-executed offline from its
-	// scroll. True on both backends — it needs only the per-process log.
-	ProcessReplay bool
-	// Checkpoints: the checkpoint store is populated and RollbackTo works.
-	// On the live backend messages already in flight cannot be recalled,
-	// but every rollback advances a timeline epoch that sends stamp onto
-	// their frames and receivers fence at delivery, so processes observe
-	// exactly-once-per-timeline delivery rather than at-least-once
-	// redelivery of the abandoned timeline's traffic.
-	Checkpoints bool
 	// Speculation: distributed speculations with absorb/commit/abort.
 	// Sim-only: aborting requires recalling messages from the network,
 	// which only a simulated network can do.
 	Speculation bool
-	// StableStorage: per-process Context.Durable… cells survive
-	// crash-restart (a checkpoint restore never rewinds the disk), while a
-	// deliberate rollback fences the abandoned timeline's writes so a later
-	// crash-restart cannot re-install them. True on both backends:
-	// in-memory on the simulator, and on the live backend optionally
-	// write-ahead logged onto internal/wal (LiveConfig.DurableDir) so the
-	// cells — and the fences, as tombstones — also survive real process
-	// crashes across substrate instances.
-	StableStorage bool
 }
