@@ -117,8 +117,8 @@ func TestWarmCellAllocs(t *testing.T) {
 func TestWarmCompareAllocs(t *testing.T) {
 	r, sched := kvCell(t)
 	a, b := r.checkout(), r.checkout()
-	defer arenaPool.Put(a)
-	defer arenaPool.Put(b)
+	defer release(a)
+	defer release(b)
 	r.execute(sched, a)
 	r.execute(sched, b)
 	x, y := a.sim.Scrolls(), b.sim.Scrolls()
@@ -150,7 +150,7 @@ func BenchmarkMatrixCell(b *testing.B) {
 // dropped the arenas); the ceiling is that + 10 %.
 func TestWarmRunBytes(t *testing.T) {
 	if raceDetector {
-		t.Skip("under -race sync.Pool drops a quarter of the run arenas, and a fresh simulation is 300 kB")
+		t.Skip("the race detector changes what allocates")
 	}
 	run := warmKVRun(t)
 	const batch = 16
@@ -178,7 +178,7 @@ func TestWarmRunBytes(t *testing.T) {
 // ceiling is the floor + 10 %.
 func TestWarmFaultingRunAllocs(t *testing.T) {
 	if raceDetector {
-		t.Skip("under -race sync.Pool drops run arenas, and a fresh simulation allocates its own")
+		t.Skip("the race detector changes what allocates")
 	}
 	spec, err := apps.Lookup("bank")
 	if err != nil {

@@ -3,5 +3,5 @@
 package chaos
 
 // raceDetector reports whether the test binary was built with -race, which
-// changes what sync.Pool — and so every allocation count — does.
+// changes what allocates.
 const raceDetector = true

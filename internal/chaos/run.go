@@ -98,9 +98,9 @@ func (r Runner) Crashable() []int {
 // (event arena, process heaps, scroll buffers), the streaming
 // fingerprinter, and the buffers the schedule compiles into — the plan and
 // the group target lists its injections alias, both armed on the
-// simulation until its next Reset. Runner.Run checks arenas out of a
-// sync.Pool, so each worker of a matrix or search pool settles on its own
-// arena instead of paying a fresh simulation per run.
+// simulation until its next Reset. Runner.Run checks arenas out of a free
+// list, so each worker of a matrix or search pool runs in a warm arena
+// instead of paying a fresh simulation per run.
 type runArena struct {
 	sim    *dsim.Sim
 	fp     scroll.Fingerprinter
@@ -108,7 +108,18 @@ type runArena struct {
 	groups []string
 }
 
-var arenaPool = sync.Pool{}
+// arenas holds the arenas no run is using. It is a free list, not a
+// sync.Pool: a pool hands a goroutine only what was put back on its own
+// processor, and drops what sat idle through two garbage collections, so
+// workers that hop between processors (fleet workers waking on the
+// network) or whose runs alternate between applications kept paying a
+// fresh simulation, with every application's processes in it, and the
+// matrix's second runs a fresh arena after every search. The list grows to
+// the number of runs that ever ran at once.
+var arenas struct {
+	sync.Mutex
+	free []*runArena
+}
 
 // Run executes the schedule. Identical Runner + schedule ⇒ identical
 // RunResult, byte-for-byte: processes are added in sorted order, every
@@ -117,18 +128,8 @@ var arenaPool = sync.Pool{}
 func (r Runner) Run(sched Schedule) *RunResult {
 	a := r.checkout()
 	res := r.fingerprinted(sched, a)
-	arenaPool.Put(a)
+	release(a)
 	return res
-}
-
-// secondArenas holds the arenas matrix cells execute their second runs in.
-// They are kept out of arenaPool: a pooled arena that only matrix cells use
-// sits idle through every search between them, a garbage collection drops
-// it, and the next cell pays a fresh simulation and its warm-up again. The
-// list grows to the number of cells that ever ran at once.
-var secondArenas struct {
-	sync.Mutex
-	free []*runArena
 }
 
 // runTwice executes the schedule as Run does, then again in a second arena,
@@ -140,27 +141,31 @@ var secondArenas struct {
 func (r Runner) runTwice(sched Schedule) (res *RunResult, deterministic bool) {
 	a := r.checkout()
 	res = r.fingerprinted(sched, a)
-	var b *runArena
-	secondArenas.Lock()
-	if n := len(secondArenas.free); n > 0 {
-		b, secondArenas.free = secondArenas.free[n-1], secondArenas.free[:n-1]
-	}
-	secondArenas.Unlock()
-	b = r.reset(b)
+	b := r.checkout()
 	again := r.execute(sched, b)
 	deterministic = sameOutcome(res, again) && scroll.Equal(a.sim.Scrolls(), b.sim.Scrolls())
-	arenaPool.Put(a)
-	secondArenas.Lock()
-	secondArenas.free = append(secondArenas.free, b)
-	secondArenas.Unlock()
+	release(a)
+	release(b)
 	return res, deterministic
 }
 
-// checkout takes an arena from the pool, Reset to the runner's
+// checkout takes an arena off the free list, Reset to the runner's
 // configuration.
 func (r Runner) checkout() *runArena {
-	a, _ := arenaPool.Get().(*runArena)
+	var a *runArena
+	arenas.Lock()
+	if n := len(arenas.free); n > 0 {
+		a, arenas.free = arenas.free[n-1], arenas.free[:n-1]
+	}
+	arenas.Unlock()
 	return r.reset(a)
+}
+
+// release returns an arena to the free list.
+func release(a *runArena) {
+	arenas.Lock()
+	arenas.free = append(arenas.free, a)
+	arenas.Unlock()
 }
 
 // reset Resets the arena's simulation to the runner's configuration, or

@@ -431,25 +431,46 @@ func (s *Sim) AddProcess(id string, m Machine) {
 	sort.Strings(s.order)
 	// A pooled simulation re-adds last run's processes, so the table it
 	// kept across Reset already has the ID and the recycled clock is
-	// already on it; only a process set the table has not seen rebuilds it.
-	if i := s.tab.Index(id); i < 0 {
-		p.clock = vclock.VC{} // a recycled clock's counts must not be re-homed
-		s.retable()
-	} else if p.self = int32(i); p.clock.Table() == s.tab {
+	// already on it. A recycled clock of another process set still sits on
+	// that set's table, which the run adopts when it holds every ID added
+	// so far: a pool whose runs alternate between applications then builds
+	// no table. Only a process set no table has seen builds one.
+	if i := s.tab.Index(id); i >= 0 {
+		p.self = int32(i)
+		if p.clock.Table() == s.tab {
+			p.clock.Reset()
+		} else {
+			p.clock = s.tab.New()
+		}
+	} else if t := p.clock.Table(); t != nil && holdsAll(t, s.order) {
 		p.clock.Reset()
+		s.retable(t)
 	} else {
-		p.clock = s.tab.New()
+		p.clock = vclock.VC{} // a recycled clock's counts must not be re-homed
+		s.retable(vclock.NewTable(s.order...))
 	}
 }
 
-// retable rebuilds the shared ID table over the current process set and
-// re-homes every process's clock on it, counts preserved.
-func (s *Sim) retable() {
-	s.tab = vclock.NewTable(s.order...)
-	for i, id := range s.order {
+// holdsAll reports whether every one of ids is on table t.
+func holdsAll(t *vclock.Table, ids []string) bool {
+	for _, id := range ids {
+		if t.Index(id) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// retable moves the run onto t, which holds every current process's ID,
+// and re-homes every process's clock on it, counts preserved.
+func (s *Sim) retable(t *vclock.Table) {
+	s.tab = t
+	for _, id := range s.order {
 		p := s.procs[id]
-		p.self = int32(i)
-		p.clock = s.tab.New().Merge(p.clock)
+		p.self = int32(t.Index(id))
+		if p.clock.Table() != t {
+			p.clock = t.New().Merge(p.clock)
+		}
 		p.snap = vclock.VC{}
 	}
 }

@@ -220,6 +220,41 @@ func TestWarmArenaAllocs(t *testing.T) {
 	}
 }
 
+// TestAlternatingProcessSetsAllocs: a pooled simulation whose runs alternate
+// between two process sets — one arena serving two applications' runs, as
+// the fleet's interleaved leases have it — allocates per pair of runs what
+// two simulations that each repeat one set allocate together. A recycled
+// process's clock brings the table of the set it last ran in, so switching
+// sets builds no clock table and re-homes no clock.
+func TestAlternatingProcessSetsAllocs(t *testing.T) {
+	cfg := Config{Seed: 5}
+	pings := func(s *Sim) {
+		s.Reset(cfg)
+		a, b := newPingPair(12)
+		s.AddProcess("a", a)
+		s.AddProcess("b", b)
+		s.Run()
+	}
+	tickers := func(s *Sim) {
+		s.Reset(cfg)
+		s.AddProcess("t", &tickerMachine{fires: 6})
+		s.AddProcess("u", &tickerMachine{fires: 6})
+		s.AddProcess("v", &tickerMachine{fires: 6})
+		s.Run()
+	}
+	ping, tick, both := New(cfg), New(cfg), New(cfg)
+	pings(ping)
+	tickers(tick)
+	pings(both)
+	tickers(both) // every arena warm
+	repeated := testing.AllocsPerRun(10, func() { pings(ping) }) + testing.AllocsPerRun(10, func() { tickers(tick) })
+	alternating := testing.AllocsPerRun(10, func() { pings(both); tickers(both) })
+	if alternating != repeated {
+		t.Errorf("alternating two process sets allocates %.0f times a pair of runs, repeating each %.0f: switching sets rebuilds clock tables",
+			alternating, repeated)
+	}
+}
+
 // TestMsgIDAllocatesPerBlock: inside the intern table a message ID is free
 // once rendered; past it, IDs are carved from blocks of text — a thousand of
 // them cost a handful of blocks, not an allocation each (the twin of

@@ -269,10 +269,17 @@ func (k *Kernel) RecordTimer(name string) {
 // of value, which it returns together with the write's scroll position, for
 // a backend that also logs the write.
 func (k *Kernel) RecordDurablePut(key string, value []byte) (body []byte, seq uint64) {
+	body, seq = k.recordPut(key, value)
+	k.cells.Put(key, body, seq+1)
+	return body, seq
+}
+
+// recordPut records a stable-storage write of key = value without writing
+// the cell, and returns the record's copy of value and its position.
+func (k *Kernel) recordPut(key string, value []byte) (body []byte, seq uint64) {
 	body = k.mem.pay.Copy(value)
 	seq = k.record(&scroll.Record{Kind: scroll.KindEnv, MsgID: DurablePutMsgID, Peer: key,
 		Payload: body, Lamport: k.lamport.Now(), Clock: k.ClockSnap()})
-	k.cells.Put(key, body, seq+1)
 	return body, seq
 }
 

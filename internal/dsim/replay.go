@@ -109,6 +109,10 @@ func (c *replayCtx) Send(to string, payload []byte) { c.RecordSend("", to, paylo
 
 func (c *replayCtx) SetTimer(string, uint64) {} // timer fires come from the recording
 
+// DurablePut only records the write, for the comparison: replay feeds
+// durable reads from the recording, so a cell would be read by nothing.
+func (c *replayCtx) DurablePut(key string, value []byte) { c.recordPut(key, value) }
+
 // DurableGet feeds the recorded read back. A damaged outcome decodes to a
 // miss, which re-encodes differently: the comparison flags it.
 func (c *replayCtx) DurableGet(key string) ([]byte, bool) {

@@ -77,6 +77,31 @@ func mutated(recs []scroll.Record, i int, mutate func(*scroll.Record)) []scroll.
 	return out
 }
 
+// initWatch is allOps, remembering the Context its Init ran on.
+type initWatch struct {
+	allOps
+	ctx Context
+}
+
+func (m *initWatch) Init(ctx Context) {
+	m.ctx = ctx
+	m.allOps.Init(ctx)
+}
+
+// TestReplayKeepsNoCells: replay feeds durable reads from the recording, so
+// a replayed put only records the write for the comparison; the replaying
+// kernel's cells stay empty.
+func TestReplayKeepsNoCells(t *testing.T) {
+	m := &initWatch{}
+	res, err := Replay("ops", m, allOpsRecording(t), 0, 0)
+	if err != nil || res.Diverged {
+		t.Fatalf("faithful replay: %+v, %v", res, err)
+	}
+	if cells := *m.ctx.(*replayCtx).Cells(); len(cells) != 0 {
+		t.Errorf("replay kept %d cells, want none", len(cells))
+	}
+}
+
 // TestReplayMutations: replay diverges exactly at whichever record of the
 // machine's own a recording misstates, whatever field of it is wrong. The
 // recorded inputs (deliveries, timer fires) and the backend's records are

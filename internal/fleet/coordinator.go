@@ -8,8 +8,12 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/chaos"
 )
+
+// errClosed ends a search whose coordinator was closed under it.
+var errClosed = errors.New("fleet: coordinator closed mid-search")
 
 // Config parameterizes a fleet search.
 type Config struct {
@@ -116,10 +120,10 @@ type Coordinator struct {
 	closeOnce  sync.Once
 	ran        bool
 
-	// terminal is closed (once) when a lease exhausts MaxRetries with no
-	// local fallback to absorb it: the task can never complete, so the
-	// search fails with terminalErr instead of re-queueing the poisoned
-	// lease forever.
+	// terminal is closed (once, by fail) when the search cannot complete:
+	// a lease exhausted MaxRetries with no local fallback to absorb it, a
+	// journal append failed, or the coordinator closed mid-search. Every
+	// frontier then unwinds and Run returns terminalErr.
 	terminal    chan struct{}
 	terminalErr error
 	termOnce    sync.Once
@@ -323,17 +327,22 @@ func (c *Coordinator) requeue(t *task) {
 
 // poison records the terminal failure for a lease no one can evaluate:
 // every remote attempt failed, retries are exhausted, and NoLocalFallback
-// forbids the coordinator from absorbing it. The first poisoned lease
-// fails the whole search (Run and evalBatch watch the terminal channel).
+// forbids the coordinator from absorbing it.
 func (c *Coordinator) poison(t *task) {
+	kind := fmt.Sprintf("%d-candidate lease", len(t.lease.Candidates))
+	if t.lease.Shrink != nil {
+		kind = "shrink lease"
+	}
+	c.fail(fmt.Errorf("fleet: %s for app %q failed %d worker attempts with no local fallback; giving up",
+		kind, t.lease.App, t.attempts))
+}
+
+// fail ends the search with err. The first call wins: it closes the
+// terminal channel, which every frontier's evalBatch and shrinkRemote
+// watch, so all of them unwind and Run returns err.
+func (c *Coordinator) fail(err error) {
 	c.termOnce.Do(func() {
-		kind := fmt.Sprintf("%d-candidate lease", len(t.lease.Candidates))
-		if t.lease.Shrink != nil {
-			kind = "shrink lease"
-		}
-		c.terminalErr = fmt.Errorf(
-			"fleet: %s for app %q failed %d worker attempts with no local fallback; giving up",
-			kind, t.lease.App, t.attempts)
+		c.terminalErr = err
 		close(c.terminal)
 	})
 }
@@ -417,11 +426,14 @@ func (c *Coordinator) enqueue(t *task) {
 }
 
 // Run executes the fleet search: it drives one chaos.Frontier per
-// application, leasing candidate evaluation and failure shrinking to
-// workers, admitting results in candidate order, and journaling every
-// result. The report is byte-identical to chaos.Search at the same
+// application, all of them at once, leasing candidate evaluation and
+// failure shrinking to workers, and journaling every result. Each frontier
+// runs on its own goroutine and admits its results in candidate order, so
+// its trajectory depends only on (seed, application); while one waits on
+// its batch the others keep the workers leased. The report, assembled in
+// application order, is byte-identical to chaos.Search at the same
 // configuration, for any worker count and across worker failures. Run may
-// be called once.
+// be called once; it returns only after every frontier has stopped.
 func (c *Coordinator) Run() (*chaos.SearchReport, error) {
 	c.mu.Lock()
 	if c.ran {
@@ -432,43 +444,63 @@ func (c *Coordinator) Run() (*chaos.SearchReport, error) {
 	c.mu.Unlock()
 	defer close(c.searchDone)
 
-	rep := &chaos.SearchReport{
-		Strategy: string(chaos.StrategyGuided),
-		Seed:     c.scfg.Seed, Budget: c.scfg.Budget, Buggy: c.scfg.Buggy,
-	}
-	for _, spec := range c.scfg.Apps {
-		f := chaos.NewFrontier(spec, c.scfg, chaos.StrategyGuided)
-		runner := f.Runner()
-		app := spec.Name
-		f.SetShrinker(func(sched chaos.Schedule, res *chaos.RunResult) *chaos.SearchFailure {
-			return c.shrinkRemote(app, runner, sched, res)
-		})
-		for batch := f.NextBatch(); len(batch) > 0; batch = f.NextBatch() {
-			results, err := c.evalBatch(app, runner, batch)
+	results := make([]*chaos.AppSearch, len(c.scfg.Apps))
+	var wg sync.WaitGroup
+	for i, spec := range c.scfg.Apps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := c.drive(spec)
 			if err != nil {
-				return nil, err
+				c.fail(err)
+				return
 			}
-			for i := range batch {
-				before := len(f.Corpus())
-				f.Admit(batch[i], results[i])
-				if corpus := f.Corpus(); len(corpus) > before {
-					if err := c.journal.addCorpus(app, corpus[len(corpus)-1]); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		rep.Apps = append(rep.Apps, f.Finish())
+			results[i] = res
+		}()
 	}
-	// A lease poisoned during the final shrink unwinds through the local
-	// shrinker without another evalBatch to surface it; the search still
-	// must fail.
+	wg.Wait()
+	// The first error (a poisoned lease, a journal write, a close) ends every
+	// frontier; a lease poisoned during a final shrink leaves its frontier
+	// no batch to surface it in, so it is checked here too.
 	select {
 	case <-c.terminal:
 		return nil, c.terminalErr
 	default:
 	}
+	rep := &chaos.SearchReport{
+		Strategy: string(chaos.StrategyGuided),
+		Seed:     c.scfg.Seed, Budget: c.scfg.Budget, Buggy: c.scfg.Buggy,
+	}
+	rep.Apps = append(rep.Apps, results...)
 	return rep, nil
+}
+
+// drive runs one application's frontier to exhaustion: generate a batch,
+// evaluate it on the fleet, admit the results in candidate order, repeat.
+func (c *Coordinator) drive(spec apps.AppSpec) (*chaos.AppSearch, error) {
+	f := chaos.NewFrontier(spec, c.scfg, chaos.StrategyGuided)
+	runner := f.Runner()
+	app := spec.Name
+	f.SetShrinker(func(sched chaos.Schedule, res *chaos.RunResult) *chaos.SearchFailure {
+		return c.shrinkRemote(app, runner, sched, res)
+	})
+	for batch := f.NextBatch(); len(batch) > 0; batch = f.NextBatch() {
+		results, err := c.evalBatch(app, runner, batch)
+		if err != nil {
+			return nil, err
+		}
+		for i := range batch {
+			before := len(f.Corpus())
+			f.Admit(batch[i], results[i])
+			// A recovered run's corpus entry is in the journal already.
+			if corpus := f.Corpus(); len(corpus) > before && c.journal.run(app, batch[i].Index) == nil {
+				if err := c.journal.addCorpus(app, corpus[len(corpus)-1]); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	return f.Finish(), nil
 }
 
 // evalBatch evaluates one generated batch: journal hits are returned
@@ -526,7 +558,7 @@ func (c *Coordinator) evalBatch(app string, runner chaos.Runner, batch []chaos.C
 		case <-c.terminal:
 			return nil, c.terminalErr
 		case <-c.closed:
-			return nil, errors.New("fleet: coordinator closed mid-search")
+			return nil, errClosed
 		}
 	}
 	return out, nil
@@ -547,19 +579,18 @@ func (c *Coordinator) shrinkRemote(app string, runner chaos.Runner, sched chaos.
 	c.enqueue(t)
 	select {
 	case o := <-t.done:
-		c.journal.addShrink(app, sig, o.failure)
+		if err := c.journal.addShrink(app, sig, o.failure); err != nil {
+			c.fail(err)
+		}
 		return o.failure
 	case <-c.terminal:
-		// The poisoned lease may be this very shrink job, whose done channel
-		// will never receive. The search is already failing (the next
-		// evalBatch returns terminalErr); shrink locally so the frontier can
-		// unwind instead of blocking forever.
-		return chaos.LocalShrinker(runner, c.scfg.ShrinkBudget)(sched, res)
 	case <-c.closed:
-		// Closing mid-search already fails the batch; shrink locally so
-		// the frontier can unwind without blocking forever.
-		return chaos.LocalShrinker(runner, c.scfg.ShrinkBudget)(sched, res)
+		c.fail(errClosed)
 	}
+	// The search is failing, and the poisoned lease may be this very shrink
+	// job, whose done channel will never receive. The report is discarded,
+	// so an unshrunk failure lets the frontier unwind at once.
+	return &chaos.SearchFailure{Schedule: sched, Violations: res.Violations, Shrunk: sched}
 }
 
 // leaseFor stamps the shared runner parameters onto a lease skeleton.

@@ -5,13 +5,18 @@
 // the pooled {Sim, Fingerprinter} arenas every chaos.Runner uses, and push
 // back fingerprints plus auto-shrunk failing artifacts.
 //
-// The determinism story survives distribution: candidates are generated
-// sequentially from one seeded rng on the coordinator, results are admitted
-// in candidate order no matter which worker produced them or how fast, and
-// shrinking is a deterministic function of (runner parameters, schedule),
-// so the final report — corpus shapes, digests, growth curves, shrunk
-// artifacts — is byte-identical for any worker count, including zero, and
-// across worker crashes, partitions and lease reissues. Any artifact a
+// The coordinator drives every application's frontier at once, each on its
+// own goroutine, so that while one frontier waits on its batch the others
+// keep the workers leased. The determinism story survives both that and
+// distribution: each frontier generates its candidates sequentially from
+// its own seeded rng and admits their results in candidate order no matter
+// which worker produced them or how fast, its trajectory depends only on
+// (seed, application), and shrinking is a deterministic function of
+// (runner parameters, schedule); the report is assembled in application
+// order. So the final report — corpus shapes, digests, growth curves,
+// shrunk artifacts — is byte-identical to chaos.Search for any worker
+// count, including zero, and across worker crashes, partitions and lease
+// reissues. Any artifact a
 // 100-worker fleet finds replays green from (seed, schedule) on one laptop
 // through the ordinary chaos.Artifact.Verify path.
 //
@@ -34,8 +39,11 @@
 // after repeated failures), so the fleet degrades gracefully instead of
 // stalling. With Config.Journal set, the coordinator appends every
 // evaluated result to a JSONL journal and a restarted coordinator replays
-// it through a fresh frontier, resuming the search without re-executing a
-// single schedule.
+// it through fresh frontiers, resuming the search without re-executing a
+// single schedule. The journal's lines interleave applications in whatever
+// order their results arrived; recovery keys every result by (application,
+// candidate index) and every shrunk failure by (application, violation
+// signature), so the order across applications does not matter.
 //
 // Entry points: Search runs an all-in-one fleet (coordinator plus N
 // loopback workers); NewCoordinator/Worker.Run are the pieces cmd/fixd-fleet

@@ -213,6 +213,14 @@ func TestFleetJournalRestart(t *testing.T) {
 	}
 	want := reportJSON(t, rep1)
 
+	diffJSON(t, "journal restart", want, reportJSON(t, resumeOnly(t, scfg, path)))
+}
+
+// resumeOnly runs a coordinator on the journal at path with no workers and
+// no local fallback, so a journal miss enqueues a lease nothing can serve:
+// it returns the report only if the journal answered every evaluation.
+func resumeOnly(t *testing.T, scfg chaos.SearchConfig, path string) *chaos.SearchReport {
+	t.Helper()
 	coord, err := NewCoordinator(Config{Search: scfg, Journal: path, NoLocalFallback: true})
 	if err != nil {
 		t.Fatal(err)
@@ -221,6 +229,19 @@ func TestFleetJournalRestart(t *testing.T) {
 	if coord.Recovered() == 0 {
 		t.Fatal("restarted coordinator recovered nothing from the journal")
 	}
+	rep, ok, err := runWithin(coord, 30*time.Second)
+	if !ok {
+		t.Fatal("journal restart tried to re-execute schedules (blocked on a lease with no workers)")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// runWithin runs the search, giving up after d; ok is false if Run had not
+// returned by then (the caller's deferred Close unblocks it).
+func runWithin(coord *Coordinator, d time.Duration) (rep *chaos.SearchReport, ok bool, err error) {
 	type out struct {
 		rep *chaos.SearchReport
 		err error
@@ -232,12 +253,9 @@ func TestFleetJournalRestart(t *testing.T) {
 	}()
 	select {
 	case o := <-ch:
-		if o.err != nil {
-			t.Fatal(o.err)
-		}
-		diffJSON(t, "journal restart", want, reportJSON(t, o.rep))
-	case <-time.After(30 * time.Second):
-		t.Fatal("journal restart tried to re-execute schedules (blocked on a lease with no workers)")
+		return o.rep, true, o.err
+	case <-time.After(d):
+		return nil, false, nil
 	}
 }
 
@@ -361,6 +379,29 @@ func TestFleetSlowHandshake(t *testing.T) {
 	waitSessions(t, lax, 1)
 }
 
+// sabotage is a worker that says hello, takes a lease and drops the
+// connection, over and over, until the search is done or ctx is canceled.
+// Each lease it drops is handed to took, when that is set.
+func sabotage(ctx context.Context, coord *Coordinator, took func(*Lease)) {
+	for ctx.Err() == nil {
+		conn, err := net.Dial("tcp", coord.Addr())
+		if err != nil {
+			time.Sleep(5 * time.Millisecond)
+			continue
+		}
+		WriteFrame(conn, &Frame{Type: FrameHello, Hello: &Hello{Proto: ProtoVersion, Name: "saboteur"}})
+		f, err := ReadFrame(conn)
+		conn.Close()
+		if err == nil && f.Type == FrameDone {
+			return
+		}
+		if err == nil && f.Type == FrameLease && took != nil {
+			took(f.Lease)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestFleetPoisonedLeaseFailsSearch: with NoLocalFallback, a lease that
 // every worker attempt fails must poison the search with a descriptive
 // error after MaxRetries — it used to be re-queued (and counted as a
@@ -380,22 +421,7 @@ func TestFleetPoisonedLeaseFailsSearch(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() { // saboteur: hello, take a lease, drop the connection
-		for ctx.Err() == nil {
-			conn, err := net.Dial("tcp", coord.Addr())
-			if err != nil {
-				time.Sleep(5 * time.Millisecond)
-				continue
-			}
-			WriteFrame(conn, &Frame{Type: FrameHello, Hello: &Hello{Proto: ProtoVersion, Name: "saboteur"}})
-			f, err := ReadFrame(conn)
-			conn.Close()
-			if err == nil && f.Type == FrameDone {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
+	go sabotage(ctx, coord, nil)
 	waitSessions(t, coord, 1)
 
 	rep, err := coord.Run()

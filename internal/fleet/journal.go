@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"sync"
 
 	"repro/internal/chaos"
 )
@@ -54,6 +55,7 @@ type journalConfig struct {
 // in-memory cache recovered from it. A nil *journal (journaling disabled)
 // is valid: every method no-ops or misses.
 type journal struct {
+	mu      sync.Mutex // serializes appends: every frontier journals at once
 	f       *os.File
 	w       *bufio.Writer
 	runs    map[string]map[int]*chaos.RunResult
@@ -159,12 +161,15 @@ func openJournal(path string, cfg journalConfig) (*journal, error) {
 
 // append writes one line and flushes it to the OS, so a coordinator crash
 // loses at most the line being written (tolerated as a torn tail on the
-// next open).
+// next open). Lines of different applications interleave; recovery keys
+// every line by application, so their order across applications is free.
 func (j *journal) append(line journalLine) error {
 	b, err := json.Marshal(line)
 	if err != nil {
 		return fmt.Errorf("fleet: journal encode: %w", err)
 	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if _, err := j.w.Write(append(b, '\n')); err != nil {
 		return fmt.Errorf("fleet: journal append: %w", err)
 	}
@@ -216,7 +221,12 @@ func (j *journal) addCorpus(app string, e chaos.CorpusEntry) error {
 
 // close flushes and closes the journal file.
 func (j *journal) close() error {
-	if j == nil || j.f == nil {
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f == nil {
 		return nil
 	}
 	j.w.Flush()
