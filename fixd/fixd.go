@@ -49,7 +49,7 @@
 // outside the seed's control, and aborting a speculation requires
 // recalling messages from the network. Per-process scroll replay,
 // invariant monitoring, fault response, chaos injection, stable storage
-// and best-effort checkpoint/rollback work on both. See
+// and checkpoint/rollback (in-transit messages re-delivered) work on both. See
 // Substrate.Capabilities.
 //
 // Quickstart:

@@ -152,49 +152,30 @@ func (c *Coordinator) Respond(f dsim.FaultRecord) (*Response, error) {
 		return resp, fmt.Errorf("core: no consistent checkpoint set (unreachable: initial states are concurrent)")
 	}
 
-	// Step 3: assemble the global checkpoint and models, plus the channel
-	// contents at the line: messages whose send is inside the cut but
-	// whose receive is not, and the timers pending at each checkpoint.
-	var (
-		models  []investigate.ProcModel
-		timers  []investigate.Timer
-		lineSeq = make(map[string]uint64, len(procs))
-	)
+	// Step 3: piece the replies into the global checkpoint the Investigator
+	// explores from.
+	line := make([]heal.Member, 0, len(procs))
 	for _, id := range procs {
 		factory, ok := c.factories[id]
 		if !ok {
 			return resp, fmt.Errorf("core: no model factory for process %q", id)
 		}
-		pm := investigate.ProcModel{Proc: id, New: factory}
+		m := heal.Member{Ck: set[id], New: factory}
 		if ck := set[id]; ck.ID != "" { // else the initial-state sentinel
 			state, err := ck.StateJSON()
 			if err != nil {
 				return resp, fmt.Errorf("core: checkpoint %s: %w", ck.ID, err)
 			}
-			pm.State = append([]byte(nil), state...)
-			pm.Heap = ck.Snap
-			pm.Time = ck.Time
+			m.State = append([]byte(nil), state...)
 			resp.Line[id] = ck.ID
 			resp.LineClocks[id] = ck.Clock.Copy()
-			lineSeq[id] = ck.ScrollSeq
-			for _, name := range ck.Timers {
-				timers = append(timers, investigate.Timer{Proc: id, Name: name})
-			}
 		}
-		models = append(models, pm)
+		line = append(line, m)
 	}
 	if len(resp.Line) == 0 {
 		resp.FellBackToNow = true
 	}
-	// Substrates with stable storage ship each process's cells alongside
-	// its (checkpoint, model) reply — restricted to writes before that
-	// process's line position, so the explored disk matches the line's
-	// timeline and never holds a later (or fenced) decision.
-	durable := c.sim.DurableSnapshotAt(lineSeq)
-	for i := range models {
-		models[i].Durable = durable[models[i].Proc]
-	}
-	rep, err := investigate.Run(models, heal.InTransitAt(c.sim, lineSeq), timers, investigate.Config{
+	rep, err := heal.Investigate(c.sim, line, investigate.Config{
 		Invariants:                 c.cfg.Invariants,
 		TreatLocalFaultAsViolation: c.cfg.TreatLocalFaultAsViolation,
 		MaxStates:                  c.cfg.MaxStates,

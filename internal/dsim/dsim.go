@@ -909,23 +909,11 @@ func (s *Sim) RollbackTo(line map[string]string) error {
 		s.restoreProc(p, ck)
 		s.fenceAbandoned(p, ck)
 	}
-	// Re-deliver in-transit messages addressed to rolled-back processes:
-	// sends preserved in *any* process's scroll (rolled scrolls are already
-	// truncated to the line, so every record they retain is preserved)
-	// whose matching receive is no longer in the receiver's scroll.
-	received := make(map[string]bool)
-	for _, ck := range resolved {
-		for r := range s.procs[ck.Proc].scroll.All() {
-			if r.Kind == scroll.KindRecv {
-				received[r.MsgID] = true
-			}
-		}
-	}
-	for _, id := range s.order {
-		for r := range s.procs[id].scroll.All() {
-			if r.Kind != scroll.KindSend || received[r.MsgID] || cks[r.Peer] == nil {
-				continue
-			}
+	// Re-deliver the messages in transit across the line to its members.
+	// Restored scrolls already end at the line; every other process is cut
+	// at its full length.
+	for r := range scroll.InTransit(s.Scrolls(), nil) {
+		if cks[r.Peer] != nil {
 			s.push(event{
 				time: s.now + s.latency(), kind: evMessage,
 				msgID: r.MsgID, from: r.Proc, to: r.Peer,

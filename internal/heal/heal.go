@@ -23,7 +23,6 @@ package heal
 import (
 	"encoding/json"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -38,7 +37,7 @@ import (
 // Target is the checkpoint/rollback capability surface the Healer drives:
 // any substrate exposing a checkpoint store, recovery-line rollback, and
 // the dynamic-update primitive. *dsim.Sim satisfies it natively; the live
-// substrate (internal/substrate) provides a best-effort implementation.
+// substrate (internal/substrate) implements it too.
 type Target interface {
 	// Procs returns the sorted process IDs.
 	Procs() []string
@@ -46,7 +45,8 @@ type Target interface {
 	Store() *checkpoint.Store
 	// RollbackTo restores the given recovery line (proc -> checkpoint ID),
 	// all of it or — when an entry names an unknown checkpoint or process —
-	// none of it.
+	// none of it, and re-delivers the messages in transit across it to its
+	// members.
 	RollbackTo(line map[string]string) error
 	// ReplaceMachine swaps a process's implementation, loading state (JSON)
 	// into it when non-nil — the dynamic-update primitive.
@@ -56,8 +56,8 @@ type Target interface {
 	// cells written strictly before its position — the disks the
 	// Investigator's explored processes start from.
 	DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string][]byte
-	// Scroll returns the named process's recording (nil if unknown).
-	Scroll(id string) *scroll.Scroll
+	// Scrolls returns the processes' recordings, in Procs order.
+	Scrolls() []*scroll.Scroll
 }
 
 // Program is a versioned set of process implementations.
@@ -130,11 +130,9 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 	}
 
 	// Stage 0: gather and map the checkpointed states.
-	procs := make([]string, len(cks))
-	mapped := make(map[string][]byte, len(line))
+	members := make([]Member, len(cks))
 	for i, ck := range cks {
 		id := ck.Proc
-		procs[i] = id
 		old, err := ck.StateJSON()
 		if err != nil {
 			return nil, fmt.Errorf("heal: checkpoint %s: %w", ck.ID, err)
@@ -144,8 +142,8 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 			rep.Failures = append(rep.Failures, fmt.Sprintf("state mapping for %s: %v", id, err))
 			continue
 		}
-		mapped[id] = m
-		if _, ok := prog.Factories[id]; !ok {
+		members[i] = Member{Ck: ck, New: prog.Factories[id], State: m}
+		if members[i].New == nil {
 			rep.Failures = append(rep.Failures, fmt.Sprintf("program %s has no implementation for %s", prog.Version, id))
 		}
 	}
@@ -156,11 +154,10 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 	// Stage 1: type safety — the new implementation must accept the mapped
 	// state.
 	rep.TypeSafe = true
-	for _, id := range procs {
-		probe := prog.Factories[id]()
-		if err := checkpoint.RestoreState(mapped[id], probe.State()); err != nil {
+	for _, m := range members {
+		if err := checkpoint.RestoreState(m.State, m.New().State()); err != nil {
 			rep.TypeSafe = false
-			rep.Failures = append(rep.Failures, fmt.Sprintf("type safety: %s rejects mapped state: %v", id, err))
+			rep.Failures = append(rep.Failures, fmt.Sprintf("type safety: %s rejects mapped state: %v", m.Ck.Proc, err))
 		}
 	}
 	if !rep.TypeSafe {
@@ -169,9 +166,9 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 
 	// Stage 2: the mapped global state must satisfy the invariants.
 	rep.InvariantsOK = true
-	raw := make(map[string]json.RawMessage, len(mapped))
-	for id, b := range mapped {
-		raw[id] = json.RawMessage(b)
+	raw := make(map[string]json.RawMessage, len(members))
+	for _, m := range members {
+		raw[m.Ck.Proc] = m.State
 	}
 	states := fault.StatesFromRaw(raw)
 	for _, inv := range opts.Invariants {
@@ -184,32 +181,11 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 		return rep, nil
 	}
 
-	// Stage 3: optional bounded exploration of the updated program, from
-	// the line's states, heaps, disks, pending timers and messages in
-	// transit.
+	// Stage 3: optional bounded exploration of the updated program from the
+	// line.
 	rep.ExploreOK = true
 	if opts.ExploreDepth > 0 {
-		lineSeq := make(map[string]uint64, len(cks))
-		for _, ck := range cks {
-			lineSeq[ck.Proc] = ck.ScrollSeq
-		}
-		durable := s.DurableSnapshotAt(lineSeq)
-		// A process off the line is not rolled back: all it recorded counts.
-		cut := make(map[string]uint64, len(s.Procs()))
-		for _, id := range s.Procs() {
-			cut[id] = uint64(s.Scroll(id).Len())
-		}
-		maps.Copy(cut, lineSeq)
-		models := make([]investigate.ProcModel, len(cks))
-		var timers []investigate.Timer
-		for i, ck := range cks {
-			models[i] = investigate.ProcModel{Proc: ck.Proc, New: prog.Factories[ck.Proc],
-				State: mapped[ck.Proc], Heap: ck.Snap, Durable: durable[ck.Proc], Time: ck.Time}
-			for _, name := range ck.Timers {
-				timers = append(timers, investigate.Timer{Proc: ck.Proc, Name: name})
-			}
-		}
-		irep, err := investigate.Run(models, InTransitAt(s, cut), timers, investigate.Config{
+		irep, err := Investigate(s, members, investigate.Config{
 			Invariants:                 opts.Invariants,
 			TreatLocalFaultAsViolation: true,
 			StopAtFirstViolation:       true,
@@ -234,43 +210,54 @@ func Apply(s Target, line map[string]string, prog Program, mapper StateMapper, o
 	if err := s.RollbackTo(line); err != nil {
 		return nil, fmt.Errorf("heal: rollback: %w", err)
 	}
-	for _, id := range procs {
-		if err := s.ReplaceMachine(id, prog.Factories[id](), mapped[id]); err != nil {
+	for _, m := range members {
+		if err := s.ReplaceMachine(m.Ck.Proc, m.New(), m.State); err != nil {
 			return nil, fmt.Errorf("heal: inject: %w", err)
 		}
 	}
 	return rep, nil
 }
 
-// InTransitAt returns the messages crossing a cut of the processes' scrolls
-// (proc -> scroll position): sends recorded before their sender's position
-// whose receive is not recorded before the receiver's. A process absent
-// from lineSeq is at position 0, its initial state: it has sent and
-// received nothing.
-func InTransitAt(s Target, lineSeq map[string]uint64) []investigate.Msg {
-	received := make(map[string]bool)
-	for _, id := range s.Procs() {
-		for r := range s.Scroll(id).All() {
-			if r.Seq >= lineSeq[id] {
-				break
-			}
-			if r.Kind == scroll.KindRecv {
-				received[r.MsgID] = true
-			}
+// Member is a process of a recovery line as an investigation starts it: its
+// checkpoint Ck, the implementation New runs and the state State it loads. A
+// member at its initial state has a nil State and an empty-ID checkpoint at
+// position and time 0, with no heap or timers.
+type Member struct {
+	Ck    *checkpoint.Checkpoint
+	New   func() dsim.Machine
+	State []byte
+}
+
+// Investigate runs the Investigator from a recovery line of s: each member
+// with its checkpoint's heap, virtual time and pending timers, and the disk
+// it had written before its line position, and the messages in transit
+// across the line (scroll.InTransit). A process off the line is not rolled
+// back: all it recorded counts.
+func Investigate(s Target, line []Member, cfg investigate.Config) (*investigate.Report, error) {
+	cut := make(map[string]uint64, len(line))
+	lineSeq := make(map[string]uint64, len(line)) // an initial state has no disk
+	for _, m := range line {
+		cut[m.Ck.Proc] = m.Ck.ScrollSeq
+		if m.Ck.ID != "" {
+			lineSeq[m.Ck.Proc] = m.Ck.ScrollSeq
 		}
 	}
-	var out []investigate.Msg
-	for _, id := range s.Procs() {
-		for r := range s.Scroll(id).All() {
-			if r.Seq >= lineSeq[id] {
-				break
-			}
-			if r.Kind == scroll.KindSend && !received[r.MsgID] {
-				out = append(out, investigate.Msg{From: id, To: r.Peer, Payload: append([]byte(nil), r.Payload...)})
-			}
+	durable := s.DurableSnapshotAt(lineSeq)
+	models := make([]investigate.ProcModel, len(line))
+	var timers []investigate.Timer
+	for i, m := range line {
+		ck := m.Ck
+		models[i] = investigate.ProcModel{Proc: ck.Proc, New: m.New, State: m.State,
+			Heap: ck.Snap, Durable: durable[ck.Proc], Time: ck.Time}
+		for _, name := range ck.Timers {
+			timers = append(timers, investigate.Timer{Proc: ck.Proc, Name: name})
 		}
 	}
-	return out
+	var msgs []investigate.Msg
+	for r := range scroll.InTransit(s.Scrolls(), cut) {
+		msgs = append(msgs, investigate.Msg{From: r.Proc, To: r.Peer, Payload: append([]byte(nil), r.Payload...)})
+	}
+	return investigate.Run(models, msgs, timers, cfg)
 }
 
 // LatestLine builds a recovery line from each process's most recent
@@ -295,8 +282,9 @@ func LatestLine(s Target, procs []string) map[string]string {
 // verified line emerges, and returns nil if none exists (callers should
 // then restart from scratch).
 func VerifiedLine(s Target, invariants []fault.GlobalInvariant) map[string]string {
-	// Processes without any checkpoint are left out of the line (they are
-	// not rolled back; RollbackTo re-delivers their in-transit sends).
+	// Processes without any checkpoint are left out of the line: not rolled
+	// back, their sends in transit across it (scroll.InTransit) are
+	// re-delivered to its members by either backend's RollbackTo.
 	// Invariant functions receive only the line members' states and must
 	// tolerate absent processes.
 	lists := s.Store().Lists(s.Procs())

@@ -557,6 +557,37 @@ func (s *Scroll) Close() error {
 	return s.truncErr
 }
 
+// InTransit yields the messages in transit across a cut of the scrolls (a
+// recovery line): the sends recorded before their sender's cut whose
+// receive is not recorded before their receiver's, in the order of scrolls,
+// then of records. cut maps a process to its position; one it does not name
+// is cut at its full length. One receive settles both copies of a
+// duplicated send: they share its message ID.
+func InTransit(scrolls []*Scroll, cut map[string]uint64) iter.Seq[Record] {
+	return func(yield func(Record) bool) {
+		views := make([]view, len(scrolls))
+		received := make(map[string]bool)
+		for i, s := range scrolls {
+			views[i] = s.records()
+			if c, ok := cut[s.proc]; ok && c < uint64(views[i].n) {
+				views[i].n = int(c)
+			}
+			for r := range views[i].all {
+				if r.Kind == KindRecv {
+					received[r.MsgID] = true
+				}
+			}
+		}
+		for _, v := range views {
+			for r := range v.all {
+				if r.Kind == KindSend && !received[r.MsgID] && !yield(r) {
+					return
+				}
+			}
+		}
+	}
+}
+
 // Merge combines the scrolls of several processes into one globally ordered
 // record sequence (by Lamport timestamp, then process ID, then sequence),
 // the "collective local logs ... combined and analyzed" view of paper §2.2.

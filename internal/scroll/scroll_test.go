@@ -3,6 +3,7 @@ package scroll
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -217,6 +218,47 @@ func TestMergeGlobalOrder(t *testing.T) {
 	}
 	if merged[0].MsgID != "m1" || merged[0].Kind != KindSend {
 		t.Errorf("first = %+v", merged[0])
+	}
+}
+
+// TestInTransit: the messages in transit across a cut are the sends before
+// their sender's cut with no receive before their receiver's, in process
+// order and then scroll order.
+func TestInTransit(t *testing.T) {
+	a, b, c := NewMemory("a"), NewMemory("b"), NewMemory("c")
+	a.Append(Record{Kind: KindSend, MsgID: "m1", Peer: "b"}) // a:0
+	a.Append(Record{Kind: KindSend, MsgID: "m2", Peer: "c"}) // a:1, dropped on the way
+	a.Append(Record{Kind: KindRecv, MsgID: "m4", Peer: "b"}) // a:2
+	a.Append(Record{Kind: KindSend, MsgID: "m3", Peer: "b"}) // a:3, duplicated on the way
+	b.Append(Record{Kind: KindRecv, MsgID: "m1", Peer: "a"}) // b:0
+	b.Append(Record{Kind: KindSend, MsgID: "m4", Peer: "a"}) // b:1
+	b.Append(Record{Kind: KindRecv, MsgID: "m3", Peer: "a"}) // b:2, the first copy
+	b.Append(Record{Kind: KindRecv, MsgID: "m3", Peer: "a"}) // b:3, the second
+	c.Append(Record{Kind: KindRandom})                       // c:0
+	c.Append(Record{Kind: KindSend, MsgID: "m5", Peer: "a"}) // c:1, never received
+	for _, tc := range []struct {
+		name string
+		cut  map[string]uint64
+		want []string
+	}{
+		{"full lengths: a dropped send is in transit", nil, []string{"m2", "m5"}},
+		{"b at its initial state has received nothing", map[string]uint64{"b": 0}, []string{"m1", "m2", "m3", "m5"}},
+		{"a at its initial state has sent nothing", map[string]uint64{"a": 0}, []string{"m4", "m5"}},
+		{"one receive settles both copies of a duplicate", map[string]uint64{"b": 3}, []string{"m2", "m5"}},
+		{"no receive of either copy", map[string]uint64{"b": 2}, []string{"m2", "m3", "m5"}},
+		{"process order, then scroll order", map[string]uint64{"a": 2, "c": 0}, []string{"m2", "m4"}},
+		{"a cut past the end is the full length", map[string]uint64{"a": 9, "b": 9, "c": 9}, []string{"m2", "m5"}},
+	} {
+		var got []string
+		for r := range InTransit([]*Scroll{a, b, c}, tc.cut) {
+			if r.Kind != KindSend {
+				t.Errorf("%s: yielded a %s record", tc.name, r.Kind)
+			}
+			got = append(got, r.MsgID)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: in transit %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

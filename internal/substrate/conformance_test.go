@@ -470,6 +470,70 @@ func TestConformanceRollbackAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestConformanceRollbackRedelivers: rolling the worker back to its first
+// checkpoint after the run undoes every receive it recorded, so every job
+// the producer sent is in transit across the line again. Both backends
+// re-deliver them, and after Resume the worker has recorded each job once.
+func TestConformanceRollbackRedelivers(t *testing.T) {
+	for _, backend := range []string{"sim", "live"} {
+		t.Run(backend, func(t *testing.T) {
+			sub := newConfSubstrate(t, backend)
+			sub.Run()
+			if err := sub.RollbackTo(map[string]string{"worker": sub.Store().List("worker")[0].ID}); err != nil {
+				t.Fatal(err)
+			}
+			sub.Resume()
+			recvs := 0
+			for r := range sub.Scroll("worker").All() {
+				if r.Kind == scroll.KindRecv {
+					recvs++
+				}
+			}
+			if recvs != confJobs {
+				t.Errorf("worker recorded %d receives after the rollback, want %d", recvs, confJobs)
+			}
+			if bad := fault.NewMonitor(ackedSubsetOfSeen()).Check(sub); len(bad) != 0 {
+				t.Errorf("invariant violated: %v", bad)
+			}
+		})
+	}
+}
+
+// TestConformanceRollbackSkipsCrashedSends: an injected rollback while the
+// producer is down cuts the producer at the line too, so none of the jobs
+// it sent after its initial checkpoint reaches the rolled-back worker
+// again: the worker ends with no receive on either backend.
+func TestConformanceRollbackSkipsCrashedSends(t *testing.T) {
+	for _, backend := range []string{"sim", "live"} {
+		t.Run(backend, func(t *testing.T) {
+			var sub substrate.Substrate
+			if backend == "sim" {
+				sub = substrate.NewSim(dsim.Config{Seed: 7, MinLatency: 1, MaxLatency: 4, InitCheckpoint: true})
+			} else {
+				live, err := substrate.NewLive(substrate.LiveConfig{Seed: 7, InitCheckpoint: true})
+				if err != nil {
+					t.Skipf("live substrate unavailable: %v", err)
+				}
+				sub = live
+			}
+			t.Cleanup(func() { sub.Close() })
+			sub.AddProcess("worker", &confWorker{})
+			sub.AddProcess("producer", &confProducer{n: confJobs, every: 3})
+			sub.Inject(fault.Injection{Kind: fault.Crash, Proc: "producer", At: 60})
+			sub.Inject(fault.Injection{Kind: fault.Rollback, Proc: "worker", At: 160})
+			sub.Run()
+			if got := sub.Scroll("producer").Len(); got != int(sub.Store().List("producer")[0].ScrollSeq) {
+				t.Errorf("crashed producer's scroll holds %d records, want it cut at its initial checkpoint", got)
+			}
+			for r := range sub.Scroll("worker").All() {
+				if r.Kind == scroll.KindRecv {
+					t.Fatalf("worker received %s after the rollback: a crashed member's abandoned send came back", r.MsgID)
+				}
+			}
+		})
+	}
+}
+
 // TestLiveDurableWALRecovery: with LiveConfig.DurableDir set, stable
 // storage survives the substrate itself — a second substrate opened on the
 // same directory recovers the cells through the write-ahead log.

@@ -411,16 +411,15 @@ func (p *liveProc) handle(ev liveEvent) {
 }
 
 // rollbackLatest performs an injected deliberate rollback anchored at one
-// process (fault.Rollback): the Time Machine computes the
-// latest globally consistent recovery line over every process's
-// checkpoints (recovery.MaxConsistentSet) and restores it through the
-// timeline-fencing path, exactly as a heal-driven RollbackTo would.
-// Crashed processes stay down, but their abandoned durable cells are
-// fenced and post-line checkpoints pruned so a later restart joins the
-// restored timeline. A crashed anchor, or one with no checkpoint yet,
-// makes the injection a no-op. Processes are locked one at a time (the
-// caller holds no process mutex), so concurrent rollbacks serialize on
-// each mutex instead of deadlocking.
+// process (fault.Rollback): the Time Machine computes the latest globally
+// consistent recovery line over every process's checkpoints
+// (recovery.MaxConsistentSet) and restores it through RollbackTo, as a
+// heal-driven rollback would. Crashed processes stay down, but are cut at
+// the line (as the simulator's are, so re-delivery cannot bring their
+// abandoned sends back), their durable cells fenced and later checkpoints
+// pruned, so a restart joins the restored timeline. A crashed anchor, one
+// with no checkpoint yet, or a line a concurrent rollback pruned makes the
+// injection a no-op.
 func (s *LiveSubstrate) rollbackLatest(anchor *liveProc) {
 	anchor.mu.Lock()
 	skip := anchor.crashed || s.store.Latest(anchor.Self()) == nil
@@ -428,38 +427,27 @@ func (s *LiveSubstrate) rollbackLatest(anchor *liveProc) {
 	if skip {
 		return
 	}
-	s.mu.Lock()
-	ids := slices.Clone(s.order)
-	procs := make([]*liveProc, 0, len(ids))
-	for _, id := range ids {
-		procs = append(procs, s.procs[id])
-	}
-	s.mu.Unlock()
-	line := recovery.MaxConsistentSet(s.store.Lists(ids))
-	if line == nil {
+	procs := s.inOrder()
+	set := recovery.MaxConsistentSet(s.store.Lists(s.Procs()))
+	if set == nil {
 		return
 	}
-	// One epoch bump per rollback, before any restore: every send from the
-	// abandoned timeline carries a smaller epoch and will be fenced.
-	s.epoch.Add(1)
+	line := make(map[string]string, len(set))
 	for _, q := range procs {
-		ck, ok := line[q.Self()]
+		ck, ok := set[q.Self()]
 		if !ok {
 			continue
 		}
 		q.mu.Lock()
-		switch {
-		case q.crashed:
-			// Not resurrected here; fence its disk and prune so the restart
-			// path recovers the restored timeline, not the abandoned one.
+		if q.crashed {
+			q.Scroll().Truncate(ck.ScrollSeq)
 			q.fenceAbandonedLocked(ck)
-		default:
-			q.restoreLocked(ck)
-			q.fenceAbandonedLocked(ck)
-			q.Machine().OnRollback(&liveCtx{q}, dsim.RollbackInfo{Manual: true, Reason: "time machine rollback"})
+		} else {
+			line[q.Self()] = ck.ID
 		}
 		q.mu.Unlock()
 	}
+	s.RollbackTo(line) //nolint:errcheck // a line gone stale is a rollback superseded
 }
 
 // fenceAbandonedLocked applies the durable half of timeline fencing after a
@@ -731,11 +719,27 @@ func (s *LiveSubstrate) Procs() []string {
 	return append([]string(nil), s.order...)
 }
 
-// Scroll implements Substrate.
-func (s *LiveSubstrate) Scroll(id string) *scroll.Scroll {
+// proc returns the named process, nil if the substrate runs none.
+func (s *LiveSubstrate) proc(id string) *liveProc {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p, ok := s.procs[id]; ok {
+	return s.procs[id]
+}
+
+// inOrder returns the processes in sorted ID order.
+func (s *LiveSubstrate) inOrder() []*liveProc {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	procs := make([]*liveProc, len(s.order))
+	for i, id := range s.order {
+		procs[i] = s.procs[id]
+	}
+	return procs
+}
+
+// Scroll implements Substrate.
+func (s *LiveSubstrate) Scroll(id string) *scroll.Scroll {
+	if p := s.proc(id); p != nil {
 		return p.Scroll()
 	}
 	return nil
@@ -746,25 +750,22 @@ func (s *LiveSubstrate) MergedScroll() []scroll.Record {
 	return scroll.Merge(s.Scrolls()...)
 }
 
-// Scrolls returns the live per-process scrolls in registration order — the
+// Scrolls returns the live per-process scrolls in sorted ID order — the
 // copy-free input to scroll.Fingerprinter. Pause the substrate (or wait
 // for quiescence) before fingerprinting: recording is concurrent.
 func (s *LiveSubstrate) Scrolls() []*scroll.Scroll {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	scrolls := make([]*scroll.Scroll, 0, len(s.order))
-	for _, id := range s.order {
-		scrolls = append(scrolls, s.procs[id].Scroll())
+	procs := s.inOrder()
+	scrolls := make([]*scroll.Scroll, len(procs))
+	for i, p := range procs {
+		scrolls[i] = p.Scroll()
 	}
 	return scrolls
 }
 
 // MachineState implements Substrate.
 func (s *LiveSubstrate) MachineState(id string) []byte {
-	s.mu.Lock()
-	p, ok := s.procs[id]
-	s.mu.Unlock()
-	if !ok {
+	p := s.proc(id)
+	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
@@ -809,12 +810,7 @@ func (s *LiveSubstrate) DurableSnapshotAt(lineSeq map[string]uint64) map[string]
 // storage (called under that process's mutex), in process order, leaving
 // out processes it returns nil for.
 func (s *LiveSubstrate) snapshotCells(cellsOf func(*liveProc) map[string][]byte) map[string]map[string][]byte {
-	s.mu.Lock()
-	procs := make([]*liveProc, 0, len(s.order))
-	for _, id := range s.order {
-		procs = append(procs, s.procs[id])
-	}
-	s.mu.Unlock()
+	procs := s.inOrder()
 	var out map[string]map[string][]byte
 	for _, p := range procs {
 		p.mu.Lock()
@@ -836,51 +832,65 @@ func (s *LiveSubstrate) snapshotCells(cellsOf func(*liveProc) map[string][]byte)
 // Store implements Substrate.
 func (s *LiveSubstrate) Store() *checkpoint.Store { return s.store }
 
-// RollbackTo restores the given recovery line and advances the timeline
-// epoch. State, heap, clock and scroll rewind; messages already in flight
-// cannot be recalled, but they carry the pre-rollback epoch and are fenced
-// at delivery, so processes observe exactly-once-per-timeline delivery.
-// Durable cells written after the restored checkpoints are invalidated and
-// the abandoned timeline's checkpoints pruned, so a crash-restart that
-// fires after the rollback recovers the restored timeline.
+// RollbackTo restores the given recovery line, advances the timeline epoch
+// and, as the simulator does, re-delivers the messages in transit across
+// the line (scroll.InTransit) to its members: through their senders'
+// transports, stamped with the new epoch, so chaos rules apply to them and
+// an old-epoch copy still in flight is fenced. Every process is held while
+// the epoch moves and the line is cut, so every send the cut holds carries
+// the old epoch. Durable cells written after the restored checkpoints are
+// fenced and later checkpoints pruned, so a crash-restart after the
+// rollback recovers the restored timeline.
 func (s *LiveSubstrate) RollbackTo(line map[string]string) error {
 	cks, err := s.store.ResolveLine(line)
 	if err != nil {
 		return err
 	}
+	procs, scrolls := s.inOrder(), s.Scrolls()
 	// Nothing moves — not the epoch, not one process — unless the whole line
 	// can be applied.
-	procs := make([]*liveProc, len(cks))
-	s.mu.Lock()
+	members := make([]*liveProc, len(cks))
 	for i, ck := range cks {
-		procs[i] = s.procs[ck.Proc]
-	}
-	s.mu.Unlock()
-	for i, p := range procs {
-		if p == nil {
-			return fmt.Errorf("substrate: unknown process %q", cks[i].Proc)
+		if members[i] = s.proc(ck.Proc); members[i] == nil {
+			return fmt.Errorf("substrate: unknown process %q", ck.Proc)
 		}
 	}
-	// One epoch bump per rollback, before any process restores: every send
-	// from the abandoned timeline — including ones racing this rollback —
-	// carries a smaller epoch and will be fenced.
-	s.epoch.Add(1)
-	for i, p := range procs {
+	for _, p := range procs {
 		p.mu.Lock()
+	}
+	epoch := s.epoch.Add(1)
+	for i, p := range members {
 		p.restoreLocked(cks[i])
 		p.fenceAbandonedLocked(cks[i])
+	}
+	var resend []transport.Message
+	for r := range scroll.InTransit(scrolls, nil) {
+		if _, ok := line[r.Peer]; ok {
+			resend = append(resend, transport.Message{ID: r.MsgID, From: r.Proc, To: r.Peer,
+				Payload: r.Payload, Lamport: r.Lamport, Clock: r.Clock.Copy(), Epoch: epoch})
+		}
+	}
+	for _, p := range procs {
+		if _, ok := line[p.Self()]; !ok {
+			p.mu.Unlock()
+		}
+	}
+	for _, p := range members {
 		p.Machine().OnRollback(&liveCtx{p}, dsim.RollbackInfo{Manual: true, Reason: "time machine rollback"})
 		p.mu.Unlock()
+	}
+	for _, msg := range resend {
+		if p := s.proc(msg.From); p != nil { // a scroll loaded from disk may name another process
+			p.tr.Send(msg) //nolint:errcheck // loss is within the model
+		}
 	}
 	return nil
 }
 
 // ReplaceMachine implements Substrate — the dynamic-update primitive.
 func (s *LiveSubstrate) ReplaceMachine(procID string, m dsim.Machine, state []byte) error {
-	s.mu.Lock()
-	p, ok := s.procs[procID]
-	s.mu.Unlock()
-	if !ok {
+	p := s.proc(procID)
+	if p == nil {
 		return fmt.Errorf("substrate: unknown process %q", procID)
 	}
 	p.mu.Lock()
@@ -970,11 +980,8 @@ func (s *LiveSubstrate) Close() error {
 	if s.ctlTim != nil {
 		s.ctlTim.Stop()
 	}
-	procs := make([]*liveProc, 0, len(s.order))
-	for _, id := range s.order {
-		procs = append(procs, s.procs[id])
-	}
 	s.mu.Unlock()
+	procs := s.inOrder()
 
 	close(s.shutdown)
 	s.pauseMu.Lock()

@@ -15,8 +15,8 @@
 //     hub and the Scroll tapped on every send and delivery. Real
 //     concurrency means runs are not globally replayable and speculations
 //     are unavailable, but per-process scroll replay, invariant
-//     monitoring, fault response and best-effort checkpoint/rollback all
-//     work.
+//     monitoring, fault response and checkpoint/rollback, which
+//     re-delivers the messages in transit across the line, all work.
 //
 // The same chaos.Schedule compiles to the same fault.Injections on either
 // backend, and both evaluate them with the one inject.Store, so a fault
