@@ -65,9 +65,9 @@
 //   - The timeline fence — what of the abandoned timeline must not survive
 //     a deliberate rollback to a checkpoint at scroll position n:
 //     Store.PruneAfter (its later checkpoints) and Cells.Fence (its
-//     stable-storage writes), cut at the same coordinate. Cells is the one
-//     stable-storage cell map; the live backend adds a write-ahead log
-//     around it.
+//     stable-storage writes), cut at the same coordinate; both backends
+//     call them from dsim.Kernel.Abandon. Cells is the one stable-storage
+//     cell map; the live backend adds a write-ahead log around it.
 //
 // What stays per backend is how a process is paused, locked and re-armed
 // around those calls; the process-local half is dsim.Kernel's.

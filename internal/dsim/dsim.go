@@ -18,6 +18,7 @@ package dsim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"slices"
 	"sort"
@@ -25,7 +26,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/inject"
-	"repro/internal/recovery"
 	"repro/internal/scroll"
 	"repro/internal/slab"
 	"repro/internal/speculation"
@@ -231,11 +231,8 @@ const (
 // the run's (Sim.mem), plus what only the simulator keeps.
 type proc struct {
 	Kernel
-	tag       int32 // add order within the run: the queue keys its live timers by it
-	crashed   bool
-	ctx       *simContext
-	delivered uint64 // events delivered (for periodic checkpoints)
-	ckptSkew  uint64 // stagger offset for periodic checkpoints
+	tag int32 // add order within the run: the queue keys its live timers by it
+	ctx *simContext
 }
 
 // timerOf is what the event queue marks the process's live timers with:
@@ -406,8 +403,7 @@ func (s *Sim) AddProcess(id string, m Machine) {
 		p.scroll.Truncate(0)
 		p.snap = vclock.VC{}
 		p.lamport = vclock.Lamport{}
-		p.crashed, p.halted = false, false
-		p.delivered, p.ckptSkew = 0, 0
+		p.crashed, p.halted, p.delivered, p.ckptSkew = false, false, 0, 0
 	} else {
 		p = &proc{Kernel: Kernel{
 			id:      id,
@@ -573,13 +569,7 @@ func (s *Sim) Scrolls() []*scroll.Scroll {
 }
 
 // MergedScroll returns all scroll records in global (Lamport) order.
-func (s *Sim) MergedScroll() []scroll.Record {
-	scrolls := make([]*scroll.Scroll, 0, len(s.order))
-	for _, id := range s.order {
-		scrolls = append(scrolls, s.procs[id].scroll)
-	}
-	return scroll.Merge(scrolls...)
-}
+func (s *Sim) MergedScroll() []scroll.Record { return scroll.Merge(s.Scrolls()...) }
 
 // Inject arms one fault injection (fault.Injector). A control kind becomes
 // an event on inj.Proc at inj.At: a crash; a restart from the most recent
@@ -612,12 +602,7 @@ func (s *Sim) push(e event, timerOf int32) {
 func (s *Sim) Run() Stats {
 	for i, id := range s.order {
 		p := s.procs[id]
-		// Periodic checkpoints are staggered by the process's rank among the
-		// sorted IDs, not by when AddProcess saw it: a seed determines the run
-		// whatever order the caller (ranging over a map, say) added processes in.
-		if n := s.cfg.CheckpointEvery; n > 0 {
-			p.ckptSkew = uint64(i) % n
-		}
+		p.Stagger(i, s.cfg.CheckpointEvery)
 		p.machine.Init(p.ctx)
 	}
 	if s.cfg.InitCheckpoint {
@@ -664,7 +649,7 @@ func (s *Sim) Resume() Stats {
 // deliver hands a message event to its target process.
 func (s *Sim) deliver(ev *event) {
 	p, ok := s.procs[ev.to]
-	if !ok || p.crashed || p.halted {
+	if !ok || p.Down() {
 		s.stats.Dropped++
 		return
 	}
@@ -708,11 +693,10 @@ func (s *Sim) deliver(ev *event) {
 		panic(fmt.Sprintf("dsim: absorption failed: %v", err))
 	}
 	p.RecordRecv(ev.msgID, ev.from, payload, ev.lamport, ev.clock)
-	p.delivered++
+	periodic := p.Delivered(s.cfg.CheckpointEvery)
 	s.stats.Delivered++
 	p.machine.OnMessage(p.ctx, ev.from, payload)
-	// Periodic (uncoordinated) checkpoint policy.
-	if n := s.cfg.CheckpointEvery; n > 0 && (p.delivered+p.ckptSkew)%n == 0 {
+	if periodic {
 		s.takeCheckpoint(p, "", "periodic")
 	}
 }
@@ -720,7 +704,7 @@ func (s *Sim) deliver(ev *event) {
 // fireTimer hands a timer event to its owner.
 func (s *Sim) fireTimer(ev *event) {
 	p, ok := s.procs[ev.proc]
-	if !ok || p.crashed || p.halted {
+	if !ok || p.Down() {
 		return
 	}
 	p.RecordTimer(ev.timerName)
@@ -728,95 +712,60 @@ func (s *Sim) fireTimer(ev *event) {
 	p.machine.OnTimer(p.ctx, ev.timerName)
 }
 
-// crash marks a process crashed. Its queued timers stay queued: one that
-// comes due while the process is down fires into nothing (fireTimer), and
-// restart kills the rest — restoreProc re-arms the checkpointed ones, a
-// restart with no checkpoint re-runs Init, which arms its own.
+// crash takes a process down (Kernel.Crash).
 func (s *Sim) crash(id string) {
-	p, ok := s.procs[id]
-	if !ok || p.crashed {
-		return
+	if p, ok := s.procs[id]; ok && p.Crash() {
+		s.stats.Crashes++
 	}
-	p.crashed = true
-	s.stats.Crashes++
 }
 
-// rollbackLatest performs an injected deliberate rollback (inject.Rollback)
-// anchored at one process: the Time Machine computes the latest globally
-// consistent recovery line over every process's checkpoints
-// (recovery.MaxConsistentSet, so no member's state reflects a message
-// chain another member rolled back past) and restores it through
-// RollbackTo, applying the full timeline-fencing semantics. Crashed
-// processes are not resurrected — they stay down, but their abandoned
-// durable cells are fenced and their post-line checkpoints pruned, so a
-// later restart joins the restored timeline instead of the abandoned one.
-// A crashed anchor, or one with no checkpoint yet, makes the injection a
-// no-op.
+// rollbackLatest performs an injected deliberate rollback anchored at one
+// process: the line InjectedLine decides, restored through RollbackTo. A
+// crashed member's still-queued sends past the line are recalled with its
+// cut, so re-delivery cannot resurrect the abandoned timeline's traffic.
 func (s *Sim) rollbackLatest(id string) {
 	p, ok := s.procs[id]
-	if !ok || p.crashed || s.store.Latest(id) == nil {
+	if !ok {
 		return
 	}
-	set := recovery.MaxConsistentSet(s.store.Lists(s.order))
-	if set == nil {
+	line := InjectedLine(s.store, s.order, s.kernels(), &p.Kernel, func(k *Kernel, ck *checkpoint.Checkpoint, _ []string) {
+		s.recallSends(k.id, ck.ScrollSeq)
+	})
+	if line == nil {
 		return
-	}
-	line := make(map[string]string, len(set))
-	for _, pid := range s.order {
-		ck, ok := set[pid]
-		if !ok {
-			continue
-		}
-		p := s.procs[pid]
-		if !p.crashed {
-			line[pid] = ck.ID
-			continue
-		}
-		// Fence the downed member before RollbackTo runs: truncate its scroll
-		// to the line and recall its still-queued post-line sends, so the
-		// in-transit re-delivery cannot resurrect the abandoned timeline's
-		// traffic out of a crashed process's recording.
-		p.scroll.Truncate(ck.ScrollSeq)
-		for i := 0; i < s.queue.len(); i++ {
-			if ev := s.queue.at(i); ev.kind == evMessage && ev.from == p.id && ev.creatorSeq >= ck.ScrollSeq {
-				s.queue.kill(i)
-			}
-		}
-		s.fenceAbandoned(p, ck)
 	}
 	if err := s.RollbackTo(line); err != nil {
 		panic(fmt.Sprintf("dsim: injected rollback anchored at %s: %v", id, err))
 	}
 }
 
-// bumpEpoch advances the timeline epoch: the pre-rollback timeline is being
-// abandoned, so everything stamped with the old epoch becomes fenceable.
-func (s *Sim) bumpEpoch() { s.epoch++ }
-
-// fenceAbandoned is the durable half of timeline fencing after a deliberate
-// rollback of p to ck: the stable-storage cells and the checkpoints the
-// abandoned timeline produced past ck's scroll position go, so a later
-// crash-restart recovers the restored timeline, not the abandoned one.
-// Crash-restart recovery itself never calls this.
-func (s *Sim) fenceAbandoned(p *proc, ck *checkpoint.Checkpoint) {
-	p.FenceCells(ck.ScrollSeq)
-	s.store.PruneAfter(p.id, ck.ScrollSeq)
+// kernels yields every process's kernel in ID order.
+func (s *Sim) kernels() iter.Seq[*Kernel] {
+	return func(yield func(*Kernel) bool) {
+		for _, id := range s.order {
+			if !yield(&s.procs[id].Kernel) {
+				return
+			}
+		}
+	}
 }
 
-// restart revives a crashed process from its latest checkpoint.
+// recallSends kills the queued messages process id sent at or after its
+// scroll position seq.
+func (s *Sim) recallSends(id string, seq uint64) {
+	for i := 0; i < s.queue.len(); i++ {
+		if ev := s.queue.at(i); ev.kind == evMessage && ev.from == id && ev.creatorSeq >= seq {
+			s.queue.kill(i)
+		}
+	}
+}
+
+// restart revives a crashed process (Kernel.Restart).
 func (s *Sim) restart(id string) {
 	p, ok := s.procs[id]
-	if !ok || !p.crashed {
-		return
-	}
-	p.crashed = false
-	s.stats.Restarts++
-	if ck := s.store.Latest(id); ck != nil {
-		s.restoreProc(p, ck)
-		p.machine.OnRollback(p.ctx, RollbackInfo{Manual: true, CrashRestart: true, Reason: "crash restart"})
-	} else {
-		s.queue.killTimers(p.timerOf())
-		p.machine.Init(p.ctx)
+	if ok && p.Restart(p.ctx, s.store, func(ck *checkpoint.Checkpoint) { s.restoreProc(p, ck) },
+		func() { s.queue.killTimers(p.timerOf()) }) {
+		s.stats.Restarts++
 	}
 }
 
@@ -834,21 +783,15 @@ func (s *Sim) takeCheckpoint(p *proc, specID, label string) *checkpoint.Checkpoi
 	return ck
 }
 
-// restoreProc rewinds a process to a checkpoint: heap, machine state,
-// vector clock and scroll position (Kernel.Restore). Events the process
-// created after the checkpoint are purged from the queue. Stable storage
-// (the kernel's cells) is deliberately untouched here: disk writes cannot
-// be unwritten by a restore. Deliberate-rollback callers additionally fence
-// the cells written after the checkpoint (fenceAbandoned, or FenceCells
-// alone for a speculation abort); the crash-restart caller must not — the
-// disk is its authoritative recovery source.
+// restoreProc is the simulator's restore of a process to a checkpoint:
+// Kernel.Restore, and the queue's part — the messages it sent since the
+// checkpoint are recalled, its timers killed and the checkpoint's re-armed.
+// Its cells are left alone: what a deliberate rollback abandons is
+// Kernel.Abandon's (FenceCells alone for a speculation abort), and a
+// crash-restart (Kernel.Restart) recovers from them.
 func (s *Sim) restoreProc(p *proc, ck *checkpoint.Checkpoint) {
 	p.Restore(ck)
-	for i := 0; i < s.queue.len(); i++ {
-		if ev := s.queue.at(i); ev.kind == evMessage && ev.from == p.id && ev.creatorSeq >= ck.ScrollSeq {
-			s.queue.kill(i)
-		}
-	}
+	s.recallSends(p.id, ck.ScrollSeq)
 	s.queue.killTimers(p.timerOf())
 	// Re-arm the timers that were pending when the checkpoint was taken
 	// (their original deadlines are gone; a fresh latency draw is within
@@ -903,11 +846,11 @@ func (s *Sim) RollbackTo(line map[string]string) error {
 	// The pre-rollback timeline is abandoned: advance the epoch, fence the
 	// durable cells it wrote, and drop its checkpoints so a later
 	// crash-restart recovers the restored timeline, not the abandoned one.
-	s.bumpEpoch()
+	s.epoch++
 	for _, ck := range resolved {
 		p := s.procs[ck.Proc]
 		s.restoreProc(p, ck)
-		s.fenceAbandoned(p, ck)
+		p.Abandon(s.store, ck)
 	}
 	// Re-deliver the messages in transit across the line to its members.
 	// Restored scrolls already end at the line; every other process is cut
@@ -945,7 +888,7 @@ func (s *Sim) ReplaceMachine(procID string, m Machine, state []byte) error {
 	// A dynamic update starts a new timeline too: the healer pairs it with a
 	// rollback, and messages produced by the replaced implementation must be
 	// fenceable on the live backend.
-	s.bumpEpoch()
+	s.epoch++
 	return nil
 }
 
@@ -980,7 +923,7 @@ func (c specCtl) Rollback(procID, ckptID string, aborted *speculation.Speculatio
 	// A speculation abort deliberately abandons the speculative timeline:
 	// bump the epoch and fence the durable writes made under it. Checkpoints
 	// are left to the speculation manager, which owns their lifecycle.
-	c.s.bumpEpoch()
+	c.s.epoch++
 	c.s.restoreProc(p, ck)
 	p.FenceCells(ck.ScrollSeq)
 	p.machine.OnRollback(p.ctx, RollbackInfo{

@@ -3,6 +3,7 @@ package dsim
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 
 	"repro/internal/checkpoint"
 )
@@ -127,46 +128,51 @@ func (k *Kernel) FenceCells(seq uint64) []string { return k.cells.Fence(seq + 1)
 // a checkpoint at seq.
 func (k *Kernel) CellsAt(seq uint64) map[string][]byte { return k.cells.SnapshotAt(seq + 1) }
 
-// DurableSnapshot returns a deep copy of every process's stable-storage
-// cells, keyed proc -> key -> value. Processes with no cells are omitted; a
-// run in which nothing was written returns nil. The snapshot is
-// deterministic given the run, which is how chaos artifacts pin
-// recovery-dependent outcomes in addition to the scroll digest.
-func (s *Sim) DurableSnapshot() map[string]map[string][]byte {
-	return s.snapshotCells(func(p *proc) map[string][]byte { return p.cells.Snapshot() })
-}
+// DurableSnapshot returns Disks of the simulation's processes.
+func (s *Sim) DurableSnapshot() map[string]map[string][]byte { return disks(s.kernels(), nil, false) }
 
-// DurableSnapshotAt returns the cells as of a recovery line: for each
-// process present in lineSeq, only cells written strictly before that
-// process's line scroll position (the same boundary a rollback fences).
-// Processes absent from the line — no checkpoint, so an investigation
-// starts them from initial state — are omitted: a fresh timeline has
-// written nothing. This is what the Investigator seeds its explored disks
-// from, so exploration from a recovery line never observes cells the line's
-// timeline had not yet written.
+// DurableSnapshotAt returns DisksAt of the simulation's processes.
 func (s *Sim) DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string][]byte {
-	return s.snapshotCells(func(p *proc) map[string][]byte {
-		seq, ok := lineSeq[p.id]
-		if !ok {
-			return nil
-		}
-		return p.CellsAt(seq)
-	})
+	return disks(s.kernels(), lineSeq, true)
 }
 
-// snapshotCells collects what cellsOf copies out of each process's stable
-// storage, in process order, leaving out processes it returns nil for.
-func (s *Sim) snapshotCells(cellsOf func(*proc) map[string][]byte) map[string]map[string][]byte {
+// Disks returns a deep copy of the stable-storage cells of the kernels procs
+// yields, keyed proc -> key -> value, each read while it is yielded.
+// Processes with no cells are omitted; a run in which nothing was written
+// returns nil. The snapshot is deterministic given the run, which is how
+// chaos artifacts pin recovery-dependent outcomes in addition to the scroll
+// digest.
+func Disks(procs iter.Seq[*Kernel]) map[string]map[string][]byte { return disks(procs, nil, false) }
+
+// DisksAt returns the cells as of a recovery line: for each process present
+// in lineSeq, only cells written strictly before that process's line scroll
+// position (the same boundary a rollback fences). Processes absent from the
+// line — no checkpoint, so an investigation starts them from initial state —
+// are omitted: a fresh timeline has written nothing. This is what the
+// Investigator seeds its explored disks from, so exploration from a recovery
+// line never observes cells the line's timeline had not yet written.
+func DisksAt(procs iter.Seq[*Kernel], lineSeq map[string]uint64) map[string]map[string][]byte {
+	return disks(procs, lineSeq, true)
+}
+
+// disks is DisksAt when at is set, Disks otherwise. The simulator calls it
+// directly: inlined there with its iterator, it allocates nothing but the
+// snapshot.
+func disks(procs iter.Seq[*Kernel], lineSeq map[string]uint64, at bool) map[string]map[string][]byte {
 	var out map[string]map[string][]byte
-	for _, id := range s.order {
-		cells := cellsOf(s.procs[id])
-		if cells == nil {
-			continue
+	for k := range procs {
+		var cells map[string][]byte
+		if seq, ok := lineSeq[k.id]; ok {
+			cells = k.CellsAt(seq)
+		} else if !at {
+			cells = k.cells.Snapshot()
 		}
-		if out == nil {
-			out = make(map[string]map[string][]byte, len(s.order))
+		if cells != nil {
+			if out == nil {
+				out = make(map[string]map[string][]byte)
+			}
+			out[k.id] = cells
 		}
-		out[id] = cells
 	}
 	return out
 }

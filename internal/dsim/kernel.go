@@ -24,30 +24,35 @@ const EpochFenceMsgID = "fence:epoch"
 const logMsgID = "log"
 
 // Kernel is one process as every Context holds it: its machine, heap,
-// scroll, stable-storage cells, Lamport and vector clocks, and the memory
-// its records and checkpoints are carved from. It writes the record of
-// every Context call — its layout, its stamping, the durable record
-// codecs — serves the calls whose outcome is the process's own (Self, Heap,
-// Log, Halt, the Durable… calls, and the speculation calls only the
-// simulator overrides), and does the process-local half of a checkpoint and
-// of a restore, the same way on the simulator, the live substrate, the
-// Investigator and replay. A context embeds its kernel and declares only
-// the calls that reach its world: Now, Random, Send, SetTimer, Fault and
-// Checkpoint. A backend keeps event delivery, timers, locking, epochs, and
-// whether the cells are also written ahead to disk. A Kernel is not safe
-// for concurrent use.
+// scroll, stable-storage cells, Lamport and vector clocks, whether it is
+// down, and the memory its records and checkpoints are carved from. It
+// writes the record of every Context call — its layout, its stamping, the
+// durable record codecs — serves the calls whose outcome is the process's
+// own (Self, Heap, Log, Halt, the Durable… calls, and the speculation calls
+// only the simulator overrides), and does the process-local half of a
+// checkpoint and of a restore, the same way on the simulator, the live
+// substrate, the Investigator and replay. It also decides the process's
+// lifecycle for both backends (lifecycle.go): crash, crash-restart, what a
+// deliberate rollback abandons, and when the periodic policy checkpoints. A
+// context embeds its kernel and declares only the calls that reach its
+// world: Now, Random, Send, SetTimer, Fault and Checkpoint. A backend keeps
+// event delivery, timers, locking, epochs and the write-ahead log. A Kernel
+// is not safe for concurrent use.
 type Kernel struct {
-	id      string
-	machine Machine
-	heap    *checkpoint.Heap
-	scroll  *scroll.Scroll
-	clock   vclock.VC // on the table of the backend's processes, which every merged clock shares
-	self    int32     // this process's index in that table
-	halted  bool
-	snap    vclock.VC // cached clock snapshot, shared by records between ticks
-	lamport vclock.Lamport
-	mem     *memory
-	cells   checkpoint.Cells // stable storage (durable.go): no restore rewinds it
+	id        string
+	machine   Machine
+	heap      *checkpoint.Heap
+	scroll    *scroll.Scroll
+	clock     vclock.VC // on the table of the backend's processes, which every merged clock shares
+	self      int32     // this process's index in that table
+	halted    bool
+	crashed   bool
+	snap      vclock.VC // cached clock snapshot, shared by records between ticks
+	lamport   vclock.Lamport
+	mem       *memory
+	cells     checkpoint.Cells // stable storage (durable.go): no restore rewinds it
+	delivered uint64           // messages delivered, for the periodic checkpoint policy
+	ckptSkew  uint64           // where in that count the policy checkpoints (Stagger)
 }
 
 // NewKernel returns the kernel of process id running m. Its memory is its

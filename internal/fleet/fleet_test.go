@@ -293,6 +293,39 @@ func TestFleetJournalTornTail(t *testing.T) {
 	diffJSON(t, "torn journal", want, reportJSON(t, rep2))
 }
 
+// TestJournalRecoverySkipsCorpus: recovery keeps run and shrink lines and
+// drops a corpus line's entry, but a corpus line that is not well-formed
+// JSON still ends recovery there, and the journal is cut back to the lines
+// before it.
+func TestJournalRecoverySkipsCorpus(t *testing.T) {
+	cfg := journalConfig{Proto: 1, Seed: 3, Budget: 2, Apps: []string{"a"}}
+	head, err := json.Marshal(journalLine{Type: "config", Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact := string(head) + "\n" +
+		`{"type":"run","app":"a","index":0,"result":{}}` + "\n" +
+		`{"type":"corpus","app":"a","entry":{"FoundAt":3,"Op":"splice"}}` + "\n"
+	path := filepath.Join(t.TempDir(), "frontier.journal")
+	if err := os.WriteFile(path, []byte(intact+`{"type":"corpus","app":"a","entry":{"Op":"splice",}}`+"\n"+
+		`{"type":"run","app":"a","index":1,"result":{}}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := openJournal(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.close(); err != nil {
+		t.Fatal(err)
+	}
+	if j.recovered != 1 || j.run("a", 0) == nil || j.run("a", 1) != nil {
+		t.Errorf("recovered %d lines (run 0 %v, run 1 %v), want run 0 alone", j.recovered, j.run("a", 0) != nil, j.run("a", 1) != nil)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != intact {
+		t.Errorf("journal after recovery (%v):\n%s\nwant the lines before the corrupt one:\n%s", err, data, intact)
+	}
+}
+
 // TestFleetJournalConfigMismatch: a journal recorded for a different
 // search must be rejected, not silently replayed.
 func TestFleetJournalConfigMismatch(t *testing.T) {

@@ -40,6 +40,20 @@ type journalLine struct {
 	Config  *journalConfig       `json:"config,omitempty"`
 }
 
+// recoveredLine is what recovery decodes of a journal line: a corpus
+// line's entry, which replay derives from run lines, is checked to be
+// well-formed JSON (Unmarshal scans the whole line before decoding it) and
+// dropped without being built.
+type recoveredLine struct {
+	journalLine
+	Entry skipped `json:"entry"`
+}
+
+// skipped is a JSON value decoding drops.
+type skipped struct{}
+
+func (*skipped) UnmarshalJSON([]byte) error { return nil }
+
 // journalConfig identifies the search a journal belongs to.
 type journalConfig struct {
 	Proto        int      `json:"proto"`
@@ -98,7 +112,7 @@ func openJournal(path string, cfg journalConfig) (*journal, error) {
 		if nl < 0 {
 			break // no terminator: torn tail (or clean EOF at valid)
 		}
-		var line journalLine
+		var line recoveredLine
 		if json.Unmarshal(data[valid:valid+nl], &line) != nil {
 			break // corrupt line: everything before it is intact
 		}

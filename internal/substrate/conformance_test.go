@@ -112,18 +112,26 @@ func ackedSubsetOfSeen() fault.GlobalInvariant {
 
 const confJobs = 12
 
-// newConfSubstrate builds one backend with the conformance app loaded.
-// Live runs with a 1ms tick; the producer emits every 3 ticks.
+// newConfSubstrate builds one backend with the conformance app loaded,
+// checkpointing after Init and every 4 deliveries.
 func newConfSubstrate(t *testing.T, backend string) substrate.Substrate {
+	return confSubstrate(t, backend, 4)
+}
+
+// confSubstrate builds one backend with the conformance app loaded. Live
+// runs with a 1ms tick; the producer emits every 3 ticks. every > 0
+// checkpoints every process after Init and every every deliveries; 0 takes
+// no checkpoint.
+func confSubstrate(t *testing.T, backend string, every uint64) substrate.Substrate {
 	t.Helper()
 	var sub substrate.Substrate
 	switch backend {
 	case "sim":
 		sub = substrate.NewSim(dsim.Config{Seed: 7, MinLatency: 1, MaxLatency: 4,
-			InitCheckpoint: true, CheckpointEvery: 4, MaxSteps: 100_000})
+			InitCheckpoint: every > 0, CheckpointEvery: every, MaxSteps: 100_000})
 	case "live", "live-tcp":
 		live, err := substrate.NewLive(substrate.LiveConfig{Seed: 7, UseTCP: backend == "live-tcp",
-			InitCheckpoint: true, CheckpointEvery: 4})
+			InitCheckpoint: every > 0, CheckpointEvery: every})
 		if err != nil {
 			t.Skipf("live substrate unavailable: %v", err)
 		}
@@ -263,20 +271,40 @@ func checkScrollSound(t *testing.T, sub substrate.Substrate) {
 	}
 }
 
-// TestLiveCrashRestart exercises the process-level injections the hub
-// cannot host: the worker crashes mid-run and restarts from its latest
-// checkpoint; jobs sent while it is down are lost, the invariant holds.
-func TestLiveCrashRestart(t *testing.T) {
-	sub := newConfSubstrate(t, "live")
-	sched := chaos.Schedule{{Kind: fault.Crash, Targets: []int{1},
-		Window: chaos.Window{From: 8, To: 22}}}
-	sched.Compile(sub.Procs()).Apply(sub)
-	stats := sub.Run()
-	if stats.Crashes != 1 || stats.Restarts != 1 {
-		t.Errorf("crashes=%d restarts=%d, want 1/1", stats.Crashes, stats.Restarts)
-	}
-	if bad := fault.NewMonitor(ackedSubsetOfSeen()).Check(sub); len(bad) != 0 {
-		t.Errorf("invariant violated after crash-restart: %v", bad)
+// TestConformanceCrashRestart exercises crash-restart (dsim.Kernel.Restart)
+// on every backend. With checkpoints, the worker crashes mid-run and
+// restarts from its latest one; jobs sent while it is down are lost, and
+// the invariant holds. With none, the producer crashes while its emit timer
+// is pending, which then fires into nothing; its restart re-runs Init,
+// which arms the timer again, so every job is still sent.
+func TestConformanceCrashRestart(t *testing.T) {
+	for _, backend := range []string{"sim", "live", "live-tcp"} {
+		for _, tc := range []struct {
+			name      string
+			every     uint64
+			target    int // "worker" sorts after "producer"
+			rollbacks uint64
+		}{{"checkpoint", 4, 1, 1}, {"no-checkpoint", 0, 0, 0}} {
+			t.Run(backend+"/"+tc.name, func(t *testing.T) {
+				sub := confSubstrate(t, backend, tc.every)
+				sched := chaos.Schedule{{Kind: fault.Crash, Targets: []int{tc.target},
+					Window: chaos.Window{From: 8, To: 22}}}
+				sched.Compile(sub.Procs()).Apply(sub)
+				stats := sub.Run()
+				if stats.Crashes != 1 || stats.Restarts != 1 || stats.Rollbacks != tc.rollbacks {
+					t.Errorf("crashes=%d restarts=%d rollbacks=%d, want 1/1/%d",
+						stats.Crashes, stats.Restarts, stats.Rollbacks, tc.rollbacks)
+				}
+				if bad := fault.NewMonitor(ackedSubsetOfSeen()).Check(sub); len(bad) != 0 {
+					t.Errorf("invariant violated after crash-restart: %v", bad)
+				}
+				var p producerState
+				json.Unmarshal(sub.MachineState("producer"), &p)
+				if tc.every == 0 && p.Sent != confJobs {
+					t.Errorf("producer sent %d/%d jobs after a restart that re-ran Init", p.Sent, confJobs)
+				}
+			})
+		}
 	}
 }
 
@@ -977,46 +1005,75 @@ func (m *echoOnce) OnTimer(dsim.Context, string)               {}
 func (m *echoOnce) OnRollback(dsim.Context, dsim.RollbackInfo) {}
 
 // TestBackendsRecordAlike runs one machine that calls every recorded
-// operation on the simulator and on the live substrate: both scrolls agree
-// record for record on Kind, Peer, MsgID and payload, except for what only
-// the run decides (clock and rng values, still 8 bytes each, and message
-// IDs), and the live recording replays clean.
+// operation, and its peer, on the simulator and on the live substrate,
+// under each checkpoint policy: both processes' scrolls agree record for
+// record on Kind, Peer, MsgID and payload, except for what only the run
+// decides (clock and rng values, still 8 bytes each, message IDs, and
+// checkpoint IDs, which the store numbers across processes: a checkpoint
+// record agrees on its position and label), and the live recording of the
+// operations replays clean.
 func TestBackendsRecordAlike(t *testing.T) {
-	record := func(sub substrate.Substrate) []scroll.Record {
-		t.Cleanup(func() { sub.Close() })
-		sub.AddProcess("ops", &everyOp{})
-		sub.AddProcess("peer", &echoOnce{})
-		sub.Run()
-		return sub.Scroll("ops").Records()
+	for _, tc := range []struct {
+		name       string
+		init, cic  bool
+		every      uint64
+		ops, peers int // records in each scroll
+	}{
+		{"none", false, false, 0, 12, 2},
+		{"init", true, false, 0, 13, 3},
+		{"cic", false, true, 0, 13, 3},
+		{"every-1", false, false, 1, 13, 3},
+		{"all-every-2", true, true, 2, 14, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			record := func(sub substrate.Substrate) [2][]scroll.Record {
+				t.Cleanup(func() { sub.Close() })
+				sub.AddProcess("ops", &everyOp{})
+				sub.AddProcess("peer", &echoOnce{})
+				sub.Run()
+				return [2][]scroll.Record{sub.Scroll("ops").Records(), sub.Scroll("peer").Records()}
+			}
+			sim := record(substrate.NewSim(dsim.Config{Seed: 3,
+				InitCheckpoint: tc.init, CICheckpoint: tc.cic, CheckpointEvery: tc.every}))
+			live, err := substrate.NewLive(substrate.LiveConfig{Seed: 3,
+				InitCheckpoint: tc.init, CICheckpoint: tc.cic, CheckpointEvery: tc.every})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := record(live)
+			for j, want := range []int{tc.ops, tc.peers} {
+				recordsAlike(t, []string{"ops", "peer"}[j], got[j], sim[j], want)
+			}
+			rep, err := dsim.Replay("ops", &everyOp{}, got[0], 0, 0)
+			if err != nil || rep.Diverged || rep.Events != 2 {
+				t.Fatalf("live recording replays to %+v (%v), want 2 events and no divergence", rep, err)
+			}
+		})
 	}
-	sim := record(substrate.NewSim(dsim.Config{Seed: 3}))
-	live, err := substrate.NewLive(substrate.LiveConfig{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := record(live)
-	if len(got) != len(sim) || len(sim) != 12 {
-		t.Fatalf("live recorded %d records, the simulator %d; want 12 each", len(got), len(sim))
+}
+
+// recordsAlike compares process proc's live and simulated scrolls, which
+// must hold n records each, as TestBackendsRecordAlike describes.
+func recordsAlike(t *testing.T, proc string, live, sim []scroll.Record, n int) {
+	t.Helper()
+	if len(live) != len(sim) || len(sim) != n {
+		t.Fatalf("%s: live recorded %d records, the simulator %d; want %d each", proc, len(live), len(sim), n)
 	}
 	for i, s := range sim {
-		l := got[i]
+		l := live[i]
 		switch {
 		case l.Kind != s.Kind || l.Peer != s.Peer:
-			t.Errorf("record %d: live %v peer %q, sim %v peer %q", i, l.Kind, l.Peer, s.Kind, s.Peer)
+			t.Errorf("%s record %d: live %v peer %q, sim %v peer %q", proc, i, l.Kind, l.Peer, s.Kind, s.Peer)
 		case s.Kind == scroll.KindTime || s.Kind == scroll.KindRandom:
 			if len(l.Payload) != 8 || len(s.Payload) != 8 {
-				t.Errorf("record %d: %v payloads of %d and %d bytes, want 8", i, s.Kind, len(l.Payload), len(s.Payload))
+				t.Errorf("%s record %d: %v payloads of %d and %d bytes, want 8", proc, i, s.Kind, len(l.Payload), len(s.Payload))
 			}
-		case s.Kind == scroll.KindSend || s.Kind == scroll.KindRecv:
+		case s.Kind == scroll.KindSend || s.Kind == scroll.KindRecv || s.Kind == scroll.KindCkpt:
 			if string(l.Payload) != string(s.Payload) {
-				t.Errorf("record %d: %v payload live %q, sim %q", i, s.Kind, l.Payload, s.Payload)
+				t.Errorf("%s record %d: %v payload live %q, sim %q", proc, i, s.Kind, l.Payload, s.Payload)
 			}
 		case l.MsgID != s.MsgID || string(l.Payload) != string(s.Payload):
-			t.Errorf("record %d: live %v %q %q, sim %q %q", i, s.Kind, l.MsgID, l.Payload, s.MsgID, s.Payload)
+			t.Errorf("%s record %d: live %v %q %q, sim %q %q", proc, i, s.Kind, l.MsgID, l.Payload, s.MsgID, s.Payload)
 		}
-	}
-	rep, err := dsim.Replay("ops", &everyOp{}, got, 0, 0)
-	if err != nil || rep.Diverged || rep.Events != 2 {
-		t.Fatalf("live recording replays to %+v (%v), want 2 events and no divergence", rep, err)
 	}
 }

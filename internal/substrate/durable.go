@@ -23,7 +23,7 @@ import (
 // state.
 //
 // A deliberate rollback fences the cells written at or after the restored
-// checkpoint's scroll position (Kernel.FenceCells), and the store logs a
+// checkpoint's scroll position (Kernel.Abandon), and the store logs a
 // tombstone for each, so a crash-restart that recovers this store cannot
 // re-install an abandoned timeline's decision. Without a directory nothing
 // is logged: the cells still survive in-substrate crash-restart, matching

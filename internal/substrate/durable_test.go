@@ -20,7 +20,7 @@ import (
 
 // disk is one live process's stable storage as liveProc holds it: the
 // cells on a kernel, the log in a durableStore. put and fence go through
-// the kernel as liveCtx.DurablePut and fenceAbandonedLocked do.
+// the kernel as liveCtx.DurablePut and RollbackTo do.
 type disk struct {
 	k  dsim.Kernel
 	ds durableStore

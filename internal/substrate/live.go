@@ -14,7 +14,6 @@ import (
 	"repro/internal/dsim"
 	"repro/internal/fault"
 	"repro/internal/inject"
-	"repro/internal/recovery"
 	"repro/internal/scroll"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -221,7 +220,6 @@ type liveProc struct {
 	tr      transport.Transport
 	inbox   <-chan transport.Message
 	events  chan liveEvent
-	crashed bool
 	// incarnation is bumped by every restore (crash-restart AND rollback)
 	// and by a restart that re-runs Init: pending time.AfterFunc timers of
 	// the previous incarnation cannot be recalled, so their fires are fenced
@@ -230,8 +228,6 @@ type liveProc struct {
 	// without advancing the timeline.
 	incarnation uint64
 
-	delivered     uint64
-	ckptSkew      uint64
 	pendingTimers []string
 	pendingFaults []dsim.FaultRecord
 }
@@ -340,7 +336,7 @@ func (p *liveProc) handle(ev liveEvent) {
 			p.takeCheckpointLocked("init")
 		}
 	case levMsg:
-		if p.crashed || p.Halted() {
+		if p.Down() {
 			s.crashDrops.Add(1)
 			return
 		}
@@ -359,11 +355,11 @@ func (p *liveProc) handle(ev liveEvent) {
 			p.takeCheckpointLocked("cic")
 		}
 		p.RecordRecv(ev.msg.ID, ev.msg.From, ev.msg.Payload, ev.msg.Lamport, ev.msg.Clock)
-		p.delivered++
+		periodic := p.Delivered(s.cfg.CheckpointEvery)
 		s.delivered.Add(1)
 		s.steps.Add(1)
 		p.Machine().OnMessage(ctx, ev.msg.From, ev.msg.Payload)
-		if n := s.cfg.CheckpointEvery; n > 0 && (p.delivered+p.ckptSkew)%n == 0 {
+		if periodic {
 			p.takeCheckpointLocked("periodic")
 		}
 	case levTimer:
@@ -378,7 +374,7 @@ func (p *liveProc) handle(ev liveEvent) {
 			return
 		}
 		p.removeTimerLocked(ev.timer)
-		if p.crashed || p.Halted() {
+		if p.Down() {
 			return
 		}
 		p.RecordTimer(ev.timer)
@@ -386,84 +382,59 @@ func (p *liveProc) handle(ev liveEvent) {
 		s.steps.Add(1)
 		p.Machine().OnTimer(ctx, ev.timer)
 	case levCrash:
-		if !p.crashed {
-			p.crashed = true
+		if p.Crash() {
 			s.crashes.Add(1)
 		}
 	case levRestart:
-		if !p.crashed {
-			return
-		}
-		p.crashed = false
-		s.restarts.Add(1)
-		if ck := s.store.Latest(p.Self()); ck != nil {
-			p.restoreLocked(ck)
-			p.Machine().OnRollback(ctx, dsim.RollbackInfo{Manual: true, CrashRestart: true, Reason: "crash restart"})
-		} else {
-			// A fresh incarnation with nothing to restore: Init arms its own
-			// timers, and the crashed incarnation's still-pending fires are
-			// fenced, as after a restore (the simulator kills them).
-			p.incarnation++
-			p.pendingTimers = nil
-			p.Machine().Init(ctx)
+		// A restart with nothing to restore is a fresh incarnation: Init arms
+		// its own timers, and the crashed incarnation's pending fires are
+		// fenced, as after a restore.
+		if p.Restart(ctx, s.store, p.restoreLocked, func() { p.incarnation, p.pendingTimers = p.incarnation+1, nil }) {
+			s.restarts.Add(1)
 		}
 	}
 }
 
 // rollbackLatest performs an injected deliberate rollback anchored at one
-// process (fault.Rollback): the Time Machine computes the latest globally
-// consistent recovery line over every process's checkpoints
-// (recovery.MaxConsistentSet) and restores it through RollbackTo, as a
-// heal-driven rollback would. Crashed processes stay down, but are cut at
-// the line (as the simulator's are, so re-delivery cannot bring their
-// abandoned sends back), their durable cells fenced and later checkpoints
-// pruned, so a restart joins the restored timeline. A crashed anchor, one
-// with no checkpoint yet, or a line a concurrent rollback pruned makes the
-// injection a no-op.
+// process (fault.Rollback): the line dsim.InjectedLine decides, restored
+// through RollbackTo as a heal-driven rollback would be; a crashed member's
+// fenced cells are tombstoned in its write-ahead log. It runs on the
+// anchor's event loop, the only one that crashes or restarts the anchor. A
+// line a concurrent rollback pruned makes it a no-op.
 func (s *LiveSubstrate) rollbackLatest(anchor *liveProc) {
-	anchor.mu.Lock()
-	skip := anchor.crashed || s.store.Latest(anchor.Self()) == nil
-	anchor.mu.Unlock()
-	if skip {
-		return
+	line := dsim.InjectedLine(s.store, s.Procs(), s.kernels, &anchor.Kernel, func(k *dsim.Kernel, _ *checkpoint.Checkpoint, fenced []string) {
+		p := s.proc(k.Self())
+		p.logged(p.durable.tombstone(fenced), "invalidation")
+	})
+	if line != nil {
+		s.RollbackTo(line) //nolint:errcheck // a line gone stale is a rollback superseded
 	}
-	procs := s.inOrder()
-	set := recovery.MaxConsistentSet(s.store.Lists(s.Procs()))
-	if set == nil {
-		return
-	}
-	line := make(map[string]string, len(set))
-	for _, q := range procs {
-		ck, ok := set[q.Self()]
-		if !ok {
-			continue
-		}
-		q.mu.Lock()
-		if q.crashed {
-			q.Scroll().Truncate(ck.ScrollSeq)
-			q.fenceAbandonedLocked(ck)
-		} else {
-			line[q.Self()] = ck.ID
-		}
-		q.mu.Unlock()
-	}
-	s.RollbackTo(line) //nolint:errcheck // a line gone stale is a rollback superseded
 }
 
-// fenceAbandonedLocked applies the durable half of timeline fencing after a
-// deliberate rollback restored ck (caller holds p.mu): stable-storage cells
-// written at or after the checkpoint's scroll position are fenced (with WAL
-// tombstones when backed), and strictly-later checkpoints are pruned so a
-// subsequent crash-restart cannot re-install abandoned state.
-func (p *liveProc) fenceAbandonedLocked(ck *checkpoint.Checkpoint) {
-	if err := p.durable.tombstone(p.FenceCells(ck.ScrollSeq)); err != nil {
-		select {
-		case <-p.sub.shutdown:
-		default:
-			panic(fmt.Sprintf("substrate: durable invalidation for %s: %v", p.Self(), err))
+// kernels yields every process's kernel in ID order, each under its mutex.
+func (s *LiveSubstrate) kernels(yield func(*dsim.Kernel) bool) {
+	for _, p := range s.inOrder() {
+		p.mu.Lock()
+		more := yield(&p.Kernel)
+		p.mu.Unlock()
+		if !more {
+			return
 		}
 	}
-	p.sub.store.PruneAfter(p.Self(), ck.ScrollSeq)
+}
+
+// logged panics on err, the outcome of a write-ahead log append, unless the
+// substrate is closing: the cells already hold what the append logs, and
+// losing it mirrors the transport's drop-on-close behavior.
+func (p *liveProc) logged(err error, what string) {
+	if err == nil {
+		return
+	}
+	select {
+	case <-p.sub.shutdown:
+	default:
+		panic(fmt.Sprintf("substrate: durable %s for %s: %v", what, p.Self(), err))
+	}
 }
 
 // removeTimerLocked drops one pending entry for name — plain bookkeeping:
@@ -485,17 +456,15 @@ func (p *liveProc) takeCheckpointLocked(label string) *checkpoint.Checkpoint {
 	return ck
 }
 
-// restoreLocked rewinds the process to a checkpoint: heap, machine state,
-// vector clock, scroll position (Kernel.Restore), and the timers pending at
-// the checkpoint. Stable storage (the kernel's cells) is deliberately untouched
-// here: disk writes cannot be unwritten by a restore, and for crash-restart
-// the disk is the authoritative recovery source (deliberate-rollback
-// callers fence the abandoned cells separately — fenceAbandonedLocked).
-// Messages already in flight cannot be recalled either; they are fenced at
-// delivery by the timeline epoch stamped on every transport.Message, so
-// redelivery is exactly-once-per-timeline rather than the historical
-// at-least-once. Orphaned time.AfterFunc timers are fenced the same way via
-// the process incarnation bumped below.
+// restoreLocked is the live restore of a process to a checkpoint (caller
+// holds p.mu): Kernel.Restore, a new incarnation — which fences the
+// orphaned time.AfterFunc fires of the old one — and the checkpoint's
+// timers re-armed. Its cells are left alone: what a deliberate rollback
+// abandons is Kernel.Abandon's, which its callers tombstone, and a
+// crash-restart (Kernel.Restart) recovers from them. Messages already in
+// flight cannot be recalled; they are fenced at delivery by the timeline
+// epoch stamped on every transport.Message, so redelivery is
+// exactly-once-per-timeline rather than the historical at-least-once.
 func (p *liveProc) restoreLocked(ck *checkpoint.Checkpoint) {
 	p.incarnation++
 	p.Restore(ck)
@@ -559,11 +528,7 @@ func (s *LiveSubstrate) Run() dsim.Stats {
 		wasPaused := s.isPaused()
 		s.pause()
 		for i, id := range s.order {
-			// Periodic checkpoints are staggered by rank among the sorted IDs, as
-			// on the simulator (Sim.Run): independent of AddProcess call order.
-			if n := s.cfg.CheckpointEvery; n > 0 {
-				s.procs[id].ckptSkew = uint64(i) % n
-			}
+			s.procs[id].Stagger(i, s.cfg.CheckpointEvery)
 			s.procs[id].post(liveEvent{kind: levInit, tab: tab}, true)
 		}
 		if !wasPaused {
@@ -784,47 +749,14 @@ func (s *LiveSubstrate) SetFaultHandler(h func(dsim.FaultRecord) bool) {
 
 // --- Substrate: stable storage ---
 
-// DurableSnapshot implements Substrate: a deep copy of every process's
-// stable-storage cells. Pause the substrate (or wait for quiescence)
-// before relying on a snapshot — recording is concurrent.
-func (s *LiveSubstrate) DurableSnapshot() map[string]map[string][]byte {
-	return s.snapshotCells(func(p *liveProc) map[string][]byte { return p.Cells().Snapshot() })
-}
+// DurableSnapshot implements Substrate (dsim.Disks). Pause the substrate
+// (or wait for quiescence) before relying on a snapshot — recording is
+// concurrent.
+func (s *LiveSubstrate) DurableSnapshot() map[string]map[string][]byte { return dsim.Disks(s.kernels) }
 
-// DurableSnapshotAt implements heal.Target as dsim.Sim does: the cells
-// as of a recovery line (proc -> line scroll position), restricted to
-// writes strictly before each process's line — what an investigation seeded
-// from that line is allowed to observe. Processes absent from lineSeq are
-// omitted.
+// DurableSnapshotAt implements heal.Target as dsim.Sim does (dsim.DisksAt).
 func (s *LiveSubstrate) DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string][]byte {
-	return s.snapshotCells(func(p *liveProc) map[string][]byte {
-		seq, ok := lineSeq[p.Self()]
-		if !ok {
-			return nil
-		}
-		return p.CellsAt(seq)
-	})
-}
-
-// snapshotCells collects what cellsOf copies out of each process's stable
-// storage (called under that process's mutex), in process order, leaving
-// out processes it returns nil for.
-func (s *LiveSubstrate) snapshotCells(cellsOf func(*liveProc) map[string][]byte) map[string]map[string][]byte {
-	procs := s.inOrder()
-	var out map[string]map[string][]byte
-	for _, p := range procs {
-		p.mu.Lock()
-		cells := cellsOf(p)
-		p.mu.Unlock()
-		if cells == nil {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]map[string][]byte, len(procs))
-		}
-		out[p.Self()] = cells
-	}
-	return out
+	return dsim.DisksAt(s.kernels, lineSeq)
 }
 
 // --- Substrate: checkpoint / rollback ---
@@ -861,7 +793,7 @@ func (s *LiveSubstrate) RollbackTo(line map[string]string) error {
 	epoch := s.epoch.Add(1)
 	for i, p := range members {
 		p.restoreLocked(cks[i])
-		p.fenceAbandonedLocked(cks[i])
+		p.logged(p.durable.tombstone(p.Abandon(s.store, cks[i])), "invalidation")
 	}
 	var resend []transport.Message
 	for r := range scroll.InTransit(scrolls, nil) {
@@ -1065,15 +997,7 @@ func (c *liveCtx) SetTimer(name string, delay uint64) {
 // timeline epoch and its scroll position.
 func (c *liveCtx) DurablePut(key string, value []byte) {
 	body, seq := c.RecordDurablePut(key, value)
-	if err := c.durable.put(key, body, c.sub.epoch.Load(), seq); err != nil {
-		select {
-		case <-c.sub.shutdown:
-			// Closing: the cell map still took the write; losing the WAL
-			// append mirrors the transport's drop-on-close behavior.
-		default:
-			panic(fmt.Sprintf("substrate: durable put for %s: %v", c.Self(), err))
-		}
-	}
+	c.logged(c.durable.put(key, body, c.sub.epoch.Load(), seq), "put")
 }
 
 // Fault reports a locally detected fault. The handler runs after the
