@@ -178,37 +178,56 @@ func TestCrashDetectionFeedsPipeline(t *testing.T) {
 }
 
 // TestSpeculativeKVWrites: a client speculates on write acceptance; an
-// abort rolls the primary and replicas back together.
+// abort rolls the client, the primary and the replicas back together, and
+// the writes the client then re-issues are each applied once.
 func TestSpeculativeKVWrites(t *testing.T) {
 	s := dsim.New(dsim.Config{Seed: 4, MinLatency: 1, MaxLatency: 2, MaxSteps: 10_000})
 	cfg := apps.KVConfig{Replicas: 2, Writes: 5}
 	for id, m := range apps.NewKVStore(cfg) {
+		if id == apps.KVClientName {
+			m = &speculativeClient{Machine: m}
+		}
 		s.AddProcess(id, m)
 	}
 	s.Run()
-	primaryApplied := func() int {
-		var st struct{ Applied int }
-		json.Unmarshal(s.MachineState(apps.KVPrimaryName), &st)
-		return st.Applied
+	if st := s.Speculations().Stats(); st.Aborts != 1 || st.Absorptions != 3 || st.Rollbacks != 4 {
+		t.Errorf("spec stats = %+v, want the client, the primary and both replicas rolled back", st)
 	}
-	before := primaryApplied()
-	// Begin a speculation at the primary, propagate to a replica, abort.
-	specs := s.Speculations()
-	id, err := specs.Begin(apps.KVPrimaryName, "replicas will ack")
-	if err != nil {
-		t.Fatal(err)
+	raw := map[string]json.RawMessage{}
+	for _, id := range s.Procs() {
+		raw[id] = s.MachineState(id)
 	}
-	if err := specs.OnDeliver(apps.KVReplicaName(0), []string{id}); err != nil {
-		t.Fatal(err)
+	var primary struct{ Applied int }
+	json.Unmarshal(raw[apps.KVPrimaryName], &primary)
+	if primary.Applied != cfg.Writes {
+		t.Errorf("primary applied %d writes, want %d: a write the abort undid was lost or applied twice", primary.Applied, cfg.Writes)
 	}
-	if err := specs.Abort(id, "replica rejected"); err != nil {
-		t.Fatal(err)
+	if !apps.KVConvergence().Holds(fault.StatesFromRaw(raw)) {
+		t.Error("replicas diverge from the primary after the abort")
 	}
-	if got := primaryApplied(); got != before {
-		t.Errorf("primary applied changed %d -> %d across abort (checkpoint/restore broken)", before, got)
-	}
-	if st := specs.Stats(); st.Rollbacks != 2 {
-		t.Errorf("rollbacks = %d, want 2", st.Rollbacks)
+}
+
+// speculativeClient issues the KV client's writes from time 4 on assuming
+// they will be accepted, and aborts 20 ticks later.
+type speculativeClient struct {
+	dsim.Machine
+	spec string
+}
+
+func (c *speculativeClient) Init(ctx dsim.Context) {
+	c.Machine.Init(ctx)
+	ctx.SetTimer("speculate", 4)
+}
+
+func (c *speculativeClient) OnTimer(ctx dsim.Context, name string) {
+	switch name {
+	case "speculate":
+		c.spec, _ = ctx.Speculate("replicas will ack")
+		ctx.SetTimer("verify", 20)
+	case "verify":
+		ctx.AbortSpec(c.spec, "replica rejected")
+	default:
+		c.Machine.OnTimer(ctx, name)
 	}
 }
 

@@ -28,7 +28,6 @@ type Checkpoint struct {
 	// through StateJSON.
 	Extra  []byte
 	Codec  *StateCodec // what encoded Extra; nil when Extra already is JSON
-	SpecID string      // speculation that induced this checkpoint, if any
 	Timers []string    // names of timers pending when the checkpoint was taken
 }
 
@@ -162,13 +161,6 @@ func (s *Store) Reset() {
 		s.byProc[proc] = list[:0]
 	}
 	s.nextID = 0
-}
-
-// Get returns the checkpoint with the given ID, or nil.
-func (s *Store) Get(id string) *Checkpoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.byID[id]
 }
 
 // Latest returns the most recently stored checkpoint for proc, or nil.

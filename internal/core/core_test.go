@@ -58,7 +58,7 @@ func TestFig4ProtocolEndToEnd(t *testing.T) {
 		t.Error("no recovery line assembled despite CIC checkpoints")
 	}
 	for p, id := range resp.Line {
-		if ck := s.Store().Get(id); ck == nil || ck.Proc != p {
+		if _, err := s.Store().ResolveLine(map[string]string{p: id}); err != nil {
 			t.Errorf("line member %s of %s is not a stored checkpoint of it", id, p)
 		}
 		for q, cq := range resp.LineClocks {

@@ -9,8 +9,10 @@
 // per-process Scroll, so executions can be replayed deterministically
 // (paper §3.1). Processes checkpoint their state through the paged COW heap
 // (paper §4.2) under configurable policies (communication-induced,
-// periodic/uncoordinated, or speculation-driven), and a speculation manager
-// provides absorb/commit/abort semantics with automatic rollback.
+// periodic/uncoordinated, or speculation-driven). Speculations absorb the
+// receivers of speculative data and commit or abort; every deliberate
+// rollback — RollbackTo, an injected rollback, the Healer's, a speculation
+// abort — runs the same rollback body.
 //
 // Given identical Config (including Seed) and machines, two runs produce
 // identical event orders, scrolls and final states.
@@ -95,8 +97,9 @@ type Context interface {
 	// heal, speculation aborts) are different — they abandon the timeline
 	// the write happened on, so cells written after the restored checkpoint
 	// are fenced (invisible to later reads) rather than re-installed. The
-	// write is stamped with the current timeline epoch and recorded in the
-	// scroll, so replays observe it.
+	// write is stamped one past its scroll position — the position a fence
+	// compares with the restored checkpoint's — and recorded in the scroll,
+	// so replays observe it.
 	DurablePut(key string, value []byte)
 	// DurableGet reads a stable-storage cell. The outcome is recorded in
 	// the scroll (KindEnv), so per-process replay feeds the same value back.
@@ -201,8 +204,7 @@ type event struct {
 	payload    []byte
 	lamport    uint64
 	clock      vclock.VC
-	specs      []string
-	creatorSeq uint64 // sender's scroll seq when created (for purging)
+	creatorSeq uint64 // sender's scroll seq when created (for purging and absorption)
 
 	// timer fields
 	timerName string
@@ -213,6 +215,9 @@ type event struct {
 	// dead marks a lazily-deleted event (purged by rollback); Resume
 	// discards it without processing.
 	dead bool
+	// redelivered marks a message a rollback re-sent from the scrolls: its
+	// creatorSeq is not its send's, and it absorbs no one.
+	redelivered bool
 }
 
 type eventKind int
@@ -338,7 +343,7 @@ func New(cfg Config) *Sim {
 	s.rngSrc = &gfsrSource{}
 	s.rngSrc.Seed(s.cfg.Seed)
 	s.rng = rand.New(s.rngSrc)
-	s.specs = speculation.NewManager(specCtl{s})
+	s.specs = speculation.NewManager()
 	return s
 }
 
@@ -494,17 +499,18 @@ func (s *Sim) SetFaultHandler(h func(FaultRecord) bool) { s.faultHandler = h }
 // Store exposes the simulation's checkpoint store.
 func (s *Sim) Store() *checkpoint.Store { return s.store }
 
-// Speculations exposes the speculation manager.
-func (s *Sim) Speculations() *speculation.Manager { return s.specs }
+// Speculations exposes the speculation counters.
+func (s *Sim) Speculations() interface{ Stats() speculation.Stats } { return s.specs }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() uint64 { return s.now }
 
 // Epoch returns the current timeline epoch. It starts at 0 and is
-// incremented by every deliberate rollback — Time-Machine restore
-// (RollbackTo), speculation abort, dynamic update (ReplaceMachine) — but
-// NOT by crash-restart, which recovers the same timeline. Runs that never
-// roll back therefore report epoch 0, keeping their artifacts byte-stable.
+// incremented by every deliberate rollback — a RollbackTo-path rollback
+// (the Time Machine's, an injected one, the Healer's, a speculation abort)
+// and a dynamic update (ReplaceMachine) — but NOT by crash-restart, which
+// recovers the same timeline. Runs that never roll back therefore report
+// epoch 0, keeping their artifacts byte-stable.
 func (s *Sim) Epoch() uint64 { return s.epoch }
 
 // Stats returns the cumulative counters.
@@ -607,7 +613,7 @@ func (s *Sim) Run() Stats {
 	}
 	if s.cfg.InitCheckpoint {
 		for _, id := range s.order {
-			s.takeCheckpoint(s.procs[id], "", "init")
+			s.takeCheckpoint(s.procs[id], "init")
 		}
 	}
 	return s.Resume()
@@ -653,14 +659,6 @@ func (s *Sim) deliver(ev *event) {
 		s.stats.Dropped++
 		return
 	}
-	// Messages belonging to an aborted speculation are discarded: their
-	// contents were produced by rolled-back computation.
-	for _, specID := range ev.specs {
-		if sp := s.specs.Get(specID); sp != nil && sp.Status() == speculation.Aborted {
-			s.stats.Dropped++
-			return
-		}
-	}
 	if s.rules.Partitioned(ev.from, ev.to, s.now) {
 		s.stats.Dropped++
 		return
@@ -686,18 +684,19 @@ func (s *Sim) deliver(ev *event) {
 	// Communication-induced checkpoint: save state before consuming a new
 	// message (Fig. 6).
 	if s.cfg.CICheckpoint {
-		s.takeCheckpoint(p, "", "cic")
+		s.takeCheckpoint(p, "cic")
 	}
 	// Speculative absorption checkpoints the pre-consumption state too.
-	if err := s.specs.OnDeliver(ev.to, ev.specs); err != nil {
-		panic(fmt.Sprintf("dsim: absorption failed: %v", err))
+	if s.specs.Speculating() && !ev.redelivered && s.specs.Absorbs(ev.to, ev.from, ev.creatorSeq) {
+		ck := s.takeCheckpoint(p, "speculation")
+		s.specs.Absorb(ev.to, ev.from, ev.creatorSeq, ck.ID, ck.ScrollSeq)
 	}
 	p.RecordRecv(ev.msgID, ev.from, payload, ev.lamport, ev.clock)
 	periodic := p.Delivered(s.cfg.CheckpointEvery)
 	s.stats.Delivered++
 	p.machine.OnMessage(p.ctx, ev.from, payload)
 	if periodic {
-		s.takeCheckpoint(p, "", "periodic")
+		s.takeCheckpoint(p, "periodic")
 	}
 }
 
@@ -769,16 +768,16 @@ func (s *Sim) restart(id string) {
 	}
 }
 
-// takeCheckpoint snapshots a process. specID tags speculation-induced
-// checkpoints; label describes the policy that triggered it.
-func (s *Sim) takeCheckpoint(p *proc, specID, label string) *checkpoint.Checkpoint {
+// takeCheckpoint snapshots a process; label names the policy that triggered
+// it.
+func (s *Sim) takeCheckpoint(p *proc, label string) *checkpoint.Checkpoint {
 	// Two passes over the queue's keys, so that the list is carved at its
 	// exact size, in heap-array order: the order restoreProc re-arms it in.
 	var timers []string // nil when none are pending, as it always was
 	if pending := s.queue.countTimers(p.timerOf()); pending > 0 {
 		timers = s.timers.Keep(s.queue.appendTimers(s.timers.Tail(pending), p.timerOf()))
 	}
-	ck := p.Checkpoint(s.store, s.now, specID, label, timers)
+	ck := p.Checkpoint(s.store, s.now, label, timers)
 	s.stats.Checkpoints++
 	return ck
 }
@@ -787,8 +786,7 @@ func (s *Sim) takeCheckpoint(p *proc, specID, label string) *checkpoint.Checkpoi
 // Kernel.Restore, and the queue's part — the messages it sent since the
 // checkpoint are recalled, its timers killed and the checkpoint's re-armed.
 // Its cells are left alone: what a deliberate rollback abandons is
-// Kernel.Abandon's (FenceCells alone for a speculation abort), and a
-// crash-restart (Kernel.Restart) recovers from them.
+// Kernel.Abandon's, and a crash-restart (Kernel.Restart) recovers from them.
 func (s *Sim) restoreProc(p *proc, ck *checkpoint.Checkpoint) {
 	p.Restore(ck)
 	s.recallSends(p.id, ck.ScrollSeq)
@@ -814,6 +812,15 @@ func (s *Sim) RollbackTo(line map[string]string) error {
 	if err != nil {
 		return err
 	}
+	return s.rollback(resolved, RollbackInfo{Manual: true, Reason: "time machine rollback"})
+}
+
+// rollback is the body of every deliberate rollback on the simulator —
+// RollbackTo's, and so an injected one's and the Healer's, and a
+// speculation abort's: it restores the resolved line, abandons the timeline
+// past it, re-delivers what was in transit across it and tells each member
+// why with info.
+func (s *Sim) rollback(resolved []*checkpoint.Checkpoint, info RollbackInfo) error {
 	// Nothing moves — not the epoch, not one process — unless the whole line
 	// can be applied.
 	cks := make(map[string]*checkpoint.Checkpoint, len(resolved))
@@ -860,14 +867,14 @@ func (s *Sim) RollbackTo(line map[string]string) error {
 			s.push(event{
 				time: s.now + s.latency(), kind: evMessage,
 				msgID: r.MsgID, from: r.Proc, to: r.Peer,
-				payload: r.Payload, lamport: r.Lamport, clock: r.Clock.Copy(),
+				payload: r.Payload, lamport: r.Lamport, clock: r.Clock.Copy(), redelivered: true,
 			}, 0)
 		}
 	}
 	// Notify machines (alternate path opportunity), in sorted order.
 	for _, ck := range resolved {
 		p := s.procs[ck.Proc]
-		p.machine.OnRollback(p.ctx, RollbackInfo{Manual: true, Reason: "time machine rollback"})
+		p.machine.OnRollback(p.ctx, info)
 	}
 	return nil
 }
@@ -899,39 +906,6 @@ func (s *Sim) latency() uint64 {
 	return s.cfg.MinLatency + uint64(s.rng.Int63n(int64(s.cfg.MaxLatency-s.cfg.MinLatency+1)))
 }
 
-// specCtl adapts Sim to speculation.ProcessControl.
-type specCtl struct{ s *Sim }
-
-func (c specCtl) TakeCheckpoint(procID, specID string) (string, error) {
-	p, ok := c.s.procs[procID]
-	if !ok {
-		return "", fmt.Errorf("dsim: unknown process %q", procID)
-	}
-	ck := c.s.takeCheckpoint(p, specID, "speculation")
-	return ck.ID, nil
-}
-
-func (c specCtl) Rollback(procID, ckptID string, aborted *speculation.Speculation) error {
-	p, ok := c.s.procs[procID]
-	if !ok {
-		return fmt.Errorf("dsim: unknown process %q", procID)
-	}
-	ck := c.s.store.Get(ckptID)
-	if ck == nil {
-		return fmt.Errorf("dsim: unknown checkpoint %q", ckptID)
-	}
-	// A speculation abort deliberately abandons the speculative timeline:
-	// bump the epoch and fence the durable writes made under it. Checkpoints
-	// are left to the speculation manager, which owns their lifecycle.
-	c.s.epoch++
-	c.s.restoreProc(p, ck)
-	p.FenceCells(ck.ScrollSeq)
-	p.machine.OnRollback(p.ctx, RollbackInfo{
-		SpecID: aborted.ID, Assumption: aborted.Assumption, Reason: aborted.Reason,
-	})
-	return nil
-}
-
 // simContext is the Context implementation backed by the simulator: the
 // process's kernel (through *proc) serves the calls whose outcome is the
 // process's own and records every nondeterministic result in its scroll;
@@ -951,14 +925,13 @@ func (c *simContext) Now() uint64 {
 func (c *simContext) Random() uint64 { return c.RecordRandom(c.sim.rng.Uint64()) }
 
 // Send transmits payload to the named process with simulated latency,
-// recording the send in the scroll and tagging the message with the
-// sender's active speculations.
+// recording the send in the scroll. The message carries the send's scroll
+// position, which is all its delivery needs to decide absorption.
 func (c *simContext) Send(to string, payload []byte) {
 	s, p := c.sim, c.proc
 	s.msgN++
 	id := s.msgID(s.msgN)
 	body, lam, seq := p.RecordSend(id, to, payload)
-	specs := s.specs.ActiveSpecs(p.id)
 	deliver := func() {
 		t := s.now + s.latency()
 		if s.cfg.FIFO {
@@ -978,7 +951,7 @@ func (c *simContext) Send(to string, payload []byte) {
 		s.push(event{
 			time: t, kind: evMessage,
 			msgID: id, from: p.id, to: to, payload: body,
-			lamport: lam, clock: p.ClockSnap(), specs: specs, creatorSeq: seq,
+			lamport: lam, clock: p.ClockSnap(), creatorSeq: seq,
 		}, 0)
 	}
 	deliver()
@@ -1010,20 +983,32 @@ func (c *simContext) Fault(desc string) {
 
 // Checkpoint takes an explicit checkpoint and returns its ID.
 func (c *simContext) Checkpoint(label string) string {
-	return c.sim.takeCheckpoint(c.proc, "", label).ID
+	return c.sim.takeCheckpoint(c.proc, label).ID
 }
 
-// Speculate begins a speculation based on the given assumption; the
-// process is checkpointed and subsequent sends are tagged (paper §4.2).
+// Speculate begins a speculation based on the given assumption from a
+// checkpoint of the process; the receivers of what it sends from here on
+// are absorbed (paper §4.2).
 func (c *simContext) Speculate(assumption string) (string, error) {
-	return c.sim.specs.Begin(c.id, assumption)
+	ck := c.sim.takeCheckpoint(c.proc, "speculation")
+	return c.sim.specs.Begin(c.id, assumption, ck.ID, ck.ScrollSeq), nil
 }
 
 // Commit validates a speculation's assumption.
 func (c *simContext) Commit(specID string) error { return c.sim.specs.Commit(specID) }
 
-// AbortSpec invalidates a speculation: every absorbed process rolls back
-// and receives OnRollback.
+// AbortSpec invalidates a speculation: the line the abort returns — every
+// absorbed process at its join checkpoint — is rolled back like any other,
+// and each member's OnRollback learns the speculation and the reason.
 func (c *simContext) AbortSpec(specID, reason string) error {
-	return c.sim.specs.Abort(specID, reason)
+	s := c.sim
+	line, err := s.specs.Abort(specID, reason)
+	if err != nil {
+		return err
+	}
+	resolved, err := s.store.ResolveLine(line)
+	if err != nil {
+		return err
+	}
+	return s.rollback(resolved, RollbackInfo{SpecID: specID, Assumption: s.specs.Get(specID).Assumption, Reason: reason})
 }

@@ -660,6 +660,75 @@ func TestSpeculationCommitKeepsState(t *testing.T) {
 	}
 }
 
+// bystander sends init one message from a timer at 10, inside init's
+// speculation but outside the speculation itself.
+type bystander struct{ st struct{ Sent int } }
+
+func (m *bystander) State() any                        { return &m.st }
+func (m *bystander) Init(ctx Context)                  { ctx.SetTimer("send", 10) }
+func (m *bystander) OnMessage(Context, string, []byte) {}
+func (m *bystander) OnTimer(ctx Context, name string) {
+	ctx.Send("init", []byte("not speculative"))
+	m.st.Sent++
+}
+func (m *bystander) OnRollback(Context, RollbackInfo) {}
+
+// speculationWithBystander is TestSpeculationAbortRollsBackBothProcesses's
+// run with communication-induced checkpoints and a bystander: the abort at
+// 50 undoes init's receive of the bystander's message at 11, and the
+// checkpoint init took before it.
+func speculationWithBystander() (*Sim, *specMachine) {
+	s := New(Config{Seed: 2, MinLatency: 1, MaxLatency: 1, CICheckpoint: true})
+	init := &specMachine{peer: "recv", initiate: true}
+	s.AddProcess("init", init)
+	s.AddProcess("recv", &specMachine{})
+	s.AddProcess("third", &bystander{})
+	return s, init
+}
+
+// TestSpeculationAbortRedeliversInTransit: a speculation abort is a
+// deliberate rollback like any other, so what the line leaves in transit —
+// the bystander's message, sent but no longer received — is re-delivered.
+func TestSpeculationAbortRedeliversInTransit(t *testing.T) {
+	s, init := speculationWithBystander()
+	s.Run()
+	if init.st.Applied != 1 {
+		t.Errorf("init handled %d messages, want 1: the abort lost the bystander's message", init.st.Applied)
+	}
+	if id := orphanReceive(s.MergedScroll()); id != "" {
+		t.Errorf("receive of %s has no send before it", id)
+	}
+}
+
+// TestSpeculationAbortAbandonsCheckpoints: a speculation abort abandons the
+// timeline past its line like any other deliberate rollback. No checkpoint
+// ever lies past its process's scroll end, and a crash-restart right after
+// the abort restores the checkpoint init began the speculation from, not
+// one of the abandoned timeline.
+func TestSpeculationAbortAbandonsCheckpoints(t *testing.T) {
+	s, init := speculationWithBystander()
+	s.Inject(inject.Injection{Kind: inject.Crash, Proc: "init", At: 51})
+	s.Inject(inject.Injection{Kind: inject.Restart, Proc: "init", At: 51})
+	s.SetStepMonitor(1, func() bool {
+		for _, id := range s.Procs() {
+			for _, ck := range s.Store().List(id) {
+				if end := uint64(s.Scroll(id).Len()); ck.ScrollSeq > end {
+					t.Errorf("at %d: %s lies at %d, past %s's scroll end %d", s.Now(), ck.ID, ck.ScrollSeq, id, end)
+					return true
+				}
+			}
+		}
+		return false
+	})
+	s.Run()
+	if st := s.Stats(); st.Restarts != 1 {
+		t.Fatalf("restarts = %d, want 1", st.Restarts)
+	}
+	if init.st.SpecID != "" || init.st.Rollback != "crash restart" {
+		t.Errorf("init after its restart = %+v, want the state from before it speculated", init.st)
+	}
+}
+
 // commitMachine overrides the verify timer to commit instead of abort.
 type commitMachine struct{ *specMachine }
 

@@ -16,11 +16,12 @@ import (
 // broadcast decision would otherwise be forgotten, a KV primary whose
 // version assignments replicas already applied) genuinely
 // crash-restartable (paper §3.1: liblog/Flashback-style durable logging).
-// Deliberate rollbacks are fenced by the timeline epoch instead: a
-// Time-Machine/heal restore or speculation abort abandons the timeline it
-// rewinds, so cells written after the restored checkpoint are fenced
-// (deleted, FenceCells) — a crash-restart that fires later recovers the
-// restored timeline's cells, never the abandoned one's. The simulator keeps
+// Deliberate rollbacks are fenced by the restored checkpoint's scroll
+// position instead: a RollbackTo-path rollback (Time Machine, heal,
+// injected, speculation abort) abandons the timeline it rewinds, so cells
+// written at or past that position are fenced (deleted, FenceCells, through
+// Kernel.Abandon) — a crash-restart that fires later recovers the restored
+// timeline's cells, never the abandoned one's. The simulator keeps
 // the cells only in memory, and Sim.Reset clears them along with the rest
 // of the arena, so a pooled simulation starts every run exactly like a
 // fresh one; the live substrate also writes them ahead to a log on disk.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"repro/internal/scroll"
 )
@@ -302,5 +303,15 @@ func TestMsgIDsOutliveReset(t *testing.T) {
 		if want := "m" + strconv.Itoa(i+1); id != want {
 			t.Fatalf("ID %d reads %q after 10k more and two Resets, want %q", i+1, id, want)
 		}
+	}
+}
+
+// Every queued message and timer is an event, copied into the queue and out
+// of it, so its size is what each one costs a run. A message carries its
+// send's scroll position, from which its delivery decides speculative
+// absorption, not a list of the speculations its sender was in.
+func TestEventSizeDoesNotGrow(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got > 160 {
+		t.Errorf("unsafe.Sizeof(event{}) = %d, want <= 160", got)
 	}
 }

@@ -332,9 +332,9 @@ func (k *Kernel) RecordFence(id, from string, epoch, current uint64) {
 
 // Checkpoint snapshots the process at virtual time now — heap, machine
 // state, clock and scroll position, with the names of the timers pending —
-// files it in the backend's store and records it. specID tags a
-// speculation's checkpoint; label names the policy that took it.
-func (k *Kernel) Checkpoint(store *checkpoint.Store, now uint64, specID, label string, timers []string) *checkpoint.Checkpoint {
+// files it in the backend's store and records it. label names the policy
+// that took it.
+func (k *Kernel) Checkpoint(store *checkpoint.Store, now uint64, label string, timers []string) *checkpoint.Checkpoint {
 	snap := k.heap.Snapshot()
 	extra, codec, err := k.mem.ckmem.Encode(k.machine.State())
 	if err != nil {
@@ -348,7 +348,6 @@ func (k *Kernel) Checkpoint(store *checkpoint.Store, now uint64, specID, label s
 		Snap:      snap,
 		Extra:     extra,
 		Codec:     codec,
-		SpecID:    specID,
 		Timers:    timers,
 	})
 	store.Put(ck)

@@ -147,7 +147,7 @@ func (c *replayCtx) Checkpoint(label string) string {
 	if c.store == nil {
 		c.store, c.scroll = checkpoint.NewStore(), scroll.NewMemory(c.id)
 	}
-	return c.Kernel.Checkpoint(c.store, 0, "", label, nil).ID
+	return c.Kernel.Checkpoint(c.store, 0, label, nil).ID
 }
 
 // replayRewindEvery is how many events a replay handles between rewinds of

@@ -59,7 +59,7 @@ func TestRestoreOverlaysLiveMaps(t *testing.T) {
 	var ckID string
 	s.SetStepMonitor(1, func() bool {
 		if ckID == "" && set.st.Count == 1 {
-			ckID = s.takeCheckpoint(s.procs["set"], "", "after-a").ID
+			ckID = s.takeCheckpoint(s.procs["set"], "after-a").ID
 		}
 		return false
 	})
@@ -67,7 +67,11 @@ func TestRestoreOverlaysLiveMaps(t *testing.T) {
 	if ckID == "" || !reflect.DeepEqual(set.st.Seen, map[string]bool{"a": true, "b": true}) || set.st.Count != 2 {
 		t.Fatalf("before the rollback: checkpoint %q, state %+v", ckID, set.st)
 	}
-	ckJSON, err := s.Store().Get(ckID).StateJSON()
+	cks, err := s.Store().ResolveLine(map[string]string{"set": ckID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckJSON, err := cks[0].StateJSON()
 	if err != nil || string(ckJSON) != `{"Seen":{"a":true},"Count":1}` {
 		t.Fatalf("checkpoint holds %s (%v), want Seen {a} and Count 1", ckJSON, err)
 	}
@@ -102,7 +106,7 @@ func TestCheckpointStateAllocs(t *testing.T) {
 		return p
 	}
 	checkpoint := func(p *proc) {
-		s.takeCheckpoint(p, "", "t")
+		s.takeCheckpoint(p, "t")
 		p.heap.WriteUint64(0, s.stats.Checkpoints) // a page for the next one to find dirty
 	}
 	for _, id := range []string{"set", "empty"} {

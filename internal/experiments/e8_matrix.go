@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/apps"
@@ -205,27 +206,53 @@ func demoFixDComprehensive() error {
 }
 
 func demoFixDOpportunistic() error {
-	// Live speculation rollback on a concrete run: the receiver is
-	// absorbed, the abort rolls both back.
+	// Live speculation rollback on a concrete run: branch 0 transfers on an
+	// assumption, the branch its credit reaches is absorbed, and the abort
+	// rolls both back. No credit is lost: the one sent to branch 0 before
+	// the speculation reached it is re-delivered.
+	cfg := apps.BankConfig{Branches: 2, AccountsPer: 2, InitialBalance: 100, Transfers: 1}
 	s := dsim.New(dsim.Config{Seed: 2, MinLatency: 1, MaxLatency: 1})
-	ms := apps.NewBank(apps.BankConfig{Branches: 2, AccountsPer: 2, InitialBalance: 100, Transfers: 0})
-	for id, m := range ms {
+	for id, m := range apps.NewBank(cfg) {
+		if id == apps.BankProcName(0) {
+			m = &speculatingBranch{Machine: m}
+		}
 		s.AddProcess(id, m)
 	}
 	s.Run()
-	specs := s.Speculations()
-	id, err := specs.Begin(apps.BankProcName(0), "demo assumption")
-	if err != nil {
-		return err
+	if st := s.Speculations().Stats(); st.Aborts != 1 || st.Rollbacks != 2 {
+		return fmt.Errorf("aborts = %d, rollbacks = %d, want 1 and 2", st.Aborts, st.Rollbacks)
 	}
-	if err := specs.OnDeliver(apps.BankProcName(1), []string{id}); err != nil {
-		return err
+	var sent, recv int64
+	for _, id := range s.Procs() {
+		var st struct{ SentCredits, RecvCredits int64 }
+		if err := json.Unmarshal(s.MachineState(id), &st); err != nil {
+			return err
+		}
+		sent, recv = sent+st.SentCredits, recv+st.RecvCredits
 	}
-	if err := specs.Abort(id, "assumption false"); err != nil {
-		return err
-	}
-	if st := specs.Stats(); st.Rollbacks != 2 {
-		return fmt.Errorf("rollbacks = %d, want 2", st.Rollbacks)
+	if sent != recv {
+		return fmt.Errorf("credits sent %d, received %d", sent, recv)
 	}
 	return nil
+}
+
+// speculatingBranch is a bank branch that speculates from the end of Init
+// that its transfers will be accepted, and aborts at time 20.
+type speculatingBranch struct {
+	dsim.Machine
+	spec string
+}
+
+func (b *speculatingBranch) Init(ctx dsim.Context) {
+	b.Machine.Init(ctx)
+	b.spec, _ = ctx.Speculate("the credit will be accepted")
+	ctx.SetTimer("verify", 20)
+}
+
+func (b *speculatingBranch) OnTimer(ctx dsim.Context, name string) {
+	if name == "verify" {
+		ctx.AbortSpec(b.spec, "credit rejected")
+		return
+	}
+	b.Machine.OnTimer(ctx, name)
 }

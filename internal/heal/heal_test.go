@@ -410,10 +410,11 @@ func TestVerifiedLinePicksInvariantSatisfyingCheckpoints(t *testing.T) {
 	if line == nil {
 		t.Fatal("no verified line found")
 	}
-	ck := s.Store().Get(line["acc"])
-	if ck == nil {
-		t.Fatal("line references unknown checkpoint")
+	cks, err := s.Store().ResolveLine(map[string]string{"acc": line["acc"]})
+	if err != nil {
+		t.Fatalf("line references unknown checkpoint: %v", err)
 	}
+	ck := cks[0]
 	var st accState
 	if err := json.Unmarshal(stateJSON(t, ck), &st); err != nil {
 		t.Fatal(err)

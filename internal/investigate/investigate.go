@@ -290,7 +290,7 @@ func (c *stepCtx) Fault(desc string) {
 
 // Checkpoint files a real checkpoint in the investigation's store.
 func (c *stepCtx) Checkpoint(label string) string {
-	return c.Kernel.Checkpoint(c.store, c.now, "", label, nil).ID
+	return c.Kernel.Checkpoint(c.store, c.now, label, nil).ID
 }
 
 // Trail is one readable violation trail.

@@ -116,7 +116,7 @@ func TestSandboxContextFacilities(t *testing.T) {
 	if st.Draws != 2 || !st.HeapOK || st.Got != "v" || !st.Done {
 		t.Errorf("state after the step: %+v", st)
 	}
-	if inv.store.Get(st.Ckpt) == nil || recs[7].MsgID != st.Ckpt {
+	if _, err := inv.store.ResolveLine(map[string]string{"user": st.Ckpt}); err != nil || recs[7].MsgID != st.Ckpt {
 		t.Errorf("checkpoint %q is not in the investigation's store under its record's ID %q", st.Ckpt, recs[7].MsgID)
 	}
 	p := g.procs["user"]

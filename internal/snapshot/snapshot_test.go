@@ -3,7 +3,6 @@ package snapshot
 import (
 	"encoding/base64"
 	"encoding/json"
-	"fmt"
 	"maps"
 	"slices"
 	"strings"
@@ -41,13 +40,13 @@ func (w *Wrapper) checkpointID() string { return w.st.CkptID }
 // state, and are consumed by the wrapper rather than restored on rollback.
 // line maps each process to its snapshot checkpoint ID.
 func appConsistent(s *dsim.Sim, line map[string]string) (bool, error) {
+	cks, err := s.Store().ResolveLine(line)
+	if err != nil {
+		return false, err
+	}
 	lineSeq := make(map[string]uint64, len(line))
-	for id, ckID := range line {
-		ck := s.Store().Get(ckID)
-		if ck == nil {
-			return false, fmt.Errorf("snapshot: unknown checkpoint %q for %s", ckID, id)
-		}
-		lineSeq[id] = ck.ScrollSeq
+	for _, ck := range cks {
+		lineSeq[ck.Proc] = ck.ScrollSeq
 	}
 	sends := map[string]bool{}
 	for id, limit := range lineSeq {
@@ -196,10 +195,11 @@ func TestComboStateSurvivesCheckpointRollback(t *testing.T) {
 	s.Run()
 	id := apps.RingProcName(1)
 	w := wrappers[id]
-	ck := s.Store().Get(w.checkpointID())
-	if ck == nil {
-		t.Fatal("no checkpoint")
+	cks, err := s.Store().ResolveLine(map[string]string{id: w.checkpointID()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	ck := cks[0]
 	// Roll the process back to its snapshot checkpoint: both wrapper and
 	// inner state must be restored coherently.
 	if err := s.RollbackTo(map[string]string{id: ck.ID}); err != nil {

@@ -1,120 +1,96 @@
 package speculation
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
-
-// modelCtl tracks which checkpoint each process would be restored to, so
-// properties can reason about rollback targets.
-type modelCtl struct {
-	next  int
-	taken map[string][]string // proc -> checkpoint IDs in order taken
-	rolls map[string]string   // proc -> last rollback target
-}
-
-func newModelCtl() *modelCtl {
-	return &modelCtl{taken: map[string][]string{}, rolls: map[string]string{}}
-}
-
-func (c *modelCtl) TakeCheckpoint(proc, specID string) (string, error) {
-	c.next++
-	id := fmt.Sprintf("ck%d", c.next)
-	c.taken[proc] = append(c.taken[proc], id)
-	return id, nil
-}
-
-func (c *modelCtl) Rollback(proc, ckptID string, aborted *Speculation) error {
-	c.rolls[proc] = ckptID
-	return nil
-}
 
 // TestQuickSpeculationInvariants drives the manager with random operation
 // sequences and checks structural invariants after every step:
 //
 //  1. a process lists a spec as active iff it is a member of it;
-//  2. resolved (committed/aborted) specs never appear in any active list;
+//  2. resolved (committed/aborted) specs never appear in any active list,
+//     and Speculating reports whether any spec is active;
 //  3. members of an active spec were checkpointed when they joined;
-//  4. an abort rolls back every member of the aborted spec exactly once.
+//  4. the line an abort returns names every member of every spec it
+//     aborted, each at a checkpoint that process took.
 func TestQuickSpeculationInvariants(t *testing.T) {
 	procs := []string{"p0", "p1", "p2", "p3"}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		ctl := newModelCtl()
-		m := NewManager(ctl)
+		s := newSystem()
 		var ids []string
 		for step := 0; step < 40; step++ {
 			switch r.Intn(4) {
 			case 0: // begin
-				p := procs[r.Intn(len(procs))]
-				id, err := m.Begin(p, "a")
-				if err != nil {
-					return false
-				}
-				ids = append(ids, id)
-			case 1: // deliver speculative data
-				if len(ids) == 0 {
-					continue
-				}
+				ids = append(ids, s.begin(procs[r.Intn(len(procs))], "a"))
+			case 1: // deliver a message, speculative or not
 				from := procs[r.Intn(len(procs))]
 				to := procs[r.Intn(len(procs))]
 				if from == to {
 					continue
 				}
-				if err := m.OnDeliver(to, m.ActiveSpecs(from)); err != nil {
-					return false
-				}
+				s.message(from, to)
 			case 2: // commit a random spec (may fail if resolved: fine)
 				if len(ids) == 0 {
 					continue
 				}
-				m.Commit(ids[r.Intn(len(ids))])
+				s.m.Commit(ids[r.Intn(len(ids))])
 			default: // abort a random spec
 				if len(ids) == 0 {
 					continue
 				}
-				m.Abort(ids[r.Intn(len(ids))], "r")
-			}
-			// Invariant 1: every member of an active spec lists it.
-			for _, id := range ids {
-				if sp := m.Get(id); sp != nil && sp.Status() == Active {
-					for _, mb := range sp.members {
-						if !slices.Contains(m.ActiveSpecs(mb.proc), id) {
+				was := map[string]Status{}
+				for _, id := range ids {
+					was[id] = s.m.Get(id).status
+				}
+				line, err := s.m.Abort(ids[r.Intn(len(ids))], "r")
+				if err != nil {
+					continue
+				}
+				// Invariant 4.
+				for _, id := range ids {
+					sp := s.m.Get(id)
+					if was[id] != Active || sp.status != Aborted {
+						continue
+					}
+					for _, p := range memberIDs(sp) {
+						if !slices.Contains(s.took, p+"@"+line[p]) {
 							return false
 						}
 					}
 				}
 			}
-			// Invariant 2: active lists only reference active specs.
-			for _, p := range procs {
-				for _, id := range m.ActiveSpecs(p) {
-					sp := m.Get(id)
-					if sp == nil || sp.Status() != Active {
-						return false
-					}
-					// Invariant 3: membership implies a checkpoint exists.
-					if _, ok := sp.memberOf(p); !ok {
-						return false
-					}
-					if len(ctl.taken[p]) == 0 {
-						return false
+			live := 0
+			// Invariant 1: every member of an active spec lists it.
+			for _, id := range ids {
+				if sp := s.m.Get(id); sp.status == Active {
+					live++
+					for _, mb := range sp.members {
+						if !slices.Contains(s.active(mb.proc), id) {
+							return false
+						}
 					}
 				}
 			}
-		}
-		// Invariant 4 (post-hoc): every aborted spec's members have a
-		// recorded rollback.
-		for _, id := range ids {
-			sp := m.Get(id)
-			if sp.Status() != Aborted {
-				continue
+			if s.m.Speculating() != (live > 0) {
+				return false
 			}
-			for _, member := range memberIDs(sp) {
-				if ctl.rolls[member] == "" {
-					return false
+			// Invariant 2: active lists only reference active specs.
+			for _, p := range procs {
+				for _, id := range s.active(p) {
+					sp := s.m.Get(id)
+					if sp == nil || sp.status != Active {
+						return false
+					}
+					// Invariant 3: membership implies its checkpoint was taken.
+					mb, ok := sp.memberOf(p)
+					if !ok || !slices.Contains(s.took, p+"@"+mb.ckptID) {
+						return false
+					}
 				}
 			}
 		}
@@ -126,31 +102,37 @@ func TestQuickSpeculationInvariants(t *testing.T) {
 }
 
 // TestQuickAbortClearsActiveLists: after aborting every spec, no process
-// remains speculating, regardless of the absorption pattern.
+// remains speculating, regardless of the absorption pattern, and every line
+// names only checkpoints of its own processes.
 func TestQuickAbortClearsActiveLists(t *testing.T) {
 	procs := []string{"a", "b", "c"}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		m := NewManager(newModelCtl())
+		s := newSystem()
 		var ids []string
 		for i := 0; i < 10; i++ {
 			p := procs[r.Intn(len(procs))]
-			id, _ := m.Begin(p, "x")
-			ids = append(ids, id)
+			ids = append(ids, s.begin(p, "x"))
 			for j := 0; j < r.Intn(3); j++ {
-				to := procs[r.Intn(len(procs))]
-				m.OnDeliver(to, m.ActiveSpecs(p))
+				if to := procs[r.Intn(len(procs))]; to != p {
+					s.message(p, to)
+				}
 			}
 		}
 		for _, id := range ids {
-			m.Abort(id, "sweep") // cascades may have resolved some already
+			line, _ := s.m.Abort(id, "sweep") // cascades may have resolved some already
+			for p, ck := range line {
+				if !strings.HasSuffix(ck, "-"+p) {
+					return false
+				}
+			}
 		}
 		for _, p := range procs {
-			if len(m.ActiveSpecs(p)) > 0 {
+			if len(s.active(p)) > 0 {
 				return false
 			}
 		}
-		return true
+		return !s.m.Speculating()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -11,13 +11,16 @@
 // member back to the checkpoint it took when it joined, after which each
 // process may continue on an alternate execution path (the property that
 // lets the Healer bypass the error, paper §4.2 difference (2)).
+//
+// The Manager here is only the bookkeeping. The simulator (dsim) takes the
+// checkpoints, decides absorption on delivery, and rolls back the line an
+// abort returns through its one deliberate-rollback path.
 package speculation
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"iter"
 )
 
 // Status is the lifecycle state of a speculation.
@@ -44,20 +47,11 @@ func (s Status) String() string {
 	}
 }
 
-// ProcessControl is the interface the speculation manager uses to act on
-// processes. The simulator (and the live runtime) implement it; tests use
-// fakes. TakeCheckpoint must capture the process's current state and return
-// a checkpoint handle; Rollback must restore the process to that handle and
-// give it the aborted speculation so it can choose an alternate path.
-type ProcessControl interface {
-	TakeCheckpoint(proc, specID string) (ckptID string, err error)
-	Rollback(proc, ckptID string, aborted *Speculation) error
-}
-
 // member records one process's participation in a speculation.
 type member struct {
 	proc    string
 	ckptID  string // checkpoint taken when joining
+	at      uint64 // that checkpoint's scroll position
 	joinSeq uint64 // global join order, used for cascade analysis
 }
 
@@ -70,9 +64,6 @@ type Speculation struct {
 	status     Status
 	members    []member // initiator first, then absorption order
 }
-
-// Status returns the speculation's lifecycle state.
-func (s *Speculation) Status() Status { return s.status }
 
 func (s *Speculation) memberOf(proc string) (member, bool) {
 	for _, m := range s.members {
@@ -92,13 +83,14 @@ type Stats struct {
 	Rollbacks   uint64 // individual process rollbacks performed
 }
 
-// Manager tracks all speculations in a (simulated or live) distributed
-// system. It is safe for concurrent use.
+// Manager is the bookkeeping of the speculations of one simulated system:
+// who joined what, at which checkpoint. It acts on no process — the caller
+// takes the checkpoints it is handed and rolls back the lines Abort
+// returns — and it is not safe for concurrent use.
 type Manager struct {
-	mu      sync.Mutex
-	ctl     ProcessControl
 	specs   map[string]*Speculation
 	active  map[string][]string // proc -> IDs of active specs it belongs to, join order
+	live    int                 // active speculations
 	joinSeq uint64
 	nextID  uint64
 	stats   Stats
@@ -110,115 +102,99 @@ var (
 	ErrNotActive   = errors.New("speculation: not active")
 )
 
-// NewManager returns a manager that drives processes through ctl.
-func NewManager(ctl ProcessControl) *Manager {
-	return &Manager{ctl: ctl, specs: make(map[string]*Speculation), active: make(map[string][]string)}
+// NewManager returns a manager with no speculation.
+func NewManager() *Manager {
+	return &Manager{specs: make(map[string]*Speculation), active: make(map[string][]string)}
 }
 
 // Reset returns the manager to the state NewManager left it in, keeping its
 // maps: a recycled simulation reuses its manager. Speculations handed out
 // before Reset are no longer the manager's.
 func (m *Manager) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	clear(m.specs)
 	clear(m.active)
-	m.joinSeq, m.nextID, m.stats = 0, 0, Stats{}
+	m.live, m.joinSeq, m.nextID, m.stats = 0, 0, 0, Stats{}
 }
 
 // Stats returns a copy of the cumulative counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
+func (m *Manager) Stats() Stats { return m.stats }
+
+// Speculating reports whether any speculation is active: while none is, no
+// delivery absorbs anyone.
+func (m *Manager) Speculating() bool { return m.live > 0 }
+
+// join makes proc a member of sp as of its checkpoint ckpt, taken at scroll
+// position at.
+func (m *Manager) join(sp *Speculation, proc, ckpt string, at uint64) {
+	m.joinSeq++
+	sp.members = append(sp.members, member{proc: proc, ckptID: ckpt, at: at, joinSeq: m.joinSeq})
+	m.active[proc] = append(m.active[proc], sp.ID)
 }
 
-// Begin starts a speculation for proc based on the given assumption. The
-// process is checkpointed immediately (the lightweight checkpoint enabling
-// rollback). It returns the new speculation's ID.
-func (m *Manager) Begin(proc, assumption string) (string, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// Begin starts a speculation for proc based on the given assumption, from
+// ckpt, the lightweight checkpoint the caller just took of proc at scroll
+// position at. It returns the new speculation's ID.
+func (m *Manager) Begin(proc, assumption, ckpt string, at uint64) string {
 	m.nextID++
-	id := fmt.Sprintf("spec-%d", m.nextID)
-	ckpt, err := m.ctl.TakeCheckpoint(proc, id)
-	if err != nil {
-		return "", fmt.Errorf("speculation: begin %s: %w", id, err)
-	}
-	m.joinSeq++
-	sp := &Speculation{
-		ID: id, Initiator: proc, Assumption: assumption, status: Active,
-		members: []member{{proc: proc, ckptID: ckpt, joinSeq: m.joinSeq}},
-	}
-	m.specs[id] = sp
-	m.active[proc] = append(m.active[proc], id)
+	sp := &Speculation{ID: fmt.Sprintf("spec-%d", m.nextID), Initiator: proc, Assumption: assumption, status: Active}
+	m.join(sp, proc, ckpt, at)
+	m.specs[sp.ID] = sp
+	m.live++
 	m.stats.Begun++
-	return id, nil
+	return sp.ID
 }
 
 // Get returns the speculation with the given ID, or nil.
-func (m *Manager) Get(id string) *Speculation {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.specs[id]
+func (m *Manager) Get(id string) *Speculation { return m.specs[id] }
+
+// absorbing yields the speculations a message from sender, sent at its
+// scroll position sent, absorbs to into: the active ones sender had joined
+// by then and to has not. A speculation that committed since absorbs no
+// one; one that aborted rolled sender back to its join position or before,
+// which recalled the message.
+func (m *Manager) absorbing(to, sender string, sent uint64) iter.Seq[*Speculation] {
+	return func(yield func(*Speculation) bool) {
+		for _, id := range m.active[sender] {
+			sp := m.specs[id]
+			if mem, _ := sp.memberOf(sender); mem.at > sent {
+				continue
+			}
+			if _, already := sp.memberOf(to); !already && !yield(sp) {
+				return
+			}
+		}
+	}
 }
 
-// ActiveSpecs returns the IDs of active speculations proc belongs to, in
-// join order. Outgoing messages from proc must be tagged with these IDs so
-// receivers can be absorbed (speculative data propagation).
-func (m *Manager) ActiveSpecs(proc string) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.active[proc]...)
+// Absorbs reports whether delivering to to a message sender sent at its
+// scroll position sent absorbs to into a speculation: whether to must
+// checkpoint before it consumes the message (the communication-induced
+// checkpoint of Fig. 6: "Each process saves a checkpoint before receiving a
+// new message").
+func (m *Manager) Absorbs(to, sender string, sent uint64) bool {
+	for range m.absorbing(to, sender, sent) {
+		return true
+	}
+	return false
 }
 
-// OnDeliver absorbs proc into every listed active speculation it is not
-// already a member of. It must be called *before* the process consumes the
-// message, because absorption checkpoints the pre-consumption state (the
-// communication-induced checkpoint of Fig. 6: "Each process saves a
-// checkpoint before receiving a new message").
-func (m *Manager) OnDeliver(proc string, specIDs []string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, id := range specIDs {
-		sp, ok := m.specs[id]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownSpec, id)
-		}
-		if sp.status != Active {
-			// Message from a speculation that already resolved: if committed
-			// the data is final and no absorption is needed; if aborted, the
-			// simulator drops such messages before delivery.
-			continue
-		}
-		if _, already := sp.memberOf(proc); already {
-			continue
-		}
-		ckpt, err := m.ctl.TakeCheckpoint(proc, id)
-		if err != nil {
-			return fmt.Errorf("speculation: absorb %s into %s: %w", proc, id, err)
-		}
-		m.joinSeq++
-		sp.members = append(sp.members, member{proc: proc, ckptID: ckpt, joinSeq: m.joinSeq})
-		m.active[proc] = append(m.active[proc], id)
+// Absorb makes to a member of every speculation Absorbs found, as of ckpt,
+// the checkpoint the caller took of to at scroll position at before it
+// consumes the message.
+func (m *Manager) Absorb(to, sender string, sent uint64, ckpt string, at uint64) {
+	for sp := range m.absorbing(to, sender, sent) {
+		m.join(sp, to, ckpt, at)
 		m.stats.Absorptions++
 	}
-	return nil
 }
 
 // Commit validates the assumption of the speculation: all members are
 // released and their checkpoints may be reclaimed by the caller.
 func (m *Manager) Commit(id string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sp, ok := m.specs[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownSpec, id)
+	sp, err := m.resolve(id, Committed)
+	if err != nil {
+		return err
 	}
-	if sp.status != Active {
-		return fmt.Errorf("%w: %s is %v", ErrNotActive, id, sp.status)
-	}
-	sp.status = Committed
 	for _, mem := range sp.members {
 		m.detach(mem.proc, id)
 	}
@@ -226,43 +202,47 @@ func (m *Manager) Commit(id string) error {
 	return nil
 }
 
-// Abort invalidates the assumption. Every member of the speculation — and,
-// transitively, every member of any speculation that depends on state later
-// than the rollback point — is rolled back to the checkpoint it took when it
-// joined. Each process is rolled back exactly once, to the earliest relevant
-// checkpoint. reason describes how the assumption was invalidated and is
-// passed to the processes so they can take an alternate execution path.
-func (m *Manager) Abort(id, reason string) error {
-	m.mu.Lock()
+// resolve moves the active speculation id to status.
+func (m *Manager) resolve(id string, status Status) (*Speculation, error) {
 	sp, ok := m.specs[id]
 	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownSpec, id)
+		return nil, fmt.Errorf("%w: %s", ErrUnknownSpec, id)
 	}
 	if sp.status != Active {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s is %v", ErrNotActive, id, sp.status)
+		return nil, fmt.Errorf("%w: %s is %v", ErrNotActive, id, sp.status)
+	}
+	sp.status = status
+	m.live--
+	return sp, nil
+}
+
+// Abort invalidates the assumption and returns the recovery line that undoes
+// it, process -> checkpoint ID, for the caller to roll back. Every member of
+// the speculation — and, transitively, every member of any speculation that
+// depends on state later than the rollback point — is on the line at the
+// checkpoint it took when it joined; a process on several doomed
+// speculations, at the earliest of them. reason describes how the
+// assumption was invalidated, for the processes to take an alternate
+// execution path.
+func (m *Manager) Abort(id, reason string) (map[string]string, error) {
+	sp, err := m.resolve(id, Aborted)
+	if err != nil {
+		return nil, err
 	}
 	sp.Reason = reason
 
 	// Compute the closure of speculations invalidated by this abort: rolling
 	// a process back below the point where it joined a later speculation
 	// invalidates that speculation too.
-	doomed := map[string]*Speculation{id: sp}
-	queue := []*Speculation{sp}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, mem := range cur.members {
+	doomed := []*Speculation{sp}
+	for i := 0; i < len(doomed); i++ {
+		for _, mem := range doomed[i].members {
 			for _, otherID := range m.active[mem.proc] {
-				if _, seen := doomed[otherID]; seen {
-					continue
-				}
 				other := m.specs[otherID]
-				om, _ := other.memberOf(mem.proc)
-				if om.joinSeq > mem.joinSeq {
-					doomed[otherID] = other
-					queue = append(queue, other)
+				if om, _ := other.memberOf(mem.proc); other.status == Active && om.joinSeq > mem.joinSeq {
+					m.resolve(otherID, Aborted)
+					other.Reason = fmt.Sprintf("cascaded abort of %s", id)
+					doomed = append(doomed, other)
 				}
 			}
 		}
@@ -275,41 +255,19 @@ func (m *Manager) Abort(id, reason string) error {
 			if cur, ok := rollTo[mem.proc]; !ok || mem.joinSeq < cur.joinSeq {
 				rollTo[mem.proc] = mem
 			}
-		}
-	}
-
-	for _, d := range doomed {
-		d.status = Aborted
-		if d.Reason == "" {
-			d.Reason = fmt.Sprintf("cascaded abort of %s", id)
-		}
-		for _, mem := range d.members {
 			m.detach(mem.proc, d.ID)
 		}
 		m.stats.Aborts++
 	}
-
-	// Perform rollbacks in deterministic order, outside spec bookkeeping but
-	// inside the lock so no new absorption interleaves.
-	procs := make([]string, 0, len(rollTo))
-	for p := range rollTo {
-		procs = append(procs, p)
+	line := make(map[string]string, len(rollTo))
+	for proc, mem := range rollTo {
+		line[proc] = mem.ckptID
 	}
-	sort.Strings(procs)
-	ctl := m.ctl
-	m.stats.Rollbacks += uint64(len(procs))
-	m.mu.Unlock()
-
-	var firstErr error
-	for _, p := range procs {
-		if err := ctl.Rollback(p, rollTo[p].ckptID, sp); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("speculation: rollback %s: %w", p, err)
-		}
-	}
-	return firstErr
+	m.stats.Rollbacks += uint64(len(line))
+	return line, nil
 }
 
-// detach removes spec id from proc's active list. Caller holds mu.
+// detach removes spec id from proc's active list.
 func (m *Manager) detach(proc, id string) {
 	list := m.active[proc]
 	for i, x := range list {

@@ -3,8 +3,8 @@ package speculation
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"maps"
+	"slices"
 	"testing"
 )
 
@@ -17,37 +17,54 @@ func memberIDs(s *Speculation) []string {
 	return out
 }
 
-// fakeCtl records checkpoint/rollback calls.
-type fakeCtl struct {
-	mu        sync.Mutex
-	nextCkpt  int
-	ckpts     []string // "proc@spec" in order taken
-	rollbacks []string // "proc->ckpt" in order performed
-	failCkpt  bool
-	failRoll  bool
+// system drives a Manager as the simulator does. Each process has a scroll
+// position that every step it takes advances; the checkpoints it takes are
+// named ck<N>-<proc>, N counting across processes, and sit at the position
+// they were taken at.
+type system struct {
+	m    *Manager
+	n    int
+	pos  map[string]uint64
+	took []string // "proc@ckpt", in the order taken
 }
 
-func (f *fakeCtl) TakeCheckpoint(proc, specID string) (string, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.failCkpt {
-		return "", errors.New("ckpt failed")
-	}
-	f.nextCkpt++
-	id := fmt.Sprintf("ck%d-%s", f.nextCkpt, proc)
-	f.ckpts = append(f.ckpts, proc+"@"+specID)
-	return id, nil
+func newSystem() *system { return &system{m: NewManager(), pos: map[string]uint64{}} }
+
+func (s *system) checkpoint(proc string) (string, uint64) {
+	s.n++
+	id, at := fmt.Sprintf("ck%d-%s", s.n, proc), s.pos[proc]
+	s.pos[proc]++
+	s.took = append(s.took, proc+"@"+id)
+	return id, at
 }
 
-func (f *fakeCtl) Rollback(proc, ckptID string, aborted *Speculation) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.failRoll {
-		return errors.New("rollback failed")
-	}
-	f.rollbacks = append(f.rollbacks, proc+"->"+ckptID)
-	return nil
+func (s *system) begin(proc, assumption string) string {
+	ck, at := s.checkpoint(proc)
+	return s.m.Begin(proc, assumption, ck, at)
 }
+
+// send returns the sender's position at the send.
+func (s *system) send(from string) uint64 {
+	at := s.pos[from]
+	s.pos[from]++
+	return at
+}
+
+// deliver hands to a message from sent at its position sent: the receiver
+// checkpoints first when the message absorbs it.
+func (s *system) deliver(to, from string, sent uint64) {
+	if s.m.Absorbs(to, from, sent) {
+		ck, at := s.checkpoint(to)
+		s.m.Absorb(to, from, sent, ck, at)
+	}
+	s.pos[to]++
+}
+
+// message sends from from to to and delivers it at once.
+func (s *system) message(from, to string) { s.deliver(to, from, s.send(from)) }
+
+// active is the IDs of the active speculations proc belongs to.
+func (s *system) active(proc string) []string { return s.m.active[proc] }
 
 func TestStatusString(t *testing.T) {
 	for s, want := range map[Status]string{Active: "active", Committed: "committed", Aborted: "aborted", Status(7): "Status(7)"} {
@@ -58,179 +75,165 @@ func TestStatusString(t *testing.T) {
 }
 
 func TestBeginTakesCheckpoint(t *testing.T) {
-	ctl := &fakeCtl{}
-	m := NewManager(ctl)
-	id, err := m.Begin("p1", "lock is free")
-	if err != nil {
-		t.Fatal(err)
+	s := newSystem()
+	if s.m.Speculating() {
+		t.Error("a new manager is speculating")
 	}
-	sp := m.Get(id)
+	id := s.begin("p1", "lock is free")
+	sp := s.m.Get(id)
 	if sp == nil || sp.Initiator != "p1" || sp.Assumption != "lock is free" {
 		t.Fatalf("spec = %+v", sp)
 	}
-	if sp.Status() != Active {
-		t.Errorf("status = %v", sp.Status())
+	if sp.status != Active || !s.m.Speculating() {
+		t.Errorf("status = %v, speculating = %v", sp.status, s.m.Speculating())
 	}
-	if len(ctl.ckpts) != 1 || ctl.ckpts[0] != "p1@"+id {
-		t.Errorf("checkpoints = %v", ctl.ckpts)
+	if got := s.active("p1"); len(got) != 1 || got[0] != id {
+		t.Errorf("active = %v", got)
 	}
-	if got := m.ActiveSpecs("p1"); len(got) != 1 || got[0] != id {
-		t.Errorf("ActiveSpecs = %v", got)
+	// The initiator rolls back to the checkpoint it began from.
+	line, err := s.m.Abort(id, "no")
+	if err != nil || !maps.Equal(line, map[string]string{"p1": "ck1-p1"}) {
+		t.Errorf("line = %v, %v", line, err)
 	}
-	if len(m.ActiveSpecs("p1")) == 0 {
-		t.Error("p1 should be in speculation")
-	}
-}
-
-func TestBeginCheckpointFailure(t *testing.T) {
-	m := NewManager(&fakeCtl{failCkpt: true})
-	if _, err := m.Begin("p1", "x"); err == nil {
-		t.Error("Begin should propagate checkpoint failure")
+	if s.m.Speculating() {
+		t.Error("still speculating after the only speculation aborted")
 	}
 }
 
 func TestAbsorption(t *testing.T) {
-	ctl := &fakeCtl{}
-	m := NewManager(ctl)
-	id, _ := m.Begin("p1", "a")
-	// p1 sends to p2: message tagged with p1's active specs.
-	tags := m.ActiveSpecs("p1")
-	if err := m.OnDeliver("p2", tags); err != nil {
-		t.Fatal(err)
-	}
-	sp := m.Get(id)
-	members := memberIDs(sp)
+	s := newSystem()
+	id := s.begin("p1", "a")
+	sent := s.send("p1")
+	s.deliver("p2", "p1", sent)
+	members := memberIDs(s.m.Get(id))
 	if len(members) != 2 || members[0] != "p1" || members[1] != "p2" {
 		t.Errorf("members = %v", members)
 	}
 	// Absorption checkpoints p2 before it consumes the message.
-	if len(ctl.ckpts) != 2 || ctl.ckpts[1] != "p2@"+id {
-		t.Errorf("ckpts = %v", ctl.ckpts)
+	if !slices.Equal(s.took, []string{"p1@ck1-p1", "p2@ck2-p2"}) {
+		t.Errorf("checkpoints = %v", s.took)
 	}
 	// Re-delivery does not double-absorb.
-	m.OnDeliver("p2", tags)
-	if len(memberIDs(m.Get(id))) != 2 {
-		t.Error("double absorption")
+	if s.m.Absorbs("p2", "p1", sent) {
+		t.Error("a member is absorbed again")
 	}
-	if got := m.Stats().Absorptions; got != 1 {
+	if got := s.m.Stats().Absorptions; got != 1 {
 		t.Errorf("absorptions = %d", got)
 	}
 }
 
+// TestAbsorptionOnlyAfterJoin: a message sent before its sender joined a
+// speculation carries none of it.
+func TestAbsorptionOnlyAfterJoin(t *testing.T) {
+	s := newSystem()
+	early := s.send("p1")
+	s.begin("p1", "a")
+	if s.m.Absorbs("p2", "p1", early) {
+		t.Error("a message sent before the speculation began absorbs its receiver")
+	}
+	if !s.m.Absorbs("p2", "p1", s.send("p1")) {
+		t.Error("a message sent after the speculation began does not absorb its receiver")
+	}
+	if s.m.Absorbs("p1", "p9", 0) {
+		t.Error("a message from a process in no speculation absorbs its receiver")
+	}
+}
+
 func TestAbsorptionTransitive(t *testing.T) {
-	ctl := &fakeCtl{}
-	m := NewManager(ctl)
-	id, _ := m.Begin("p1", "a")
-	m.OnDeliver("p2", m.ActiveSpecs("p1"))
+	s := newSystem()
+	id := s.begin("p1", "a")
+	s.message("p1", "p2")
 	// p2 now sends to p3; p3 must be absorbed into the same speculation.
-	m.OnDeliver("p3", m.ActiveSpecs("p2"))
-	members := memberIDs(m.Get(id))
-	sort.Strings(members)
+	s.message("p2", "p3")
+	members := memberIDs(s.m.Get(id))
+	slices.Sort(members)
 	if fmt.Sprint(members) != "[p1 p2 p3]" {
 		t.Errorf("members = %v", members)
 	}
 }
 
 func TestCommitReleasesMembers(t *testing.T) {
-	m := NewManager(&fakeCtl{})
-	id, _ := m.Begin("p1", "a")
-	m.OnDeliver("p2", []string{id})
-	if err := m.Commit(id); err != nil {
+	s := newSystem()
+	id := s.begin("p1", "a")
+	s.message("p1", "p2")
+	if err := s.m.Commit(id); err != nil {
 		t.Fatal(err)
 	}
-	if m.Get(id).Status() != Committed {
+	if s.m.Get(id).status != Committed {
 		t.Error("not committed")
 	}
-	if len(m.ActiveSpecs("p1")) > 0 || len(m.ActiveSpecs("p2")) > 0 {
+	if len(s.active("p1")) > 0 || len(s.active("p2")) > 0 || s.m.Speculating() {
 		t.Error("members not released")
 	}
 	// Commit twice fails.
-	if err := m.Commit(id); !errors.Is(err, ErrNotActive) {
+	if err := s.m.Commit(id); !errors.Is(err, ErrNotActive) {
 		t.Errorf("second commit err = %v", err)
 	}
-	if err := m.Commit("nope"); !errors.Is(err, ErrUnknownSpec) {
+	if err := s.m.Commit("nope"); !errors.Is(err, ErrUnknownSpec) {
 		t.Errorf("unknown commit err = %v", err)
 	}
 }
 
 func TestAbortRollsBackAllMembers(t *testing.T) {
-	ctl := &fakeCtl{}
-	m := NewManager(ctl)
-	id, _ := m.Begin("p1", "remote will ack")
-	m.OnDeliver("p2", []string{id})
-	m.OnDeliver("p3", []string{id})
-	if err := m.Abort(id, "ack timed out"); err != nil {
+	s := newSystem()
+	id := s.begin("p1", "remote will ack")
+	s.message("p1", "p2")
+	s.message("p1", "p3")
+	line, err := s.m.Abort(id, "ack timed out")
+	if err != nil {
 		t.Fatal(err)
 	}
-	sp := m.Get(id)
-	if sp.Status() != Aborted || sp.Reason != "ack timed out" {
+	sp := s.m.Get(id)
+	if sp.status != Aborted || sp.Reason != "ack timed out" {
 		t.Errorf("spec = %+v", sp)
 	}
-	if len(ctl.rollbacks) != 3 {
-		t.Fatalf("rollbacks = %v", ctl.rollbacks)
-	}
-	// Deterministic order (sorted procs) and correct checkpoints:
 	// p1 took ck1, p2 ck2, p3 ck3.
-	want := []string{"p1->ck1-p1", "p2->ck2-p2", "p3->ck3-p3"}
-	for i, w := range want {
-		if ctl.rollbacks[i] != w {
-			t.Errorf("rollback[%d] = %s, want %s", i, ctl.rollbacks[i], w)
-		}
+	if want := map[string]string{"p1": "ck1-p1", "p2": "ck2-p2", "p3": "ck3-p3"}; !maps.Equal(line, want) {
+		t.Errorf("line = %v, want %v", line, want)
 	}
-	if len(m.ActiveSpecs("p1")) > 0 || len(m.ActiveSpecs("p2")) > 0 || len(m.ActiveSpecs("p3")) > 0 {
+	if len(s.active("p1")) > 0 || len(s.active("p2")) > 0 || len(s.active("p3")) > 0 {
 		t.Error("members still active after abort")
 	}
 }
 
 func TestAbortCascadesToDependentSpecs(t *testing.T) {
-	ctl := &fakeCtl{}
-	m := NewManager(ctl)
-	s1, _ := m.Begin("p1", "a1")    // p1 ck1
-	m.OnDeliver("p2", []string{s1}) // p2 ck2 joins s1
-	s2, _ := m.Begin("p2", "a2")    // p2 ck3 starts s2 *after* joining s1
-	m.OnDeliver("p3", []string{s2}) // p3 ck4 joins s2
-
-	if err := m.Abort(s1, "bad"); err != nil {
+	s := newSystem()
+	s1 := s.begin("p1", "a1") // p1 ck1
+	s.message("p1", "p2")     // p2 ck2 joins s1
+	s2 := s.begin("p2", "a2") // p2 ck3 starts s2 *after* joining s1
+	s.message("p2", "p3")     // p3 ck4 joins s2
+	line, err := s.m.Abort(s1, "bad")
+	if err != nil {
 		t.Fatal(err)
 	}
 	// s2 depends on p2's post-join state, so it must cascade-abort.
-	if got := m.Get(s2).Status(); got != Aborted {
-		t.Errorf("s2 status = %v, want aborted", got)
+	if got := s.m.Get(s2); got.status != Aborted || got.Reason != "cascaded abort of "+s1 {
+		t.Errorf("s2 = %v (%q), want aborted by the cascade", got.status, got.Reason)
 	}
-	// p2 rolls back to its s1 join checkpoint (ck2), NOT the later ck3.
-	found := map[string]bool{}
-	for _, r := range ctl.rollbacks {
-		found[r] = true
+	// Each process is on the line once; p2 at its s1 join checkpoint (ck2),
+	// NOT the later ck3.
+	if want := map[string]string{"p1": "ck1-p1", "p2": "ck2-p2", "p3": "ck4-p3"}; !maps.Equal(line, want) {
+		t.Errorf("line = %v, want %v", line, want)
 	}
-	if !found["p2->ck2-p2"] {
-		t.Errorf("p2 rollback target wrong: %v", ctl.rollbacks)
-	}
-	if !found["p1->ck1-p1"] || !found["p3->ck4-p3"] {
-		t.Errorf("rollbacks = %v", ctl.rollbacks)
-	}
-	if len(ctl.rollbacks) != 3 {
-		t.Errorf("each proc must roll back exactly once: %v", ctl.rollbacks)
-	}
-	if got := m.Stats().Aborts; got != 2 {
-		t.Errorf("aborts = %d, want 2 (incl. cascade)", got)
+	if got := s.m.Stats(); got.Aborts != 2 || got.Rollbacks != 3 {
+		t.Errorf("aborts = %d, rollbacks = %d, want 2 (incl. cascade) and 3", got.Aborts, got.Rollbacks)
 	}
 }
 
 func TestAbortIndependentSpecUnaffected(t *testing.T) {
-	ctl := &fakeCtl{}
-	m := NewManager(ctl)
-	s1, _ := m.Begin("p1", "a1")
-	s2, _ := m.Begin("p9", "unrelated")
-	if err := m.Abort(s1, "bad"); err != nil {
+	s := newSystem()
+	s1 := s.begin("p1", "a1")
+	s2 := s.begin("p9", "unrelated")
+	if _, err := s.m.Abort(s1, "bad"); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Get(s2).Status(); got != Active {
+	if got := s.m.Get(s2).status; got != Active {
 		t.Errorf("independent spec status = %v, want active", got)
 	}
-	if len(m.ActiveSpecs("p1")) > 0 {
+	if len(s.active("p1")) > 0 {
 		t.Error("p1 still speculating")
 	}
-	if len(m.ActiveSpecs("p9")) == 0 {
+	if len(s.active("p9")) == 0 || !s.m.Speculating() {
 		t.Error("p9 should still be speculating")
 	}
 }
@@ -238,72 +241,61 @@ func TestAbortIndependentSpecUnaffected(t *testing.T) {
 func TestAbortEarlierSpecNotCascaded(t *testing.T) {
 	// p1 joins s1 then starts s2. Aborting s2 must NOT abort s1 (s1's state
 	// precedes s2's checkpoint).
-	ctl := &fakeCtl{}
-	m := NewManager(ctl)
-	s1, _ := m.Begin("p1", "outer")
-	s2, _ := m.Begin("p1", "inner")
-	if err := m.Abort(s2, "inner failed"); err != nil {
+	s := newSystem()
+	s1 := s.begin("p1", "outer")
+	s2 := s.begin("p1", "inner")
+	line, err := s.m.Abort(s2, "inner failed")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Get(s1).Status(); got != Active {
+	if got := s.m.Get(s1).status; got != Active {
 		t.Errorf("outer spec = %v, want active", got)
 	}
 	// p1 rolls back to the inner checkpoint (ck2).
-	if len(ctl.rollbacks) != 1 || ctl.rollbacks[0] != "p1->ck2-p1" {
-		t.Errorf("rollbacks = %v", ctl.rollbacks)
-	}
-}
-
-func TestOnDeliverUnknownSpec(t *testing.T) {
-	m := NewManager(&fakeCtl{})
-	if err := m.OnDeliver("p1", []string{"ghost"}); !errors.Is(err, ErrUnknownSpec) {
-		t.Errorf("err = %v", err)
+	if want := map[string]string{"p1": "ck2-p1"}; !maps.Equal(line, want) {
+		t.Errorf("line = %v, want %v", line, want)
 	}
 }
 
 func TestOnDeliverResolvedSpecIgnored(t *testing.T) {
-	m := NewManager(&fakeCtl{})
-	id, _ := m.Begin("p1", "a")
-	m.Commit(id)
-	if err := m.OnDeliver("p2", []string{id}); err != nil {
-		t.Fatalf("delivering committed-spec message: %v", err)
+	s := newSystem()
+	id := s.begin("p1", "a")
+	sent := s.send("p1")
+	s.m.Commit(id)
+	if s.m.Absorbs("p2", "p1", sent) {
+		t.Error("p2 would be absorbed into a committed spec")
 	}
-	if len(m.ActiveSpecs("p2")) > 0 {
+	s.deliver("p2", "p1", sent)
+	if len(s.active("p2")) > 0 || len(memberIDs(s.m.Get(id))) != 1 {
 		t.Error("p2 absorbed into committed spec")
 	}
 }
 
 func TestAbortErrors(t *testing.T) {
-	m := NewManager(&fakeCtl{})
-	if err := m.Abort("nope", "r"); !errors.Is(err, ErrUnknownSpec) {
+	s := newSystem()
+	if _, err := s.m.Abort("nope", "r"); !errors.Is(err, ErrUnknownSpec) {
 		t.Errorf("unknown abort err = %v", err)
 	}
-	id, _ := m.Begin("p1", "a")
-	m.Abort(id, "once")
-	if err := m.Abort(id, "twice"); !errors.Is(err, ErrNotActive) {
-		t.Errorf("double abort err = %v", err)
-	}
-}
-
-func TestAbortRollbackFailureReported(t *testing.T) {
-	ctl := &fakeCtl{}
-	m := NewManager(ctl)
-	id, _ := m.Begin("p1", "a")
-	ctl.failRoll = true
-	if err := m.Abort(id, "r"); err == nil {
-		t.Error("Abort should report rollback failure")
+	id := s.begin("p1", "a")
+	s.m.Abort(id, "once")
+	if line, err := s.m.Abort(id, "twice"); !errors.Is(err, ErrNotActive) || line != nil {
+		t.Errorf("double abort = %v, %v", line, err)
 	}
 }
 
 func TestStatsCounters(t *testing.T) {
-	m := NewManager(&fakeCtl{})
-	s1, _ := m.Begin("p1", "a")
-	s2, _ := m.Begin("p2", "b")
-	m.OnDeliver("p3", []string{s1})
-	m.Commit(s1)
-	m.Abort(s2, "r")
-	st := m.Stats()
+	s := newSystem()
+	s1 := s.begin("p1", "a")
+	s2 := s.begin("p2", "b")
+	s.message("p1", "p3")
+	s.m.Commit(s1)
+	s.m.Abort(s2, "r")
+	st := s.m.Stats()
 	if st.Begun != 2 || st.Commits != 1 || st.Aborts != 1 || st.Absorptions != 1 || st.Rollbacks != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+	s.m.Reset()
+	if s.m.Stats() != (Stats{}) || s.m.Speculating() || s.m.Get(s1) != nil {
+		t.Error("Reset left speculations behind")
 	}
 }

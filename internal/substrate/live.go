@@ -451,7 +451,7 @@ func (p *liveProc) removeTimerLocked(name string) {
 
 // takeCheckpointLocked snapshots the process (caller holds p.mu).
 func (p *liveProc) takeCheckpointLocked(label string) *checkpoint.Checkpoint {
-	ck := p.Checkpoint(p.sub.store, p.sub.Now(), "", label, append([]string(nil), p.pendingTimers...))
+	ck := p.Checkpoint(p.sub.store, p.sub.Now(), label, append([]string(nil), p.pendingTimers...))
 	p.sub.ckpts.Add(1)
 	return ck
 }
