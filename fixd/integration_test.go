@@ -190,7 +190,7 @@ func TestSpeculativeKVWrites(t *testing.T) {
 		s.AddProcess(id, m)
 	}
 	s.Run()
-	if st := s.Speculations().Stats(); st.Aborts != 1 || st.Absorptions != 3 || st.Rollbacks != 4 {
+	if st := s.SpeculationStats(); st.Aborts != 1 || st.Absorptions != 3 || st.Rollbacks != 4 {
 		t.Errorf("spec stats = %+v, want the client, the primary and both replicas rolled back", st)
 	}
 	raw := map[string]json.RawMessage{}

@@ -215,9 +215,6 @@ type event struct {
 	// dead marks a lazily-deleted event (purged by rollback); Resume
 	// discards it without processing.
 	dead bool
-	// redelivered marks a message a rollback re-sent from the scrolls: its
-	// creatorSeq is not its send's, and it absorbs no one.
-	redelivered bool
 }
 
 type eventKind int
@@ -499,8 +496,8 @@ func (s *Sim) SetFaultHandler(h func(FaultRecord) bool) { s.faultHandler = h }
 // Store exposes the simulation's checkpoint store.
 func (s *Sim) Store() *checkpoint.Store { return s.store }
 
-// Speculations exposes the speculation counters.
-func (s *Sim) Speculations() interface{ Stats() speculation.Stats } { return s.specs }
+// SpeculationStats returns the speculation counters.
+func (s *Sim) SpeculationStats() speculation.Stats { return s.specs.Stats() }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() uint64 { return s.now }
@@ -687,9 +684,11 @@ func (s *Sim) deliver(ev *event) {
 		s.takeCheckpoint(p, "cic")
 	}
 	// Speculative absorption checkpoints the pre-consumption state too.
-	if s.specs.Speculating() && !ev.redelivered && s.specs.Absorbs(ev.to, ev.from, ev.creatorSeq) {
-		ck := s.takeCheckpoint(p, "speculation")
-		s.specs.Absorb(ev.to, ev.from, ev.creatorSeq, ck.ID, ck.ScrollSeq)
+	if s.specs.Speculating() {
+		s.specs.Absorb(ev.to, ev.from, ev.creatorSeq, func() (string, uint64) {
+			ck := s.takeCheckpoint(p, "speculation")
+			return ck.ID, ck.ScrollSeq
+		})
 	}
 	p.RecordRecv(ev.msgID, ev.from, payload, ev.lamport, ev.clock)
 	periodic := p.Delivered(s.cfg.CheckpointEvery)
@@ -858,16 +857,21 @@ func (s *Sim) rollback(resolved []*checkpoint.Checkpoint, info RollbackInfo) err
 		p := s.procs[ck.Proc]
 		s.restoreProc(p, ck)
 		p.Abandon(s.store, ck)
+		if s.specs.Speculating() {
+			s.specs.Rewind(p.id, ck.ScrollSeq)
+		}
 	}
 	// Re-deliver the messages in transit across the line to its members.
 	// Restored scrolls already end at the line; every other process is cut
-	// at its full length.
+	// at its full length. A re-sent message carries its send's scroll
+	// position, as the original did: a later rollback of its sender recalls
+	// it, and its delivery absorbs as the original's would have.
 	for r := range scroll.InTransit(s.Scrolls(), nil) {
 		if cks[r.Peer] != nil {
 			s.push(event{
 				time: s.now + s.latency(), kind: evMessage,
 				msgID: r.MsgID, from: r.Proc, to: r.Peer,
-				payload: r.Payload, lamport: r.Lamport, clock: r.Clock.Copy(), redelivered: true,
+				payload: r.Payload, lamport: r.Lamport, clock: r.Clock.Copy(), creatorSeq: r.Seq,
 			}, 0)
 		}
 	}
@@ -997,17 +1001,17 @@ func (c *simContext) Speculate(assumption string) (string, error) {
 // Commit validates a speculation's assumption.
 func (c *simContext) Commit(specID string) error { return c.sim.specs.Commit(specID) }
 
-// AbortSpec invalidates a speculation: the line the abort returns — every
+// AbortSpec invalidates a speculation: the line the abort computes — every
 // absorbed process at its join checkpoint — is rolled back like any other,
-// and each member's OnRollback learns the speculation and the reason.
+// and each member's OnRollback learns the speculation and the reason. A line
+// the store cannot resolve is an error, and then nothing is aborted.
 func (c *simContext) AbortSpec(specID, reason string) error {
 	s := c.sim
-	line, err := s.specs.Abort(specID, reason)
-	if err != nil {
+	var resolved []*checkpoint.Checkpoint
+	if err := s.specs.Abort(specID, reason, func(line map[string]string) (err error) {
+		resolved, err = s.store.ResolveLine(line)
 		return err
-	}
-	resolved, err := s.store.ResolveLine(line)
-	if err != nil {
+	}); err != nil {
 		return err
 	}
 	return s.rollback(resolved, RollbackInfo{SpecID: specID, Assumption: s.specs.Get(specID).Assumption, Reason: reason})

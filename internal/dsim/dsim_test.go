@@ -636,7 +636,7 @@ func TestSpeculationAbortRollsBackBothProcesses(t *testing.T) {
 	if !init.st.AltPath {
 		t.Error("initiator should have rolled back too")
 	}
-	st := s.Speculations().Stats()
+	st := s.SpeculationStats()
 	if st.Aborts != 1 || st.Absorptions != 1 || st.Rollbacks != 2 {
 		t.Errorf("spec stats = %+v", st)
 	}
@@ -726,6 +726,96 @@ func TestSpeculationAbortAbandonsCheckpoints(t *testing.T) {
 	}
 	if init.st.SpecID != "" || init.st.Rollback != "crash restart" {
 		t.Errorf("init after its restart = %+v, want the state from before it speculated", init.st)
+	}
+}
+
+// speculatingSender speculates in Init, sends peer one message at send (0: in
+// Init) and aborts its speculation at abort.
+type speculatingSender struct {
+	st          specState
+	peer        string
+	send, abort uint64
+}
+
+func (m *speculatingSender) State() any { return &m.st }
+func (m *speculatingSender) Init(ctx Context) {
+	id, err := ctx.Speculate("peer will accept")
+	if err != nil {
+		panic(err)
+	}
+	m.st.SpecID = id
+	if m.send == 0 {
+		ctx.Send(m.peer, []byte("speculative-data"))
+	} else {
+		ctx.SetTimer("send", m.send)
+	}
+	ctx.SetTimer("abort", m.abort)
+}
+func (m *speculatingSender) OnMessage(Context, string, []byte) { m.st.Applied++ }
+func (m *speculatingSender) OnTimer(ctx Context, name string) {
+	switch name {
+	case "send":
+		ctx.Send(m.peer, []byte("speculative-data"))
+	case "abort":
+		if err := ctx.AbortSpec(m.st.SpecID, "peer rejected"); err != nil {
+			panic(err)
+		}
+	}
+}
+func (m *speculatingSender) OnRollback(Context, RollbackInfo) { m.st.AltPath = true }
+
+// TestConcurrentSpeculationsRedeliverSpeculatively: x, in its speculation
+// s2, sends m a message at 18 that is still in transit when a's speculation
+// s1, which m joined at 5, aborts at 20. The abort re-delivers the message
+// from x's scroll, and it absorbs m into s2 as the original would have; so
+// s2's abort at 40, which takes x back before the send, takes m back before
+// the receive.
+func TestConcurrentSpeculationsRedeliverSpeculatively(t *testing.T) {
+	s := New(Config{Seed: 2, MinLatency: 5, MaxLatency: 5})
+	m := &specMachine{}
+	s.AddProcess("a", &speculatingSender{peer: "m", abort: 20})
+	s.AddProcess("m", m)
+	s.AddProcess("x", &speculatingSender{peer: "m", send: 18, abort: 40})
+	s.Run()
+	if id := orphanReceive(s.MergedScroll()); id != "" {
+		t.Errorf("receive of %s has no send before it", id)
+	}
+	if m.st.Applied != 0 {
+		t.Errorf("m handled %d messages, want 0: both messages it received were undone with their sends", m.st.Applied)
+	}
+	if st := s.SpeculationStats(); st.Aborts != 2 || st.Absorptions != 2 || st.Rollbacks != 4 {
+		t.Errorf("spec stats = %+v", st)
+	}
+}
+
+// TestSpeculationAbortAfterRollbackPastJoin: a Time Machine rollback takes
+// recv back past the checkpoint it joined init's speculation at; recv leaves
+// the speculation, and the message re-delivered to it absorbs it anew. The
+// abort then resolves, and rolls both processes back.
+func TestSpeculationAbortAfterRollbackPastJoin(t *testing.T) {
+	s := New(Config{Seed: 2, MinLatency: 1, MaxLatency: 1, InitCheckpoint: true})
+	init := &specMachine{peer: "recv", initiate: true}
+	recv := &specMachine{}
+	s.AddProcess("init", init)
+	s.AddProcess("recv", recv)
+	s.SetStepMonitor(1, func() bool { return recv.st.Applied == 1 })
+	s.Run()
+	if recv.st.Applied != 1 {
+		t.Fatalf("recv handled %d messages before the rollback, want 1", recv.st.Applied)
+	}
+	if err := s.RollbackTo(map[string]string{"recv": s.Store().List("recv")[0].ID}); err != nil {
+		t.Fatal(err)
+	}
+	s.SetStepMonitor(0, nil)
+	s.Resume()
+	if init.st.SpecID != "" || !init.st.AltPath {
+		t.Errorf("init = %+v, want rolled back to before it speculated", init.st)
+	}
+	if recv.st.Applied != 0 {
+		t.Errorf("recv handled %d messages, want 0 after the abort", recv.st.Applied)
+	}
+	if st := s.SpeculationStats(); st.Aborts != 1 || st.Absorptions != 2 || st.Rollbacks != 2 {
+		t.Errorf("spec stats = %+v", st)
 	}
 }
 

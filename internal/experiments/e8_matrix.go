@@ -219,7 +219,7 @@ func demoFixDOpportunistic() error {
 		s.AddProcess(id, m)
 	}
 	s.Run()
-	if st := s.Speculations().Stats(); st.Aborts != 1 || st.Rollbacks != 2 {
+	if st := s.SpeculationStats(); st.Aborts != 1 || st.Rollbacks != 2 {
 		return fmt.Errorf("aborts = %d, rollbacks = %d, want 1 and 2", st.Aborts, st.Rollbacks)
 	}
 	var sent, recv int64

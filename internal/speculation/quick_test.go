@@ -24,7 +24,7 @@ func TestQuickSpeculationInvariants(t *testing.T) {
 		s := newSystem()
 		var ids []string
 		for step := 0; step < 40; step++ {
-			switch r.Intn(4) {
+			switch r.Intn(5) {
 			case 0: // begin
 				ids = append(ids, s.begin(procs[r.Intn(len(procs))], "a"))
 			case 1: // deliver a message, speculative or not
@@ -39,6 +39,13 @@ func TestQuickSpeculationInvariants(t *testing.T) {
 					continue
 				}
 				s.m.Commit(ids[r.Intn(len(ids))])
+			case 3: // roll a random process back to an earlier position
+				p := procs[r.Intn(len(procs))]
+				if s.pos[p] == 0 {
+					continue
+				}
+				s.pos[p] = uint64(r.Int63n(int64(s.pos[p])))
+				s.m.Rewind(p, s.pos[p])
 			default: // abort a random spec
 				if len(ids) == 0 {
 					continue
@@ -47,7 +54,7 @@ func TestQuickSpeculationInvariants(t *testing.T) {
 				for _, id := range ids {
 					was[id] = s.m.Get(id).status
 				}
-				line, err := s.m.Abort(ids[r.Intn(len(ids))], "r")
+				line, err := s.abort(ids[r.Intn(len(ids))], "r")
 				if err != nil {
 					continue
 				}
@@ -120,7 +127,7 @@ func TestQuickAbortClearsActiveLists(t *testing.T) {
 			}
 		}
 		for _, id := range ids {
-			line, _ := s.m.Abort(id, "sweep") // cascades may have resolved some already
+			line, _ := s.abort(id, "sweep") // cascades may have resolved some already
 			for p, ck := range line {
 				if !strings.HasSuffix(ck, "-"+p) {
 					return false

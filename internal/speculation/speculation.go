@@ -13,14 +13,14 @@
 // lets the Healer bypass the error, paper §4.2 difference (2)).
 //
 // The Manager here is only the bookkeeping. The simulator (dsim) takes the
-// checkpoints, decides absorption on delivery, and rolls back the line an
-// abort returns through its one deliberate-rollback path.
+// checkpoints, asks on delivery whom a message absorbs, and rolls back the
+// line an abort computes through its one deliberate-rollback path.
 package speculation
 
 import (
 	"errors"
 	"fmt"
-	"iter"
+	"slices"
 )
 
 // Status is the lifecycle state of a speculation.
@@ -85,8 +85,9 @@ type Stats struct {
 
 // Manager is the bookkeeping of the speculations of one simulated system:
 // who joined what, at which checkpoint. It acts on no process — the caller
-// takes the checkpoints it is handed and rolls back the lines Abort
-// returns — and it is not safe for concurrent use.
+// takes the checkpoints it is handed, rolls back the lines Abort computes
+// and reports every other rollback to Rewind — and it is not safe for
+// concurrent use.
 type Manager struct {
 	specs   map[string]*Speculation
 	active  map[string][]string // proc -> IDs of active specs it belongs to, join order
@@ -147,54 +148,64 @@ func (m *Manager) Begin(proc, assumption, ckpt string, at uint64) string {
 // Get returns the speculation with the given ID, or nil.
 func (m *Manager) Get(id string) *Speculation { return m.specs[id] }
 
-// absorbing yields the speculations a message from sender, sent at its
-// scroll position sent, absorbs to into: the active ones sender had joined
-// by then and to has not. A speculation that committed since absorbs no
-// one; one that aborted rolled sender back to its join position or before,
-// which recalled the message.
-func (m *Manager) absorbing(to, sender string, sent uint64) iter.Seq[*Speculation] {
-	return func(yield func(*Speculation) bool) {
-		for _, id := range m.active[sender] {
-			sp := m.specs[id]
-			if mem, _ := sp.memberOf(sender); mem.at > sent {
-				continue
-			}
-			if _, already := sp.memberOf(to); !already && !yield(sp) {
-				return
-			}
-		}
-	}
-}
-
-// Absorbs reports whether delivering to to a message sender sent at its
-// scroll position sent absorbs to into a speculation: whether to must
-// checkpoint before it consumes the message (the communication-induced
+// Absorb makes to a member of every speculation that a message from sender,
+// sent at its scroll position sent, absorbs it into: the active ones sender
+// had joined by then and to has not. A speculation that committed since
+// absorbs no one; one that aborted rolled sender back to its join position
+// or before, which recalled the message. When there is one, take
+// checkpoints to before it consumes the message (the communication-induced
 // checkpoint of Fig. 6: "Each process saves a checkpoint before receiving a
-// new message").
-func (m *Manager) Absorbs(to, sender string, sent uint64) bool {
-	for range m.absorbing(to, sender, sent) {
-		return true
-	}
-	return false
-}
-
-// Absorb makes to a member of every speculation Absorbs found, as of ckpt,
-// the checkpoint the caller took of to at scroll position at before it
-// consumes the message.
-func (m *Manager) Absorb(to, sender string, sent uint64, ckpt string, at uint64) {
-	for sp := range m.absorbing(to, sender, sent) {
+// new message") and returns that checkpoint and its scroll position; it is
+// called at most once.
+func (m *Manager) Absorb(to, sender string, sent uint64, take func() (ckpt string, at uint64)) {
+	var ckpt string
+	var at uint64
+	taken := false
+	for _, id := range m.active[sender] {
+		sp := m.specs[id]
+		if mem, _ := sp.memberOf(sender); mem.at > sent {
+			continue
+		}
+		if _, already := sp.memberOf(to); already {
+			continue
+		}
+		if !taken {
+			ckpt, at = take()
+			taken = true
+		}
 		m.join(sp, to, ckpt, at)
 		m.stats.Absorptions++
 	}
 }
 
+// Rewind tells the manager that proc was rolled back to its scroll position
+// at: it leaves every active speculation it joined past at, whose join
+// checkpoint the rollback abandoned along with what it received there. A
+// message re-delivered to it absorbs it anew.
+func (m *Manager) Rewind(proc string, at uint64) {
+	list := m.active[proc]
+	kept := list[:0]
+	for _, id := range list {
+		sp := m.specs[id]
+		if mem, _ := sp.memberOf(proc); mem.at <= at {
+			kept = append(kept, id)
+			continue
+		}
+		sp.members = slices.DeleteFunc(sp.members, func(x member) bool { return x.proc == proc })
+	}
+	clear(list[len(kept):])
+	m.active[proc] = kept
+}
+
 // Commit validates the assumption of the speculation: all members are
 // released and their checkpoints may be reclaimed by the caller.
 func (m *Manager) Commit(id string) error {
-	sp, err := m.resolve(id, Committed)
+	sp, err := m.lookup(id)
 	if err != nil {
 		return err
 	}
+	sp.status = Committed
+	m.live--
 	for _, mem := range sp.members {
 		m.detach(mem.proc, id)
 	}
@@ -202,34 +213,20 @@ func (m *Manager) Commit(id string) error {
 	return nil
 }
 
-// resolve moves the active speculation id to status.
-func (m *Manager) resolve(id string, status Status) (*Speculation, error) {
-	sp, ok := m.specs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownSpec, id)
-	}
-	if sp.status != Active {
-		return nil, fmt.Errorf("%w: %s is %v", ErrNotActive, id, sp.status)
-	}
-	sp.status = status
-	m.live--
-	return sp, nil
-}
-
-// Abort invalidates the assumption and returns the recovery line that undoes
-// it, process -> checkpoint ID, for the caller to roll back. Every member of
-// the speculation — and, transitively, every member of any speculation that
-// depends on state later than the rollback point — is on the line at the
-// checkpoint it took when it joined; a process on several doomed
-// speculations, at the earliest of them. reason describes how the
-// assumption was invalidated, for the processes to take an alternate
-// execution path.
-func (m *Manager) Abort(id, reason string) (map[string]string, error) {
-	sp, err := m.resolve(id, Aborted)
+// Abort invalidates the assumption. It computes the recovery line that
+// undoes it, process -> checkpoint ID: every member of the speculation — and,
+// transitively, every member of any speculation that depends on state later
+// than the rollback point — at the checkpoint it took when it joined; a
+// process on several doomed speculations, at the earliest of them. It hands
+// the line to check, and only if check accepts it marks the doomed
+// speculations aborted; the caller then rolls the line back. reason
+// describes how the assumption was invalidated, for the processes to take an
+// alternate execution path.
+func (m *Manager) Abort(id, reason string, check func(line map[string]string) error) error {
+	sp, err := m.lookup(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sp.Reason = reason
 
 	// Compute the closure of speculations invalidated by this abort: rolling
 	// a process back below the point where it joined a later speculation
@@ -239,9 +236,7 @@ func (m *Manager) Abort(id, reason string) (map[string]string, error) {
 		for _, mem := range doomed[i].members {
 			for _, otherID := range m.active[mem.proc] {
 				other := m.specs[otherID]
-				if om, _ := other.memberOf(mem.proc); other.status == Active && om.joinSeq > mem.joinSeq {
-					m.resolve(otherID, Aborted)
-					other.Reason = fmt.Sprintf("cascaded abort of %s", id)
+				if om, _ := other.memberOf(mem.proc); om.joinSeq > mem.joinSeq && !slices.Contains(doomed, other) {
 					doomed = append(doomed, other)
 				}
 			}
@@ -255,16 +250,39 @@ func (m *Manager) Abort(id, reason string) (map[string]string, error) {
 			if cur, ok := rollTo[mem.proc]; !ok || mem.joinSeq < cur.joinSeq {
 				rollTo[mem.proc] = mem
 			}
-			m.detach(mem.proc, d.ID)
 		}
-		m.stats.Aborts++
 	}
 	line := make(map[string]string, len(rollTo))
 	for proc, mem := range rollTo {
 		line[proc] = mem.ckptID
 	}
+	if err := check(line); err != nil {
+		return err
+	}
+
+	for _, d := range doomed {
+		d.status, d.Reason = Aborted, fmt.Sprintf("cascaded abort of %s", id)
+		for _, mem := range d.members {
+			m.detach(mem.proc, d.ID)
+		}
+		m.live--
+		m.stats.Aborts++
+	}
+	sp.Reason = reason
 	m.stats.Rollbacks += uint64(len(line))
-	return line, nil
+	return nil
+}
+
+// lookup returns the active speculation id.
+func (m *Manager) lookup(id string) (*Speculation, error) {
+	sp, ok := m.specs[id]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("%w: %s", ErrUnknownSpec, id)
+	case sp.status != Active:
+		return nil, fmt.Errorf("%w: %s is %v", ErrNotActive, id, sp.status)
+	}
+	return sp, nil
 }
 
 // detach removes spec id from proc's active list.

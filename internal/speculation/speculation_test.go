@@ -51,13 +51,31 @@ func (s *system) send(from string) uint64 {
 }
 
 // deliver hands to a message from sent at its position sent: the receiver
-// checkpoints first when the message absorbs it.
-func (s *system) deliver(to, from string, sent uint64) {
-	if s.m.Absorbs(to, from, sent) {
-		ck, at := s.checkpoint(to)
-		s.m.Absorb(to, from, sent, ck, at)
-	}
+// checkpoints first when the message absorbs it, and deliver reports whether
+// it did.
+func (s *system) deliver(to, from string, sent uint64) (absorbed bool) {
+	s.m.Absorb(to, from, sent, func() (string, uint64) {
+		if absorbed {
+			panic("Absorb took two checkpoints for one delivery")
+		}
+		absorbed = true
+		return s.checkpoint(to)
+	})
 	s.pos[to]++
+	return absorbed
+}
+
+// abort aborts spec id and returns the line Abort handed its check.
+func (s *system) abort(id, reason string) (map[string]string, error) {
+	var line map[string]string
+	err := s.m.Abort(id, reason, func(l map[string]string) error {
+		line = l
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return line, nil
 }
 
 // message sends from from to to and delivers it at once.
@@ -91,7 +109,7 @@ func TestBeginTakesCheckpoint(t *testing.T) {
 		t.Errorf("active = %v", got)
 	}
 	// The initiator rolls back to the checkpoint it began from.
-	line, err := s.m.Abort(id, "no")
+	line, err := s.abort(id, "no")
 	if err != nil || !maps.Equal(line, map[string]string{"p1": "ck1-p1"}) {
 		t.Errorf("line = %v, %v", line, err)
 	}
@@ -114,7 +132,7 @@ func TestAbsorption(t *testing.T) {
 		t.Errorf("checkpoints = %v", s.took)
 	}
 	// Re-delivery does not double-absorb.
-	if s.m.Absorbs("p2", "p1", sent) {
+	if s.deliver("p2", "p1", sent) {
 		t.Error("a member is absorbed again")
 	}
 	if got := s.m.Stats().Absorptions; got != 1 {
@@ -128,13 +146,13 @@ func TestAbsorptionOnlyAfterJoin(t *testing.T) {
 	s := newSystem()
 	early := s.send("p1")
 	s.begin("p1", "a")
-	if s.m.Absorbs("p2", "p1", early) {
+	if s.deliver("p2", "p1", early) {
 		t.Error("a message sent before the speculation began absorbs its receiver")
 	}
-	if !s.m.Absorbs("p2", "p1", s.send("p1")) {
+	if !s.deliver("p2", "p1", s.send("p1")) {
 		t.Error("a message sent after the speculation began does not absorb its receiver")
 	}
-	if s.m.Absorbs("p1", "p9", 0) {
+	if s.deliver("p1", "p9", 0) {
 		t.Error("a message from a process in no speculation absorbs its receiver")
 	}
 }
@@ -179,7 +197,7 @@ func TestAbortRollsBackAllMembers(t *testing.T) {
 	id := s.begin("p1", "remote will ack")
 	s.message("p1", "p2")
 	s.message("p1", "p3")
-	line, err := s.m.Abort(id, "ack timed out")
+	line, err := s.abort(id, "ack timed out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +220,7 @@ func TestAbortCascadesToDependentSpecs(t *testing.T) {
 	s.message("p1", "p2")     // p2 ck2 joins s1
 	s2 := s.begin("p2", "a2") // p2 ck3 starts s2 *after* joining s1
 	s.message("p2", "p3")     // p3 ck4 joins s2
-	line, err := s.m.Abort(s1, "bad")
+	line, err := s.abort(s1, "bad")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +242,7 @@ func TestAbortIndependentSpecUnaffected(t *testing.T) {
 	s := newSystem()
 	s1 := s.begin("p1", "a1")
 	s2 := s.begin("p9", "unrelated")
-	if _, err := s.m.Abort(s1, "bad"); err != nil {
+	if _, err := s.abort(s1, "bad"); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.m.Get(s2).status; got != Active {
@@ -244,7 +262,7 @@ func TestAbortEarlierSpecNotCascaded(t *testing.T) {
 	s := newSystem()
 	s1 := s.begin("p1", "outer")
 	s2 := s.begin("p1", "inner")
-	line, err := s.m.Abort(s2, "inner failed")
+	line, err := s.abort(s2, "inner failed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +280,9 @@ func TestOnDeliverResolvedSpecIgnored(t *testing.T) {
 	id := s.begin("p1", "a")
 	sent := s.send("p1")
 	s.m.Commit(id)
-	if s.m.Absorbs("p2", "p1", sent) {
-		t.Error("p2 would be absorbed into a committed spec")
+	if s.deliver("p2", "p1", sent) {
+		t.Error("p2 is absorbed into a committed spec")
 	}
-	s.deliver("p2", "p1", sent)
 	if len(s.active("p2")) > 0 || len(memberIDs(s.m.Get(id))) != 1 {
 		t.Error("p2 absorbed into committed spec")
 	}
@@ -273,13 +290,69 @@ func TestOnDeliverResolvedSpecIgnored(t *testing.T) {
 
 func TestAbortErrors(t *testing.T) {
 	s := newSystem()
-	if _, err := s.m.Abort("nope", "r"); !errors.Is(err, ErrUnknownSpec) {
+	if _, err := s.abort("nope", "r"); !errors.Is(err, ErrUnknownSpec) {
 		t.Errorf("unknown abort err = %v", err)
 	}
 	id := s.begin("p1", "a")
-	s.m.Abort(id, "once")
-	if line, err := s.m.Abort(id, "twice"); !errors.Is(err, ErrNotActive) || line != nil {
+	s.abort(id, "once")
+	if line, err := s.abort(id, "twice"); !errors.Is(err, ErrNotActive) || line != nil {
 		t.Errorf("double abort = %v, %v", line, err)
+	}
+}
+
+// TestAbortRejectedLineChangesNothing: when the caller cannot roll back the
+// line, the abort leaves every speculation as it was.
+func TestAbortRejectedLineChangesNothing(t *testing.T) {
+	s := newSystem()
+	s1 := s.begin("p1", "a1")
+	s.message("p1", "p2")
+	s2 := s.begin("p2", "a2")
+	s.message("p2", "p3")
+	before := s.m.Stats()
+	refused := errors.New("line not resolvable")
+	if err := s.m.Abort(s1, "bad", func(map[string]string) error { return refused }); err != refused {
+		t.Fatalf("abort err = %v, want the check's", err)
+	}
+	for _, id := range []string{s1, s2} {
+		if sp := s.m.Get(id); sp.status != Active || sp.Reason != "" {
+			t.Errorf("%s = %v (%q) after a refused abort", id, sp.status, sp.Reason)
+		}
+	}
+	if got := s.m.Stats(); got != before || !s.m.Speculating() {
+		t.Errorf("stats = %+v, want %+v", got, before)
+	}
+	if want := []string{s1, s2}; !slices.Equal(s.active("p2"), want) {
+		t.Errorf("p2 active = %v, want %v", s.active("p2"), want)
+	}
+	// The speculation can still be aborted, cascade and all.
+	if line, err := s.abort(s1, "bad"); err != nil || len(line) != 3 {
+		t.Errorf("abort after the refusal = %v, %v", line, err)
+	}
+}
+
+// TestRewindLeavesLaterJoins: a process rolled back past the checkpoint it
+// joined a speculation at leaves it, so that speculation's abort no longer
+// names the abandoned checkpoint; a rollback to the join position keeps it.
+func TestRewindLeavesLaterJoins(t *testing.T) {
+	s := newSystem()
+	s.send("p2")             // p2 is at 1 when it joins
+	id := s.begin("p1", "a") // p1 ck1 at 0
+	s.message("p1", "p2")    // p2 ck2 at 1
+	s.m.Rewind("p1", 0)      // p1 back to its join position: still a member
+	s.m.Rewind("p2", 0)      // p2 back past its join: leaves
+	if got := memberIDs(s.m.Get(id)); !slices.Equal(got, []string{"p1"}) {
+		t.Errorf("members = %v, want [p1]", got)
+	}
+	if len(s.active("p2")) > 0 {
+		t.Errorf("p2 active = %v", s.active("p2"))
+	}
+	// A re-delivered message absorbs p2 anew.
+	s.pos["p2"] = 0
+	if !s.deliver("p2", "p1", 1) {
+		t.Error("the re-delivered message does not absorb p2")
+	}
+	if line, err := s.abort(id, "no"); err != nil || !maps.Equal(line, map[string]string{"p1": "ck1-p1", "p2": "ck3-p2"}) {
+		t.Errorf("line = %v, %v", line, err)
 	}
 }
 
@@ -289,7 +362,7 @@ func TestStatsCounters(t *testing.T) {
 	s2 := s.begin("p2", "b")
 	s.message("p1", "p3")
 	s.m.Commit(s1)
-	s.m.Abort(s2, "r")
+	s.abort(s2, "r")
 	st := s.m.Stats()
 	if st.Begun != 2 || st.Commits != 1 || st.Aborts != 1 || st.Absorptions != 1 || st.Rollbacks != 1 {
 		t.Errorf("stats = %+v", st)
