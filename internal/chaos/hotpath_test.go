@@ -67,13 +67,15 @@ func warmKVRun(t *testing.T) func() {
 }
 
 // TestWarmRunnerAllocs bounds what one warm pooled kvstore run allocates.
-// Measured 97 (116 while the schedule compiled into a fresh plan and durable
-// writes were copied per cell; 412 while handlers built payloads with
-// fmt.Sprintf and cut them with strings.Split; 658 while Reset dropped the
-// run's arenas, message and checkpoint IDs were rendered per run and every
-// checkpoint was its own objects; 955 while checkpoints and invariant checks
-// went through encoding/json; 1246 with a map clone per Lamport tick on
-// top), and 99 under -race (118 before). The ceiling is the floor + 10 %.
+// Measured 92, also under -race (97 and 99 under -race while every run built
+// its sorted ID list, its invariant monitor and its scroll list; 116 while
+// the schedule compiled into a fresh plan and durable writes were copied per
+// cell; 412 while handlers built payloads with fmt.Sprintf and cut them with
+// strings.Split; 658 while Reset dropped the run's arenas, message and
+// checkpoint IDs were rendered per run and every checkpoint was its own
+// objects; 955 while checkpoints and invariant checks went through
+// encoding/json; 1246 with a map clone per Lamport tick on top). The
+// ceiling is the floor + 10 %.
 func TestWarmRunnerAllocs(t *testing.T) {
 	run := warmKVRun(t)
 	// The cheapest of a few single warm runs: a dropped Put of the run
@@ -82,20 +84,17 @@ func TestWarmRunnerAllocs(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		best = min(best, testing.AllocsPerRun(1, run))
 	}
-	limit := 106.0
-	if raceDetector {
-		limit = 108
-	}
-	if best > limit {
+	if limit := 101.0; best > limit {
 		t.Fatalf("warm kvstore/reorder run allocates %.0f times; want <= %.0f (the pooled run path has regressed)", best, limit)
 	}
 }
 
 // TestWarmCellAllocs bounds what one warm two-run matrix cell allocates,
 // and holds it to no more than two pooled runs — what a cell cost while
-// both of its runs were fingerprinted. Measured 193 against 2 × 97 (the
-// second run's result strings saved, a second scroll list paid), and 197
-// under -race. The ceiling is the floor + 10 %.
+// both of its runs were fingerprinted. Measured 182 against 2 × 92 (the
+// second run's result strings saved), also under -race (193 against 2 × 97,
+// and 197 under -race, while every run built its scroll list). The ceiling
+// is the floor + 10 %.
 func TestWarmCellAllocs(t *testing.T) {
 	r, sched := kvCell(t)
 	cell, run := math.Inf(1), math.Inf(1)
@@ -103,10 +102,7 @@ func TestWarmCellAllocs(t *testing.T) {
 		cell = min(cell, testing.AllocsPerRun(1, func() { r.runTwice(sched) }))
 		run = min(run, testing.AllocsPerRun(1, func() { r.Run(sched) }))
 	}
-	limit := 212.0
-	if raceDetector {
-		limit = 216
-	}
+	limit := 200.0
 	if cell > limit || cell > 2*run {
 		t.Fatalf("warm kvstore/reorder cell allocates %.0f times; want <= %.0f and <= two runs (2 × %.0f)", cell, limit, run)
 	}
@@ -145,9 +141,10 @@ func BenchmarkMatrixCell(b *testing.B) {
 // TestWarmRunBytes bounds the bytes one warm pooled kvstore run allocates,
 // so that an arena Reset drops instead of rewinds shows here and not only on
 // the perf ledger: the clock-snapshot chunks alone were 15 kB a run, a
-// copy-on-write page is 256 B. Measured 4,688 B (5,088 B with a plan
-// compiled per run, 10,672 B with text-built payloads, 99,912 B while Reset
-// dropped the arenas); the ceiling is that + 10 %.
+// copy-on-write page is 256 B. Measured 4,256 B (4,688 B while every run
+// built its sorted ID list, its invariant monitor and its scroll list,
+// 5,088 B with a plan compiled per run, 10,672 B with text-built payloads,
+// 99,912 B while Reset dropped the arenas); the ceiling is that + 10 %.
 func TestWarmRunBytes(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector changes what allocates")
@@ -164,7 +161,7 @@ func TestWarmRunBytes(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		best = min(best, (after.TotalAlloc-before.TotalAlloc)/batch)
 	}
-	if limit := uint64(5_156); best > limit {
+	if limit := uint64(4_681); best > limit {
 		t.Fatalf("warm kvstore/reorder run allocates %d bytes; want <= %d (run-scoped memory is being dropped, not rewound)", best, limit)
 	}
 }
@@ -173,9 +170,10 @@ func TestWarmRunBytes(t *testing.T) {
 // whose overdrafts report local faults: a report costs its text (the
 // string the handler renders) and nothing else — its scroll payload is
 // carved from the run's slab, and the runner counts reports without
-// copying them. Measured 64 (162 with a payload copy per report,
-// Sprintf-built text, a copied fault list and a plan compiled per run); the
-// ceiling is the floor + 10 %.
+// copying them. Measured 59 (64 while every run built its sorted ID list,
+// its invariant monitor and its scroll list, 162 with a payload copy per
+// report, Sprintf-built text, a copied fault list and a plan compiled per
+// run); the ceiling is the floor + 10 %.
 func TestWarmFaultingRunAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector changes what allocates")
@@ -193,7 +191,7 @@ func TestWarmFaultingRunAllocs(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		best = min(best, testing.AllocsPerRun(1, func() { r.Run(sched) }))
 	}
-	if limit := 70.0; best > limit {
+	if limit := 64.0; best > limit {
 		t.Fatalf("warm faulting bank run allocates %.0f times; want <= %.0f (the fault path has regressed)", best, limit)
 	}
 }

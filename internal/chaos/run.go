@@ -96,16 +96,21 @@ func (r Runner) Crashable() []int {
 
 // runArena is the per-worker scratch a pooled run reuses: the simulation
 // (event arena, process heaps, scroll buffers), the streaming
-// fingerprinter, and the buffers the schedule compiles into — the plan and
+// fingerprinter, the buffers the schedule compiles into — the plan and
 // the group target lists its injections alias, both armed on the
-// simulation until its next Reset. Runner.Run checks arenas out of a free
-// list, so each worker of a matrix or search pool runs in a warm arena
-// instead of paying a fresh simulation per run.
+// simulation until its next Reset — the sorted process IDs, and the
+// invariant monitor each run re-arms with its application's invariants.
+// Runner.Run checks arenas out of a free list, so each worker of a matrix
+// or search pool runs in a warm arena instead of paying a fresh simulation
+// per run.
 type runArena struct {
 	sim    *dsim.Sim
 	fp     scroll.Fingerprinter
 	plan   fault.Plan
 	groups []string
+	ids    []string
+	mon    *fault.Monitor
+	check  func() bool // the step monitor: mon over sim
 }
 
 // arenas holds the arenas no run is using. It is a free list, not a
@@ -201,11 +206,12 @@ func sameOutcome(x, y *RunResult) bool {
 func (r Runner) execute(sched Schedule, a *runArena) *RunResult {
 	s := a.sim
 	ms := r.Spec.Make(r.Buggy)
-	ids := make([]string, 0, len(ms))
+	ids := a.ids[:0]
 	for id := range ms {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
+	slices.Sort(ids)
+	a.ids = ids
 	for _, id := range ids {
 		s.AddProcess(id, ms[id])
 	}
@@ -216,14 +222,18 @@ func (r Runner) execute(sched Schedule, a *runArena) *RunResult {
 	a.plan.Injections = a.plan.Injections[:0]
 	a.groups = sched.compile(&a.plan, a.groups[:0], procs)
 	a.plan.Apply(s)
-	mon := fault.NewMonitor(r.Spec.Invariants(r.Buggy)...)
+	if a.mon == nil {
+		a.mon = fault.NewMonitor()
+		a.check = func() bool { return a.mon.AnyViolated(a.sim) }
+	}
+	a.mon.Arm(r.Spec.Invariants(r.Buggy)...)
 	if r.CheckEvery > 0 {
-		s.SetStepMonitor(r.CheckEvery, func() bool { return mon.AnyViolated(s) })
+		s.SetStepMonitor(r.CheckEvery, a.check)
 	}
 	stats := s.Run()
 
 	res := &RunResult{Stats: stats, Procs: procs, Epoch: s.Epoch()}
-	for _, v := range mon.Check(s) {
+	for _, v := range a.mon.Check(s) {
 		res.Violations = append(res.Violations, v.Invariant)
 	}
 	if len(res.Violations) > 0 {

@@ -23,7 +23,6 @@ import (
 	"iter"
 	"math/rand"
 	"slices"
-	"sort"
 	"strconv"
 
 	"repro/internal/checkpoint"
@@ -243,15 +242,16 @@ func (p *proc) timerOf() int32 { return p.tag + 1 }
 
 // Sim is a deterministic distributed-system simulation.
 type Sim struct {
-	cfg    Config
-	rng    *rand.Rand
-	rngSrc *gfsrSource // rng's source, reseeded on Reset
-	now    uint64
-	seq    uint64
-	queue  eventQueue
-	procs  map[string]*proc
-	order  []string
-	spare  map[string]*proc // retired procs whose arenas Reset recycles
+	cfg     Config
+	rng     *rand.Rand
+	rngSrc  *gfsrSource // rng's source, reseeded on Reset
+	now     uint64
+	seq     uint64
+	queue   eventQueue
+	procs   map[string]*proc
+	order   []string
+	scrolls []*scroll.Scroll // scrolls[i]: process order[i]'s scroll
+	spare   map[string]*proc // retired procs whose arenas Reset recycles
 
 	specs    *speculation.Manager
 	store    *checkpoint.Store
@@ -375,7 +375,7 @@ func (s *Sim) Reset(cfg Config) {
 		s.spare[id] = p
 		delete(s.procs, id)
 	}
-	s.order = s.order[:0]
+	s.order, s.scrolls = s.order[:0], s.scrolls[:0]
 	s.specs.Reset()
 	s.store.Reset()
 	s.faults = s.faults[:0]
@@ -425,8 +425,9 @@ func (s *Sim) AddProcess(id string, m Machine) {
 	}
 	p.tag = int32(len(s.procs))
 	s.procs[id] = p
-	s.order = append(s.order, id)
-	sort.Strings(s.order)
+	i, _ := slices.BinarySearch(s.order, id)
+	s.order = slices.Insert(s.order, i, id)
+	s.scrolls = slices.Insert(s.scrolls, i, p.scroll)
 	// A pooled simulation re-adds last run's processes, so the table it
 	// kept across Reset already has the ID and the recycled clock is
 	// already on it. A recycled clock of another process set still sits on
@@ -562,14 +563,10 @@ func (s *Sim) Clock(id string) vclock.VC {
 
 // Scrolls returns the live per-process scrolls in sorted process order —
 // the copy-free input to scroll.Fingerprinter, which streams the global
-// merge instead of materializing it like MergedScroll.
-func (s *Sim) Scrolls() []*scroll.Scroll {
-	scrolls := make([]*scroll.Scroll, 0, len(s.order))
-	for _, id := range s.order {
-		scrolls = append(scrolls, s.procs[id].scroll)
-	}
-	return scrolls
-}
+// merge instead of materializing it like MergedScroll. The slice is the
+// simulation's own, as LiveStates' IDs are: read-only, valid until the next
+// AddProcess or Reset.
+func (s *Sim) Scrolls() []*scroll.Scroll { return s.scrolls[:len(s.scrolls):len(s.scrolls)] }
 
 // MergedScroll returns all scroll records in global (Lamport) order.
 func (s *Sim) MergedScroll() []scroll.Record { return scroll.Merge(s.Scrolls()...) }

@@ -365,7 +365,8 @@ func (k *Kernel) Restore(ck *checkpoint.Checkpoint) {
 	if err := ck.Restore(k.machine.State()); err != nil {
 		panic(fmt.Sprintf("dsim: restore state of %s: %v", k.id, err))
 	}
-	k.clock = k.clock.Table().New().Merge(ck.Clock)
+	k.clock.Reset()
+	k.clock = k.clock.Merge(ck.Clock)
 	k.snap = vclock.VC{}
 	k.scroll.Truncate(ck.ScrollSeq)
 	k.halted = false

@@ -231,6 +231,10 @@ func NewMonitor(invs ...GlobalInvariant) *Monitor {
 	return &Monitor{invariants: invs}
 }
 
+// Arm replaces the monitor's invariants, keeping the buffers its checks
+// reuse: a pooled runner re-arms one monitor for every run.
+func (m *Monitor) Arm(invs ...GlobalInvariant) { m.invariants = invs }
+
 // Check evaluates all invariants and returns the violations found.
 func (m *Monitor) Check(s StateSource) []Violation {
 	m.states.load(s)

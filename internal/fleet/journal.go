@@ -72,6 +72,7 @@ type journal struct {
 	mu      sync.Mutex // serializes appends: every frontier journals at once
 	f       *os.File
 	w       *bufio.Writer
+	enc     *json.Encoder // writes lines into w
 	runs    map[string]map[int]*chaos.RunResult
 	shrinks map[string]map[string]*chaos.SearchFailure
 	// Recovered counts how many cached results the journal restored, so
@@ -164,6 +165,7 @@ func openJournal(path string, cfg journalConfig) (*journal, error) {
 		return nil, err
 	}
 	j.w = bufio.NewWriter(f)
+	j.enc = json.NewEncoder(j.w)
 	if first { // brand-new journal: pin the configuration
 		if err := j.append(journalLine{Type: "config", Config: &cfg}); err != nil {
 			f.Close()
@@ -178,13 +180,11 @@ func openJournal(path string, cfg journalConfig) (*journal, error) {
 // next open). Lines of different applications interleave; recovery keys
 // every line by application, so their order across applications is free.
 func (j *journal) append(line journalLine) error {
-	b, err := json.Marshal(line)
-	if err != nil {
-		return fmt.Errorf("fleet: journal encode: %w", err)
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.w.Write(append(b, '\n')); err != nil {
+	// An Encoder writes what json.Marshal returns and a newline, in one
+	// Write, and writes nothing when the line does not encode.
+	if err := j.enc.Encode(&line); err != nil {
 		return fmt.Errorf("fleet: journal append: %w", err)
 	}
 	return j.w.Flush()

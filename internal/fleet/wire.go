@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 
 	"repro/internal/chaos"
 )
@@ -124,24 +127,44 @@ func (f *Frame) payload() (any, error) {
 	return nil, fmt.Errorf("fleet: frame type %d with nil payload", f.Type)
 }
 
+// frameBufMax is the largest frame buffer kept for the next frame: a
+// buffer a bigger frame grew is dropped after its frame.
+const frameBufMax = 64 << 10
+
+// frameBuf is a reusable frame buffer. WriteFrame encodes a frame's header
+// and body into it, ReadFrame reads a frame into it; the decoder copies
+// whatever it keeps, so nothing decoded aliases the buffer.
+type frameBuf struct {
+	buf []byte
+	enc *json.Encoder // writes into buf
+}
+
+// Write appends p to the buffer (the encoder's destination).
+func (fb *frameBuf) Write(p []byte) (int, error) {
+	fb.buf = append(fb.buf, p...)
+	return len(p), nil
+}
+
+var frameBufs = sync.Pool{New: func() any {
+	fb := new(frameBuf)
+	fb.enc = json.NewEncoder(fb)
+	return fb
+}}
+
+// release returns the buffer to the pool unless a large frame grew it.
+func (fb *frameBuf) release() {
+	if cap(fb.buf) <= frameBufMax {
+		frameBufs.Put(fb)
+	}
+}
+
 // EncodeFrame renders the frame to its wire form.
 func EncodeFrame(f *Frame) ([]byte, error) {
-	p, err := f.payload()
-	if err != nil {
+	var b bytes.Buffer
+	if err := WriteFrame(&b, f); err != nil {
 		return nil, err
 	}
-	body, err := json.Marshal(p)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: encode frame: %w", err)
-	}
-	if len(body) > maxFrameBody {
-		return nil, fmt.Errorf("fleet: frame body %d exceeds cap %d", len(body), maxFrameBody)
-	}
-	out := make([]byte, 5+len(body))
-	out[0] = byte(f.Type)
-	binary.BigEndian.PutUint32(out[1:5], uint32(len(body)))
-	copy(out[5:], body)
-	return out, nil
+	return b.Bytes(), nil
 }
 
 // DecodeFrame parses one frame from exactly the given bytes. It never
@@ -197,30 +220,45 @@ func decodeFramePrefix(b []byte) (*Frame, int, error) {
 	return f, 5 + int(length), nil
 }
 
-// WriteFrame encodes and writes one frame.
+// WriteFrame encodes the frame, header and body, into a reused buffer and
+// writes it in one Write.
 func WriteFrame(w io.Writer, f *Frame) error {
-	b, err := EncodeFrame(f)
+	p, err := f.payload()
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(b)
+	fb := frameBufs.Get().(*frameBuf)
+	defer fb.release()
+	fb.buf = append(fb.buf[:0], byte(f.Type), 0, 0, 0, 0)
+	// An Encoder writes what json.Marshal returns, and then a newline.
+	if err := fb.enc.Encode(p); err != nil {
+		return fmt.Errorf("fleet: encode frame: %w", err)
+	}
+	out := fb.buf[:len(fb.buf)-1]
+	body := len(out) - 5
+	if body > maxFrameBody {
+		return fmt.Errorf("fleet: frame body %d exceeds cap %d", body, maxFrameBody)
+	}
+	binary.BigEndian.PutUint32(out[1:5], uint32(body))
+	_, err = w.Write(out)
 	return err
 }
 
 // ReadFrame reads and decodes one frame from the stream.
 func ReadFrame(r io.Reader) (*Frame, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	fb := frameBufs.Get().(*frameBuf)
+	defer fb.release()
+	fb.buf = append(fb.buf[:0], 0, 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, fb.buf); err != nil {
 		return nil, err
 	}
-	length := binary.BigEndian.Uint32(hdr[1:5])
+	length := binary.BigEndian.Uint32(fb.buf[1:5])
 	if length > maxFrameBody {
 		return nil, fmt.Errorf("fleet: frame body %d exceeds cap %d", length, maxFrameBody)
 	}
-	buf := make([]byte, 5+length)
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[5:]); err != nil {
+	fb.buf = slices.Grow(fb.buf, int(length))[:5+length]
+	if _, err := io.ReadFull(r, fb.buf[5:]); err != nil {
 		return nil, err
 	}
-	return DecodeFrame(buf)
+	return DecodeFrame(fb.buf)
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -150,7 +152,10 @@ func TestWireEncodeRejectsMalformedFrames(t *testing.T) {
 }
 
 // TestWireReadWrite pushes every canonical frame through a real pipe —
-// the ReadFrame/WriteFrame streaming layer the sessions use.
+// the ReadFrame/WriteFrame streaming layer the sessions use. One reader
+// reads them all into its reused buffer, so a decoded frame that aliased
+// the buffer would change under the frames read after it: each one must
+// still equal a fresh decode of its own bytes once the last is read.
 func TestWireReadWrite(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
@@ -161,13 +166,110 @@ func TestWireReadWrite(t *testing.T) {
 			WriteFrame(client, f)
 		}
 	}()
+	got := make([]*Frame, len(frames))
 	for i, want := range frames {
-		got, err := ReadFrame(server)
+		f, err := ReadFrame(server)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("frame %d mutated in transit:\n%+v\n%+v", i, want, got)
+		if !reflect.DeepEqual(want, f) {
+			t.Errorf("frame %d mutated in transit:\n%+v\n%+v", i, want, f)
+		}
+		got[i] = f
+	}
+	for i, f := range got {
+		enc, err := EncodeFrame(frames[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := DecodeFrame(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fresh, f) {
+			t.Errorf("frame %d changed after later frames were read:\n%+v\n%+v", i, fresh, f)
+		}
+	}
+}
+
+// resultFrame is a Result frame of n runs, each with violations, the
+// kind of frame a worker answers a run lease with.
+func resultFrame(n int) *Frame {
+	runs := make([]*chaos.RunResult, n)
+	for i := range runs {
+		runs[i] = &chaos.RunResult{
+			Digest:     fmt.Sprintf("%064x", i),
+			Shape:      fmt.Sprintf("%016x", i*7),
+			Violations: []string{"inv: conserved", "inv: single leader"},
+			Procs:      []string{"p0", "p1", "p2", "probe"},
+		}
+	}
+	return &Frame{Type: FrameResult, Result: &Result{LeaseID: 41, Runs: runs}}
+}
+
+// bytesAllocated returns the fewest bytes one call of fn allocated over
+// several calls: the steady state, past a pooled buffer a garbage
+// collection emptied.
+func bytesAllocated(fn func()) uint64 {
+	best := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 64 {
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// TestFrameRoundTripAllocatesNoBody: a Result frame's WriteFrame/ReadFrame
+// round trip allocates no buffer the size of its body. Beyond what decoding
+// the same bytes already in hand allocates (the frame's own values), the
+// round trip may allocate less than half a body; while each frame was
+// marshaled, copied into its framed form and read into a fresh buffer, it
+// allocated three bodies more.
+func TestFrameRoundTripAllocatesNoBody(t *testing.T) {
+	f := resultFrame(16)
+	enc, err := EncodeFrame(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	stream.Grow(2 * len(enc))
+	roundTrip := bytesAllocated(func() {
+		stream.Reset()
+		if err := WriteFrame(&stream, f); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFrame(&stream); err != nil {
+			t.Fatal(err)
+		}
+	})
+	decode := bytesAllocated(func() {
+		if _, err := DecodeFrame(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	body := uint64(len(enc) - 5)
+	if extra := int64(roundTrip) - int64(decode); extra >= int64(body/2) {
+		t.Fatalf("a %d-byte Result frame's round trip allocates %d B, %d B more than decoding it; want < %d (a frame buffer is allocated per frame)",
+			body, roundTrip, extra, body/2)
+	}
+}
+
+// BenchmarkFrameRoundTrip times one Result frame of 16 runs written with
+// WriteFrame and read back with ReadFrame, through an in-memory stream.
+func BenchmarkFrameRoundTrip(b *testing.B) {
+	f := resultFrame(16)
+	var stream bytes.Buffer
+	b.ReportAllocs()
+	for range b.N {
+		stream.Reset()
+		if err := WriteFrame(&stream, f); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ReadFrame(&stream); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
