@@ -164,8 +164,7 @@ func BenchmarkE4FaultResponse(b *testing.B) {
 			id := id
 			factories[id] = func() dsim.Machine { return apps.NewTwoPC(cfg)[id] }
 		}
-		coord := core.NewCoordinator(s, factories, core.Config{
-			Invariants:           []fault.GlobalInvariant{apps.TwoPCAtomicity()},
+		coord := core.NewCoordinator(s, factories, []fault.GlobalInvariant{apps.TwoPCAtomicity()}, core.Config{
 			StopAtFirstViolation: true, MaxStates: 20_000, MaxDepth: 32,
 		})
 		if resp := coord.RunProtected(); resp == nil {
@@ -208,7 +207,7 @@ func BenchmarkE5HealResume(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s, prog := healBenchSetup()
-		line := heal.LatestLine(s, s.Procs())
+		line := heal.VerifiedLine(s, nil)
 		b.StartTimer()
 		rep, err := heal.Apply(s, line, prog, nil, heal.VerifyOptions{})
 		if err != nil || !rep.Verified() {
@@ -338,25 +337,6 @@ func BenchmarkE10FingerprintStreaming(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fp.Fingerprint(scrolls, chaos.ShapeBucket)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
-		})
-	}
-}
-
-// BenchmarkE10FingerprintBatch measures the same signatures by the batch
-// functions: materialize the merge, then digest and shape it in separate
-// passes.
-func BenchmarkE10FingerprintBatch(b *testing.B) {
-	for _, c := range fingerprintCases {
-		b.Run(c.name, func(b *testing.B) {
-			s, records := fingerprintBenchSim(c.procs, c.rounds)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				merged := s.MergedScroll()
-				scroll.Digest(merged)
-				scroll.Shape(merged, chaos.ShapeBucket)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 		})

@@ -43,8 +43,8 @@
 // checkpoint heaps and scroll buffers; an rng whose reseed is a mask
 // clear); each run's digest and event-shape signature are
 // computed in one allocation-free streaming pass over the per-process
-// scrolls (scroll.Fingerprinter, byte-identical to scroll.Digest and
-// scroll.Shape over scroll.Merge); and an opt-in early-exit monitor
+// scrolls (scroll.Fingerprinter, byte-identical to scroll.Digest over
+// scroll.Merge); and an opt-in early-exit monitor
 // (Runner.CheckEvery, surfaced on fixd.ChaosMatrixConfig and
 // fixd.ChaosSearchConfig) halts a run with Stats.EarlyExit the moment a
 // global invariant is violated instead of burning the remaining step

@@ -9,7 +9,9 @@
 //     discrete-event simulator with seeded replayable executions;
 //   - the live substrate (fixd.NewLive): the same machines as real
 //     goroutines exchanging messages over an in-memory switch or a real
-//     TCP hub, with chaos injection interposed at the hub.
+//     TCP hub, with chaos injection interposed at the hub. Its timing is
+//     fixed: a virtual tick is 1 ms of wall time, a run is quiescent after
+//     75 ms idle, and one Run or Resume returns after 10 s at the latest.
 //
 // Whichever backend runs the application, FixD wraps it with its four
 // components:
@@ -22,7 +24,9 @@
 //     from a restored global checkpoint and reports the trails that lead
 //     to invariant violations;
 //   - the Healer repairs the system by restarting the corrected program or
-//     dynamically updating it at a verified checkpoint.
+//     dynamically updating it at a verified line: the newest recovery line
+//     that is globally consistent and where every registered invariant
+//     holds (System.Heal). With no such line it heals nothing.
 //
 // The chaos engine (Chaos, SearchChaos, InjectChaos, ShrinkChaos)
 // stresses all of the above: composable fault scenarios — crash-restart,
@@ -103,6 +107,12 @@ type (
 	StateMapper = heal.StateMapper
 	// Response is the record of one Fig. 4 fault-response execution.
 	Response = core.Response
+	// ProtectOptions configures the FixD coordinator: TreatLocalFaultAsViolation
+	// (hunt Context.Fault reports too), MaxStates / MaxDepth (bound each
+	// investigation, defaults 20000 / 48), StopAtFirstViolation, and AutoHeal
+	// (a Program dynamically injected at the recovery line after a successful
+	// investigation). The invariants are those AddInvariant registered.
+	ProtectOptions = core.Config
 	// Diagnosis is a liblog-style replay diagnosis.
 	Diagnosis = baselines.ReplayDiagnosis
 
@@ -253,26 +263,6 @@ func ShrinkChaos(sched ChaosSchedule, fails func(ChaosSchedule) bool, budget int
 	return chaos.Shrink(sched, fails, budget).Schedule
 }
 
-// ProtectOptions configures the FixD coordinator.
-type ProtectOptions struct {
-	// TreatLocalFaultAsViolation hunts Context.Fault reports during
-	// investigation in addition to the registered invariants.
-	TreatLocalFaultAsViolation bool
-	// MaxStates / MaxDepth bound each investigation (defaults 20000 / 48).
-	MaxStates int
-	MaxDepth  int
-	// ModelLoss investigates under a lossy-network environment model.
-	ModelLoss bool
-	// StopAtFirstViolation ends each investigation at the first trail.
-	StopAtFirstViolation bool
-	// AutoHeal, if non-nil, is dynamically injected at the recovery line
-	// after a successful investigation; Mapper converts old states.
-	AutoHeal *Program
-	Mapper   StateMapper
-	// VerifyDepth bounds the Healer's verification exploration (0 = skip).
-	VerifyDepth int
-}
-
 // State returns process id's machine state as a *T from the view an
 // invariant is handed (fault.Get): the machine's own state, read in place
 // and read-only, when the backend can offer it and the state is a *T; a
@@ -331,17 +321,7 @@ func (s *System) AddInvariant(inv GlobalInvariant) {
 // Protect enables the FixD coordinator: the first locally detected fault
 // triggers rollback, global checkpoint assembly and investigation.
 func (s *System) Protect(opts ProtectOptions) {
-	s.coord = core.NewCoordinator(s.sub, s.factories, core.Config{
-		Invariants:                 s.invariants,
-		TreatLocalFaultAsViolation: opts.TreatLocalFaultAsViolation,
-		MaxStates:                  opts.MaxStates,
-		MaxDepth:                   opts.MaxDepth,
-		ModelLoss:                  opts.ModelLoss,
-		StopAtFirstViolation:       opts.StopAtFirstViolation,
-		AutoHealProgram:            opts.AutoHeal,
-		Mapper:                     opts.Mapper,
-		VerifyDepth:                opts.VerifyDepth,
-	})
+	s.coord = core.NewCoordinator(s.sub, s.factories, s.invariants, opts)
 }
 
 // InjectChaos compiles a chaos schedule against this system's processes
@@ -404,14 +384,13 @@ func (s *System) Replay(proc string, m Machine) (*Diagnosis, error) {
 }
 
 // Heal applies a corrected program by dynamic update at the most recent
-// recovery line where every registered invariant holds (paper §3.4: resume
-// "from a previously saved checkpoint where all invariants are satisfied").
-// Use Response().Line for fault-aligned lines instead.
+// recovery line that is globally consistent and where every registered
+// invariant holds (heal.VerifiedLine; paper §3.4: resume "from a previously
+// saved checkpoint where all invariants are satisfied"). With no such line
+// it returns a *NoCheckpointError and changes nothing. Use Response().Line
+// for fault-aligned lines instead.
 func (s *System) Heal(prog Program, mapper StateMapper) (*heal.Report, error) {
 	line := heal.VerifiedLine(s.sub, s.invariants)
-	if line == nil {
-		line = heal.LatestLine(s.sub, s.sub.Procs())
-	}
 	if line == nil {
 		return nil, &NoCheckpointError{}
 	}
@@ -430,20 +409,15 @@ func (s *System) DurableSnapshot() map[string]map[string][]byte { return s.sub.D
 // Fingerprint returns the run's behavioral fingerprint — the SHA-256
 // digest and the coarse event-shape signature (bucket is the Lamport
 // window width; 0 selects the chaos engine's default) of the globally
-// merged scroll. On backends exposing their per-process scrolls (both
-// built-ins do) the merge is streamed without materializing the merged
-// record slice; call it after Run or at a pause — fingerprinting a live
-// substrate mid-flight is racy.
+// merged scroll, streamed from the per-process scrolls without
+// materializing the merged record slice. Call it after Run or at a pause —
+// fingerprinting a live substrate mid-flight is racy.
 func (s *System) Fingerprint(bucket uint64) (digest, shape string) {
 	if bucket == 0 {
 		bucket = chaos.ShapeBucket
 	}
-	if sc, ok := s.sub.(interface{ Scrolls() []*scroll.Scroll }); ok {
-		var fp scroll.Fingerprinter
-		return fp.Fingerprint(sc.Scrolls(), bucket)
-	}
-	merged := s.sub.MergedScroll()
-	return scroll.Digest(merged), scroll.Shape(merged, bucket)
+	var fp scroll.Fingerprinter
+	return fp.Fingerprint(s.sub.Scrolls(), bucket)
 }
 
 // Substrate exposes the underlying runtime for advanced use (fault
@@ -459,9 +433,10 @@ type UnknownProcessError struct{ Proc string }
 
 func (e *UnknownProcessError) Error() string { return "fixd: unknown process " + e.Proc }
 
-// NoCheckpointError reports a Heal call before any checkpoint exists.
+// NoCheckpointError reports a Heal call with no recovery line to heal at:
+// no checkpoint was taken, or no consistent line satisfies the invariants.
 type NoCheckpointError struct{}
 
 func (e *NoCheckpointError) Error() string {
-	return "fixd: no recovery line available (no checkpoints taken)"
+	return "fixd: no recovery line available (no checkpoints taken, or no consistent line satisfies the invariants)"
 }

@@ -162,7 +162,7 @@ func TestCrashDetectionFeedsPipeline(t *testing.T) {
 	s.AddProcess("mon", factories["mon"]())
 	s.AddProcess("worker", factories["worker"]())
 	s.Inject(fault.Injection{Kind: fault.Crash, Proc: "worker", At: 30})
-	coord := core.NewCoordinator(s, factories, core.Config{
+	coord := core.NewCoordinator(s, factories, nil, core.Config{
 		MaxStates: 2_000, MaxDepth: 12,
 	})
 	resp := coord.RunProtected()
@@ -348,9 +348,8 @@ func TestDeterministicPipeline(t *testing.T) {
 			id := id
 			factories[id] = func() dsim.Machine { return apps.NewTwoPC(cfg)[id] }
 		}
-		coord := core.NewCoordinator(s, factories, core.Config{
-			Invariants: []fault.GlobalInvariant{apps.TwoPCAtomicity()},
-			MaxStates:  20_000, MaxDepth: 32,
+		coord := core.NewCoordinator(s, factories, []fault.GlobalInvariant{apps.TwoPCAtomicity()}, core.Config{
+			MaxStates: 20_000, MaxDepth: 32,
 		})
 		resp := coord.RunProtected()
 		if resp == nil {

@@ -24,16 +24,18 @@ type ElectionConfig struct {
 	// (internal/repair) tunes: the protocol is split-free whenever the
 	// timeout outlasts announcement (re)delivery.
 	ReElectTimeout uint64
-	// RetryEvery spaces candidacy retransmissions (default 25): a node that
-	// has seen neither a leader nor its own victory re-sends its candidacy,
-	// and a leader answers stray candidacies by re-announcing, so elections
-	// survive dropped messages. Retries are bounded (electRetries), so runs
-	// still quiesce under total message loss.
-	RetryEvery uint64
 }
 
-// electRetries bounds candidacy retransmissions per node.
-const electRetries = 6
+const (
+	// electRetryEvery spaces candidacy retransmissions: a node that has seen
+	// neither a leader nor its own victory re-sends its candidacy, and a
+	// leader answers stray candidacies by re-announcing, so elections
+	// survive dropped messages.
+	electRetryEvery = 25
+	// electRetries bounds candidacy retransmissions per node, so runs still
+	// quiesce under total message loss.
+	electRetries = 6
+)
 
 // ElectProcName returns the process ID of ring position i.
 func ElectProcName(i int) string { return electNames.name(i) }
@@ -67,9 +69,6 @@ func NewElection(cfg ElectionConfig) map[string]dsim.Machine {
 	if cfg.ReElectTimeout == 0 {
 		cfg.ReElectTimeout = 30
 	}
-	if cfg.RetryEvery == 0 {
-		cfg.RetryEvery = 25
-	}
 	ms := make(map[string]dsim.Machine, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		ms[ElectProcName(i)] = &Election{cfg: cfg, self: i}
@@ -87,7 +86,7 @@ func (e *Election) State() any { return &e.st }
 // watchdog, and — in the buggy variant — the premature re-election timer.
 func (e *Election) Init(ctx dsim.Context) {
 	e.startElection(ctx)
-	ctx.SetTimer("cand-retry", e.cfg.RetryEvery)
+	ctx.SetTimer("cand-retry", electRetryEvery)
 	if e.cfg.Buggy {
 		e.st.ReElectAt = ctx.Now() + e.cfg.ReElectTimeout
 		ctx.SetTimer("re-elect", e.cfg.ReElectTimeout)
@@ -180,7 +179,7 @@ func (e *Election) OnTimer(ctx dsim.Context, name string) {
 		}
 		e.st.Retries++
 		e.startElection(ctx)
-		ctx.SetTimer("cand-retry", e.cfg.RetryEvery)
+		ctx.SetTimer("cand-retry", electRetryEvery)
 	case "re-elect":
 		if !e.cfg.Buggy {
 			return

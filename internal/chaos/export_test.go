@@ -38,17 +38,19 @@ func reloaded(t testing.TB, a *Artifact) *Artifact {
 }
 
 // RunFresh is the reference the path-equivalence tests hold Runner.Run to:
-// the same schedule on a simulation built for this one run, fingerprinted
-// in one batch over the materialized merged scroll. It shares no state
-// with the pooled path — no arena, no Sim.Reset, no streaming
-// fingerprinter — so a pooled-path bug cannot cancel out of the comparison.
+// the same schedule on a simulation built for this one run, its digest
+// taken in one batch over the materialized merged scroll and its shape by a
+// Fingerprinter made for this run. It shares no state with the pooled
+// path — no arena, no Sim.Reset, no reused fingerprinter — so a pooled-path
+// bug cannot cancel out of the comparison. (scroll's own tests hold the
+// streaming shape to a batch reference model.)
 func (r Runner) RunFresh(sched Schedule) *RunResult {
 	cfg := r.Spec.Config(r.Buggy)
 	cfg.Seed = r.Seed
 	s := dsim.New(cfg)
 	res := r.execute(sched, &runArena{sim: s})
-	merged := s.MergedScroll()
-	res.Digest = scroll.Digest(merged)
-	res.Shape = scroll.Shape(merged, ShapeBucket)
+	res.Digest = scroll.Digest(s.MergedScroll())
+	var fp scroll.Fingerprinter
+	_, res.Shape = fp.Fingerprint(s.Scrolls(), ShapeBucket)
 	return res
 }

@@ -258,8 +258,7 @@ func RunPipeline(spec apps.AppSpec, seed int64) *PipelineResult {
 		factories[id] = func() dsim.Machine { return spec.Make(true)[id] }
 	}
 	invs := spec.Invariants(true)
-	coord := core.NewCoordinator(s, factories, core.Config{
-		Invariants:                 invs,
+	coord := core.NewCoordinator(s, factories, invs, core.Config{
 		TreatLocalFaultAsViolation: true,
 		StopAtFirstViolation:       true,
 		MaxStates:                  30_000,

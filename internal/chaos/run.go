@@ -18,7 +18,7 @@ import (
 // fault schedule.
 type RunResult struct {
 	Digest      string   // SHA-256 of the merged scroll — the replay fingerprint
-	Shape       string   // coarse event-shape signature (scroll.Shape, ShapeBucket windows)
+	Shape       string   // coarse event-shape signature (scroll.Fingerprinter, ShapeBucket windows)
 	Violations  []string // global invariants violated at quiescence (or at early exit)
 	LocalFaults int      // Context.Fault reports during the run
 	ProbeFaults int      // clock-probe regressions among them

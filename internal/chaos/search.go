@@ -9,9 +9,10 @@ import (
 )
 
 // Fingerprint is one run's behavioral coverage signature: the exact merged
-// scroll digest plus the coarser event-shape signature (scroll.Shape over
-// ShapeBucket Lamport windows). The digest distinguishes almost every
-// schedule — on its own, coverage would be all singletons — so corpus
+// scroll digest plus the coarser event-shape signature (the
+// scroll.Fingerprinter's, over ShapeBucket Lamport windows). The digest
+// distinguishes almost every schedule — on its own, coverage would be all
+// singletons — so corpus
 // admission is keyed on the shape, and the digest tracks how many exact
 // behaviors a search touched along the way.
 type Fingerprint struct {

@@ -115,6 +115,11 @@ import (
 // a digest (chaos.TestPageSizeNotObservable).
 const DefaultPageSize = 256
 
+// DefaultHeapSize is a process heap's logical size when its backend is given
+// none: what reads as zeros before it is written. Pages are allocated only
+// when written, and a write past the size grows it.
+const DefaultHeapSize = 64 << 10
+
 // page is one copy-on-write unit. A page value is immutable once it is
 // shared with a snapshot; the heap copies it before mutating (see ensure).
 type page struct {

@@ -30,25 +30,19 @@ import (
 	"repro/internal/vclock"
 )
 
-// Config parameterizes the coordinator.
+// Config configures the coordinator; fixd.ProtectOptions is this type.
 type Config struct {
-	// Invariants are the global safety properties the Investigator checks.
-	Invariants []fault.GlobalInvariant
-	// TreatLocalFaultAsViolation also hunts Context.Fault reports.
+	// TreatLocalFaultAsViolation hunts Context.Fault reports during
+	// investigation in addition to the invariants.
 	TreatLocalFaultAsViolation bool
-	// MaxStates / MaxDepth bound the investigation.
+	// MaxStates / MaxDepth bound each investigation (defaults 20000 / 48).
 	MaxStates int
 	MaxDepth  int
-	// ModelLoss adds a lossy-network environment model.
-	ModelLoss bool
 	// StopAtFirstViolation ends each investigation at the first trail.
 	StopAtFirstViolation bool
-	// AutoHealProgram, if set, is applied via dynamic update after a
-	// successful investigation; Mapper transforms checkpoint states.
-	AutoHealProgram *heal.Program
-	Mapper          heal.StateMapper
-	// VerifyDepth bounds the Healer's verification exploration (0 = skip).
-	VerifyDepth int
+	// AutoHeal, if non-nil, is dynamically injected at the recovery line
+	// after a successful investigation.
+	AutoHeal *heal.Program
 }
 
 // maxResponses is how many faults a coordinator responds to: the first
@@ -92,6 +86,7 @@ type Response struct {
 type Coordinator struct {
 	sim       Substrate
 	factories map[string]func() dsim.Machine
+	invs      []fault.GlobalInvariant
 	cfg       Config
 	responses []*Response
 }
@@ -99,15 +94,16 @@ type Coordinator struct {
 // NewCoordinator wires a coordinator to the substrate. factories must
 // provide a fresh-instance constructor for every process (the "model" each
 // process ships on request — here, its own implementation, as the paper
-// permits).
-func NewCoordinator(s Substrate, factories map[string]func() dsim.Machine, cfg Config) *Coordinator {
+// permits). invs are the global safety properties the Investigator checks
+// and a heal must keep.
+func NewCoordinator(s Substrate, factories map[string]func() dsim.Machine, invs []fault.GlobalInvariant, cfg Config) *Coordinator {
 	if cfg.MaxStates <= 0 {
 		cfg.MaxStates = 20_000
 	}
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 48
 	}
-	c := &Coordinator{sim: s, factories: factories, cfg: cfg}
+	c := &Coordinator{sim: s, factories: factories, invs: invs, cfg: cfg}
 	s.SetFaultHandler(c.onFault)
 	return c
 }
@@ -176,11 +172,10 @@ func (c *Coordinator) Respond(f dsim.FaultRecord) (*Response, error) {
 		resp.FellBackToNow = true
 	}
 	rep, err := heal.Investigate(c.sim, line, investigate.Config{
-		Invariants:                 c.cfg.Invariants,
+		Invariants:                 c.invs,
 		TreatLocalFaultAsViolation: c.cfg.TreatLocalFaultAsViolation,
 		MaxStates:                  c.cfg.MaxStates,
 		MaxDepth:                   c.cfg.MaxDepth,
-		ModelLoss:                  c.cfg.ModelLoss,
 		StopAtFirstViolation:       c.cfg.StopAtFirstViolation,
 	})
 	if err != nil {
@@ -189,11 +184,8 @@ func (c *Coordinator) Respond(f dsim.FaultRecord) (*Response, error) {
 	resp.Investigation = rep
 
 	// Step 4: optional healing with the corrected program.
-	if c.cfg.AutoHealProgram != nil && len(resp.Line) > 0 {
-		hrep, err := heal.Apply(c.sim, resp.Line, *c.cfg.AutoHealProgram, c.cfg.Mapper, heal.VerifyOptions{
-			Invariants:   c.cfg.Invariants,
-			ExploreDepth: c.cfg.VerifyDepth,
-		})
+	if c.cfg.AutoHeal != nil && len(resp.Line) > 0 {
+		hrep, err := heal.Apply(c.sim, resp.Line, *c.cfg.AutoHeal, nil, heal.VerifyOptions{Invariants: c.invs})
 		if err != nil {
 			return resp, fmt.Errorf("core: heal: %w", err)
 		}

@@ -33,8 +33,7 @@ func buggy2PCSetup(buggy bool) (*dsim.Sim, map[string]func() dsim.Machine, apps.
 
 func TestFig4ProtocolEndToEnd(t *testing.T) {
 	s, factories, _ := buggy2PCSetup(true)
-	coord := NewCoordinator(s, factories, Config{
-		Invariants:           []fault.GlobalInvariant{apps.TwoPCAtomicity()},
+	coord := NewCoordinator(s, factories, []fault.GlobalInvariant{apps.TwoPCAtomicity()}, Config{
 		StopAtFirstViolation: true,
 		MaxStates:            50_000,
 		MaxDepth:             40,
@@ -74,9 +73,7 @@ func TestFig4ProtocolEndToEnd(t *testing.T) {
 
 func TestCoordinatorQuietOnCorrectRun(t *testing.T) {
 	s, factories, _ := buggy2PCSetup(false)
-	coord := NewCoordinator(s, factories, Config{
-		Invariants: []fault.GlobalInvariant{apps.TwoPCAtomicity()},
-	})
+	coord := NewCoordinator(s, factories, []fault.GlobalInvariant{apps.TwoPCAtomicity()}, Config{})
 	resp := coord.RunProtected()
 	if resp != nil {
 		t.Fatalf("correct run triggered response: %+v", resp.Fault)
@@ -85,8 +82,7 @@ func TestCoordinatorQuietOnCorrectRun(t *testing.T) {
 
 func TestCoordinatorMaxResponses(t *testing.T) {
 	s, factories, _ := buggy2PCSetup(true)
-	coord := NewCoordinator(s, factories, Config{
-		Invariants:           []fault.GlobalInvariant{apps.TwoPCAtomicity()},
+	coord := NewCoordinator(s, factories, []fault.GlobalInvariant{apps.TwoPCAtomicity()}, Config{
 		StopAtFirstViolation: true,
 		MaxStates:            5_000,
 	})
@@ -116,12 +112,11 @@ func TestAutoHealBankOverdraft(t *testing.T) {
 		id := id
 		fixedFactories[id] = func() dsim.Machine { return apps.NewBank(fixedCfg)[id] }
 	}
-	coord := NewCoordinator(s, factories, Config{
-		Invariants:           []fault.GlobalInvariant{apps.BankConservation(bankCfg)},
+	coord := NewCoordinator(s, factories, []fault.GlobalInvariant{apps.BankConservation(bankCfg)}, Config{
 		StopAtFirstViolation: true,
 		MaxStates:            2_000, // the bank's state space is huge; bound tightly
 		MaxDepth:             8,
-		AutoHealProgram:      &heal.Program{Version: "bank-v2", Factories: fixedFactories},
+		AutoHeal:             &heal.Program{Version: "bank-v2", Factories: fixedFactories},
 	})
 	resp := coord.RunProtected()
 	if resp == nil {
@@ -161,8 +156,7 @@ func TestRespondWithoutCheckpointsFallsBack(t *testing.T) {
 		id := id
 		factories[id] = func() dsim.Machine { return apps.NewTwoPC(cfg)[id] }
 	}
-	coord := NewCoordinator(s, factories, Config{
-		Invariants:           []fault.GlobalInvariant{apps.TwoPCAtomicity()},
+	coord := NewCoordinator(s, factories, []fault.GlobalInvariant{apps.TwoPCAtomicity()}, Config{
 		StopAtFirstViolation: true,
 		MaxStates:            50_000,
 		MaxDepth:             40,
@@ -186,8 +180,7 @@ func TestMissingFactoryError(t *testing.T) {
 	s, factories, _ := buggy2PCSetup(true)
 	missing := apps.PartName(0)
 	delete(factories, missing)
-	coord := NewCoordinator(s, factories, Config{
-		Invariants:           []fault.GlobalInvariant{apps.TwoPCAtomicity()},
+	coord := NewCoordinator(s, factories, []fault.GlobalInvariant{apps.TwoPCAtomicity()}, Config{
 		StopAtFirstViolation: true,
 	})
 	resp := coord.RunProtected()

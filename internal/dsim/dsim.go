@@ -165,8 +165,7 @@ type Config struct {
 	// MaxSteps bounds the number of processed events (0 = 1_000_000).
 	MaxSteps int
 	// HeapSize is each process's logical heap size in bytes (default
-	// 64KiB): what reads as zeros before it is written. Pages are allocated
-	// only when written, and a write past the size grows it.
+	// checkpoint.DefaultHeapSize, 64 KiB).
 	HeapSize int
 	// HeapPageSize overrides the checkpoint page size (default
 	// checkpoint.DefaultPageSize).
@@ -319,7 +318,7 @@ func normalize(cfg Config) Config {
 		cfg.MaxSteps = 1_000_000
 	}
 	if cfg.HeapSize <= 0 {
-		cfg.HeapSize = 64 << 10
+		cfg.HeapSize = checkpoint.DefaultHeapSize
 	}
 	if cfg.HeapPageSize <= 0 {
 		cfg.HeapPageSize = checkpoint.DefaultPageSize

@@ -168,7 +168,7 @@ const replayRewindEvery = 16
 // rather than as an error; errors are reserved for malformed scrolls).
 func Replay(id string, m Machine, recs []scroll.Record, heapSize, pageSize int) (*ReplayResult, error) {
 	if heapSize <= 0 {
-		heapSize = 64 << 10
+		heapSize = checkpoint.DefaultHeapSize
 	}
 	if pageSize <= 0 {
 		pageSize = checkpoint.DefaultPageSize

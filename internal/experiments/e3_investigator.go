@@ -28,8 +28,7 @@ func buggy2PC() (*dsim.Sim, map[string]func() dsim.Machine) {
 // returns the investigation of its fault.
 func investigate2PC(cfg core.Config) (*investigate.Report, error) {
 	s, factories := buggy2PC()
-	cfg.Invariants = []fault.GlobalInvariant{apps.TwoPCAtomicity()}
-	resp := core.NewCoordinator(s, factories, cfg).RunProtected()
+	resp := core.NewCoordinator(s, factories, []fault.GlobalInvariant{apps.TwoPCAtomicity()}, cfg).RunProtected()
 	switch {
 	case resp == nil:
 		return nil, fmt.Errorf("no fault")

@@ -27,8 +27,7 @@ func runE4() *Table {
 			Timeout: 10, VoteDelay: 100, Buggy: true,
 		}
 		s, factories := twoPC(cfg, dsim.Config{Seed: int64(n), MinLatency: 1, MaxLatency: 2, MaxSteps: 10_000, CICheckpoint: true})
-		coord := core.NewCoordinator(s, factories, core.Config{
-			Invariants:           []fault.GlobalInvariant{apps.TwoPCAtomicity()},
+		coord := core.NewCoordinator(s, factories, []fault.GlobalInvariant{apps.TwoPCAtomicity()}, core.Config{
 			StopAtFirstViolation: true,
 			MaxStates:            30_000,
 			MaxDepth:             40,

@@ -67,30 +67,37 @@ func runE5() *Table {
 	// Option 2: dynamic update at the latest consistent line + resume.
 	buggy2 := runBuggy()
 	atFix2 := progress(buggy2)
-	line := heal.LatestLine(buggy2, buggy2.Procs())
+	line := heal.VerifiedLine(buggy2, nil)
 	rep, err := heal.Apply(buggy2, line, prog, nil, heal.VerifyOptions{})
 	if err != nil || !rep.Verified() {
 		t.Note("dynamic update failed: %v / %v", err, rep)
 		return t
 	}
 	preserved := progress(buggy2) // work restored at the line
-	lostCredits := func(s *dsim.Sim) int64 {
-		total := int64(0)
+	type ledger struct{ LocalTotal, SentCredits, RecvCredits, LostCredits int64 }
+	books := func(s *dsim.Sim) (sum ledger) { // summed over every branch
 		for _, id := range s.Procs() {
-			var st struct{ LostCredits int64 }
-			if err := json.Unmarshal(s.MachineState(id), &st); err == nil {
-				total += st.LostCredits
+			var b ledger
+			if err := json.Unmarshal(s.MachineState(id), &b); err == nil {
+				sum.LocalTotal += b.LocalTotal
+				sum.SentCredits += b.SentCredits
+				sum.RecvCredits += b.RecvCredits
+				sum.LostCredits += b.LostCredits
 			}
 		}
-		return total
+		return sum
 	}
 	// Losses baked into the restored prefix are the price of a late line;
-	// the healed code must not lose anything *further*.
-	lostAtLine := lostCredits(buggy2)
+	// the healed code must not lose anything *further*, and at quiescence
+	// every credit sent has been received and every unit minted is either
+	// in an account or among the losses.
+	lostAtLine := books(buggy2).LostCredits
 	buggy2.Resume()
 	final := progress(buggy2)
-	noNewLoss := lostCredits(buggy2) == lostAtLine
-	t.Add("update+resume", atFix2, preserved, 100*float64(preserved)/float64(max(atFix2, 1)), final-preserved, noNewLoss)
+	end := books(buggy2)
+	minted := int64(bugCfg.Branches) * int64(bugCfg.AccountsPer) * bugCfg.InitialBalance
+	healed := end.LostCredits == lostAtLine && end.SentCredits == end.RecvCredits && end.LocalTotal+end.LostCredits == minted
+	t.Add("update+resume", atFix2, preserved, 100*float64(preserved)/float64(max(atFix2, 1)), final-preserved, healed)
 	t.Note("work = transfers initiated; update+resume keeps the checkpointed prefix (paper §3.4: 'use computation that was correctly performed')")
 	t.Note("ablation A2: the healed machines run the alternate (checked) path after rollback instead of replaying the faulty one")
 	return t

@@ -175,7 +175,7 @@ func demoFixDTreatment() error {
 	fixedCfg := buggyTwoPC
 	fixedCfg.Buggy = false
 	s.Run()
-	line := heal.LatestLine(s, s.Procs())
+	line := heal.VerifiedLine(s, nil)
 	if line == nil {
 		return fmt.Errorf("no recovery line")
 	}

@@ -260,20 +260,6 @@ func Investigate(s Target, line []Member, cfg investigate.Config) (*investigate.
 	return investigate.Run(models, msgs, timers, cfg)
 }
 
-// LatestLine builds a recovery line from each process's most recent
-// checkpoint. It returns nil if any process lacks one.
-func LatestLine(s Target, procs []string) map[string]string {
-	line := make(map[string]string, len(procs))
-	for _, id := range procs {
-		ck := s.Store().Latest(id)
-		if ck == nil {
-			return nil
-		}
-		line[id] = ck.ID
-	}
-	return line
-}
-
 // VerifiedLine finds the most recent recovery line that is both globally
 // consistent (no orphan messages, by vector-clock analysis) and satisfies
 // every given invariant — the state the paper requires for resumption: "a

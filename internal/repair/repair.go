@@ -37,12 +37,6 @@ type Config struct {
 	// proposal sequence itself is deterministic given the knob table.
 	// Default 1.
 	Seed int64
-	// MaxTrials bounds candidate assignments tried (each costs one cheap
-	// replay). Default 24.
-	MaxTrials int
-	// MaxVerify bounds full-pipeline verifications (each costs a matrix
-	// sweep plus a guided search). Default 4.
-	MaxVerify int
 	// MatrixSeeds are the re-verification matrix seeds. Default {1, 2}.
 	MatrixSeeds []int64
 	// SearchBudget bounds the guided-search re-run per verification.
@@ -57,15 +51,18 @@ type Config struct {
 	Workers int
 }
 
+const (
+	// maxTrials bounds candidate assignments tried (each costs one cheap
+	// replay).
+	maxTrials = 24
+	// maxVerify bounds full-pipeline verifications (each costs a matrix
+	// sweep plus a guided search).
+	maxVerify = 4
+)
+
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.MaxTrials == 0 {
-		c.MaxTrials = 24
-	}
-	if c.MaxVerify == 0 {
-		c.MaxVerify = 4
 	}
 	if c.MatrixSeeds == nil {
 		c.MatrixSeeds = []int64{1, 2}
@@ -273,7 +270,7 @@ func bestVal(t *Trial, name string) uint64 {
 	return t.Assignment[name]
 }
 
-func (s *searcher) exhausted() bool { return len(s.rep.Trials) >= s.cfg.MaxTrials }
+func (s *searcher) exhausted() bool { return len(s.rep.Trials) >= maxTrials }
 
 // canon is the dedup key: JSON encodes maps with sorted keys.
 func canon(assign map[string]uint64) string {
@@ -331,7 +328,7 @@ func (s *searcher) verifyTrial(t *Trial) bool {
 	if t == nil || !t.CheapPass || t.Verified {
 		return t != nil && t.Verified
 	}
-	if s.verify >= s.cfg.MaxVerify {
+	if s.verify >= maxVerify {
 		return false
 	}
 	s.verify++

@@ -114,7 +114,7 @@ func TestRepairNoFixInRange(t *testing.T) {
 	if rep.Fixed || rep.Winner != nil || rep.Evidence != nil {
 		t.Fatalf("claimed a fix that cannot exist: %+v", rep)
 	}
-	if len(rep.Trials) == 0 || len(rep.Trials) > cfg.withDefaults().MaxTrials {
+	if len(rep.Trials) == 0 || len(rep.Trials) > maxTrials {
 		t.Fatalf("trial count %d outside budget", len(rep.Trials))
 	}
 	for _, tr := range rep.Trials {

@@ -142,31 +142,6 @@ func Digest(recs []Record) string {
 	return h.digest()
 }
 
-// Shape returns a coarse event-shape signature of a record stream: for
-// every process, the records of each kind are counted per Lamport window of
-// the given bucket width, and each count is collapsed to its log2 bucket
-// (0, 1, 2, 3–4, 5–8, ...). The signature is an FNV-64a hex digest of the
-// canonical rendering of those buckets.
-//
-// Two runs share a shape when their executions have the same gross
-// structure — which processes delivered, sent, faulted, and checkpointed
-// roughly how much, in roughly which phase of the run — even when their
-// exact payloads, orderings and Lamport values differ. That makes Shape
-// the coverage signal for coverage-guided chaos search (internal/chaos):
-// the exact Digest distinguishes almost every schedule, so on its own
-// every fingerprint is a singleton; Shape deliberately aliases nearby
-// interleavings so "new shape" means behaviorally new. The records may
-// come in any order; the Fingerprinter computes the signature over several
-// scrolls' merge without materializing the merged slice.
-func Shape(recs []Record, bucket uint64) string {
-	var a shapeAcc
-	a.reset(bucket)
-	for i := range recs {
-		a.addNamed(&recs[i])
-	}
-	return a.sum()
-}
-
 // decodeRecord parses a record produced by encode. It accepts exactly what
 // encode writes: clock entries that are out of id order, duplicated or
 // zero-valued — which no writer produces — are rejected as corrupt rather

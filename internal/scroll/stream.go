@@ -1,7 +1,7 @@
 package scroll
 
 // Streaming fingerprints: the chaos engine fingerprints every run by the
-// SHA-256 Digest and the coarse Shape of the merged scroll, so the
+// SHA-256 Digest and the coarse event shape of the merged scroll, so the
 // Fingerprinter computes both in one pass over the per-process scrolls that
 // costs little more than hashing the same bytes, and once warm allocates
 // only the two result strings:
@@ -25,9 +25,9 @@ package scroll
 //     Lamport-nondecreasing. Every recording is; scrolls that are not
 //     (hand-built data) are merged by sorting a materialized copy.
 //
-// The output is byte-identical to Digest and Shape over Merge: see
-// TestStreamingMatchesBatch and FuzzFingerprint, and the goldens the
-// test-only reference models reproduce.
+// The output is byte-identical to Digest over Merge and to the test-only
+// batch Shape: see TestStreamingMatchesBatch and FuzzFingerprint, and the
+// goldens the test-only reference models reproduce.
 
 import (
 	"cmp"
@@ -115,10 +115,10 @@ type shapeLane struct {
 	open    [16]uint32
 }
 
-// shapeAcc computes Shape over a record stream in any order. A lane is one
-// process (the Fingerprinter opens one per scroll, so two scrolls of one
-// name are two lanes of one rank); records are added to a lane, or by
-// process name.
+// shapeAcc computes the event shape over a record stream in any order. A
+// lane is one process (the Fingerprinter opens one per scroll, so two
+// scrolls of one name are two lanes of one rank); records are added to a
+// lane, or by process name.
 type shapeAcc struct {
 	bucket uint64
 	names  []string // lane i's process is names[i]
@@ -136,7 +136,7 @@ type shapeAcc struct {
 }
 
 // reset prepares the accumulator for a new stream with the given Lamport
-// bucket width (0 means 1, as in Shape).
+// bucket width (0 means 1).
 func (a *shapeAcc) reset(bucket uint64) {
 	a.bucket = max(bucket, 1)
 	clear(a.names) // names belong to scrolls that are recycled
@@ -359,7 +359,20 @@ type Fingerprinter struct {
 }
 
 // Fingerprint merges the scrolls in Merge's order and returns the Digest
-// and Shape (with the given bucket width) of the merged stream.
+// and the event shape (with the given bucket width) of the merged stream.
+//
+// The shape is a coarse signature: for every process, the records of each
+// kind are counted per Lamport window of the bucket width, and each count
+// is collapsed to its log2 bucket (0, 1, 2, 3–4, 5–8, ...). The signature is
+// an FNV-64a hex digest of the canonical rendering of those buckets. Two
+// runs share a shape when their executions have the same gross structure —
+// which processes delivered, sent, faulted, and checkpointed roughly how
+// much, in roughly which phase of the run — even when their exact payloads,
+// orderings and Lamport values differ. That makes the shape the coverage
+// signal for coverage-guided chaos search (internal/chaos): the exact
+// Digest distinguishes almost every schedule, so on its own every
+// fingerprint is a singleton; the shape deliberately aliases nearby
+// interleavings so "new shape" means behaviorally new.
 func (f *Fingerprinter) Fingerprint(scrolls []*Scroll, bucket uint64) (digest, shape string) {
 	f.hasher.reset()
 	f.shape.reset(bucket)

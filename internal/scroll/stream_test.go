@@ -16,6 +16,19 @@ import (
 	"repro/internal/vclock"
 )
 
+// Shape is the batch event shape of a record stream (Fingerprinter.Fingerprint
+// documents the signature): the streaming accumulator fed one record at a
+// time by process name, with no merge. The Fingerprinter must agree with it
+// over Merge, and it with shapeModel.
+func Shape(recs []Record, bucket uint64) string {
+	var a shapeAcc
+	a.reset(bucket)
+	for i := range recs {
+		a.addNamed(&recs[i])
+	}
+	return a.sum()
+}
+
 // shapeModel is the reference semantics of Shape, kept apart from the
 // streaming accumulator so that one is never its own oracle: count the
 // records of each (process, kind, Lamport window) in a map, render every

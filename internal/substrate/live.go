@@ -19,20 +19,15 @@ import (
 	"repro/internal/vclock"
 )
 
-// LiveConfig parameterizes the live (real-goroutine) substrate.
+// LiveConfig parameterizes the live (real-goroutine) substrate. Its timing
+// is fixed: one virtual tick is 1 ms of wall time, Run and Resume declare
+// quiescence once the system has stayed idle for 75 ms and return after
+// 10 s at the latest, and each process's heap is checkpoint.DefaultHeapSize
+// (64 KiB) of checkpoint.DefaultPageSize pages, the simulator's default.
 type LiveConfig struct {
 	// Seed drives the chaos-injection probability draws. Unlike the
 	// simulator it does not make runs replayable (see Capabilities).
 	Seed int64
-	// Tick is the real duration of one virtual tick (default 1ms). Chaos
-	// windows, injected delays and timer delays are expressed in ticks.
-	Tick time.Duration
-	// Settle is how long the system must stay idle (no queued events, no
-	// in-flight messages) before Run declares quiescence (default 75ms —
-	// generous enough to cover loopback-TCP propagation).
-	Settle time.Duration
-	// MaxWait bounds one Run/Resume call (default 10s).
-	MaxWait time.Duration
 	// UseTCP routes messages through a real TCP hub on the loopback
 	// interface instead of the in-memory switch.
 	UseTCP bool
@@ -46,11 +41,6 @@ type LiveConfig struct {
 	CheckpointEvery uint64
 	// InitCheckpoint checkpoints every process right after Init.
 	InitCheckpoint bool
-	// HeapSize / HeapPageSize mirror dsim.Config (defaults 64KiB /
-	// checkpoint.DefaultPageSize): HeapSize is the logical size, and pages
-	// are allocated only when written.
-	HeapSize     int
-	HeapPageSize int
 	// DurableDir, when set, backs each process's stable storage
 	// (Context.Durable…) with a write-ahead log under DurableDir/<proc>
 	// (internal/wal: segmented, checksummed, fsync'd), so durable cells
@@ -68,27 +58,17 @@ type LiveConfig struct {
 	ScrollDir string
 }
 
-func (cfg LiveConfig) withDefaults() LiveConfig {
-	if cfg.Tick <= 0 {
-		cfg.Tick = time.Millisecond
-	}
-	if cfg.Settle <= 0 {
-		cfg.Settle = 75 * time.Millisecond
-	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = 10 * time.Second
-	}
-	if cfg.HubAddr == "" {
-		cfg.HubAddr = "127.0.0.1:0"
-	}
-	if cfg.HeapSize <= 0 {
-		cfg.HeapSize = 64 << 10
-	}
-	if cfg.HeapPageSize <= 0 {
-		cfg.HeapPageSize = checkpoint.DefaultPageSize
-	}
-	return cfg
-}
+const (
+	// liveTick is the real duration of one virtual tick. Chaos windows,
+	// injected delays and timer delays are expressed in ticks.
+	liveTick = time.Millisecond
+	// liveSettle is how long the system must stay idle (no queued events,
+	// no in-flight messages) before Run declares quiescence — generous
+	// enough to cover loopback-TCP propagation.
+	liveSettle = 75 * time.Millisecond
+	// liveMaxWait bounds one Run/Resume call.
+	liveMaxWait = 10 * time.Second
+)
 
 // liveEvent is one unit of work for a process's event loop.
 type liveEvent struct {
@@ -188,7 +168,9 @@ type LiveSubstrate struct {
 // the loopback interface; otherwise messages flow through an in-memory
 // switch. The error is non-nil only when the hub cannot listen.
 func NewLive(cfg LiveConfig) (*LiveSubstrate, error) {
-	cfg = cfg.withDefaults()
+	if cfg.HubAddr == "" {
+		cfg.HubAddr = "127.0.0.1:0"
+	}
 	s := &LiveSubstrate{
 		cfg:      cfg,
 		procs:    make(map[string]*liveProc),
@@ -197,7 +179,7 @@ func NewLive(cfg LiveConfig) (*LiveSubstrate, error) {
 		shutdown: make(chan struct{}),
 	}
 	s.pauseCond = sync.NewCond(&s.pauseMu)
-	s.net = transport.NewChaosNet(s.Now, cfg.Tick, cfg.Seed)
+	s.net = transport.NewChaosNet(s.Now, liveTick, cfg.Seed)
 	if cfg.UseTCP {
 		hub, err := transport.NewHub(cfg.HubAddr)
 		if err != nil {
@@ -262,7 +244,7 @@ func (s *LiveSubstrate) AddProcess(id string, m dsim.Machine) {
 		}
 	}
 	p := &liveProc{
-		Kernel: dsim.NewKernel(id, m, checkpoint.NewHeapPages(s.cfg.HeapSize, s.cfg.HeapPageSize), sc),
+		Kernel: dsim.NewKernel(id, m, checkpoint.NewHeap(checkpoint.DefaultHeapSize), sc),
 		sub:    s,
 		tr:     tr,
 		inbox:  inbox,
@@ -512,7 +494,7 @@ func (p *liveProc) dispatchFaults() {
 // --- Substrate: execution ---
 
 // Run starts every process (Init on first call) and blocks until
-// quiescence, MaxWait, Stop, or a protected fault pauses the run.
+// quiescence, liveMaxWait, Stop, or a protected fault pauses the run.
 func (s *LiveSubstrate) Run() dsim.Stats {
 	s.mu.Lock()
 	if !s.started {
@@ -599,9 +581,9 @@ func (s *LiveSubstrate) idle() bool {
 }
 
 // waitQuiesce polls until the system stays idle for the settle window, the
-// run is paused, or MaxWait elapses.
+// run is paused, or liveMaxWait elapses.
 func (s *LiveSubstrate) waitQuiesce() dsim.Stats {
-	deadline := wallNow().Add(s.cfg.MaxWait)
+	deadline := wallNow().Add(liveMaxWait)
 	var quietSince time.Time
 	for {
 		if s.isPaused() {
@@ -625,7 +607,7 @@ func (s *LiveSubstrate) waitQuiesce() dsim.Stats {
 			if quietSince.IsZero() {
 				quietSince = now
 			}
-			if now.Sub(quietSince) >= s.cfg.Settle {
+			if now.Sub(quietSince) >= liveSettle {
 				return s.Stats()
 			}
 		} else {
@@ -647,7 +629,7 @@ func (s *LiveSubstrate) Now() uint64 {
 	if start == nil {
 		return 0
 	}
-	return uint64(wallNow().Sub(*start) / s.cfg.Tick)
+	return uint64(wallNow().Sub(*start) / liveTick)
 }
 
 // The live backend's only doors to real time: every wall-clock read, wait
@@ -867,7 +849,7 @@ func (s *LiveSubstrate) armCtlLocked() {
 	if s.ctlTim != nil {
 		s.ctlTim.Stop() // a wake-up that fires anyway finds nothing new due
 	}
-	d := time.Duration(s.ctl[0].At)*s.cfg.Tick - wallNow().Sub(*s.startAt.Load())
+	d := time.Duration(s.ctl[0].At)*liveTick - wallNow().Sub(*s.startAt.Load())
 	s.ctlTim = wallAfter(max(d, 0), func() { s.releaseDue(s.Now()) })
 }
 
@@ -986,7 +968,7 @@ func (c *liveCtx) SetTimer(name string, delay uint64) {
 	delay += p.sub.net.Slow(p.Self(), p.sub.Now())
 	p.pendingTimers = append(p.pendingTimers, name)
 	p.sub.activity.Add(1) // held until the timer event is handled
-	wallAfter(time.Duration(delay)*p.sub.cfg.Tick, func() {
+	wallAfter(time.Duration(delay)*liveTick, func() {
 		p.post(liveEvent{kind: levTimer, timer: name, gen: gen}, false)
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/dsim"
 	"repro/internal/fault"
@@ -223,7 +222,7 @@ func (m *initOrder) OnRollback(dsim.Context, dsim.RollbackInfo) {}
 // tests then had nothing to restore).
 func TestLiveInitPrecedesDeliveries(t *testing.T) {
 	for round := 0; round < 4; round++ {
-		s, err := NewLive(LiveConfig{Settle: 20 * time.Millisecond})
+		s, err := NewLive(LiveConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
