@@ -1,12 +1,20 @@
 // modeld is the standalone ModelD model checker CLI (paper §4.3, Fig. 7).
 // It explores one of the built-in guarded-command demonstration models and
-// prints the exploration statistics and any violation trails.
+// prints the exploration statistics and the shortest violation trail.
 //
 // Usage:
 //
 //	modeld -model mutex -n 4 -strategy bfs
 //	modeld -model mutex-buggy -n 3 -strategy heuristic -first
+//	modeld -model mutex-buggy -n 3 -strategy random -seed 7
+//	modeld -model mutex -n 2 -strategy single -max-depth 50
 //	modeld -model counter -max-states 100000
+//
+// -strategy picks one of the engine's five search orders: bfs, dfs and
+// heuristic search the reachability graph; random runs 32 seeded walks of
+// at most 200 steps, and single follows the first enabled action for at
+// most 10,000 steps (-max-depth overrides either bound). The walks count
+// and report each state once and set truncated when they hit the bound.
 package main
 
 import (

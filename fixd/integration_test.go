@@ -183,13 +183,18 @@ func TestCrashDetectionFeedsPipeline(t *testing.T) {
 func TestSpeculativeKVWrites(t *testing.T) {
 	s := dsim.New(dsim.Config{Seed: 4, MinLatency: 1, MaxLatency: 2, MaxSteps: 10_000})
 	cfg := apps.KVConfig{Replicas: 2, Writes: 5}
+	var client *speculativeClient
 	for id, m := range apps.NewKVStore(cfg) {
 		if id == apps.KVClientName {
-			m = &speculativeClient{Machine: m}
+			client = &speculativeClient{Machine: m}
+			m = client
 		}
 		s.AddProcess(id, m)
 	}
 	s.Run()
+	if client.err != nil {
+		t.Fatal(client.err)
+	}
 	if st := s.SpeculationStats(); st.Aborts != 1 || st.Absorptions != 3 || st.Rollbacks != 4 {
 		t.Errorf("spec stats = %+v, want the client, the primary and both replicas rolled back", st)
 	}
@@ -208,10 +213,12 @@ func TestSpeculativeKVWrites(t *testing.T) {
 }
 
 // speculativeClient issues the KV client's writes from time 4 on assuming
-// they will be accepted, and aborts 20 ticks later.
+// they will be accepted, and aborts 20 ticks later. It keeps the first error
+// Speculate or AbortSpec returns.
 type speculativeClient struct {
 	dsim.Machine
 	spec string
+	err  error
 }
 
 func (c *speculativeClient) Init(ctx dsim.Context) {
@@ -220,14 +227,18 @@ func (c *speculativeClient) Init(ctx dsim.Context) {
 }
 
 func (c *speculativeClient) OnTimer(ctx dsim.Context, name string) {
+	var err error
 	switch name {
 	case "speculate":
-		c.spec, _ = ctx.Speculate("replicas will ack")
+		c.spec, err = ctx.Speculate("replicas will ack")
 		ctx.SetTimer("verify", 20)
 	case "verify":
-		ctx.AbortSpec(c.spec, "replica rejected")
+		err = ctx.AbortSpec(c.spec, "replica rejected")
 	default:
 		c.Machine.OnTimer(ctx, name)
+	}
+	if c.err == nil {
+		c.err = err
 	}
 }
 

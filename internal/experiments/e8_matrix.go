@@ -212,13 +212,18 @@ func demoFixDOpportunistic() error {
 	// the speculation reached it is re-delivered.
 	cfg := apps.BankConfig{Branches: 2, AccountsPer: 2, InitialBalance: 100, Transfers: 1}
 	s := dsim.New(dsim.Config{Seed: 2, MinLatency: 1, MaxLatency: 1})
+	var branch *speculatingBranch
 	for id, m := range apps.NewBank(cfg) {
 		if id == apps.BankProcName(0) {
-			m = &speculatingBranch{Machine: m}
+			branch = &speculatingBranch{Machine: m}
+			m = branch
 		}
 		s.AddProcess(id, m)
 	}
 	s.Run()
+	if branch.err != nil {
+		return branch.err
+	}
 	if st := s.SpeculationStats(); st.Aborts != 1 || st.Rollbacks != 2 {
 		return fmt.Errorf("aborts = %d, rollbacks = %d, want 1 and 2", st.Aborts, st.Rollbacks)
 	}
@@ -237,21 +242,25 @@ func demoFixDOpportunistic() error {
 }
 
 // speculatingBranch is a bank branch that speculates from the end of Init
-// that its transfers will be accepted, and aborts at time 20.
+// that its transfers will be accepted, and aborts at time 20. It keeps the
+// first error Speculate or AbortSpec returns.
 type speculatingBranch struct {
 	dsim.Machine
 	spec string
+	err  error
 }
 
 func (b *speculatingBranch) Init(ctx dsim.Context) {
 	b.Machine.Init(ctx)
-	b.spec, _ = ctx.Speculate("the credit will be accepted")
+	b.spec, b.err = ctx.Speculate("the credit will be accepted")
 	ctx.SetTimer("verify", 20)
 }
 
 func (b *speculatingBranch) OnTimer(ctx dsim.Context, name string) {
 	if name == "verify" {
-		ctx.AbortSpec(b.spec, "credit rejected")
+		if err := ctx.AbortSpec(b.spec, "credit rejected"); b.err == nil {
+			b.err = err
+		}
 		return
 	}
 	b.Machine.OnTimer(ctx, name)

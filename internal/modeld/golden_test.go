@@ -18,8 +18,8 @@ var update = flag.Bool("update", false, "rewrite testdata/graph.golden from the 
 
 const graphGoldenPath = "testdata/graph.golden"
 
-// graphRows explores every guard.Mutex model under every graph strategy and
-// bound, and renders one row per exploration: every Result counter, plus a
+// graphRows explores every model under every graph strategy and bound,
+// and renders one row per exploration: every Result counter, plus a
 // digest of the deadlock keys and one of the violations (invariant, depth
 // and trail, actions and state keys).
 func graphRows() []byte {
@@ -44,21 +44,9 @@ func graphRows() []byte {
 		{"depth5", func(o *modeld.Options) { o.MaxDepth = 5 }},
 		{"states50", func(o *modeld.Options) { o.MaxStates = 50 }},
 	}
-	type model struct {
-		name  string
-		build func() (modeld.State, *modeld.Engine)
-	}
-	var models []model
-	for n := 2; n <= 4; n++ {
-		for _, buggy := range []bool{false, true} {
-			models = append(models, model{fmt.Sprintf("mutex(%d,%v)", n, buggy), func() (modeld.State, *modeld.Engine) { return guard.Mutex(n, buggy) }})
-		}
-	}
-	// The mutex models never deadlock; this one ends in five deadlocks.
-	models = append(models, model{"dead-ends", deadEnds})
 	var buf bytes.Buffer
 	for _, st := range strategies {
-		for _, m := range models {
+		for _, m := range models() {
 			for _, b := range bounds {
 				root, engine := m.build()
 				opts := st.opts
@@ -73,6 +61,23 @@ func graphRows() []byte {
 		}
 	}
 	return buf.Bytes()
+}
+
+type model struct {
+	name  string
+	build func() (modeld.State, *modeld.Engine)
+}
+
+// models are guard.Mutex(n, buggy) for n = 2..4, correct and buggy, and
+// dead-ends: the mutex models never deadlock, dead-ends ends in five.
+func models() []model {
+	var out []model
+	for n := 2; n <= 4; n++ {
+		for _, buggy := range []bool{false, true} {
+			out = append(out, model{fmt.Sprintf("mutex(%d,%v)", n, buggy), func() (modeld.State, *modeld.Engine) { return guard.Mutex(n, buggy) }})
+		}
+	}
+	return append(out, model{"dead-ends", deadEnds})
 }
 
 // deadEnds walks a grid from (0,0) one step right or up at a time until

@@ -19,10 +19,21 @@
 //
 // Like CMC (§2.1), the engine also reports deadlock states, in which no
 // action is enabled.
+//
+// All five search orders run one loop (Explore) over one frontier: FIFO for
+// BFS, LIFO for DFS and the two walks, a min-heap on (heuristic value, push
+// order) for Heuristic. A state is recorded — counted, checked against the
+// invariants and entered into the reachability graph — the first time any
+// transition reaches it, root included, so every strategy reports a
+// violating state once, with the graph path to its first visit as its
+// trail, and lists a deadlock state once. The graph strategies (BFS, DFS,
+// Heuristic) push every successor they record; the walks (RandomWalk,
+// SinglePath) push one successor per state whether it was recorded before
+// or not, so a walk may pass through a state many times but keeps only the
+// graph, never a second count, check or report of it.
 package modeld
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -121,11 +132,14 @@ func (s Strategy) String() string {
 type Options struct {
 	Strategy  Strategy
 	MaxStates int // 0 = 100_000
-	MaxDepth  int // 0 = unbounded
+	// MaxDepth bounds a state's depth, or a walk's length; 0 is unbounded
+	// for the graph strategies, 10_000 steps for SinglePath and 200 per
+	// walk for RandomWalk.
+	MaxDepth int
 	// Heuristic orders the frontier for the Heuristic strategy; lower
-	// values are explored first.
+	// values are explored first, ties in push order.
 	Heuristic func(s State, depth int) int
-	// Seed drives the RandomWalk strategy and random tie-breaking.
+	// Seed drives the RandomWalk strategy's choices of action and successor.
 	Seed int64
 	// StopAtFirstViolation ends the exploration at the first violation.
 	StopAtFirstViolation bool
@@ -153,19 +167,12 @@ type Violation struct {
 type Result struct {
 	StatesVisited int
 	Transitions   int
-	MaxDepthSeen  int
+	MaxDepthSeen  int // largest depth of a recorded state: its trail's length
 	Violations    []Violation
 	Deadlocks     []string // keys of states with no enabled action
-	Truncated     bool     // hit MaxStates or frontier exhausted by MaxDepth
+	Truncated     bool     // hit MaxStates, or a state or walk stopped at MaxDepth
 	FrontierPeak  int
 	GraphBytes    int // approximate memory of the reachability graph (keys)
-}
-
-// node is a reachability-graph entry.
-type node struct {
-	parent string // key of predecessor ("" for root)
-	action string // action that produced this state
-	depth  int
 }
 
 // Engine is the ModelD back-end: a dynamic action set, a set of invariants,
@@ -208,321 +215,217 @@ func (e *Engine) Invariants() []Invariant {
 	return append([]Invariant(nil), e.invariants...)
 }
 
-// frontierItem is an element of the exploration frontier.
-type frontierItem struct {
-	state State
-	key   string
-	depth int
-	prio  int
-	seq   int
-}
-
-// prioQueue is a min-heap over (prio, seq).
-type prioQueue []*frontierItem
-
-func (q prioQueue) Len() int { return len(q) }
-func (q prioQueue) Less(i, j int) bool {
-	if q[i].prio != q[j].prio {
-		return q[i].prio < q[j].prio
-	}
-	return q[i].seq < q[j].seq
-}
-func (q prioQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *prioQueue) Push(x any)   { *q = append(*q, x.(*frontierItem)) }
-func (q *prioQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
+// Walk bounds: the default MaxDepth of each walk, and how many walks
+// RandomWalk starts from the root.
+const (
+	singlePathDepth = 10_000
+	randomWalkDepth = 200
+	randomWalks     = 32
+)
 
 // Explore runs the engine from root under the given options and returns
 // the exploration result, including every violation trail found.
+//
+// It pops a state from the frontier, enables the actions on it and takes
+// its transitions, until the frontier is empty. SinglePath takes the first
+// enabled action's first successor; RandomWalk takes a seeded random action
+// and successor, and restarts from the root 32 times.
 func (e *Engine) Explore(root State, opts Options) *Result {
-	actions := e.Actions()
-	invariants := e.Invariants()
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = 100_000
 	}
+	walks := 1
+	var pick func(n int) int // a walk's choice among n; nil for the graph strategies
 	switch opts.Strategy {
-	case RandomWalk:
-		return exploreRandom(root, actions, invariants, opts)
 	case SinglePath:
-		return exploreSingle(root, actions, invariants, opts)
-	default:
-		return exploreGraph(root, actions, invariants, opts)
-	}
-}
-
-// checkState evaluates invariants on s, appending violations with the trail
-// reconstructed from the graph.
-func checkState(s State, key string, depth int, invariants []Invariant, graph map[string]*node, res *Result) bool {
-	bad := false
-	for _, inv := range invariants {
-		if !inv.Holds(s) {
-			res.Violations = append(res.Violations, Violation{
-				Invariant: inv.Name,
-				Trail:     trail(graph, key),
-				State:     s,
-				Depth:     depth,
-			})
-			bad = true
+		pick = func(int) int { return 0 }
+		if opts.MaxDepth <= 0 {
+			opts.MaxDepth = singlePathDepth
+		}
+	case RandomWalk:
+		walks, pick = randomWalks, rand.New(rand.NewSource(opts.Seed)).Intn
+		if opts.MaxDepth <= 0 {
+			opts.MaxDepth = randomWalkDepth
 		}
 	}
-	return bad
-}
-
-// trail reconstructs the action path from the root to the state with key.
-func trail(graph map[string]*node, key string) []Step {
-	var rev []Step
-	for key != "" {
-		n, ok := graph[key]
-		if !ok || n.action == "" {
-			break
-		}
-		rev = append(rev, Step{Action: n.action, StateKey: key})
-		key = n.parent
-	}
-	out := make([]Step, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
-}
-
-// exploreGraph implements BFS, DFS and Heuristic over a deduplicated
-// reachability graph.
-func exploreGraph(root State, actions []Action, invariants []Invariant, opts Options) *Result {
-	res := &Result{}
-	graph := make(map[string]*node)
-	rootKey := root.Key()
-	graph[rootKey] = &node{depth: 0}
-	res.StatesVisited = 1
-	res.GraphBytes += len(rootKey)
-	if checkState(root, rootKey, 0, invariants, graph, res) && opts.StopAtFirstViolation {
-		return res
-	}
-
-	var (
-		queue []frontierItem // BFS fifo / DFS lifo
-		pq    prioQueue      // heuristic
-		seq   int
-	)
-	push := func(it frontierItem) {
-		seq++
-		it.seq = seq
-		if opts.Strategy == Heuristic {
-			if opts.Heuristic != nil {
-				it.prio = opts.Heuristic(it.state, it.depth)
-			}
-			heap.Push(&pq, &it)
-		} else {
-			queue = append(queue, it)
-		}
-		if n := len(queue) + len(pq); n > res.FrontierPeak {
-			res.FrontierPeak = n
-		}
-	}
-	pop := func() (frontierItem, bool) {
-		if opts.Strategy == Heuristic {
-			if len(pq) == 0 {
-				return frontierItem{}, false
-			}
-			return *heap.Pop(&pq).(*frontierItem), true
-		}
-		if len(queue) == 0 {
-			return frontierItem{}, false
-		}
-		var it frontierItem
-		if opts.Strategy == DFS {
-			it = queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-		} else {
-			it = queue[0]
-			queue = queue[1:]
-		}
-		return it, true
-	}
-
-	push(frontierItem{state: root, key: rootKey, depth: 0})
-	for {
-		it, ok := pop()
-		if !ok {
-			break
-		}
-		if opts.MaxDepth > 0 && it.depth >= opts.MaxDepth {
-			res.Truncated = true
-			continue
-		}
-		anyEnabled := false
-		for _, a := range actions {
-			if !a.Enabled(it.state) {
+	actions := e.Actions()
+	x := &explorer{opts: opts, invariants: e.Invariants(), graph: make(map[string]*node)}
+	rootNode := x.record(root, root.Key(), nil, "")
+	enabled := make([]Action, 0, len(actions))
+	for w := 0; w < walks && !x.stop; w++ {
+		x.push(root, rootNode, 0)
+		for len(x.frontier) > 0 {
+			it := x.pop()
+			if opts.MaxDepth > 0 && it.steps >= opts.MaxDepth {
+				x.res.Truncated = true
 				continue
 			}
-			anyEnabled = true
-			for _, succ := range a.Apply(it.state) {
-				res.Transitions++
-				k := succ.Key()
-				if _, seen := graph[k]; seen {
-					continue
-				}
-				if res.StatesVisited >= opts.MaxStates {
-					res.Truncated = true
-					continue
-				}
-				graph[k] = &node{parent: it.key, action: a.Name(), depth: it.depth + 1}
-				res.StatesVisited++
-				res.GraphBytes += len(k)
-				if it.depth+1 > res.MaxDepthSeen {
-					res.MaxDepthSeen = it.depth + 1
-				}
-				if checkState(succ, k, it.depth+1, invariants, graph, res) && opts.StopAtFirstViolation {
-					return res
-				}
-				push(frontierItem{state: succ, key: k, depth: it.depth + 1})
-			}
-		}
-		if !anyEnabled && opts.CheckDeadlock {
-			res.Deadlocks = append(res.Deadlocks, it.key)
-		}
-	}
-	return res
-}
-
-// randomWalks is how many walks the RandomWalk strategy restarts.
-const randomWalks = 32
-
-// exploreRandom performs repeated random walks from the root. It trades
-// completeness for memory: only the current path is retained per walk.
-func exploreRandom(root State, actions []Action, invariants []Invariant, opts Options) *Result {
-	res := &Result{}
-	maxDepth := opts.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 200
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	visited := make(map[string]bool)
-	for w := 0; w < randomWalks; w++ {
-		cur := root
-		curKey := root.Key()
-		var path []Step
-		if !visited[curKey] {
-			visited[curKey] = true
-			res.StatesVisited++
-			res.GraphBytes += len(curKey)
-		}
-		for depth := 0; depth < maxDepth; depth++ {
-			if res.StatesVisited >= opts.MaxStates {
-				res.Truncated = true
-				return res
-			}
-			var enabled []Action
+			enabled = enabled[:0]
 			for _, a := range actions {
-				if a.Enabled(cur) {
+				if a.Enabled(it.state) {
 					enabled = append(enabled, a)
 				}
 			}
-			if len(enabled) == 0 {
-				if opts.CheckDeadlock {
-					res.Deadlocks = append(res.Deadlocks, curKey)
+			if len(enabled) == 0 && opts.CheckDeadlock && !it.n.dead {
+				it.n.dead = true
+				x.res.Deadlocks = append(x.res.Deadlocks, it.n.key)
+			}
+			if pick != nil && len(enabled) > 0 {
+				enabled = append(enabled[:0], enabled[pick(len(enabled))])
+			}
+			for _, a := range enabled {
+				succs := a.Apply(it.state)
+				if pick != nil && len(succs) > 0 {
+					succs = succs[pick(len(succs)):][:1]
 				}
-				break
-			}
-			a := enabled[rng.Intn(len(enabled))]
-			succs := a.Apply(cur)
-			succ := succs[rng.Intn(len(succs))]
-			res.Transitions++
-			cur = succ
-			curKey = succ.Key()
-			path = append(path, Step{Action: a.Name(), StateKey: curKey})
-			if !visited[curKey] {
-				visited[curKey] = true
-				res.StatesVisited++
-				res.GraphBytes += len(curKey)
-			}
-			if depth+1 > res.MaxDepthSeen {
-				res.MaxDepthSeen = depth + 1
-			}
-			for _, inv := range invariants {
-				if !inv.Holds(cur) {
-					res.Violations = append(res.Violations, Violation{
-						Invariant: inv.Name,
-						Trail:     append([]Step(nil), path...),
-						State:     cur,
-						Depth:     depth + 1,
-					})
-					if opts.StopAtFirstViolation {
-						return res
+				for _, succ := range succs {
+					n, fresh := x.step(it.n, a, succ)
+					if x.stop {
+						return &x.res
+					}
+					if fresh || pick != nil && n != nil {
+						x.push(succ, n, it.steps+1)
 					}
 				}
 			}
 		}
 	}
-	return res
+	return &x.res
 }
 
-// exploreSingle follows exactly one execution path, choosing the action the
-// conventional implementation would take (paper §4.3). This is how the
-// ModelD engine doubles as a normal execution runtime.
-func exploreSingle(root State, actions []Action, invariants []Invariant, opts Options) *Result {
-	res := &Result{}
-	maxDepth := opts.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 10_000
+// node is a reachability-graph entry: a state's first visit.
+type node struct {
+	key    string
+	parent *node  // the state it was first reached from; nil for the root
+	action string // the action that first reached it
+	depth  int32  // transitions from the root on that path
+	dead   bool   // listed in Result.Deadlocks
+}
+
+// trail is the graph path from the root to n.
+func (n *node) trail() []Step {
+	out := make([]Step, n.depth)
+	for ; n.parent != nil; n = n.parent {
+		out[n.depth-1] = Step{Action: n.action, StateKey: n.key}
 	}
-	cur := root
-	curKey := root.Key()
-	res.StatesVisited = 1
-	res.GraphBytes += len(curKey)
-	var path []Step
-	for depth := 0; depth < maxDepth && res.StatesVisited < opts.MaxStates; depth++ {
-		for _, inv := range invariants {
-			if !inv.Holds(cur) {
-				res.Violations = append(res.Violations, Violation{
-					Invariant: inv.Name,
-					Trail:     append([]Step(nil), path...),
-					State:     cur,
-					Depth:     depth,
-				})
-				if opts.StopAtFirstViolation {
-					return res
-				}
-			}
-		}
-		var enabled []Action
-		for _, a := range actions {
-			if a.Enabled(cur) {
-				enabled = append(enabled, a)
-			}
-		}
-		if len(enabled) == 0 {
-			if opts.CheckDeadlock {
-				res.Deadlocks = append(res.Deadlocks, curKey)
-			}
-			return res
-		}
-		a := enabled[0]
-		succ := a.Apply(cur)[0]
-		res.Transitions++
-		cur, curKey = succ, succ.Key()
-		path = append(path, Step{Action: a.Name(), StateKey: curKey})
-		res.StatesVisited++
-		res.GraphBytes += len(curKey)
-		if depth+1 > res.MaxDepthSeen {
-			res.MaxDepthSeen = depth + 1
-		}
+	return out
+}
+
+// item is a frontier entry: a state, its graph node, the steps of the path
+// that pushed it (its depth, or a walk's length) and its heap order.
+type item struct {
+	state     State
+	n         *node
+	steps     int
+	prio, seq int
+}
+
+// explorer is one exploration: the reachability graph, the frontier and
+// the result.
+type explorer struct {
+	opts       Options
+	invariants []Invariant
+	graph      map[string]*node
+	frontier   []item
+	seq        int
+	res        Result
+	stop       bool // a violation ended the exploration (StopAtFirstViolation)
+}
+
+// record enters s, first reached from parent by action, into the graph,
+// counts it and checks the invariants on it.
+func (x *explorer) record(s State, key string, parent *node, action string) *node {
+	n := &node{key: key, parent: parent, action: action}
+	if parent != nil {
+		n.depth = parent.depth + 1
 	}
-	// Final state check (loop checks before stepping).
-	for _, inv := range invariants {
-		if !inv.Holds(cur) {
-			res.Violations = append(res.Violations, Violation{
-				Invariant: inv.Name, Trail: path, State: cur, Depth: len(path),
-			})
+	x.graph[key] = n
+	x.res.StatesVisited++
+	x.res.GraphBytes += len(key)
+	x.res.MaxDepthSeen = max(x.res.MaxDepthSeen, int(n.depth))
+	for _, inv := range x.invariants {
+		if !inv.Holds(s) {
+			x.res.Violations = append(x.res.Violations, Violation{Invariant: inv.Name, Trail: n.trail(), State: s, Depth: int(n.depth)})
+			x.stop = x.opts.StopAtFirstViolation
 		}
 	}
-	res.Truncated = true
-	return res
+	return n
+}
+
+// step counts one transition, by a from the state of from, into succ and
+// records succ the first time it is reached. It returns succ's node, nil
+// when succ is new but MaxStates is reached, and whether this transition
+// recorded it.
+func (x *explorer) step(from *node, a Action, succ State) (*node, bool) {
+	x.res.Transitions++
+	key := succ.Key()
+	if n := x.graph[key]; n != nil {
+		return n, false
+	}
+	if x.res.StatesVisited >= x.opts.MaxStates {
+		x.res.Truncated = true
+		return nil, false
+	}
+	return x.record(succ, key, from, a.Name()), true
+}
+
+// push adds s, whose node is n, to the frontier.
+func (x *explorer) push(s State, n *node, steps int) {
+	x.seq++
+	it := item{state: s, n: n, steps: steps, seq: x.seq}
+	if x.opts.Strategy == Heuristic && x.opts.Heuristic != nil {
+		it.prio = x.opts.Heuristic(s, int(n.depth))
+	}
+	x.frontier = append(x.frontier, it)
+	x.res.FrontierPeak = max(x.res.FrontierPeak, len(x.frontier))
+	if x.opts.Strategy != Heuristic {
+		return
+	}
+	for i := len(x.frontier) - 1; i > 0; { // sift up
+		up := (i - 1) / 2
+		if !x.before(i, up) {
+			break
+		}
+		x.frontier[i], x.frontier[up] = x.frontier[up], x.frontier[i]
+		i = up
+	}
+}
+
+// pop takes the next state off the frontier in the strategy's order.
+func (x *explorer) pop() item {
+	f := x.frontier
+	switch x.opts.Strategy {
+	case Heuristic:
+		it, last := f[0], len(f)-1
+		f[0], x.frontier = f[last], f[:last]
+		for i := 0; ; { // sift down
+			c := 2*i + 1
+			if c >= last {
+				break
+			}
+			if c+1 < last && x.before(c+1, c) {
+				c++
+			}
+			if !x.before(c, i) {
+				break
+			}
+			f[i], f[c] = f[c], f[i]
+			i = c
+		}
+		return it
+	case DFS, RandomWalk, SinglePath:
+		x.frontier = f[:len(f)-1]
+		return f[len(f)-1]
+	default:
+		x.frontier = f[1:]
+		return f[0]
+	}
+}
+
+// before orders the Heuristic frontier by (prio, seq).
+func (x *explorer) before(i, j int) bool {
+	a, b := &x.frontier[i], &x.frontier[j]
+	return a.prio < b.prio || a.prio == b.prio && a.seq < b.seq
 }
 
 // ShortestViolation returns the violation with the shortest trail, or nil.
