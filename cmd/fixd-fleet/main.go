@@ -13,7 +13,9 @@
 //
 // Shared search knobs: -seed, -budget, -buggy, -apps a,b,c, -check-every.
 // Coordinator knobs: -journal path (durable frontier; restart resumes
-// without re-executing), -lease-timeout, -no-local-fallback. The report is
+// without re-executing), -lease-timeout, -no-local-fallback (without it the
+// coordinator evaluates queued work itself while no worker is connected).
+// A worker exits 0 when its coordinator's search is done. The report is
 // printed as a summary table, or as full JSON with -json.
 package main
 
@@ -76,10 +78,7 @@ func main() {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
 		w := &fleet.Worker{Join: *join, Name: *name, Slots: *slots}
-		if err := w.Run(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "fixd-fleet:", err)
-			os.Exit(1)
-		}
+		w.Run(ctx)
 		return
 	}
 

@@ -25,8 +25,8 @@ type Config struct {
 	Search chaos.SearchConfig
 
 	// Workers is the number of local loopback-TCP workers Search spawns in
-	// all-in-one mode. 0 means the coordinator evaluates everything itself
-	// through the local fallback (unless NoLocalFallback).
+	// all-in-one mode. 0 means the coordinator evaluates every task itself
+	// as it enqueues it (unless NoLocalFallback).
 	Workers int
 
 	// Addr is the coordinator's listen address (default "127.0.0.1:0").
@@ -57,10 +57,10 @@ type Config struct {
 	Journal string
 
 	// NoLocalFallback disables coordinator-side evaluation entirely: with
-	// no workers connected the fleet waits instead of degrading to local
-	// execution. A lease that exhausts MaxRetries is then poisoned — the
-	// search fails with a descriptive error — rather than re-queued
-	// forever or run locally.
+	// no worker connected the fleet waits for one instead of evaluating
+	// the queued tasks itself. A lease that exhausts MaxRetries is then
+	// poisoned — the search fails with a descriptive error — rather than
+	// re-queued forever or run locally.
 	NoLocalFallback bool
 }
 
@@ -90,8 +90,8 @@ type taskOut struct {
 }
 
 // task is one unit of leased work. A task is owned by exactly one place at
-// a time — the queue, a worker session, a backoff timer, or the local
-// fallback — so its result is delivered exactly once.
+// a time — the queue, a worker session, a backoff timer, or a local
+// evaluation — so its result is delivered exactly once.
 type task struct {
 	lease    Lease // ID unset; stamped per dispatch attempt
 	cands    []chaos.Candidate
@@ -106,8 +106,8 @@ type Coordinator struct {
 	scfg    chaos.SearchConfig
 	ln      net.Listener
 	tasks   chan *task
-	kick    chan struct{} // nudges the janitor when work is enqueued
 	journal *journal
+	conns   sync.WaitGroup // the accept loop and every connection it serves
 
 	mu       sync.Mutex
 	sessions int
@@ -156,15 +156,12 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg: cfg, scfg: scfg, ln: ln, journal: j,
 		tasks:      make(chan *task, 256),
-		kick:       make(chan struct{}, 1),
 		searchDone: make(chan struct{}),
 		closed:     make(chan struct{}),
 		terminal:   make(chan struct{}),
 	}
+	c.conns.Add(1)
 	go c.acceptLoop()
-	if !cfg.NoLocalFallback {
-		go c.janitor()
-	}
 	return c, nil
 }
 
@@ -190,22 +187,37 @@ func (c *Coordinator) Stats() (reissues, localRuns int) {
 }
 
 // Close shuts the coordinator down: the listener closes, sessions drain,
-// and the journal is flushed. Close after Run has returned.
+// and the journal is flushed. Close after Run has returned. After Run,
+// Close first lets every session tell its worker Done, waiting at most
+// HelloTimeout, so that the workers of a coordinator that exits next
+// return instead of redialing it.
 func (c *Coordinator) Close() error {
 	c.closeOnce.Do(func() {
-		close(c.closed)
 		c.ln.Close()
+		select {
+		case <-c.searchDone:
+			drained := make(chan struct{})
+			go func() { c.conns.Wait(); close(drained) }()
+			select {
+			case <-drained:
+			case <-time.After(c.cfg.HelloTimeout):
+			}
+		default:
+		}
+		close(c.closed)
 	})
 	return c.journal.close()
 }
 
 // acceptLoop admits workers until the coordinator closes.
 func (c *Coordinator) acceptLoop() {
+	defer c.conns.Done()
 	for {
 		conn, err := c.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
+		c.conns.Add(1)
 		go c.serveWorker(conn)
 	}
 }
@@ -213,8 +225,10 @@ func (c *Coordinator) acceptLoop() {
 // serveWorker drives one worker session: validate the Hello, then feed it
 // leases one at a time. Any protocol error, timeout or disconnect requeues
 // the in-flight task and ends the session — the worker redials if it is
-// still alive.
+// still alive. The last session to end leaves the queued tasks to the
+// coordinator.
 func (c *Coordinator) serveWorker(conn net.Conn) {
+	defer c.conns.Done()
 	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(c.cfg.HelloTimeout))
 	f, err := ReadFrame(conn)
@@ -225,10 +239,14 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 	c.sessions++
 	c.mu.Unlock()
 	defer func() {
+		conn.Close() // a live worker redials while the queue drains
 		c.mu.Lock()
 		c.sessions--
 		c.mu.Unlock()
+		c.drainLocally()
 	}()
+	// Close closes c.closed only once the sessions have left or HelloTimeout
+	// has passed, so a session of a finished search takes searchDone.
 	for {
 		select {
 		case <-c.closed:
@@ -317,12 +335,7 @@ func (c *Coordinator) requeue(t *task) {
 	if delay > 2*time.Second {
 		delay = 2 * time.Second
 	}
-	time.AfterFunc(delay, func() {
-		select {
-		case c.tasks <- t:
-		case <-c.closed:
-		}
-	})
+	time.AfterFunc(delay, func() { c.enqueue(t) })
 }
 
 // poison records the terminal failure for a lease no one can evaluate:
@@ -366,40 +379,24 @@ func (c *Coordinator) runLocal(t *task) {
 	t.done <- taskOut{runs: runs}
 }
 
-// janitor keeps the queue live when no workers are connected: any queued
-// task found while the session count is zero is evaluated locally. It
-// ticks at a fraction of the lease timeout so a workerless fleet degrades
-// to in-process search speed rather than stalling.
-func (c *Coordinator) janitor() {
-	tick := c.cfg.LeaseTimeout / 8
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
+// idle reports whether the coordinator evaluates queued tasks itself: the
+// local fallback is on and no worker session is connected.
+func (c *Coordinator) idle() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return !c.cfg.NoLocalFallback && c.sessions == 0
+}
+
+// drainLocally evaluates queued tasks on the coordinator while it is idle,
+// until the queue is empty or the search is over.
+func (c *Coordinator) drainLocally() {
+	for c.idle() {
 		select {
 		case <-c.closed:
 			return
 		case <-c.searchDone:
 			return
-		case <-t.C:
-			c.drainLocally()
-		case <-c.kick:
-			c.drainLocally()
-		}
-	}
-}
-
-// drainLocally evaluates queued tasks on the coordinator while no worker
-// session is connected.
-func (c *Coordinator) drainLocally() {
-	for {
-		c.mu.Lock()
-		idle := c.sessions == 0
-		c.mu.Unlock()
-		if !idle {
-			return
+		default:
 		}
 		select {
 		case t := <-c.tasks:
@@ -410,19 +407,17 @@ func (c *Coordinator) drainLocally() {
 	}
 }
 
-// enqueue hands a task to the fleet and nudges the janitor, so a
-// workerless coordinator evaluates it immediately instead of waiting out
-// a janitor tick.
+// enqueue hands a task to the fleet. With no worker connected the caller
+// evaluates it, and whatever else is queued, on its own goroutine. The
+// session count is read after the send, so a last session that ends in
+// between finds the task in its own drain.
 func (c *Coordinator) enqueue(t *task) {
 	select {
 	case c.tasks <- t:
 	case <-c.closed:
 		return
 	}
-	select {
-	case c.kick <- struct{}{}:
-	default:
-	}
+	c.drainLocally()
 }
 
 // Run executes the fleet search: it drives one chaos.Frontier per

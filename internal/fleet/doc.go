@@ -35,15 +35,22 @@
 //
 // Leases carry deadlines: a worker that crashes, stalls or partitions
 // simply never answers, the coordinator's read deadline fires, and the
-// lease is reissued to another worker (with backoff, and a local fallback
-// after repeated failures), so the fleet degrades gracefully instead of
-// stalling. With Config.Journal set, the coordinator appends every
-// evaluated result to a JSONL journal and a restarted coordinator replays
-// it through fresh frontiers, resuming the search without re-executing a
-// single schedule. The journal's lines interleave applications in whatever
-// order their results arrived; recovery keys every result by (application,
-// candidate index) and every shrunk failure by (application, violation
-// signature), so the order across applications does not matter.
+// lease is reissued to another worker with backoff; after MaxRetries
+// failures the coordinator evaluates it itself. The coordinator also
+// evaluates whatever is queued whenever no worker is connected, at the
+// three moments that can leave it so: a task is enqueued, a reissue comes
+// due, or the last session ends. So the fleet degrades gracefully instead
+// of stalling, and nothing polls (Config.NoLocalFallback turns all of this
+// off). A finished search tells every connected worker Done, and Close
+// waits for those frames, so workers exit with their coordinator.
+//
+// With Config.Journal set, the coordinator appends every evaluated result
+// to a JSONL journal and a restarted coordinator replays it through fresh
+// frontiers, resuming the search without re-executing a single schedule.
+// The journal's lines interleave applications in whatever order their
+// results arrived; recovery keys every result by (application, candidate
+// index) and every shrunk failure by (application, violation signature),
+// so the order across applications does not matter.
 //
 // Entry points: Search runs an all-in-one fleet (coordinator plus N
 // loopback workers); NewCoordinator/Worker.Run are the pieces cmd/fixd-fleet

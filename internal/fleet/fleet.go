@@ -15,8 +15,10 @@ import (
 // sequentially on the coordinator and admitted in candidate order no
 // matter which worker evaluated them.
 //
-// Workers == 0 runs the coordinator alone: the janitor evaluates every
-// lease locally, which is the degenerate (but still correct) fleet.
+// Workers == 0 runs the coordinator alone: each frontier evaluates its
+// tasks on its own goroutine as it enqueues them, which is the degenerate
+// (but still correct) fleet. So does every frontier of a larger fleet
+// until the first worker's handshake lands.
 func Search(cfg Config) (*chaos.SearchReport, error) {
 	if cfg.NoLocalFallback && cfg.Workers <= 0 {
 		return nil, fmt.Errorf("fleet: NoLocalFallback with zero workers cannot make progress")

@@ -1,12 +1,15 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -125,43 +128,101 @@ func TestFleetBuggyArtifactsVerify(t *testing.T) {
 	}
 }
 
+// handMade opens a worker session by hand over the real wire: it says
+// hello and returns the connection, on which the test reads a lease and
+// then drops it or holds it.
+func handMade(t *testing.T, coord *Coordinator) net.Conn {
+	t.Helper()
+	conn := dialRaw(t, coord)
+	if err := WriteFrame(conn, &Frame{Type: FrameHello, Hello: &Hello{Proto: ProtoVersion, Name: "hand-made"}}); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// takeLease reads the lease the coordinator hands a hand-made session.
+func takeLease(t *testing.T, conn net.Conn) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	if f, err := ReadFrame(conn); err != nil || f.Type != FrameLease {
+		t.Fatalf("hand-made session got no lease: %v", err)
+	}
+}
+
+// runOut is what Run returned.
+type runOut struct {
+	rep *chaos.SearchReport
+	err error
+}
+
+// runAsync starts the search; its outcome arrives on the channel.
+func runAsync(coord *Coordinator) <-chan runOut {
+	ch := make(chan runOut, 1)
+	go func() {
+		rep, err := coord.Run()
+		ch <- runOut{rep, err}
+	}()
+	return ch
+}
+
+// await returns the search's report, failing the test if Run fails or has
+// not returned within d.
+func await(t *testing.T, ran <-chan runOut, d time.Duration) *chaos.SearchReport {
+	t.Helper()
+	select {
+	case o := <-ran:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		return o.rep
+	case <-time.After(d):
+		t.Fatalf("Run had not returned after %v", d)
+		return nil
+	}
+}
+
+// midBatch runs a two-session search: a hand-made session takes the first
+// lease, a healthy worker joins, and then fail drops or holds that lease.
+// The report must be byte-identical to chaos.Search, with the lease
+// reissued.
+func midBatch(t *testing.T, cfg Config, fail func(net.Conn)) {
+	t.Helper()
+	want := reportJSON(t, chaos.Search(cfg.Search))
+	coord, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	conn := handMade(t, coord)
+	waitSessions(t, coord, 1)
+	ran := runAsync(coord)
+	takeLease(t, conn)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go (&Worker{Join: coord.Addr(), Name: "healthy"}).Run(ctx)
+	waitSessions(t, coord, 2)
+	fail(conn)
+
+	diffJSON(t, t.Name(), want, reportJSON(t, await(t, ran, time.Minute)))
+	if reissues, _ := coord.Stats(); reissues < 1 {
+		t.Errorf("the hand-made session's lease was not reissued: reissues = %d", reissues)
+	}
+}
+
 // TestFleetWorkerCrashMidBatch kills a worker mid-batch: it accepts its
 // first lease and drops the connection without answering. The lease is
-// reissued and the final report is byte-identical to a healthy
-// single-worker fleet at the same budget.
+// reissued and the final report is byte-identical to the in-process search.
 func TestFleetWorkerCrashMidBatch(t *testing.T) {
 	scfg := chaos.SearchConfig{
 		Apps: fleetApps(t, "bank", "kvstore"),
 		Seed: 5, Budget: 24, CheckEvery: 64,
 	}
-	want := reportJSON(t, chaos.Search(scfg))
-
-	coord, err := NewCoordinator(Config{Search: scfg, LeaseTimeout: 5 * time.Second, Backoff: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	healthy := &Worker{Join: coord.Addr(), Name: "healthy"}
-	crasher := &Worker{Join: coord.Addr(), Name: "crasher", failOnLease: 1}
-	go healthy.Run(ctx)
-	go crasher.Run(ctx)
-	waitSessions(t, coord, 2)
-
-	rep, err := coord.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffJSON(t, "crashed worker", want, reportJSON(t, rep))
-	reissues, _ := coord.Stats()
-	if reissues < 1 {
-		t.Errorf("crasher answered no lease yet reissues = %d, want >= 1", reissues)
-	}
+	midBatch(t, Config{Search: scfg, LeaseTimeout: 5 * time.Second, Backoff: 10 * time.Millisecond},
+		func(conn net.Conn) { conn.Close() })
 }
 
 // TestFleetWorkerPartitionMidBatch partitions a worker: it accepts its
-// first lease and holds it silently, far past the lease deadline. The
+// first lease and holds it silently, past the lease deadline. The
 // coordinator's deadline fires, the lease is reissued, and the report is
 // unchanged.
 func TestFleetWorkerPartitionMidBatch(t *testing.T) {
@@ -169,29 +230,90 @@ func TestFleetWorkerPartitionMidBatch(t *testing.T) {
 		Apps: fleetApps(t, "bank"),
 		Seed: 5, Budget: 16, CheckEvery: 64,
 	}
-	want := reportJSON(t, chaos.Search(scfg))
+	midBatch(t, Config{Search: scfg, LeaseTimeout: time.Second, Backoff: 10 * time.Millisecond},
+		func(net.Conn) {})
+}
 
-	coord, err := NewCoordinator(Config{Search: scfg, LeaseTimeout: time.Second, Backoff: 10 * time.Millisecond})
+// TestFleetLastWorkerDies: when the only worker drops its lease, the
+// coordinator evaluates what is queued at once. The lease timeout is a
+// minute, so nothing periodic can be what runs the queue.
+func TestFleetLastWorkerDies(t *testing.T) {
+	scfg := chaos.SearchConfig{
+		Apps: fleetApps(t, "bank", "kvstore"),
+		Seed: 5, Budget: 16, CheckEvery: 64,
+	}
+	want := reportJSON(t, chaos.Search(scfg))
+	coord, err := NewCoordinator(Config{Search: scfg, LeaseTimeout: 60 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	healthy := &Worker{Join: coord.Addr(), Name: "healthy"}
-	staller := &Worker{Join: coord.Addr(), Name: "staller", stallOnLease: 1, stallFor: time.Minute}
-	go healthy.Run(ctx)
-	go staller.Run(ctx)
-	waitSessions(t, coord, 2)
+	conn := handMade(t, coord)
+	waitSessions(t, coord, 1)
+	ran := runAsync(coord)
+	takeLease(t, conn)
+	conn.Close()
 
-	rep, err := coord.Run()
-	if err != nil {
-		t.Fatal(err)
+	diffJSON(t, "last worker died", want, reportJSON(t, await(t, ran, 3*time.Second)))
+	if reissues, locals := coord.Stats(); reissues != 1 || locals == 0 {
+		t.Errorf("reissues = %d, locals = %d; want the dropped lease reissued once and the rest run locally", reissues, locals)
 	}
-	diffJSON(t, "partitioned worker", want, reportJSON(t, rep))
-	reissues, _ := coord.Stats()
-	if reissues < 1 {
-		t.Errorf("partitioned lease was not reissued: reissues = %d", reissues)
+}
+
+// TestFleetWorkersExitAfterClose: a worker on a context that is never
+// canceled returns once the coordinator it served has run its search,
+// closed and exited. The coordinator is this test re-run as a child
+// process that exits right after Close, as fixd-fleet -coordinate does, so
+// a Done frame its sessions had not written by then would never reach the
+// worker, which would redial the dead address forever.
+func TestFleetWorkersExitAfterClose(t *testing.T) {
+	if os.Getenv("FLEET_TEST_COORDINATOR") != "" {
+		coord, err := NewCoordinator(Config{
+			Search:          chaos.SearchConfig{Apps: fleetApps(t, "bank"), Seed: 1, Budget: 4, CheckEvery: 64},
+			NoLocalFallback: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Println(coord.Addr())
+		_, err = coord.Run()
+		coord.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.Exit(0)
+	}
+	for round := range 10 {
+		child := exec.Command(os.Args[0], "-test.run=^TestFleetWorkersExitAfterClose$")
+		// Under -race a process sleeps a second at exit unless told not to.
+		child.Env = append(os.Environ(), "FLEET_TEST_COORDINATOR=1", "GORACE="+os.Getenv("GORACE")+" atexit_sleep_ms=0")
+		child.Stderr = os.Stderr
+		out, err := child.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := child.Start(); err != nil {
+			t.Fatal(err)
+		}
+		addr, err := bufio.NewReader(out).ReadString('\n')
+		if err != nil {
+			child.Process.Kill()
+			t.Fatalf("round %d: the coordinator process printed no address: %v", round, err)
+		}
+		returned := make(chan struct{})
+		go func() {
+			(&Worker{Join: strings.TrimSpace(addr)}).Run(context.Background())
+			close(returned)
+		}()
+		select {
+		case <-returned:
+		case <-time.After(5 * time.Second):
+			child.Process.Kill()
+			t.Fatalf("round %d: the worker still runs 5 s after its coordinator was asked to finish", round)
+		}
+		if err := child.Wait(); err != nil {
+			t.Fatalf("round %d: coordinator process: %v", round, err)
+		}
 	}
 }
 
@@ -242,17 +364,8 @@ func resumeOnly(t *testing.T, scfg chaos.SearchConfig, path string) *chaos.Searc
 // runWithin runs the search, giving up after d; ok is false if Run had not
 // returned by then (the caller's deferred Close unblocks it).
 func runWithin(coord *Coordinator, d time.Duration) (rep *chaos.SearchReport, ok bool, err error) {
-	type out struct {
-		rep *chaos.SearchReport
-		err error
-	}
-	ch := make(chan out, 1)
-	go func() {
-		rep, err := coord.Run()
-		ch <- out{rep, err}
-	}()
 	select {
-	case o := <-ch:
+	case o := <-runAsync(coord):
 		return o.rep, true, o.err
 	case <-time.After(d):
 		return nil, false, nil

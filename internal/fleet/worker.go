@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/chaos"
@@ -12,9 +13,10 @@ import (
 // Worker is one stateless fleet evaluator: it dials the coordinator,
 // answers leases — evaluating candidate schedules on the pooled
 // chaos.Runner arenas, or minimizing a failing schedule with the same
-// LocalShrinker code the in-process search uses — and redials with backoff
-// when the connection drops. A worker holds no search state at all; kill
-// one at any moment and the coordinator reissues its lease elsewhere with
+// LocalShrinker code the in-process search uses — and redials when the
+// connection drops, until the coordinator sends Done. A worker holds no
+// search state at all; kill one at any moment and the coordinator reissues
+// its lease elsewhere, or evaluates it itself once no worker is left, with
 // no effect on the final report.
 type Worker struct {
 	// Join is the coordinator's address.
@@ -25,82 +27,39 @@ type Worker struct {
 	// (default 1). Each session is an independent connection, so one
 	// worker process can saturate several cores.
 	Slots int
-	// RedialDelay is the pause before reconnecting after a connection
-	// failure (default 200ms).
-	RedialDelay time.Duration
-
-	// Test instrumentation (in-package tests only): crash the worker by
-	// dropping its connection without answering the Nth lease it receives
-	// (counted across sessions), or partition it — hold the lease silently
-	// for stallFor — on the Nth lease. Zero disables.
-	failOnLease  int
-	stallOnLease int
-	stallFor     time.Duration
-
-	leases chan int // lease arrival counter, when instrumented
 }
+
+// redialDelay is the pause before a worker reconnects after a connection
+// failure.
+const redialDelay = 200 * time.Millisecond
 
 // Run serves leases until the coordinator reports the search done or the
-// context is canceled. A lost connection is retried; a Done frame ends the
-// worker cleanly.
-func (w *Worker) Run(ctx context.Context) error {
-	slots := w.Slots
-	if slots <= 0 {
-		slots = 1
+// context is canceled. A lost connection is redialed after redialDelay; a
+// Done frame ends the worker cleanly.
+func (w *Worker) Run(ctx context.Context) {
+	var wg sync.WaitGroup
+	for slot := range max(w.Slots, 1) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !w.session(ctx, slot) && ctx.Err() == nil {
+				select {
+				case <-ctx.Done():
+				case <-time.After(redialDelay):
+				}
+			}
+		}()
 	}
-	redial := w.RedialDelay
-	if redial <= 0 {
-		redial = 200 * time.Millisecond
-	}
-	if w.failOnLease > 0 || w.stallOnLease > 0 {
-		w.leases = make(chan int, 1)
-		w.leases <- 0
-	}
-	errs := make(chan error, slots)
-	for s := 0; s < slots; s++ {
-		go func(slot int) { errs <- w.serve(ctx, slot, redial) }(s)
-	}
-	var first error
-	for s := 0; s < slots; s++ {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	wg.Wait()
 }
 
-// serve runs one lease session: dial, hello, answer leases, redial on
-// failure.
-func (w *Worker) serve(ctx context.Context, slot int, redial time.Duration) error {
-	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		done, err := w.session(ctx, slot)
-		if done || ctx.Err() != nil {
-			return nil
-		}
-		if err == errInstrumentedExit {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(redial):
-		}
-	}
-}
-
-// errInstrumentedExit marks a deliberate test-hook crash or stall.
-var errInstrumentedExit = fmt.Errorf("fleet: worker instrumented exit")
-
-// session runs one connection to completion. done reports a clean Done
-// frame from the coordinator.
-func (w *Worker) session(ctx context.Context, slot int) (done bool, err error) {
+// session runs one connection to completion: dial, hello, answer leases.
+// It reports whether the coordinator ended it with a Done frame.
+func (w *Worker) session(ctx context.Context, slot int) bool {
 	d := net.Dialer{Timeout: 5 * time.Second}
 	conn, err := d.DialContext(ctx, "tcp", w.Join)
 	if err != nil {
-		return false, err
+		return false
 	}
 	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
@@ -112,56 +71,28 @@ func (w *Worker) session(ctx context.Context, slot int) (done bool, err error) {
 	}
 	hello := &Hello{Proto: ProtoVersion, Name: fmt.Sprintf("%s/%d", name, slot)}
 	if err := WriteFrame(conn, &Frame{Type: FrameHello, Hello: hello}); err != nil {
-		return false, err
+		return false
 	}
 	for {
 		f, err := ReadFrame(conn)
 		if err != nil {
-			return false, err
+			return false
 		}
 		switch f.Type {
 		case FrameDone:
-			return true, nil
+			return true
 		case FrameLease:
-			if hooked, herr := w.hook(ctx, f.Lease); hooked {
-				return false, herr
-			}
 			res := evalLease(f.Lease)
 			if f.Lease.DeadlineMS > 0 {
 				conn.SetWriteDeadline(time.Now().Add(time.Duration(f.Lease.DeadlineMS) * time.Millisecond))
 			}
 			if err := WriteFrame(conn, &Frame{Type: FrameResult, Result: res}); err != nil {
-				return false, err
+				return false
 			}
 		default:
-			return false, fmt.Errorf("fleet: unexpected frame type %d", f.Type)
+			return false // a coordinator sends no other frame
 		}
 	}
-}
-
-// hook applies the test instrumentation: returns hooked=true when this
-// lease must not be answered (crash or stall).
-func (w *Worker) hook(ctx context.Context, l *Lease) (bool, error) {
-	if w.leases == nil {
-		return false, nil
-	}
-	n := <-w.leases + 1
-	w.leases <- n
-	if w.failOnLease > 0 && n >= w.failOnLease {
-		return true, errInstrumentedExit // drop the connection mid-lease
-	}
-	if w.stallOnLease > 0 && n >= w.stallOnLease {
-		stall := w.stallFor
-		if stall <= 0 {
-			stall = 30 * time.Second
-		}
-		select { // partitioned: hold the lease silently
-		case <-ctx.Done():
-		case <-time.After(stall):
-		}
-		return true, errInstrumentedExit
-	}
-	return false, nil
 }
 
 // evalLease answers one lease. All the determinism-critical work happens

@@ -256,10 +256,6 @@ func (e *Engine) Explore(root State, opts Options) *Result {
 		x.push(root, rootNode, 0)
 		for len(x.frontier) > 0 {
 			it := x.pop()
-			if opts.MaxDepth > 0 && it.steps >= opts.MaxDepth {
-				x.res.Truncated = true
-				continue
-			}
 			enabled = enabled[:0]
 			for _, a := range actions {
 				if a.Enabled(it.state) {
@@ -269,6 +265,11 @@ func (e *Engine) Explore(root State, opts Options) *Result {
 			if len(enabled) == 0 && opts.CheckDeadlock && !it.n.dead {
 				it.n.dead = true
 				x.res.Deadlocks = append(x.res.Deadlocks, it.n.key)
+			}
+			// A state at the bound truncates only if it had somewhere to go.
+			if opts.MaxDepth > 0 && it.steps >= opts.MaxDepth {
+				x.res.Truncated = x.res.Truncated || len(enabled) > 0
+				continue
 			}
 			if pick != nil && len(enabled) > 0 {
 				enabled = append(enabled[:0], enabled[pick(len(enabled))])

@@ -147,6 +147,19 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestDeadlockAtDepthBound: a state at MaxDepth with no enabled action is
+// a deadlock, and since nothing lies beyond it the run is not truncated.
+func TestDeadlockAtDepthBound(t *testing.T) {
+	e := NewEngine()
+	e.AddAction(incAction("inc", 1, 3)) // disabled once n=3
+	for _, s := range []Strategy{BFS, DFS} {
+		res := e.Explore(&counter{}, Options{Strategy: s, MaxDepth: 3, CheckDeadlock: true})
+		if len(res.Deadlocks) != 1 || res.Deadlocks[0] != "3" || res.Truncated {
+			t.Errorf("%v: deadlocks = %v, truncated = %v; want [3] and false", s, res.Deadlocks, res.Truncated)
+		}
+	}
+}
+
 func TestHeuristicSearchOrder(t *testing.T) {
 	// Heuristic that prefers larger n should find the violation with far
 	// fewer visited states than plain BFS on a wide graph.

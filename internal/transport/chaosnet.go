@@ -39,10 +39,6 @@ type ChaosNet struct {
 	dropped    atomic.Uint64
 	duplicated atomic.Uint64
 	corrupted  atomic.Uint64
-
-	// tap, when set, sees every routed message with its verdict ("deliver",
-	// "drop", "partition", "dup", "corrupt"): the tests' observation point.
-	tap func(msg Message, verdict string)
 }
 
 // NewChaosNet returns an empty rule set. now supplies the current virtual
@@ -102,7 +98,6 @@ func (n *ChaosNet) route(inner Transport, msg Message) error {
 	if n.rules.Partitioned(msg.From, msg.To, t) {
 		n.mu.Unlock()
 		n.dropped.Add(1)
-		n.emit(msg, "partition")
 		return nil
 	}
 	// Sender-side link delay, then the receiver's handler lag: a slow node
@@ -128,16 +123,13 @@ func (n *ChaosNet) route(inner Transport, msg Message) error {
 
 	if corrupt {
 		n.corrupted.Add(1)
-		n.emit(msg, "corrupt")
 	}
 	if drop {
 		n.dropped.Add(1)
-		n.emit(msg, "drop")
 		return nil
 	}
 	if dup {
 		n.duplicated.Add(1)
-		n.emit(msg, "dup")
 		n.dispatch(inner, msg, dupDelay)
 	}
 	return n.dispatch(inner, msg, delay)
@@ -149,14 +141,12 @@ func (n *ChaosNet) route(inner Transport, msg Message) error {
 func (n *ChaosNet) dispatch(inner Transport, msg Message, delayTicks uint64) error {
 	if delayTicks == 0 {
 		n.delivered.Add(1)
-		n.emit(msg, "deliver")
 		return inner.Send(msg)
 	}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		n.dropped.Add(1)
-		n.emit(msg, "drop")
 		return nil
 	}
 	n.timerN++
@@ -170,11 +160,9 @@ func (n *ChaosNet) dispatch(inner Transport, msg Message, delayTicks uint64) err
 		n.mu.Unlock()
 		if closed {
 			n.dropped.Add(1)
-			n.emit(msg, "drop")
 			return
 		}
 		n.delivered.Add(1)
-		n.emit(msg, "deliver")
 		inner.Send(msg) //nolint:errcheck // best effort after the delay window
 	})
 	n.mu.Unlock()
@@ -194,12 +182,6 @@ func (n *ChaosNet) Close() error {
 		delete(n.timers, id)
 	}
 	return nil
-}
-
-func (n *ChaosNet) emit(msg Message, verdict string) {
-	if n.tap != nil {
-		n.tap(msg, verdict)
-	}
 }
 
 // chaosTransport is the per-node decorator produced by Wrap.

@@ -132,8 +132,6 @@ func TestChaosNetPartition(t *testing.T) {
 func TestChaosNetCorruptMutatesCopy(t *testing.T) {
 	net := NewChaosNet(func() uint64 { return 10 }, time.Millisecond, 1)
 	net.Inject(inject.Injection{Kind: inject.Corrupt, At: 0, Until: 100, Prob: 1.0})
-	var verdicts []string
-	net.tap = func(_ Message, v string) { verdicts = append(verdicts, v) }
 	tr, _, b := chaosEnv(t, net)
 	orig := []byte("payload")
 	sent := append([]byte(nil), orig...)
@@ -154,11 +152,8 @@ func TestChaosNetCorruptMutatesCopy(t *testing.T) {
 	if string(sent) != string(orig) {
 		t.Errorf("sender's payload buffer was mutated in place: %q", sent)
 	}
-	if net.corrupted.Load() != 1 {
-		t.Errorf("corrupted = %d, want 1", net.corrupted.Load())
-	}
-	if len(verdicts) != 2 || verdicts[0] != "corrupt" || verdicts[1] != "deliver" {
-		t.Errorf("verdicts = %v, want [corrupt deliver]", verdicts)
+	if net.corrupted.Load() != 1 || net.delivered.Load() != 1 {
+		t.Errorf("corrupted = %d, delivered = %d, want 1 and 1", net.corrupted.Load(), net.delivered.Load())
 	}
 }
 
@@ -201,19 +196,5 @@ func TestChaosNetSlowLagsOnlyReceiver(t *testing.T) {
 	}
 	if took := time.Since(start); took < 100*time.Millisecond {
 		t.Errorf("delivery took %v, want >= ~200ms of slow-node lag", took)
-	}
-}
-
-func TestChaosNetTap(t *testing.T) {
-	net := NewChaosNet(func() uint64 { return 10 }, time.Millisecond, 1)
-	var verdicts []string
-	net.tap = func(_ Message, v string) { verdicts = append(verdicts, v) }
-	net.Inject(inject.Injection{Kind: inject.Drop, At: 0, Until: 100, Prob: 1.0})
-	tr, _, _ := chaosEnv(t, net)
-	if err := tr.Send(Message{From: "a", To: "b"}); err != nil {
-		t.Fatal(err)
-	}
-	if len(verdicts) != 1 || verdicts[0] != "drop" {
-		t.Errorf("verdicts = %v", verdicts)
 	}
 }
