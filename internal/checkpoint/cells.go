@@ -1,91 +1,106 @@
 package checkpoint
 
 import (
-	"math"
+	"maps"
+	"slices"
 	"sort"
 )
 
 // Cells is one process's stable storage (Context.Durable…; the model is
-// described in internal/dsim/durable.go): the in-memory cell map a
-// dsim.Kernel holds on every backend, which the live backend also writes
-// ahead to a log (substrate's durableStore). A restore never rewinds it —
-// a disk outlives a crash — so each cell carries a stamp derived from the
-// writer's scroll position, the coordinate checkpoints pin
-// (Checkpoint.ScrollSeq; the kernel says how), and a deliberate rollback
-// fences the abandoned timeline's writes by stamp (Fence), with no clock
-// involved. The zero value is an empty store; clear empties it.
+// described in internal/dsim/durable.go): its puts in the order it made
+// them, each key's newest indexed. A dsim.Kernel holds it on every backend;
+// the live backend also writes it ahead to a log (substrate's
+// durableStore). A restore never rewinds it — a disk outlives a crash — so
+// a checkpoint records how many puts it held (Checkpoint.Disk, from Len):
+// the disk as of the checkpoint is At(Disk), and a deliberate rollback to it
+// cuts the later puts (Fence). The zero value is an empty store.
 // Synchronization is the caller's.
-type Cells map[string]cell
-
-type cell struct {
-	value []byte
-	stamp uint64
+type Cells struct {
+	puts   []put
+	newest map[string]int // key -> index in puts of its newest put
 }
 
-// Put installs value under key with the given stamp.
+type put struct {
+	key   string
+	value []byte
+}
+
+// Put installs value under key.
 // The store keeps value itself, not a copy: the caller hands over a copy it
 // made — and may record the write with the same bytes — and nobody may
 // modify it afterwards.
-func (c *Cells) Put(key string, value []byte, stamp uint64) {
-	if *c == nil {
-		*c = make(Cells)
+func (c *Cells) Put(key string, value []byte) {
+	if c.newest == nil {
+		c.newest = make(map[string]int)
 	}
-	(*c)[key] = cell{value: value, stamp: stamp}
+	c.newest[key] = len(c.puts)
+	c.puts = append(c.puts, put{key: key, value: value})
 }
 
+// Len returns the number of puts the store holds.
+func (c *Cells) Len() int { return len(c.puts) }
+
 // Get returns the stored value (not a copy) and whether the key is present.
-func (c Cells) Get(key string) ([]byte, bool) {
-	cl, ok := c[key]
-	return cl.value, ok
+func (c *Cells) Get(key string) ([]byte, bool) {
+	if i, ok := c.newest[key]; ok {
+		return c.puts[i].value, true
+	}
+	return nil, false
 }
 
 // Keys returns the sorted keys.
-func (c Cells) Keys() []string {
-	keys := make([]string, 0, len(c))
-	for k := range c {
+func (c *Cells) Keys() []string {
+	keys := make([]string, 0, len(c.newest))
+	for k := range c.newest {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
 }
 
-// Snapshot deep-copies every cell (nil when there is none).
-func (c Cells) Snapshot() map[string][]byte { return c.SnapshotAt(math.MaxUint64) }
-
-// SnapshotAt deep-copies the cells stamped strictly before stamp (nil when
-// there is none) — the boundary Fence cuts at, so "as of this checkpoint"
-// means the same thing to a rollback and to an investigation seeded from
-// one.
-func (c Cells) SnapshotAt(stamp uint64) map[string][]byte {
+// At deep-copies the cells as the first n puts left them (nil when there is
+// none): the disk as of a checkpoint whose Disk is n, where Fence cuts, or
+// every cell when n is Len.
+func (c *Cells) At(n int) map[string][]byte {
 	var out map[string][]byte
-	for k, cl := range c {
-		if cl.stamp >= stamp {
+	for k, i := range c.newest {
+		if i >= n {
 			continue
 		}
 		if out == nil {
-			out = make(map[string][]byte, len(c))
+			out = make(map[string][]byte, len(c.newest))
 		}
-		out[k] = append([]byte(nil), cl.value...)
+		out[k] = append([]byte(nil), c.puts[i].value...)
 	}
 	return out
 }
 
-// Fence is the cell half of timeline fencing: it deletes every cell stamped
-// at or after stamp — the writes of the timeline a deliberate rollback
-// abandons, which a later crash-restart must not find — and returns their
-// keys, sorted. A put on the new timeline revives a key. Crash-restart
-// recovery never fences: there the disk is the authoritative recovery
-// source and nothing is abandoned.
-func (c Cells) Fence(stamp uint64) []string {
-	var fenced []string
-	for k, cl := range c {
-		if cl.stamp >= stamp {
-			fenced = append(fenced, k)
+// Fence is the cell half of timeline fencing: it cuts the store back to its
+// first n puts — the writes of the timeline a deliberate rollback abandons,
+// which a later crash-restart must not find — and returns the keys that
+// changed, sorted. A key whose newest put it cuts goes; a put on the new
+// timeline revives it. Crash-restart never fences.
+func (c *Cells) Fence(n int) []string {
+	var changed []string
+	for k, i := range c.newest {
+		if i >= n {
+			changed = append(changed, k)
+			delete(c.newest, k)
 		}
 	}
-	sort.Strings(fenced)
-	for _, k := range fenced {
-		delete(c, k)
-	}
-	return fenced
+	sort.Strings(changed)
+	c.puts = c.puts[:min(n, len(c.puts))]
+	return changed
+}
+
+// Reset empties the store in place, keeping its memory for the next run.
+func (c *Cells) Reset() {
+	c.puts = c.puts[:0]
+	clear(c.newest)
+}
+
+// Clone returns a store that reads as c does. It shares c's puts, clipped:
+// its first put copies them, but a Fence or Reset of c cuts what it reads.
+func (c *Cells) Clone() Cells {
+	return Cells{puts: slices.Clip(c.puts), newest: maps.Clone(c.newest)}
 }

@@ -9,27 +9,27 @@ import (
 )
 
 // cellsModel is the plain-map reference the cell map is checked against: a
-// put overwrites, a fence deletes by write position, a snapshot filters by
-// it. (substrate's TestDurableStoreInvalidate runs the same walk through the
+// put overwrites, a fence deletes by put count, a snapshot filters by it.
+// (substrate's TestDurableStoreInvalidate runs the same walk through the
 // WAL-backed wrapper, with reopens.)
 type cellsModel map[string]struct {
-	Value    string
-	WriteSeq uint64
+	Value string
+	At    int // the put's index among the store's puts
 }
 
-// put mirrors Cells.Put.
-func (m cellsModel) put(key, value string, writeSeq uint64) {
+// put mirrors Cells.Put, the at-th put.
+func (m cellsModel) put(key, value string, at int) {
 	m[key] = struct {
-		Value    string
-		WriteSeq uint64
-	}{value, writeSeq}
+		Value string
+		At    int
+	}{value, at}
 }
 
 // fence mirrors Cells.Fence.
-func (m cellsModel) fence(seq uint64) []string {
+func (m cellsModel) fence(n int) []string {
 	var fenced []string
 	for k, c := range m {
-		if c.WriteSeq >= seq {
+		if c.At >= n {
 			fenced = append(fenced, k)
 			delete(m, k)
 		}
@@ -39,7 +39,7 @@ func (m cellsModel) fence(seq uint64) []string {
 }
 
 // check compares everything Cells can be asked against the model.
-func (m cellsModel) check(t *testing.T, c Cells, probes []string, seqs []uint64) {
+func (m cellsModel) check(t *testing.T, c Cells, probes []string, n int) {
 	t.Helper()
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -55,10 +55,10 @@ func (m cellsModel) check(t *testing.T, c Cells, probes []string, seqs []uint64)
 			t.Fatalf("Get(%q) = %q, %v; want %q, %v", k, v, ok, want.Value, present)
 		}
 	}
-	at := func(seq uint64) map[string][]byte {
+	at := func(n int) map[string][]byte {
 		var out map[string][]byte
 		for k, cl := range m {
-			if cl.WriteSeq < seq {
+			if cl.At < n {
 				if out == nil {
 					out = map[string][]byte{}
 				}
@@ -67,12 +67,12 @@ func (m cellsModel) check(t *testing.T, c Cells, probes []string, seqs []uint64)
 		}
 		return out
 	}
-	if got, want := c.Snapshot(), at(^uint64(0)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Snapshot = %v, want %v", got, want)
+	if got := c.Len(); got != n {
+		t.Fatalf("Len = %d, want %d", got, n)
 	}
-	for _, seq := range seqs {
-		if got, want := c.SnapshotAt(seq), at(seq); !reflect.DeepEqual(got, want) {
-			t.Fatalf("SnapshotAt(%d) = %v, want %v", seq, got, want)
+	for i := 0; i <= n+1; i++ {
+		if got, want := c.At(i), at(i); !reflect.DeepEqual(got, want) {
+			t.Fatalf("At(%d) = %v, want %v", i, got, want)
 		}
 	}
 }
@@ -85,32 +85,32 @@ func TestCellsAgainstModel(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		var c Cells
 		m := cellsModel{}
-		m.check(t, c, keys, []uint64{0, 1}) // the zero value reads as empty
-		seq := uint64(0)
+		m.check(t, c, keys, 0) // the zero value reads as empty
+		n := 0
 		for step := 0; step < 200; step++ {
 			switch op := r.Intn(10); {
 			case op < 6:
-				seq += uint64(r.Intn(3)) // several writes may share a position
 				k, v := keys[r.Intn(5)], string(rune('A'+r.Intn(26)))
-				m.put(k, v, seq)
+				m.put(k, v, n)
+				n++
 				buf := []byte(v)
-				c.Put(k, buf, seq)
+				c.Put(k, buf)
 				if got, _ := c.Get(k); &got[0] != &buf[0] {
 					t.Fatalf("seed %d: cell holds a copy of %q: want the caller's own copy, kept", seed, v)
 				}
 			case op < 8:
-				at := uint64(r.Intn(int(seq) + 2))
+				at := r.Intn(n + 2)
 				if got, want := c.Fence(at), m.fence(at); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d: Fence(%d) = %v, want %v", seed, at, got, want)
 				}
-				seq = min(seq, at) // the writer's scroll was truncated to the line
+				n = min(n, at)
 			default:
-				m.check(t, c, keys, []uint64{0, seq / 2, seq, seq + 1})
+				m.check(t, c, keys, n)
 			}
 		}
-		m.check(t, c, keys, []uint64{0, seq / 2, seq, seq + 1})
+		m.check(t, c, keys, n)
 		// Snapshots are deep copies.
-		if snap := c.Snapshot(); len(snap) > 0 {
+		if snap := c.At(c.Len()); len(snap) > 0 {
 			for k, v := range snap {
 				v[0] = '!'
 				if got, _ := c.Get(k); bytes.Equal(got, v) {
@@ -118,7 +118,7 @@ func TestCellsAgainstModel(t *testing.T) {
 				}
 			}
 		}
-		clear(c)
-		cellsModel{}.check(t, c, keys, []uint64{0, 1})
+		c.Reset()
+		cellsModel{}.check(t, c, keys, 0)
 	}
 }

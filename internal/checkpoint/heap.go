@@ -63,11 +63,11 @@
 //     dsim.Kernel.Restore). Bytes that come from no checkpoint — a dynamic
 //     update's, the Investigator's — load through RestoreState.
 //   - The timeline fence — what of the abandoned timeline must not survive
-//     a deliberate rollback to a checkpoint at scroll position n:
-//     Store.PruneAfter (its later checkpoints) and Cells.Fence (its
-//     stable-storage writes), cut at the same coordinate; both backends
-//     call them from dsim.Kernel.Abandon. Cells is the one stable-storage
-//     cell map; the live backend adds a write-ahead log around it.
+//     a deliberate rollback to a checkpoint: Store.PruneAfter (its later
+//     checkpoints) and Cells.Fence (its stable-storage puts, cut at the
+//     checkpoint's Disk); both backends call them from dsim.Kernel.Abandon.
+//     Cells is the one stable store; the live backend adds a write-ahead
+//     log around it.
 //
 // What stays per backend is how a process is paused, locked and re-armed
 // around those calls; the process-local half is dsim.Kernel's.

@@ -21,6 +21,7 @@ type Checkpoint struct {
 	Proc      string    // owning process
 	Clock     vclock.VC // vector time when taken
 	ScrollSeq uint64    // scroll position when taken (for log truncation/replay)
+	Disk      int       // puts its process's stable storage held when taken (Cells.Len)
 	Time      uint64    // virtual time when taken
 	Snap      *Snapshot // heap contents
 	// Extra is the serialized non-heap (machine) state, opaque to the store:
@@ -223,8 +224,8 @@ func (s *Store) Len() int {
 // the prune half of timeline fencing. A deliberate rollback to a checkpoint
 // at scrollSeq abandons everything the process did past it; the later
 // checkpoints snapshot that abandoned timeline, and Latest must not hand
-// them to a subsequent crash-restart. Stable-storage cells are fenced at
-// the same coordinate (Cells.Fence).
+// them to a subsequent crash-restart. Stable storage is cut at the
+// checkpoint's Disk instead (Cells.Fence).
 func (s *Store) PruneAfter(proc string, scrollSeq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -96,9 +96,7 @@ type Context interface {
 	// heal, speculation aborts) are different — they abandon the timeline
 	// the write happened on, so cells written after the restored checkpoint
 	// are fenced (invisible to later reads) rather than re-installed. The
-	// write is stamped one past its scroll position — the position a fence
-	// compares with the restored checkpoint's — and recorded in the scroll,
-	// so replays observe it.
+	// write is recorded in the scroll, so replays observe it.
 	DurablePut(key string, value []byte)
 	// DurableGet reads a stable-storage cell. The outcome is recorded in
 	// the scroll (KindEnv), so per-process replay feeds the same value back.
@@ -370,7 +368,7 @@ func (s *Sim) Reset(cfg Config) {
 		// Stable storage survives everything within a run; between runs it
 		// must vanish, or pooled and fresh simulations would diverge (see
 		// TestDurableResetEquivalence).
-		clear(p.cells)
+		p.cells.Reset()
 		s.spare[id] = p
 		delete(s.procs, id)
 	}

@@ -10,30 +10,22 @@ import (
 
 // Stable storage (Context.DurablePut/DurableGet/DurableKeys) models the
 // one resource a crash cannot take away from a process: its disk. Each
-// process's kernel owns a flat cell store (Kernel.cells) that is written
+// process's kernel owns the puts it made, in order (Kernel.cells), written
 // through the context and deliberately NOT rewound by a restore — which is
 // what makes classically unrecoverable processes (a 2PC coordinator whose
 // broadcast decision would otherwise be forgotten, a KV primary whose
 // version assignments replicas already applied) genuinely
 // crash-restartable (paper §3.1: liblog/Flashback-style durable logging).
-// Deliberate rollbacks are fenced by the restored checkpoint's scroll
-// position instead: a RollbackTo-path rollback (Time Machine, heal,
-// injected, speculation abort) abandons the timeline it rewinds, so cells
-// written at or past that position are fenced (deleted, FenceCells, through
-// Kernel.Abandon) — a crash-restart that fires later recovers the restored
-// timeline's cells, never the abandoned one's. The simulator keeps
-// the cells only in memory, and Sim.Reset clears them along with the rest
-// of the arena, so a pooled simulation starts every run exactly like a
-// fresh one; the live substrate also writes them ahead to a log on disk.
-//
-// A cell is stamped one past the scroll position of the write that made
-// it, on every backend. Stamp 0 is left to cells the live substrate
-// recovers from its log: checkpoints are not persisted, so a recovered
-// cell predates every checkpoint of the incarnation that recovered it, and
-// no fence of that incarnation reaches it and every line sees it.
-// FenceCells and CellsAt take a scroll position and cut one past it, so
-// "as of a checkpoint" means the same to a rollback and to an
-// investigation seeded from one.
+// A checkpoint records how many puts there were (Checkpoint.Disk): the one
+// coordinate for the disk as of it (Cells.At), whatever a crash-restart
+// rewound in between. A deliberate rollback (Time Machine, heal, injected,
+// speculation abort) abandons the timeline it rewinds, so Kernel.Abandon
+// cuts the puts made after the restored checkpoint (Cells.Fence) — a
+// crash-restart that fires later recovers the restored timeline's cells,
+// never the abandoned one's. The simulator keeps the cells only in memory,
+// and Sim.Reset clears them along with the rest of the arena, so a pooled
+// simulation starts every run exactly like a fresh one; the live substrate
+// also writes them ahead to a log on disk.
 //
 // Every durable operation is recorded in the process's scroll as a
 // KindEnv record under the MsgIDs below, with the same payload encodings
@@ -119,22 +111,12 @@ func (k *Kernel) DurableKeys() []string { return k.RecordDurableKeys(k.cells.Key
 // disk, an explorer to seed and copy them, and a snapshot to read them.
 func (k *Kernel) Cells() *checkpoint.Cells { return &k.cells }
 
-// FenceCells deletes the cells a deliberate rollback to a checkpoint at
-// scroll position seq abandons — those written at or after it — and
-// returns their keys, sorted. Crash-restart recovery never fences.
-func (k *Kernel) FenceCells(seq uint64) []string { return k.cells.Fence(seq + 1) }
-
-// CellsAt deep-copies the cells written strictly before scroll position
-// seq, and every recovered cell (nil when there is none): the cells as of
-// a checkpoint at seq.
-func (k *Kernel) CellsAt(seq uint64) map[string][]byte { return k.cells.SnapshotAt(seq + 1) }
-
 // DurableSnapshot returns Disks of the simulation's processes.
 func (s *Sim) DurableSnapshot() map[string]map[string][]byte { return disks(s.kernels(), nil, false) }
 
 // DurableSnapshotAt returns DisksAt of the simulation's processes.
-func (s *Sim) DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string][]byte {
-	return disks(s.kernels(), lineSeq, true)
+func (s *Sim) DurableSnapshotAt(line map[string]*checkpoint.Checkpoint) map[string]map[string][]byte {
+	return disks(s.kernels(), line, true)
 }
 
 // Disks returns a deep copy of the stable-storage cells of the kernels procs
@@ -145,30 +127,29 @@ func (s *Sim) DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string
 // digest.
 func Disks(procs iter.Seq[*Kernel]) map[string]map[string][]byte { return disks(procs, nil, false) }
 
-// DisksAt returns the cells as of a recovery line: for each process present
-// in lineSeq, only cells written strictly before that process's line scroll
-// position (the same boundary a rollback fences). Processes absent from the
-// line — no checkpoint, so an investigation starts them from initial state —
-// are omitted: a fresh timeline has written nothing. This is what the
-// Investigator seeds its explored disks from, so exploration from a recovery
-// line never observes cells the line's timeline had not yet written.
-func DisksAt(procs iter.Seq[*Kernel], lineSeq map[string]uint64) map[string]map[string][]byte {
-	return disks(procs, lineSeq, true)
+// DisksAt returns the cells as of a recovery line: for each process on the
+// line, the cells as its checkpoint saw them (Cells.At its Disk, the same
+// boundary a rollback to it fences). Processes off the line are omitted.
+// This is what the Investigator seeds its explored disks from, so
+// exploration from a recovery line never observes cells the line's
+// timeline had not yet written.
+func DisksAt(procs iter.Seq[*Kernel], line map[string]*checkpoint.Checkpoint) map[string]map[string][]byte {
+	return disks(procs, line, true)
 }
 
 // disks is DisksAt when at is set, Disks otherwise. The simulator calls it
 // directly: inlined there with its iterator, it allocates nothing but the
 // snapshot.
-func disks(procs iter.Seq[*Kernel], lineSeq map[string]uint64, at bool) map[string]map[string][]byte {
+func disks(procs iter.Seq[*Kernel], line map[string]*checkpoint.Checkpoint, at bool) map[string]map[string][]byte {
 	var out map[string]map[string][]byte
 	for k := range procs {
-		var cells map[string][]byte
-		if seq, ok := lineSeq[k.id]; ok {
-			cells = k.CellsAt(seq)
-		} else if !at {
-			cells = k.cells.Snapshot()
+		n := k.cells.Len()
+		if ck, ok := line[k.id]; ok {
+			n = ck.Disk
+		} else if at {
+			continue
 		}
-		if cells != nil {
+		if cells := k.cells.At(n); cells != nil {
 			if out == nil {
 				out = make(map[string]map[string][]byte)
 			}

@@ -270,12 +270,12 @@ func (k *Kernel) RecordTimer(name string) {
 }
 
 // RecordDurablePut records a stable-storage write of key = value and
-// writes the cell (durable.go has the stamp). Record and cell share one copy
-// of value, which it returns together with the write's scroll position, for
-// a backend that also logs the write.
+// writes the cell. Record and cell share one copy of value, which it
+// returns together with the write's scroll position, for a backend that
+// also logs the write.
 func (k *Kernel) RecordDurablePut(key string, value []byte) (body []byte, seq uint64) {
 	body, seq = k.recordPut(key, value)
-	k.cells.Put(key, body, seq+1)
+	k.cells.Put(key, body)
 	return body, seq
 }
 
@@ -331,9 +331,9 @@ func (k *Kernel) RecordFence(id, from string, epoch, current uint64) {
 }
 
 // Checkpoint snapshots the process at virtual time now — heap, machine
-// state, clock and scroll position, with the names of the timers pending —
-// files it in the backend's store and records it. label names the policy
-// that took it.
+// state, clock, scroll position and disk, with the names of the timers
+// pending — files it in the backend's store and records it. label names
+// the policy that took it.
 func (k *Kernel) Checkpoint(store *checkpoint.Store, now uint64, label string, timers []string) *checkpoint.Checkpoint {
 	snap := k.heap.Snapshot()
 	extra, codec, err := k.mem.ckmem.Encode(k.machine.State())
@@ -344,6 +344,7 @@ func (k *Kernel) Checkpoint(store *checkpoint.Store, now uint64, label string, t
 		Proc:      k.id,
 		Clock:     k.ClockSnap(),
 		ScrollSeq: uint64(k.scroll.Len()),
+		Disk:      k.cells.Len(),
 		Time:      now,
 		Snap:      snap,
 		Extra:     extra,

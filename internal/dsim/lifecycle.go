@@ -44,12 +44,12 @@ func (k *Kernel) Restart(ctx Context, store *checkpoint.Store, restore func(*che
 
 // Abandon fences the timeline a deliberate rollback of the process to ck
 // leaves behind, so that a later crash-restart recovers the restored one:
-// its checkpoints in store later than ck, and the cells written at or past
-// ck's scroll position, whose keys it returns, sorted. Crash-restart never
-// abandons.
+// its checkpoints in store later than ck, and the puts made after ck
+// (Cells.Fence at ck.Disk); it returns the keys that changed, sorted.
+// Crash-restart never abandons.
 func (k *Kernel) Abandon(store *checkpoint.Store, ck *checkpoint.Checkpoint) []string {
 	store.PruneAfter(k.id, ck.ScrollSeq)
-	return k.FenceCells(ck.ScrollSeq)
+	return k.cells.Fence(ck.Disk)
 }
 
 // Stagger offsets the process's periodic checkpoints (CheckpointEvery

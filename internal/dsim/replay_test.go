@@ -97,8 +97,8 @@ func TestReplayKeepsNoCells(t *testing.T) {
 	if err != nil || res.Diverged {
 		t.Fatalf("faithful replay: %+v, %v", res, err)
 	}
-	if cells := *m.ctx.(*replayCtx).Cells(); len(cells) != 0 {
-		t.Errorf("replay kept %d cells, want none", len(cells))
+	if cells := m.ctx.(*replayCtx).Cells(); cells.Len() != 0 {
+		t.Errorf("replay kept %d puts, want none", cells.Len())
 	}
 }
 

@@ -52,10 +52,10 @@ type Target interface {
 	// into it when non-nil — the dynamic-update primitive.
 	ReplaceMachine(procID string, m dsim.Machine, state []byte) error
 	// DurableSnapshotAt returns the stable-storage cells as of a recovery
-	// line (proc -> line scroll position): per process on the line, the
-	// cells written strictly before its position — the disks the
+	// line (proc -> checkpoint): per process on the line, the cells as its
+	// checkpoint saw them (checkpoint.Cells.At its Disk) — the disks the
 	// Investigator's explored processes start from.
-	DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string][]byte
+	DurableSnapshotAt(line map[string]*checkpoint.Checkpoint) map[string]map[string][]byte
 	// Scrolls returns the processes' recordings, in Procs order.
 	Scrolls() []*scroll.Scroll
 }
@@ -235,14 +235,12 @@ type Member struct {
 // back: all it recorded counts.
 func Investigate(s Target, line []Member, cfg investigate.Config) (*investigate.Report, error) {
 	cut := make(map[string]uint64, len(line))
-	lineSeq := make(map[string]uint64, len(line)) // an initial state has no disk
+	cks := make(map[string]*checkpoint.Checkpoint, len(line)) // an initial state's Disk is 0: no disk
 	for _, m := range line {
 		cut[m.Ck.Proc] = m.Ck.ScrollSeq
-		if m.Ck.ID != "" {
-			lineSeq[m.Ck.Proc] = m.Ck.ScrollSeq
-		}
+		cks[m.Ck.Proc] = m.Ck
 	}
-	durable := s.DurableSnapshotAt(lineSeq)
+	durable := s.DurableSnapshotAt(cks)
 	models := make([]investigate.ProcModel, len(line))
 	var timers []investigate.Timer
 	for i, m := range line {

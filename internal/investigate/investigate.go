@@ -278,7 +278,7 @@ func (c *stepCtx) SetTimer(name string, delay uint64) {
 func (c *stepCtx) DurablePut(key string, value []byte) {
 	if !c.copied {
 		cells := c.Cells()
-		*cells, c.copied = maps.Clone(*cells), true
+		*cells, c.copied = cells.Clone(), true
 	}
 	c.RecordDurablePut(key, value)
 }
@@ -420,8 +420,8 @@ func start(models []ProcModel, inTransit []Msg, timers []Timer) (*investigation,
 		}
 		inv.models[pm.Proc] = pm
 		p := &procState{stateJSON: pm.State, heap: pm.Heap, clock: pm.Time}
-		for k, v := range pm.Durable {
-			p.cells.Put(k, v, 0)
+		for _, k := range slices.Sorted(maps.Keys(pm.Durable)) {
+			p.cells.Put(k, pm.Durable[k])
 		}
 		if _, err := inv.kernel(pm.Proc, p); err != nil {
 			return nil, nil, err

@@ -117,7 +117,7 @@ func TestKeyInjective(t *testing.T) {
 	}
 	cell := func(v string) *global {
 		g := proc()
-		g.procs["p"].cells.Put("k", []byte(v), 0)
+		g.procs["p"].cells.Put("k", []byte(v))
 		return g
 	}
 	clock := func(c uint64) *global {
@@ -214,9 +214,9 @@ func simSteps(t *testing.T, spec apps.AppSpec) ([]string, []simStep) {
 			// The first event has run: every process's Init is what lies
 			// before its init checkpoint, and the cells Init wrote are those
 			// the first event had.
-			inits := map[string]uint64{}
+			inits := map[string]*checkpoint.Checkpoint{}
 			for _, id := range s.Procs() {
-				inits[id] = s.Store().List(id)[0].ScrollSeq
+				inits[id] = s.Store().List(id)[0]
 			}
 			before = s.DurableSnapshotAt(inits)
 			for _, id := range s.Procs() {

@@ -362,21 +362,7 @@ func (*durLine) OnRollback(dsim.Context, dsim.RollbackInfo) {}
 func TestConformanceStableStorage(t *testing.T) {
 	for _, backend := range []string{"sim", "live", "live-tcp"} {
 		newSub := func(t *testing.T, cfg dsim.Config, dir string) substrate.Substrate {
-			t.Helper()
-			var sub substrate.Substrate
-			switch backend {
-			case "sim":
-				sub = substrate.NewSim(cfg)
-			default:
-				live, err := substrate.NewLive(substrate.LiveConfig{Seed: cfg.Seed, UseTCP: backend == "live-tcp",
-					InitCheckpoint: cfg.InitCheckpoint, CheckpointEvery: cfg.CheckpointEvery, DurableDir: dir})
-				if err != nil {
-					t.Skipf("live substrate unavailable: %v", err)
-				}
-				sub = live
-			}
-			t.Cleanup(func() { sub.Close() })
-			return sub
+			return durableSubstrate(t, backend, cfg, dir)
 		}
 		t.Run(backend+"-rollback", func(t *testing.T) {
 			dir := t.TempDir()
@@ -388,7 +374,7 @@ func TestConformanceStableStorage(t *testing.T) {
 				t.Fatal("no checkpoint taken")
 			}
 			want := map[string]map[string][]byte{"p": {"a": []byte("1")}}
-			line := map[string]uint64{"p": ck.ScrollSeq}
+			line := map[string]*checkpoint.Checkpoint{"p": ck}
 			if got := sub.DurableSnapshotAt(line); !reflect.DeepEqual(got, want) {
 				t.Fatalf("cells as of the checkpoint before the rollback: %q, want %q", got, want)
 			}
@@ -440,6 +426,81 @@ func TestConformanceStableStorage(t *testing.T) {
 			}
 			if durable == 0 {
 				t.Fatal("worker made no durable progress")
+			}
+		})
+	}
+}
+
+// durableSubstrate builds one backend, empty, from cfg; a live one logs its
+// stable storage under dir (none when dir is empty).
+func durableSubstrate(t *testing.T, backend string, cfg dsim.Config, dir string) substrate.Substrate {
+	t.Helper()
+	var sub substrate.Substrate
+	switch backend {
+	case "sim":
+		sub = substrate.NewSim(cfg)
+	default:
+		live, err := substrate.NewLive(substrate.LiveConfig{Seed: cfg.Seed, UseTCP: backend == "live-tcp",
+			InitCheckpoint: cfg.InitCheckpoint, CheckpointEvery: cfg.CheckpointEvery, DurableDir: dir})
+		if err != nil {
+			t.Skipf("live substrate unavailable: %v", err)
+		}
+		sub = live
+	}
+	t.Cleanup(func() { sub.Close() })
+	return sub
+}
+
+// putThenRestart checkpoints in Init and arms a timer that puts k=A; after
+// a crash-restart, which restores the Init checkpoint, it takes checkpoint
+// c1.
+type putThenRestart struct{}
+
+func (*putThenRestart) State() any { return &struct{}{} }
+func (*putThenRestart) Init(ctx dsim.Context) {
+	ctx.Checkpoint("init")
+	ctx.SetTimer("put", 2)
+}
+func (*putThenRestart) OnMessage(dsim.Context, string, []byte) {}
+func (*putThenRestart) OnTimer(ctx dsim.Context, _ string)     { ctx.DurablePut("k", []byte("A")) }
+func (*putThenRestart) OnRollback(ctx dsim.Context, info dsim.RollbackInfo) {
+	if info.CrashRestart {
+		ctx.Checkpoint("c1")
+	}
+}
+
+// TestConformanceCheckpointAfterRestart: a crash-restart rewinds the scroll
+// to the restored checkpoint but not the disk, so a checkpoint taken after
+// the restart sees the puts made before the crash, and a rollback to it
+// keeps them.
+func TestConformanceCheckpointAfterRestart(t *testing.T) {
+	for _, backend := range []string{"sim", "live", "live-tcp"} {
+		t.Run(backend, func(t *testing.T) {
+			sub := durableSubstrate(t, backend, dsim.Config{Seed: 7, MaxSteps: 1000}, "")
+			sub.AddProcess("p", &putThenRestart{})
+			chaos.Schedule{{Kind: fault.Crash, Targets: []int{0}, Window: chaos.Window{From: 10, To: 20}}}.
+				Compile(sub.Procs()).Apply(sub)
+			if stats := sub.Run(); stats.Crashes != 1 || stats.Restarts != 1 {
+				t.Fatalf("crashes=%d restarts=%d, want 1/1", stats.Crashes, stats.Restarts)
+			}
+			cks := sub.Store().List("p")
+			if len(cks) != 2 {
+				t.Fatalf("%d checkpoints, want init and c1", len(cks))
+			}
+			c1 := cks[1]
+			want := map[string]map[string][]byte{"p": {"k": []byte("A")}}
+			if got := sub.DurableSnapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cells after the restart: %q, want %q", got, want)
+			}
+			line := map[string]*checkpoint.Checkpoint{"p": c1}
+			if got := sub.DurableSnapshotAt(line); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cells as of c1: %q, want %q", got, want)
+			}
+			if err := sub.RollbackTo(map[string]string{"p": c1.ID}); err != nil {
+				t.Fatal(err)
+			}
+			if got := sub.DurableSnapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cells after a rollback to c1: %q, want %q", got, want)
 			}
 		})
 	}
@@ -597,10 +658,10 @@ func TestLiveDurableWALRecovery(t *testing.T) {
 }
 
 // TestLiveRecoveredCellsOutliveRollback: checkpoints are not persisted, so a
-// cell recovered from DurableDir predates every checkpoint of the substrate
-// that recovered it. Rolling that substrate back to its init line — a fence
-// at the very start of its fresh scroll — must keep the cell, and log no
-// tombstone that a third substrate would replay.
+// cell recovered from DurableDir is put before every checkpoint of the
+// substrate that recovered it. Rolling that substrate back to its init line
+// must keep the cell, the line must see it, and no tombstone may be logged
+// that a third substrate would replay.
 func TestLiveRecoveredCellsOutliveRollback(t *testing.T) {
 	dir := t.TempDir()
 	first, err := substrate.NewLive(substrate.LiveConfig{Seed: 7, DurableDir: dir,
@@ -635,8 +696,8 @@ func TestLiveRecoveredCellsOutliveRollback(t *testing.T) {
 	if got := second.DurableSnapshot()["worker"]["count"]; string(got) != string(cell) {
 		t.Fatalf("after rolling back to the init line the recovered cell is %v, want %v", got, cell)
 	}
-	if got := second.DurableSnapshotAt(map[string]uint64{"worker": 0})["worker"]["count"]; string(got) != string(cell) {
-		t.Fatalf("the line at position 0 sees %v, want the recovered cell %v", got, cell)
+	if got := second.DurableSnapshotAt(map[string]*checkpoint.Checkpoint{"worker": cks[0]})["worker"]["count"]; string(got) != string(cell) {
+		t.Fatalf("the init line sees %v, want the recovered cell %v", got, cell)
 	}
 	if err := second.Close(); err != nil {
 		t.Fatal(err)

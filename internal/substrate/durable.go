@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/wal"
@@ -15,19 +17,17 @@ import (
 // process's kernel's, as on every backend; with a backing directory every
 // put is also logged onto internal/wal (segmented, checksummed, fsync'd
 // appends), so the cells survive real process crashes: reopening the store
-// replays the log into the kernel's cells, last record per key wins, each
-// cell stamped 0 (it predates every checkpoint of the new incarnation). A
-// torn final record — the crash landed mid-append — is silently dropped by
-// the WAL's recovery scan, losing at most the newest put; corruption
-// anywhere earlier surfaces wal.ErrCorrupt instead of silently serving bad
-// state.
+// puts what the log holds, one put per key, before every checkpoint of the
+// new incarnation. A torn final record — the crash landed mid-append — is
+// silently dropped by the WAL's recovery scan, losing at most the newest
+// put; corruption anywhere earlier surfaces wal.ErrCorrupt instead of
+// silently serving bad state.
 //
-// A deliberate rollback fences the cells written at or after the restored
-// checkpoint's scroll position (Kernel.Abandon), and the store logs a
-// tombstone for each, so a crash-restart that recovers this store cannot
-// re-install an abandoned timeline's decision. Without a directory nothing
-// is logged: the cells still survive in-substrate crash-restart, matching
-// the simulator's model.
+// A deliberate rollback cuts the puts made after the restored checkpoint
+// (Kernel.Abandon), and the store logs a tombstone for each key that went,
+// so a crash-restart that recovers this store cannot re-install an
+// abandoned timeline's decision. Without a directory nothing is logged: the
+// cells still survive in-substrate crash-restart, as on the simulator.
 //
 // Synchronization is the caller's: LiveSubstrate accesses a process's
 // store under that process's mutex, like the scroll, heap and cells.
@@ -36,9 +36,9 @@ type durableStore struct {
 }
 
 // openDurableStore opens proc's write-ahead log. An empty dir selects no
-// log; otherwise the WAL directory dir/proc is recovered into cells — puts
-// (either record format) install cells, tombstones delete them, in log
-// order — and only then opened to append, so a corrupt log is refused
+// log; otherwise the WAL directory dir/proc is folded — puts (either record
+// format) set a key, tombstones delete it — into cells, key by key in
+// sorted order, and only then opened to append, so a corrupt log is refused
 // untouched.
 func openDurableStore(dir, proc string, cells *checkpoint.Cells) (durableStore, error) {
 	if dir == "" {
@@ -49,16 +49,20 @@ func openDurableStore(dir, proc string, cells *checkpoint.Cells) (durableStore, 
 	if err != nil {
 		return durableStore{}, fmt.Errorf("substrate: recover durable store %s: %w", path, err)
 	}
+	disk := map[string][]byte{}
 	for i, rec := range recs {
 		r, err := decodeDurableRecord(rec)
 		if err != nil {
 			return durableStore{}, fmt.Errorf("substrate: recover durable store %s record %d: %w", path, i, err)
 		}
 		if r.tombstone {
-			delete(*cells, r.key)
+			delete(disk, r.key)
 			continue
 		}
-		cells.Put(r.key, r.value, 0)
+		disk[r.key] = r.value
+	}
+	for _, k := range slices.Sorted(maps.Keys(disk)) {
+		cells.Put(k, disk[k])
 	}
 	log, err := wal.Open(path, wal.Options{Sync: true})
 	if err != nil {

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -33,35 +35,29 @@ func openDisk(dir, proc string) (*disk, error) {
 	return d, err
 }
 
-// put writes key = value at scroll position seq: the kernel's scroll is
-// cut or padded to seq first.
-func (d *disk) put(key string, value []byte, epoch, seq uint64) error {
-	sc := d.k.Scroll()
-	sc.Truncate(min(seq, uint64(sc.Len())))
-	for uint64(sc.Len()) < seq {
-		if _, err := sc.Append(scroll.Record{Kind: scroll.KindCustom}); err != nil {
-			return err
-		}
-	}
-	body, at := d.k.RecordDurablePut(key, value)
-	return d.ds.put(key, body, epoch, at)
+// put writes key = value, logged with epoch and writeSeq as a live put
+// logs them (recovery reads neither back).
+func (d *disk) put(key string, value []byte, epoch, writeSeq uint64) error {
+	body, _ := d.k.RecordDurablePut(key, value)
+	return d.ds.put(key, body, epoch, writeSeq)
 }
 
-// fence is a deliberate rollback's fence to scroll position seq.
-func (d *disk) fence(seq uint64) error { return d.ds.tombstone(d.k.FenceCells(seq)) }
+// fence is a deliberate rollback's fence to a checkpoint that saw the
+// store's first n puts.
+func (d *disk) fence(n int) error { return d.ds.tombstone(d.k.Cells().Fence(n)) }
 
-func (d *disk) snapshotAt(seq uint64) map[string][]byte { return d.k.CellsAt(seq) }
+func (d *disk) snapshotAt(n int) map[string][]byte { return d.k.Cells().At(n) }
 
-func (d *disk) snapshot() map[string][]byte { return d.k.Cells().Snapshot() }
+func (d *disk) snapshot() map[string][]byte { return d.snapshotAt(d.k.Cells().Len()) }
 
 func (d *disk) close() error { return d.ds.close() }
 
 // TestDurableStoreRecovery: reopening a WAL-backed store replays the log,
 // last record per key winning. The write positions are in the records (see
 // TestDurableRecordRoundTrip) but recovery does not read them back:
-// checkpoints are not persisted, so a recovered cell predates every
-// checkpoint of the reopened store — every line sees it, and no fence
-// reaches it, one at position 0 included.
+// checkpoints are not persisted, so the recovered cells are put before
+// every checkpoint of the reopened store — every one of them sees them, and
+// no fence to one reaches them.
 func TestDurableStoreRecovery(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := openDisk(dir, "coord")
@@ -81,13 +77,13 @@ func TestDurableStoreRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// k2 was written at scroll position 7, k1 last at 11: in the writing
-	// incarnation a line at 11 sees only k2, a line at 7 sees neither.
-	if got := ds.snapshotAt(11); !reflect.DeepEqual(got, map[string][]byte{"k2": []byte("v2")}) {
-		t.Fatalf("as of 11: %v, want k2 only", got)
+	// In the writing incarnation a checkpoint after 2 puts sees only k2 (k1
+	// was last put third), and one after 1 put sees neither.
+	if got := ds.snapshotAt(2); !reflect.DeepEqual(got, map[string][]byte{"k2": []byte("v2")}) {
+		t.Fatalf("as of 2 puts: %v, want k2 only", got)
 	}
-	if got := ds.snapshotAt(7); got != nil {
-		t.Fatalf("as of 7: %v, want nothing", got)
+	if got := ds.snapshotAt(1); got != nil {
+		t.Fatalf("as of 1 put: %v, want nothing", got)
 	}
 	if err := ds.close(); err != nil {
 		t.Fatal(err)
@@ -105,16 +101,19 @@ func TestDurableStoreRecovery(t *testing.T) {
 	if keys := re.k.Cells().Keys(); !reflect.DeepEqual(keys, []string{"k1", "k2"}) {
 		t.Fatalf("keys %v", keys)
 	}
-	for _, seq := range []uint64{0, 7, 11} {
-		if got := re.snapshotAt(seq); !reflect.DeepEqual(got, want) {
-			t.Fatalf("recovered cells as of %d: %v, want all of them", seq, got)
-		}
+	// One put per recovered key: a checkpoint the reopened store takes
+	// first sees them all, and a rollback to it keeps them.
+	if n := re.k.Cells().Len(); n != 2 {
+		t.Fatalf("recovered %d puts, want one per key", n)
 	}
-	if err := re.fence(0); err != nil {
+	if got := re.snapshotAt(2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered cells as of the reopened store's first checkpoint: %v, want all of them", got)
+	}
+	if err := re.fence(2); err != nil {
 		t.Fatal(err)
 	}
 	if got := re.snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("a fence at 0 left %v, want every recovered cell %v", got, want)
+		t.Fatalf("a fence to that checkpoint left %v, want every recovered cell %v", got, want)
 	}
 }
 
@@ -136,10 +135,9 @@ func TestDurableStoreInMemory(t *testing.T) {
 	}
 }
 
-// TestDurableStoreInvalidate: a deliberate-rollback fence deletes cells
-// written at or after the restored checkpoint's scroll position, the
-// fence survives reopening (tombstones are logged), and a put on the new
-// timeline revives the key.
+// TestDurableStoreInvalidate: a deliberate-rollback fence deletes the cells
+// put after the restored checkpoint, the fence survives reopening
+// (tombstones are logged), and a put on the new timeline revives the key.
 func TestDurableStoreInvalidate(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := openDisk(dir, "coord")
@@ -158,7 +156,7 @@ func TestDurableStoreInvalidate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ds.fence(10); err != nil {
+	if err := ds.fence(1); err != nil {
 		t.Fatal(err)
 	}
 	want := map[string][]byte{"early": []byte("keep")}
@@ -185,8 +183,8 @@ func TestDurableStoreInvalidate(t *testing.T) {
 	}
 
 	// The same contract as a model test: random puts, fences and reads
-	// against a plain map of (value, write position), through the in-memory
-	// store and through the WAL-backed one reopened at random points.
+	// against a plain map of (value, put index), through the in-memory store
+	// and through the WAL-backed one reopened at random points.
 	for _, backing := range []string{"", t.TempDir()} {
 		for seed := int64(0); seed < 8; seed++ {
 			durableModelWalk(t, backing, fmt.Sprintf("p%d", seed), seed)
@@ -197,12 +195,12 @@ func TestDurableStoreInvalidate(t *testing.T) {
 func durableModelWalk(t *testing.T, dir, proc string, seed int64) {
 	t.Helper()
 	type cell struct {
-		value     string
-		writeSeq  uint64
-		recovered bool // read back by a reopen: predates every checkpoint since
+		value string
+		at    int // the put's index among the store's puts
 	}
 	r := rand.New(rand.NewSource(seed))
 	model := map[string]cell{}
+	n := 0 // puts the store holds
 	ds, err := openDisk(dir, proc)
 	if err != nil {
 		t.Fatal(err)
@@ -225,57 +223,56 @@ func durableModelWalk(t *testing.T, dir, proc string, seed int64) {
 				t.Fatalf("%q seed %d step %d: get %q = %q, %v; want %q, %v", dir, seed, step, k, v, ok, want.value, present)
 			}
 		}
-		for _, seq := range []uint64{0, 3, 8, 1 << 62} {
+		for i := 0; i <= n+1; i++ {
 			var want map[string][]byte
 			for k, c := range model {
-				if c.recovered || c.writeSeq < seq {
+				if c.at < i {
 					if want == nil {
 						want = map[string][]byte{}
 					}
 					want[k] = []byte(c.value)
 				}
 			}
-			if got := ds.snapshotAt(seq); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%q seed %d step %d: as of %d: %v, want %v", dir, seed, step, seq, got, want)
+			if got := ds.snapshotAt(i); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q seed %d step %d: as of %d puts: %v, want %v", dir, seed, step, i, got, want)
 			}
 		}
 	}
-	seq := uint64(0)
 	for step := 0; step < 60; step++ {
 		switch op := r.Intn(10); {
 		case op < 5:
-			seq += uint64(r.Intn(3))
 			k, v := keys[r.Intn(4)], fmt.Sprint("v", step)
-			model[k] = cell{v, seq, false}
-			if err := ds.put(k, []byte(v), uint64(step), seq); err != nil {
+			model[k] = cell{v, n}
+			n++
+			if err := ds.put(k, []byte(v), uint64(step), uint64(step)); err != nil {
 				t.Fatal(err)
 			}
 		case op < 7:
-			at := uint64(r.Intn(int(seq) + 2))
+			at := r.Intn(n + 2)
 			for k, c := range model {
-				if !c.recovered && c.writeSeq >= at {
+				if c.at >= at {
 					delete(model, k)
 				}
 			}
 			if err := ds.fence(at); err != nil {
 				t.Fatal(err)
 			}
-			seq = min(seq, at)
+			n = min(n, at)
 		case op < 8 && dir != "":
-			// A crash: what was put and what was fenced both come back, as
-			// cells older than any checkpoint of the new incarnation, whose
-			// scroll starts over.
+			// A crash: what was put and what was fenced both come back, one
+			// put per key in key order, before any checkpoint of the new
+			// incarnation.
 			if err := ds.close(); err != nil {
 				t.Fatal(err)
 			}
 			if ds, err = openDisk(dir, proc); err != nil {
 				t.Fatal(err)
 			}
-			for k, c := range model {
-				c.recovered = true
-				model[k] = c
+			recovered := slices.Sorted(maps.Keys(model))
+			for i, k := range recovered {
+				model[k] = cell{model[k].value, i}
 			}
-			seq = 0
+			n = len(recovered)
 		}
 		check(step)
 	}
@@ -474,15 +471,15 @@ func TestDurableStoreLegacyFixture(t *testing.T) {
 	if got := ds.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("legacy recovery %v, want %v", got, want)
 	}
-	if got := ds.snapshotAt(0); !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered legacy cells as of position 0: %v, want all of them", got)
+	if got := ds.snapshotAt(2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered legacy cells as of the first checkpoint after them: %v, want all of them", got)
 	}
 	// Mixed log: a versioned put and a fence append after the legacy prefix
 	// and recover together with it.
 	if err := ds.put("kv:k9", []byte("new"), 3, 42); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.fence(42); err != nil { // fences only kv:k9 (no fence reaches recovered cells)
+	if err := ds.fence(2); err != nil { // fences only kv:k9 (no fence reaches recovered cells)
 		t.Fatal(err)
 	}
 	if err := ds.put("kv:k9", []byte("revived"), 4, 2); err != nil {

@@ -737,8 +737,8 @@ func (s *LiveSubstrate) SetFaultHandler(h func(dsim.FaultRecord) bool) {
 func (s *LiveSubstrate) DurableSnapshot() map[string]map[string][]byte { return dsim.Disks(s.kernels) }
 
 // DurableSnapshotAt implements heal.Target as dsim.Sim does (dsim.DisksAt).
-func (s *LiveSubstrate) DurableSnapshotAt(lineSeq map[string]uint64) map[string]map[string][]byte {
-	return dsim.DisksAt(s.kernels, lineSeq)
+func (s *LiveSubstrate) DurableSnapshotAt(line map[string]*checkpoint.Checkpoint) map[string]map[string][]byte {
+	return dsim.DisksAt(s.kernels, line)
 }
 
 // --- Substrate: checkpoint / rollback ---
