@@ -6,15 +6,13 @@ import (
 	"sort"
 )
 
-// Cells is one process's stable storage (Context.Durable…; the model is
-// described in internal/dsim/durable.go): its puts in the order it made
-// them, each key's newest indexed. A dsim.Kernel holds it on every backend;
-// the live backend also writes it ahead to a log (substrate's
-// durableStore). A restore never rewinds it — a disk outlives a crash — so
-// a checkpoint records how many puts it held (Checkpoint.Disk, from Len):
-// the disk as of the checkpoint is At(Disk), and a deliberate rollback to it
-// cuts the later puts (Fence). The zero value is an empty store.
-// Synchronization is the caller's.
+// Cells is one process's stable storage (Context.Durable…; the model is in
+// internal/dsim/durable.go), held by its dsim.Kernel on every backend: its
+// puts in order, each linked to its key's put before it. A restore never
+// rewinds it — a disk outlives a crash — so a checkpoint records how many
+// puts it held (Checkpoint.Disk, from Len): the disk as of the checkpoint
+// is At(Disk), and a deliberate rollback to it cuts the later puts (Fence).
+// The zero value is an empty store. Synchronization is the caller's.
 type Cells struct {
 	puts   []put
 	newest map[string]int // key -> index in puts of its newest put
@@ -23,6 +21,7 @@ type Cells struct {
 type put struct {
 	key   string
 	value []byte
+	prev  int // index of the key's put before this one; -1 for none
 }
 
 // Put installs value under key.
@@ -33,8 +32,12 @@ func (c *Cells) Put(key string, value []byte) {
 	if c.newest == nil {
 		c.newest = make(map[string]int)
 	}
+	prev, ok := c.newest[key]
+	if !ok {
+		prev = -1
+	}
 	c.newest[key] = len(c.puts)
-	c.puts = append(c.puts, put{key: key, value: value})
+	c.puts = append(c.puts, put{key: key, value: value, prev: prev})
 }
 
 // Len returns the number of puts the store holds.
@@ -64,7 +67,10 @@ func (c *Cells) Keys() []string {
 func (c *Cells) At(n int) map[string][]byte {
 	var out map[string][]byte
 	for k, i := range c.newest {
-		if i >= n {
+		for i >= n {
+			i = c.puts[i].prev
+		}
+		if i < 0 {
 			continue
 		}
 		if out == nil {
@@ -78,13 +84,19 @@ func (c *Cells) At(n int) map[string][]byte {
 // Fence is the cell half of timeline fencing: it cuts the store back to its
 // first n puts — the writes of the timeline a deliberate rollback abandons,
 // which a later crash-restart must not find — and returns the keys that
-// changed, sorted. A key whose newest put it cuts goes; a put on the new
-// timeline revives it. Crash-restart never fences.
+// changed, sorted: each reads its put before n again, or goes when it had
+// none; a put on the new timeline revives it. Crash-restart never fences.
 func (c *Cells) Fence(n int) []string {
 	var changed []string
 	for k, i := range c.newest {
-		if i >= n {
-			changed = append(changed, k)
+		if i < n {
+			continue
+		}
+		changed = append(changed, k)
+		for i >= n {
+			i = c.puts[i].prev
+		}
+		if c.newest[k] = i; i < 0 {
 			delete(c.newest, k)
 		}
 	}

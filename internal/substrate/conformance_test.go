@@ -431,6 +431,62 @@ func TestConformanceStableStorage(t *testing.T) {
 	}
 }
 
+// overwrite puts k=v1, takes a checkpoint, then puts k=v2.
+type overwrite struct{}
+
+func (*overwrite) State() any { return &struct{}{} }
+func (*overwrite) Init(ctx dsim.Context) {
+	ctx.DurablePut("k", []byte("v1"))
+	ctx.Checkpoint("line")
+	ctx.DurablePut("k", []byte("v2"))
+}
+func (*overwrite) OnMessage(dsim.Context, string, []byte)     {}
+func (*overwrite) OnTimer(dsim.Context, string)               {}
+func (*overwrite) OnRollback(dsim.Context, dsim.RollbackInfo) {}
+
+// TestConformanceOverwriteAfterCheckpoint: a key overwritten after a
+// checkpoint reads its older value as of the checkpoint, before a rollback
+// to it and after, and in the write-ahead log the rollback leaves behind.
+func TestConformanceOverwriteAfterCheckpoint(t *testing.T) {
+	for _, backend := range []string{"sim", "live", "live-tcp"} {
+		t.Run(backend, func(t *testing.T) {
+			dir := t.TempDir()
+			sub := durableSubstrate(t, backend, dsim.Config{Seed: 7}, dir)
+			sub.AddProcess("p", &overwrite{})
+			sub.Run()
+			ck := sub.Store().Latest("p")
+			if ck == nil {
+				t.Fatal("no checkpoint taken")
+			}
+			line := map[string]*checkpoint.Checkpoint{"p": ck}
+			want := map[string]map[string][]byte{"p": {"k": []byte("v1")}}
+			if got := sub.DurableSnapshotAt(line); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cells as of the checkpoint before the rollback: %q, want %q", got, want)
+			}
+			if err := sub.RollbackTo(map[string]string{"p": ck.ID}); err != nil {
+				t.Fatal(err)
+			}
+			if got := sub.DurableSnapshotAt(line); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cells as of the checkpoint after the rollback: %q, want %q", got, want)
+			}
+			if got := sub.DurableSnapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cells after the rollback: %q, want %q", got, want)
+			}
+			if backend == "sim" {
+				return
+			}
+			if err := sub.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re := durableSubstrate(t, backend, dsim.Config{Seed: 7}, dir)
+			re.AddProcess("p", &overwrite{})
+			if got := re.DurableSnapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cells reopened from the log: %q, want %q", got, want)
+			}
+		})
+	}
+}
+
 // durableSubstrate builds one backend, empty, from cfg; a live one logs its
 // stable storage under dir (none when dir is empty).
 func durableSubstrate(t *testing.T, backend string, cfg dsim.Config, dir string) substrate.Substrate {

@@ -24,9 +24,9 @@ import (
 // silently serving bad state.
 //
 // A deliberate rollback cuts the puts made after the restored checkpoint
-// (Kernel.Abandon), and the store logs a tombstone for each key that went,
-// so a crash-restart that recovers this store cannot re-install an
-// abandoned timeline's decision. Without a directory nothing is logged: the
+// (Kernel.Abandon), and the store logs each key that changed (fence), so a
+// crash-restart that recovers this store cannot re-install an abandoned
+// timeline's decision. Without a directory nothing is logged: the
 // cells still survive in-substrate crash-restart, as on the simulator.
 //
 // Synchronization is the caller's: LiveSubstrate accesses a process's
@@ -81,14 +81,19 @@ func (ds durableStore) put(key string, value []byte, epoch, writeSeq uint64) err
 	return ds.log.Append(encodeDurablePut(key, value, epoch, writeSeq))
 }
 
-// tombstone logs the deletion of each fenced key, in order, so the fence
-// itself survives a crash.
-func (ds durableStore) tombstone(fenced []string) error {
+// fence logs each key a fence of cells changed, in order, so the fence
+// itself survives a crash: as a put of the value the key reads again (with
+// zero coordinates; recovery reads none), or as a tombstone when it went.
+func (ds durableStore) fence(cells *checkpoint.Cells, changed []string) error {
 	if ds.log == nil {
 		return nil
 	}
-	for _, k := range fenced {
-		if err := ds.log.Append(encodeDurableTombstone(k)); err != nil {
+	for _, k := range changed {
+		rec := encodeDurableTombstone(k)
+		if v, ok := cells.Get(k); ok {
+			rec = encodeDurablePut(k, v, 0, 0)
+		}
+		if err := ds.log.Append(rec); err != nil {
 			return err
 		}
 	}

@@ -44,7 +44,7 @@ func (d *disk) put(key string, value []byte, epoch, writeSeq uint64) error {
 
 // fence is a deliberate rollback's fence to a checkpoint that saw the
 // store's first n puts.
-func (d *disk) fence(n int) error { return d.ds.tombstone(d.k.Cells().Fence(n)) }
+func (d *disk) fence(n int) error { return d.ds.fence(d.k.Cells(), d.k.Cells().Fence(n)) }
 
 func (d *disk) snapshotAt(n int) map[string][]byte { return d.k.Cells().At(n) }
 
@@ -77,13 +77,14 @@ func TestDurableStoreRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// In the writing incarnation a checkpoint after 2 puts sees only k2 (k1
-	// was last put third), and one after 1 put sees neither.
-	if got := ds.snapshotAt(2); !reflect.DeepEqual(got, map[string][]byte{"k2": []byte("v2")}) {
-		t.Fatalf("as of 2 puts: %v, want k2 only", got)
+	// In the writing incarnation a checkpoint after 2 puts sees k1 as its
+	// first put left it, though the third overwrote it, and one after 1 put
+	// sees k1 alone.
+	if got := ds.snapshotAt(2); !reflect.DeepEqual(got, map[string][]byte{"k1": []byte("v1"), "k2": []byte("v2")}) {
+		t.Fatalf("as of 2 puts: %v, want k1=v1 and k2", got)
 	}
-	if got := ds.snapshotAt(1); got != nil {
-		t.Fatalf("as of 1 put: %v, want nothing", got)
+	if got := ds.snapshotAt(1); !reflect.DeepEqual(got, map[string][]byte{"k1": []byte("v1")}) {
+		t.Fatalf("as of 1 put: %v, want k1=v1 only", got)
 	}
 	if err := ds.close(); err != nil {
 		t.Fatal(err)
@@ -183,8 +184,8 @@ func TestDurableStoreInvalidate(t *testing.T) {
 	}
 
 	// The same contract as a model test: random puts, fences and reads
-	// against a plain map of (value, put index), through the in-memory store
-	// and through the WAL-backed one reopened at random points.
+	// against the ordered list of puts, through the in-memory store and
+	// through the WAL-backed one reopened at random points.
 	for _, backing := range []string{"", t.TempDir()} {
 		for seed := int64(0); seed < 8; seed++ {
 			durableModelWalk(t, backing, fmt.Sprintf("p%d", seed), seed)
@@ -194,23 +195,43 @@ func TestDurableStoreInvalidate(t *testing.T) {
 
 func durableModelWalk(t *testing.T, dir, proc string, seed int64) {
 	t.Helper()
-	type cell struct {
-		value string
-		at    int // the put's index among the store's puts
-	}
 	r := rand.New(rand.NewSource(seed))
-	model := map[string]cell{}
-	n := 0 // puts the store holds
+	var model [][2]string // the puts the store holds, in order: key, value
+	fold := func(n int) map[string][]byte {
+		var out map[string][]byte
+		for _, p := range model[:min(n, len(model))] {
+			if out == nil {
+				out = map[string][]byte{}
+			}
+			out[p[0]] = []byte(p[1])
+		}
+		return out
+	}
 	ds, err := openDisk(dir, proc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { ds.close() }()
 	keys := []string{"a", "b", "c", "d", "never"}
+	put := func(k, v string) {
+		t.Helper()
+		model = append(model, [2]string{k, v})
+		if err := ds.put(k, []byte(v), uint64(len(model)), uint64(len(model))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fence := func(n int) {
+		t.Helper()
+		model = model[:min(n, len(model))]
+		if err := ds.fence(n); err != nil {
+			t.Fatal(err)
+		}
+	}
 	check := func(step int) {
 		t.Helper()
+		now := fold(len(model))
 		live := []string{}
-		for k := range model {
+		for k := range now {
 			live = append(live, k)
 		}
 		sort.Strings(live)
@@ -219,45 +240,28 @@ func durableModelWalk(t *testing.T, dir, proc string, seed int64) {
 		}
 		for _, k := range keys {
 			v, ok := ds.k.Cells().Get(k)
-			if want, present := model[k]; ok != present || string(v) != want.value {
-				t.Fatalf("%q seed %d step %d: get %q = %q, %v; want %q, %v", dir, seed, step, k, v, ok, want.value, present)
+			if want, present := now[k]; ok != present || string(v) != string(want) {
+				t.Fatalf("%q seed %d step %d: get %q = %q, %v; want %q, %v", dir, seed, step, k, v, ok, want, present)
 			}
 		}
-		for i := 0; i <= n+1; i++ {
-			var want map[string][]byte
-			for k, c := range model {
-				if c.at < i {
-					if want == nil {
-						want = map[string][]byte{}
-					}
-					want[k] = []byte(c.value)
-				}
-			}
-			if got := ds.snapshotAt(i); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%q seed %d step %d: as of %d puts: %v, want %v", dir, seed, step, i, got, want)
+		for n := 0; n <= len(model)+1; n++ {
+			if got, want := ds.snapshotAt(n), fold(n); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q seed %d step %d: as of %d puts: %v, want %v", dir, seed, step, n, got, want)
 			}
 		}
 	}
 	for step := 0; step < 60; step++ {
 		switch op := r.Intn(10); {
-		case op < 5:
-			k, v := keys[r.Intn(4)], fmt.Sprint("v", step)
-			model[k] = cell{v, n}
-			n++
-			if err := ds.put(k, []byte(v), uint64(step), uint64(step)); err != nil {
-				t.Fatal(err)
-			}
+		case op < 4:
+			put(keys[r.Intn(4)], fmt.Sprint("v", step))
+		case op < 5 && len(model) > 0:
+			// Overwrite a key, then fence back to before the overwrite: the
+			// key reads its older value again.
+			n := len(model)
+			put(model[r.Intn(n)][0], fmt.Sprint("over", step))
+			fence(n)
 		case op < 7:
-			at := r.Intn(n + 2)
-			for k, c := range model {
-				if c.at >= at {
-					delete(model, k)
-				}
-			}
-			if err := ds.fence(at); err != nil {
-				t.Fatal(err)
-			}
-			n = min(n, at)
+			fence(r.Intn(len(model) + 2))
 		case op < 8 && dir != "":
 			// A crash: what was put and what was fenced both come back, one
 			// put per key in key order, before any checkpoint of the new
@@ -268,11 +272,11 @@ func durableModelWalk(t *testing.T, dir, proc string, seed int64) {
 			if ds, err = openDisk(dir, proc); err != nil {
 				t.Fatal(err)
 			}
-			recovered := slices.Sorted(maps.Keys(model))
-			for i, k := range recovered {
-				model[k] = cell{model[k].value, i}
+			now := fold(len(model))
+			model = model[:0]
+			for _, k := range slices.Sorted(maps.Keys(now)) {
+				model = append(model, [2]string{k, string(now[k])})
 			}
-			n = len(recovered)
 		}
 		check(step)
 	}

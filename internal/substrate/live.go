@@ -380,13 +380,13 @@ func (p *liveProc) handle(ev liveEvent) {
 // rollbackLatest performs an injected deliberate rollback anchored at one
 // process (fault.Rollback): the line dsim.InjectedLine decides, restored
 // through RollbackTo as a heal-driven rollback would be; a crashed member's
-// fenced cells are tombstoned in its write-ahead log. It runs on the
+// fence is logged in its write-ahead log. It runs on the
 // anchor's event loop, the only one that crashes or restarts the anchor. A
 // line a concurrent rollback pruned makes it a no-op.
 func (s *LiveSubstrate) rollbackLatest(anchor *liveProc) {
 	line := dsim.InjectedLine(s.store, s.Procs(), s.kernels, &anchor.Kernel, func(k *dsim.Kernel, _ *checkpoint.Checkpoint, fenced []string) {
 		p := s.proc(k.Self())
-		p.logged(p.durable.tombstone(fenced), "invalidation")
+		p.logged(p.durable.fence(k.Cells(), fenced), "invalidation")
 	})
 	if line != nil {
 		s.RollbackTo(line) //nolint:errcheck // a line gone stale is a rollback superseded
@@ -442,7 +442,7 @@ func (p *liveProc) takeCheckpointLocked(label string) *checkpoint.Checkpoint {
 // holds p.mu): Kernel.Restore, a new incarnation — which fences the
 // orphaned time.AfterFunc fires of the old one — and the checkpoint's
 // timers re-armed. Its cells are left alone: what a deliberate rollback
-// abandons is Kernel.Abandon's, which its callers tombstone, and a
+// abandons is Kernel.Abandon's, whose fence its callers log, and a
 // crash-restart (Kernel.Restart) recovers from them. Messages already in
 // flight cannot be recalled; they are fenced at delivery by the timeline
 // epoch stamped on every transport.Message, so redelivery is
@@ -752,9 +752,9 @@ func (s *LiveSubstrate) Store() *checkpoint.Store { return s.store }
 // transports, stamped with the new epoch, so chaos rules apply to them and
 // an old-epoch copy still in flight is fenced. Every process is held while
 // the epoch moves and the line is cut, so every send the cut holds carries
-// the old epoch. Durable cells written after the restored checkpoints are
-// fenced and later checkpoints pruned, so a crash-restart after the
-// rollback recovers the restored timeline.
+// the old epoch. Durable puts made after the restored checkpoints are cut
+// and later checkpoints pruned, so a crash-restart after the rollback
+// recovers the restored timeline.
 func (s *LiveSubstrate) RollbackTo(line map[string]string) error {
 	cks, err := s.store.ResolveLine(line)
 	if err != nil {
@@ -775,7 +775,7 @@ func (s *LiveSubstrate) RollbackTo(line map[string]string) error {
 	epoch := s.epoch.Add(1)
 	for i, p := range members {
 		p.restoreLocked(cks[i])
-		p.logged(p.durable.tombstone(p.Abandon(s.store, cks[i])), "invalidation")
+		p.logged(p.durable.fence(p.Cells(), p.Abandon(s.store, cks[i])), "invalidation")
 	}
 	var resend []transport.Message
 	for r := range scroll.InTransit(scrolls, nil) {

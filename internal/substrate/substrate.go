@@ -56,11 +56,11 @@ type Substrate interface {
 	// DurableSnapshot returns a deep copy of every process's
 	// stable-storage cells (proc -> key -> value; nil when nothing was
 	// written). Stable storage — the Context.Durable… seam — survives
-	// crash-restart on both backends; a deliberate rollback fences cells
-	// written after the restored checkpoint (the abandoned timeline's
-	// writes), which the snapshot omits. On the live backend the cells,
-	// and the fences as tombstones, can also be written ahead to disk
-	// (LiveConfig.DurableDir), so they survive real process crashes too.
+	// crash-restart on both backends; a deliberate rollback cuts the puts
+	// made after the restored checkpoint (the abandoned timeline's writes),
+	// so a key reads what it held there, or is absent. On the live backend
+	// the cells, and each fence as puts and tombstones, can also be written
+	// ahead to disk (LiveConfig.DurableDir), surviving real crashes too.
 	DurableSnapshot() map[string]map[string][]byte
 	// Capabilities describes what this backend supports.
 	Capabilities() Capabilities
