@@ -15,8 +15,8 @@
 // Coordinator knobs: -journal path (durable frontier; restart resumes
 // without re-executing), -lease-timeout, -no-local-fallback (without it the
 // coordinator evaluates queued work itself while no worker is connected).
-// A worker exits 0 when its coordinator's search is done. The report is
-// printed as a summary table, or as full JSON with -json.
+// A worker exits 0 when its coordinator's search is done, 1 when it finds no
+// coordinator. The report prints as a summary table, or full JSON with -json.
 package main
 
 import (
@@ -78,7 +78,10 @@ func main() {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
 		w := &fleet.Worker{Join: *join, Name: *name, Slots: *slots}
-		w.Run(ctx)
+		if err := w.Run(ctx); err != nil {
+			fmt.Fprintln(os.Stderr, "fixd-fleet:", err)
+			os.Exit(1)
+		}
 		return
 	}
 

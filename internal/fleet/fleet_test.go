@@ -317,6 +317,32 @@ func TestFleetWorkersExitAfterClose(t *testing.T) {
 	}
 }
 
+// TestFleetWorkerWithoutCoordinatorExits: a worker whose every dial is
+// refused gives up once dialPatience has passed, and says so, instead of
+// redialing forever.
+func TestFleetWorkerWithoutCoordinatorExits(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // nothing listens there any more
+	start := time.Now()
+	returned := make(chan error, 1)
+	go func() { returned <- (&Worker{Join: addr, Slots: 2}).Run(context.Background()) }()
+	select {
+	case err := <-returned:
+		if err == nil {
+			t.Fatal("a worker that reached no coordinator returned nil")
+		}
+		if took := time.Since(start); took < dialPatience {
+			t.Fatalf("the worker gave up after %v, before dialPatience (%v)", took, dialPatience)
+		}
+	case <-time.After(dialPatience + 5*time.Second):
+		t.Fatalf("the worker still redials %v after its first refused dial", dialPatience+5*time.Second)
+	}
+}
+
 // TestFleetJournalRestart: a coordinator with a journal completes a
 // search; a fresh coordinator on the same journal replays it to the
 // byte-identical report with ZERO re-executions — proven by running the

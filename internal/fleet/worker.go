@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
@@ -30,19 +32,24 @@ type Worker struct {
 }
 
 // redialDelay is the pause before a worker reconnects after a connection
-// failure.
-const redialDelay = 200 * time.Millisecond
+// failure; dialPatience how long a slot's dials may fail before it gives up.
+const redialDelay, dialPatience = 200 * time.Millisecond, 5 * time.Second
 
 // Run serves leases until the coordinator reports the search done or the
-// context is canceled. A lost connection is redialed after redialDelay; a
-// Done frame ends the worker cleanly.
-func (w *Worker) Run(ctx context.Context) {
+// context is canceled; a lost connection is redialed after redialDelay. It
+// returns an error when every slot gave up on reaching the coordinator.
+func (w *Worker) Run(ctx context.Context) error {
 	var wg sync.WaitGroup
+	var done atomic.Bool
 	for slot := range max(w.Slots, 1) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !w.session(ctx, slot) && ctx.Err() == nil {
+			for last := time.Now(); ctx.Err() == nil && time.Since(last) < dialPatience; {
+				if w.session(ctx, slot, &last) {
+					done.Store(true)
+					return
+				}
 				select {
 				case <-ctx.Done():
 				case <-time.After(redialDelay):
@@ -51,16 +58,21 @@ func (w *Worker) Run(ctx context.Context) {
 		}()
 	}
 	wg.Wait()
+	if done.Load() || ctx.Err() != nil {
+		return nil
+	}
+	return errors.New("fleet: no coordinator reachable")
 }
 
-// session runs one connection to completion: dial, hello, answer leases.
-// It reports whether the coordinator ended it with a Done frame.
-func (w *Worker) session(ctx context.Context, slot int) bool {
+// session runs one connection: dial, hello, answer leases. It reports
+// whether a Done frame ended it, and sets *reached when a dialed one ends.
+func (w *Worker) session(ctx context.Context, slot int, reached *time.Time) bool {
 	d := net.Dialer{Timeout: 5 * time.Second}
 	conn, err := d.DialContext(ctx, "tcp", w.Join)
 	if err != nil {
 		return false
 	}
+	defer func() { *reached = time.Now() }()
 	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
