@@ -89,14 +89,13 @@ type Context interface {
 	// Heap is the process's checkpointable bulk store.
 	Heap() *checkpoint.Heap
 	// DurablePut writes key = value to the process's stable storage — the
-	// per-process cell store that models a disk (liblog/Flashback-style
-	// durable logging, paper §3.1). Unlike the heap and machine state it is
-	// NOT rewound by crash-restart: a write survives every involuntary
-	// restore for the rest of the run. Deliberate rollbacks (Time Machine,
-	// heal, speculation aborts) are different — they abandon the timeline
-	// the write happened on, so cells written after the restored checkpoint
-	// are fenced (invisible to later reads) rather than re-installed. The
-	// write is recorded in the scroll, so replays observe it.
+	// per-process store that models a disk (liblog/Flashback-style durable
+	// logging, paper §3.1). Unlike the heap and machine state it is NOT
+	// rewound by crash-restart: a write survives every involuntary restore
+	// for the rest of the run. Deliberate rollbacks (Time Machine, heal,
+	// speculation aborts) abandon the timeline the write happened on, so a
+	// key reads again what it held at the restored checkpoint. The write is
+	// recorded in the scroll, so replays observe it.
 	DurablePut(key string, value []byte)
 	// DurableGet reads a stable-storage cell. The outcome is recorded in
 	// the scroll (KindEnv), so per-process replay feeds the same value back.

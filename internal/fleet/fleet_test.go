@@ -332,8 +332,8 @@ func TestFleetWorkerWithoutCoordinatorExits(t *testing.T) {
 	go func() { returned <- (&Worker{Join: addr, Slots: 2}).Run(context.Background()) }()
 	select {
 	case err := <-returned:
-		if err == nil {
-			t.Fatal("a worker that reached no coordinator returned nil")
+		if !errors.Is(err, errNoCoordinator) {
+			t.Fatalf("a worker that reached no coordinator returned %v, want %v", err, errNoCoordinator)
 		}
 		if took := time.Since(start); took < dialPatience {
 			t.Fatalf("the worker gave up after %v, before dialPatience (%v)", took, dialPatience)

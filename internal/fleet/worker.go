@@ -16,10 +16,10 @@ import (
 // answers leases — evaluating candidate schedules on the pooled
 // chaos.Runner arenas, or minimizing a failing schedule with the same
 // LocalShrinker code the in-process search uses — and redials when the
-// connection drops, until the coordinator sends Done. A worker holds no
-// search state at all; kill one at any moment and the coordinator reissues
-// its lease elsewhere, or evaluates it itself once no worker is left, with
-// no effect on the final report.
+// connection drops, until the coordinator sends Done or stays out of reach
+// for dialPatience. A worker holds no search state at all; kill one at any
+// moment and the coordinator reissues its lease elsewhere, or evaluates it
+// itself once no worker is left, with no effect on the final report.
 type Worker struct {
 	// Join is the coordinator's address.
 	Join string
@@ -35,9 +35,11 @@ type Worker struct {
 // failure; dialPatience how long a slot's dials may fail before it gives up.
 const redialDelay, dialPatience = 200 * time.Millisecond, 5 * time.Second
 
+// errNoCoordinator is Run's error when every slot gave up.
+var errNoCoordinator = errors.New("fleet: no coordinator reachable")
+
 // Run serves leases until the coordinator reports the search done or the
-// context is canceled; a lost connection is redialed after redialDelay. It
-// returns an error when every slot gave up on reaching the coordinator.
+// context is canceled; a lost connection is redialed after redialDelay.
 func (w *Worker) Run(ctx context.Context) error {
 	var wg sync.WaitGroup
 	var done atomic.Bool
@@ -61,7 +63,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	if done.Load() || ctx.Err() != nil {
 		return nil
 	}
-	return errors.New("fleet: no coordinator reachable")
+	return errNoCoordinator
 }
 
 // session runs one connection: dial, hello, answer leases. It reports

@@ -361,12 +361,9 @@ func (*durLine) OnRollback(dsim.Context, dsim.RollbackInfo) {}
 // and, on the live backend, in the write-ahead log.
 func TestConformanceStableStorage(t *testing.T) {
 	for _, backend := range []string{"sim", "live", "live-tcp"} {
-		newSub := func(t *testing.T, cfg dsim.Config, dir string) substrate.Substrate {
-			return durableSubstrate(t, backend, cfg, dir)
-		}
 		t.Run(backend+"-rollback", func(t *testing.T) {
 			dir := t.TempDir()
-			sub := newSub(t, dsim.Config{Seed: 7}, dir)
+			sub := durableSubstrate(t, backend, dsim.Config{Seed: 7}, dir)
 			sub.AddProcess("p", &durLine{})
 			sub.Run()
 			ck := sub.Store().Latest("p")
@@ -393,14 +390,14 @@ func TestConformanceStableStorage(t *testing.T) {
 			if err := sub.Close(); err != nil {
 				t.Fatal(err)
 			}
-			re := newSub(t, dsim.Config{Seed: 7}, dir)
+			re := durableSubstrate(t, backend, dsim.Config{Seed: 7}, dir)
 			re.AddProcess("p", &durLine{})
 			if got := re.DurableSnapshot(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("cells reopened from the log: %q, want %q", got, want)
 			}
 		})
 		t.Run(backend, func(t *testing.T) {
-			sub := newSub(t, dsim.Config{Seed: 7, MinLatency: 1, MaxLatency: 4,
+			sub := durableSubstrate(t, backend, dsim.Config{Seed: 7, MinLatency: 1, MaxLatency: 4,
 				InitCheckpoint: true, CheckpointEvery: 4, MaxSteps: 100_000}, "")
 			sub.AddProcess("worker", &durWorker{})
 			sub.AddProcess("producer", &confProducer{n: confJobs, every: 3})

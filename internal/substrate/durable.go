@@ -81,9 +81,8 @@ func (ds durableStore) put(key string, value []byte, epoch, writeSeq uint64) err
 	return ds.log.Append(encodeDurablePut(key, value, epoch, writeSeq))
 }
 
-// fence logs each key a fence of cells changed, in order, so the fence
-// itself survives a crash: as a put of the value the key reads again (with
-// zero coordinates; recovery reads none), or as a tombstone when it went.
+// fence logs each key a fence of cells changed, so the fence survives a
+// crash: as a put of the value the key reads again, or a tombstone if none.
 func (ds durableStore) fence(cells *checkpoint.Cells, changed []string) error {
 	if ds.log == nil {
 		return nil
@@ -91,7 +90,7 @@ func (ds durableStore) fence(cells *checkpoint.Cells, changed []string) error {
 	for _, k := range changed {
 		rec := encodeDurableTombstone(k)
 		if v, ok := cells.Get(k); ok {
-			rec = encodeDurablePut(k, v, 0, 0)
+			rec = encodeDurablePut(k, v, 0, 0) // recovery reads no coordinates
 		}
 		if err := ds.log.Append(rec); err != nil {
 			return err
